@@ -111,11 +111,6 @@ pub struct EngineConfig {
     /// epoch, estimates by the ⟨partition, epoch⟩ dependencies they read,
     /// so cached plans survive ingest into partitions they never touched.
     pub plan_cache: bool,
-    /// Compile return items, group keys, and aggregate arguments to dense
-    /// variable/event slot indices before the tuple loop, replacing the
-    /// per-tuple `RowCtx` hash maps with indexed flat arrays (and
-    /// materializing only the event slots the projection actually reads).
-    pub compiled_projection: bool,
     /// Minimum estimated scan size before partition-parallelism kicks in
     /// (thread fan-out is pure overhead for tiny scans).
     pub parallel_threshold: usize,
@@ -163,7 +158,6 @@ impl Default for EngineConfig {
             blocked_join_drive: true,
             join_block_tuples: 4096,
             plan_cache: true,
-            compiled_projection: true,
             parallel_threshold: 8_192,
             max_intermediate: 4_000_000,
             deadline_ms: 0,
@@ -199,7 +193,6 @@ impl EngineConfig {
             blocked_join_drive: false,
             join_block_tuples: 4096,
             plan_cache: false,
-            compiled_projection: false,
             parallel_threshold: usize::MAX,
             max_intermediate: 4_000_000,
             deadline_ms: 0,

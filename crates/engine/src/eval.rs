@@ -9,10 +9,11 @@
 use std::collections::HashMap;
 
 use aiql_lang::{BinOp, Expr, Literal};
-use aiql_model::{EntityId, Event, Value};
+use aiql_model::{EntityId, Event, ModelError, Value};
 use aiql_storage::EventStore;
 
 use crate::error::EngineError;
+use crate::op::{EventRef, PartTable, Tuple, NO_REF, NO_VAR};
 
 /// The evaluation context of one result row.
 #[derive(Default)]
@@ -115,6 +116,8 @@ pub enum SlotExpr {
         slot: usize,
         /// Resolved attribute name (`id` when the reference was bare).
         attr: String,
+        /// Its storage column, resolved once at compile time.
+        col: EventCol,
         /// Source variable name (for error parity with the dynamic path).
         name: String,
     },
@@ -151,32 +154,121 @@ pub enum SlotExpr {
     Neg(Box<SlotExpr>),
 }
 
-/// Dense per-tuple bindings for slot-compiled evaluation: flat arrays
-/// indexed by variable/pattern/alias/aggregate slot, replacing the
-/// [`RowCtx`] hash maps. Reused across tuples; only the slots a query's
-/// compiled expressions reference are ever written or read.
-#[derive(Debug, Default)]
-pub struct SlotRow {
-    /// Entity id per variable slot.
-    pub entities: Vec<Option<EntityId>>,
-    /// Materialized event per pattern slot.
-    pub events: Vec<Option<Event>>,
-    /// Alias values of already-evaluated return items.
-    pub aliases: Vec<Option<Value>>,
-    /// Aggregate values, parallel to the query's dense aggregate list.
-    pub aggs: Vec<Value>,
+/// An event attribute resolved to the storage column holding it, so the
+/// per-tuple read goes straight through [`PartTable`] to the partition's
+/// column — no [`Event`] is materialized and no attribute name is matched
+/// per tuple.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventCol {
+    /// `amount`.
+    Amount,
+    /// `starttime` / `start_time`.
+    Start,
+    /// `endtime` / `end_time`.
+    End,
+    /// `agentid`.
+    Agent,
+    /// `optype` / `operation`.
+    Op,
+    /// `id`.
+    Id,
 }
 
-impl SlotRow {
-    /// A row with every slot unbound, sized for a query.
-    pub fn new(nvars: usize, npatterns: usize, naliases: usize, naggs: usize) -> Self {
-        SlotRow {
-            entities: vec![None; nvars],
-            events: vec![None; npatterns],
-            aliases: vec![None; naliases],
-            aggs: vec![Value::Null; naggs],
+impl EventCol {
+    /// Resolves an attribute name exactly as [`Event::get`] does — same
+    /// aliases, same error for an unknown name.
+    pub fn resolve(attr: &str) -> Result<Self, ModelError> {
+        Ok(match attr {
+            "amount" => EventCol::Amount,
+            "starttime" | "start_time" => EventCol::Start,
+            "endtime" | "end_time" => EventCol::End,
+            "agentid" => EventCol::Agent,
+            "optype" | "operation" => EventCol::Op,
+            "id" => EventCol::Id,
+            _ => {
+                return Err(ModelError::UnknownAttribute {
+                    kind: "event",
+                    attr: attr.to_string(),
+                })
+            }
+        })
+    }
+
+    /// Reads the column at a row reference — the value [`Event::get`]
+    /// returns for the materialized event.
+    #[inline]
+    pub(crate) fn read(self, parts: &PartTable<'_>, r: EventRef) -> Value {
+        let p = parts.part(r);
+        match self {
+            EventCol::Amount => Value::Int(p.amount_at(r.row) as i64),
+            EventCol::Start => Value::Time(p.start_at(r.row)),
+            EventCol::End => Value::Time(p.end_at(r.row)),
+            EventCol::Agent => Value::Int(i64::from(parts.agent(r).raw())),
+            EventCol::Op => Value::Int(p.op_at(r.row).index() as i64),
+            EventCol::Id => Value::Int(p.id_at(r.row).raw() as i64),
         }
     }
+}
+
+/// One joined tuple as compiled expressions read it: the join's flat row
+/// references (the late-materialization path) or a materialized tuple (the
+/// seed's path).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum TupleView<'t> {
+    /// Event ref per pattern and entity id per variable.
+    Refs {
+        events: &'t [EventRef],
+        vars: &'t [u32],
+    },
+    /// A materialized tuple.
+    Events(&'t Tuple),
+}
+
+impl TupleView<'_> {
+    /// The tuple with its events materialized.
+    pub(crate) fn materialize(&self, parts: &PartTable<'_>) -> Tuple {
+        match self {
+            TupleView::Refs { events, vars } => Tuple {
+                events: (events.iter())
+                    .map(|&r| (r != NO_REF).then(|| parts.event(r)))
+                    .collect(),
+                vars: (vars.iter())
+                    .map(|&v| (v != NO_VAR).then_some(EntityId(v)))
+                    .collect(),
+            },
+            TupleView::Events(t) => (*t).clone(),
+        }
+    }
+
+    #[inline]
+    fn entity(&self, slot: usize) -> Option<EntityId> {
+        match self {
+            TupleView::Refs { vars, .. } => (vars[slot] != NO_VAR).then_some(EntityId(vars[slot])),
+            TupleView::Events(t) => t.vars[slot],
+        }
+    }
+
+    /// The event bound at `slot`: its ref (`Ok`) or itself (`Err`).
+    #[inline]
+    fn event(&self, slot: usize) -> Option<Result<EventRef, &Event>> {
+        match self {
+            TupleView::Refs { events, .. } => (events[slot] != NO_REF).then_some(Ok(events[slot])),
+            TupleView::Events(t) => t.events[slot].as_ref().map(Err),
+        }
+    }
+}
+
+/// Everything a slot-compiled expression evaluates against: the tuple, the
+/// store behind it, and (in aggregated projections) the alias and
+/// aggregate values of the group being emitted.
+pub(crate) struct SlotCtx<'t> {
+    pub store: &'t EventStore,
+    pub parts: &'t PartTable<'t>,
+    pub tuple: TupleView<'t>,
+    /// Alias values of already-evaluated return items, by alias slot.
+    pub aliases: &'t [Option<Value>],
+    /// Aggregate values, parallel to the query's dense aggregate list.
+    pub aggs: &'t [Value],
 }
 
 /// Name environment of [`compile_slots`]: resolves variable, event, alias,
@@ -209,9 +301,13 @@ pub fn compile_slots(e: &Expr, store: &EventStore, env: &SlotEnv<'_>) -> Option<
         }),
         Expr::Ref { var, attr } => {
             if let Some(&slot) = env.events.get(var.as_str()) {
+                // An unknown attribute keeps the dynamic path, which
+                // raises `Event::get`'s error only once a tuple exists.
+                let attr = attr.clone().unwrap_or_else(|| "id".to_string());
                 SlotExpr::Event {
                     slot,
-                    attr: attr.clone().unwrap_or_else(|| "id".to_string()),
+                    col: EventCol::resolve(&attr).ok()?,
+                    attr,
                     name: var.clone(),
                 }
             } else if let Some(&slot) = env.vars.get(var.as_str()) {
@@ -244,30 +340,28 @@ pub fn compile_slots(e: &Expr, store: &EventStore, env: &SlotEnv<'_>) -> Option<
 }
 
 impl SlotExpr {
-    /// Visits every node of the compiled tree.
-    pub fn visit(&self, f: &mut impl FnMut(&SlotExpr)) {
-        f(self);
-        match self {
-            SlotExpr::Binary { lhs, rhs, .. } => {
-                lhs.visit(f);
-                rhs.visit(f);
-            }
-            SlotExpr::Neg(inner) => inner.visit(f),
-            _ => {}
-        }
+    /// Whether the expression, as a filter, lets the tuple through.
+    pub(crate) fn passes(&self, cx: &SlotCtx<'_>) -> Result<bool, EngineError> {
+        self.eval(cx).map(Value::truthy)
     }
 
-    /// Evaluates the compiled expression against a slot row.
-    pub fn eval(&self, store: &EventStore, row: &SlotRow) -> Result<Value, EngineError> {
+    /// Evaluates the compiled expression for one tuple.
+    pub(crate) fn eval(&self, cx: &SlotCtx<'_>) -> Result<Value, EngineError> {
         match self {
             SlotExpr::Const(v) => Ok(*v),
-            SlotExpr::Event { slot, attr, name } => match &row.events[*slot] {
-                Some(e) => e.get(attr).map_err(EngineError::Model),
+            SlotExpr::Event {
+                slot,
+                attr,
+                col,
+                name,
+            } => match cx.tuple.event(*slot) {
+                Some(Ok(r)) => Ok(col.read(cx.parts, r)),
+                Some(Err(e)) => e.get(attr).map_err(EngineError::Model),
                 None => Err(unbound(name)),
             },
-            SlotExpr::Entity { slot, attr, name } => match row.entities[*slot] {
+            SlotExpr::Entity { slot, attr, name } => match cx.tuple.entity(*slot) {
                 Some(id) => {
-                    let entity = store.entities().get(id);
+                    let entity = cx.store.entities().get(id);
                     match attr {
                         Some(a) => entity.get(a).map_err(EngineError::Model),
                         None => Ok(entity.attrs.default_value()),
@@ -275,15 +369,15 @@ impl SlotExpr {
                 }
                 None => Err(unbound(name)),
             },
-            SlotExpr::Alias { slot, name } => row.aliases[*slot].ok_or_else(|| unbound(name)),
-            SlotExpr::Agg(i) => Ok(row.aggs[*i]),
+            SlotExpr::Alias { slot, name } => cx.aliases[*slot].ok_or_else(|| unbound(name)),
+            SlotExpr::Agg(i) => Ok(cx.aggs[*i]),
             SlotExpr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval(store, row)?;
-                let r = rhs.eval(store, row)?;
+                let l = lhs.eval(cx)?;
+                let r = rhs.eval(cx)?;
                 Ok(apply_binop(*op, l, r))
             }
             SlotExpr::Neg(inner) => {
-                let v = inner.eval(store, row)?;
+                let v = inner.eval(cx)?;
                 Ok(match v {
                     Value::Int(i) => Value::Int(-i),
                     Value::Float(x) => Value::Float(-x),
@@ -450,6 +544,118 @@ mod tests {
         let (s, _) = store_and_event();
         let e = having_expr("zz > 1");
         assert!(eval(&e, &s, &RowCtx::default()).is_err());
+    }
+
+    /// A store whose events differ in every event column, spread over
+    /// several partitions, with every row reference into it.
+    fn store_and_refs() -> (EventStore, Vec<(usize, u32)>) {
+        let mut s = EventStore::default();
+        let raws: Vec<RawEvent> = (0..12u32)
+            .map(|i| {
+                let mut raw = RawEvent::instant(
+                    AgentId(1 + i % 3),
+                    if i % 2 == 0 {
+                        Operation::Write
+                    } else {
+                        Operation::Read
+                    },
+                    EntitySpec::process(10 + i, "p.exe", "u"),
+                    EntitySpec::file(&format!("/f{i}"), "u"),
+                    Timestamp::from_secs(i64::from(i) * 7_000),
+                    u64::from(i) * 100 + 1,
+                );
+                raw.end_time = raw.start_time + aiql_model::Duration::from_secs(i64::from(i));
+                raw
+            })
+            .collect();
+        s.ingest_all(&raws);
+        let parts = PartTable::build(&s);
+        let refs = (0..parts.parts.len())
+            .flat_map(|pi| (0..parts.parts[pi].len() as u32).map(move |row| (pi, row)))
+            .collect();
+        (s, refs)
+    }
+
+    /// Every name in `names` resolves to `col`, and the column read through
+    /// the partition equals `Event::get` on the materialized event.
+    fn assert_col_matches_event_get(col: EventCol, names: &[&str]) {
+        let (s, refs) = store_and_refs();
+        let parts = PartTable::build(&s);
+        assert_eq!(refs.len(), 12);
+        for name in names {
+            assert_eq!(EventCol::resolve(name), Ok(col));
+            for &(part, row) in &refs {
+                let r = EventRef {
+                    part: part as u32,
+                    row,
+                };
+                assert_eq!(
+                    col.read(&parts, r),
+                    parts.event(r).get(name).unwrap(),
+                    "{name} at {r:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn amount_column_matches_event_get() {
+        assert_col_matches_event_get(EventCol::Amount, &["amount"]);
+    }
+
+    #[test]
+    fn start_column_and_alias_match_event_get() {
+        assert_col_matches_event_get(EventCol::Start, &["starttime", "start_time"]);
+    }
+
+    #[test]
+    fn end_column_and_alias_match_event_get() {
+        assert_col_matches_event_get(EventCol::End, &["endtime", "end_time"]);
+    }
+
+    #[test]
+    fn agent_column_matches_event_get() {
+        assert_col_matches_event_get(EventCol::Agent, &["agentid"]);
+    }
+
+    #[test]
+    fn op_column_and_alias_match_event_get() {
+        assert_col_matches_event_get(EventCol::Op, &["optype", "operation"]);
+    }
+
+    #[test]
+    fn id_column_matches_event_get() {
+        assert_col_matches_event_get(EventCol::Id, &["id"]);
+    }
+
+    #[test]
+    fn unknown_event_attribute_has_event_gets_error_and_keeps_the_dynamic_path() {
+        let (s, event) = store_and_event();
+        let want = event.get("bogus").unwrap_err();
+        assert_eq!(EventCol::resolve("bogus"), Err(want.clone()));
+        assert_eq!(
+            want.to_string(),
+            EventCol::resolve("bogus").unwrap_err().to_string()
+        );
+        // The compiler declines the expression, so the dynamic path raises
+        // the error exactly as before — and only once a tuple exists.
+        let env = SlotEnv {
+            vars: HashMap::new(),
+            events: HashMap::from([("e", 0)]),
+            aliases: HashMap::new(),
+            aggs: HashMap::new(),
+        };
+        assert!(compile_slots(&having_expr("e.bogus > 1"), &s, &env).is_none());
+        assert!(compile_slots(&having_expr("e.amount > 1"), &s, &env).is_some());
+        let engine = crate::Engine::new(crate::EngineConfig::default());
+        let err = engine
+            .execute_text(&s, "proc p write file f as e return e.bogus")
+            .unwrap_err();
+        assert_eq!(err, EngineError::Model(want));
+        let none = engine
+            .execute_text(&s, "proc p read file f as e return e.bogus")
+            .unwrap();
+        assert!(none.rows.is_empty());
     }
 
     #[test]

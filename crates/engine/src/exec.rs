@@ -26,12 +26,11 @@ use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::Governor;
-use crate::op::{self, ExecEnv, Frontier, PartTable, PipelineState, NO_REF, NO_VAR};
+use crate::op::{self, ExecEnv, Frontier, PartTable, PipelineState};
 use crate::pool::ScanPool;
 use crate::result::ResultTable;
 use crate::schedule::{self, PlanCache};
 
-use aiql_model::EntityId;
 use aiql_storage::EventStore;
 
 // Public API surface kept stable across the operator-pipeline refactor:
@@ -90,8 +89,10 @@ impl<'a> MultieventExec<'a> {
 
     /// Builds the execution environment: the compiled shared phase
     /// (resolved vars, base filters, schedule — memoized across queries
-    /// when a plan cache is attached) plus the partition address space.
-    fn env(&self) -> ExecEnv<'a> {
+    /// when a plan cache is attached), the partition address space, and —
+    /// when a projection closes the pipeline (`project`) — its compiled
+    /// form.
+    fn env(&self, project: bool) -> ExecEnv<'a> {
         let cache = if self.config.plan_cache {
             self.plan_cache.as_deref()
         } else {
@@ -104,6 +105,9 @@ impl<'a> MultieventExec<'a> {
             pool: self.pool.clone(),
             ctx: schedule::prepare(self.a, self.store, self.config.prioritize_pruning, cache),
             parts: PartTable::build(self.store),
+            projection: project
+                .then(|| op::project::compile_projection(self.store, self.a))
+                .flatten(),
             governor: self.governor.clone(),
         }
     }
@@ -115,7 +119,7 @@ impl<'a> MultieventExec<'a> {
 
     /// Runs the query and also returns execution statistics.
     pub fn run_with_stats(&self) -> Result<(ResultTable, ExecStats), EngineError> {
-        let env = self.env();
+        let env = self.env(true);
         let tree = op::query_tree(self.a, &env.ctx.plan.order);
         let mut st = PipelineState::new(
             self.a,
@@ -146,7 +150,7 @@ impl<'a> MultieventExec<'a> {
     /// need projection should use [`MultieventExec::run`], which skips
     /// this materialization entirely.
     pub fn match_tuples(&self) -> Result<(Vec<Tuple>, bool, ExecStats), EngineError> {
-        let env = self.env();
+        let env = self.env(false);
         let tree = op::join_tree(&env.ctx.plan.order);
         let mut st = PipelineState::new(
             self.a,
@@ -156,20 +160,7 @@ impl<'a> MultieventExec<'a> {
         tree.execute(&env, &mut st)?;
         let tuples = match st.frontier {
             Frontier::Events(tuples) => tuples,
-            Frontier::Refs(arena) => (0..arena.len())
-                .map(|ti| Tuple {
-                    events: arena
-                        .events_of(ti)
-                        .iter()
-                        .map(|&r| (r != NO_REF).then(|| env.parts.event(r)))
-                        .collect(),
-                    vars: arena
-                        .vars_of(ti)
-                        .iter()
-                        .map(|&v| (v != NO_VAR).then_some(EntityId(v)))
-                        .collect(),
-                })
-                .collect(),
+            Frontier::Refs(arena) => arena.materialize(&env.parts),
         };
         let tripped = self.governor.as_ref().is_some_and(|g| g.trip().is_some());
         Ok((tuples, st.truncated || tripped, st.stats))

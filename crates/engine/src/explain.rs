@@ -337,10 +337,16 @@ fn operator_tree(
     if config.sideways_filters {
         layers.push("sideways filters");
     }
+    // The blocked drive on the ref path pushes its tuples straight into the
+    // projection sink when the projection compiles; name what it retains.
+    let sink = (blocked
+        && config.late_materialization
+        && crate::op::project::compile_projection(store, a).is_some())
+    .then(|| format!(" → sink: {}", crate::op::project::sink_label(a)));
     let join = OpPlanNode {
         kind: "TemporalJoin",
         detail: format!(
-            "{} pattern(s), {} temporal relation(s) | {} | max_intermediate {}{}",
+            "{} pattern(s), {} temporal relation(s) | {} | max_intermediate {}{}{}",
             a.patterns.len(),
             a.temporal.len(),
             if blocked {
@@ -366,12 +372,16 @@ fn operator_tree(
             } else {
                 format!(" | {}", layers.join(" + "))
             },
+            sink.unwrap_or_default(),
         ),
         children: scans,
     };
-    let aggregated = !crate::exec::collect_aggs(a).is_empty() || !a.group_by.is_empty();
     OpPlanNode {
-        kind: if aggregated { "Aggregate" } else { "Project" },
+        kind: if crate::op::project::is_aggregated(a) {
+            "Aggregate"
+        } else {
+            "Project"
+        },
         detail: format!(
             "{} column(s){}{}{}",
             a.ret.items.len(),
@@ -509,6 +519,44 @@ mod tests {
         let text = plan.render();
         assert!(text.contains("physical operator tree:"));
         assert!(text.contains("TemporalJoin"));
+    }
+
+    #[test]
+    fn join_node_names_the_projection_sink() {
+        let store = store();
+        let join_detail = |ret: &str, config: &EngineConfig| {
+            let q = parse_query(&format!(
+                "proc p1 start proc p2 as e1 proc p2 write file f as e2 with e1 before e2 {ret}"
+            ))
+            .unwrap();
+            let plan = explain(&store, &q, config).unwrap();
+            plan.operators.children[0].detail.clone()
+        };
+        let default = EngineConfig::default();
+        assert!(join_detail("return count(e2.amount)", &default).ends_with("→ sink: count"));
+        assert!(join_detail(
+            "return p1, sum(e2.amount), avg(e2.amount) group by p1",
+            &default
+        )
+        .ends_with("→ sink: sum, avg by (p1)"));
+        assert!(join_detail("return distinct p1, f", &default).ends_with("→ sink: distinct(p1, f)"));
+        assert!(join_detail("return p1, e2.amount as amt", &default).ends_with("→ sink: rows"));
+        // Joins that leave a frontier for `Project` to feed name no sink:
+        // the breadth-first drive, the materializing path, and a
+        // projection that keeps the dynamic path.
+        for config in [
+            EngineConfig {
+                blocked_join_drive: false,
+                ..EngineConfig::default()
+            },
+            EngineConfig {
+                late_materialization: false,
+                ..EngineConfig::default()
+            },
+        ] {
+            assert!(!join_detail("return p1", &config).contains("sink"));
+        }
+        assert!(!join_detail("return e2.bogus", &default).contains("sink"));
     }
 
     #[test]

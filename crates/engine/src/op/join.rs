@@ -73,9 +73,13 @@
 //! input frontier in [`EXPAND_CHUNK`]-tuple windows, probes one window
 //! into the level's reused scratch arena (one **expansion**, capped at
 //! `max_intermediate` tuples), and recurses on the expansion before the
-//! next window runs. The final step appends straight into the drive's
-//! output arena — survivors are never copied again. Windows run in input
-//! order and the recursion is depth-first, so the output is in
+//! next window runs. The final step delivers straight into the drive's
+//! [`JoinOutput`]: the projection sink when a compiled projection closes
+//! the pipeline — each joined tuple is evaluated as it is found and never
+//! written anywhere; what is kept is what `return` needs (see
+//! `op/project.rs`) — or an output arena when nothing projects
+//! (`match_tuples`) or the projection keeps the dynamic path. Windows run
+//! in input order and the recursion is depth-first, so the output is in
 //! nested-loop emission order: **byte-identical** to breadth-first
 //! whenever no cap trips, and a *prefix in nested-loop emission order* of
 //! the untruncated result when `max_intermediate` (or a governor budget)
@@ -94,17 +98,21 @@
 //! truncation); an expansion that hits `max_intermediate` is still
 //! recursed on — its prefix's subtree finishes — and then cuts the run,
 //! stopping the drive after it; the final step draws on the output
-//! budget (`max_intermediate` across the whole drive): the exact
-//! remaining room in the serial drive, the shared [`JoinBudget`] at run
-//! granularity in the parallel one — runs merge in ascending seed order
-//! with speculative overshoot trimmed, so both drives keep the same
-//! prefix.
+//! budget (`max_intermediate` delivered tuples across the whole drive):
+//! the exact remaining room in the serial drive, the shared
+//! [`JoinBudget`] at run granularity in the parallel one. Parallel runs
+//! each fill a fork of the output and fold into it in ascending seed
+//! order; a run whose partial overshoots the remaining room (the one run
+//! that straddles the cap) or would not merge bit for bit (float sums) is
+//! dropped and re-driven on the merge thread into the output itself, so
+//! both drives produce the same output by construction.
 //!
 //! Governor integration: a memory budget forces the serial drive, which
-//! *live-charges* each expansion's bytes while its subtree runs and the
-//! appended output permanently — a trip stops the drive at a
-//! deterministic tuple (error mode unwinds, partial mode keeps the
-//! emission-order prefix). Deadline/cancel trips are polled inside every
+//! *live-charges* each expansion's bytes while its subtree runs and what
+//! the output retains permanently (every tuple of an arena; only the rows,
+//! group states or distinct keys of a projection sink) — a trip stops the
+//! drive at a deterministic tuple (error mode unwinds, partial mode keeps
+//! the emission-order prefix, or its projection). Deadline/cancel trips are polled inside every
 //! probe loop in both drives; the parallel merge drops a tripped run's
 //! partial output and stops at the previous run boundary, while the
 //! serial drive keeps its own partial emission (either way a valid
@@ -126,8 +134,8 @@ use crate::analyze::{AnalyzedMultievent, StepRel};
 use crate::error::EngineError;
 use crate::governor::{GovGate, Governor, Trip};
 use crate::op::{
-    worker_panic, Batch, EventRef, ExecEnv, Frontier, JoinStepStat, OpIo, Operator, PartTable,
-    PipelineState, RefArena, Tuple, NO_REF, NO_VAR,
+    worker_panic, Batch, EventRef, ExecEnv, Flow, Frontier, JoinOutput, JoinStepStat, OpIo,
+    Operator, PartTable, PipelineState, ProjectionSink, RefArena, Tuple, NO_REF, NO_VAR,
 };
 
 /// How many appended tuples a join partition produces between refreshes of
@@ -174,7 +182,11 @@ impl Operator for TemporalJoin {
         "TemporalJoin"
     }
 
-    fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpIo, EngineError> {
+    fn run<'e>(
+        &self,
+        env: &'e ExecEnv<'_>,
+        st: &mut PipelineState<'e>,
+    ) -> Result<OpIo, EngineError> {
         if st.done {
             // A pattern came back empty: the frontier stays empty, and the
             // projection above produces the empty table.
@@ -201,7 +213,8 @@ impl Operator for TemporalJoin {
                     _ => unreachable!("late path fetched refs for every pattern"),
                 })
                 .collect();
-            let (arena, run) = join_refs(env, lists, &st.domains)?;
+            let (arena, sink, run) = join_refs(env, lists, &st.domains)?;
+            st.sink = sink;
             (Frontier::Refs(arena), run)
         } else {
             let lists: Vec<Vec<Event>> = candidates
@@ -220,8 +233,14 @@ impl Operator for TemporalJoin {
             g.uncharge(cand_bytes);
         }
         st.truncated = run.truncated;
-        st.stats.tuples = frontier.len();
-        let rows_out = frontier.len();
+        // Tuples the join produced: left in the frontier, or pushed into
+        // the projection sink.
+        let sink_kept = st.sink.as_ref().map(ProjectionSink::kept);
+        let rows_out = st
+            .sink
+            .as_ref()
+            .map_or(frontier.len(), ProjectionSink::pushed);
+        st.stats.tuples = rows_out;
         st.frontier = frontier;
         Ok(OpIo {
             rows_in,
@@ -236,6 +255,7 @@ impl Operator for TemporalJoin {
             emitted_tuples: run.emitted_tuples,
             breadth_bound_tuples: run.breadth_bound_tuples,
             early_exit_depth: run.early_exit_depth,
+            sink_kept,
             join_steps: run.steps,
         })
     }
@@ -293,7 +313,7 @@ fn pack(ids: [u32; 2]) -> u64 {
 /// SplitMix64 finalizer: spreads packed entity-id keys across shards (the
 /// raw keys are dense small integers — `key % shards` would pile them up).
 #[inline]
-fn mix(mut x: u64) -> u64 {
+pub(crate) fn mix(mut x: u64) -> u64 {
     x ^= x >> 33;
     x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
     x ^= x >> 33;
@@ -837,8 +857,9 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
 
 /// Multi-way hash join over per-pattern *reference* lists: the tuple
 /// frontier lives in a flat [`RefArena`] (no per-tuple allocation). Returns
-/// the final frontier plus the run accounting (truncation, widest fan-out,
-/// build/probe timing split).
+/// the final frontier — or, when the blocked drive streamed its tuples into
+/// the projection sink, an empty frontier and that sink — plus the run
+/// accounting (truncation, widest fan-out, build/probe timing split).
 ///
 /// Governor integration: the memory budget converts to a deterministic row
 /// cap at each step start (`remaining_bytes / tuple_bytes`, min'd into
@@ -847,11 +868,11 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
 /// poll; in partial mode the remaining steps then run ungoverned so the
 /// preserved prefix completes (a prefix of any step's input extends to a
 /// prefix of the final frontier), in error mode the trip unwinds here.
-fn join_refs(
-    env: &ExecEnv<'_>,
+fn join_refs<'e>(
+    env: &'e ExecEnv<'_>,
     candidates: Vec<Vec<EventRef>>,
     domains: &[Option<(IdSet, IdSet)>],
-) -> Result<(RefArena, JoinRun), EngineError> {
+) -> Result<(RefArena, Option<ProjectionSink<'e>>, JoinRun), EngineError> {
     let a = env.a;
     let parts = &env.parts;
     let n = a.patterns.len();
@@ -921,14 +942,30 @@ fn join_refs(
     if env.config.blocked_join_drive && n >= 2 {
         let seed = join_order[0];
         let seed_refs: &[EventRef] = seed_pruned.as_deref().unwrap_or(&candidates[seed]);
-        return join_refs_blocked(
-            env,
-            &candidates,
-            domains,
-            &join_order,
-            seed_refs,
-            seed_pruned_count,
-        );
+        // With a compiled projection closing the pipeline, the final step
+        // pushes into its sink; otherwise the tuples are kept.
+        return match ProjectionSink::new(env) {
+            Some(sink) => join_refs_blocked(
+                env,
+                &candidates,
+                domains,
+                &join_order,
+                seed_refs,
+                seed_pruned_count,
+                sink,
+            )
+            .map(|(sink, run)| (RefArena::new(n, nvars), Some(sink), run)),
+            None => join_refs_blocked(
+                env,
+                &candidates,
+                domains,
+                &join_order,
+                seed_refs,
+                seed_pruned_count,
+                RefArena::new(n, nvars),
+            )
+            .map(|(arena, run)| (arena, None, run)),
+        };
     }
 
     let mut tuples = RefArena::new(n, nvars);
@@ -1128,10 +1165,10 @@ fn join_refs(
         });
         placed[i] = true;
         if tuples.len() == 0 {
-            return Ok((tuples, run));
+            break;
         }
     }
-    Ok((tuples, run))
+    Ok((tuples, None, run))
 }
 
 /// Sideways build-side pruning (layer 3) for the step placing pattern `i`:
@@ -1219,15 +1256,6 @@ struct BlockedStep {
     build_nanos: u64,
 }
 
-/// Control flow of the blocked drive's recursion: `Stop` ends the whole
-/// drive — the output cap filled, an expansion cut the run, or the
-/// governor tripped (the [`RunState`] flags say which).
-#[derive(Clone, Copy, PartialEq)]
-enum Flow {
-    Continue,
-    Stop,
-}
-
 /// Mutable state of one blocked drive: the per-level reused scratch
 /// arenas plus the accounting the recursion accumulates. The serial drive
 /// threads one `RunState` through every run, so each level's scratch
@@ -1236,8 +1264,8 @@ enum Flow {
 struct RunState {
     /// `levels[0]` holds the current run's seed expansion and `levels[j]`
     /// step `j`'s scratch output (`truncate(0)` between windows keeps
-    /// capacity). The final step has no level — it appends straight into
-    /// the drive's output arena.
+    /// capacity). The final step has no level — it delivers straight into
+    /// the drive's output.
     levels: Vec<RefArena>,
     /// Per-step probe counters, probe nanos, and emitted-tuple counts.
     ctrs: Vec<StepCounters>,
@@ -1267,21 +1295,6 @@ impl RunState {
     }
 }
 
-/// One parallel run's result: its final-step survivors (in nested-loop
-/// emission order) plus the run's accounting, merged in ascending seed
-/// order by the coordinator. A default-initialized slot (empty `ctrs`)
-/// marks a run skipped because earlier runs had already filled the
-/// output budget.
-#[derive(Default)]
-struct RunOut {
-    arena: RefArena,
-    rows: Vec<u64>,
-    ctrs: Vec<StepCounters>,
-    nanos: Vec<u64>,
-    cut: Option<usize>,
-    gov_stop: bool,
-}
-
 /// The blocked drive's shared read-only state: the pre-built steps plus
 /// everything a worker needs to drive one seed run depth-first.
 struct BlockedDrive<'s, 'a> {
@@ -1296,7 +1309,6 @@ struct BlockedDrive<'s, 'a> {
     /// forced the serial drive (one observer makes the trip point
     /// deterministic).
     charge: bool,
-    tuple_bytes: u64,
 }
 
 impl BlockedDrive<'_, '_> {
@@ -1323,13 +1335,13 @@ impl BlockedDrive<'_, '_> {
     /// Probes step `j` for tuples `[lo, hi)` of `cur`, appending into
     /// `next`. Returns `(capped, gov_stop)`.
     #[allow(clippy::too_many_arguments)]
-    fn probe_window(
+    fn probe_window<O: JoinOutput>(
         &self,
         j: usize,
         cur: &RefArena,
         lo: usize,
         hi: usize,
-        next: &mut RefArena,
+        next: &mut O,
         caps: &mut CapTracker<'_>,
         ctr: &mut StepCounters,
         gov: Option<&Governor>,
@@ -1380,31 +1392,33 @@ impl BlockedDrive<'_, '_> {
     /// module docs): a non-final level windows `cur` into
     /// [`EXPAND_CHUNK`]-tuple probes, each filling the level's reused
     /// scratch (one expansion, at most `icap` tuples) and recursing on it
-    /// before the next window runs; the final step appends straight into
+    /// before the next window runs; the final step delivers straight into
     /// `out` under `out_caps`.
     #[allow(clippy::too_many_arguments)]
-    fn expand(
+    fn expand<O: JoinOutput>(
         &self,
         j: usize,
         cur: &RefArena,
         st: &mut RunState,
-        out: &mut RefArena,
+        out: &mut O,
         out_caps: &mut CapTracker<'_>,
         gov: Option<&Governor>,
     ) -> Flow {
         let m = self.steps.len();
         if j == m - 1 {
-            let before = out.len();
+            let before = out.delivered();
+            let held = out.retained_bytes();
             let t = Instant::now();
             let mut ctr = StepCounters::default();
             let (capped, gov_stop) =
                 self.probe_window(j, cur, 0, cur.len(), out, out_caps, &mut ctr, gov);
             st.nanos[j] += t.elapsed().as_nanos() as u64;
             st.ctrs[j].merge(&ctr);
-            let delta = (out.len() - before) as u64;
-            st.rows[j] += delta;
-            // Appended output stays live: charge it permanently.
-            let charged = self.charge_live(st, gov, delta * self.tuple_bytes);
+            st.rows[j] += (out.delivered() - before) as u64;
+            // What the output keeps of these tuples stays live: charge it
+            // permanently (every tuple for an arena; rows, group states or
+            // distinct keys for a projection sink).
+            let charged = self.charge_live(st, gov, out.retained_bytes() - held);
             if gov_stop {
                 st.gov_stop = true;
                 return Flow::Stop;
@@ -1433,7 +1447,7 @@ impl BlockedDrive<'_, '_> {
                 flow = Flow::Stop;
                 break;
             }
-            let bytes = scratch.len() as u64 * self.tuple_bytes;
+            let bytes = scratch.retained_bytes();
             if self.charge_live(st, gov, bytes) == Flow::Stop {
                 flow = Flow::Stop;
                 break;
@@ -1463,12 +1477,12 @@ impl BlockedDrive<'_, '_> {
     /// bounded by the block size by construction, which keeps sideways
     /// seed pruning emission-invariant under truncation), then the
     /// chunked recursion over the remaining steps.
-    fn drive_run(
+    fn drive_run<O: JoinOutput>(
         &self,
         lo: usize,
         hi: usize,
         st: &mut RunState,
-        out: &mut RefArena,
+        out: &mut O,
         out_caps: &mut CapTracker<'_>,
         gov: Option<&Governor>,
     ) -> Flow {
@@ -1495,7 +1509,7 @@ impl BlockedDrive<'_, '_> {
             st.gov_stop = true;
             Flow::Stop
         } else {
-            let bytes = seedbuf.len() as u64 * self.tuple_bytes;
+            let bytes = seedbuf.retained_bytes();
             if self.charge_live(st, gov, bytes) == Flow::Stop {
                 Flow::Stop
             } else {
@@ -1511,21 +1525,21 @@ impl BlockedDrive<'_, '_> {
 
 /// The blocked demand-driven drive (see the module docs): per-step
 /// indexes built once up front, then the seed frontier driven depth-first
-/// in bounded runs, merged in ascending seed order.
-fn join_refs_blocked(
+/// in bounded runs, merged in ascending seed order into `out`.
+#[allow(clippy::too_many_arguments)]
+fn join_refs_blocked<O: JoinOutput>(
     env: &ExecEnv<'_>,
     candidates: &[Vec<EventRef>],
     domains: &[Option<(IdSet, IdSet)>],
     join_order: &[usize],
     seed_refs: &[EventRef],
     seed_pruned_count: u64,
-) -> Result<(RefArena, JoinRun), EngineError> {
+    mut out: O,
+) -> Result<(O, JoinRun), EngineError> {
     let a = env.a;
     let n = a.patterns.len();
     let nvars = a.vars.len();
     let m = join_order.len();
-    let tuple_bytes =
-        (n * std::mem::size_of::<EventRef>() + nvars * std::mem::size_of::<u32>()) as u64;
     let gov = env.gov();
     let out_cap = env.config.max_intermediate;
     let mut run = JoinRun {
@@ -1606,18 +1620,19 @@ fn join_refs_blocked(
     proto.resize_tuples(1);
     let seed_total = steps[0].index.posting_len(pack([NO_VAR; 2]));
 
-    // Output arena reserved to the drive's worst case — seed size times
-    // the remaining steps' indexed-ref counts — clamped by the output cap
-    // and the same 4 Mi-tuple lid the breadth-first per-step reservation
-    // uses. Selective queries reserve small; emission-bound ones fill the
-    // reservation exactly (the final step appends here directly, so this
-    // is the only output allocation of the serial drive).
-    let out_bound = steps[1..]
-        .iter()
-        .fold(seed_total, |b, s| b.saturating_mul(s.index.total_refs()))
-        .min(out_cap)
-        .min(1 << 22);
-    let mut out = RefArena::with_capacity_tuples(n, nvars, out_bound);
+    // An arena output is reserved to the drive's worst case — seed size
+    // times the remaining steps' indexed-ref counts — clamped by the output
+    // cap and the same 4 Mi-tuple lid the breadth-first per-step
+    // reservation uses. Selective queries reserve small; emission-bound
+    // ones fill the reservation exactly. (A projection sink ignores the
+    // hint: it keeps rows, keys or groups, not tuples.)
+    out.reserve(
+        steps[1..]
+            .iter()
+            .fold(seed_total, |b, s| b.saturating_mul(s.index.total_refs()))
+            .min(out_cap)
+            .min(1 << 22),
+    );
 
     let mut truncated = false;
     let mut early_exit: Option<usize> = None;
@@ -1637,6 +1652,7 @@ fn join_refs_blocked(
             .max(1)
             .max(seed_total.div_ceil(MAX_RUNS));
         let nruns = seed_total.div_ceil(block);
+        let run_range = |k: usize| (k * block, ((k + 1) * block).min(seed_total));
         let charge = gov.is_some_and(|g| g.has_memory_budget());
         let drive = BlockedDrive {
             env,
@@ -1645,13 +1661,17 @@ fn join_refs_blocked(
             proto,
             icap: out_cap,
             charge,
-            tuple_bytes,
         };
         let workers = env.config.parallelism.max(1);
         // A memory budget forces the serial drive: live charging yields a
         // deterministic trip point only with a single observer.
         let parallel = nruns >= 2 && !charge && join_partitions(env, seed_total).is_some();
         let t_probe = Instant::now();
+        // Parallel drive: every run fills a fork of the output under the
+        // shared budget. `None` marks a run skipped because the runs before
+        // it had already produced the whole output cap — the demand-driven
+        // win: seed tuples nobody will consume are never driven.
+        let mut partials: Vec<Option<(O, RunState)>> = Vec::new();
         if parallel {
             let Some(pool) = env.pool.as_ref() else {
                 return Err(crate::op::internal(
@@ -1659,119 +1679,99 @@ fn join_refs_blocked(
                 ));
             };
             let budget = JoinBudget::new(out_cap, nruns);
-            let slots: Vec<Mutex<RunOut>> =
-                (0..nruns).map(|_| Mutex::new(RunOut::default())).collect();
+            let slots: Vec<Mutex<Option<(O, RunState)>>> =
+                (0..nruns).map(|_| Mutex::new(None)).collect();
+            let out = &out;
             pool.run_chunks_capped(nruns, workers, &|k| {
-                // Skip runs that cannot contribute: the runs before this
-                // one already produced the whole output cap, so the merge
-                // stops before reaching it. This is the demand-driven win —
-                // seed tuples nobody will consume are never driven.
                 if budget.cap(k) == 0 {
                     return;
                 }
-                let lo = k * block;
-                let hi = (lo + block).min(seed_total);
+                let (lo, hi) = run_range(k);
                 let mut st = RunState::new(m, n, nvars);
-                let mut local = RefArena::new(n, nvars);
+                let mut local = out.fork();
                 let mut caps = CapTracker::shared(&budget, k, gov);
                 let _ = drive.drive_run(lo, hi, &mut st, &mut local, &mut caps, gov);
-                budget.publish(k, local.len());
-                *crate::op::lock_clean(&slots[k]) = RunOut {
-                    arena: local,
-                    rows: st.rows,
-                    ctrs: st.ctrs,
-                    nanos: st.nanos,
-                    cut: st.cut,
-                    gov_stop: st.gov_stop,
-                };
+                budget.publish(k, local.delivered());
+                // Only the run's accounting outlives it, not its scratch.
+                st.levels = Vec::new();
+                *crate::op::lock_clean(&slots[k]) = Some((local, st));
             })
             .map_err(worker_panic)?;
-            for slot in slots {
-                let ro = crate::op::unwrap_clean(slot);
-                if ro.ctrs.len() != m {
-                    // A skipped run can only sit *after* the run that
-                    // filled the output cap; reaching one means the
-                    // budget logic broke.
-                    return Err(crate::op::internal(
-                        "blocked join drive merged a skipped run",
-                    ));
+            partials = slots.into_iter().map(crate::op::unwrap_clean).collect();
+            run.fanout = run.fanout.max(workers.min(nruns));
+        }
+        partials.resize_with(nruns, || None);
+
+        // Runs fold into `out` in ascending seed order. A run's partial is
+        // merged when it fits the remaining output room and merges exactly;
+        // every other run — all of them in the serial drive, and in the
+        // parallel one the run that straddles the output cap or whose
+        // partial would not merge bit for bit — is driven here, into `out`
+        // itself, under one absolute tracker that sees the exact remaining
+        // room. Serial and parallel therefore produce the same output by
+        // construction. One `RunState` serves every run driven here, so
+        // each level's scratch grows to its high-water mark once.
+        let mut st = RunState::new(m, n, nvars);
+        let mut caps = CapTracker::fixed(out_cap, gov);
+        let mut tripped = false;
+        for (k, partial) in partials.into_iter().enumerate() {
+            let mut merged = false;
+            if let Some((mut part, p)) = partial {
+                if let Some(e) = part.failed() {
+                    return Err(e);
                 }
-                if ro.gov_stop {
+                if p.gov_stop {
                     // The run stopped mid-flight on a trip: its partial
                     // output is dropped and the merged prefix ends at the
                     // previous run boundary (still a valid emission-order
                     // prefix).
-                    if let Some(g) = gov {
-                        if let Some(t) = g.trip() {
-                            if !g.partial() {
-                                return Err(g.error(t));
-                            }
-                        }
+                    tripped = true;
+                    break;
+                }
+                if part.delivered() <= out_cap - out.delivered() && out.merge(part) {
+                    merged = true;
+                    // The run's accounting joins that of the runs driven
+                    // here.
+                    for j in 0..m {
+                        st.rows[j] += p.rows[j];
+                        st.ctrs[j].merge(&p.ctrs[j]);
+                        st.nanos[j] += p.nanos[j];
                     }
-                    break;
-                }
-                // Trim speculative overshoot past the shared budget: the
-                // kept prefix reproduces the serial drive's output exactly.
-                let kept = ro.arena.len().min(out_cap - out.len());
-                out.append_prefix(&ro.arena, kept);
-                runs_driven += 1;
-                for j in 0..m {
-                    step_rows[j] += if j == m - 1 { kept as u64 } else { ro.rows[j] };
-                    step_ctrs[j].merge(&ro.ctrs[j]);
-                    step_nanos[j] += ro.nanos[j];
-                }
-                if let Some(j) = ro.cut {
-                    truncated = true;
-                    early_exit = Some(j);
-                    break;
-                }
-                if out.len() >= out_cap {
-                    truncated = true;
-                    early_exit = Some(m - 1);
-                    break;
+                    st.cut = st.cut.or(p.cut);
                 }
             }
-            run.fanout = run.fanout.max(workers.min(nruns));
-        } else {
-            // Serial drive: one `RunState` (scratch reused across runs),
-            // one absolute output tracker — the final step sees the exact
-            // remaining room at all times.
-            let mut st = RunState::new(m, n, nvars);
-            let mut caps = CapTracker::fixed(out_cap, gov);
-            for k in 0..nruns {
-                let lo = k * block;
-                let hi = (lo + block).min(seed_total);
-                let flow = drive.drive_run(lo, hi, &mut st, &mut out, &mut caps, gov);
-                runs_driven += 1;
-                if let Some(e) = st.err.take() {
+            let mut flow = Flow::Continue;
+            if !merged {
+                let (lo, hi) = run_range(k);
+                flow = drive.drive_run(lo, hi, &mut st, &mut out, &mut caps, gov);
+                if let Some(e) = st.err.take().or_else(|| out.failed()) {
                     return Err(e);
                 }
-                if flow == Flow::Stop {
-                    break;
-                }
             }
-            if st.gov_stop {
-                // Partial mode keeps the emission-order prefix driven so
-                // far; error mode unwinds (deadline/cancel trips observed
-                // by the pollers rather than a live charge land here).
-                if let Some(g) = gov {
-                    if let Some(t) = g.trip() {
-                        if !g.partial() {
-                            return Err(g.error(t));
-                        }
+            runs_driven += 1;
+            if flow == Flow::Stop || st.cut.is_some() || out.delivered() >= out_cap {
+                break;
+            }
+        }
+        if tripped || st.gov_stop {
+            // Partial mode keeps the emission-order prefix delivered so
+            // far; error mode unwinds (deadline/cancel trips observed by
+            // the pollers rather than a live charge land here).
+            if let Some(g) = gov {
+                if let Some(t) = g.trip() {
+                    if !g.partial() {
+                        return Err(g.error(t));
                     }
                 }
             }
-            step_rows = st.rows;
-            step_ctrs = st.ctrs;
-            step_nanos = st.nanos;
-            if st.cut.is_some() {
-                truncated = true;
-                early_exit = st.cut;
-            } else if out.len() >= out_cap {
-                truncated = true;
-                early_exit = Some(m - 1);
-            }
+        }
+        (step_rows, step_ctrs, step_nanos) = (st.rows, st.ctrs, st.nanos);
+        if st.cut.is_some() {
+            truncated = true;
+            early_exit = st.cut;
+        } else if out.delivered() >= out_cap {
+            truncated = true;
+            early_exit = Some(m - 1);
         }
         run.probe_nanos += t_probe.elapsed().as_nanos() as u64;
     }
@@ -1859,6 +1859,31 @@ struct JoinStep<'s, 'a> {
 }
 
 impl JoinStep<'_, '_> {
+    /// Delivers tuple `t` extended with match `r` to `out`. Returns `true`
+    /// when the drive must stop: the tracker's budget is exhausted, or the
+    /// output failed — reported like a governor stop (nothing was
+    /// truncated; [`JoinOutput::failed`] holds the error).
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn emit<O: JoinOutput>(
+        &self,
+        out: &mut O,
+        tuples: &RefArena,
+        t: usize,
+        r: EventRef,
+        subj: EntityId,
+        obj: EntityId,
+        caps: &mut CapTracker<'_>,
+    ) -> bool {
+        let subject = (self.subject, subj);
+        let object = (self.object, obj);
+        if out.emit(tuples, t, self.pattern, r, subject, object) == Flow::Stop {
+            caps.gov_stop = true;
+            return true;
+        }
+        caps.exhausted(out.delivered())
+    }
+
     /// Probes the index for tuple `t` (restricted to the match-slice range
     /// `[mlo, mhi)` when partitioning a single proto tuple; pass the full
     /// range otherwise) and appends surviving extensions to `out`. `shard`
@@ -1868,13 +1893,13 @@ impl JoinStep<'_, '_> {
     /// stop its drive.
     #[allow(clippy::too_many_arguments)]
     #[inline]
-    fn probe_into(
+    fn probe_into<O: JoinOutput>(
         &self,
         tuples: &RefArena,
         t: usize,
         range: Option<(usize, usize)>,
         shard: Option<usize>,
-        out: &mut RefArena,
+        out: &mut O,
         caps: &mut CapTracker<'_>,
         ctr: &mut StepCounters,
     ) -> bool {
@@ -1909,15 +1934,7 @@ impl JoinStep<'_, '_> {
                         continue;
                     }
                     let (subj, obj) = self.parts.subject_object(r);
-                    out.push_extended(
-                        tuples,
-                        t,
-                        self.pattern,
-                        r,
-                        (self.subject, subj),
-                        (self.object, obj),
-                    );
-                    if caps.exhausted(out.len()) {
+                    if self.emit(out, tuples, t, r, subj, obj, caps) {
                         return true;
                     }
                 }
@@ -1979,15 +1996,7 @@ impl JoinStep<'_, '_> {
                         }
                         let r = p.refs[j];
                         let (subj, obj) = self.parts.subject_object(r);
-                        out.push_extended(
-                            tuples,
-                            t,
-                            self.pattern,
-                            r,
-                            (self.subject, subj),
-                            (self.object, obj),
-                        );
-                        if caps.exhausted(out.len()) {
+                        if self.emit(out, tuples, t, r, subj, obj, caps) {
                             return true;
                         }
                     }
@@ -2019,7 +2028,8 @@ impl JoinStep<'_, '_> {
             .saturating_mul(self.index.total_refs())
             .min(cap)
             .min(1 << 22);
-        let mut next = RefArena::with_capacity_tuples(tuples.npatterns, tuples.nvars, bound);
+        let mut next = tuples.fork();
+        next.reserve(bound);
         let mut truncated = false;
         let mut gate = GovGate::new(gov);
         for t in 0..tuples.len() {

@@ -24,6 +24,11 @@
 //! so every result is byte-identical to the pre-operator pipeline. The
 //! seed's materializing path (`EngineConfig::late_materialization = false`)
 //! runs through the same tree with `Event` batches.
+//!
+//! The join and the projection meet in a [`project::ProjectionSink`]: the
+//! blocked join drive pushes every joined tuple straight into it
+//! ([`PipelineState::sink`]) and `Project` only finishes it; every other
+//! join leaves a [`Frontier`], which `Project` feeds through the same sink.
 
 pub mod join;
 pub mod project;
@@ -47,6 +52,7 @@ use crate::schedule::PlanCtx;
 
 pub use join::TemporalJoin;
 pub use project::Project;
+pub(crate) use project::{CompiledProjection, ProjectionSink};
 pub use scan::PatternScan;
 pub use semi_join::SemiJoinNarrow;
 
@@ -70,6 +76,14 @@ pub struct EventRef {
     pub part: u32,
     /// Flat row inside the partition.
     pub row: u32,
+}
+
+/// Control flow of a tuple stream: `Stop` tells the producer to emit
+/// nothing further (the consumer's state says why).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Flow {
+    Continue,
+    Stop,
 }
 
 /// Sentinel for "no event placed for this pattern yet".
@@ -110,17 +124,6 @@ impl RefArena {
         }
     }
 
-    /// An empty arena with room for `tuples` rows. Large reservations are
-    /// lazy virtual pages until touched, while skipping the doubling-growth
-    /// recopies that a cap-sized frontier pays for otherwise (~one extra
-    /// full-arena memcpy per join step).
-    pub(crate) fn with_capacity_tuples(npatterns: usize, nvars: usize, tuples: usize) -> Self {
-        let mut a = RefArena::new(npatterns, nvars);
-        a.events.reserve(tuples * npatterns);
-        a.vars.reserve(tuples * nvars);
-        a
-    }
-
     pub(crate) fn len(&self) -> usize {
         self.ntuples
     }
@@ -133,28 +136,20 @@ impl RefArena {
         &self.vars[i * self.nvars..(i + 1) * self.nvars]
     }
 
-    /// Appends tuple `i` of `src` extended with one placed event: the new
-    /// pattern ref and both its variable bindings land in a single pass —
-    /// the join's per-match emission, fused so the copied row is patched
-    /// in place instead of re-indexed per field.
-    #[inline]
-    pub(crate) fn push_extended(
-        &mut self,
-        src: &RefArena,
-        i: usize,
-        pattern: usize,
-        r: EventRef,
-        subject: (usize, EntityId),
-        object: (usize, EntityId),
-    ) {
-        let e0 = self.events.len();
-        self.events.extend_from_slice(src.events_of(i));
-        self.events[e0 + pattern] = r;
-        let v0 = self.vars.len();
-        self.vars.extend_from_slice(src.vars_of(i));
-        self.vars[v0 + subject.0] = subject.1.raw();
-        self.vars[v0 + object.0] = object.1.raw();
-        self.ntuples += 1;
+    /// Every tuple with its events materialized.
+    pub(crate) fn materialize(&self, parts: &PartTable<'_>) -> Vec<Tuple> {
+        (0..self.len())
+            .map(|i| {
+                let (events, vars) = (self.events_of(i), self.vars_of(i));
+                crate::eval::TupleView::Refs { events, vars }.materialize(parts)
+            })
+            .collect()
+    }
+
+    /// Bytes one tuple occupies (the unit of the governor's accounting).
+    pub(crate) fn tuple_bytes(&self) -> u64 {
+        (self.npatterns * std::mem::size_of::<EventRef>() + self.nvars * std::mem::size_of::<u32>())
+            as u64
     }
 
     /// Appends up to `limit` leading tuples of `src` (the deterministic
@@ -191,6 +186,101 @@ impl RefArena {
         self.events.resize(len * self.npatterns, NO_REF);
         self.vars.resize(len * self.nvars, NO_VAR);
         self.ntuples = len;
+    }
+}
+
+/// Where a join drive delivers its joined tuples: a [`RefArena`] that keeps
+/// them all, or the [`ProjectionSink`] that consumes each one as it arrives
+/// and keeps only what `return` needs.
+pub(crate) trait JoinOutput: Send + Sync + Sized {
+    /// Delivers tuple `i` of `src` extended with one placed event: ref `r`
+    /// for `pattern`, binding its `subject` and `object` variables. `Stop`
+    /// means the output failed and the drive must end;
+    /// [`JoinOutput::failed`] holds the error.
+    fn emit(
+        &mut self,
+        src: &RefArena,
+        i: usize,
+        pattern: usize,
+        r: EventRef,
+        subject: (usize, EntityId),
+        object: (usize, EntityId),
+    ) -> Flow;
+
+    /// Tuples delivered so far (what `max_intermediate` caps).
+    fn delivered(&self) -> usize;
+
+    /// Bytes the output keeps alive (what a memory budget is charged).
+    fn retained_bytes(&self) -> u64;
+
+    /// Hint that up to `tuples` more tuples may be delivered.
+    fn reserve(&mut self, _tuples: usize) {}
+
+    /// An empty output of the same shape (one run of the parallel drive).
+    fn fork(&self) -> Self;
+
+    /// Folds in `part`, the output of the tuples that directly follow this
+    /// output's in emission order. `false` means the fold would not equal
+    /// delivering those tuples one by one; `part` is dropped, nothing
+    /// changed, and the caller re-drives the run into `self`.
+    fn merge(&mut self, part: Self) -> bool;
+
+    /// The error that made [`JoinOutput::emit`] stop, taken.
+    fn failed(&mut self) -> Option<EngineError> {
+        None
+    }
+}
+
+impl JoinOutput for RefArena {
+    /// Appends the extended tuple: the new pattern ref and both its
+    /// variable bindings land in a single pass — the join's per-match
+    /// emission, fused so the copied row is patched in place instead of
+    /// re-indexed per field.
+    #[inline]
+    fn emit(
+        &mut self,
+        src: &RefArena,
+        i: usize,
+        pattern: usize,
+        r: EventRef,
+        subject: (usize, EntityId),
+        object: (usize, EntityId),
+    ) -> Flow {
+        let e0 = self.events.len();
+        self.events.extend_from_slice(src.events_of(i));
+        self.events[e0 + pattern] = r;
+        let v0 = self.vars.len();
+        self.vars.extend_from_slice(src.vars_of(i));
+        self.vars[v0 + subject.0] = subject.1.raw();
+        self.vars[v0 + object.0] = object.1.raw();
+        self.ntuples += 1;
+        Flow::Continue
+    }
+
+    #[inline]
+    fn delivered(&self) -> usize {
+        self.len()
+    }
+
+    fn retained_bytes(&self) -> u64 {
+        self.len() as u64 * self.tuple_bytes()
+    }
+
+    /// Large reservations are lazy virtual pages until touched, while
+    /// skipping the doubling-growth recopies that a cap-sized frontier pays
+    /// for otherwise (~one extra full-arena memcpy per join step).
+    fn reserve(&mut self, tuples: usize) {
+        self.events.reserve(tuples * self.npatterns);
+        self.vars.reserve(tuples * self.nvars);
+    }
+
+    fn fork(&self) -> Self {
+        RefArena::new(self.npatterns, self.nvars)
+    }
+
+    fn merge(&mut self, part: Self) -> bool {
+        self.append_prefix(&part, part.len());
+        true
     }
 }
 
@@ -259,12 +349,17 @@ impl<'a> PartTable<'a> {
         self.part(r).subject_object_at(r.row)
     }
 
+    /// The agent whose partition holds the referenced row.
+    #[inline]
+    pub(crate) fn agent(&self, r: EventRef) -> aiql_model::AgentId {
+        self.keys[r.part as usize].agent
+    }
+
     /// Materializes the referenced event (the single materialization point
     /// of the late path).
     #[inline]
     pub(crate) fn event(&self, r: EventRef) -> Event {
-        self.part(r)
-            .event_at(self.keys[r.part as usize].agent, r.row as usize)
+        self.part(r).event_at(self.agent(r), r.row as usize)
     }
 }
 
@@ -319,6 +414,10 @@ pub struct ExecEnv<'a> {
     pub ctx: PlanCtx,
     /// The partition address space of this execution.
     pub parts: PartTable<'a>,
+    /// The query's projection, slot-compiled. `None` when no projection
+    /// closes this execution (`match_tuples`) or when an expression resists
+    /// compilation — `Project` then keeps the dynamic `RowCtx` path.
+    pub(crate) projection: Option<CompiledProjection>,
     /// The query governor (deadline, cancellation, memory budget), shared
     /// by every thread working on this query. `None` = ungoverned: every
     /// check compiles to a no-op branch.
@@ -362,8 +461,9 @@ pub(crate) fn unwrap_clean<T>(m: std::sync::Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Mutable dataflow state threaded through the operator tree.
-pub struct PipelineState {
+/// Mutable dataflow state threaded through the operator tree (`'e` is the
+/// borrow of the [`ExecEnv`] the projection sink evaluates against).
+pub struct PipelineState<'e> {
     /// Candidate batch per pattern (source order), filled by the scans.
     pub candidates: Vec<Option<Batch>>,
     /// Bound entity-id sets per variable (semi-join pushdown).
@@ -380,8 +480,12 @@ pub struct PipelineState {
     /// The narrowed filter staged by [`SemiJoinNarrow`] for its parent
     /// [`PatternScan`].
     pub narrowed: Option<EventFilter>,
-    /// The joined tuple frontier (written by [`TemporalJoin`]).
+    /// The joined tuple frontier (written by [`TemporalJoin`] unless it
+    /// streamed into `sink`).
     pub frontier: Frontier,
+    /// The projection sink the blocked join drive pushed its tuples into
+    /// (`None`: the join left a `frontier` for [`Project`] to feed).
+    pub(crate) sink: Option<ProjectionSink<'e>>,
     /// Whether the join hit `max_intermediate`.
     pub truncated: bool,
     /// Short-circuit: a pattern produced no candidates (or was proven
@@ -393,7 +497,7 @@ pub struct PipelineState {
     pub table: Option<ResultTable>,
 }
 
-impl PipelineState {
+impl PipelineState<'_> {
     pub(crate) fn new(a: &AnalyzedMultievent, order: &[usize], late: bool) -> Self {
         let n = a.patterns.len();
         PipelineState {
@@ -407,6 +511,7 @@ impl PipelineState {
             } else {
                 Frontier::Events(Vec::new())
             },
+            sink: None,
             truncated: false,
             done: false,
             stats: ExecStats {
@@ -482,6 +587,9 @@ impl ExecStats {
                 if let Some(d) = op.early_exit_depth {
                     let _ = write!(out, " | early exit at step {d}");
                 }
+            }
+            if let Some(kept) = op.sink_kept {
+                let _ = write!(out, " | sink: emitted {} → kept {kept}", op.rows_out);
             }
             out.push('\n');
             for s in &op.join_steps {
@@ -559,6 +667,10 @@ pub struct OpStat {
     /// Join-order step depth at which the blocked drive stopped emitting
     /// (`None` = every run driven to completion).
     pub early_exit_depth: Option<usize>,
+    /// Rows, groups, or distinct keys the projection sink retained of the
+    /// `rows_out` tuples the join pushed into it (joins only; `None` when
+    /// the join left a frontier instead).
+    pub sink_kept: Option<usize>,
     /// Per-join-step detail (joins only, execution order of the steps).
     pub join_steps: Vec<JoinStepStat>,
 }
@@ -613,6 +725,7 @@ pub struct OpIo {
     pub emitted_tuples: u64,
     pub breadth_bound_tuples: u64,
     pub early_exit_depth: Option<usize>,
+    pub sink_kept: Option<usize>,
     pub join_steps: Vec<JoinStepStat>,
 }
 
@@ -628,7 +741,11 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
     }
 
     /// Executes the operator, reading and writing the pipeline state.
-    fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpIo, EngineError>;
+    fn run<'e>(
+        &self,
+        env: &'e ExecEnv<'_>,
+        st: &mut PipelineState<'e>,
+    ) -> Result<OpIo, EngineError>;
 }
 
 /// A node of the physical plan tree.
@@ -640,7 +757,11 @@ pub struct PlanNode {
 impl PlanNode {
     /// Executes the subtree post-order (children feed parents), timing
     /// every operator into [`ExecStats::ops`].
-    pub fn execute(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<(), EngineError> {
+    pub fn execute<'e>(
+        &self,
+        env: &'e ExecEnv<'_>,
+        st: &mut PipelineState<'e>,
+    ) -> Result<(), EngineError> {
         for child in &self.children {
             child.execute(env, st)?;
         }
@@ -664,6 +785,7 @@ impl PlanNode {
             emitted_tuples: io.emitted_tuples,
             breadth_bound_tuples: io.breadth_bound_tuples,
             early_exit_depth: io.early_exit_depth,
+            sink_kept: io.sink_kept,
             join_steps: io.join_steps,
         });
         Ok(())
@@ -691,9 +813,8 @@ pub fn join_tree(order: &[usize]) -> PlanNode {
 
 /// Builds the full query tree: `Project`/`Aggregate` over the join subtree.
 pub fn query_tree(a: &AnalyzedMultievent, order: &[usize]) -> PlanNode {
-    let aggregated = !project::collect_aggs(a).is_empty() || !a.group_by.is_empty();
     PlanNode {
-        op: Box::new(Project::new(aggregated)),
+        op: Box::new(Project::new(project::is_aggregated(a))),
         children: vec![join_tree(order)],
     }
 }

@@ -1,18 +1,28 @@
 //! `Project` / `Aggregate`: the projection operator closing the pipeline.
 //!
-//! Consumes the joined tuple frontier and produces the final result table:
-//! return items, grouping + aggregation, having, distinct, order by,
-//! limit. Two evaluation paths, selected by
-//! `EngineConfig::compiled_projection`:
+//! Produces the final result table from the joined tuples: return items,
+//! grouping + aggregation, having, distinct, order by, limit.
 //!
-//! * **slot-compiled** (default): every name is resolved to a dense slot
-//!   index before the tuple loop, the row context is a flat [`SlotRow`],
-//!   and only the event slots the projection reads are materialized;
-//! * **dynamic**: the [`RowCtx`] hash-map path, kept for ablation and as
-//!   the fallback when an expression resists compilation.
+//! The projection is a streaming [`ProjectionSink`]: tuples are `push`ed
+//! one at a time, as flat row references, and `finish` closes the table.
+//! Every name is resolved to a dense slot and every event attribute to its
+//! storage column before the first tuple ([`CompiledProjection`]), so a
+//! push evaluates straight from the partitions' columns — no `Event` is
+//! materialized. What a sink retains depends only on the return shape:
 //!
-//! On the late-materialization path the frontier is a ref arena and the
-//! surviving tuples' events are materialized here, exactly once.
+//! * **aggregates** (single group or `group by`): one accumulator set and
+//!   one representative tuple per group — nothing per tuple;
+//! * **`distinct`**: the distinct rows, in first-occurrence order, found
+//!   through an index keyed on the values' bit patterns;
+//! * **plain rows**: one row per tuple that passes `having`.
+//!
+//! The blocked join drive pushes its final step's tuples straight into the
+//! sink (see `op/join.rs`), so the joined tuples are never written to an
+//! output arena; a join that leaves a [`Frontier`] has it fed through the
+//! same sink here. The dynamic [`RowCtx`] path ([`project`]) remains as the
+//! fallback for expressions that resist compilation and as the projection
+//! of the brute-force oracle (`reference.rs`), which therefore shares no
+//! tuple loop with the sink.
 
 use std::collections::HashMap;
 
@@ -22,10 +32,10 @@ use aiql_storage::EventStore;
 
 use crate::analyze::AnalyzedMultievent;
 use crate::error::EngineError;
-use crate::eval::{self, agg_key, RowCtx, SlotEnv, SlotExpr, SlotRow};
+use crate::eval::{self, agg_key, RowCtx, SlotCtx, SlotEnv, SlotExpr, TupleView};
 use crate::governor::{GovGate, Governor};
 use crate::op::{
-    ExecEnv, Frontier, OpIo, Operator, PartTable, PipelineState, RefArena, Tuple, NO_REF, NO_VAR,
+    EventRef, ExecEnv, Flow, Frontier, JoinOutput, OpIo, Operator, PipelineState, RefArena, Tuple,
 };
 use crate::result::ResultTable;
 
@@ -51,31 +61,33 @@ impl Operator for Project {
         }
     }
 
-    fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpIo, EngineError> {
-        let rows_in = st.frontier.len();
-        let mut table = match &st.frontier {
-            Frontier::Refs(arena) => {
-                let compiled = env
-                    .config
-                    .compiled_projection
-                    .then(|| compile_projection(env.store, env.a))
-                    .flatten();
-                match &compiled {
-                    Some(cp) => {
-                        project_compiled(env.store, env.a, cp, arena.len(), env.gov(), |i, row| {
-                            fill_slots_arena(arena, &env.parts, cp, i, row);
-                        })?
-                    }
-                    None => project_with(env.store, env.a, arena.len(), env.gov(), |i, ctx| {
-                        fill_ctx_arena(env.a, arena, &env.parts, i, ctx);
-                    })?,
-                }
+    fn run<'e>(
+        &self,
+        env: &'e ExecEnv<'_>,
+        st: &mut PipelineState<'e>,
+    ) -> Result<OpIo, EngineError> {
+        let gov = env.gov();
+        let rows_in = (st.sink.as_ref()).map_or(st.frontier.len(), ProjectionSink::pushed);
+        let mut table = match (st.sink.take(), &st.frontier, ProjectionSink::new(env)) {
+            // The join streamed into the sink already.
+            (Some(sink), _, _) => sink.finish()?,
+            (None, Frontier::Refs(arena), Some(mut sink)) => {
+                feed(gov, arena.len(), |i| {
+                    sink.push(arena.events_of(i), arena.vars_of(i))
+                })?;
+                sink.finish()?
             }
-            Frontier::Events(tuples) => {
-                project_with(env.store, env.a, tuples.len(), env.gov(), |i, ctx| {
-                    fill_ctx_tuple(env.a, &tuples[i], ctx);
-                })?
+            (None, Frontier::Events(tuples), Some(mut sink)) => {
+                feed(gov, tuples.len(), |i| sink.push_tuple(&tuples[i]))?;
+                sink.finish()?
             }
+            // The projection resisted compilation: the dynamic path (which
+            // can only fail on, or find nothing in, such a projection — it
+            // needs no governor).
+            (None, Frontier::Refs(arena), None) => {
+                project(env.store, env.a, &arena.materialize(&env.parts))?
+            }
+            (None, Frontier::Events(tuples), None) => project(env.store, env.a, tuples)?,
         };
         table.truncated = st.truncated;
         let rows_out = table.rows.len();
@@ -89,17 +101,36 @@ impl Operator for Project {
     }
 }
 
-/// Resets a reused row context (keeping map capacity across tuples).
-fn clear_ctx(ctx: &mut RowCtx<'_>) {
+/// Feeds a frontier's `n` tuples through `push`, polling the governor. A
+/// trip either unwinds (error mode) or keeps what was pushed so far — the
+/// projection of a tuple prefix (partial mode; the sticky trip surfaces as
+/// a warning on the table).
+fn feed(
+    gov: Option<&Governor>,
+    n: usize,
+    mut push: impl FnMut(usize) -> Flow,
+) -> Result<(), EngineError> {
+    let mut gate = GovGate::new(gov);
+    for i in 0..n {
+        if let (Some(t), Some(g)) = (gate.tick(), gov) {
+            if !g.partial() {
+                return Err(g.error(t));
+            }
+            break;
+        }
+        if push(i) == Flow::Stop {
+            break;
+        }
+    }
+    Ok(())
+}
+
+/// Populates the (reused) row context from a materialized tuple.
+fn fill_ctx<'a>(a: &'a AnalyzedMultievent, t: &Tuple, ctx: &mut RowCtx<'a>) {
     ctx.var_entity.clear();
     ctx.events.clear();
     ctx.aliases.clear();
     ctx.agg_values.clear();
-}
-
-/// Populates the row context from a materialized tuple.
-fn fill_ctx_tuple<'a>(a: &'a AnalyzedMultievent, t: &Tuple, ctx: &mut RowCtx<'a>) {
-    clear_ctx(ctx);
     for (vi, var) in a.vars.iter().enumerate() {
         if let Some(id) = t.vars[vi] {
             ctx.var_entity.insert(var.name.as_str(), id);
@@ -112,29 +143,9 @@ fn fill_ctx_tuple<'a>(a: &'a AnalyzedMultievent, t: &Tuple, ctx: &mut RowCtx<'a>
     }
 }
 
-/// Populates the row context straight from the ref arena, materializing the
-/// tuple's events on the fly.
-fn fill_ctx_arena<'a>(
-    a: &'a AnalyzedMultievent,
-    arena: &RefArena,
-    parts: &PartTable<'_>,
-    i: usize,
-    ctx: &mut RowCtx<'a>,
-) {
-    clear_ctx(ctx);
-    for (vi, var) in a.vars.iter().enumerate() {
-        let id = arena.vars_of(i)[vi];
-        if id != NO_VAR {
-            ctx.var_entity.insert(var.name.as_str(), EntityId(id));
-        }
-    }
-    for (pi, p) in a.patterns.iter().enumerate() {
-        let r = arena.events_of(i)[pi];
-        if r != NO_REF {
-            ctx.events.insert(p.name.as_str(), parts.event(r));
-        }
-    }
-}
+/// Largest magnitude below which every integer-valued `f64` sum is exact,
+/// with headroom for one more such addend.
+const EXACT_SUM: f64 = (1u64 << 52) as f64;
 
 /// Aggregate accumulator.
 #[derive(Debug, Clone, Default)]
@@ -142,6 +153,10 @@ struct AggAcc {
     count: u64,
     sum: f64,
     all_int: bool,
+    /// No `Float` was added and `sum` never left the range where
+    /// integer-valued `f64` addition is exact, hence associative: merging
+    /// two such accumulators equals adding their values one by one.
+    exact: bool,
     min: Option<Value>,
     max: Option<Value>,
 }
@@ -150,6 +165,7 @@ impl AggAcc {
     fn new() -> Self {
         AggAcc {
             all_int: true,
+            exact: true,
             ..Default::default()
         }
     }
@@ -165,6 +181,9 @@ impl AggAcc {
         if !matches!(v, Value::Int(_)) {
             self.all_int = false;
         }
+        if matches!(v, Value::Float(_)) || self.sum.abs() > EXACT_SUM {
+            self.exact = false;
+        }
         self.min = Some(match self.min {
             Some(m) if eval::cmp_values(&m, &v).is_le() => m,
             _ => v,
@@ -173,6 +192,24 @@ impl AggAcc {
             Some(m) if eval::cmp_values(&m, &v).is_ge() => m,
             _ => v,
         });
+    }
+
+    /// Folds in the accumulator of the values that directly follow this
+    /// one's. Equal to adding them one by one when both are `exact`.
+    fn merge(&mut self, o: &AggAcc) {
+        self.count += o.count;
+        self.sum += o.sum;
+        self.all_int &= o.all_int;
+        self.exact &= o.exact && self.sum.abs() <= EXACT_SUM;
+        // Ties keep the earlier value, as `add` does.
+        self.min = match (self.min, o.min) {
+            (Some(m), Some(v)) if !eval::cmp_values(&m, &v).is_le() => Some(v),
+            (m, v) => m.or(v),
+        };
+        self.max = match (self.max, o.max) {
+            (Some(m), Some(v)) if !eval::cmp_values(&m, &v).is_ge() => Some(v),
+            (m, v) => m.or(v),
+        };
     }
 
     fn finalize(&self, func: aiql_lang::AggFunc) -> Value {
@@ -222,6 +259,11 @@ pub(crate) fn collect_aggs(a: &AnalyzedMultievent) -> Vec<(String, aiql_lang::Ag
     out
 }
 
+/// Whether a query's projection aggregates (aggregate calls or `group by`).
+pub(crate) fn is_aggregated(a: &AnalyzedMultievent) -> bool {
+    !a.group_by.is_empty() || !collect_aggs(a).is_empty()
+}
+
 /// Column header for a return item.
 fn column_name(item: &aiql_lang::ReturnItem) -> String {
     item.alias
@@ -231,16 +273,16 @@ fn column_name(item: &aiql_lang::ReturnItem) -> String {
 
 /// A fully slot-compiled projection: return items, grouping keys, having
 /// filter, and aggregate arguments with every name resolved to a dense
-/// slot, plus the sets of event/variable slots the projection actually
-/// reads. Tuples bind into a reused [`SlotRow`] — no per-tuple hash maps —
-/// and events outside `used_events` are never materialized.
-struct CompiledProjection {
+/// slot and every event attribute to its column.
+#[derive(Debug)]
+pub(crate) struct CompiledProjection {
     /// Compiled return items, in column order.
     items: Vec<SlotExpr>,
     /// Alias slot written after evaluating each item (aggregated path).
     alias_slot: Vec<Option<usize>>,
-    /// Number of alias slots.
-    naliases: usize,
+    /// One unset alias per alias slot: what every per-tuple evaluation
+    /// sees (aliases only bind while a finished group's row is emitted).
+    unset_aliases: Vec<Option<Value>>,
     /// Compiled grouping keys.
     group_by: Vec<SlotExpr>,
     /// Compiled having filter.
@@ -248,17 +290,18 @@ struct CompiledProjection {
     /// Aggregates: function + compiled argument, in [`collect_aggs`] order
     /// (the dense index [`SlotExpr::Agg`] nodes refer to).
     aggs: Vec<(aiql_lang::AggFunc, SlotExpr)>,
-    /// Event slots referenced anywhere in the projection.
-    used_events: Vec<usize>,
-    /// Variable slots referenced anywhere in the projection.
-    used_vars: Vec<usize>,
+    /// Aggregate calls or `group by` present.
+    aggregated: bool,
 }
 
 /// Compiles a query's projection to slots. `None` when any expression
-/// resists compilation (unknown name, historical access) — the caller then
-/// keeps the dynamic [`RowCtx`] path, which reproduces legacy behavior
-/// bit for bit, errors included.
-fn compile_projection(store: &EventStore, a: &AnalyzedMultievent) -> Option<CompiledProjection> {
+/// resists compilation (unknown name or event attribute, historical
+/// access) — the caller then keeps the dynamic [`RowCtx`] path, which
+/// reproduces legacy behavior bit for bit, errors included.
+pub(crate) fn compile_projection(
+    store: &EventStore,
+    a: &AnalyzedMultievent,
+) -> Option<CompiledProjection> {
     let aggs_src = collect_aggs(a);
     let mut env = SlotEnv {
         vars: a
@@ -308,251 +351,416 @@ fn compile_projection(store: &EventStore, a: &AnalyzedMultievent) -> Option<Comp
         .iter()
         .map(|(_, func, arg)| Some((*func, eval::compile_slots(arg, store, &env)?)))
         .collect::<Option<_>>()?;
-
-    let mut used_events: Vec<usize> = Vec::new();
-    let mut used_vars: Vec<usize> = Vec::new();
-    {
-        let mut mark = |e: &SlotExpr| {
-            e.visit(&mut |node| match node {
-                SlotExpr::Event { slot, .. } if !used_events.contains(slot) => {
-                    used_events.push(*slot);
-                }
-                SlotExpr::Entity { slot, .. } if !used_vars.contains(slot) => {
-                    used_vars.push(*slot);
-                }
-                _ => {}
-            });
-        };
-        for e in items.iter().chain(&group_by).chain(having.iter()) {
-            mark(e);
-        }
-        for (_, arg) in &aggs {
-            mark(arg);
-        }
-    }
     Some(CompiledProjection {
         items,
         alias_slot,
-        naliases,
+        unset_aliases: vec![None; naliases],
+        aggregated: !aggs.is_empty() || !group_by.is_empty(),
         group_by,
         having,
         aggs,
-        used_events,
-        used_vars,
     })
 }
 
-/// Populates a slot row from the ref arena, materializing only the event
-/// slots the compiled projection reads.
-fn fill_slots_arena(
-    arena: &RefArena,
-    parts: &PartTable<'_>,
-    cp: &CompiledProjection,
-    i: usize,
-    row: &mut SlotRow,
-) {
-    for &v in &cp.used_vars {
-        let id = arena.vars_of(i)[v];
-        row.entities[v] = (id != NO_VAR).then_some(EntityId(id));
-    }
-    for &pi in &cp.used_events {
-        let r = arena.events_of(i)[pi];
-        row.events[pi] = (r != NO_REF).then(|| parts.event(r));
+/// What the sink of a query retains, as `EXPLAIN` names it on the join
+/// node: `count` / `sum, avg by (p1)` / `distinct(p1, f2)` / `rows`.
+pub(crate) fn sink_label(a: &AnalyzedMultievent) -> String {
+    let join = |names: Vec<String>| names.join(", ");
+    let aggs = collect_aggs(a);
+    if !aggs.is_empty() || !a.group_by.is_empty() {
+        let mut label = join(aggs.iter().map(|(_, f, _)| format!("{f:?}")).collect());
+        if !a.group_by.is_empty() {
+            let keys = a.group_by.iter().map(aiql_lang::pretty::print_expr);
+            label.push_str(&format!(" by ({})", join(keys.collect())));
+        }
+        label.trim_start().to_lowercase()
+    } else if a.ret.distinct {
+        format!(
+            "distinct({})",
+            join(a.ret.items.iter().map(column_name).collect())
+        )
+    } else {
+        "rows".to_string()
     }
 }
 
-/// Projection over slot rows: the same traversal as [`project_with`]
-/// (grouping by first occurrence, per-item alias scope, having-after-items)
-/// so the output is byte-identical — but every name lookup is an indexed
-/// array access and the row context is filled without hashing.
-fn project_compiled(
-    store: &EventStore,
-    a: &AnalyzedMultievent,
-    cp: &CompiledProjection,
-    ntuples: usize,
-    gov: Option<&Governor>,
-    mut fill: impl FnMut(usize, &mut SlotRow),
-) -> Result<ResultTable, EngineError> {
-    let columns: Vec<String> = a.ret.items.iter().map(column_name).collect();
-    let mut table = ResultTable::new(columns);
-    let aggregated = !cp.aggs.is_empty() || !a.group_by.is_empty();
-    let mut ctx = SlotRow::new(a.vars.len(), a.patterns.len(), cp.naliases, cp.aggs.len());
-    let mut gate = GovGate::new(gov);
+/// The bit pattern `distinct` and `group by` compare a value by — its type
+/// tag and payload: equal exactly when [`ResultTable::row_key`] renders the
+/// two values alike (`Int(1)` ≠ `Float(1.0)`, `0.0` ≠ `-0.0`, every NaN one
+/// value).
+fn value_bits(v: Value) -> [u64; 2] {
+    match v {
+        Value::Null => [0, 0],
+        Value::Int(i) => [1, i as u64],
+        Value::Float(x) if x.is_nan() => [2, f64::NAN.to_bits()],
+        Value::Float(x) => [2, x.to_bits()],
+        Value::Str(s) => [3, u64::from(s.raw())],
+        Value::Ip(ip) => [4, u64::from(ip.0)],
+        Value::Time(t) => [5, t.micros() as u64],
+        Value::Bool(b) => [6, u64::from(b)],
+    }
+}
 
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    if !aggregated {
-        for i in 0..ntuples {
-            // A trip here either unwinds (error mode) or keeps the rows
-            // produced so far — a prefix of the full projection (partial
-            // mode; the sticky trip surfaces as a warning on the table).
-            if let (Some(t), Some(g)) = (gate.tick(), gov) {
-                if !g.partial() {
-                    return Err(g.error(t));
-                }
-                break;
-            }
-            fill(i, &mut ctx);
-            let mut row = Vec::with_capacity(cp.items.len());
-            for item in &cp.items {
-                row.push(item.eval(store, &ctx)?);
-            }
-            if let Some(h) = &cp.having {
-                // having without aggregation degenerates to a row filter.
-                if !h.eval(store, &ctx)?.truthy() {
-                    continue;
-                }
-            }
-            rows.push(row);
-        }
-    } else if cp.group_by.is_empty() {
-        // Single implicit group: skip the per-tuple group-key string and
-        // hash lookup entirely — bare aggregate chains feed millions of
-        // joined tuples through here and the key machinery would dominate
-        // the accumulation itself.
-        let mut accs: Vec<AggAcc> = cp.aggs.iter().map(|_| AggAcc::new()).collect();
-        let mut consumed = 0usize;
-        for ti in 0..ntuples {
-            if let (Some(t), Some(g)) = (gate.tick(), gov) {
-                if !g.partial() {
-                    return Err(g.error(t));
-                }
-                break;
-            }
-            fill(ti, &mut ctx);
-            for ((_, arg), acc) in cp.aggs.iter().zip(accs.iter_mut()) {
-                acc.add(arg.eval(store, &ctx)?);
-            }
-            consumed += 1;
-        }
-        // Same emission as the grouped path with the first consumed tuple
-        // as the representative; zero consumed tuples emit zero groups.
-        if consumed > 0 {
-            fill(0, &mut ctx);
-            for (slot, ((func, _), acc)) in cp.aggs.iter().zip(accs.iter()).enumerate() {
-                ctx.aggs[slot] = acc.finalize(*func);
-            }
-            ctx.aliases.iter_mut().for_each(|v| *v = None);
-            let mut row = Vec::with_capacity(cp.items.len());
-            for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
-                let v = item.eval(store, &ctx)?;
-                if let Some(slot) = alias {
-                    ctx.aliases[*slot] = Some(v);
-                }
-                row.push(v);
-            }
-            if cp
-                .having
-                .as_ref()
-                .map_or(Ok(true), |h| h.eval(store, &ctx).map(|v| v.truthy()))?
-            {
-                rows.push(row);
+/// First-occurrence numbering of value rows, keyed on the values' bit
+/// patterns — entity symbols and integers, not rendered strings.
+#[derive(Debug, Default)]
+struct KeyIndex {
+    index: HashMap<Box<[u64]>, usize>,
+    /// Reused key encoding: a lookup that hits allocates nothing.
+    bits: Vec<u64>,
+}
+
+impl KeyIndex {
+    /// The number of `key`, the next unused one when it is new (`true`).
+    fn find_or_insert(&mut self, key: &[Value]) -> (usize, bool) {
+        self.bits.clear();
+        self.bits.extend(key.iter().flat_map(|&v| value_bits(v)));
+        let next = self.index.len();
+        match self.index.get(self.bits.as_slice()) {
+            Some(&i) => (i, false),
+            None => {
+                self.index.insert(self.bits.as_slice().into(), next);
+                (next, true)
             }
         }
-    } else {
-        struct Group {
-            rep: usize,
-            accs: Vec<AggAcc>,
-        }
-        let mut groups: HashMap<String, Group> = HashMap::new();
-        let mut group_order: Vec<String> = Vec::new();
-        for ti in 0..ntuples {
-            // Partial mode: aggregates reflect the tuple prefix consumed
-            // before the trip (the table carries the warning).
-            if let (Some(t), Some(g)) = (gate.tick(), gov) {
-                if !g.partial() {
-                    return Err(g.error(t));
-                }
-                break;
+    }
+}
+
+/// What a sink has retained of the tuples pushed so far.
+#[derive(Debug)]
+enum SinkState {
+    /// One evaluated row per tuple that passed `having` — under `distinct`
+    /// (`seen`), per distinct such row, in first-occurrence order.
+    Rows {
+        rows: Vec<Vec<Value>>,
+        seen: Option<KeyIndex>,
+    },
+    /// Per group, in first-occurrence order: its key (no keys when the
+    /// query has no `group by` — one implicit group), its representative
+    /// (first) tuple, which the group's non-aggregate items are evaluated
+    /// on, and `aggs.len()` accumulators in `accs`.
+    Groups {
+        keys: KeyIndex,
+        reps: Vec<Tuple>,
+        accs: Vec<AggAcc>,
+    },
+}
+
+/// The streaming projection: see the module docs.
+pub(crate) struct ProjectionSink<'e> {
+    /// The execution the row references resolve in; every sink of it shares
+    /// its compiled projection `cp`.
+    env: &'e ExecEnv<'e>,
+    cp: &'e CompiledProjection,
+    state: SinkState,
+    /// Tuples pushed.
+    pushed: usize,
+    /// First evaluation error; `finish` returns it.
+    err: Option<EngineError>,
+    /// Reused buffer of one tuple's evaluated row or group key.
+    vals: Vec<Value>,
+    /// Reused one-tuple buffer [`JoinOutput::emit`] assembles its tuple in.
+    tuple: RefArena,
+}
+
+/// The evaluation context of one tuple (`aliases` and `aggs` are bound only
+/// while a finished group's row is emitted).
+fn slots<'t>(
+    env: &'t ExecEnv<'t>,
+    tuple: TupleView<'t>,
+    aliases: &'t [Option<Value>],
+    aggs: &'t [Value],
+) -> SlotCtx<'t> {
+    SlotCtx {
+        store: env.store,
+        parts: &env.parts,
+        tuple,
+        aliases,
+        aggs,
+    }
+}
+
+impl<'e> ProjectionSink<'e> {
+    /// An empty sink for the execution's projection; `None` when it did
+    /// not compile (the caller keeps the dynamic path).
+    pub(crate) fn new(env: &'e ExecEnv<'e>) -> Option<Self> {
+        let cp = env.projection.as_ref()?;
+        let state = if cp.aggregated {
+            SinkState::Groups {
+                keys: KeyIndex::default(),
+                reps: Vec::new(),
+                accs: Vec::new(),
             }
-            fill(ti, &mut ctx);
-            let mut key_vals = Vec::with_capacity(cp.group_by.len());
-            for g in &cp.group_by {
-                key_vals.push(g.eval(store, &ctx)?);
+        } else {
+            SinkState::Rows {
+                rows: Vec::new(),
+                seen: env.a.ret.distinct.then(KeyIndex::default),
             }
-            let key = ResultTable::row_key(&key_vals);
-            let group = match groups.get_mut(&key) {
-                Some(g) => g,
-                None => {
-                    group_order.push(key.clone());
-                    groups.entry(key).or_insert(Group {
-                        rep: ti,
-                        accs: cp.aggs.iter().map(|_| AggAcc::new()).collect(),
-                    })
-                }
-            };
-            for ((_, arg), acc) in cp.aggs.iter().zip(group.accs.iter_mut()) {
-                acc.add(arg.eval(store, &ctx)?);
+        };
+        Some(ProjectionSink {
+            env,
+            cp,
+            state,
+            pushed: 0,
+            err: None,
+            vals: Vec::new(),
+            tuple: RefArena::new(env.a.patterns.len(), env.a.vars.len()),
+        })
+    }
+
+    /// Consumes one joined tuple: its event ref per pattern and entity id
+    /// per variable. `Stop` means an expression failed on it; `finish`
+    /// returns the error.
+    pub(crate) fn push(&mut self, events: &[EventRef], vars: &[u32]) -> Flow {
+        self.push_view(TupleView::Refs { events, vars })
+    }
+
+    /// [`ProjectionSink::push`] for a materialized tuple.
+    pub(crate) fn push_tuple(&mut self, t: &Tuple) -> Flow {
+        self.push_view(TupleView::Events(t))
+    }
+
+    fn push_view(&mut self, tuple: TupleView<'_>) -> Flow {
+        let consumed = consume(self.env, self.cp, &mut self.state, &mut self.vals, tuple);
+        self.note(consumed)
+    }
+
+    /// Counts one push and keeps its error, if any.
+    fn note(&mut self, consumed: Result<(), EngineError>) -> Flow {
+        self.pushed += 1;
+        match consumed {
+            Ok(()) => Flow::Continue,
+            Err(e) => {
+                self.err.get_or_insert(e);
+                Flow::Stop
             }
-        }
-        for key in &group_order {
-            let group = &groups[key];
-            fill(group.rep, &mut ctx);
-            for (slot, ((func, _), acc)) in cp.aggs.iter().zip(group.accs.iter()).enumerate() {
-                ctx.aggs[slot] = acc.finalize(*func);
-            }
-            ctx.aliases.iter_mut().for_each(|v| *v = None);
-            let mut row = Vec::with_capacity(cp.items.len());
-            for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
-                let v = item.eval(store, &ctx)?;
-                if let Some(slot) = alias {
-                    ctx.aliases[*slot] = Some(v);
-                }
-                row.push(v);
-            }
-            if let Some(h) = &cp.having {
-                if !h.eval(store, &ctx)?.truthy() {
-                    continue;
-                }
-            }
-            rows.push(row);
         }
     }
 
-    finish_rows(a, &mut rows)?;
-    table.rows = rows;
-    Ok(table)
+    /// Tuples pushed so far.
+    pub(crate) fn pushed(&self) -> usize {
+        self.pushed
+    }
+
+    /// Rows, distinct keys, or groups retained so far.
+    pub(crate) fn kept(&self) -> usize {
+        match &self.state {
+            SinkState::Rows { rows, .. } => rows.len(),
+            SinkState::Groups { reps, .. } => reps.len(),
+        }
+    }
+
+    /// Closes the table: emits each group's row (aggregates), then
+    /// distinct, order by, limit.
+    pub(crate) fn finish(self) -> Result<ResultTable, EngineError> {
+        if let Some(e) = self.err {
+            return Err(e);
+        }
+        let (env, a, cp) = (self.env, self.env.a, self.cp);
+        let mut rows: Vec<Vec<Value>> = match self.state {
+            SinkState::Rows { rows, .. } => rows,
+            SinkState::Groups { reps, accs, .. } => {
+                let mut rows = Vec::with_capacity(reps.len());
+                let mut aggs = vec![Value::Null; cp.aggs.len()];
+                let mut aliases = cp.unset_aliases.clone();
+                for (g, rep) in reps.iter().enumerate() {
+                    let group = &accs[g * cp.aggs.len()..(g + 1) * cp.aggs.len()];
+                    for (slot, ((func, _), acc)) in cp.aggs.iter().zip(group).enumerate() {
+                        aggs[slot] = acc.finalize(*func);
+                    }
+                    aliases.iter_mut().for_each(|v| *v = None);
+                    let rep = TupleView::Events(rep);
+                    let mut row = Vec::with_capacity(cp.items.len());
+                    for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
+                        let v = item.eval(&slots(env, rep, &aliases, &aggs))?;
+                        if let Some(slot) = alias {
+                            aliases[*slot] = Some(v);
+                        }
+                        row.push(v);
+                    }
+                    let scx = slots(env, rep, &aliases, &aggs);
+                    if cp.having.as_ref().map_or(Ok(true), |h| h.passes(&scx))? {
+                        rows.push(row);
+                    }
+                }
+                if a.ret.distinct {
+                    let mut seen = KeyIndex::default();
+                    rows.retain(|r| seen.find_or_insert(r).1);
+                }
+                rows
+            }
+        };
+        order_and_limit(a, &mut rows)?;
+        let mut table = ResultTable::new(a.ret.items.iter().map(column_name).collect());
+        table.rows = rows;
+        Ok(table)
+    }
+}
+
+/// One push: evaluates what the sink's state needs of `tuple` and retains
+/// it (see [`SinkState`]). Per-tuple evaluation sees no alias and no
+/// aggregate value, exactly as the dynamic path's tuple loop; `having`
+/// without aggregation degenerates to a row filter.
+fn consume(
+    env: &ExecEnv<'_>,
+    cp: &CompiledProjection,
+    state: &mut SinkState,
+    vals: &mut Vec<Value>,
+    tuple: TupleView<'_>,
+) -> Result<(), EngineError> {
+    let scx = slots(env, tuple, &cp.unset_aliases, &[]);
+    let eval_into = |exprs: &[SlotExpr], vals: &mut Vec<Value>| {
+        vals.clear();
+        (exprs.iter()).try_for_each(|e| e.eval(&scx).map(|v| vals.push(v)))
+    };
+    match state {
+        SinkState::Rows { rows, seen } => {
+            eval_into(&cp.items, vals)?;
+            let passes = cp.having.as_ref().map_or(Ok(true), |h| h.passes(&scx))?;
+            if passes && seen.as_mut().is_none_or(|s| s.find_or_insert(vals).1) {
+                rows.push(vals.clone());
+            }
+        }
+        SinkState::Groups { keys, reps, accs } => {
+            eval_into(&cp.group_by, vals)?;
+            let g = match vals.is_empty() {
+                true => 0,
+                false => keys.find_or_insert(vals).0,
+            };
+            if g == reps.len() {
+                reps.push(tuple.materialize(&env.parts));
+                accs.extend(cp.aggs.iter().map(|_| AggAcc::new()));
+            }
+            let group = &mut accs[g * cp.aggs.len()..(g + 1) * cp.aggs.len()];
+            for ((_, arg), acc) in cp.aggs.iter().zip(group) {
+                acc.add(arg.eval(&scx)?);
+            }
+        }
+    }
+    Ok(())
+}
+
+impl JoinOutput for ProjectionSink<'_> {
+    #[inline]
+    fn emit(
+        &mut self,
+        src: &RefArena,
+        i: usize,
+        pattern: usize,
+        r: EventRef,
+        subject: (usize, EntityId),
+        object: (usize, EntityId),
+    ) -> Flow {
+        self.tuple.truncate(0);
+        self.tuple.emit(src, i, pattern, r, subject, object);
+        let tuple = TupleView::Refs {
+            events: self.tuple.events_of(0),
+            vars: self.tuple.vars_of(0),
+        };
+        let consumed = consume(self.env, self.cp, &mut self.state, &mut self.vals, tuple);
+        self.note(consumed)
+    }
+
+    fn delivered(&self) -> usize {
+        self.pushed
+    }
+
+    /// Rows (with their keys under `distinct`) or group states — never the
+    /// pushed tuples themselves.
+    fn retained_bytes(&self) -> u64 {
+        let (cp, a) = (self.cp, self.env.a);
+        let values = |n: usize| n * std::mem::size_of::<Value>();
+        let key = |n: usize| 2 * n * std::mem::size_of::<u64>();
+        let per = match &self.state {
+            SinkState::Rows { seen, .. } => {
+                let n = cp.items.len();
+                std::mem::size_of::<Vec<Value>>() + values(n) + seen.as_ref().map_or(0, |_| key(n))
+            }
+            SinkState::Groups { .. } => {
+                key(cp.group_by.len())
+                    + std::mem::size_of::<Tuple>()
+                    + a.patterns.len() * std::mem::size_of::<Option<aiql_model::Event>>()
+                    + a.vars.len() * std::mem::size_of::<Option<EntityId>>()
+                    + cp.aggs.len() * std::mem::size_of::<AggAcc>()
+            }
+        };
+        (self.kept() * per) as u64
+    }
+
+    fn fork(&self) -> Self {
+        ProjectionSink::new(self.env).expect("a sink exists, so the projection compiled")
+    }
+
+    fn merge(&mut self, part: Self) -> bool {
+        let naggs = self.cp.aggs.len();
+        match (&mut self.state, part.state) {
+            (SinkState::Rows { rows, seen }, SinkState::Rows { rows: more, .. }) => {
+                let fresh =
+                    |row: &Vec<Value>| seen.as_mut().is_none_or(|s| s.find_or_insert(row).1);
+                rows.extend(more.into_iter().filter(fresh));
+            }
+            (
+                SinkState::Groups { keys, reps, accs },
+                SinkState::Groups {
+                    keys: more_keys,
+                    reps: more_reps,
+                    accs: more_accs,
+                },
+            ) => {
+                if !accs.iter().chain(&more_accs).all(|acc| acc.exact) {
+                    return false;
+                }
+                // Their groups in their first-occurrence order (no keys:
+                // the one implicit group).
+                let mut their_keys: Vec<_> = more_keys.index.into_iter().collect();
+                their_keys.sort_unstable_by_key(|&(_, h)| h);
+                let mut their_keys = their_keys.into_iter();
+                for (h, rep) in more_reps.into_iter().enumerate() {
+                    let next = reps.len();
+                    let g = their_keys
+                        .next()
+                        .map_or(0, |(key, _)| *keys.index.entry(key).or_insert(next));
+                    let theirs = &more_accs[h * naggs..(h + 1) * naggs];
+                    if g == next {
+                        reps.push(rep);
+                        accs.extend_from_slice(theirs);
+                    } else {
+                        let ours = &mut accs[g * naggs..(g + 1) * naggs];
+                        (ours.iter_mut().zip(theirs)).for_each(|(acc, o)| acc.merge(o));
+                    }
+                }
+            }
+            _ => unreachable!("forks share the projection, hence the state shape"),
+        }
+        self.pushed += part.pushed;
+        true
+    }
+
+    fn failed(&mut self) -> Option<EngineError> {
+        self.err.take()
+    }
 }
 
 /// Projects joined tuples into the final result table (aggregation,
-/// having, distinct, order by, limit).
+/// having, distinct, order by, limit) on the dynamic [`RowCtx`] path: every
+/// name is looked up per evaluation, in a row context refilled per tuple.
+/// Deliberately not a sink: it is the oracle's projection, an
+/// implementation the sink shares no tuple loop with.
 pub fn project(
     store: &EventStore,
     a: &AnalyzedMultievent,
     tuples: &[Tuple],
-) -> Result<ResultTable, EngineError> {
-    project_with(store, a, tuples.len(), None, |i, ctx| {
-        fill_ctx_tuple(a, &tuples[i], ctx);
-    })
-}
-
-/// Core projection over any tuple source: `fill(i, ctx)` populates the
-/// (reused) row context for tuple `i`. The late-materialization path feeds
-/// its ref arena through this, building each surviving tuple's events
-/// exactly once and never allocating an intermediate tuple vector.
-fn project_with<'a>(
-    store: &EventStore,
-    a: &'a AnalyzedMultievent,
-    ntuples: usize,
-    gov: Option<&Governor>,
-    fill: impl Fn(usize, &mut RowCtx<'a>),
 ) -> Result<ResultTable, EngineError> {
     let columns: Vec<String> = a.ret.items.iter().map(column_name).collect();
     let mut table = ResultTable::new(columns);
     let aggs = collect_aggs(a);
     let aggregated = !aggs.is_empty() || !a.group_by.is_empty();
     let mut ctx = RowCtx::default();
-    let mut gate = GovGate::new(gov);
 
     let mut rows: Vec<Vec<Value>> = Vec::new();
     if !aggregated {
-        for i in 0..ntuples {
-            if let (Some(t), Some(g)) = (gate.tick(), gov) {
-                if !g.partial() {
-                    return Err(g.error(t));
-                }
-                break;
-            }
-            fill(i, &mut ctx);
+        for t in tuples {
+            fill_ctx(a, t, &mut ctx);
             let mut row = Vec::with_capacity(a.ret.items.len());
             for item in &a.ret.items {
                 row.push(eval::eval(&item.expr, store, &ctx)?);
@@ -566,43 +774,33 @@ fn project_with<'a>(
             rows.push(row);
         }
     } else {
-        // Group tuples.
-        struct Group {
-            rep: usize,
+        // Group tuples; `groups` is in first-occurrence order.
+        struct Group<'t> {
+            rep: &'t Tuple,
             accs: Vec<AggAcc>,
         }
-        let mut groups: HashMap<String, Group> = HashMap::new();
-        let mut group_order: Vec<String> = Vec::new();
-        for ti in 0..ntuples {
-            if let (Some(t), Some(g)) = (gate.tick(), gov) {
-                if !g.partial() {
-                    return Err(g.error(t));
-                }
-                break;
-            }
-            fill(ti, &mut ctx);
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut groups: Vec<Group<'_>> = Vec::new();
+        for t in tuples {
+            fill_ctx(a, t, &mut ctx);
             let mut key_vals = Vec::with_capacity(a.group_by.len());
             for g in &a.group_by {
                 key_vals.push(eval::eval(g, store, &ctx)?);
             }
-            let key = ResultTable::row_key(&key_vals);
-            let group = match groups.get_mut(&key) {
-                Some(g) => g,
-                None => {
-                    group_order.push(key.clone());
-                    groups.entry(key).or_insert(Group {
-                        rep: ti,
-                        accs: aggs.iter().map(|_| AggAcc::new()).collect(),
-                    })
-                }
-            };
-            for ((_, _, arg), acc) in aggs.iter().zip(group.accs.iter_mut()) {
+            let next = groups.len();
+            let gi = *index.entry(ResultTable::row_key(&key_vals)).or_insert(next);
+            if gi == next {
+                groups.push(Group {
+                    rep: t,
+                    accs: aggs.iter().map(|_| AggAcc::new()).collect(),
+                });
+            }
+            for ((_, _, arg), acc) in aggs.iter().zip(groups[gi].accs.iter_mut()) {
                 acc.add(eval::eval(arg, store, &ctx)?);
             }
         }
-        for key in &group_order {
-            let group = &groups[key];
-            fill(group.rep, &mut ctx);
+        for group in &groups {
+            fill_ctx(a, group.rep, &mut ctx);
             for ((k, func, _), acc) in aggs.iter().zip(group.accs.iter()) {
                 ctx.agg_values.insert(k.clone(), acc.finalize(*func));
             }
@@ -624,19 +822,18 @@ fn project_with<'a>(
         }
     }
 
-    finish_rows(a, &mut rows)?;
-    table.rows = rows;
-    Ok(table)
-}
-
-/// The projection tail shared by the dynamic and slot-compiled paths:
-/// distinct, order by, limit.
-fn finish_rows(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result<(), EngineError> {
     if a.ret.distinct {
         let mut seen = std::collections::HashSet::new();
         rows.retain(|r| seen.insert(ResultTable::row_key(r)));
     }
+    order_and_limit(a, &mut rows)?;
+    table.rows = rows;
+    Ok(table)
+}
 
+/// The projection tail shared by the dynamic path and the sink: order by,
+/// limit.
+fn order_and_limit(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result<(), EngineError> {
     if !a.order_by.is_empty() {
         // Each order key must correspond to an output column.
         let mut key_cols = Vec::with_capacity(a.order_by.len());
@@ -678,4 +875,102 @@ fn finish_rows(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result<(),
         rows.truncate(limit as usize);
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use aiql_model::{Interner, IpV4, Timestamp};
+
+    fn sample_values() -> Vec<Value> {
+        let mut interner = Interner::new();
+        vec![
+            Value::Null,
+            Value::Int(1),
+            Value::Int(-1),
+            Value::Float(1.0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(f64::NAN),
+            Value::Float(-f64::NAN),
+            Value::Bool(true),
+            Value::Time(Timestamp::from_secs(1)),
+            Value::Ip(IpV4(1)),
+            Value::Str(interner.intern("a")),
+            Value::Str(interner.intern("b")),
+        ]
+    }
+
+    /// The index equates two rows exactly when `row_key` — the dynamic
+    /// path's `distinct` and `group by` key — renders them alike, and
+    /// numbers them in first-occurrence order.
+    #[test]
+    fn key_index_equates_rows_exactly_as_row_key_does() {
+        let vals = sample_values();
+        let mut index = KeyIndex::default();
+        let mut by_row_key: HashMap<String, usize> = HashMap::new();
+        for _round in 0..2 {
+            for &x in &vals {
+                for &y in &vals {
+                    let row = [x, y];
+                    let next = by_row_key.len();
+                    let want = *by_row_key.entry(ResultTable::row_key(&row)).or_insert(next);
+                    assert_eq!(
+                        index.find_or_insert(&row),
+                        (want, want == next),
+                        "row {row:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exact_accumulators_merge_to_the_sequential_result() {
+        let vals = [
+            Value::Int(7),
+            Value::Null,
+            Value::Int(-3),
+            Value::Time(Timestamp::from_secs(9)),
+            Value::Int(7),
+            Value::Bool(true),
+            Value::Int(-3),
+        ];
+        for split in 0..=vals.len() {
+            let mut whole = AggAcc::new();
+            let (mut head, mut tail) = (AggAcc::new(), AggAcc::new());
+            vals.iter().for_each(|&v| whole.add(v));
+            vals[..split].iter().for_each(|&v| head.add(v));
+            vals[split..].iter().for_each(|&v| tail.add(v));
+            assert!(head.exact && tail.exact);
+            head.merge(&tail);
+            for func in [
+                aiql_lang::AggFunc::Count,
+                aiql_lang::AggFunc::Sum,
+                aiql_lang::AggFunc::Avg,
+                aiql_lang::AggFunc::Min,
+                aiql_lang::AggFunc::Max,
+            ] {
+                assert_eq!(head.finalize(func), whole.finalize(func), "split {split}");
+            }
+            assert!(head.exact);
+        }
+    }
+
+    #[test]
+    fn floats_and_huge_sums_mark_an_accumulator_inexact() {
+        let mut acc = AggAcc::new();
+        acc.add(Value::Int(1));
+        assert!(acc.exact);
+        acc.add(Value::Float(0.5));
+        assert!(!acc.exact);
+        let mut big = AggAcc::new();
+        big.add(Value::Int(1 << 52));
+        assert!(big.exact);
+        let mut other = big.clone();
+        other.merge(&big);
+        assert!(!other.exact, "a sum past 2^52 no longer merges exactly");
+        big.add(Value::Int(1));
+        assert!(!big.exact);
+    }
 }

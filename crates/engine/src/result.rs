@@ -103,16 +103,17 @@ impl ResultTable {
     /// Canonical key for a row, used for `distinct` and for order-insensitive
     /// result comparison in tests.
     pub fn row_key(row: &[Value]) -> String {
+        use std::fmt::Write as _;
         let mut key = String::new();
         for v in row {
-            key.push_str(&format!("{v:?}\u{1f}"));
+            let _ = write!(key, "{v:?}\u{1f}");
         }
         key
     }
 
     /// Sorts rows by their canonical keys (test helper for set comparison).
     pub fn normalized(mut self) -> Self {
-        self.rows.sort_by_key(|r| Self::row_key(r));
+        self.rows.sort_by_cached_key(|r| Self::row_key(r));
         self
     }
 }

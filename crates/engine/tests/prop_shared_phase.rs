@@ -1,14 +1,13 @@
 //! Differential property tests for the PR 2 shared-phase optimizations.
 //!
-//! Four new toggles exist on top of the PR 1 pipeline:
+//! Three toggles exist on top of the PR 1 pipeline:
 //!
 //! * `StoreConfig::ngram_index` — trigram/prefix dictionary indexes for
 //!   `LIKE` resolution;
 //! * `StoreConfig::vectorized_residual` — chunked columnar mask passes for
 //!   residual predicates;
 //! * `EngineConfig::plan_cache` — the store-epoch-invalidated
-//!   plan-resolution LRU;
-//! * `EngineConfig::compiled_projection` — slot-compiled projection.
+//!   plan-resolution LRU.
 //!
 //! Every combination must return tables byte-identical (rows AND order) to
 //! the all-off baseline, including on *repeated* execution (cache hits) and
@@ -107,7 +106,6 @@ fn build_store(raws: &[RawEvent], ngram_index: bool, vectorized_residual: bool) 
 fn baseline_config() -> EngineConfig {
     EngineConfig {
         plan_cache: false,
-        compiled_projection: false,
         ..EngineConfig::default()
     }
 }
@@ -115,26 +113,23 @@ fn baseline_config() -> EngineConfig {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// All sixteen combinations of ⟨ngram_index, vectorized_residual,
-    /// plan_cache, compiled_projection⟩ return byte-identical tables to the
-    /// all-off baseline — on first execution and on the cache-hitting
-    /// second execution.
+    /// All eight combinations of ⟨ngram_index, vectorized_residual,
+    /// plan_cache⟩ return byte-identical tables to the all-off baseline —
+    /// on first execution and on the cache-hitting second execution.
     #[test]
     fn shared_phase_flags_match_baseline_exactly(
         raws in proptest::collection::vec(arb_raw(), 0..120),
-        flags in 0u32..16,
+        flags in 0u32..8,
     ) {
         let ngram_index = flags & 1 != 0;
         let vectorized_residual = flags & 2 != 0;
         let plan_cache = flags & 4 != 0;
-        let compiled_projection = flags & 8 != 0;
 
         let baseline_store = build_store(&raws, false, false);
         let variant_store = build_store(&raws, ngram_index, vectorized_residual);
         let baseline = Engine::new(baseline_config());
         let variant = Engine::new(EngineConfig {
             plan_cache,
-            compiled_projection,
             ..EngineConfig::default()
         });
         for src in query_catalog() {
@@ -144,7 +139,7 @@ proptest! {
                 let got = variant.execute(&variant_store, &q).unwrap();
                 prop_assert_eq!(
                     &want.rows, &got.rows,
-                    "query {:?} flags {:04b} round {}: rows/order differ ({} vs {})",
+                    "query {:?} flags {:03b} round {}: rows/order differ ({} vs {})",
                     src, flags, round, want.rows.len(), got.rows.len()
                 );
                 prop_assert_eq!(want.truncated, got.truncated);
