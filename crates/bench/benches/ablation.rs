@@ -1,9 +1,12 @@
 //! Ablations — the contribution of each design choice DESIGN.md calls out.
 //!
-//! Engine side: pruning-power scheduling, partition parallelism, semi-join
-//! pushdown, and temporal narrowing are toggled individually on the most
-//! join-heavy catalog query. Storage side: event dedup on/off (ingest cost
-//! + store size), batch-commit size, and indexed vs full scans.
+//! Engine side: the paper's five — pruning-power scheduling, partition
+//! parallelism, entity pushdown, semi-join pushdown, and temporal narrowing
+//! — are toggled individually on the most join-heavy catalog query, then
+//! all together (`EngineConfig::unoptimized()`, which leaves everything
+//! that is not one of the five, the plan cache included, at its default).
+//! Storage side: event dedup on/off (ingest cost + store size),
+//! batch-commit size, and indexed vs full scans.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -65,28 +68,6 @@ fn bench_engine_ablations(c: &mut Criterion) {
             "no-temporal-narrowing",
             EngineConfig {
                 temporal_narrowing: false,
-                ..EngineConfig::default()
-            },
-        ),
-        (
-            "no-late-materialization",
-            EngineConfig {
-                late_materialization: false,
-                ..EngineConfig::default()
-            },
-        ),
-        (
-            "no-scan-pool",
-            EngineConfig {
-                scan_pool: false,
-                ..EngineConfig::default()
-            },
-        ),
-        (
-            "seed-pipeline",
-            EngineConfig {
-                late_materialization: false,
-                scan_pool: false,
                 ..EngineConfig::default()
             },
         ),

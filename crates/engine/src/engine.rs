@@ -10,12 +10,17 @@ use crate::exec::{ExecStats, MultieventExec};
 use crate::governor::{ExecBudget, Governor};
 use crate::result::ResultTable;
 
-/// Engine tunables. Every domain-specific optimization can be switched off
-/// individually, which is how the ablation benchmarks isolate their
-/// contributions.
+/// Engine tunables. The paper's five domain-specific optimizations
+/// (`prioritize_pruning`, `partition_parallel`, `entity_pushdown`,
+/// `semi_join_pushdown`, `temporal_narrowing`) can be switched off
+/// individually, which is how the fig. 5 ablation isolates their
+/// contributions; everything else the pipeline does is unconditional.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads for partition-parallel scans.
+    /// Per-query fan-out on the process-wide scan executor
+    /// ([`crate::pool::shared`]): partition-parallel scans and the join's
+    /// run-sharded drive and sharded index builds. 1 = everything runs on
+    /// the query thread.
     pub parallelism: usize,
     /// Schedule patterns by estimated pruning power (vs. source order).
     pub prioritize_pruning: bool,
@@ -30,79 +35,18 @@ pub struct EngineConfig {
     pub semi_join_pushdown: bool,
     /// Narrow scan windows using temporal relations and observed bounds.
     pub temporal_narrowing: bool,
-    /// Carry ⟨partition, row⟩ references through candidate lists and the
-    /// join, materializing events only for surviving tuples. Disabled, every
-    /// scan copies full events and the join clones them (the seed's path).
-    pub late_materialization: bool,
-    /// Run parallel scans on a persistent worker pool. Disabled, every
-    /// parallel scan spawns scoped threads (the seed's per-scan fan-out).
-    pub scan_pool: bool,
-    /// Use the process-wide shared scan executor (sized by
-    /// `std::thread::available_parallelism`, spawned once per process)
-    /// instead of a private per-engine pool. Per-query fan-out stays
-    /// capped at `parallelism` either way; disabling this is the override
-    /// for engines that need an isolated worker set of exactly
-    /// `parallelism` threads.
-    pub shared_scan_pool: bool,
-    /// Partition the multi-way join's tuple frontier across the scan
-    /// executor (contiguous ranges merged deterministically, so results
-    /// are byte-identical to the serial join). Disabled, every join step
-    /// runs on the query thread.
-    pub parallel_join: bool,
-    /// Join partition count. 0 = auto: `4 × parallelism` partitions once a
-    /// step's probe work clears [`EngineConfig::parallel_join_min_work`]. A
-    /// non-zero value forces exactly that many partitions on every step big
-    /// enough to split (ablation and differential tests pin this).
+    /// Join partition count. 0 = auto: the seed frontier's runs fan out
+    /// across the executor once there are enough seed tuples to pay for the
+    /// fork/merge, and an index build shards once its candidate list is big
+    /// enough. A non-zero value forces the parallel drive and exactly that
+    /// many index shards on every step big enough to split (differential
+    /// tests pin this to reach both on tiny inputs).
     pub join_partitions: usize,
-    /// Minimum per-step probe work (frontier tuples, or candidates for the
-    /// first pattern) before the join fans out in auto mode. Below this the
-    /// fork/merge overhead outweighs the step.
-    pub parallel_join_min_work: usize,
-    /// Minimum candidate-list size before a join step's hash-index *build*
-    /// fans out into key-hash shards in auto mode. Below this the two-phase
-    /// scatter/gather costs more than the serial insert loop.
-    pub parallel_index_min_build: usize,
-    /// Build join-step indexes with a time-bucket dimension: each key's
-    /// posting list carries dense start/end columns plus per-chunk bucket
-    /// zone maps (bucket width chosen from the candidate timestamp range at
-    /// build time, surfaced in EXPLAIN). Probes compute the admissible
-    /// start/end intervals from the tuple's already-placed events once, skip
-    /// whole chunks whose buckets cannot satisfy the temporal relations, and
-    /// verify survivors against the dense columns — instead of re-resolving
-    /// time columns per (tuple, candidate) pair. Results are byte-identical
-    /// either way.
-    pub time_bucket_join: bool,
-    /// Re-partition the parallel join probe by join key: each executor
-    /// shard probes only its locally built shard of the index (aligned with
-    /// the scatter/gather build), and shard outputs merge back in frontier
-    /// order, so results stay byte-identical to the serial traversal.
-    /// Applies to parallel steps with bound variables and a sharded index;
-    /// other steps keep the contiguous frontier-range partitioning.
-    pub partitioned_probe: bool,
-    /// Sideways filter pushdown: pattern scans publish bitmap filters over
-    /// their candidates' join-key domains, and the join uses them to (a)
-    /// drop build-side candidates no frontier tuple can probe, (b) skip
-    /// probes whose key is absent from the step's candidate domain, and (c)
-    /// shrink the seed frontier by the next pattern's domain before it is
-    /// ever joined. All three are output-invisible: results (including
-    /// truncation prefixes) are byte-identical with the flag off.
-    pub sideways_filters: bool,
-    /// Demand-driven blocked join drive: instead of materializing each join
-    /// step's full frontier breadth-first, take the seed frontier in runs of
-    /// [`EngineConfig::join_block_tuples`] tuples and drive each run
-    /// depth-first through every remaining step, reusing the per-step
-    /// indexes (still built once, up front). Runs are merged in ascending
-    /// seed order, so uncapped results are byte-identical to the
-    /// breadth-first drive; when `max_intermediate` or a governor budget
-    /// trips, the output is a prefix *in nested-loop emission order* of the
-    /// untruncated result — a strictly stronger contract than breadth-first
-    /// truncation. Applies to multievent joins with ≥ 2 patterns on the
-    /// late-materialization path.
-    pub blocked_join_drive: bool,
-    /// Seed-frontier run size (in tuples) for the blocked join drive. The
-    /// result is byte-identical across block sizes; smaller blocks bound
-    /// live intermediate state more tightly, larger blocks amortize
-    /// per-run overhead.
+    /// Seed-frontier run size (in tuples) of the join drive: the seed
+    /// candidates are taken in runs of this many tuples, each driven
+    /// depth-first through every join step. The result is byte-identical
+    /// across block sizes; smaller blocks bound live intermediate state
+    /// more tightly, larger blocks amortize per-run overhead.
     pub join_block_tuples: usize,
     /// Memoize dictionary constraint resolutions and filter estimates in
     /// an LRU shared by every query this engine (and its clones) runs —
@@ -145,17 +89,7 @@ impl Default for EngineConfig {
             entity_pushdown: true,
             semi_join_pushdown: true,
             temporal_narrowing: true,
-            late_materialization: true,
-            scan_pool: true,
-            shared_scan_pool: true,
-            parallel_join: true,
             join_partitions: 0,
-            parallel_join_min_work: 1024,
-            parallel_index_min_build: 4096,
-            time_bucket_join: true,
-            partitioned_probe: true,
-            sideways_filters: true,
-            blocked_join_drive: true,
             join_block_tuples: 4096,
             plan_cache: true,
             parallel_threshold: 8_192,
@@ -169,9 +103,11 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// A configuration with every domain-specific optimization disabled —
-    /// scheduling degrades to source order with no pushdown, mirroring how
-    /// a general-purpose engine would execute the synthesized plan.
+    /// The paper's five optimizations off, on one thread: scheduling
+    /// degrades to source order with no pushdown, mirroring how a
+    /// general-purpose engine would execute the synthesized plan. Nothing
+    /// else moves — the plan cache stays on — so against `default()` the
+    /// ablation's all-off row differs by the five and the thread count.
     pub fn unoptimized() -> Self {
         EngineConfig {
             parallelism: 1,
@@ -180,25 +116,7 @@ impl EngineConfig {
             entity_pushdown: false,
             semi_join_pushdown: false,
             temporal_narrowing: false,
-            late_materialization: false,
-            scan_pool: false,
-            shared_scan_pool: false,
-            parallel_join: false,
-            join_partitions: 0,
-            parallel_join_min_work: 1024,
-            parallel_index_min_build: 4096,
-            time_bucket_join: false,
-            partitioned_probe: false,
-            sideways_filters: false,
-            blocked_join_drive: false,
-            join_block_tuples: 4096,
-            plan_cache: false,
-            parallel_threshold: usize::MAX,
-            max_intermediate: 4_000_000,
-            deadline_ms: 0,
-            memory_budget_bytes: 0,
-            partial_results: false,
-            inject_scan_panic: false,
+            ..EngineConfig::default()
         }
     }
 
@@ -222,11 +140,8 @@ impl EngineConfig {
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     config: EngineConfig,
-    /// Persistent scan pool, spawned lazily on the first parallel query.
-    /// The cell itself is shared, so clones of an engine — whenever they
-    /// were made — use one pool.
-    pool: std::sync::Arc<std::sync::OnceLock<std::sync::Arc<crate::pool::ScanPool>>>,
-    /// Cross-query plan-resolution cache, shared by clones the same way.
+    /// Cross-query plan-resolution cache; the handle is shared, so clones
+    /// of an engine — whenever they were made — use one cache.
     plan_cache: std::sync::Arc<crate::schedule::PlanCache>,
 }
 
@@ -235,7 +150,6 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Engine {
             config,
-            pool: std::sync::Arc::new(std::sync::OnceLock::new()),
             plan_cache: std::sync::Arc::new(crate::schedule::PlanCache::default()),
         }
     }
@@ -250,24 +164,10 @@ impl Engine {
         self.config.plan_cache.then(|| self.plan_cache.clone())
     }
 
-    /// The persistent scan pool handle, if the configuration wants one:
-    /// the process-wide shared executor by default, or a private pool of
-    /// exactly `parallelism` workers when `shared_scan_pool` is off.
+    /// The process-wide scan executor, if the configuration fans out at
+    /// all. Per-query fan-out stays capped at `parallelism`.
     fn pool(&self) -> Option<std::sync::Arc<crate::pool::ScanPool>> {
-        if !self.config.scan_pool || !self.config.partition_parallel || self.config.parallelism <= 1
-        {
-            return None;
-        }
-        if self.config.shared_scan_pool {
-            return Some(crate::pool::shared());
-        }
-        Some(
-            self.pool
-                .get_or_init(|| {
-                    std::sync::Arc::new(crate::pool::ScanPool::new(self.config.parallelism))
-                })
-                .clone(),
-        )
+        (self.config.partition_parallel && self.config.parallelism > 1).then(crate::pool::shared)
     }
 
     /// `(hits, misses)` of the engine's plan-resolution cache, for tests
@@ -378,20 +278,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn clones_share_one_scan_pool_even_before_first_use() {
-        let e1 = Engine::new(EngineConfig {
-            parallelism: 2,
-            shared_scan_pool: false, // exercise the private-pool override
-            ..EngineConfig::default()
-        });
-        let e2 = e1.clone(); // cloned before the pool ever spun up
-        let p1 = e1.pool().expect("parallel config wants a pool");
-        let p2 = e2.pool().expect("parallel config wants a pool");
-        assert!(std::sync::Arc::ptr_eq(&p1, &p2));
-    }
-
-    #[test]
-    fn independent_engines_share_the_process_wide_pool() {
+    fn engines_share_the_process_wide_pool() {
         let e1 = Engine::new(EngineConfig {
             parallelism: 2,
             ..EngineConfig::default()
@@ -404,17 +291,8 @@ mod tests {
         let p2 = e2.pool().expect("parallel config wants a pool");
         assert!(
             std::sync::Arc::ptr_eq(&p1, &p2),
-            "default-config engines must use one process-wide executor"
+            "every engine must use the one process-wide executor"
         );
-        // A private-pool engine opts out of the shared executor.
-        let private = Engine::new(EngineConfig {
-            parallelism: 2,
-            shared_scan_pool: false,
-            ..EngineConfig::default()
-        });
-        let p3 = private.pool().expect("parallel config wants a pool");
-        assert!(!std::sync::Arc::ptr_eq(&p1, &p3));
-        assert_eq!(p3.threads(), 2);
     }
 
     #[test]

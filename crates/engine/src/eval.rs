@@ -211,8 +211,8 @@ impl EventCol {
 }
 
 /// One joined tuple as compiled expressions read it: the join's flat row
-/// references (the late-materialization path) or a materialized tuple (the
-/// seed's path).
+/// references, or a materialized tuple (a group's representative, kept by
+/// the projection sink past the join).
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum TupleView<'t> {
     /// Event ref per pattern and entity id per variable.

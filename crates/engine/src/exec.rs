@@ -9,16 +9,11 @@
 //! phase (plan context, partition table, pool handle) and adapts the
 //! pipeline's outputs to the public API.
 //!
-//! Two data paths exist, selected by `EngineConfig::late_materialization`:
-//!
-//! * **Late materialization** (default): candidate lists, binding
-//!   propagation, and the multi-way join carry [`EventRef`]s — ⟨partition,
-//!   row⟩ pairs resolved against the columnar segments on demand. Full
-//!   `Event` structs are built exactly once, for the tuples that survive
-//!   the join.
-//! * **Materializing** (the seed's path, kept for ablation): every scan
-//!   copies events out of the segments and the join clones them through
-//!   each intermediate tuple.
+//! Candidate lists, binding propagation, and the multi-way join carry
+//! [`EventRef`]s — ⟨partition, row⟩ pairs resolved against the columnar
+//! segments on demand. Full `Event` structs are built only for what
+//! outlives the join: a group's representative tuple, or the tuples
+//! [`MultieventExec::match_tuples`] hands out.
 
 use std::sync::Arc;
 
@@ -26,7 +21,7 @@ use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::Governor;
-use crate::op::{self, ExecEnv, Frontier, PartTable, PipelineState};
+use crate::op::{self, ExecEnv, PartTable, PipelineState};
 use crate::pool::ScanPool;
 use crate::result::ResultTable;
 use crate::schedule::{self, PlanCache};
@@ -63,8 +58,8 @@ impl<'a> MultieventExec<'a> {
         }
     }
 
-    /// Attaches a persistent scan pool (parallel scans otherwise spawn
-    /// scoped threads per scan, which is the ablation baseline).
+    /// Attaches the scan executor; without one every scan and the join run
+    /// on the query thread.
     #[must_use]
     pub fn with_pool(mut self, pool: Option<Arc<ScanPool>>) -> Self {
         self.pool = pool;
@@ -121,11 +116,7 @@ impl<'a> MultieventExec<'a> {
     pub fn run_with_stats(&self) -> Result<(ResultTable, ExecStats), EngineError> {
         let env = self.env(true);
         let tree = op::query_tree(self.a, &env.ctx.plan.order);
-        let mut st = PipelineState::new(
-            self.a,
-            &env.ctx.plan.order,
-            self.config.late_materialization,
-        );
+        let mut st = PipelineState::new(self.a, &env.ctx.plan.order);
         tree.execute(&env, &mut st)?;
         let mut table = st
             .table
@@ -145,23 +136,15 @@ impl<'a> MultieventExec<'a> {
 
     /// Finds all joined tuples satisfying the query's pattern constraints.
     ///
-    /// Runs the operator tree without its projection root. On the late
-    /// path the surviving tuples are materialized here — callers that only
-    /// need projection should use [`MultieventExec::run`], which skips
-    /// this materialization entirely.
+    /// Runs the operator tree without its projection root and materializes
+    /// the surviving tuples — callers that only need projection should use
+    /// [`MultieventExec::run`], which skips this materialization entirely.
     pub fn match_tuples(&self) -> Result<(Vec<Tuple>, bool, ExecStats), EngineError> {
         let env = self.env(false);
         let tree = op::join_tree(&env.ctx.plan.order);
-        let mut st = PipelineState::new(
-            self.a,
-            &env.ctx.plan.order,
-            self.config.late_materialization,
-        );
+        let mut st = PipelineState::new(self.a, &env.ctx.plan.order);
         tree.execute(&env, &mut st)?;
-        let tuples = match st.frontier {
-            Frontier::Events(tuples) => tuples,
-            Frontier::Refs(arena) => arena.materialize(&env.parts),
-        };
+        let tuples = st.frontier.materialize(&env.parts);
         let tripped = self.governor.as_ref().is_some_and(|g| g.trip().is_some());
         Ok((tuples, st.truncated || tripped, st.stats))
     }

@@ -310,62 +310,43 @@ fn operator_tree(
             }
         })
         .collect();
-    let join_fanout =
-        if config.parallel_join && config.scan_pool && config.partition_parallel && threads > 1 {
-            if config.join_partitions > 0 {
-                config.join_partitions
-            } else {
-                threads * 4
-            }
-        } else {
-            1
-        };
-    // The blocked demand-driven drive takes over multievent joins; its
-    // work unit is the seed run, not a frontier range, and it probes whole
-    // indexes rather than per-worker key shards.
-    let blocked = config.blocked_join_drive && a.patterns.len() >= 2;
+    // The drive that will run: runs fan out on the executor when one is
+    // attached and the seed pattern's candidates — known only at run time —
+    // reach the fan-out floor; below it the same plan runs serial. A memory
+    // budget forces the serial drive (live charging needs a single
+    // observer).
+    let drive = if config.memory_budget_bytes > 0 {
+        "serial (memory-budgeted)".to_string()
+    } else if config.partition_parallel && threads > 1 {
+        format!(
+            "parallel ×{threads} worker(s) when seed ≥ {}",
+            crate::op::join::parallel_seed_floor(config)
+        )
+    } else {
+        "serial".to_string()
+    };
     // The probe-reduction layers in effect (time buckets only matter when
-    // a temporal relation exists to prune by; the partitioned probe only
-    // when the drive can fan out breadth-first).
+    // a temporal relation exists to prune by; sideways filters only when
+    // there is a second pattern to filter for).
     let mut layers: Vec<&str> = Vec::new();
-    if config.time_bucket_join && !a.temporal.is_empty() {
+    if !a.temporal.is_empty() {
         layers.push("time-bucket");
     }
-    if config.partitioned_probe && join_fanout > 1 && !blocked {
-        layers.push("key-partitioned probe");
-    }
-    if config.sideways_filters {
+    if a.patterns.len() >= 2 {
         layers.push("sideways filters");
     }
-    // The blocked drive on the ref path pushes its tuples straight into the
-    // projection sink when the projection compiles; name what it retains.
-    let sink = (blocked
-        && config.late_materialization
-        && crate::op::project::compile_projection(store, a).is_some())
-    .then(|| format!(" → sink: {}", crate::op::project::sink_label(a)));
+    // The drive pushes its tuples straight into the projection sink when
+    // the projection compiles; name what it retains.
+    let sink = crate::op::project::compile_projection(store, a)
+        .map(|_| format!(" → sink: {}", crate::op::project::sink_label(a)));
     let join = OpPlanNode {
         kind: "TemporalJoin",
         detail: format!(
-            "{} pattern(s), {} temporal relation(s) | {} | max_intermediate {}{}{}",
+            "{} pattern(s), {} temporal relation(s) | demand-driven blocked({}) drive, {} | max_intermediate {}{}{}",
             a.patterns.len(),
             a.temporal.len(),
-            if blocked {
-                if join_fanout > 1 {
-                    format!(
-                        "demand-driven blocked({}) drive, parallel ×{threads} worker(s)",
-                        config.join_block_tuples
-                    )
-                } else {
-                    format!(
-                        "demand-driven blocked({}) drive, serial",
-                        config.join_block_tuples
-                    )
-                }
-            } else if join_fanout > 1 {
-                format!("parallel ×{join_fanout} frontier partition(s)")
-            } else {
-                "serial".to_string()
-            },
+            config.join_block_tuples,
+            drive,
             config.max_intermediate,
             if layers.is_empty() {
                 String::new()
@@ -500,9 +481,11 @@ mod tests {
         assert_eq!(plan.operators.children.len(), 1);
         let join = &plan.operators.children[0];
         assert_eq!(join.kind, "TemporalJoin");
+        // The seed's size is a run-time fact: the label carries the floor
+        // (more than one 4096-tuple run) below which this plan runs serial.
         assert!(join
             .detail
-            .contains("demand-driven blocked(4096) drive, parallel ×8 worker(s)"));
+            .contains("demand-driven blocked(4096) drive, parallel ×8 worker(s) when seed ≥ 4097"));
         assert_eq!(join.children.len(), 2);
         for scan in &join.children {
             assert_eq!(scan.kind, "PatternScan");
@@ -541,21 +524,8 @@ mod tests {
         .ends_with("→ sink: sum, avg by (p1)"));
         assert!(join_detail("return distinct p1, f", &default).ends_with("→ sink: distinct(p1, f)"));
         assert!(join_detail("return p1, e2.amount as amt", &default).ends_with("→ sink: rows"));
-        // Joins that leave a frontier for `Project` to feed name no sink:
-        // the breadth-first drive, the materializing path, and a
-        // projection that keeps the dynamic path.
-        for config in [
-            EngineConfig {
-                blocked_join_drive: false,
-                ..EngineConfig::default()
-            },
-            EngineConfig {
-                late_materialization: false,
-                ..EngineConfig::default()
-            },
-        ] {
-            assert!(!join_detail("return p1", &config).contains("sink"));
-        }
+        // A projection that keeps the dynamic path names no sink: the join
+        // leaves its tuples for `Project`.
         assert!(!join_detail("return e2.bogus", &default).contains("sink"));
     }
 
@@ -604,7 +574,42 @@ mod tests {
         };
         let plan = explain(&store, &q, &config).unwrap();
         assert_eq!(plan.operators.kind, "Project");
-        assert!(plan.operators.children[0].detail.contains("serial"));
+        assert!(plan.operators.children[0]
+            .detail
+            .contains("drive, serial |"));
+    }
+
+    /// A memory budget forces the serial drive whatever the parallelism:
+    /// EXPLAIN names the drive that will run, not the one the thread count
+    /// alone would pick.
+    #[test]
+    fn memory_budget_renders_the_serial_drive() {
+        let store = store();
+        let q = parse_query(
+            r#"proc p1 start proc p2 as e1
+               proc p2 write file f as e2
+               with e1 before e2
+               return p1, f"#,
+        )
+        .unwrap();
+        let parallel = EngineConfig {
+            parallelism: 8,
+            ..EngineConfig::default()
+        };
+        let budgeted = EngineConfig {
+            memory_budget_bytes: 1 << 20,
+            ..parallel.clone()
+        };
+        let join_detail = |config: &EngineConfig| {
+            let plan = explain(&store, &q, config).unwrap();
+            plan.operators.children[0].detail.clone()
+        };
+        assert!(join_detail(&parallel).contains("drive, parallel ×8 worker(s)"));
+        let detail = join_detail(&budgeted);
+        assert!(
+            detail.contains("drive, serial (memory-budgeted)") && !detail.contains("parallel"),
+            "{detail}"
+        );
     }
 
     #[test]

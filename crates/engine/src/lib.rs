@@ -15,8 +15,8 @@
 //! 2. **Temporal/spatial partitioning** ([`op`]): each data query is
 //!    split along the hypertable's ⟨time-bucket, agent⟩ partitions and the
 //!    partitions are scanned in parallel on a process-wide shared worker
-//!    pool ([`pool`]); the multi-way join itself partitions its tuple
-//!    frontier across the same executor.
+//!    pool ([`pool`]); the multi-way join drives its seed runs on the
+//!    same executor.
 //!
 //! Execution is structured as a tree of physical operators ([`op`]):
 //! `SemiJoinNarrow → PatternScan` per pattern, `TemporalJoin`,
@@ -25,10 +25,9 @@
 //!
 //! The data path is columnar end to end ([`exec`]): scans produce
 //! selection vectors, candidate lists and the multi-way join carry
-//! ⟨partition, row⟩ references through a flat arena, and events are
-//! materialized once — for the tuples that survive the join. The seed's
-//! materializing pipeline is retained behind
-//! `EngineConfig::late_materialization` for ablation.
+//! ⟨partition, row⟩ references, the join's final step feeds a streaming
+//! projection sink, and events are materialized only for what outlives the
+//! join.
 //!
 //! Dependency queries are rewritten to equivalent multievent queries (in
 //! `aiql-lang`) and reuse the same pipeline. Anomaly queries are executed by
@@ -52,9 +51,10 @@
 //! explicit overload shedding with client-side backoff — many concurrent
 //! investigations over one store without sharing their failures.
 //!
-//! Every optimization is individually toggleable through [`EngineConfig`]
-//! for the ablation benchmarks. The [`mod@reference`] module provides a tiny,
-//! obviously-correct executor used as the property-testing oracle.
+//! The paper's five optimizations are individually toggleable through
+//! [`EngineConfig`] for the fig. 5 ablation. The [`mod@reference`] module
+//! provides a tiny, obviously-correct executor used as the
+//! property-testing oracle.
 
 pub mod analyze;
 pub mod anomaly;

@@ -19,16 +19,14 @@
 //! [`ExecStats::ops`]; `EXPLAIN` renders the same tree shape, so what is
 //! shown is what runs.
 //!
-//! Operator execution order is the dataflow order of the old fused loop —
-//! for each scheduled pattern, narrow then scan; then join; then project —
-//! so every result is byte-identical to the pre-operator pipeline. The
-//! seed's materializing path (`EngineConfig::late_materialization = false`)
-//! runs through the same tree with `Event` batches.
+//! Operator execution order is dataflow order: for each scheduled pattern,
+//! narrow then scan; then join; then project.
 //!
 //! The join and the projection meet in a [`project::ProjectionSink`]: the
-//! blocked join drive pushes every joined tuple straight into it
-//! ([`PipelineState::sink`]) and `Project` only finishes it; every other
-//! join leaves a [`Frontier`], which `Project` feeds through the same sink.
+//! join drive pushes every joined tuple straight into it
+//! ([`PipelineState::sink`]) and `Project` only finishes it. A projection
+//! that resists compilation has no sink; the join then leaves its tuples in
+//! [`PipelineState::frontier`] for `Project`'s dynamic path.
 
 pub mod join;
 pub mod project;
@@ -96,11 +94,9 @@ pub(crate) const NO_REF: EventRef = EventRef {
 /// (entity ids are dense store indices, nowhere near `u32::MAX`).
 pub(crate) const NO_VAR: u32 = u32::MAX;
 
-/// Intermediate tuples of the late-materialization join, stored as two flat
-/// arrays with fixed strides (`npatterns` refs + `nvars` bindings per
-/// tuple). Growing the frontier copies plain `u32`/8-byte rows — no
-/// per-tuple heap allocation, unlike the materializing join's
-/// `Vec<Option<Event>>` clones.
+/// Join tuples, stored as two flat arrays with fixed strides (`npatterns`
+/// refs + `nvars` bindings per tuple). Growing the frontier copies plain
+/// `u32`/8-byte rows — no per-tuple heap allocation.
 #[derive(Debug, Default)]
 pub struct RefArena {
     pub(crate) npatterns: usize,
@@ -152,28 +148,8 @@ impl RefArena {
             as u64
     }
 
-    /// Appends up to `limit` leading tuples of `src` (the deterministic
-    /// partial-frontier merge of the parallel join).
-    pub(crate) fn append_prefix(&mut self, src: &RefArena, limit: usize) {
-        let take = src.len().min(limit);
-        self.events
-            .extend_from_slice(&src.events[..take * self.npatterns]);
-        self.vars.extend_from_slice(&src.vars[..take * self.nvars]);
-        self.ntuples += take;
-    }
-
-    /// Appends `count` tuples of `src` starting at tuple `from` (the
-    /// run-at-a-time merge of the key-partitioned join drive).
-    pub(crate) fn append_range(&mut self, src: &RefArena, from: usize, count: usize) {
-        self.events
-            .extend_from_slice(&src.events[from * self.npatterns..(from + count) * self.npatterns]);
-        self.vars
-            .extend_from_slice(&src.vars[from * self.nvars..(from + count) * self.nvars]);
-        self.ntuples += count;
-    }
-
-    /// Drops every tuple past the first `len` (discarding a mid-tuple
-    /// partial append run after a governor stop).
+    /// Drops every tuple past the first `len`, keeping the capacity (a
+    /// reused scratch arena starts each window from `truncate(0)`).
     pub(crate) fn truncate(&mut self, len: usize) {
         self.events.truncate(len * self.npatterns);
         self.vars.truncate(len * self.nvars);
@@ -279,7 +255,9 @@ impl JoinOutput for RefArena {
     }
 
     fn merge(&mut self, part: Self) -> bool {
-        self.append_prefix(&part, part.len());
+        self.events.extend_from_slice(&part.events);
+        self.vars.extend_from_slice(&part.vars);
+        self.ntuples += part.ntuples;
         true
     }
 }
@@ -355,49 +333,11 @@ impl<'a> PartTable<'a> {
         self.keys[r.part as usize].agent
     }
 
-    /// Materializes the referenced event (the single materialization point
-    /// of the late path).
+    /// Materializes the referenced event (the single materialization
+    /// point).
     #[inline]
     pub(crate) fn event(&self, r: EventRef) -> Event {
         self.part(r).event_at(self.agent(r), r.row as usize)
-    }
-}
-
-/// A per-pattern candidate batch, in the representation of the active data
-/// path: row references (late materialization) or copied events (the
-/// seed's path, kept for ablation).
-#[derive(Debug)]
-pub enum Batch {
-    /// ⟨partition, row⟩ references (resolved against the [`PartTable`]).
-    Refs(Vec<EventRef>),
-    /// Materialized events.
-    Events(Vec<Event>),
-}
-
-impl Batch {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Batch::Refs(v) => v.len(),
-            Batch::Events(v) => v.len(),
-        }
-    }
-}
-
-/// The joined tuple frontier, in the active data-path representation.
-#[derive(Debug)]
-pub enum Frontier {
-    /// Flat ref arena (late materialization).
-    Refs(RefArena),
-    /// Materialized tuples.
-    Events(Vec<Tuple>),
-}
-
-impl Frontier {
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            Frontier::Refs(a) => a.len(),
-            Frontier::Events(t) => t.len(),
-        }
     }
 }
 
@@ -407,8 +347,8 @@ pub struct ExecEnv<'a> {
     pub store: &'a EventStore,
     pub a: &'a AnalyzedMultievent,
     pub config: &'a EngineConfig,
-    /// Persistent scan executor (None = scoped-thread fan-out, the
-    /// ablation baseline).
+    /// The scan executor (`None` = scans and the join stay on the query
+    /// thread).
     pub pool: Option<Arc<ScanPool>>,
     /// The compiled shared phase: resolved vars, base filters, schedule.
     pub ctx: PlanCtx,
@@ -464,27 +404,26 @@ pub(crate) fn unwrap_clean<T>(m: std::sync::Mutex<T>) -> T {
 /// Mutable dataflow state threaded through the operator tree (`'e` is the
 /// borrow of the [`ExecEnv`] the projection sink evaluates against).
 pub struct PipelineState<'e> {
-    /// Candidate batch per pattern (source order), filled by the scans.
-    pub candidates: Vec<Option<Batch>>,
+    /// Candidate refs per pattern (source order), filled by the scans.
+    pub candidates: Vec<Option<Vec<EventRef>>>,
     /// Bound entity-id sets per variable (semi-join pushdown).
     pub bound: HashMap<usize, IdSet>,
     /// Sideways join-key filters per pattern (source order): the
     /// ⟨subject-domain, object-domain⟩ bitmap pair over the pattern's scan
-    /// candidates, published by [`PatternScan`] when
-    /// `EngineConfig::sideways_filters` is on (late path only) and consumed
-    /// by [`TemporalJoin`] to prune build sides, skip doomed probes, and
-    /// shrink the seed frontier.
+    /// candidates, published by [`PatternScan`] and consumed by
+    /// [`TemporalJoin`] to prune build sides, skip doomed probes, and shrink
+    /// the seed frontier.
     pub domains: Vec<Option<(IdSet, IdSet)>>,
     /// (min_start, max_start, min_end, max_end) per executed pattern.
     pub time_stats: Vec<Option<(i64, i64, i64, i64)>>,
     /// The narrowed filter staged by [`SemiJoinNarrow`] for its parent
     /// [`PatternScan`].
     pub narrowed: Option<EventFilter>,
-    /// The joined tuple frontier (written by [`TemporalJoin`] unless it
-    /// streamed into `sink`).
-    pub frontier: Frontier,
-    /// The projection sink the blocked join drive pushed its tuples into
-    /// (`None`: the join left a `frontier` for [`Project`] to feed).
+    /// The joined tuples (written by [`TemporalJoin`] unless it streamed
+    /// into `sink`).
+    pub frontier: RefArena,
+    /// The projection sink the join drive pushed its tuples into (`None`:
+    /// the projection did not compile and the join left a `frontier`).
     pub(crate) sink: Option<ProjectionSink<'e>>,
     /// Whether the join hit `max_intermediate`.
     pub truncated: bool,
@@ -498,7 +437,7 @@ pub struct PipelineState<'e> {
 }
 
 impl PipelineState<'_> {
-    pub(crate) fn new(a: &AnalyzedMultievent, order: &[usize], late: bool) -> Self {
+    pub(crate) fn new(a: &AnalyzedMultievent, order: &[usize]) -> Self {
         let n = a.patterns.len();
         PipelineState {
             candidates: (0..n).map(|_| None).collect(),
@@ -506,11 +445,7 @@ impl PipelineState<'_> {
             domains: vec![None; n],
             time_stats: vec![None; n],
             narrowed: None,
-            frontier: if late {
-                Frontier::Refs(RefArena::new(n, a.vars.len()))
-            } else {
-                Frontier::Events(Vec::new())
-            },
+            frontier: RefArena::new(n, a.vars.len()),
             sink: None,
             truncated: false,
             done: false,
@@ -525,7 +460,7 @@ impl PipelineState<'_> {
     }
 }
 
-/// Statistics of one execution, surfaced for benches and ablations.
+/// Statistics of one execution, surfaced for benches and EXPLAIN ANALYZE.
 #[derive(Debug, Clone, Default)]
 pub struct ExecStats {
     /// Events fetched per pattern (source order).
@@ -581,8 +516,8 @@ impl ExecStats {
             if op.runs_driven > 0 {
                 let _ = write!(
                     out,
-                    " | runs {} | emitted {} / breadth bound {}",
-                    op.runs_driven, op.emitted_tuples, op.breadth_bound_tuples,
+                    " | runs {} | emitted {}",
+                    op.runs_driven, op.emitted_tuples,
                 );
                 if let Some(d) = op.early_exit_depth {
                     let _ = write!(out, " | early exit at step {d}");
@@ -649,27 +584,21 @@ pub struct OpStat {
     pub probe_hits: u64,
     /// Candidate refs skipped without an exact temporal check because their
     /// time-bucket chunk (or whole posting list) cannot satisfy the probe
-    /// tuple's admissible interval (joins only, `time_bucket_join`).
+    /// tuple's admissible interval (joins only).
     pub bucket_skipped: u64,
     /// Build candidates, seed tuples, and probes eliminated by sideways
-    /// bitmap filters (joins only, `sideways_filters`).
+    /// bitmap filters (joins only).
     pub filter_pruned: u64,
-    /// Seed runs driven to completion by the blocked join drive (joins
-    /// only, `blocked_join_drive`; 0 = breadth-first drive).
+    /// Seed runs the join drive drove to completion (joins only).
     pub runs_driven: u64,
-    /// Tuples actually emitted across all join steps of the merged runs
-    /// (blocked drive only).
+    /// Tuples emitted across all join steps of those runs (joins only).
     pub emitted_tuples: u64,
-    /// Tuples the breadth-first drive would have emitted for the same
-    /// result — the demand-driven saving is the gap to `emitted_tuples`
-    /// (blocked drive only).
-    pub breadth_bound_tuples: u64,
-    /// Join-order step depth at which the blocked drive stopped emitting
-    /// (`None` = every run driven to completion).
+    /// Join-order step depth at which the drive stopped emitting (`None` =
+    /// every run driven to completion).
     pub early_exit_depth: Option<usize>,
     /// Rows, groups, or distinct keys the projection sink retained of the
     /// `rows_out` tuples the join pushed into it (joins only; `None` when
-    /// the join left a frontier instead).
+    /// the projection did not compile and the join left a frontier).
     pub sink_kept: Option<usize>,
     /// Per-join-step detail (joins only, execution order of the steps).
     pub join_steps: Vec<JoinStepStat>,
@@ -702,8 +631,7 @@ pub struct JoinStepStat {
     pub build_nanos: u64,
     /// Probe time of this step.
     pub probe_nanos: u64,
-    /// Probe fan-out of this step (1 = serial; key-partitioned drives fan
-    /// out one task per index shard).
+    /// Index shards of this step (1 = serial build).
     pub fanout: usize,
 }
 
@@ -720,10 +648,9 @@ pub struct OpIo {
     pub probe_hits: u64,
     pub bucket_skipped: u64,
     pub filter_pruned: u64,
-    /// Join-only blocked-drive emission counters (see [`OpStat`]).
+    /// Join-only emission counters (see [`OpStat`]).
     pub runs_driven: u64,
     pub emitted_tuples: u64,
-    pub breadth_bound_tuples: u64,
     pub early_exit_depth: Option<usize>,
     pub sink_kept: Option<usize>,
     pub join_steps: Vec<JoinStepStat>,
@@ -783,7 +710,6 @@ impl PlanNode {
             filter_pruned: io.filter_pruned,
             runs_driven: io.runs_driven,
             emitted_tuples: io.emitted_tuples,
-            breadth_bound_tuples: io.breadth_bound_tuples,
             early_exit_depth: io.early_exit_depth,
             sink_kept: io.sink_kept,
             join_steps: io.join_steps,

@@ -3,11 +3,12 @@
 //! Produces the final result table from the joined tuples: return items,
 //! grouping + aggregation, having, distinct, order by, limit.
 //!
-//! The projection is a streaming [`ProjectionSink`]: tuples are `push`ed
-//! one at a time, as flat row references, and `finish` closes the table.
+//! The projection is a streaming [`ProjectionSink`]: the join emits its
+//! tuples into it one at a time, as flat row references, and `finish`
+//! closes the table.
 //! Every name is resolved to a dense slot and every event attribute to its
-//! storage column before the first tuple ([`CompiledProjection`]), so a
-//! push evaluates straight from the partitions' columns — no `Event` is
+//! storage column before the first tuple ([`CompiledProjection`]), so an
+//! emission evaluates straight from the partitions' columns — no `Event` is
 //! materialized. What a sink retains depends only on the return shape:
 //!
 //! * **aggregates** (single group or `group by`): one accumulator set and
@@ -16,10 +17,9 @@
 //!   through an index keyed on the values' bit patterns;
 //! * **plain rows**: one row per tuple that passes `having`.
 //!
-//! The blocked join drive pushes its final step's tuples straight into the
-//! sink (see `op/join.rs`), so the joined tuples are never written to an
-//! output arena; a join that leaves a [`Frontier`] has it fed through the
-//! same sink here. The dynamic [`RowCtx`] path ([`project`]) remains as the
+//! The join drive delivers its final step's tuples straight into the sink
+//! (see `op/join.rs`), so the joined tuples are never written to an output
+//! arena. The dynamic [`RowCtx`] path ([`project`]) remains as the
 //! fallback for expressions that resist compilation and as the projection
 //! of the brute-force oracle (`reference.rs`), which therefore shares no
 //! tuple loop with the sink.
@@ -33,9 +33,8 @@ use aiql_storage::EventStore;
 use crate::analyze::AnalyzedMultievent;
 use crate::error::EngineError;
 use crate::eval::{self, agg_key, RowCtx, SlotCtx, SlotEnv, SlotExpr, TupleView};
-use crate::governor::{GovGate, Governor};
 use crate::op::{
-    EventRef, ExecEnv, Flow, Frontier, JoinOutput, OpIo, Operator, PipelineState, RefArena, Tuple,
+    EventRef, ExecEnv, Flow, JoinOutput, OpIo, Operator, PipelineState, RefArena, Tuple,
 };
 use crate::result::ResultTable;
 
@@ -66,28 +65,15 @@ impl Operator for Project {
         env: &'e ExecEnv<'_>,
         st: &mut PipelineState<'e>,
     ) -> Result<OpIo, EngineError> {
-        let gov = env.gov();
         let rows_in = (st.sink.as_ref()).map_or(st.frontier.len(), ProjectionSink::pushed);
-        let mut table = match (st.sink.take(), &st.frontier, ProjectionSink::new(env)) {
-            // The join streamed into the sink already.
-            (Some(sink), _, _) => sink.finish()?,
-            (None, Frontier::Refs(arena), Some(mut sink)) => {
-                feed(gov, arena.len(), |i| {
-                    sink.push(arena.events_of(i), arena.vars_of(i))
-                })?;
-                sink.finish()?
-            }
-            (None, Frontier::Events(tuples), Some(mut sink)) => {
-                feed(gov, tuples.len(), |i| sink.push_tuple(&tuples[i]))?;
-                sink.finish()?
-            }
+        let mut table = match st.sink.take().or_else(|| ProjectionSink::new(env)) {
+            // The join streamed into the sink — or never ran (a pattern came
+            // back empty) and a fresh sink closes the empty table.
+            Some(sink) => sink.finish()?,
             // The projection resisted compilation: the dynamic path (which
             // can only fail on, or find nothing in, such a projection — it
             // needs no governor).
-            (None, Frontier::Refs(arena), None) => {
-                project(env.store, env.a, &arena.materialize(&env.parts))?
-            }
-            (None, Frontier::Events(tuples), None) => project(env.store, env.a, tuples)?,
+            None => project(env.store, env.a, &st.frontier.materialize(&env.parts))?,
         };
         table.truncated = st.truncated;
         let rows_out = table.rows.len();
@@ -99,30 +85,6 @@ impl Operator for Project {
             ..OpIo::default()
         })
     }
-}
-
-/// Feeds a frontier's `n` tuples through `push`, polling the governor. A
-/// trip either unwinds (error mode) or keeps what was pushed so far — the
-/// projection of a tuple prefix (partial mode; the sticky trip surfaces as
-/// a warning on the table).
-fn feed(
-    gov: Option<&Governor>,
-    n: usize,
-    mut push: impl FnMut(usize) -> Flow,
-) -> Result<(), EngineError> {
-    let mut gate = GovGate::new(gov);
-    for i in 0..n {
-        if let (Some(t), Some(g)) = (gate.tick(), gov) {
-            if !g.partial() {
-                return Err(g.error(t));
-            }
-            break;
-        }
-        if push(i) == Flow::Stop {
-            break;
-        }
-    }
-    Ok(())
 }
 
 /// Populates the (reused) row context from a materialized tuple.
@@ -508,24 +470,7 @@ impl<'e> ProjectionSink<'e> {
         })
     }
 
-    /// Consumes one joined tuple: its event ref per pattern and entity id
-    /// per variable. `Stop` means an expression failed on it; `finish`
-    /// returns the error.
-    pub(crate) fn push(&mut self, events: &[EventRef], vars: &[u32]) -> Flow {
-        self.push_view(TupleView::Refs { events, vars })
-    }
-
-    /// [`ProjectionSink::push`] for a materialized tuple.
-    pub(crate) fn push_tuple(&mut self, t: &Tuple) -> Flow {
-        self.push_view(TupleView::Events(t))
-    }
-
-    fn push_view(&mut self, tuple: TupleView<'_>) -> Flow {
-        let consumed = consume(self.env, self.cp, &mut self.state, &mut self.vals, tuple);
-        self.note(consumed)
-    }
-
-    /// Counts one push and keeps its error, if any.
+    /// Counts one emission and keeps its error, if any.
     fn note(&mut self, consumed: Result<(), EngineError>) -> Flow {
         self.pushed += 1;
         match consumed {

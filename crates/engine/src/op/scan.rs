@@ -4,12 +4,9 @@
 //! [`SemiJoinNarrow`](crate::op::SemiJoinNarrow), scans the matching
 //! hypertable partitions (in parallel on the shared scan executor when the
 //! scan is big enough), verifies entity kinds / residual predicates, and
-//! publishes the candidate batch plus the binding sets and time statistics
-//! later operators narrow with.
-//!
-//! Two data paths, selected by `EngineConfig::late_materialization`:
-//! selection vectors become [`EventRef`] batches (default), or events are
-//! copied out of the segments (the seed's path, kept for ablation).
+//! publishes the candidates — selection vectors turned into [`EventRef`]s —
+//! plus the binding sets, join-key domains and time statistics later
+//! operators narrow with.
 
 use aiql_lang::CmpOp;
 use aiql_model::{Event, Value};
@@ -17,7 +14,8 @@ use aiql_storage::{EventFilter, IdSet, PartitionKey};
 
 use crate::error::EngineError;
 use crate::eval;
-use crate::op::{Batch, EventRef, ExecEnv, OpIo, Operator, PipelineState};
+use crate::op::{EventRef, ExecEnv, OpIo, Operator, PipelineState};
+use crate::pool::ScanPool;
 
 /// The scan operator of one pattern.
 #[derive(Debug, Clone, Copy)]
@@ -84,87 +82,43 @@ impl Operator for PatternScan {
             true
         };
 
-        let fetched;
-        if env.config.late_materialization {
-            let mut refs = scan_refs(env, &parts, &filter, fanout > 1)?;
-            refs.retain(|&r| keep(env.parts.subject(r), env.parts.object(r)));
-            fetched = refs.len();
-            let batch_bytes = (fetched * std::mem::size_of::<EventRef>()) as u64;
-            if let Some(io) = governed_scan_stop(env, st, batch_bytes, estimate, fanout)? {
-                st.stats.fetched[i] = fetched;
-                return Ok(io);
-            }
-            if refs.is_empty() {
-                st.stats.fetched[i] = 0;
-                st.done = true;
-                return Ok(OpIo {
-                    rows_in: estimate,
-                    rows_out: 0,
-                    fanout,
-                    ..OpIo::default()
-                });
-            }
-            if env.config.semi_join_pushdown || env.config.sideways_filters {
-                let subj = IdSet::from_iter(refs.iter().map(|&r| env.parts.subject(r)));
-                let obj = IdSet::from_iter(refs.iter().map(|&r| env.parts.object(r)));
-                if env.config.semi_join_pushdown {
-                    st.bound.insert(p.subject, subj.clone());
-                    st.bound.insert(p.object, obj.clone());
-                }
-                if env.config.sideways_filters {
-                    // Published sideways into the join (layer 3): the
-                    // candidates' id domains prune later steps' builds and
-                    // probes.
-                    st.domains[i] = Some((subj, obj));
-                }
-            }
-            let mut ts = (i64::MAX, i64::MIN, i64::MAX, i64::MIN);
-            for &r in &refs {
-                let (start, end) = (env.parts.start(r).micros(), env.parts.end(r).micros());
-                ts.0 = ts.0.min(start);
-                ts.1 = ts.1.max(start);
-                ts.2 = ts.2.min(end);
-                ts.3 = ts.3.max(end);
-            }
-            st.time_stats[i] = Some(ts);
-            st.candidates[i] = Some(Batch::Refs(refs));
-        } else {
-            let mut events = scan_events(env, &parts, &filter, fanout > 1)?;
-            events.retain(|e| keep(e.subject, e.object));
-            fetched = events.len();
-            let batch_bytes = (fetched * std::mem::size_of::<Event>()) as u64;
-            if let Some(io) = governed_scan_stop(env, st, batch_bytes, estimate, fanout)? {
-                st.stats.fetched[i] = fetched;
-                return Ok(io);
-            }
-            if events.is_empty() {
-                st.stats.fetched[i] = 0;
-                st.done = true;
-                return Ok(OpIo {
-                    rows_in: estimate,
-                    rows_out: 0,
-                    fanout,
-                    ..OpIo::default()
-                });
-            }
-            if env.config.semi_join_pushdown {
-                st.bound.insert(
-                    p.subject,
-                    IdSet::from_iter(events.iter().map(|e| e.subject)),
-                );
-                st.bound
-                    .insert(p.object, IdSet::from_iter(events.iter().map(|e| e.object)));
-            }
-            let mut ts = (i64::MAX, i64::MIN, i64::MAX, i64::MIN);
-            for e in &events {
-                ts.0 = ts.0.min(e.start_time.micros());
-                ts.1 = ts.1.max(e.start_time.micros());
-                ts.2 = ts.2.min(e.end_time.micros());
-                ts.3 = ts.3.max(e.end_time.micros());
-            }
-            st.time_stats[i] = Some(ts);
-            st.candidates[i] = Some(Batch::Events(events));
+        let mut refs = scan_refs(env, &parts, &filter, fanout > 1)?;
+        refs.retain(|&r| keep(env.parts.subject(r), env.parts.object(r)));
+        let fetched = refs.len();
+        let batch_bytes = (fetched * std::mem::size_of::<EventRef>()) as u64;
+        if let Some(io) = governed_scan_stop(env, st, batch_bytes, estimate, fanout)? {
+            st.stats.fetched[i] = fetched;
+            return Ok(io);
         }
+        if refs.is_empty() {
+            st.stats.fetched[i] = 0;
+            st.done = true;
+            return Ok(OpIo {
+                rows_in: estimate,
+                rows_out: 0,
+                fanout,
+                ..OpIo::default()
+            });
+        }
+        let subj = IdSet::from_iter(refs.iter().map(|&r| env.parts.subject(r)));
+        let obj = IdSet::from_iter(refs.iter().map(|&r| env.parts.object(r)));
+        if env.config.semi_join_pushdown {
+            st.bound.insert(p.subject, subj.clone());
+            st.bound.insert(p.object, obj.clone());
+        }
+        // Published sideways into the join: the candidates' id domains
+        // prune later steps' builds and probes.
+        st.domains[i] = Some((subj, obj));
+        let mut ts = (i64::MAX, i64::MIN, i64::MAX, i64::MIN);
+        for &r in &refs {
+            let (start, end) = (env.parts.start(r).micros(), env.parts.end(r).micros());
+            ts.0 = ts.0.min(start);
+            ts.1 = ts.1.max(start);
+            ts.2 = ts.2.min(end);
+            ts.3 = ts.3.max(end);
+        }
+        st.time_stats[i] = Some(ts);
+        st.candidates[i] = Some(refs);
         st.stats.fetched[i] = fetched;
         Ok(OpIo {
             rows_in: estimate,
@@ -209,7 +163,8 @@ fn governed_scan_stop(
     }))
 }
 
-/// Whether a scan over `parts` partitions should fan out.
+/// Whether a scan over `parts` partitions should fan out (on the attached
+/// executor — without one every scan is serial).
 /// `base_estimate` is the pattern's planned match estimate — an upper
 /// bound for the (possibly narrowed) `filter` actually scanned — so the
 /// common small-scan case skips the per-scan partition-statistics walk
@@ -223,7 +178,7 @@ fn parallel_scan(
     base_estimate: usize,
 ) -> bool {
     let threads = env.config.parallelism.max(1);
-    if !(env.config.partition_parallel && threads > 1 && parts > 1) {
+    if !(env.pool.is_some() && env.config.partition_parallel && threads > 1 && parts > 1) {
         return false;
     }
     if env.config.parallel_threshold == 0 {
@@ -233,57 +188,37 @@ fn parallel_scan(
         && env.store.estimate(filter) >= env.config.parallel_threshold
 }
 
-/// Runs `work(chunk_index, output_slot)` for every chunk of `keys`,
-/// fanning out on the persistent pool when attached (or scoped threads
-/// otherwise — the seed's per-scan spawn, kept for ablation). Outputs
-/// land in chunk order, so parallel scans stay deterministic.
-fn scan_chunked<T: Send>(
+/// Runs `work(chunk, output_slot)` for every chunk of `keys` on `pool`.
+/// Outputs land in chunk order, so parallel scans stay deterministic.
+fn scan_chunked(
     env: &ExecEnv<'_>,
+    pool: &ScanPool,
     keys: &[PartitionKey],
-    work: impl Fn(&[PartitionKey], &mut Vec<T>) + Sync + Send,
-) -> Result<Vec<T>, EngineError> {
+    work: impl Fn(&[PartitionKey], &mut Vec<EventRef>) + Sync + Send,
+) -> Result<Vec<EventRef>, EngineError> {
     let threads = env.config.parallelism.max(1);
     // Chunks finer than the thread count let the pool's self-scheduling
     // balance skewed partitions.
     let chunk = keys.len().div_ceil(threads * 4).max(1);
     let groups: Vec<&[PartitionKey]> = keys.chunks(chunk).collect();
-    let slots: Vec<std::sync::Mutex<Vec<T>>> = groups
+    let slots: Vec<std::sync::Mutex<Vec<EventRef>>> = groups
         .iter()
         .map(|_| std::sync::Mutex::new(Vec::new()))
         .collect();
-    match &env.pool {
-        Some(pool) => {
-            let inject = env.config.inject_scan_panic;
-            // Fan-out stays capped at the engine's parallelism even when
-            // the process-wide shared pool has more workers. A panicking
-            // task (including the injected chaos panic) is caught on its
-            // worker and surfaces as `WorkerPanic` for this query only.
-            pool.run_chunks_capped(groups.len(), threads, &|i| {
-                if inject {
-                    panic!("injected scan panic (EngineConfig::inject_scan_panic)");
-                }
-                let mut out = Vec::new();
-                work(groups[i], &mut out);
-                *crate::op::lock_clean(&slots[i]) = out;
-            })
-            .map_err(crate::op::worker_panic)?;
+    let inject = env.config.inject_scan_panic;
+    // Fan-out stays capped at the engine's parallelism even when the
+    // process-wide pool has more workers. A panicking task (including the
+    // injected chaos panic) is caught on its worker and surfaces as
+    // `WorkerPanic` for this query only.
+    pool.run_chunks_capped(groups.len(), threads, &|i| {
+        if inject {
+            panic!("injected scan panic (EngineConfig::inject_scan_panic)");
         }
-        None => {
-            let work = &work;
-            std::thread::scope(|s| {
-                let per = groups.len().div_ceil(threads).max(1);
-                for (slot_group, group_group) in slots.chunks(per).zip(groups.chunks(per)) {
-                    s.spawn(move || {
-                        for (slot, group) in slot_group.iter().zip(group_group) {
-                            let mut out = Vec::new();
-                            work(group, &mut out);
-                            *crate::op::lock_clean(slot) = out;
-                        }
-                    });
-                }
-            });
-        }
-    }
+        let mut out = Vec::new();
+        work(groups[i], &mut out);
+        *crate::op::lock_clean(&slots[i]) = out;
+    })
+    .map_err(crate::op::worker_panic)?;
     let mut out = Vec::new();
     for slot in slots {
         out.append(&mut crate::op::unwrap_clean(slot));
@@ -291,48 +226,8 @@ fn scan_chunked<T: Send>(
     Ok(out)
 }
 
-/// Materializing scan: events are copied out of the segments, residual
-/// global predicates applied per event.
-fn scan_events(
-    env: &ExecEnv<'_>,
-    parts: &[PartitionKey],
-    filter: &EventFilter,
-    parallel: bool,
-) -> Result<Vec<Event>, EngineError> {
-    let residual = &env.a.globals.residual;
-    let gov = env.gov();
-    if !parallel {
-        let mut out = Vec::new();
-        for &key in parts {
-            if gov.is_some_and(|g| g.check().is_err()) {
-                break;
-            }
-            env.store.scan_partition(key, filter, &mut |e| {
-                if residual_ok(e, residual) {
-                    out.push(*e);
-                }
-            });
-        }
-        return Ok(out);
-    }
-    let store = env.store;
-    scan_chunked(env, parts, |group, out| {
-        for &key in group {
-            if gov.is_some_and(|g| g.check().is_err()) {
-                return;
-            }
-            store.scan_partition(key, filter, &mut |e| {
-                if residual_ok(e, residual) {
-                    out.push(*e);
-                }
-            });
-        }
-    })
-}
-
-/// Late-materialization scan: selection vectors per partition become
-/// [`EventRef`]s; residual global predicates are verified against the
-/// columns without building events.
+/// Selection vectors per partition become [`EventRef`]s; residual global
+/// predicates are verified per surviving row.
 fn scan_refs(
     env: &ExecEnv<'_>,
     parts: &[PartitionKey],
@@ -360,14 +255,14 @@ fn scan_refs(
             }
         }
     };
-    if !parallel {
+    let Some(pool) = env.pool.as_deref().filter(|_| parallel) else {
         let mut out = Vec::new();
         for &key in parts {
             collect_part(key, &mut out);
         }
         return Ok(out);
-    }
-    scan_chunked(env, parts, |group, out| {
+    };
+    scan_chunked(env, pool, parts, |group, out| {
         for &key in group {
             collect_part(key, out);
         }

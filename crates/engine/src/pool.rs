@@ -1,9 +1,9 @@
 //! A persistent scan worker pool.
 //!
-//! The seed executor spawned a fresh set of scoped threads for every
-//! pattern scan (`crossbeam::thread::scope`), paying thread-spawn latency
-//! per pattern per query. The pool spawns its workers once per engine and
-//! feeds them scan tasks through a shared queue; parallel scans
+//! Spawning a fresh set of scoped threads for every pattern scan pays
+//! thread-spawn latency per pattern per query. The pool spawns its workers
+//! once per process ([`shared`]) and feeds them scan and join tasks through
+//! a shared queue; parallel scans
 //! self-schedule over fine-grained partition chunks (each worker pulls the
 //! next chunk index from a shared atomic cursor), which balances skewed
 //! partitions the way work-stealing would.
@@ -49,10 +49,10 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// The process-wide shared scan executor, spawned once on first use and
-/// sized by the machine (`std::thread::available_parallelism`). Engines use
-/// it by default (`EngineConfig::shared_scan_pool`), so concurrent engine
-/// instances stop spawning private worker sets; per-query fan-out is still
-/// capped by each engine's `parallelism` via [`ScanPool::run_chunks_capped`].
+/// sized by the machine (`std::thread::available_parallelism`). Every
+/// engine uses it, so concurrent engine instances spawn no worker sets of
+/// their own; per-query fan-out is capped by each engine's `parallelism`
+/// via [`ScanPool::run_chunks_capped`].
 static SHARED: OnceLock<Arc<ScanPool>> = OnceLock::new();
 
 /// The process-wide shared pool handle.

@@ -105,6 +105,11 @@ impl AdmissionController {
         self.freed.notify_all();
     }
 
+    /// The lease an unpressured query gets.
+    pub fn full_grant(&self) -> u64 {
+        self.full_grant
+    }
+
     /// Currently unleased bytes.
     pub fn available(&self) -> u64 {
         self.lock().available

@@ -486,15 +486,23 @@ impl QueryService {
     }
 
     /// Plans a query without executing it (the EXPLAIN endpoint). Runs
-    /// inline — planning is microseconds and needs no admission.
+    /// inline — planning is microseconds and needs no admission — but
+    /// plans under what execution would run under: every served query
+    /// holds an admission grant as its memory budget (the full grant here;
+    /// pressure only shrinks it) and the service's default deadline.
     pub fn explain(&self, session: SessionId, text: &str) -> Result<QueryPlan, ServiceError> {
         let Some((engine, text)) = self.inner.sessions.prepare(session, text) else {
             return Err(ServiceError::UnknownSession { session: session.0 });
         };
         let query = aiql_lang::parse_query(&text).map_err(EngineError::from)?;
+        let mut config = engine.config().clone();
+        config.memory_budget_bytes = self.inner.admission.full_grant();
+        if self.inner.config.default_deadline_ms > 0 {
+            config.deadline_ms = self.inner.config.default_deadline_ms;
+        }
         self.inner
             .store
-            .read(|s| crate::explain::explain(s, &query, engine.config()))
+            .read(|s| crate::explain::explain(s, &query, &config))
             .map_err(ServiceError::from)
     }
 
@@ -830,10 +838,27 @@ mod tests {
 
     #[test]
     fn explain_plans_without_executing() {
-        let service = small_service(1);
+        let service = QueryService::new(
+            tiny_store(),
+            ServiceConfig {
+                dispatchers: 1,
+                per_query_memory_bytes: 1 << 20,
+                engine: EngineConfig {
+                    parallelism: 8,
+                    ..EngineConfig::default()
+                },
+                ..ServiceConfig::default()
+            },
+        );
         let s = service.create_session().unwrap();
-        let plan = service.explain(s, SIMPLE).unwrap();
-        assert!(plan.render().contains("physical operator tree"));
+        let text = service.explain(s, SIMPLE).unwrap().render();
+        assert!(text.contains("physical operator tree"));
+        // Served queries run under their admission grant, which forces the
+        // serial join drive whatever the session's parallelism: the plan
+        // names the drive the service will run.
+        assert!(text.contains("memory 1048576 bytes"), "{text}");
+        let join = text.lines().find(|l| l.contains("TemporalJoin")).unwrap();
+        assert!(join.contains("drive, serial (memory-budgeted)"), "{join}");
         assert_eq!(service.stats().completed, 0, "explain is not execution");
     }
 

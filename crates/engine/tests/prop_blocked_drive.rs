@@ -1,37 +1,32 @@
-//! Differential property tests for the blocked demand-driven join drive
-//! (PR 10).
+//! Property tests for the join drive (`op/join.rs`): depth-first seed runs
+//! delivering into the projection sink, for every pattern count.
 //!
-//! The blocked drive replaces the breadth-first step loop with depth-first
-//! frontier runs (see `op/join.rs` module docs). Its contract, asserted
-//! here against randomized stores:
+//! Its contract, asserted here against randomized stores:
 //!
-//! * **uncapped byte-identity** — with no cap tripping, the blocked drive
-//!   returns tables byte-identical (rows AND order, truncation flag
-//!   included) to the breadth-first drive, across the whole
-//!   ⟨late-materialization, parallel-join, time-bucket, partitioned-probe,
-//!   sideways-filter⟩ cube and block sizes 1 / 7 / 4096;
+//! * **production ≡ oracle** — uncapped, every return shape over every join
+//!   body (and over a single pattern, which has no join at all) equals the
+//!   brute-force matcher with the dynamic projection
+//!   (`reference::run_reference`), at threads 1 / 2 / 8 × block sizes
+//!   1 / 7 / 4096 × forced `join_partitions`;
 //! * **emission-order prefix under truncation** — with `max_intermediate`
-//!   truncating, the blocked output is a prefix (in nested-loop emission
-//!   order) of the *untruncated* result — stronger than breadth-first's
-//!   per-step truncation, which is only compared against itself — and the
-//!   serial and parallel blocked drives agree byte-for-byte;
+//!   truncating, the output is the projection of a prefix, in nested-loop
+//!   emission order (candidate order for a single pattern), of the
+//!   *untruncated* tuples, and the serial and parallel drives agree byte
+//!   for byte (rows, order, `truncated`, delivered count);
 //! * **governed modes** — under a memory budget, error mode either
 //!   reproduces the ungoverned result or fails with the structured
-//!   `MemoryBudget` error; partial mode always returns an emission-order
-//!   prefix of the ungoverned result.
+//!   `MemoryBudget` error; partial mode always returns the projection of an
+//!   emission-order prefix, flagged and warned.
 //!
-//! The drive's final step pushes its tuples into the projection sink
-//! (`op/project.rs`), so the same contracts are asserted per *return shape*
-//! — plain rows, event columns, `distinct`, single-group aggregates,
-//! `group by` + `having`, `order by` + `limit` — against two implementations
-//! the sink shares no tuple loop with: the brute-force matcher with the
-//! dynamic projection (`reference::run_reference`), and the dynamic
+//! The two reference implementations share no tuple loop with the sink: the
+//! brute-force matcher with the dynamic projection, and the dynamic
 //! projection of the emission-order tuple prefix (`match_tuples` +
 //! `exec::project`).
 
 use aiql_engine::exec::{self, MultieventExec};
 use aiql_engine::{
     analyze_multievent, reference, Engine, EngineConfig, EngineError, ExecBudget, ResultTable,
+    Warning,
 };
 use aiql_lang::{parse_query, MultieventQuery, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
@@ -124,8 +119,10 @@ fn prefix_catalog() -> Vec<&'static str> {
         .collect()
 }
 
-/// Join bodies the return shapes attach to; each binds p1, p2, f, e1, e2.
-const BODIES: [&str; 3] = [
+/// Join bodies the return shapes attach to; each binds p1, p2, f, e1, e2:
+/// an unbounded 2-chain, a bounded 3-chain, an unbounded 4-chain, and a
+/// branching 3-pattern seeded by a process start.
+const BODIES: [&str; 4] = [
     "proc p1 write file f as e1
      proc p2 read file f as e2
      with e1 before e2\n",
@@ -138,7 +135,19 @@ const BODIES: [&str; 3] = [
      proc p2 write file f2 as e3
      proc p3 read file f2 as e4
      with e1 before e2, e2 before e3, e3 before e4\n",
+    "proc p1 start proc p2 as e1
+     proc p2 write file f as e2
+     proc p2 write file f2 as e3
+     with e1 before e2, e2 before e3\n",
 ];
+
+/// The single-pattern body (index `BODIES.len()`): no join — the drive
+/// delivers the scan's candidates, in candidate order, straight to the
+/// sink. Binds p1, f, e1.
+const SINGLE_BODY: &str = "proc p1 write file f as e1\n";
+
+/// Bodies a test draws from: every join body, then the single pattern.
+const NBODIES: usize = BODIES.len() + 1;
 
 /// Return shapes covering every state of the projection sink. Grouped
 /// shapes return only keys and aggregates, and the `limit` shape orders by
@@ -160,29 +169,47 @@ const SHAPES: [&str; 11] = [
     "return p1, sum(e2.amount / 3) as thirds, avg(e1.amount / 7) as m group by p1",
 ];
 
-/// The shapes whose answer does not depend on tuple order.
-const ORDER_FREE_SHAPES: usize = SHAPES.len() - 1;
+/// The single pattern's shapes — plain, `distinct`, `count`, `group by`,
+/// `order by` + `limit` (ordered by every column) — then one whose float
+/// sums depend on addition order.
+const SINGLE_SHAPES: [&str; 6] = [
+    "return p1, f, e1.amount, e1.starttime",
+    "return distinct p1, f",
+    "return count(e1.amount) as n",
+    "return p1, count(e1.amount) as n, sum(e1.amount) as s, max(e1.endtime) as last group by p1",
+    "return p1, f order by f desc, p1 limit 7",
+    "return f, sum(e1.amount / 3) as thirds group by f",
+];
+
+/// The return shapes of a body; `order_free` drops the trailing shape whose
+/// answer depends on tuple order.
+fn shapes(body: usize, order_free: bool) -> &'static [&'static str] {
+    let all: &[&str] = if body < BODIES.len() {
+        &SHAPES
+    } else {
+        &SINGLE_SHAPES
+    };
+    &all[..all.len() - usize::from(order_free)]
+}
 
 fn shaped_query(body: usize, shape: &str) -> MultieventQuery {
-    let src = format!("{}{shape}", BODIES[body]);
+    let src = format!("{}{shape}", BODIES.get(body).unwrap_or(&SINGLE_BODY));
     match parse_query(&src) {
         Ok(Query::Multievent(m)) => m,
         other => panic!("{src:?} must parse as a multievent query, got {other:?}"),
     }
 }
 
-/// The blocked drive at a given executor width, block size and cap; one
-/// thread is the serial drive.
+/// The drive at a given fan-out, block size and cap. One thread attaches
+/// no executor: the serial drive. More force the parallel drive, sharded
+/// index builds and pooled scans onto proptest-sized inputs.
 fn drive_config(threads: usize, block: usize, max_intermediate: usize) -> EngineConfig {
     EngineConfig {
         max_intermediate,
         join_block_tuples: block,
-        parallel_join: threads > 1,
         join_partitions: 3,
         parallelism: threads,
-        shared_scan_pool: false,
         parallel_threshold: 0,
-        parallel_join_min_work: 0,
         ..EngineConfig::default()
     }
 }
@@ -206,13 +233,13 @@ proptest! {
     #[test]
     fn every_return_shape_matches_the_brute_force_oracle(
         raws in proptest::collection::vec(arb_raw(), 1..70),
-        body in 0usize..3,
+        body in 0usize..NBODIES,
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
     ) {
         let store = build_store(&raws);
         let engine = Engine::new(drive_config(threads, block, UNCAPPED));
-        for shape in &SHAPES[..ORDER_FREE_SHAPES] {
+        for shape in shapes(body, true) {
             let m = shaped_query(body, shape);
             let a = analyze_multievent(&m, &store).unwrap();
             let want = reference::run_reference(&store, &a).unwrap();
@@ -241,17 +268,18 @@ proptest! {
 
     /// Under a `max_intermediate` sweep, every return shape equals the
     /// dynamic projection of the emission-order tuple prefix of the
-    /// delivered length, `truncated` matches the unfused drive's, and the
-    /// serial and parallel drives agree byte for byte at every width.
+    /// delivered length (for the single pattern: the candidate-order
+    /// prefix), `truncated` matches the unfused drive's, and the serial and
+    /// parallel drives agree byte for byte at every width.
     #[test]
     fn capped_return_shapes_project_the_emission_order_prefix(
         raws in proptest::collection::vec(arb_raw(), 1..150),
-        body in 0usize..3,
+        body in 0usize..NBODIES,
         cap in prop_oneof![Just(1usize), Just(2), Just(7), Just(100), Just(UNCAPPED)],
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
         let store = build_store(&raws);
-        for shape in SHAPES {
+        for shape in shapes(body, false) {
             let m = shaped_query(body, shape);
             let a = analyze_multievent(&m, &store).unwrap();
             // The unfused drive (no projection above it) keeps its tuples:
@@ -286,13 +314,13 @@ proptest! {
     #[test]
     fn governed_return_shapes_project_a_prefix_or_fail_typed(
         raws in proptest::collection::vec(arb_raw(), 20..150),
-        body in 0usize..3,
+        body in 0usize..NBODIES,
         budget_bytes in 1u64..40_000,
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
         let store = build_store(&raws);
         let ungoverned = drive_config(1, block, UNCAPPED);
-        for shape in SHAPES {
+        for shape in shapes(body, false) {
             let m = shaped_query(body, shape);
             let a = analyze_multievent(&m, &store).unwrap();
             let (full, _, _) = MultieventExec::new(&store, &a, &ungoverned)
@@ -332,82 +360,18 @@ proptest! {
         }
     }
 
-    /// With no cap tripping, the blocked drive is byte-identical to the
-    /// breadth-first drive at every point of the configuration cube and
-    /// every block size.
+    /// Under a truncating `max_intermediate`, the capped result is a prefix
+    /// — in nested-loop emission order — of the uncapped one, and the
+    /// serial and parallel drives agree byte-for-byte.
     #[test]
-    fn blocked_drive_matches_breadth_first_exactly(
-        raws in proptest::collection::vec(arb_raw(), 1..150),
-        flags in 0u32..32,
-        block in prop_oneof![Just(1usize), Just(7), Just(4096)],
-    ) {
-        let late_materialization = flags & 1 != 0;
-        let parallel_join = flags & 2 != 0;
-        let time_bucket_join = flags & 4 != 0;
-        let partitioned_probe = flags & 8 != 0;
-        let sideways_filters = flags & 16 != 0;
-        let store = build_store(&raws);
-        let shared = EngineConfig {
-            late_materialization,
-            parallel_join,
-            time_bucket_join,
-            partitioned_probe,
-            sideways_filters,
-            join_partitions: 3,
-            parallelism: 4,
-            shared_scan_pool: false,
-            parallel_threshold: 0,
-            parallel_join_min_work: 0,
-            ..EngineConfig::default()
-        };
-        let breadth = Engine::new(EngineConfig {
-            blocked_join_drive: false,
-            ..shared.clone()
-        });
-        let blocked = Engine::new(EngineConfig {
-            blocked_join_drive: true,
-            join_block_tuples: block,
-            ..shared
-        });
-        for src in query_catalog() {
-            let q = parse_query(src).unwrap();
-            let want = breadth.execute(&store, &q).unwrap();
-            let got = blocked.execute(&store, &q).unwrap();
-            prop_assert_eq!(
-                &want.rows, &got.rows,
-                "query {:?} flags {:05b} block {}: rows/order differ ({} vs {})",
-                src, flags, block, want.rows.len(), got.rows.len()
-            );
-            prop_assert_eq!(
-                want.truncated, got.truncated,
-                "query {:?} flags {:05b} block {}: truncation flag differs",
-                src, flags, block
-            );
-        }
-    }
-
-    /// Under a truncating `max_intermediate`, the blocked drive emits a
-    /// prefix — in nested-loop emission order — of the untruncated result,
-    /// and the serial and parallel blocked drives agree byte-for-byte.
-    #[test]
-    fn capped_blocked_drive_emits_an_emission_order_prefix(
+    fn capped_drive_emits_an_emission_order_prefix_of_the_uncapped_result(
         raws in proptest::collection::vec(arb_raw(), 1..150),
         cap in prop_oneof![Just(1usize), Just(2), Just(7), Just(100)],
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
         let store = build_store(&raws);
         let blocked = |max_intermediate: usize, parallel: bool| {
-            Engine::new(EngineConfig {
-                max_intermediate,
-                join_block_tuples: block,
-                parallel_join: parallel,
-                join_partitions: 3,
-                parallelism: if parallel { 4 } else { 1 },
-                shared_scan_pool: false,
-                parallel_threshold: 0,
-                parallel_join_min_work: 0,
-                ..EngineConfig::default()
-            })
+            Engine::new(drive_config(if parallel { 4 } else { 1 }, block, max_intermediate))
         };
         for src in prefix_catalog() {
             let q = parse_query(src).unwrap();
@@ -439,7 +403,7 @@ proptest! {
     /// fails with the structured budget error; partial mode always returns
     /// an emission-order prefix (with the trip surfaced as a warning).
     #[test]
-    fn governed_blocked_drive_honours_budget_modes(
+    fn governed_drive_honours_budget_modes(
         raws in proptest::collection::vec(arb_raw(), 20..150),
         budget_bytes in 1u64..40_000,
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
@@ -536,9 +500,49 @@ fn parallel_run_straddling_the_cap_is_redriven_to_the_serial_result() {
     }
 }
 
-/// Deterministic spot check: an emission-bound chain reports the new
-/// demand counters through EXPLAIN ANALYZE stats, and the blocked drive
-/// emits no more than the breadth-first bound.
+/// A fan-out chain under a cap sweep: the capped rows are an emission-order
+/// prefix of the uncapped ones, `truncated` is set exactly when rows are
+/// missing or the cap was reached, and the serial and parallel drives agree
+/// at every cap and block size.
+#[test]
+fn capped_chain_sets_truncated_exactly() {
+    let store = fanout_store();
+    let m = shaped_query(1, "return p1, p2, f, f2");
+    let (full, _) = Engine::new(drive_config(1, 4096, UNCAPPED))
+        .execute_multievent_with_stats(&store, &m)
+        .unwrap();
+    assert!(!full.truncated && full.rows.len() > 1000);
+    for cap in [1usize, 7, 100, 1000, full.rows.len(), full.rows.len() + 1] {
+        for block in [7usize, 4096] {
+            let (serial, _) = Engine::new(drive_config(1, block, cap))
+                .execute_multievent_with_stats(&store, &m)
+                .unwrap();
+            assert_eq!(
+                &serial.rows[..],
+                &full.rows[..serial.rows.len()],
+                "cap {cap} block {block}: not an emission-order prefix"
+            );
+            assert_eq!(
+                serial.truncated,
+                serial.rows.len() < full.rows.len() || serial.rows.len() >= cap,
+                "cap {cap} block {block}: truncated flag wrong ({} of {} rows)",
+                serial.rows.len(),
+                full.rows.len()
+            );
+            let (parallel, _) = Engine::new(drive_config(4, block, cap))
+                .execute_multievent_with_stats(&store, &m)
+                .unwrap();
+            assert_eq!(
+                (&serial.rows, serial.truncated),
+                (&parallel.rows, parallel.truncated),
+                "cap {cap} block {block}: serial and parallel capped drives diverged"
+            );
+        }
+    }
+}
+
+/// Deterministic spot check: an emission-bound chain reports the drive's
+/// demand counters through EXPLAIN ANALYZE stats.
 #[test]
 fn emission_counters_surface_in_stats() {
     let store = fanout_store();
@@ -553,7 +557,7 @@ fn emission_counters_surface_in_stats() {
     let aiql_lang::Query::Multievent(m) = q else {
         panic!()
     };
-    let (full, _) = Engine::new(EngineConfig::default())
+    let (full, full_stats) = Engine::new(EngineConfig::default())
         .execute_multievent_with_stats(&store, &m)
         .unwrap();
     assert!(
@@ -561,24 +565,28 @@ fn emission_counters_surface_in_stats() {
         "chain must fan out for this check, got {}",
         full.rows.len()
     );
+    let emitted = |stats: &exec::ExecStats| {
+        let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+        join.emitted_tuples
+    };
     let engine = Engine::new(EngineConfig {
         // A cap below the full cardinality makes the chain emission-bound:
-        // the output arena fills, the drive exits early, and the breadth
-        // bound exceeds the demand-driven emission count.
+        // the output fills and the drive exits early, leaving the seed runs
+        // and windows nobody will consume undriven.
         max_intermediate: full.rows.len() / 2,
         ..EngineConfig::default()
     });
     let (table, stats) = engine.execute_multievent_with_stats(&store, &m).unwrap();
     assert!(table.truncated, "the tight cap must truncate");
     let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
-    assert!(join.runs_driven > 0, "blocked drive must report its runs");
+    assert!(join.runs_driven > 0, "the drive must report its runs");
     assert!(join.emitted_tuples > 0);
     assert!(
-        join.emitted_tuples < join.breadth_bound_tuples,
-        "an early-exiting drive must beat the breadth-first emission bound \
+        join.emitted_tuples < emitted(&full_stats),
+        "an early-exiting drive must emit less than the drive that ran to completion \
          ({} vs {})",
         join.emitted_tuples,
-        join.breadth_bound_tuples
+        emitted(&full_stats)
     );
     assert!(
         join.early_exit_depth.is_some(),
@@ -586,7 +594,9 @@ fn emission_counters_surface_in_stats() {
     );
     let rendered = stats.render();
     assert!(
-        rendered.contains("runs ") && rendered.contains("breadth bound"),
+        rendered.contains("runs ")
+            && rendered.contains("emitted ")
+            && !rendered.contains("breadth"),
         "EXPLAIN ANALYZE must surface the emission counters:\n{rendered}"
     );
     // The join pushed into the projection sink: it names what was kept of
@@ -600,4 +610,109 @@ fn emission_counters_surface_in_stats() {
         )),
         "EXPLAIN ANALYZE must surface the fusion:\n{rendered}"
     );
+}
+
+/// The single pattern under caps, pinned at the parent commit (whose
+/// breadth-first loop served it) before that loop was deleted: the result is
+/// the projection of the candidate-order prefix of `cap` tuples, and
+/// `truncated` is set exactly when the candidate count reaches the cap —
+/// also when it only just does. `fanout_store` holds 200 writes.
+#[test]
+fn single_pattern_caps_truncate_exactly_as_the_parent_commit_did() {
+    let store = fanout_store();
+    let rows = shaped_query(BODIES.len(), "return p1, f, e1.amount");
+    let count = shaped_query(BODIES.len(), "return count(e1.amount) as n");
+    let (full, _) = Engine::new(drive_config(1, 4096, UNCAPPED))
+        .execute_multievent_with_stats(&store, &rows)
+        .unwrap();
+    assert_eq!((full.rows.len(), full.truncated), (200, false));
+    // (cap, rows kept, truncated) as the parent commit answered.
+    for (cap, kept, truncated) in [
+        (0usize, 0usize, true),
+        (1, 1, true),
+        (7, 7, true),
+        (199, 199, true),
+        (200, 200, true),
+        (201, 200, false),
+        (UNCAPPED, 200, false),
+    ] {
+        for (threads, block) in [(1usize, 4096usize), (1, 7), (2, 7), (8, 1)] {
+            let engine = Engine::new(drive_config(threads, block, cap));
+            let (got, stats) = engine.execute_multievent_with_stats(&store, &rows).unwrap();
+            assert_eq!(
+                (&got.rows[..], got.truncated, delivered(&stats)),
+                (&full.rows[..kept], truncated, kept),
+                "cap {cap} threads {threads} block {block}"
+            );
+            // No tuple, no group: a count over nothing returns no row.
+            let want: Vec<_> = (kept > 0)
+                .then(|| vec![aiql_model::Value::Int(kept as i64)])
+                .into_iter()
+                .collect();
+            let (n, _) = engine
+                .execute_multievent_with_stats(&store, &count)
+                .unwrap();
+            assert_eq!(
+                (n.rows, n.truncated),
+                (want, truncated),
+                "count under cap {cap} threads {threads} block {block}"
+            );
+        }
+    }
+}
+
+/// The single pattern under a memory budget: the drive live-charges what
+/// the output retains, run by run. Strict mode fails typed; partial mode
+/// keeps the projection of the candidate-order prefix delivered before the
+/// trip, flagged and warned; a count retains next to nothing, so the same
+/// budget lets it finish.
+#[test]
+fn single_pattern_memory_budget_yields_a_prefix_or_the_typed_error() {
+    let store = fanout_store();
+    let rows = shaped_query(BODIES.len(), "return p1, f, e1.amount");
+    let count = shaped_query(BODIES.len(), "return count(e1.amount) as n");
+    let config = drive_config(1, 16, UNCAPPED);
+    let (full, _) = Engine::new(config.clone())
+        .execute_multievent_with_stats(&store, &rows)
+        .unwrap();
+    // The scan charges its 200 candidate refs (1 600 bytes); the budget
+    // leaves room for a few 16-tuple runs of retained rows, not for all.
+    let budget_bytes = 4_000;
+    let strict = Engine::new(EngineConfig {
+        memory_budget_bytes: budget_bytes,
+        ..config.clone()
+    });
+    assert_eq!(
+        strict
+            .execute_multievent_with_stats(&store, &rows)
+            .unwrap_err(),
+        EngineError::MemoryBudget { budget_bytes }
+    );
+    let (n, _) = strict
+        .execute_multievent_with_stats(&store, &count)
+        .unwrap();
+    assert_eq!(
+        (n.rows, n.truncated),
+        (vec![vec![aiql_model::Value::Int(200)]], false)
+    );
+
+    for threads in [1usize, 2, 8] {
+        let partial = Engine::new(EngineConfig {
+            memory_budget_bytes: budget_bytes,
+            partial_results: true,
+            parallelism: threads,
+            ..config.clone()
+        });
+        let (got, stats) = partial
+            .execute_multievent_with_stats(&store, &rows)
+            .unwrap();
+        let k = delivered(&stats);
+        assert!(
+            0 < k && k < full.rows.len() && k.is_multiple_of(16),
+            "tripped at a run boundary: {k}"
+        );
+        assert_eq!(&got.rows[..], &full.rows[..k], "threads {threads}");
+        assert!(got.truncated);
+        assert_eq!(got.warnings, vec![Warning::MemoryBudget { budget_bytes }]);
+    }
 }

@@ -10,9 +10,10 @@
 //! * **Partial mode** (`partial_results`): the query returns a
 //!   *prefix-preserving* truncated table — its rows are a prefix of the
 //!   ungoverned result — flagged `truncated` and carrying a [`Warning`].
-//! * **Determinism**: memory-budget truncation converts the byte budget
-//!   into a row cap on the query thread, so serial and parallel joins
-//!   truncate at the same tuple and return byte-identical tables.
+//! * **Determinism**: a memory budget forces the serial join drive, which
+//!   live-charges what it keeps at run and window boundaries, so a serial
+//!   and a parallel configuration trip at the same tuple and return
+//!   byte-identical tables.
 //! * **Panic containment**: a worker panic mid-scan surfaces as
 //!   `WorkerPanic` for the owning query only; the process-wide pool keeps
 //!   serving subsequent queries.
@@ -68,16 +69,13 @@ fn build_store(raws: &[RawEvent]) -> EventStore {
     store
 }
 
-/// A governed config: `parallel` toggles both the frontier-partitioned
-/// join and the pooled parallel scans that the governor must coordinate
-/// with.
-fn config(parallel: bool, late_mat: bool) -> EngineConfig {
+/// A governed config: `parallel` toggles both the run-sharded join drive
+/// and the pooled parallel scans that the governor must coordinate with.
+fn config(parallel: bool) -> EngineConfig {
     EngineConfig {
         parallelism: if parallel { 4 } else { 1 },
-        parallel_join: parallel,
         join_partitions: if parallel { 3 } else { 0 },
         parallel_threshold: 0,
-        late_materialization: late_mat,
         ..EngineConfig::default()
     }
 }
@@ -117,7 +115,7 @@ fn precancelled_query_errors_cleanly_and_engine_survives() {
         })
         .collect();
     let store = build_store(&raws);
-    let engine = Engine::new(config(true, true));
+    let engine = Engine::new(config(true));
 
     let token = CancelToken::new();
     token.cancel();
@@ -148,7 +146,7 @@ fn precancelled_partial_mode_returns_empty_prefix_with_warning() {
         })
         .collect();
     let store = build_store(&raws);
-    let engine = Engine::new(config(false, true));
+    let engine = Engine::new(config(false));
 
     let token = CancelToken::new();
     token.cancel();
@@ -173,7 +171,7 @@ fn expired_deadline_maps_to_structured_error() {
         Timestamp::from_secs(1),
         10,
     )]);
-    let engine = Engine::new(config(false, true));
+    let engine = Engine::new(config(false));
     let budget = ExecBudget::unlimited().with_deadline(Duration::ZERO);
     let err = engine
         .execute_text_with_budget(&store, "proc p write file f as e return p", &budget)
@@ -195,7 +193,7 @@ fn config_level_governor_tunables_apply() {
     // surfaces MemoryBudget, partial mode a truncated (empty) prefix.
     let strict = Engine::new(EngineConfig {
         memory_budget_bytes: 1,
-        ..config(false, true)
+        ..config(false)
     });
     let err = strict
         .execute_text(&store, "proc p write file f as e return p")
@@ -205,7 +203,7 @@ fn config_level_governor_tunables_apply() {
     let lenient = Engine::new(EngineConfig {
         memory_budget_bytes: 1,
         partial_results: true,
-        ..config(false, true)
+        ..config(false)
     });
     let table = lenient
         .execute_text(&store, "proc p write file f as e return p")
@@ -236,7 +234,7 @@ fn mid_query_cancel_from_another_thread_is_clean_and_sticky() {
         })
         .collect();
     let store = build_store(&raws);
-    let engine = Engine::new(config(true, true));
+    let engine = Engine::new(config(true));
     let query = parse_query(CHAIN_QUERY).unwrap();
 
     let token = CancelToken::new();
@@ -287,7 +285,7 @@ fn worker_panic_is_contained_and_pool_stays_healthy() {
     // poison the shared executor.
     let chaos = Engine::new(EngineConfig {
         inject_scan_panic: true,
-        ..config(true, true)
+        ..config(true)
     });
     let err = chaos.execute(&store, &query).unwrap_err();
     match &err {
@@ -299,10 +297,8 @@ fn worker_panic_is_contained_and_pool_stays_healthy() {
 
     // The same process-wide pool keeps serving: a healthy engine returns
     // the exact serial-reference result after the panic...
-    let healthy = Engine::new(config(true, true));
-    let expected = Engine::new(config(false, true))
-        .execute(&store, &query)
-        .unwrap();
+    let healthy = Engine::new(config(true));
+    let expected = Engine::new(config(false)).execute(&store, &query).unwrap();
     let got = healthy.execute(&store, &query).unwrap();
     assert_eq!(got, expected);
 
@@ -322,18 +318,17 @@ proptest! {
     fn memory_budget_prefix_is_deterministic_across_join_modes(
         raws in proptest::collection::vec(arb_raw(), 20..150),
         budget_bytes in 1u64..40_000,
-        late_mat in any::<bool>(),
     ) {
         let store = build_store(&raws);
         let query = parse_query(CHAIN_QUERY).unwrap();
-        let full = Engine::new(config(false, late_mat))
+        let full = Engine::new(config(false))
             .execute(&store, &query)
             .unwrap();
 
         // Error mode: a trip is the matching structured error; no trip
         // must reproduce the ungoverned result exactly.
         let strict = ExecBudget::unlimited().with_memory_bytes(budget_bytes);
-        let serial = Engine::new(config(false, late_mat))
+        let serial = Engine::new(config(false))
             .execute_with_budget(&store, &query, &strict);
         match &serial {
             Ok(t) => prop_assert_eq!(&t.rows, &full.rows),
@@ -348,14 +343,14 @@ proptest! {
         let partial = ExecBudget::unlimited()
             .with_memory_bytes(budget_bytes)
             .with_partial_results(true);
-        let p_serial = Engine::new(config(false, late_mat))
+        let p_serial = Engine::new(config(false))
             .execute_with_budget(&store, &query, &partial)
             .unwrap();
         assert_prefix(&p_serial, &full);
         if !p_serial.warnings.is_empty() {
             prop_assert!(p_serial.truncated);
         }
-        let p_parallel = Engine::new(config(true, late_mat))
+        let p_parallel = Engine::new(config(true))
             .execute_with_budget(&store, &query, &partial)
             .unwrap();
         prop_assert_eq!(&p_parallel.rows, &p_serial.rows);
@@ -374,7 +369,7 @@ proptest! {
     ) {
         let store = build_store(&raws);
         let query = parse_query(CHAIN_QUERY).unwrap();
-        let engine = Engine::new(config(parallel, true));
+        let engine = Engine::new(config(parallel));
         let before = engine.execute(&store, &query).unwrap();
 
         let token = CancelToken::new();
@@ -472,14 +467,18 @@ fn assert_group_prefix(partial: &ResultTable, full: &ResultTable, key_cols: usiz
 fn aggregated_memory_truncation_preserves_group_prefix() {
     let store = build_store(&flood_raws(9000));
     let query = parse_query(AGG_QUERY).unwrap();
-    let engine = Engine::new(config(false, true));
+    let engine = Engine::new(config(false));
     let full = engine.execute(&store, &query).unwrap();
     // 5 processes × 6 file generations: enough groups that truncation has
     // late groups to lose.
     assert_eq!(full.rows.len(), 30);
 
     let mut saw_nonempty_truncation = false;
-    for budget_bytes in [1u64 << 13, 1 << 16, 1 << 17, 1 << 18, 1 << 22] {
+    // The scan charges its 9000 candidate refs (72 000 bytes) and the drive
+    // then live-charges what the sink retains — group states, not tuples —
+    // after each 4096-tuple run: 73 000 leaves room for the candidates but
+    // not for the first run's groups, so the drive stops after one run.
+    for budget_bytes in [1u64 << 13, 1 << 16, 73_000, 1 << 17, 1 << 18, 1 << 22] {
         let partial = ExecBudget::unlimited()
             .with_memory_bytes(budget_bytes)
             .with_partial_results(true);
@@ -490,9 +489,10 @@ fn aggregated_memory_truncation_preserves_group_prefix() {
             assert_eq!(t.warnings, vec![Warning::MemoryBudget { budget_bytes }]);
             assert_group_prefix(&t, &full, 2);
             saw_nonempty_truncation |= !t.rows.is_empty();
-            // Byte-budget truncation is a deterministic row cap: the
-            // parallel-scan engine truncates at the same tuple.
-            let tp = Engine::new(config(true, true))
+            // A memory budget forces the serial drive, so the trip point
+            // is deterministic: the parallel engine truncates at the same
+            // tuple.
+            let tp = Engine::new(config(true))
                 .execute_with_budget(&store, &query, &partial)
                 .unwrap();
             assert_eq!(t.rows, tp.rows);
@@ -524,7 +524,7 @@ fn projection_memory_truncation_is_a_row_prefix() {
     // property is directly visible on the 9000-row table.
     let store = build_store(&flood_raws(9000));
     let query = parse_query(FLAT_QUERY).unwrap();
-    let engine = Engine::new(config(false, true));
+    let engine = Engine::new(config(false));
     let full = engine.execute(&store, &query).unwrap();
     assert_eq!(full.rows.len(), 9000);
 
@@ -540,7 +540,7 @@ fn projection_memory_truncation_is_a_row_prefix() {
             assert_eq!(t.warnings, vec![Warning::MemoryBudget { budget_bytes }]);
             assert_prefix(&t, &full);
             saw_nonempty_truncation |= !t.rows.is_empty();
-            let tp = Engine::new(config(true, true))
+            let tp = Engine::new(config(true))
                 .execute_with_budget(&store, &query, &partial)
                 .unwrap();
             assert_eq!(t.rows, tp.rows);
@@ -558,7 +558,7 @@ fn projection_memory_truncation_is_a_row_prefix() {
 fn deadline_enforcement_follows_the_injected_clock() {
     let store = build_store(&flood_raws(6000));
     let query = parse_query(AGG_QUERY).unwrap();
-    let engine = Engine::new(config(false, true));
+    let engine = Engine::new(config(false));
     let full = engine.execute(&store, &query).unwrap();
 
     // A 1 ns deadline would trip instantly on the wall clock; on a frozen

@@ -1,22 +1,40 @@
-//! Differential property tests for the operator pipeline (PR 3).
+//! Property tests for the operator pipeline: `SemiJoinNarrow →
+//! PatternScan` per pattern, `TemporalJoin`, `Project`/`Aggregate`, over
+//! ⟨partition, row⟩ references end to end.
 //!
-//! The executor now runs a physical operator tree (`SemiJoinNarrow →
-//! PatternScan` per pattern, `TemporalJoin`, `Project`/`Aggregate`) and the
-//! multi-way join can partition its tuple frontier across the shared scan
-//! executor. Three invariants:
+//! There is one pipeline, so every check is against something that is not
+//! it, or against itself at a different fan-out:
 //!
-//! * the **parallel join** returns tables byte-identical (rows AND order,
-//!   truncation flag included) to the serial join, at any thread count and
-//!   partition count — including when `max_intermediate` truncates the
-//!   frontier;
-//! * the **operator pipeline** returns tables byte-identical to the seed's
-//!   materializing pipeline under every flag combination;
+//! * **production ≡ oracle** — over joins, shared variables, temporal
+//!   chains (bounded and unbounded, `before` and `after`), aggregation, op
+//!   alternatives and entity constraints, on every storage scan path
+//!   (`StoreConfig::{selection_vectors, cost_based_access}`), the result
+//!   equals the brute-force matcher's (`reference::run_reference`);
+//! * **every storage scan path ≡ the per-row one, rows and order** — all
+//!   scan paths enumerate candidates in partition order, then row order,
+//!   so `limit` without `order by` and truncation prefixes do not depend
+//!   on which one ran;
+//! * **serial ≡ parallel** — the pooled scans, sharded index builds and
+//!   run-sharded join drive return tables byte-identical (rows, order,
+//!   truncation flag) to the single-threaded pipeline at any thread count,
+//!   partition count and block size — including when `max_intermediate`
+//!   truncates. `Engine` runs on the process-wide executor, sized by the
+//!   host, so its thread counts cap fan-out; one test attaches a private
+//!   eight-worker executor so the interleavings do not shrink with the
+//!   CI box;
+//! * **time-bucket pruning drops no admissible tuple** — the timed indexes
+//!   skip bucket ranges and still agree with the oracle's exact checks;
 //! * the **partition-scoped plan cache** stays correct under concurrent
 //!   ingest: results always match a cache-free engine, and ingest into a
 //!   partition a cached plan never read does not evict it.
 
+use std::sync::{Arc, OnceLock};
+
+use aiql_engine::exec::MultieventExec;
+use aiql_engine::pool::ScanPool;
+use aiql_engine::{analyze_multievent, reference};
 use aiql_engine::{Engine, EngineConfig};
-use aiql_lang::parse_query;
+use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
 use proptest::prelude::*;
@@ -91,179 +109,234 @@ fn query_catalog() -> Vec<&'static str> {
     ]
 }
 
-fn build_store(raws: &[RawEvent]) -> EventStore {
+/// The join-heavy catalog plus the shapes the pipeline as a whole has to
+/// get right: entity constraints, op alternatives with a global agent
+/// filter, `having`, a same-subject self-join, and bounded `before` /
+/// `after` relations (finite bucket ranges on both sides of a timed probe).
+fn oracle_catalog() -> Vec<&'static str> {
+    let mut catalog = query_catalog();
+    catalog.extend([
+        r#"proc p["%exe1.bin"] read file f as e return p, f"#,
+        r#"proc p1 start proc p2 as e1
+           proc p2 write file f as e2
+           proc p2 write ip i[dstip = "10.0.4.129"] as e3
+           with e1 before e2, e2 before e3
+           return p1, p2, f, i"#,
+        r#"agentid = 1
+           proc p read || write file f as e
+           return distinct p, f"#,
+        r#"proc p write file f as e
+           return p, count(e.amount) as n, sum(e.amount) as total
+           group by p
+           having n > 1"#,
+        r#"proc p1 write file f as e1
+           proc p2 read file f as e2
+           with e1 before[10 min] e2
+           return p1, p2"#,
+        r#"proc p write file f1["%file1"] as e1
+           proc p write file f2["%file2"] as e2
+           return distinct p"#,
+        r#"proc p1 write file f as e1
+           proc p2 read file f as e2
+           proc p2 write file f2 as e3
+           with e1 before[10 min] e2, e2 before[30 min] e3
+           return p1, p2, f, f2"#,
+        r#"proc p1 write file f as e1
+           proc p2 read file f as e2
+           with e2 after[20 min] e1
+           return p1, p2, f"#,
+    ]);
+    catalog
+}
+
+fn build_store_with(raws: &[RawEvent], config: StoreConfig) -> EventStore {
     let mut store = EventStore::new(StoreConfig {
         time_bucket: aiql_model::Duration::from_mins(10),
         dedup: false,
-        ..StoreConfig::default()
+        ..config
     });
     store.ingest_all(raws);
     store
 }
 
-/// The serial-join reference engine (operator pipeline, no join fan-out).
+fn build_store(raws: &[RawEvent]) -> EventStore {
+    build_store_with(raws, StoreConfig::default())
+}
+
+/// The single-threaded pipeline: no executor, so scans, index builds and
+/// the join drive all run on the query thread.
 fn serial_config() -> EngineConfig {
     EngineConfig {
-        parallel_join: false,
+        parallelism: 1,
         ..EngineConfig::default()
     }
+}
+
+/// The pipeline at `threads`, with the parallel scan, the sharded index
+/// build and the parallel drive all forced onto proptest-sized inputs.
+fn parallel_config(threads: usize, partitions: usize) -> EngineConfig {
+    EngineConfig {
+        parallelism: threads,
+        join_partitions: partitions,
+        parallel_threshold: 0,
+        ..EngineConfig::default()
+    }
+}
+
+/// An executor with eight workers regardless of the host's core count,
+/// shared by every case of the test that uses it.
+fn eight_workers() -> Arc<ScanPool> {
+    static POOL: OnceLock<Arc<ScanPool>> = OnceLock::new();
+    POOL.get_or_init(|| Arc::new(ScanPool::new(8))).clone()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel and serial joins agree byte-for-byte across thread counts
-    /// 1/2/8, partition counts, and `max_intermediate` truncation.
+    /// The parallel and serial pipelines agree byte-for-byte across thread
+    /// counts 1/2/8, partition counts, block sizes, and `max_intermediate`
+    /// truncation.
     #[test]
-    fn parallel_join_matches_serial_exactly(
+    fn parallel_pipeline_matches_serial_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
         partitions in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+        block in prop_oneof![Just(1usize), Just(7), Just(4096)],
         max_intermediate in prop_oneof![
             Just(1usize), Just(2), Just(7), Just(100), Just(4_000_000)
         ],
     ) {
         let store = build_store(&raws);
+        // Same block on both sides: when an *intermediate* expansion hits
+        // the cap, where the run cuts depends on how the seed was blocked.
         let serial = Engine::new(EngineConfig {
             max_intermediate,
+            join_block_tuples: block,
             ..serial_config()
         });
         let parallel = Engine::new(EngineConfig {
-            parallelism: threads,
-            parallel_join: true,
-            join_partitions: partitions,
-            // Private pool of the requested width, so thread counts are
-            // what the test says they are.
-            shared_scan_pool: false,
-            parallel_threshold: 0,
             max_intermediate,
-            ..EngineConfig::default()
+            join_block_tuples: block,
+            ..parallel_config(threads, partitions)
         });
-        for src in query_catalog() {
+        for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
             let want = serial.execute(&store, &q).unwrap();
             let got = parallel.execute(&store, &q).unwrap();
             prop_assert_eq!(
                 &want.rows, &got.rows,
-                "query {:?} threads {} partitions {} max {}: rows/order differ ({} vs {})",
-                src, threads, partitions, max_intermediate,
+                "query {:?} threads {} partitions {} block {} max {}: rows/order differ ({} vs {})",
+                src, threads, partitions, block, max_intermediate,
                 want.rows.len(), got.rows.len()
             );
             prop_assert_eq!(
                 want.truncated, got.truncated,
-                "query {:?} threads {} partitions {} max {}: truncation flag differs",
-                src, threads, partitions, max_intermediate
+                "query {:?} threads {} partitions {} block {} max {}: truncation flag differs",
+                src, threads, partitions, block, max_intermediate
             );
         }
     }
 
-    /// The operator pipeline returns tables byte-identical to the seed's
-    /// materializing pipeline under every flag combination of
-    /// ⟨late_materialization, parallel_join, scan_pool, shared_scan_pool⟩.
+    /// The pipeline agrees with the brute-force oracle on every storage
+    /// scan path ⟨selection_vectors, cost_based_access⟩, with partition
+    /// parallelism on and off, serial and fanned out — and the fanned-out
+    /// run is byte-identical to the serial one, which in turn is
+    /// byte-identical (rows AND order) to the serial pipeline over the
+    /// per-row, index-free scan path: every scan path enumerates candidates
+    /// in one order (partition order, then row order), so `limit` without
+    /// `order by` and every truncation prefix are scan-path independent.
     #[test]
-    fn operator_pipeline_matches_seed_pipeline(
-        raws in proptest::collection::vec(arb_raw(), 0..120),
+    fn pipeline_matches_the_brute_force_oracle(
+        raws in proptest::collection::vec(arb_raw(), 0..100),
         flags in 0u32..16,
     ) {
-        let late_materialization = flags & 1 != 0;
-        let parallel_join = flags & 2 != 0;
-        let scan_pool = flags & 4 != 0;
-        let shared_scan_pool = flags & 8 != 0;
+        let selection_vectors = flags & 1 != 0;
+        let cost_based_access = flags & 2 != 0;
+        let partition_parallel = flags & 4 != 0;
+        let threads = if flags & 8 != 0 { 4 } else { 1 };
 
-        let store = build_store(&raws);
-        let seed = Engine::new(EngineConfig {
-            late_materialization: false,
-            scan_pool: false,
-            parallel_join: false,
-            ..EngineConfig::default()
+        let plain_store = build_store_with(&raws, StoreConfig {
+            selection_vectors: false,
+            cost_based_access: false,
+            ..StoreConfig::default()
         });
+        let store = build_store_with(&raws, StoreConfig {
+            selection_vectors,
+            cost_based_access,
+            ..StoreConfig::default()
+        });
+        let serial = Engine::new(serial_config());
         let variant = Engine::new(EngineConfig {
-            late_materialization,
-            parallel_join,
-            scan_pool,
-            shared_scan_pool,
-            join_partitions: 3,
-            parallelism: 4,
-            parallel_threshold: 0,
-            ..EngineConfig::default()
+            partition_parallel,
+            ..parallel_config(threads, 3)
         });
-        for src in query_catalog() {
+        for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
-            let want = seed.execute(&store, &q).unwrap();
+            let Query::Multievent(m) = &q else { panic!("{src:?} is multievent") };
+            let a = analyze_multievent(m, &store).unwrap();
+            let want = reference::run_reference(&store, &a).unwrap();
             let got = variant.execute(&store, &q).unwrap();
+            prop_assert!(!got.truncated);
+            prop_assert_eq!(&want.columns, &got.columns);
             prop_assert_eq!(
-                &want.rows, &got.rows,
-                "query {:?} flags {:04b}: rows/order differ ({} vs {})",
-                src, flags, want.rows.len(), got.rows.len()
+                &want.normalized().rows, &got.clone().normalized().rows,
+                "query {:?} flags {:04b}: differs from the oracle",
+                src, flags
             );
-            prop_assert_eq!(want.truncated, got.truncated);
+            let base = serial.execute(&store, &q).unwrap();
+            prop_assert_eq!(
+                (&base.rows, base.truncated), (&got.rows, got.truncated),
+                "query {:?} flags {:04b}: serial and parallel pipelines diverged",
+                src, flags
+            );
+            let plain = serial.execute(&plain_store, &q).unwrap();
+            prop_assert_eq!(
+                (&plain.rows, plain.truncated), (&got.rows, got.truncated),
+                "query {:?} flags {:04b}: rows/order differ from the per-row scan path",
+                src, flags
+            );
         }
     }
 
-    /// The probe-reduction layers (PR 8) return tables byte-identical to
-    /// the layers-off serial join across the whole flag cube: time-bucket
-    /// × partitioned-probe × sideways-filter × serial/parallel drive ×
-    /// truncating `max_intermediate`. Bounded `before[...]` relations make
-    /// the bucket ranges finite on both sides.
+    /// `Engine` fans out on the process-wide executor, which is sized by the
+    /// host (one or two workers on a small CI box), so "threads 8" above
+    /// caps a query's fan-out without promising eight workers. This case
+    /// attaches a private executor that really has eight, whatever the
+    /// host: scans, sharded builds and the run-sharded drive interleave
+    /// across all of them and still reproduce the serial table.
     #[test]
-    fn probe_layers_match_layers_off_exactly(
+    fn eight_worker_executor_matches_serial_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
-        flags in 0u32..16,
-        max_intermediate in prop_oneof![
-            Just(1usize), Just(2), Just(7), Just(100), Just(4_000_000)
-        ],
+        partitions in prop_oneof![Just(0usize), Just(3), Just(8)],
+        block in prop_oneof![Just(1usize), Just(7), Just(4096)],
+        max_intermediate in prop_oneof![Just(7usize), Just(100), Just(4_000_000)],
     ) {
-        let time_bucket_join = flags & 1 != 0;
-        let partitioned_probe = flags & 2 != 0;
-        let sideways_filters = flags & 4 != 0;
-        let parallel_join = flags & 8 != 0;
         let store = build_store(&raws);
-        let reference = Engine::new(EngineConfig {
+        let serial_cfg = EngineConfig {
             max_intermediate,
-            time_bucket_join: false,
-            partitioned_probe: false,
-            sideways_filters: false,
+            join_block_tuples: block,
             ..serial_config()
-        });
-        let variant = Engine::new(EngineConfig {
+        };
+        let wide_cfg = EngineConfig {
             max_intermediate,
-            time_bucket_join,
-            partitioned_probe,
-            sideways_filters,
-            parallel_join,
-            join_partitions: 3,
-            parallelism: 4,
-            shared_scan_pool: false,
-            parallel_threshold: 0,
-            ..EngineConfig::default()
-        });
-        let mut catalog = query_catalog();
-        catalog.push(
-            r#"proc p1 write file f as e1
-               proc p2 read file f as e2
-               proc p2 write file f2 as e3
-               with e1 before[10 min] e2, e2 before[30 min] e3
-               return p1, p2, f, f2"#,
-        );
-        catalog.push(
-            r#"proc p1 write file f as e1
-               proc p2 read file f as e2
-               with e2 after[20 min] e1
-               return p1, p2, f"#,
-        );
-        for src in catalog {
+            join_block_tuples: block,
+            ..parallel_config(8, partitions)
+        };
+        let pool = eight_workers();
+        prop_assert_eq!(pool.threads(), 8);
+        for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
-            let want = reference.execute(&store, &q).unwrap();
-            let got = variant.execute(&store, &q).unwrap();
+            let Query::Multievent(m) = &q else { panic!("{src:?} is multievent") };
+            let a = analyze_multievent(m, &store).unwrap();
+            let want = MultieventExec::new(&store, &a, &serial_cfg).run().unwrap();
+            let got = MultieventExec::new(&store, &a, &wide_cfg)
+                .with_pool(Some(pool.clone()))
+                .run()
+                .unwrap();
             prop_assert_eq!(
-                &want.rows, &got.rows,
-                "query {:?} flags {:04b} max {}: rows/order differ ({} vs {})",
-                src, flags, max_intermediate, want.rows.len(), got.rows.len()
-            );
-            prop_assert_eq!(
-                want.truncated, got.truncated,
-                "query {:?} flags {:04b} max {}: truncation flag differs",
-                src, flags, max_intermediate
+                (&want.rows, want.truncated), (&got.rows, got.truncated),
+                "query {:?} partitions {} block {} max {}: eight workers diverged from serial",
+                src, partitions, block, max_intermediate
             );
         }
     }
@@ -428,7 +501,7 @@ fn plan_cache_hit_survives_ingest_into_untouched_partition() {
 /// Time-bucket pruning is purely an acceleration: on clustered ("bursty")
 /// data with bounded temporal relations it must skip whole bucket ranges
 /// (visible in the join's operator stats) while never dropping a tuple the
-/// exact `temporal_ok_refs` check would admit.
+/// oracle's exact temporal check admits.
 #[test]
 fn time_bucket_pruning_drops_no_admissible_tuple() {
     // Six bursts of activity far apart in time on one host and one file;
@@ -463,20 +536,17 @@ fn time_bucket_pruning_drops_no_admissible_tuple() {
            return p1, p2, f, f2"#,
     )
     .unwrap();
-    let aiql_lang::Query::Multievent(m) = q else {
-        panic!()
-    };
+    let Query::Multievent(m) = q else { panic!() };
 
-    let timed = Engine::new(serial_config());
-    let untimed = Engine::new(EngineConfig {
-        time_bucket_join: false,
-        ..serial_config()
-    });
-    let (rows_timed, stats) = timed.execute_multievent_with_stats(&store, &m).unwrap();
-    let (rows_untimed, _) = untimed.execute_multievent_with_stats(&store, &m).unwrap();
-    assert!(!rows_timed.rows.is_empty(), "query must match something");
+    let (timed, stats) = Engine::new(serial_config())
+        .execute_multievent_with_stats(&store, &m)
+        .unwrap();
+    let a = analyze_multievent(&m, &store).unwrap();
+    let exact = reference::run_reference(&store, &a).unwrap();
+    assert!(!timed.rows.is_empty(), "query must match something");
     assert_eq!(
-        rows_timed.rows, rows_untimed.rows,
+        timed.normalized().rows,
+        exact.normalized().rows,
         "bucket pruning must not change results"
     );
 
@@ -490,4 +560,59 @@ fn time_bucket_pruning_drops_no_admissible_tuple() {
         "a bounded step must build a multi-bucket index"
     );
     assert!(join.probe_hits > 0, "joined rows imply probe hits");
+}
+
+/// One deterministic check that a pooled scan really runs on pool workers
+/// and still matches the serial scan tuple for tuple, fetch counts included.
+#[test]
+fn pool_scan_unit_roundtrip() {
+    let raws: Vec<RawEvent> = (0..2_000)
+        .map(|i| {
+            RawEvent::instant(
+                AgentId(i % 7),
+                if i % 3 == 0 {
+                    Operation::Write
+                } else {
+                    Operation::Read
+                },
+                EntitySpec::process(100 + (i % 5), &format!("exe{}.bin", i % 5), "user"),
+                EntitySpec::file(&format!("/data/file{}", i % 17), "user"),
+                Timestamp::from_secs(i64::from(i) * 7),
+                u64::from(i),
+            )
+        })
+        .collect();
+    let store = build_store(&raws);
+    let q = parse_query(
+        r#"proc p1 write file f as e1
+           proc p2 read file f as e2
+           with e1 before e2
+           return p1, p2, f"#,
+    )
+    .unwrap();
+    let Query::Multievent(m) = &q else { panic!() };
+    let analyzed = analyze_multievent(m, &store).unwrap();
+
+    let pooled_cfg = parallel_config(4, 0);
+    let serial_cfg = serial_config();
+    let pool = Arc::new(ScanPool::new(4));
+    assert_eq!(pool.threads(), 4);
+    let pooled = MultieventExec::new(&store, &analyzed, &pooled_cfg).with_pool(Some(pool));
+    let serial = MultieventExec::new(&store, &analyzed, &serial_cfg);
+    let (t1, trunc1, stats1) = pooled.match_tuples().unwrap();
+    let (t2, trunc2, stats2) = serial.match_tuples().unwrap();
+    assert!(
+        stats1
+            .ops
+            .iter()
+            .any(|o| o.kind == "PatternScan" && o.fanout > 1),
+        "the pooled run must fan its scans out"
+    );
+    assert_eq!(trunc1, trunc2);
+    assert_eq!(stats1.fetched, stats2.fetched, "per-pattern fetch counts");
+    assert_eq!(t1.len(), t2.len());
+    for (a, b) in t1.iter().zip(&t2) {
+        assert_eq!(a.vars, b.vars);
+        assert_eq!(a.events, b.events);
+    }
 }

@@ -77,6 +77,15 @@ proptest! {
         let mut slow = store.scan_unoptimized_collect(&filter);
         fast.sort_by_key(|e| e.id);
         slow.sort_by_key(|e| e.id);
+        // The row-selecting path the engine scans through counts the same
+        // events, with selection vectors and with per-row materialization.
+        prop_assert_eq!(store.count(&filter), slow.len());
+        let mut per_row = EventStore::new(StoreConfig {
+            selection_vectors: false,
+            ..store.config().clone()
+        });
+        per_row.ingest_all(&raws);
+        prop_assert_eq!(per_row.count(&filter), slow.len());
         prop_assert_eq!(fast, slow);
     }
 

@@ -41,7 +41,6 @@ fn scenario_shared() -> SharedStore {
 fn serial_config() -> EngineConfig {
     EngineConfig {
         parallelism: 1,
-        parallel_join: false,
         join_partitions: 0,
         ..EngineConfig::default()
     }
