@@ -163,35 +163,21 @@ fn bench_storage_ablations(c: &mut Criterion) {
         });
     }
 
-    // Indexed scan vs full scan for a selective predicate.
+    // Indexed scan vs full scan — the paper's storage ablation — for a
+    // selective predicate and an unselective one (writes are most of the
+    // trace, so the operation postings do not prune).
     let mut store = EventStore::default();
     store.ingest_all(&scenario.raws);
-    let filter = EventFilter::all().with_ops(OpSet::single(Operation::Execute));
-    group.bench_function("selective-scan/indexed", |b| {
-        b.iter(|| store.scan_collect(&filter).len());
-    });
-    group.bench_function("selective-scan/full", |b| {
-        b.iter(|| store.scan_unoptimized_collect(&filter).len());
-    });
-
-    // Selection-vector row selection vs the materializing verification
-    // path, and the cost-based access-path choice vs the fixed 64-id
-    // cutoff (exercised through the columnar `count` API the late
-    // pipeline's scans are built on).
-    for (name, selection_vectors, cost_based_access) in [
-        ("scan-path/selection-vectors", true, true),
-        ("scan-path/fixed-cutoff", true, false),
-        ("scan-path/materializing", false, false),
+    for (name, op) in [
+        ("selective-scan", Operation::Execute),
+        ("scan-path", Operation::Write),
     ] {
-        let mut store = EventStore::new(StoreConfig {
-            selection_vectors,
-            cost_based_access,
-            ..StoreConfig::default()
+        let filter = EventFilter::all().with_ops(OpSet::single(op));
+        group.bench_function(format!("{name}/indexed"), |b| {
+            b.iter(|| store.scan_collect(&filter).len());
         });
-        store.ingest_all(&scenario.raws);
-        let filter = EventFilter::all().with_ops(OpSet::single(Operation::Write));
-        group.bench_function(name, |b| {
-            b.iter(|| store.count(&filter));
+        group.bench_function(format!("{name}/full"), |b| {
+            b.iter(|| store.scan_unoptimized_collect(&filter).len());
         });
     }
     group.finish();

@@ -19,6 +19,9 @@ pub enum CodecError {
     CrcMismatch(u32, u32),
     /// The magic number or version did not match.
     BadMagic,
+    /// A well-formed field holds a value the format forbids (names the
+    /// field): the body passed its CRC but was not written by `save`.
+    Invalid(&'static str),
 }
 
 impl std::fmt::Display for CodecError {
@@ -31,6 +34,7 @@ impl std::fmt::Display for CodecError {
                 write!(f, "crc mismatch: stored {want:#010x}, computed {got:#010x}")
             }
             CodecError::BadMagic => write!(f, "bad magic number or version"),
+            CodecError::Invalid(what) => write!(f, "invalid value: {what}"),
         }
     }
 }

@@ -244,10 +244,6 @@ pub struct EntityStore {
     file_dict: DictIndex,
     /// Trigram/prefix index over rendered destination IPs.
     conn_dict: DictIndex,
-    /// Whether `LIKE` resolution may use the n-gram/prefix indexes (the
-    /// naive full-dictionary scan is kept for ablation and as the
-    /// differential-test oracle).
-    ngram_index: bool,
     /// Distinct hosts observed, ascending (the `find` agent-restriction
     /// fast path: a restriction covering every host is a no-op).
     agents_seen: Vec<AgentId>,
@@ -271,7 +267,6 @@ impl Clone for EntityStore {
             proc_dict: self.proc_dict.clone(),
             file_dict: self.file_dict.clone(),
             conn_dict: self.conn_dict.clone(),
-            ngram_index: self.ngram_index,
             agents_seen: self.agents_seen.clone(),
             dedup_hits: std::sync::atomic::AtomicU64::new(
                 self.dedup_hits.load(std::sync::atomic::Ordering::Relaxed),
@@ -300,7 +295,6 @@ impl EntityStore {
             proc_dict: self.proc_dict.clone(),
             file_dict: self.file_dict.clone(),
             conn_dict: self.conn_dict.clone(),
-            ngram_index: self.ngram_index,
             agents_seen: self.agents_seen.clone(),
             dedup_hits: std::sync::atomic::AtomicU64::new(
                 self.dedup_hits.load(std::sync::atomic::Ordering::Relaxed),
@@ -336,15 +330,8 @@ fn kind_slot(kind: EntityKind) -> usize {
 }
 
 impl EntityStore {
-    /// Creates an empty dictionary with the n-gram indexes enabled.
+    /// Creates an empty dictionary.
     pub fn new() -> Self {
-        Self::with_ngram_index(true)
-    }
-
-    /// Creates an empty dictionary, optionally without the n-gram/prefix
-    /// indexes (`LIKE` constraints then scan the distinct strings — the
-    /// pre-index behavior, kept for ablation).
-    pub fn with_ngram_index(ngram_index: bool) -> Self {
         EntityStore {
             interner: Interner::new(),
             entities: Vec::new(),
@@ -356,7 +343,6 @@ impl EntityStore {
             proc_dict: DictIndex::default(),
             file_dict: DictIndex::default(),
             conn_dict: DictIndex::default(),
-            ngram_index,
             agents_seen: Vec::new(),
             dedup_hits: std::sync::atomic::AtomicU64::new(0),
         }
@@ -394,7 +380,7 @@ impl EntityStore {
         match attrs {
             EntityAttrs::Process(p) => {
                 let ids = self.proc_by_name.entry(p.exe_name).or_default();
-                if ids.is_empty() && self.ngram_index {
+                if ids.is_empty() {
                     self.proc_dict
                         .insert(p.exe_name.raw(), self.interner.resolve(p.exe_name));
                 }
@@ -402,7 +388,7 @@ impl EntityStore {
             }
             EntityAttrs::File(f) => {
                 let ids = self.file_by_name.entry(f.name).or_default();
-                if ids.is_empty() && self.ngram_index {
+                if ids.is_empty() {
                     self.file_dict
                         .insert(f.name.raw(), self.interner.resolve(f.name));
                 }
@@ -410,7 +396,7 @@ impl EntityStore {
             }
             EntityAttrs::NetConn(n) => {
                 let ids = self.conn_by_dst.entry(n.dst_ip.0).or_default();
-                if ids.is_empty() && self.ngram_index {
+                if ids.is_empty() {
                     self.conn_dict.insert(n.dst_ip.0, &n.dst_ip.to_string());
                 }
                 ids.push(id);
@@ -551,18 +537,16 @@ impl EntityStore {
                         }
                         finish_ids(out)
                     };
-                    if self.ngram_index {
-                        match self.conn_dict.resolve(p) {
-                            DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                            DictCandidates::Verify(keys) => {
-                                let verified: Vec<u32> = keys
-                                    .into_iter()
-                                    .filter(|raw| p.matches(&aiql_model::IpV4(*raw).to_string()))
-                                    .collect();
-                                return Some(resolve_keys(&verified));
-                            }
-                            DictCandidates::Scan => {}
+                    match self.conn_dict.resolve(p) {
+                        DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
+                        DictCandidates::Verify(keys) => {
+                            let verified: Vec<u32> = keys
+                                .into_iter()
+                                .filter(|raw| p.matches(&aiql_model::IpV4(*raw).to_string()))
+                                .collect();
+                            return Some(resolve_keys(&verified));
                         }
+                        DictCandidates::Scan => {}
                     }
                     // Evaluate the pattern over distinct destination IPs.
                     let mut out = Vec::new();
@@ -600,18 +584,16 @@ impl EntityStore {
                     }
                     finish_ids(out)
                 };
-                if self.ngram_index {
-                    match dict.resolve(p) {
-                        DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                        DictCandidates::Verify(keys) => {
-                            let verified: Vec<u32> = keys
-                                .into_iter()
-                                .filter(|&raw| p.matches(self.interner.resolve(Symbol(raw))))
-                                .collect();
-                            return Some(resolve_keys(&verified));
-                        }
-                        DictCandidates::Scan => {}
+                match dict.resolve(p) {
+                    DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
+                    DictCandidates::Verify(keys) => {
+                        let verified: Vec<u32> = keys
+                            .into_iter()
+                            .filter(|&raw| p.matches(self.interner.resolve(Symbol(raw))))
+                            .collect();
+                        return Some(resolve_keys(&verified));
                     }
+                    DictCandidates::Scan => {}
                 }
                 // Evaluate the pattern once per *distinct* string — the core
                 // dictionary-vs-events asymmetry (and the n-gram fallback
@@ -817,11 +799,11 @@ mod tests {
         assert!(s.find(EntityKind::File, None, &[]).is_empty());
     }
 
-    /// Every pattern shape must resolve identically through the n-gram
-    /// index and the naive distinct-string scan, and both must come back
-    /// sorted and deduped.
+    /// Every pattern shape must resolve through the dictionary indexes to
+    /// exactly the ids a per-entity match of the pattern finds, sorted and
+    /// deduped.
     #[test]
-    fn ngram_index_agrees_with_naive_scan() {
+    fn dictionary_index_agrees_with_per_entity_match() {
         let names = [
             "C:\\Windows\\System32\\cmd.exe",
             "C:\\Windows\\CMD.EXE", // distinct casing, distinct symbol
@@ -834,21 +816,6 @@ mod tests {
             "",
         ];
         let indexed = store_with_procs(&names);
-        let mut naive = EntityStore::with_ngram_index(false);
-        for (i, name) in names.iter().enumerate() {
-            let exe = naive.interner_mut().intern(name);
-            let user = naive.interner_mut().intern("alice");
-            let cmd = naive.interner_mut().intern("");
-            naive.intern(
-                AgentId(1),
-                EntityAttrs::Process(ProcessAttrs {
-                    pid: 1000 + i as u32,
-                    exe_name: exe,
-                    user,
-                    cmdline: cmd,
-                }),
-            );
-        }
         let patterns = [
             "%cmd.exe",       // suffix, matches both casings
             "cmd.exe",        // exact (case-insensitive like)
@@ -867,14 +834,24 @@ mod tests {
                 StringPattern::new(pat),
             ))];
             let a = indexed.find(EntityKind::Process, None, &c);
-            let b = naive.find(EntityKind::Process, None, &c);
+            // Reference: the pattern against each entity's own name, in id
+            // order — no dictionary index, no distinct-string grouping.
+            let like = StringPattern::new(pat);
+            let b: Vec<EntityId> = indexed
+                .iter()
+                .filter(|e| match e.attrs {
+                    EntityAttrs::Process(p) => like.matches(indexed.interner().resolve(p.exe_name)),
+                    _ => false,
+                })
+                .map(|e| e.id)
+                .collect();
             assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted: {pat}");
             assert_eq!(a, b, "pattern {pat:?}");
         }
     }
 
     #[test]
-    fn ip_like_resolves_through_ngram_index() {
+    fn ip_like_resolves_through_trigram_index() {
         let mut s = EntityStore::new();
         for d in [1u8, 2, 129, 130] {
             s.intern(

@@ -341,19 +341,13 @@ impl Partition {
     /// per-segment sorted row ids are offset by the segment base and
     /// concatenated, which keeps the partition-global output sorted (bases
     /// ascend in commit order; novelty rows occupy the end).
-    pub fn select(
-        &self,
-        agent: AgentId,
-        filter: &EventFilter,
-        cost_based: bool,
-        vectorized: bool,
-    ) -> Vec<u32> {
+    pub fn select(&self, agent: AgentId, filter: &EventFilter) -> Vec<u32> {
         if self.novelty.is_empty() {
             if let [seg] = self.segments.as_slice() {
-                return seg.select(agent, filter, cost_based, vectorized);
+                return seg.select(agent, filter);
             }
         } else if self.segments.is_empty() {
-            return self.novelty.select(agent, filter, cost_based, vectorized);
+            return self.novelty.select(agent, filter);
         }
         let mut out = Vec::new();
         let novelty_base = self.sealed_rows() as u32;
@@ -364,10 +358,16 @@ impl Partition {
             .zip(self.bases.iter().copied())
             .chain((!self.novelty.is_empty()).then(|| (self.novelty.as_ref(), novelty_base)))
         {
-            let rows = seg.select(agent, filter, cost_based, vectorized);
+            let rows = seg.select(agent, filter);
             out.extend(rows.into_iter().map(|r| r + base));
         }
         out
+    }
+
+    /// Whether some segment resolves the filter's entity id sets through
+    /// posting lists (see [`Segment::uses_entity_postings`]).
+    pub(crate) fn uses_entity_postings(&self, filter: &EventFilter) -> bool {
+        self.all_segments().any(|s| s.uses_entity_postings(filter))
     }
 
     /// Index-assisted scan across segments in commit order.
@@ -602,7 +602,7 @@ mod tests {
     fn compaction_preserves_flat_rows_and_scans() {
         let mut p = fragmented(7, 3);
         let filter = EventFilter::all().with_ops(OpSet::from_ops(&[Operation::Read]));
-        let before_select = p.select(AgentId(1), &filter, true, true);
+        let before_select = p.select(AgentId(1), &filter);
         let before: Vec<Event> = (0..p.len()).map(|r| p.event_at(AgentId(1), r)).collect();
         let epoch_before = p.epoch();
         assert!(p.compact(usize::MAX));
@@ -610,7 +610,7 @@ mod tests {
         assert_eq!(p.epoch(), epoch_before + 1, "layout rewrite bumps once");
         let after: Vec<Event> = (0..p.len()).map(|r| p.event_at(AgentId(1), r)).collect();
         assert_eq!(before, after, "flat rows invariant under compaction");
-        assert_eq!(before_select, p.select(AgentId(1), &filter, true, true));
+        assert_eq!(before_select, p.select(AgentId(1), &filter));
         assert!(!p.compact(usize::MAX), "already dense: no-op");
     }
 
@@ -703,7 +703,7 @@ mod tests {
             EventFilter::all().with_window(TimeWindow::new(Timestamp(30), Timestamp(200))),
         ];
         for filter in filters {
-            let rows = p.select(AgentId(1), &filter, true, true);
+            let rows = p.select(AgentId(1), &filter);
             assert!(rows.windows(2).all(|w| w[0] < w[1]), "sorted flat rows");
             let got: Vec<EventId> = rows.iter().map(|&r| p.id_at(r)).collect();
             let mut want = Vec::new();
@@ -785,8 +785,8 @@ mod tests {
         ];
         for filter in filters {
             assert_eq!(
-                overlay.select(AgentId(1), &filter, true, true),
-                sealed.select(AgentId(1), &filter, true, true),
+                overlay.select(AgentId(1), &filter),
+                sealed.select(AgentId(1), &filter),
                 "filter {filter:?}"
             );
             let mut a = Vec::new();

@@ -164,6 +164,42 @@ mod tests {
     }
 
     #[test]
+    fn unsupported_snapshot_version_falls_back_to_wal() {
+        let wal_path = tmpfile("ver-wal");
+        let snap_path = tmpfile("ver-snap");
+        let mut wal = Wal::create(&wal_path).unwrap();
+        let mut store = EventStore::default();
+        let raws = batch(3, 9);
+        for e in &raws {
+            wal.append(e).unwrap();
+        }
+        wal.commit().unwrap();
+        drop(wal);
+        store.ingest_all(&raws);
+        snapshot::save(&store, &snap_path).unwrap();
+        // An intact snapshot under the previous format's magic.
+        let mut bytes = std::fs::read(&snap_path).unwrap();
+        bytes[..4].copy_from_slice(b"AQS3");
+        std::fs::write(&snap_path, &bytes).unwrap();
+
+        let (loaded, source) =
+            load_or_recover(&snap_path, &wal_path, StoreConfig::default()).unwrap();
+        assert!(matches!(
+            source,
+            RecoverySource::WalFallback {
+                snapshot_error: WalError::UnsupportedVersion { found },
+                ..
+            } if &found == b"AQS3"
+        ));
+        assert_eq!(
+            loaded.scan_collect(&EventFilter::all()),
+            store.scan_collect(&EventFilter::all())
+        );
+        std::fs::remove_file(&wal_path).ok();
+        std::fs::remove_file(&snap_path).ok();
+    }
+
+    #[test]
     fn intact_snapshot_wins_over_wal() {
         let wal_path = tmpfile("pref-wal");
         let snap_path = tmpfile("pref-snap");

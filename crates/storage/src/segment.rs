@@ -279,9 +279,10 @@ impl Segment {
     /// matching event. `agent` is the partition's host (segments do not
     /// duplicate it per row).
     ///
-    /// This is the *materializing* access path kept for ablation; the
-    /// selection-vector path ([`Segment::select`]) avoids building `Event`s
-    /// for rows that fail residual predicates.
+    /// This is the *materializing* access path: the relational and graph
+    /// baselines and the engine's brute-force oracle read through it, which
+    /// makes it the reference the selection-vector path
+    /// ([`Segment::select`]) is tested against.
     pub fn scan(&self, agent: AgentId, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
         if !self.overlaps_window(filter) {
             return;
@@ -353,19 +354,11 @@ impl Segment {
     /// Selection-vector scan: evaluates every predicate directly against
     /// the columns and returns the sorted, deduped row ids that match —
     /// no `Event` is materialized. Access paths (operation postings,
-    /// subject/object posting lists) are combined by sort-merge
-    /// intersection; with `cost_based` the posting-list paths are chosen by
-    /// estimated candidate count instead of the fixed 64-id cutoff. With
-    /// `vectorized`, the no-access-path case runs the residual predicates
-    /// as chunked columnar mask passes ([`Segment::residual_mask_scan`])
-    /// instead of a branchy per-row closure.
-    pub fn select(
-        &self,
-        agent: AgentId,
-        filter: &EventFilter,
-        cost_based: bool,
-        vectorized: bool,
-    ) -> Vec<u32> {
+    /// subject/object posting lists, each taken only when it prunes) are
+    /// combined by sort-merge intersection and the survivors verified
+    /// row by row; with no access path the residual predicates run as
+    /// chunked columnar mask passes ([`Segment::residual_mask_scan`]).
+    pub fn select(&self, agent: AgentId, filter: &EventFilter) -> Vec<u32> {
         if !self.overlaps_window(filter) {
             return Vec::new();
         }
@@ -375,21 +368,11 @@ impl Segment {
             }
         }
         // Build each applicable access path as a sorted row-id list.
-        let budget = self.len() / 2;
-        let mut paths: Vec<Vec<u32>> = Vec::new();
-        for (ids, index) in [
-            (filter.subjects.as_ref(), &self.subj_index),
-            (filter.objects.as_ref(), &self.obj_index),
-        ] {
-            let Some(ids) = ids else { continue };
-            if let Some(rows) = self.entity_rows(ids, index, cost_based, budget) {
-                paths.push(rows);
-            }
-        }
+        let mut paths: Vec<Vec<u32>> = self.entity_paths(filter).collect();
         if !filter.ops.is_all() {
             let total: usize = filter.ops.iter().map(|op| self.op_count(op)).sum();
             // The op path only pays for itself when it prunes; an
-            // unselective op set is cheaper as a direct column loop below.
+            // unselective op set is cheaper as a direct column pass below.
             if total * 2 < self.len() {
                 let lists: Vec<&[u32]> = filter
                     .ops
@@ -399,11 +382,10 @@ impl Segment {
                 paths.push(merge_sorted(&lists));
             }
         }
-        // Residual verification straight off the columns. With no index
-        // path the row loop runs directly over the columns — no candidate
-        // vector is materialized. The window/op tests are unconditional
-        // (they are almost always the deciding predicates); the entity and
-        // amount tests only run when the filter carries them.
+        // Residual verification straight off the columns. The window/op
+        // tests are unconditional (they are almost always the deciding
+        // predicates); the entity and amount tests only run when the filter
+        // carries them.
         let (win_lo, win_hi) = (filter.window.start.micros(), filter.window.end.micros());
         let ops_mask = filter.ops.0;
         let residual = |r: usize| -> bool {
@@ -439,16 +421,9 @@ impl Segment {
                 rows.retain(|&row| residual(row as usize));
                 rows
             }
-            None if vectorized => self.residual_mask_scan(filter),
-            None => {
-                let mut out = Vec::new();
-                for row in 0..self.len() {
-                    if residual(row) {
-                        out.push(row as u32);
-                    }
-                }
-                out
-            }
+            // No index path: the residual runs as mask passes directly
+            // over the columns — no candidate vector is materialized.
+            None => self.residual_mask_scan(filter),
         }
     }
 
@@ -456,9 +431,7 @@ impl Segment {
     /// over a contiguous column, writing 64-row bitmask blocks that are
     /// AND-combined and finally compacted into the selection vector. The
     /// per-block inner loops are branch-free compare-and-shift reductions
-    /// over `i64`/`u8` columns, which the compiler auto-vectorizes; the
-    /// scalar per-row closure this replaces re-branched on every predicate
-    /// for every row.
+    /// over `i64`/`u8` columns, which the compiler auto-vectorizes.
     fn residual_mask_scan(&self, filter: &EventFilter) -> Vec<u32> {
         let n = self.len();
         if n == 0 {
@@ -538,24 +511,21 @@ impl Segment {
     }
 
     /// Sorted candidate rows for an entity id set via its posting index, or
-    /// `None` when a column scan is estimated cheaper.
+    /// `None` when the postings cover more than half the segment and a
+    /// column scan is cheaper.
     fn entity_rows(
         &self,
         ids: &crate::filter::IdSet,
         index: &HashMap<EntityId, Vec<u32>>,
-        cost_based: bool,
-        budget: usize,
     ) -> Option<Vec<u32>> {
-        if !cost_based && ids.len() > 64 {
-            return None;
-        }
+        let budget = self.len() / 2;
         let mut lists: Vec<&[u32]> = Vec::new();
         let mut total = 0usize;
         if ids.len() <= index.len() {
             for id in ids.iter() {
                 if let Some(r) = index.get(&id) {
                     total += r.len();
-                    if cost_based && total > budget {
+                    if total > budget {
                         return None;
                     }
                     lists.push(r);
@@ -567,7 +537,7 @@ impl Segment {
             for (id, r) in index {
                 if ids.contains(*id) {
                     total += r.len();
-                    if cost_based && total > budget {
+                    if total > budget {
                         return None;
                     }
                     lists.push(r);
@@ -575,6 +545,25 @@ impl Segment {
             }
         }
         Some(merge_sorted(&lists))
+    }
+
+    /// The entity access paths of a filter: the sorted candidate rows of its
+    /// subject and object id sets, each present only when
+    /// [`Segment::entity_rows`] takes the posting lists.
+    fn entity_paths<'a>(&'a self, filter: &'a EventFilter) -> impl Iterator<Item = Vec<u32>> + 'a {
+        [
+            (filter.subjects.as_ref(), &self.subj_index),
+            (filter.objects.as_ref(), &self.obj_index),
+        ]
+        .into_iter()
+        .filter_map(|(ids, index)| self.entity_rows(ids?, index))
+    }
+
+    /// Whether [`Segment::select`] resolves one of the filter's id sets
+    /// through posting lists in this segment — `EXPLAIN`'s label reads the
+    /// decision the scan takes, not a copy of its rule.
+    pub(crate) fn uses_entity_postings(&self, filter: &EventFilter) -> bool {
+        self.overlaps_window(filter) && self.entity_paths(filter).next().is_some()
     }
 
     /// Unconditional column scan verifying every predicate per row — the
@@ -815,23 +804,16 @@ mod tests {
             EventFilter::all().with_agents(vec![AgentId(9)]), // wrong agent
         ];
         for filter in filters {
-            for cost_based in [false, true] {
-                for vectorized in [false, true] {
-                    let rows = s.select(AgentId(1), &filter, cost_based, vectorized);
-                    assert!(rows.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-                    let mut slow = Vec::new();
-                    s.scan_full(AgentId(1), &filter, &mut |e| slow.push(e.id));
-                    let got: Vec<EventId> = rows.iter().map(|&r| s.id_at(r)).collect();
-                    assert_eq!(
-                        got, slow,
-                        "filter {filter:?} cost_based={cost_based} vectorized={vectorized}"
-                    );
-                }
-            }
+            let rows = s.select(AgentId(1), &filter);
+            assert!(rows.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
+            let mut slow = Vec::new();
+            s.scan_full(AgentId(1), &filter, &mut |e| slow.push(e.id));
+            let got: Vec<EventId> = rows.iter().map(|&r| s.id_at(r)).collect();
+            assert_eq!(got, slow, "filter {filter:?}");
         }
     }
 
-    /// The mask scan must agree with the scalar residual across block
+    /// The mask scan must agree with the per-row full scan across block
     /// boundaries (tail blocks, >64 rows) and every predicate combination.
     #[test]
     fn residual_mask_scan_agrees_across_blocks() {
@@ -861,7 +843,9 @@ mod tests {
         ];
         for filter in filters {
             let fast = s.residual_mask_scan(&filter);
-            let slow = s.select(AgentId(1), &filter, true, false);
+            // Event `i` sits at row `i`, so the full scan's ids are rows.
+            let mut slow = Vec::new();
+            s.scan_full(AgentId(1), &filter, &mut |e| slow.push(e.id.raw() as u32));
             assert_eq!(fast, slow, "filter {filter:?}");
         }
     }

@@ -21,21 +21,12 @@ use crate::segment::PartitionKey;
 use crate::store::{EventStore, StoreConfig};
 use crate::wal::WalError;
 
-/// Legacy format: no epoch vector.
-const MAGIC_V1: &[u8; 4] = b"AQS1";
-/// v1 plus the store/dictionary epochs and the per-partition epoch vector,
-/// so partition-scoped plan-cache invalidation stays monotone across
-/// save/load cycles.
-const MAGIC_V2: &[u8; 4] = b"AQS2";
-/// v2 plus the per-partition segment layout (row counts per sealed
-/// segment), so a reloaded store reproduces the exact physical
-/// fragmentation/compaction state.
-const MAGIC_V3: &[u8; 4] = b"AQS3";
-/// Current format: v3 plus the novelty-overlay config and the per-partition
-/// novelty row counts, so a store saved mid-overlay reproduces its exact
-/// sealed/overlay split (the overlay is serialized, never force-flushed by
-/// persistence). Loading still accepts v1 (no epochs, no layout), v2
-/// (epochs, dense single-segment layout), and v3 (fully sealed layout).
+/// The one format read and written: string and entity dictionaries, events,
+/// the epoch vector (store, dictionary, per partition), the per-partition
+/// sealed segment layout, and the novelty-overlay config and row counts —
+/// so a reloaded store reproduces the exact sealed/overlay split (the
+/// overlay is serialized, never force-flushed by persistence). Other
+/// `AQS<n>` magics are refused with [`WalError::UnsupportedVersion`].
 const MAGIC: &[u8; 4] = b"AQS4";
 
 /// Writes a snapshot of `store` to `path`.
@@ -47,12 +38,12 @@ pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
     buf.put_u8(u8::from(cfg.dedup));
     buf.put_i64_le(cfg.dedup_window.micros());
     codec::put_varint(&mut buf, cfg.batch_size as u64);
-    // Compaction policy (v3): persisted so a reloaded store keeps the
+    // Compaction policy: persisted so a reloaded store keeps the
     // ingest-time layout behavior.
     buf.put_u8(u8::from(cfg.compaction));
     codec::put_varint(&mut buf, cfg.compaction_min_segments as u64);
     codec::put_varint(&mut buf, cfg.compaction_max_rows as u64);
-    // Write-path policy (v4): the novelty-overlay threshold and the
+    // Write-path policy: the novelty-overlay threshold and the
     // background-compaction toggle, so a reloaded store keeps absorbing
     // ingest the way it was configured to.
     codec::put_varint(&mut buf, cfg.novelty_flush_rows as u64);
@@ -73,7 +64,7 @@ pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
     let total: u64 = store.event_count();
     codec::put_varint(&mut buf, total);
     store.for_each_event(&mut |e| encode_event(&mut buf, e));
-    // Epoch vector (v2): store + dictionary epochs, then per-partition
+    // Epoch vector: store + dictionary epochs, then per-partition
     // epochs in partition order.
     codec::put_varint(&mut buf, store.epoch());
     codec::put_varint(&mut buf, store.dict_epoch());
@@ -84,7 +75,7 @@ pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
         buf.put_i64_le(key.bucket);
         codec::put_varint(&mut buf, epoch);
     }
-    // Segment layout (v3): per partition, the row count of each sealed
+    // Segment layout: per partition, the row count of each sealed
     // segment in commit order.
     let layouts = store.segment_layouts();
     codec::put_varint(&mut buf, layouts.len() as u64);
@@ -96,7 +87,7 @@ pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
             codec::put_varint(&mut buf, u64::from(len));
         }
     }
-    // Novelty overlay (v4): per partition, the rows still sitting in the
+    // Novelty overlay: per partition, the rows still sitting in the
     // open overlay — serialized (the events already went out above), so a
     // save→load cycle reproduces the exact sealed/overlay split instead of
     // silently flushing the overlay.
@@ -122,9 +113,11 @@ pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
 ///
 /// Every corruption mode is an error, never an abort: a short header or
 /// body, a length field larger than the file, a CRC mismatch, and any
-/// decode failure inside a CRC-valid body all come back as
-/// [`WalError`]/[`CodecError`] values. Callers that also keep a WAL can
-/// recover through [`crate::recovery::load_or_recover`] instead of failing.
+/// decode failure or forbidden value inside a CRC-valid body all come back
+/// as [`WalError`]/[`CodecError`] values; a snapshot of another format
+/// version is [`WalError::UnsupportedVersion`]. Callers that also keep a
+/// WAL can recover through [`crate::recovery::load_or_recover`] instead of
+/// failing.
 pub fn load(path: &Path) -> Result<EventStore, WalError> {
     let file = File::open(path)?;
     let file_len = file.metadata()?.len();
@@ -134,13 +127,10 @@ pub fn load(path: &Path) -> Result<EventStore, WalError> {
         // Too short to even hold the header: not a snapshot.
         return Err(WalError::BadHeader);
     }
-    let (has_epochs, has_layout, has_novelty) = match &header[0..4] {
-        m if m == MAGIC => (true, true, true),
-        m if m == MAGIC_V3 => (true, true, false),
-        m if m == MAGIC_V2 => (true, false, false),
-        m if m == MAGIC_V1 => (false, false, false),
-        _ => return Err(WalError::BadHeader),
-    };
+    let magic = [header[0], header[1], header[2], header[3]];
+    if &magic != MAGIC {
+        return Err(WalError::for_magic(magic, MAGIC));
+    }
     let stored_crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     let len64 = u64::from_le_bytes([
         header[8], header[9], header[10], header[11], header[12], header[13], header[14],
@@ -163,119 +153,100 @@ pub fn load(path: &Path) -> Result<EventStore, WalError> {
     let mut buf = body.as_slice();
 
     let time_bucket = aiql_model::Duration(codec::get_i64(&mut buf)?);
-    let dedup = codec::get_u8(&mut buf)? != 0;
-    let dedup_window = aiql_model::Duration(codec::get_i64(&mut buf)?);
-    let batch_size = codec::get_varint(&mut buf)? as usize;
-    let defaults = StoreConfig::default();
-    let (compaction, compaction_min_segments, compaction_max_rows) = if has_layout {
-        (
-            codec::get_u8(&mut buf)? != 0,
-            codec::get_varint(&mut buf)? as usize,
-            codec::get_varint(&mut buf)? as usize,
-        )
-    } else {
-        (
-            defaults.compaction,
-            defaults.compaction_min_segments,
-            defaults.compaction_max_rows,
-        )
-    };
-    let (novelty_flush_rows, background_compaction) = if has_novelty {
-        (
-            codec::get_varint(&mut buf)? as usize,
-            codec::get_u8(&mut buf)? != 0,
-        )
-    } else {
-        (defaults.novelty_flush_rows, defaults.background_compaction)
-    };
+    if time_bucket.micros() <= 0 {
+        // Partition keys divide by the bucket width.
+        return Err(CodecError::Invalid("time bucket is not positive").into());
+    }
+    // Fields are read in the order `save` wrote them.
     let mut store = EventStore::new(StoreConfig {
         time_bucket,
-        dedup,
-        dedup_window,
-        batch_size,
-        compaction,
-        compaction_min_segments,
-        compaction_max_rows,
-        novelty_flush_rows,
-        background_compaction,
-        // Scan-path tunables are not persisted — a reloaded store runs with
-        // the current defaults.
-        ..defaults
+        dedup: codec::get_u8(&mut buf)? != 0,
+        dedup_window: aiql_model::Duration(codec::get_i64(&mut buf)?),
+        batch_size: codec::get_varint(&mut buf)? as usize,
+        compaction: codec::get_u8(&mut buf)? != 0,
+        compaction_min_segments: codec::get_varint(&mut buf)? as usize,
+        compaction_max_rows: codec::get_varint(&mut buf)? as usize,
+        novelty_flush_rows: codec::get_varint(&mut buf)? as usize,
+        background_compaction: codec::get_u8(&mut buf)? != 0,
     });
 
-    // Dictionary: intern in order so symbols keep their ids.
+    // Dictionary: intern in order so symbols keep their ids. Every id a
+    // later section carries is checked against what was loaded before it —
+    // a repeated string or entity would silently shift every id after it,
+    // an out-of-range one would panic at first use.
     let nstrings = codec::get_varint(&mut buf)?;
-    for _ in 0..nstrings {
+    for i in 0..nstrings {
         let s = codec::get_str(&mut buf)?;
-        store.entities_mut().interner_mut().intern(&s);
+        let sym = store.entities_mut().interner_mut().intern(&s);
+        if u64::from(sym.raw()) != i {
+            return Err(CodecError::Invalid("repeated dictionary string").into());
+        }
     }
     // Entities: intern in id order so entity ids are preserved.
     let nentities = codec::get_varint(&mut buf)?;
     for i in 0..nentities {
         let agent = AgentId(codec::get_u32(&mut buf)?);
         let attrs = decode_attrs(&mut buf)?;
+        let known = |s: Symbol| (s.raw() as usize) < store.interner().len();
+        if !match attrs {
+            EntityAttrs::Process(p) => known(p.exe_name) && known(p.user) && known(p.cmdline),
+            EntityAttrs::File(f) => known(f.name) && known(f.owner),
+            EntityAttrs::NetConn(_) => true,
+        } {
+            return Err(CodecError::Invalid("entity names a string past the dictionary").into());
+        }
         let id = store.entities_mut().intern(agent, attrs);
-        debug_assert_eq!(id, EntityId(i as u32));
+        if u64::from(id.raw()) != i {
+            return Err(CodecError::Invalid("repeated entity").into());
+        }
     }
     // Events.
     let nevents = codec::get_varint(&mut buf)?;
     for _ in 0..nevents {
         let event = decode_event(&mut buf)?;
+        if event.subject.index().max(event.object.index()) >= store.entities().len() {
+            return Err(CodecError::Invalid("event names an entity past the dictionary").into());
+        }
         store.insert_committed(event);
     }
-    // Epoch vector (absent in v1 snapshots: replay counters stand).
-    if has_epochs {
-        let epoch = codec::get_varint(&mut buf)?;
-        let dict_epoch = codec::get_varint(&mut buf)?;
-        let nparts = codec::get_varint(&mut buf)?;
-        // Capacity clamps: a corrupt count that slipped past the CRC must
-        // not drive the allocation — each entry needs at least one byte, so
-        // the remaining body length bounds any honest count.
-        let mut epochs = Vec::with_capacity((nparts as usize).min(buf.len()));
-        for _ in 0..nparts {
-            let agent = AgentId(codec::get_u32(&mut buf)?);
-            let bucket = codec::get_i64(&mut buf)?;
-            let part_epoch = codec::get_varint(&mut buf)?;
-            epochs.push((PartitionKey { agent, bucket }, part_epoch));
-        }
-        store.restore_epochs(epoch, dict_epoch, &epochs);
+    // Epoch vector.
+    let epoch = codec::get_varint(&mut buf)?;
+    let dict_epoch = codec::get_varint(&mut buf)?;
+    let nparts = codec::get_varint(&mut buf)?;
+    // Capacity clamps: a corrupt count that slipped past the CRC must not
+    // drive the allocation — each entry needs at least one byte, so the
+    // remaining body length bounds any honest count.
+    let mut epochs = Vec::with_capacity((nparts as usize).min(buf.len()));
+    for _ in 0..nparts {
+        let agent = AgentId(codec::get_u32(&mut buf)?);
+        let bucket = codec::get_i64(&mut buf)?;
+        let part_epoch = codec::get_varint(&mut buf)?;
+        epochs.push((PartitionKey { agent, bucket }, part_epoch));
     }
-    // Segment layout (absent in v1/v2 snapshots: replay's dense
-    // single-overlay-per-partition layout is sealed below instead).
-    if has_layout {
-        let nparts = codec::get_varint(&mut buf)?;
-        let mut layouts = Vec::with_capacity((nparts as usize).min(buf.len()));
-        for _ in 0..nparts {
-            let agent = AgentId(codec::get_u32(&mut buf)?);
-            let bucket = codec::get_i64(&mut buf)?;
-            let nsegs = codec::get_varint(&mut buf)?;
-            let mut lens = Vec::with_capacity((nsegs as usize).min(buf.len()));
-            for _ in 0..nsegs {
-                lens.push(codec::get_varint(&mut buf)? as u32);
-            }
-            layouts.push((PartitionKey { agent, bucket }, lens));
+    store.restore_epochs(epoch, dict_epoch, &epochs);
+    // Segment layout, then the novelty-overlay rows: replay landed every
+    // partition in one open overlay, and these re-split it.
+    let nparts = codec::get_varint(&mut buf)?;
+    let mut layouts = Vec::with_capacity((nparts as usize).min(buf.len()));
+    for _ in 0..nparts {
+        let agent = AgentId(codec::get_u32(&mut buf)?);
+        let bucket = codec::get_i64(&mut buf)?;
+        let nsegs = codec::get_varint(&mut buf)?;
+        let mut lens = Vec::with_capacity((nsegs as usize).min(buf.len()));
+        for _ in 0..nsegs {
+            lens.push(codec::get_varint(&mut buf)? as u32);
         }
-        // Novelty overlay rows (v4): pre-v4 files sealed everything, which
-        // the empty list reproduces (every partition restores with a zero
-        // overlay).
-        let mut novelty = Vec::new();
-        if has_novelty {
-            let nparts = codec::get_varint(&mut buf)?;
-            novelty.reserve((nparts as usize).min(buf.len()));
-            for _ in 0..nparts {
-                let agent = AgentId(codec::get_u32(&mut buf)?);
-                let bucket = codec::get_i64(&mut buf)?;
-                let rows = codec::get_varint(&mut buf)? as u32;
-                novelty.push((PartitionKey { agent, bucket }, rows));
-            }
-        }
-        store.restore_layout(&layouts, &novelty);
-    } else {
-        // v1/v2: replay landed every partition in one open overlay; those
-        // formats were written by seal-per-commit stores, so seal the rows
-        // the way the saver held them.
-        store.flush_novelty();
+        layouts.push((PartitionKey { agent, bucket }, lens));
     }
+    let nparts = codec::get_varint(&mut buf)?;
+    let mut novelty = Vec::with_capacity((nparts as usize).min(buf.len()));
+    for _ in 0..nparts {
+        let agent = AgentId(codec::get_u32(&mut buf)?);
+        let bucket = codec::get_i64(&mut buf)?;
+        let rows = codec::get_varint(&mut buf)? as u32;
+        novelty.push((PartitionKey { agent, bucket }, rows));
+    }
+    store.restore_layout(&layouts, &novelty);
     Ok(store)
 }
 
@@ -490,81 +461,6 @@ mod tests {
     }
 
     #[test]
-    fn v2_snapshot_without_layout_still_loads() {
-        // Hand-build an AQS2 body (no compaction config, no layout
-        // section): the loader must accept it and land every partition in
-        // one dense segment.
-        let store = populated_store();
-        let path = tmpfile("v2-compat");
-        save(&store, &path).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Rewrite the v4 body into a v2 body: drop the compaction + novelty
-        // config fields right after batch_size, and everything after the
-        // epoch vector (layout + novelty sections); then re-stamp magic,
-        // length, and CRC.
-        let len = u64::from_le_bytes(bytes[8..16].try_into().unwrap()) as usize;
-        let body = bytes[16..16 + len].to_vec();
-        let mut cursor = body.as_slice();
-        codec::get_i64(&mut cursor).unwrap(); // time_bucket
-        codec::get_u8(&mut cursor).unwrap(); // dedup
-        codec::get_i64(&mut cursor).unwrap(); // dedup_window
-        codec::get_varint(&mut cursor).unwrap(); // batch_size
-        let keep_prefix = body.len() - cursor.len();
-        let mut after_cfg = cursor;
-        codec::get_u8(&mut after_cfg).unwrap(); // compaction flag
-        codec::get_varint(&mut after_cfg).unwrap(); // min segments
-        codec::get_varint(&mut after_cfg).unwrap(); // max rows
-        codec::get_varint(&mut after_cfg).unwrap(); // novelty flush rows
-        codec::get_u8(&mut after_cfg).unwrap(); // background compaction
-                                                // The layout + novelty sections are everything after the epoch
-                                                // vector; walk the remaining fields forward to find where they
-                                                // start.
-        let mut rest = after_cfg;
-        let nstrings = codec::get_varint(&mut rest).unwrap();
-        for _ in 0..nstrings {
-            codec::get_str(&mut rest).unwrap();
-        }
-        let nentities = codec::get_varint(&mut rest).unwrap();
-        for _ in 0..nentities {
-            codec::get_u32(&mut rest).unwrap();
-            decode_attrs(&mut rest).unwrap();
-        }
-        let nevents = codec::get_varint(&mut rest).unwrap();
-        for _ in 0..nevents {
-            decode_event(&mut rest).unwrap();
-        }
-        codec::get_varint(&mut rest).unwrap(); // epoch
-        codec::get_varint(&mut rest).unwrap(); // dict epoch
-        let nparts = codec::get_varint(&mut rest).unwrap();
-        for _ in 0..nparts {
-            codec::get_u32(&mut rest).unwrap();
-            codec::get_i64(&mut rest).unwrap();
-            codec::get_varint(&mut rest).unwrap();
-        }
-        let layout_len = rest.len();
-        let v2_body: Vec<u8> = body[..keep_prefix]
-            .iter()
-            .chain(&body[keep_prefix + (cursor.len() - after_cfg.len())..body.len() - layout_len])
-            .copied()
-            .collect();
-        let crc = codec::crc32(&v2_body);
-        let mut v2 = Vec::new();
-        v2.extend_from_slice(MAGIC_V2);
-        v2.extend_from_slice(&crc.to_le_bytes());
-        v2.extend_from_slice(&(v2_body.len() as u64).to_le_bytes());
-        v2.extend_from_slice(&v2_body);
-        std::fs::write(&path, &v2).unwrap();
-        let loaded = load(&path).unwrap();
-        assert_eq!(
-            store.scan_collect(&EventFilter::all()),
-            loaded.scan_collect(&EventFilter::all())
-        );
-        let stats = loaded.stats();
-        assert_eq!(stats.segments, stats.partitions, "v2 replay lands dense");
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
     fn snapshot_roundtrips_novelty_overlay_state() {
         // A store saved mid-overlay (residual unsealed rows) must reload
         // with the exact same sealed/overlay split — persistence serializes
@@ -628,6 +524,183 @@ mod tests {
         bytes[mid] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         assert!(load(&path).is_err());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A snapshot file around a hand-built body: default config behind the
+    /// given bucket width, the given dictionary, entities and events, empty
+    /// epoch / layout / novelty sections, magic + CRC + length stamped the
+    /// way `save` does — so only the body's *values* can be wrong.
+    fn crafted(
+        name: &str,
+        time_bucket: i64,
+        strings: &[&str],
+        entities: &[EntityAttrs],
+        events: &[Event],
+    ) -> std::path::PathBuf {
+        let mut buf = BytesMut::new();
+        buf.put_i64_le(time_bucket);
+        buf.put_u8(1); // dedup
+        buf.put_i64_le(1_000_000); // dedup_window
+        codec::put_varint(&mut buf, 8192); // batch_size
+        buf.put_u8(1); // compaction
+        codec::put_varint(&mut buf, 4); // compaction_min_segments
+        codec::put_varint(&mut buf, 1 << 20); // compaction_max_rows
+        codec::put_varint(&mut buf, 0); // novelty_flush_rows
+        buf.put_u8(0); // background_compaction
+        codec::put_varint(&mut buf, strings.len() as u64);
+        for s in strings {
+            codec::put_str(&mut buf, s);
+        }
+        codec::put_varint(&mut buf, entities.len() as u64);
+        for attrs in entities {
+            buf.put_u32_le(1); // agent
+            encode_attrs(&mut buf, attrs);
+        }
+        codec::put_varint(&mut buf, events.len() as u64);
+        for e in events {
+            encode_event(&mut buf, e);
+        }
+        for _ in 0..2 {
+            codec::put_varint(&mut buf, 0); // store epoch, dict epoch
+        }
+        for _ in 0..3 {
+            codec::put_varint(&mut buf, 0); // no epoch / layout / novelty rows
+        }
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&codec::crc32(&buf).to_le_bytes());
+        bytes.extend_from_slice(&(buf.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(&buf);
+        let path = tmpfile(name);
+        std::fs::write(&path, &bytes).unwrap();
+        path
+    }
+
+    const HOUR: i64 = 3_600_000_000;
+
+    fn file(name: u32) -> EntityAttrs {
+        EntityAttrs::File(FileAttrs {
+            name: Symbol(name),
+            owner: Symbol(0),
+        })
+    }
+
+    fn write_event(subject: u32, object: u32) -> Event {
+        Event {
+            id: EventId(0),
+            agent: AgentId(1),
+            op: Operation::Write,
+            subject: EntityId(subject),
+            object: EntityId(object),
+            start_time: Timestamp(5),
+            end_time: Timestamp(5),
+            amount: 1,
+        }
+    }
+
+    fn load_is_invalid(path: &Path) -> bool {
+        let r = load(path);
+        std::fs::remove_file(path).ok();
+        matches!(r, Err(WalError::Codec(CodecError::Invalid(_))))
+    }
+
+    #[test]
+    fn crafted_body_with_honest_values_loads() {
+        // The control for the three tests below: the same builder, nothing
+        // forbidden in it.
+        let path = crafted(
+            "crafted-ok",
+            HOUR,
+            &["", "/a", "/b"],
+            &[file(1), file(2)],
+            &[write_event(0, 1)],
+        );
+        let loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.event_count(), 1);
+        assert_eq!(loaded.entities().len(), 2);
+    }
+
+    #[test]
+    fn zero_time_bucket_is_an_error_not_a_division_panic() {
+        let entities = [file(1), file(2)];
+        for bucket in [0, -HOUR] {
+            let path = crafted(
+                "bucket",
+                bucket,
+                &["", "/a", "/b"],
+                &entities,
+                &[write_event(0, 1)],
+            );
+            assert!(load_is_invalid(&path), "bucket {bucket}");
+        }
+    }
+
+    #[test]
+    fn event_naming_an_unknown_entity_is_an_error_at_load() {
+        let entities = [file(1), file(2)];
+        for (subject, object) in [(2, 1), (0, 7)] {
+            let path = crafted(
+                "dangling-entity",
+                HOUR,
+                &["", "/a", "/b"],
+                &entities,
+                &[write_event(subject, object)],
+            );
+            assert!(load_is_invalid(&path), "event {subject} -> {object}");
+        }
+    }
+
+    #[test]
+    fn repeated_or_dangling_dictionary_entries_are_errors() {
+        // A repeated entity (or string) would re-intern to the first id and
+        // shift every id after it; a string id past the dictionary would
+        // panic when the entity's name is indexed.
+        let event = [write_event(0, 1)];
+        let repeated_entity = crafted(
+            "dup-entity",
+            HOUR,
+            &["", "/a", "/b"],
+            &[file(1), file(1), file(2)],
+            &event,
+        );
+        assert!(load_is_invalid(&repeated_entity));
+        let repeated_string = crafted(
+            "dup-string",
+            HOUR,
+            &["", "/a", "/a", "/b"],
+            &[file(1), file(3)],
+            &event,
+        );
+        assert!(load_is_invalid(&repeated_string));
+        let dangling_string = crafted(
+            "dangling-string",
+            HOUR,
+            &["", "/a"],
+            &[file(1), file(9)],
+            &event,
+        );
+        assert!(load_is_invalid(&dangling_string));
+    }
+
+    #[test]
+    fn other_snapshot_versions_are_refused() {
+        // Same bytes, older magic: the body is never parsed.
+        let path = tmpfile("old-magic");
+        save(&populated_store(), &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        for magic in [b"AQS1", b"AQS2", b"AQS3"] {
+            bytes[..4].copy_from_slice(magic);
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(
+                matches!(
+                    load(&path),
+                    Err(WalError::UnsupportedVersion { found }) if &found == magic
+                ),
+                "{}",
+                String::from_utf8_lossy(magic)
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -13,8 +13,9 @@ use crate::partition::{CompactionCancelled, Partition};
 use crate::segment::PartitionKey;
 use crate::stats::StoreStats;
 
-/// Tunables of the storage layer. Every optimization can be disabled so the
-/// ablation benches can measure its contribution.
+/// Tunables of the storage layer: the hypertable geometry and the write
+/// path's policies. The read path has no switches — scans go through
+/// [`EventStore::select_partition`].
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Width of a hypertable time bucket.
@@ -25,23 +26,6 @@ pub struct StoreConfig {
     pub dedup_window: Duration,
     /// Buffered observations that trigger an automatic batch commit.
     pub batch_size: usize,
-    /// Scans produce selection vectors evaluated directly against the
-    /// columns ([`Segment::select`]); disabled, they materialize an `Event`
-    /// per candidate row before verifying predicates (the seed's path).
-    pub selection_vectors: bool,
-    /// Posting-list access paths are chosen by estimated candidate count;
-    /// disabled, a fixed 64-id cutoff decides (the seed's rule).
-    pub cost_based_access: bool,
-    /// `LIKE` constraints resolve through trigram/prefix indexes over the
-    /// entity dictionary (posting-list intersection + verify); disabled,
-    /// every distinct string is matched against the pattern (the PR 1
-    /// behavior, kept for ablation).
-    pub ngram_index: bool,
-    /// Residual predicates of selection-vector scans run as chunked
-    /// columnar mask passes (64-row blocks writing a bitmask, then
-    /// compacting); disabled, a branchy per-row closure runs (the PR 1
-    /// behavior, kept for ablation).
-    pub vectorized_residual: bool,
     /// Size-tiered segment compaction runs automatically after each commit
     /// on the partitions the commit touched (explicit
     /// [`EventStore::compact`] is available either way). Disabled, every
@@ -78,10 +62,6 @@ impl Default for StoreConfig {
             dedup: true,
             dedup_window: Duration::from_secs(1),
             batch_size: 8192,
-            selection_vectors: true,
-            cost_based_access: true,
-            ngram_index: true,
-            vectorized_residual: true,
             compaction: true,
             compaction_min_segments: 4,
             compaction_max_rows: 1 << 20,
@@ -166,7 +146,7 @@ impl EventStore {
     /// Creates an empty store with the given configuration.
     pub fn new(config: StoreConfig) -> Self {
         EventStore {
-            entities: Arc::new(EntityStore::with_ngram_index(config.ngram_index)),
+            entities: Arc::new(EntityStore::new()),
             config,
             partitions: BTreeMap::new(),
             buffer: Vec::new(),
@@ -609,39 +589,17 @@ impl EventStore {
         self.partitions.keys().copied().collect()
     }
 
-    /// Selection-vector scan of one partition: sorted matching row ids for
-    /// columnar consumers (the engine's late-materialization path).
-    ///
-    /// With `selection_vectors` disabled, the row ids are produced the way
-    /// the seed moved data — materializing an `Event` per row and checking
-    /// the predicate against it — so the ablation benches can isolate what
-    /// evaluating predicates directly on the columns is worth.
+    /// Selection-vector scan of one partition: sorted matching flat row ids,
+    /// every predicate evaluated directly against the columns
+    /// ([`Segment::select`]) — no `Event` is materialized.
     pub fn select_partition(&self, key: PartitionKey, filter: &EventFilter) -> Vec<u32> {
-        let Some(part) = self.partitions.get(&key) else {
-            return Vec::new();
-        };
-        if self.config.selection_vectors {
-            return part.select(
-                key.agent,
-                filter,
-                self.config.cost_based_access,
-                self.config.vectorized_residual,
-            );
-        }
-        if !part.overlaps_window(filter) {
-            return Vec::new();
-        }
-        let mut rows = Vec::new();
-        for row in 0..part.len() {
-            if filter.matches(&part.event_at(key.agent, row)) {
-                rows.push(row as u32);
-            }
-        }
-        rows
+        self.partitions
+            .get(&key)
+            .map_or_else(Vec::new, |part| part.select(key.agent, filter))
     }
 
     /// Matching-row count for a filter, through the selection-vector path —
-    /// no events are materialized when `selection_vectors` is on.
+    /// no events are materialized.
     pub fn count(&self, filter: &EventFilter) -> usize {
         self.partitions_for(filter)
             .into_iter()
@@ -796,7 +754,7 @@ impl EventStore {
     /// partition in one dense overlay, and this re-splits them so the
     /// loaded store reproduces the saved sealed/overlay split exactly.
     /// `novelty` entries are looked up per partition; a partition absent
-    /// from it seals everything (the pre-overlay snapshot formats).
+    /// from it seals everything.
     pub(crate) fn restore_layout(
         &mut self,
         layouts: &[(PartitionKey, Vec<u32>)],
@@ -831,43 +789,31 @@ impl EventStore {
         }
     }
 
-    /// The access path the selection-vector scan would favor for a filter,
+    /// The access path the selection-vector scan takes for a filter,
     /// summarized over the filter's partitions — what `EXPLAIN` reports as
-    /// the chosen path. Mirrors the per-segment choice in
-    /// [`Segment::select`]: entity posting lists when the filter carries
-    /// resolved id sets, operation postings when they prune (the op rows
-    /// cover less than half the candidate rows), otherwise a columnar scan
-    /// (vectorized mask pass or per-row verify, per the store config).
+    /// the chosen path. Each label follows the per-segment choice in
+    /// [`Segment::select`]: entity posting lists when some segment the scan
+    /// reads resolves the filter's id sets through them (the same budget
+    /// test — a set whose postings cover more than half a segment is
+    /// declined there and is not named here), operation postings when they
+    /// prune (the op rows cover less than half the candidate rows),
+    /// otherwise the columnar mask scan.
     pub fn access_path(&self, filter: &EventFilter) -> &'static str {
-        let mut paths: Vec<&'static str> = Vec::new();
-        if filter.subjects.is_some() || filter.objects.is_some() {
-            paths.push("entity-postings");
-        }
-        if !filter.ops.is_all() {
-            let keys = self.partitions_for(filter);
-            let rows: usize = keys.iter().map(|k| self.partitions[k].len()).sum();
-            let op_rows: usize = keys
-                .iter()
-                .map(|k| {
-                    filter
-                        .ops
-                        .iter()
-                        .map(|op| self.partitions[k].op_count(op))
-                        .sum::<usize>()
-                })
-                .sum();
-            if op_rows * 2 < rows {
-                paths.push("op-postings");
-            }
-        }
-        match (paths.as_slice(), self.config.selection_vectors) {
-            (["entity-postings", "op-postings"], _) => "entity-postings∩op-postings",
-            (["entity-postings"], _) => "entity-postings",
-            (["op-postings"], _) => "op-postings",
-            ([], true) if self.config.vectorized_residual => "columnar-mask-scan",
-            ([], true) => "column-scan",
-            ([], false) => "row-scan",
-            _ => unreachable!("path list is built in a fixed order"),
+        let keys = self.partitions_for(filter);
+        let entity = keys
+            .iter()
+            .any(|k| self.partitions[k].uses_entity_postings(filter));
+        let rows: usize = keys.iter().map(|k| self.partitions[k].len()).sum();
+        let op_rows: usize = keys
+            .iter()
+            .flat_map(|k| filter.ops.iter().map(|op| self.partitions[k].op_count(op)))
+            .sum();
+        let op = !filter.ops.is_all() && op_rows * 2 < rows;
+        match (entity, op) {
+            (true, true) => "entity-postings∩op-postings",
+            (true, false) => "entity-postings",
+            (false, true) => "op-postings",
+            (false, false) => "columnar-mask-scan",
         }
     }
 }
@@ -911,13 +857,11 @@ impl std::fmt::Debug for Maintenance {
 
 #[derive(Debug)]
 struct SharedInner {
-    /// The writer's authoritative store. In snapshot mode readers never
-    /// touch this lock; in coarse mode it is the one lock everything takes.
+    /// The writer's authoritative store. Readers never touch this lock.
     writer: RwLock<EventStore>,
-    /// Last published immutable snapshot (`None` in coarse mode). The lock
-    /// is held only for the pointer swap/clone, never across query
-    /// execution.
-    published: RwLock<Option<Arc<EventStore>>>,
+    /// Last published immutable snapshot. The lock is held only for the
+    /// pointer swap/clone, never across query execution.
+    published: RwLock<Arc<EventStore>>,
     /// Reads that found the publish lock contended and had to wait for the
     /// pointer swap (not for the writer!). A high count means publishes are
     /// too frequent, not that queries block ingest.
@@ -936,55 +880,31 @@ struct SharedInner {
 
 /// A cloneable, thread-safe handle to a store.
 ///
-/// Two concurrency modes:
-///
-/// * **Snapshot mode** ([`SharedStore::new`], the default): every write
-///   publishes an immutable epoch-tagged `Arc` clone of the store (cheap —
-///   sealed segments and dictionaries are shared). [`SharedStore::read`]
-///   pins the current snapshot with a pointer clone and runs entirely
-///   lock-free: queries never block ingest, ingest never blocks queries,
-///   and a query sees one consistent store state for its whole run.
-/// * **Coarse mode** ([`SharedStore::new_coarse`]): the pre-snapshot
-///   behavior — one `RwLock` held for the whole closure on both sides.
-///   Kept as the bench baseline and for ablation.
+/// Every write publishes an immutable epoch-tagged `Arc` clone of the store
+/// (cheap — sealed segments and dictionaries are shared).
+/// [`SharedStore::read`] pins the current snapshot with a pointer clone and
+/// runs entirely lock-free: queries never block ingest, ingest never blocks
+/// queries, and a query sees one consistent store state for its whole run.
 #[derive(Debug, Clone)]
 pub struct SharedStore {
     inner: Arc<SharedInner>,
 }
 
 impl SharedStore {
-    /// Wraps a store in snapshot mode: reads pin published snapshots.
+    /// Wraps a store and publishes its first snapshot.
     pub fn new(store: EventStore) -> Self {
         let dict_cache = std::sync::Mutex::new(None);
         let snapshot = Arc::new(Self::publish_clone(&store, &dict_cache));
         SharedStore {
             inner: Arc::new(SharedInner {
                 writer: RwLock::new(store),
-                published: RwLock::new(Some(snapshot)),
+                published: RwLock::new(snapshot),
                 reader_stalls: std::sync::atomic::AtomicU64::new(0),
                 maintenance: std::sync::Mutex::new(Maintenance {
                     executor: None,
                     cancel: CancelToken::new(),
                 }),
                 dict_cache,
-            }),
-        }
-    }
-
-    /// Wraps a store in coarse-lock mode: readers hold the store lock for
-    /// their whole closure (the pre-snapshot behavior, kept as the bench
-    /// baseline).
-    pub fn new_coarse(store: EventStore) -> Self {
-        SharedStore {
-            inner: Arc::new(SharedInner {
-                writer: RwLock::new(store),
-                published: RwLock::new(None),
-                reader_stalls: std::sync::atomic::AtomicU64::new(0),
-                maintenance: std::sync::Mutex::new(Maintenance {
-                    executor: None,
-                    cancel: CancelToken::new(),
-                }),
-                dict_cache: std::sync::Mutex::new(None),
             }),
         }
     }
@@ -1014,18 +934,9 @@ impl SharedStore {
 
     /// Pins the current immutable snapshot: an epoch-tagged `Arc` the
     /// caller can query for as long as it likes without blocking ingest.
-    /// (Coarse mode materializes a one-off clone under the read lock.)
+    /// Counts a reader stall when the publish lock is momentarily
+    /// contended.
     pub fn snapshot(&self) -> Arc<EventStore> {
-        if let Some(snap) = self.acquire_published() {
-            return snap;
-        }
-        let guard = self.inner.writer.read().unwrap_or_else(|e| e.into_inner());
-        Arc::new(guard.clone())
-    }
-
-    /// The published snapshot, counting a reader stall when the publish
-    /// lock is momentarily contended. `None` in coarse mode.
-    fn acquire_published(&self) -> Option<Arc<EventStore>> {
         let guard = match self.inner.published.try_read() {
             Ok(guard) => guard,
             Err(std::sync::TryLockError::WouldBlock) => {
@@ -1042,41 +953,27 @@ impl SharedStore {
         guard.clone()
     }
 
-    /// Runs `f` with shared (read) access. Snapshot mode: `f` runs against
-    /// the pinned snapshot with no lock held — a long query never blocks
-    /// ingest or other readers. Coarse mode: `f` runs under the store's
-    /// read lock (the baseline being measured against).
+    /// Runs `f` with shared (read) access: against the pinned snapshot,
+    /// with no lock held — a long query never blocks ingest or other
+    /// readers.
     pub fn read<R>(&self, f: impl FnOnce(&EventStore) -> R) -> R {
-        if let Some(snap) = self.acquire_published() {
-            return f(&snap);
-        }
-        f(&self.inner.writer.read().unwrap_or_else(|e| e.into_inner()))
+        f(&self.snapshot())
     }
 
-    /// Runs `f` with exclusive (write) access. Snapshot mode additionally
-    /// publishes the post-write state (the publish happens while the write
-    /// lock is still held, so publishes are serialized in write order) and
-    /// then schedules any deferred background compaction.
+    /// Runs `f` with exclusive (write) access, publishes the post-write
+    /// state (while the write lock is still held, so publishes are
+    /// serialized in write order) and then schedules any deferred
+    /// background compaction.
     pub fn write<R>(&self, f: impl FnOnce(&mut EventStore) -> R) -> R {
         let mut guard = self.inner.writer.write().unwrap_or_else(|e| e.into_inner());
         let r = f(&mut guard);
-        let snapshot_mode = self
+        let snap = Arc::new(Self::publish_clone(&guard, &self.inner.dict_cache));
+        *self
             .inner
             .published
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .is_some();
-        let pending = if snapshot_mode {
-            let snap = Arc::new(Self::publish_clone(&guard, &self.inner.dict_cache));
-            *self
-                .inner
-                .published
-                .write()
-                .unwrap_or_else(|e| e.into_inner()) = Some(snap);
-            guard.take_maintenance()
-        } else {
-            guard.take_maintenance()
-        };
+            .write()
+            .unwrap_or_else(|e| e.into_inner()) = snap;
+        let pending = guard.take_maintenance();
         drop(guard);
         if !pending.is_empty() {
             self.run_maintenance(pending);
@@ -1355,6 +1252,44 @@ mod tests {
             reference.sort_unstable();
             assert_eq!(indexed, reference);
         }
+    }
+
+    #[test]
+    fn access_path_names_entity_postings_only_where_the_scan_takes_them() {
+        // One partition, 100 reads: `cat` is the subject of 90, `vim` of 10.
+        let mut store = EventStore::new(StoreConfig {
+            dedup: false,
+            ..StoreConfig::default()
+        });
+        let raws: Vec<RawEvent> = (0..100)
+            .map(|i| {
+                let exe = if i % 10 == 0 { "vim" } else { "cat" };
+                raw(1, Operation::Read, exe, &format!("/f{i}"), i, 1)
+            })
+            .collect();
+        store.ingest_all(&raws);
+        assert_eq!(store.stats().partitions, 1);
+        let subjects_named = |exe: &str| {
+            let sym = store.interner().get(exe).expect("ingested name");
+            let ids = store.entities().find(
+                aiql_model::EntityKind::Process,
+                None,
+                &[crate::entities::EntityConstraint::on_default(
+                    crate::entities::AttrCmp::Eq(aiql_model::Value::Str(sym)),
+                )],
+            );
+            EventFilter::all().with_subjects(crate::filter::IdSet::from_iter(ids))
+        };
+        // `vim` postings cover a tenth of the segment: the scan resolves
+        // them through the index and EXPLAIN says so.
+        let sparse = subjects_named("vim");
+        assert_eq!(store.count(&sparse), 10);
+        assert_eq!(store.access_path(&sparse), "entity-postings");
+        // `cat` postings cover most of it: `select` declines them for the
+        // column pass, so the label must not name them either.
+        let dense = subjects_named("cat");
+        assert_eq!(store.count(&dense), 90);
+        assert_eq!(store.access_path(&dense), "columnar-mask-scan");
     }
 
     #[test]
@@ -1799,22 +1734,6 @@ mod tests {
             !ids.is_empty(),
             "snapshot dictionary must resolve the new entity"
         );
-    }
-
-    #[test]
-    fn coarse_mode_still_serves_reads_and_writes() {
-        let shared = SharedStore::new_coarse(EventStore::default());
-        shared.write(|s| {
-            s.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 10, 100)]);
-        });
-        assert_eq!(shared.read(|s| s.event_count()), 1);
-        // Coarse snapshots are one-off clones, isolated the same way.
-        let pinned = shared.snapshot();
-        shared.write(|s| {
-            s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 20, 200)]);
-        });
-        assert_eq!(pinned.event_count(), 1);
-        assert_eq!(shared.read(|s| s.event_count()), 2);
     }
 
     #[test]

@@ -12,8 +12,10 @@
 //! events past the last marker separately ([`ReplayReport::uncommitted`]),
 //! so a crashed store rebuilds with exactly the batch boundaries — and
 //! therefore the physical segment layout — of a store that never crashed.
-//! Legacy `AQW1` files (bare event payloads, no markers) still replay, with
-//! every intact record treated as one committed batch.
+//! A log with another `AQW<n>` magic is refused with
+//! [`WalError::UnsupportedVersion`] by replay and by [`Wal::open_append`]
+//! alike, which leaves the file untouched: appending this format's frames
+//! under another format's header would make the next replay misparse them.
 //!
 //! A torn or corrupt tail is never an error: [`Wal::replay_report`] returns
 //! the intact prefix plus the dropped byte count, and [`Wal::open_append`]
@@ -31,9 +33,8 @@ use crate::codec::{self, CodecError};
 use crate::fault::{FaultWriter, IoFault};
 use crate::ingest::{EntitySpec, RawEvent};
 
-/// Legacy format: every payload is a bare event, no commit markers.
-const MAGIC_V1: &[u8; 4] = b"AQW1";
-/// Current format: payloads are `[kind][body]` (kind 0 = event, 1 = commit).
+/// The one format read and written: payloads are `[kind][body]` (kind 0 =
+/// event, 1 = commit).
 const MAGIC: &[u8; 4] = b"AQW2";
 
 /// Payload kind: one raw observation.
@@ -52,6 +53,22 @@ pub enum WalError {
     Codec(CodecError),
     /// The file does not start with the WAL magic.
     BadHeader,
+    /// The file is a WAL or snapshot of a format version this build neither
+    /// reads nor writes (`found` is its magic). Nothing was modified.
+    UnsupportedVersion { found: [u8; 4] },
+}
+
+impl WalError {
+    /// The error for a 4-byte header that is not `current`: the same
+    /// family (first three bytes) with another version digit is a format
+    /// this build does not read; anything else was never one of our files.
+    pub(crate) fn for_magic(found: [u8; 4], current: &[u8; 4]) -> Self {
+        if found[..3] == current[..3] && found[3].is_ascii_digit() {
+            WalError::UnsupportedVersion { found }
+        } else {
+            WalError::BadHeader
+        }
+    }
 }
 
 impl std::fmt::Display for WalError {
@@ -60,6 +77,11 @@ impl std::fmt::Display for WalError {
             WalError::Io(e) => write!(f, "wal io error: {e}"),
             WalError::Codec(e) => write!(f, "wal codec error: {e}"),
             WalError::BadHeader => write!(f, "not a wal file (bad magic)"),
+            WalError::UnsupportedVersion { found } => write!(
+                f,
+                "unsupported format version {:?}: written by another build",
+                String::from_utf8_lossy(found)
+            ),
         }
     }
 }
@@ -100,8 +122,8 @@ impl ReplayReport {
         self.batches.iter().map(Vec::len).sum()
     }
 
-    /// Every intact event, committed or not — the legacy [`Wal::replay`]
-    /// view of the log.
+    /// Every intact event, committed or not — what [`Wal::replay`]
+    /// returns.
     pub fn all_events(&self) -> Vec<RawEvent> {
         let mut out: Vec<RawEvent> = self.batches.iter().flatten().cloned().collect();
         out.extend(self.uncommitted.iter().cloned());
@@ -168,7 +190,8 @@ impl Wal {
     /// Reopens an existing WAL for appending, repairing a torn tail first:
     /// the file is truncated to the last intact frame, so the garbage a
     /// crash left behind can never shadow future appends. Returns the
-    /// replay report alongside the handle.
+    /// replay report alongside the handle. A file that is not a log of
+    /// this format is an error and is not opened for writing.
     pub fn open_append(path: &Path) -> Result<(Self, ReplayReport), WalError> {
         let report = Self::replay_report(path)?;
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
@@ -244,8 +267,9 @@ impl Wal {
 
     /// Replays a WAL file into a [`ReplayReport`]: committed batches, the
     /// unsealed tail, and how many trailing bytes were dropped as torn or
-    /// corrupt. Only a missing/unreadable file or a bad magic is an error —
-    /// any damage past the header is recovered around, never propagated.
+    /// corrupt. Only a missing/unreadable file, a bad magic or another
+    /// format version is an error — any damage past the header is recovered
+    /// around, never propagated.
     pub fn replay_report(path: &Path) -> Result<ReplayReport, WalError> {
         let file = File::open(path)?;
         let file_len = file.metadata()?.len();
@@ -263,7 +287,7 @@ impl Wal {
             // Shorter than the header: a crash during creation tore the
             // magic itself. A (possibly empty) prefix of a valid magic is
             // an empty torn WAL; anything else was never a WAL.
-            if MAGIC.starts_with(&magic[..got]) || MAGIC_V1.starts_with(&magic[..got]) {
+            if MAGIC.starts_with(&magic[..got]) {
                 return Ok(ReplayReport {
                     dropped_bytes: file_len,
                     ..ReplayReport::default()
@@ -271,11 +295,9 @@ impl Wal {
             }
             return Err(WalError::BadHeader);
         }
-        let legacy = match &magic {
-            m if m == MAGIC => false,
-            m if m == MAGIC_V1 => true,
-            _ => return Err(WalError::BadHeader),
-        };
+        if &magic != MAGIC {
+            return Err(WalError::for_magic(magic, MAGIC));
+        }
         let mut report = ReplayReport {
             valid_len: 4,
             ..ReplayReport::default()
@@ -300,40 +322,28 @@ impl Wal {
                 break; // corrupt frame: stop replay
             }
             let mut slice = payload.as_slice();
-            if legacy {
-                // v1: bare event payload; a decode failure on a CRC-valid
-                // frame still truncates rather than aborts recovery.
-                match decode_raw_event(&mut slice) {
+            match codec::get_u8(&mut slice) {
+                // A decode failure on a CRC-valid frame still truncates
+                // rather than aborts recovery.
+                Ok(KIND_EVENT) => match decode_raw_event(&mut slice) {
                     Ok(e) => report.uncommitted.push(e),
                     Err(_) => break,
-                }
-            } else {
-                match codec::get_u8(&mut slice) {
-                    Ok(KIND_EVENT) => match decode_raw_event(&mut slice) {
-                        Ok(e) => report.uncommitted.push(e),
+                },
+                Ok(KIND_COMMIT) => {
+                    let sealed = match codec::get_varint(&mut slice) {
+                        Ok(n) => n,
                         Err(_) => break,
-                    },
-                    Ok(KIND_COMMIT) => {
-                        let sealed = match codec::get_varint(&mut slice) {
-                            Ok(n) => n,
-                            Err(_) => break,
-                        };
-                        if sealed != report.uncommitted.len() as u64 {
-                            // The marker disagrees with the events on disk:
-                            // corruption. Recover the prefix before it.
-                            break;
-                        }
-                        report.batches.push(std::mem::take(&mut report.uncommitted));
+                    };
+                    if sealed != report.uncommitted.len() as u64 {
+                        // The marker disagrees with the events on disk:
+                        // corruption. Recover the prefix before it.
+                        break;
                     }
-                    _ => break, // unknown kind: stop at the last good frame
+                    report.batches.push(std::mem::take(&mut report.uncommitted));
                 }
+                _ => break, // unknown kind: stop at the last good frame
             }
             report.valid_len += 8 + len;
-        }
-        if legacy && !report.uncommitted.is_empty() {
-            // Legacy logs have no markers: every intact record is treated
-            // as committed (the pre-AQW2 recovery contract).
-            report.batches.push(std::mem::take(&mut report.uncommitted));
         }
         report.dropped_bytes = file_len.saturating_sub(report.valid_len);
         Ok(report)
@@ -604,11 +614,12 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_replay_as_one_committed_batch() {
-        let path = tmpfile("legacy");
-        // Hand-write an AQW1 file: magic + two bare event frames.
+    fn other_wal_version_is_refused_and_left_untouched() {
+        let path = tmpfile("aqw1");
+        // The pre-marker format: magic + two bare event frames. Replaying
+        // it as this format would read each event's first byte as a kind.
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(MAGIC_V1);
+        bytes.extend_from_slice(b"AQW1");
         for i in 0..2 {
             let mut payload = BytesMut::new();
             encode_raw_event(&mut payload, &sample(i));
@@ -618,11 +629,17 @@ mod tests {
             bytes.extend_from_slice(&payload);
         }
         std::fs::write(&path, &bytes).unwrap();
-        let report = Wal::replay_report(&path).unwrap();
-        assert_eq!(report.batches.len(), 1);
-        assert_eq!(report.batches[0].len(), 2);
-        assert!(report.uncommitted.is_empty());
-        assert!(!report.torn());
+        fn refused<T>(r: Result<T, WalError>) -> bool {
+            matches!(r, Err(WalError::UnsupportedVersion { found }) if &found == b"AQW1")
+        }
+        assert!(refused(Wal::replay_report(&path)));
+        // Appending kind-tagged frames under that magic is what lost
+        // acknowledged commits: open_append must refuse, byte for byte.
+        assert!(refused(Wal::open_append(&path)));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        // A bare magic is still a whole header, not a torn one.
+        std::fs::write(&path, b"AQW1").unwrap();
+        assert!(refused(Wal::replay_report(&path)));
         std::fs::remove_file(&path).ok();
     }
 

@@ -2,13 +2,13 @@
 //!
 //! The trigram-intersection + verify path, the prefix range scan, and the
 //! case-folded exact lookup must return *exactly* the id set of the naive
-//! full-dictionary scan (the PR 1 behavior, kept behind
-//! `StoreConfig::ngram_index = false`) for every pattern shape — `%`, `_`,
-//! prefix, suffix, infix, degenerate — over arbitrary dictionaries.
+//! `LIKE` — [`naive_like`] below, the pattern matched against every entity
+//! one at a time — for every pattern shape — `%`, `_`, prefix, suffix,
+//! infix, degenerate — over arbitrary dictionaries.
 
 use aiql_model::{
-    AgentId, EntityAttrs, EntityKind, FileAttrs, IpV4, NetConnAttrs, ProcessAttrs, Protocol,
-    StringPattern,
+    AgentId, EntityAttrs, EntityId, EntityKind, FileAttrs, IpV4, NetConnAttrs, ProcessAttrs,
+    Protocol, StringPattern,
 };
 use aiql_storage::{AttrCmp, EntityConstraint, EntityStore};
 use proptest::prelude::*;
@@ -59,36 +59,55 @@ fn arb_pattern() -> impl Strategy<Value = String> {
     proptest::collection::vec(piece, 1..5).prop_map(|ps| ps.concat())
 }
 
-/// Builds one store with the n-gram indexes and one without, holding the
-/// same names as both processes and files on alternating hosts.
-fn paired_stores(names: &[String]) -> (EntityStore, EntityStore) {
-    let mut indexed = EntityStore::with_ngram_index(true);
-    let mut naive = EntityStore::with_ngram_index(false);
-    for store in [&mut indexed, &mut naive] {
-        for (i, name) in names.iter().enumerate() {
-            let agent = AgentId((i % 3) as u32);
-            let sym = store.interner_mut().intern(name);
-            let user = store.interner_mut().intern("user");
-            let empty = store.interner_mut().intern("");
-            store.intern(
-                agent,
-                EntityAttrs::Process(ProcessAttrs {
-                    pid: i as u32,
-                    exe_name: sym,
-                    user,
-                    cmdline: empty,
-                }),
-            );
-            store.intern(
-                agent,
-                EntityAttrs::File(FileAttrs {
-                    name: sym,
-                    owner: user,
-                }),
-            );
-        }
+/// The reference `LIKE`: walks the dictionary in id order and matches the
+/// pattern against each entity's own rendering of its kind's default
+/// attribute — no index, no grouping by distinct string. Ascending by
+/// construction.
+fn naive_like(
+    store: &EntityStore,
+    kind: EntityKind,
+    agents: Option<&[AgentId]>,
+    pattern: &StringPattern,
+) -> Vec<EntityId> {
+    store
+        .iter()
+        .filter(|e| e.kind() == kind && agents.is_none_or(|a| a.contains(&e.agent)))
+        .filter(|e| match e.attrs {
+            EntityAttrs::Process(p) => pattern.matches(store.interner().resolve(p.exe_name)),
+            EntityAttrs::File(f) => pattern.matches(store.interner().resolve(f.name)),
+            EntityAttrs::NetConn(n) => pattern.matches(&n.dst_ip.to_string()),
+        })
+        .map(|e| e.id)
+        .collect()
+}
+
+/// A dictionary holding the same names as both processes and files on
+/// alternating hosts.
+fn store_with(names: &[String]) -> EntityStore {
+    let mut store = EntityStore::new();
+    for (i, name) in names.iter().enumerate() {
+        let agent = AgentId((i % 3) as u32);
+        let sym = store.interner_mut().intern(name);
+        let user = store.interner_mut().intern("user");
+        let empty = store.interner_mut().intern("");
+        store.intern(
+            agent,
+            EntityAttrs::Process(ProcessAttrs {
+                pid: i as u32,
+                exe_name: sym,
+                user,
+                cmdline: empty,
+            }),
+        );
+        store.intern(
+            agent,
+            EntityAttrs::File(FileAttrs {
+                name: sym,
+                owner: user,
+            }),
+        );
     }
-    (indexed, naive)
+    store
 }
 
 proptest! {
@@ -102,7 +121,7 @@ proptest! {
         patterns in proptest::collection::vec(arb_pattern(), 1..8),
         restrict in 0u32..4,
     ) {
-        let (indexed, naive) = paired_stores(&names);
+        let store = store_with(&names);
         let agents = [AgentId(0), AgentId(1)];
         let restriction: Option<&[AgentId]> = match restrict {
             0 => None,
@@ -111,19 +130,14 @@ proptest! {
             _ => Some(&[]),
         };
         for pat in &patterns {
-            let c = [EntityConstraint::on_default(AttrCmp::Like(
-                StringPattern::new(pat),
-            ))];
+            let pattern = StringPattern::new(pat);
+            let c = [EntityConstraint::on_default(AttrCmp::Like(pattern.clone()))];
             for kind in [EntityKind::Process, EntityKind::File] {
-                let a = indexed.find(kind, restriction, &c);
-                let b = naive.find(kind, restriction, &c);
+                let a = store.find(kind, restriction, &c);
+                let b = naive_like(&store, kind, restriction, &pattern);
                 prop_assert!(
                     a.windows(2).all(|w| w[0] < w[1]),
                     "indexed result must be sorted+deduped for {pat:?}"
-                );
-                prop_assert!(
-                    b.windows(2).all(|w| w[0] < w[1]),
-                    "naive result must be sorted+deduped for {pat:?}"
                 );
                 prop_assert_eq!(a, b, "kind {:?} pattern {:?}", kind, pat);
             }
@@ -148,29 +162,24 @@ proptest! {
             1..6,
         ),
     ) {
-        let mut indexed = EntityStore::with_ngram_index(true);
-        let mut naive = EntityStore::with_ngram_index(false);
-        for store in [&mut indexed, &mut naive] {
-            for &(a, b, c, d) in &octets {
-                store.intern(
-                    AgentId(1),
-                    EntityAttrs::NetConn(NetConnAttrs {
-                        src_ip: IpV4::from_octets(10, 0, 0, 1),
-                        src_port: 1000,
-                        dst_ip: IpV4::from_octets(a as u8, b as u8, c as u8, d as u8),
-                        dst_port: 443,
-                        protocol: Protocol::Tcp,
-                    }),
-                );
-            }
+        let mut store = EntityStore::new();
+        for &(a, b, c, d) in &octets {
+            store.intern(
+                AgentId(1),
+                EntityAttrs::NetConn(NetConnAttrs {
+                    src_ip: IpV4::from_octets(10, 0, 0, 1),
+                    src_port: 1000,
+                    dst_ip: IpV4::from_octets(a as u8, b as u8, c as u8, d as u8),
+                    dst_port: 443,
+                    protocol: Protocol::Tcp,
+                }),
+            );
         }
         for pat in &patterns {
-            let c = [EntityConstraint::on(
-                "dstip",
-                AttrCmp::Like(StringPattern::new(pat)),
-            )];
-            let a = indexed.find(EntityKind::NetConn, None, &c);
-            let b = naive.find(EntityKind::NetConn, None, &c);
+            let pattern = StringPattern::new(pat);
+            let c = [EntityConstraint::on("dstip", AttrCmp::Like(pattern.clone()))];
+            let a = store.find(EntityKind::NetConn, None, &c);
+            let b = naive_like(&store, EntityKind::NetConn, None, &pattern);
             prop_assert_eq!(a, b, "pattern {:?}", pat);
         }
     }
