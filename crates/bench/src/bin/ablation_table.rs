@@ -1,6 +1,8 @@
-//! Prints the design-choice ablation summary as a table (the criterion
-//! bench `ablation` measures the same comparisons with statistics; this
-//! binary gives the quick overview used in EXPERIMENTS.md).
+//! Prints the design-choice ablation as a table: each of the paper's five
+//! engine optimizations switched off alone, then all together, over the
+//! demo catalog; on the storage side, dedup, batch size and indexed vs
+//! full scans. Best-of-3 wall times, no statistics — thread scaling is the
+//! repo benchmark's `engine.pool.pass_ms_t*`.
 //!
 //! ```sh
 //! cargo run --release -p aiql-bench --bin ablation_table

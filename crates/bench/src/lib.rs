@@ -1,22 +1,21 @@
-//! Shared helpers for the AIQL benchmark harness.
+//! Shared helpers for the paper-table bins.
 //!
-//! The benches regenerate every table and figure of the paper's evaluation:
+//! `crates/bench` is two things. The repo benchmark (`bin/benchmark/`, a
+//! package of its own that `BENCHMARK.json` builds) measures performance
+//! end to end and layer by layer and uses nothing from this library. The
+//! four table bins regenerate one artefact of the paper's evaluation each:
 //!
-//! * `benches/fig4.rs` + `bin/fig4_table.rs` — Figure 4: per-query
-//!   execution time of the 19 demo-attack investigation queries, AIQL vs
-//!   PostgreSQL-style baseline (both on the optimized storage);
-//! * `benches/fig5.rs` + `bin/fig5_table.rs` — Figure 5: the 26 case-study
-//!   queries, AIQL vs PostgreSQL-style baseline *without* the storage
-//!   optimizations vs Neo4j-style graph baseline;
-//! * `bin/conciseness.rs` — the §3 conciseness comparison (constraints,
-//!   words, characters of AIQL vs generated SQL/Cypher);
-//! * `benches/ablation.rs` — contribution of each design choice (pruning
+//! * `bin/fig4_table.rs` — Figure 4: per-query execution time of the 19
+//!   demo-attack investigation queries, AIQL vs PostgreSQL-style baseline
+//!   (both on the optimized storage);
+//! * `bin/fig5_table.rs` — Figure 5: the 26 case-study queries, AIQL vs
+//!   PostgreSQL-style baseline *without* the storage optimizations vs
+//!   Neo4j-style graph baseline;
+//! * `bin/ablation_table.rs` — contribution of each design choice (pruning
 //!   scheduling, partition parallelism, semi-join pushdown, temporal
 //!   narrowing, dedup, batch size, indexes);
-//! * `benches/micro.rs` — substrate microbenchmarks (parser, pattern
-//!   matcher, scans, WAL, snapshots).
-
-pub mod support;
+//! * `bin/conciseness.rs` — the §3 conciseness comparison (constraints,
+//!   words, characters of AIQL vs generated SQL/Cypher).
 
 use std::time::Instant;
 
@@ -24,9 +23,8 @@ use aiql_engine::ResultTable;
 use aiql_sim::{build_store, scenario_case_study, scenario_demo, Scale};
 use aiql_storage::{EventStore, StoreConfig};
 
-/// Dataset scale used by the criterion benches (kept moderate so a full
-/// `cargo bench --workspace` finishes in minutes; the table binaries accept
-/// `AIQL_BENCH_EVENTS` to scale up).
+/// Dataset scale of the table bins: small by default so all four finish in
+/// seconds; `AIQL_BENCH_EVENTS` (events per host) scales it.
 pub fn bench_scale() -> Scale {
     let events_per_host = std::env::var("AIQL_BENCH_EVENTS")
         .ok()
@@ -73,19 +71,6 @@ pub fn time_best_of<T>(n: usize, mut f: impl FnMut() -> T) -> f64 {
 /// plots log10 of milliseconds-to-seconds timings).
 pub fn log10_secs(secs: f64) -> f64 {
     secs.max(1e-7).log10()
-}
-
-/// Appends the host-provenance fields every bench JSON carries: the
-/// machine's core count and the effective executor thread count
-/// (`EngineConfig::parallelism` defaults to the host size, so speedup
-/// numbers are only interpretable with both recorded).
-pub fn push_host_meta(json: &mut String, executor_threads: usize) {
-    use std::fmt::Write;
-    let host_cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let _ = writeln!(json, "  \"host_cores\": {host_cores},");
-    let _ = writeln!(json, "  \"executor_threads\": {executor_threads},");
 }
 
 /// Sanity guard used by the table binaries: results must be non-empty.

@@ -9,6 +9,7 @@
 //! frequency-based behavioral models (e.g. moving averages).
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use aiql_lang::Expr;
 use aiql_model::{Duration, Timestamp, Value};
@@ -18,55 +19,46 @@ use crate::analyze::AnalyzedAnomaly;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::eval::{self, RowCtx};
-use crate::exec::{MultieventExec, Tuple};
+use crate::exec::{flag_trip, MultieventExec, Tuple};
+use crate::governor::Governor;
+use crate::op::project::AggAcc;
 use crate::result::ResultTable;
 
-/// Executes an anomaly query end to end.
-pub fn run_anomaly(
-    store: &EventStore,
-    a: &AnalyzedAnomaly,
-    config: &EngineConfig,
-) -> Result<ResultTable, EngineError> {
-    run_anomaly_pooled(store, a, config, None)
-}
-
-/// [`run_anomaly`] with an optional persistent scan pool for the candidate
-/// fetch.
+/// Executes an anomaly query end to end: the candidate fetch runs on the
+/// optional persistent scan pool, and both the fetch and the window loop
+/// answer to `governor`. In error mode a trip is its typed error; in
+/// partial mode the table is the rows of the windows finished before the
+/// trip, flagged `truncated` with the governor's warning.
 pub fn run_anomaly_pooled(
     store: &EventStore,
     a: &AnalyzedAnomaly,
     config: &EngineConfig,
-    pool: Option<std::sync::Arc<crate::pool::ScanPool>>,
+    pool: Option<Arc<crate::pool::ScanPool>>,
+    governor: Option<Arc<Governor>>,
 ) -> Result<ResultTable, EngineError> {
     // Phase 1: fetch matching events with the multievent machinery (one
     // pattern, so tuples are single events).
-    let exec = MultieventExec::new(store, &a.base, config).with_pool(pool);
+    let exec = MultieventExec::new(store, &a.base, config)
+        .with_pool(pool)
+        .with_governor(governor.clone());
     let (tuples, truncated, _) = exec.match_tuples()?;
-    run_anomaly_over_tuples(store, a, tuples, truncated)
+    let mut table = run_anomaly_windows(store, a, tuples, truncated, false, governor.as_deref())?;
+    flag_trip(&mut table, governor.as_deref());
+    Ok(table)
 }
 
-/// Runs the sliding-window aggregation over already-fetched tuples (shared
-/// with the baseline engines, which fetch candidates their own way).
-pub fn run_anomaly_over_tuples(
-    store: &EventStore,
-    a: &AnalyzedAnomaly,
-    tuples: Vec<Tuple>,
-    truncated: bool,
-) -> Result<ResultTable, EngineError> {
-    run_anomaly_windows(store, a, tuples, truncated, false)
-}
-
-/// Like [`run_anomaly_over_tuples`] but assigning events to windows by a
-/// per-window linear filter instead of sort + binary search — the cost
-/// model of a general-purpose engine nested-looping `generate_series`
-/// against the event set (used by the baselines).
+/// Runs the sliding-window aggregation over already-fetched tuples,
+/// assigning events to windows by a per-window linear filter instead of
+/// sort + binary search — the cost model of a general-purpose engine
+/// nested-looping `generate_series` against the event set (the baselines
+/// fetch candidates their own way and aggregate here).
 pub fn run_anomaly_over_tuples_naive(
     store: &EventStore,
     a: &AnalyzedAnomaly,
     tuples: Vec<Tuple>,
     truncated: bool,
 ) -> Result<ResultTable, EngineError> {
-    run_anomaly_windows(store, a, tuples, truncated, true)
+    run_anomaly_windows(store, a, tuples, truncated, true, None)
 }
 
 fn run_anomaly_windows(
@@ -75,6 +67,7 @@ fn run_anomaly_windows(
     mut tuples: Vec<Tuple>,
     truncated: bool,
     naive_window_assignment: bool,
+    governor: Option<&Governor>,
 ) -> Result<ResultTable, EngineError> {
     let columns: Vec<String> = a
         .base
@@ -181,6 +174,14 @@ fn run_anomaly_windows(
     let mut indices_buf: Vec<usize> = Vec::new();
     let mut w_start = range_start.micros();
     while w_start < range_end.micros() {
+        if let Some(g) = governor {
+            if let Err(t) = g.check() {
+                if !g.partial() {
+                    return Err(g.error(t));
+                }
+                break;
+            }
+        }
         let w_end = w_start + length;
         // Tuples with start_time in [w_start, w_end).
         indices_buf.clear();
@@ -204,7 +205,7 @@ fn run_anomaly_windows(
         if !indices_buf.is_empty() {
             // Group by precomputed keys, accumulating precomputed inputs.
             let mut order: Vec<&str> = Vec::new();
-            let mut groups: HashMap<&str, (usize, Vec<PublicAgg>)> = HashMap::new();
+            let mut groups: HashMap<&str, (usize, Vec<AggAcc>)> = HashMap::new();
             for &ti in &indices_buf {
                 let key = tuple_keys[ti].as_str();
                 let entry = match groups.get_mut(key) {
@@ -213,7 +214,7 @@ fn run_anomaly_windows(
                         order.push(key);
                         groups
                             .entry(key)
-                            .or_insert((ti, aggs.iter().map(|_| PublicAgg::default()).collect()))
+                            .or_insert((ti, aggs.iter().map(|_| AggAcc::new()).collect()))
                     }
                 };
                 for (acc, v) in entry.1.iter_mut().zip(&tuple_inputs[ti]) {
@@ -227,7 +228,7 @@ fn run_anomaly_windows(
                 for ((name, (_, func, _)), acc) in
                     agg_aliases.iter().zip(aggs.iter()).zip(accs.iter())
                 {
-                    ctx.aliases.insert(name.clone(), acc.finalize_public(*func));
+                    ctx.aliases.insert(name.clone(), acc.finalize(*func));
                 }
                 // Alias env from return items (needed by having and by
                 // future windows' history lookups).
@@ -313,56 +314,4 @@ fn tuple_ctx_for<'a>(base: &'a crate::analyze::AnalyzedMultievent, t: &Tuple) ->
         }
     }
     ctx
-}
-
-/// A small standalone aggregate accumulator (the exec one is private).
-#[derive(Debug, Clone, Default)]
-pub struct PublicAgg {
-    count: u64,
-    sum: f64,
-    min: Option<f64>,
-    max: Option<f64>,
-    any_float: bool,
-}
-
-impl PublicAgg {
-    /// Adds one value (Null is skipped).
-    pub fn add(&mut self, v: Value) {
-        if v.is_null() {
-            return;
-        }
-        if let Some(x) = v.as_f64() {
-            self.count += 1;
-            self.sum += x;
-            self.min = Some(self.min.map_or(x, |m| m.min(x)));
-            self.max = Some(self.max.map_or(x, |m| m.max(x)));
-            if !matches!(v, Value::Int(_)) {
-                self.any_float = true;
-            }
-        }
-    }
-
-    /// Finalizes for an aggregate function.
-    pub fn finalize_public(&self, func: aiql_lang::AggFunc) -> Value {
-        use aiql_lang::AggFunc::*;
-        match func {
-            Count => Value::Int(self.count as i64),
-            Sum => {
-                if self.any_float {
-                    Value::Float(self.sum)
-                } else {
-                    Value::Int(self.sum as i64)
-                }
-            }
-            Avg => {
-                if self.count == 0 {
-                    Value::Null
-                } else {
-                    Value::Float(self.sum / self.count as f64)
-                }
-            }
-            Min => self.min.map(Value::Float).unwrap_or(Value::Null),
-            Max => self.max.map(Value::Float).unwrap_or(Value::Null),
-        }
-    }
 }

@@ -220,11 +220,9 @@ impl Engine {
     /// and/or a byte budget on intermediate state, checked cooperatively
     /// at batch boundaries throughout the pipeline. With
     /// `partial_results`, a tripped budget returns the prefix of results
-    /// produced so far (flagged with a warning) instead of an error.
-    ///
-    /// Anomaly queries run their aggregation loop ungoverned for now: their
-    /// per-partition pass has no intermediate frontier to budget, so only
-    /// multievent and dependency queries consult the governor.
+    /// produced so far (flagged with a warning) instead of an error. For an
+    /// anomaly query that prefix is the rows of the windows aggregated
+    /// before the trip.
     pub fn execute_with_budget(
         &self,
         store: &EventStore,
@@ -252,7 +250,13 @@ impl Engine {
             }
             Query::Anomaly(anom) => {
                 let a = analyze::analyze_anomaly(anom, store)?;
-                anomaly::run_anomaly_pooled(store, &a, &self.config, self.pool())
+                anomaly::run_anomaly_pooled(
+                    store,
+                    &a,
+                    &self.config,
+                    self.pool(),
+                    self.governor(budget),
+                )
             }
         }
     }

@@ -122,15 +122,7 @@ impl<'a> MultieventExec<'a> {
             .table
             .take()
             .ok_or_else(|| op::internal("projection operator left no result table"))?;
-        // A sticky governor trip in partial mode means the pipeline stopped
-        // early somewhere: surface it as a truncation plus a warning so the
-        // caller can tell a budgeted prefix from a complete result.
-        if let Some(g) = &self.governor {
-            if let Some(t) = g.trip() {
-                table.truncated = true;
-                table.warnings.push(g.warning(t));
-            }
-        }
+        flag_trip(&mut table, self.governor.as_deref());
         Ok((table, st.stats))
     }
 
@@ -147,5 +139,18 @@ impl<'a> MultieventExec<'a> {
         let tuples = st.frontier.materialize(&env.parts);
         let tripped = self.governor.as_ref().is_some_and(|g| g.trip().is_some());
         Ok((tuples, st.truncated || tripped, st.stats))
+    }
+}
+
+/// A sticky governor trip on a query that still returned a table (partial
+/// mode) means it stopped early somewhere: surface it as a truncation plus
+/// a warning so the caller can tell a budgeted prefix from a complete
+/// result.
+pub(crate) fn flag_trip(table: &mut ResultTable, governor: Option<&Governor>) {
+    if let Some(g) = governor {
+        if let Some(t) = g.trip() {
+            table.truncated = true;
+            table.warnings.push(g.warning(t));
+        }
     }
 }

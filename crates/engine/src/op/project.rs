@@ -111,7 +111,7 @@ const EXACT_SUM: f64 = (1u64 << 52) as f64;
 
 /// Aggregate accumulator.
 #[derive(Debug, Clone, Default)]
-struct AggAcc {
+pub(crate) struct AggAcc {
     count: u64,
     sum: f64,
     all_int: bool,
@@ -124,7 +124,7 @@ struct AggAcc {
 }
 
 impl AggAcc {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         AggAcc {
             all_int: true,
             exact: true,
@@ -132,7 +132,7 @@ impl AggAcc {
         }
     }
 
-    fn add(&mut self, v: Value) {
+    pub(crate) fn add(&mut self, v: Value) {
         if v.is_null() {
             return;
         }
@@ -174,7 +174,7 @@ impl AggAcc {
         };
     }
 
-    fn finalize(&self, func: aiql_lang::AggFunc) -> Value {
+    pub(crate) fn finalize(&self, func: aiql_lang::AggFunc) -> Value {
         use aiql_lang::AggFunc::*;
         match func {
             Count => Value::Int(self.count as i64),

@@ -714,38 +714,53 @@ mod tests {
 
     #[test]
     fn memory_pressure_degrades_instead_of_failing() {
-        // Pool fits one full grant plus one floor share; the tiny floor
-        // grant actually trips on a real query.
-        let service = QueryService::new(
-            tiny_store(),
-            ServiceConfig {
-                dispatchers: 0,
-                total_memory_bytes: (1 << 20) + 64,
-                per_query_memory_bytes: 1 << 20,
-                min_grant_bytes: 64,
-                engine: serial_engine_config(),
-                ..ServiceConfig::default()
-            },
-        );
-        let s = service.create_session().unwrap();
-        // Hold the whole pool hostage, then serve a query: admission must
-        // degrade it to a floor grant rather than fail or deadlock.
-        let hostage = service.inner.admission.acquire().unwrap();
-        assert!(!hostage.degraded);
-        let ticket = service.submit(s, SIMPLE).unwrap();
-        assert!(service.dispatch_one());
-        let resp = ticket.wait().unwrap();
-        assert!(resp.degraded, "pressure must mark the response degraded");
-        assert!(
-            !resp.table.warnings.is_empty() || resp.table.truncated,
-            "a 1-byte budget trips: the prefix carries a warning"
-        );
-        assert_eq!(service.stats().degraded, 1);
-        service.inner.admission.release(hostage);
-        // Pool restored: the next query gets a full grant again.
-        let ticket = service.submit(s, SIMPLE).unwrap();
-        assert!(service.dispatch_one());
-        assert!(!ticket.wait().unwrap().degraded);
+        let direct = tiny_store().read(|s| {
+            Engine::new(serial_engine_config())
+                .execute_text(s, SIMPLE)
+                .unwrap()
+        });
+        // Pool fits one full grant plus one floor share. A 64-byte floor
+        // trips on a real query; a roomy one runs it to completion.
+        for floor in [64u64, 1 << 19] {
+            let service = QueryService::new(
+                tiny_store(),
+                ServiceConfig {
+                    dispatchers: 0,
+                    total_memory_bytes: (1 << 20) + floor,
+                    per_query_memory_bytes: 1 << 20,
+                    min_grant_bytes: floor,
+                    engine: serial_engine_config(),
+                    ..ServiceConfig::default()
+                },
+            );
+            let s = service.create_session().unwrap();
+            // Hold the whole pool hostage, then serve a query: admission
+            // must degrade it to a floor grant rather than fail or deadlock.
+            let hostage = service.inner.admission.acquire().unwrap();
+            assert!(!hostage.degraded);
+            let ticket = service.submit(s, SIMPLE).unwrap();
+            assert!(service.dispatch_one());
+            let resp = ticket.wait().unwrap();
+            assert!(resp.degraded, "pressure must mark the response degraded");
+            if floor == 64 {
+                assert!(
+                    resp.table.truncated && !resp.table.warnings.is_empty(),
+                    "a tripped floor grant truncates with a warning"
+                );
+            } else {
+                assert!(!resp.table.truncated);
+                assert_eq!(
+                    resp.table.rows, direct.rows,
+                    "an untripped degraded run is the exact answer"
+                );
+            }
+            assert_eq!(service.stats().degraded, 1);
+            service.inner.admission.release(hostage);
+            // Pool restored: the next query gets a full grant again.
+            let ticket = service.submit(s, SIMPLE).unwrap();
+            assert!(service.dispatch_one());
+            assert!(!ticket.wait().unwrap().degraded);
+        }
     }
 
     #[test]

@@ -133,6 +133,39 @@ proptest! {
         }
     }
 
+    /// One tumbling window that covers every event is the multievent
+    /// `group by`: the two query kinds aggregate through one accumulator,
+    /// whatever the argument's type (`count` of a string counts it, `min`
+    /// of a time is a time).
+    #[test]
+    fn one_covering_window_equals_multievent_group_by(
+        transfers in proptest::collection::vec(arb_transfer(), 1..60),
+    ) {
+        let store = build_store(&transfers);
+        let engine = Engine::new(EngineConfig::default());
+        let aggs: Vec<String> = ["count", "min", "max", "sum", "avg"]
+            .iter()
+            .flat_map(|f| {
+                ["p.exe_name", "evt.starttime", "evt.amount"]
+                    .iter()
+                    .map(move |arg| format!("{f}({arg})"))
+            })
+            .collect();
+        for group in ["p", "i"] {
+            let body = format!(
+                "proc p write ip i as evt return {group}, count(p), {} group by {group}",
+                aggs.join(", ")
+            );
+            let multievent = engine.execute_text(&store, &body).unwrap().normalized();
+            let windowed = engine
+                .execute_text(&store, &format!("window = 1 day, step = 1 day {body}"))
+                .unwrap()
+                .normalized();
+            prop_assert_eq!(&windowed.columns, &multievent.columns);
+            prop_assert_eq!(windowed.rows, multievent.rows, "group by {}", group);
+        }
+    }
+
     /// The naive (baseline) window assignment returns identical rows.
     #[test]
     fn naive_assignment_equivalent(transfers in proptest::collection::vec(arb_transfer(), 1..40)) {

@@ -18,11 +18,13 @@
 //!   `WorkerPanic` for the owning query only; the process-wide pool keeps
 //!   serving subsequent queries.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use aiql_engine::{
-    CancelToken, Engine, EngineConfig, EngineError, ExecBudget, ManualClock, ResultTable, Warning,
+    CancelToken, Clock, Engine, EngineConfig, EngineError, ExecBudget, ManualClock, ResultTable,
+    Warning,
 };
 use aiql_lang::parse_query;
 use aiql_model::{AgentId, Operation, Timestamp, Value};
@@ -248,10 +250,19 @@ fn mid_query_cancel_from_another_thread_is_clean_and_sticky() {
     };
     // Depending on timing the query finishes first or observes the cancel;
     // both are clean outcomes, anything else is a containment bug.
+    let started = Instant::now();
     match engine.execute_with_budget(&store, &query, &budget) {
         Ok(_) => {}
         Err(e) => assert_eq!(e, EngineError::Cancelled),
     }
+    // Enforcement is bounded by `GOV_CHECK_INTERVAL` tuples of work, not by
+    // query size. The bound is loose on purpose: it catches a cancel that
+    // is ignored until the join finishes, not a slow host.
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "cancel took {:?} to surface",
+        started.elapsed()
+    );
     canceller.join().unwrap();
 
     // The trip is sticky on the token, not the engine: a fresh run under
@@ -393,7 +404,22 @@ proptest! {
         );
 
         let after = engine.execute(&store, &query).unwrap();
-        prop_assert_eq!(before.rows, after.rows);
+        prop_assert_eq!(&before.rows, &after.rows);
+
+        // Every limit armed, none reachable: the governed fast path must
+        // not change a byte of the answer or warn.
+        let armed = engine
+            .execute_with_budget(
+                &store,
+                &query,
+                &ExecBudget::unlimited()
+                    .with_deadline(Duration::from_secs(3_600))
+                    .with_memory_bytes(1 << 40)
+                    .with_cancel(CancelToken::new()),
+            )
+            .unwrap();
+        prop_assert_eq!(&before.rows, &armed.rows);
+        prop_assert!(!armed.truncated && armed.warnings.is_empty());
     }
 }
 
@@ -611,5 +637,100 @@ fn deadline_enforcement_follows_the_injected_clock() {
     assert_eq!(
         still_frozen.rows, full.rows,
         "governors anchor at construction: advancing beforehand must not expire a fresh run"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Anomaly queries answer to the same budget: the fetch runs under the
+// governor and the window loop polls it once per window, so a trip is the
+// typed error, or in partial mode the rows of the windows already finished.
+// ---------------------------------------------------------------------------
+
+/// 60 tumbling windows over `flood_raws(6000)`, a row per (process, file)
+/// group in each.
+const ANOMALY_QUERY: &str = "window = 100 sec, step = 100 sec \
+    proc p write file f as e \
+    return p, f, count(e.amount) as c group by p, f";
+
+/// A clock that moves one millisecond every time it is read, so a deadline
+/// of `n` ms trips at the governor's `n`-th poll on any host.
+#[derive(Debug)]
+struct StepClock {
+    anchor: Instant,
+    reads: AtomicU64,
+}
+
+impl Clock for StepClock {
+    fn now(&self) -> Instant {
+        self.anchor + Duration::from_millis(self.reads.fetch_add(1, Ordering::Relaxed))
+    }
+}
+
+#[test]
+fn anomaly_queries_honour_cancel_and_deadline() {
+    let store = build_store(&flood_raws(6000));
+    let engine = Engine::new(config(false));
+    let full = engine.execute_text(&store, ANOMALY_QUERY).unwrap();
+    assert!(full.rows.len() >= 60 && !full.truncated);
+
+    let token = CancelToken::new();
+    token.cancel();
+    let err = engine
+        .execute_text_with_budget(
+            &store,
+            ANOMALY_QUERY,
+            &ExecBudget::unlimited().with_cancel(token),
+        )
+        .unwrap_err();
+    assert_eq!(err, EngineError::Cancelled);
+
+    let expired = ExecBudget::unlimited()
+        .with_deadline(Duration::ZERO)
+        .with_clock(Arc::new(ManualClock::new()));
+    let err = engine
+        .execute_text_with_budget(&store, ANOMALY_QUERY, &expired)
+        .unwrap_err();
+    assert_eq!(err, EngineError::DeadlineExceeded { deadline_ms: 0 });
+
+    // An untripped budget changes nothing.
+    let roomy = ExecBudget::unlimited().with_deadline(Duration::from_secs(3_600));
+    let t = engine
+        .execute_text_with_budget(&store, ANOMALY_QUERY, &roomy)
+        .unwrap();
+    assert_eq!(t.rows, full.rows);
+    assert!(!t.truncated && t.warnings.is_empty());
+}
+
+#[test]
+fn anomaly_partial_mode_stops_at_a_window_boundary() {
+    let store = build_store(&flood_raws(6000));
+    let engine = Engine::new(config(false));
+    let full = engine.execute_text(&store, ANOMALY_QUERY).unwrap();
+
+    let mut saw_nonempty_truncation = false;
+    for deadline_ms in [1u64, 10, 20, 40, 80, 100_000] {
+        let budget = ExecBudget::unlimited()
+            .with_deadline(Duration::from_millis(deadline_ms))
+            .with_clock(Arc::new(StepClock {
+                anchor: Instant::now(),
+                reads: AtomicU64::new(0),
+            }))
+            .with_partial_results(true);
+        let t = engine
+            .execute_text_with_budget(&store, ANOMALY_QUERY, &budget)
+            .unwrap();
+        assert_prefix(&t, &full);
+        if t.truncated {
+            assert_eq!(t.warnings, vec![Warning::DeadlineExceeded { deadline_ms }]);
+            assert!(t.rows.len() < full.rows.len());
+            saw_nonempty_truncation |= !t.rows.is_empty();
+        } else {
+            assert_eq!(t.rows.len(), full.rows.len());
+            assert!(t.warnings.is_empty());
+        }
+    }
+    assert!(
+        saw_nonempty_truncation,
+        "no deadline in the sweep stopped the window loop part-way"
     );
 }

@@ -1,7 +1,9 @@
 //! Cross-engine equivalence: the optimized AIQL engine, the relational
 //! baseline (with and without optimized storage), and the graph baseline
 //! must return identical result sets on every catalog query — the
-//! benchmarks then compare pure execution strategy, not semantics.
+//! benchmarks then compare pure execution strategy, not semantics. The same
+//! catalog must also answer identically whatever the store's physical
+//! layout (fragmented, compacted, auto-compacted).
 
 use aiql::baseline::{GraphEngine, RelationalEngine};
 use aiql::sim::{
@@ -146,5 +148,53 @@ fn dedup_off_still_equivalent_for_distinct_queries() {
         ra.sort();
         rb.sort();
         assert_eq!(ra, rb, "{}: dedup changed distinct results", cq.id);
+    }
+}
+
+#[test]
+fn fragmented_compacted_and_auto_layouts_agree_on_the_demo_catalog() {
+    // Identical raw stream and commit boundaries (tiny batches, the layout
+    // continuous ingest produces); only the physical layout differs.
+    let scenario = scenario_demo(Scale::test());
+    let layout = |compaction: bool| {
+        build_store(
+            &scenario,
+            StoreConfig {
+                batch_size: 64,
+                compaction,
+                ..StoreConfig::default()
+            },
+        )
+    };
+    let fragmented = layout(false);
+    let mut compacted = layout(false);
+    let report = compacted.compact();
+    let auto = layout(true);
+    let (frag, dense) = (fragmented.stats(), compacted.stats());
+    assert!(
+        frag.segments > frag.partitions,
+        "tiny-batch ingest must fragment ({} segments / {} partitions)",
+        frag.segments,
+        frag.partitions
+    );
+    assert!(report.partitions_compacted > 0);
+    assert_eq!(
+        dense.segments, dense.partitions,
+        "compact() leaves one dense run per partition at the default tier"
+    );
+
+    let engine = Engine::new(EngineConfig::default());
+    for cq in demo_queries() {
+        let want = engine.execute_text(&fragmented, &cq.aiql).unwrap();
+        assert!(!want.rows.is_empty(), "{}: no evidence", cq.id);
+        for (name, store) in [("compacted", &compacted), ("auto", &auto)] {
+            let got = engine.execute_text(store, &cq.aiql).unwrap();
+            assert_eq!(
+                (&want.rows, want.truncated),
+                (&got.rows, got.truncated),
+                "{}: {name} layout diverged from fragmented",
+                cq.id
+            );
+        }
     }
 }

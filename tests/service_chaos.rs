@@ -267,19 +267,40 @@ fn overload_sheds_explicitly_and_backoff_retry_recovers() {
         |_| {
             service.dispatch_one();
         },
-        || service.submit(sid, query),
+        || {
+            let attempt = service.submit(sid, query);
+            if let Err(ServiceError::Overloaded { retry_after_ms }) = &attempt {
+                assert!(*retry_after_ms > 0, "shed without a retry hint");
+            }
+            attempt
+        },
     )
     .expect("backoff retry must eventually be admitted");
     tickets.push(ticket);
     while service.dispatch_one() {}
 
+    let mut client_degraded = 0;
     for t in tickets {
         let r = t.wait().expect("admitted query must complete");
         assert!(!r.table.rows.is_empty(), "catalog queries are non-empty");
+        client_degraded += u64::from(r.degraded);
     }
+    // The ledger adds up: overload is answered by shedding alone, and every
+    // counter matches what the client saw.
     let stats = service.stats();
-    assert_eq!(stats.completed, 4);
     assert_eq!(stats.shed, 3, "the first retry attempt sheds once more");
+    assert_eq!(stats.submitted, 7);
+    assert_eq!(stats.admitted, stats.submitted - stats.shed);
+    assert_eq!(
+        stats.completed, stats.admitted,
+        "every admitted query answers"
+    );
+    assert_eq!(stats.degraded, client_degraded);
+    assert_eq!(
+        (stats.failed, stats.cancelled),
+        (0, 0),
+        "pure overload must not fail or cancel any query"
+    );
 }
 
 #[test]
