@@ -1,11 +1,12 @@
 //! Property-based validation of the sliding-window anomaly operator
 //! against a from-first-principles reference computation.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::time::{Duration, Instant};
 
 use aiql_engine::{Engine, EngineConfig};
-use aiql_model::{AgentId, Operation, Timestamp, Value};
-use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
+use aiql_model::{AgentId, Event, Operation, TimeWindow, Timestamp, Value};
+use aiql_storage::{EntitySpec, EventFilter, EventStore, RawEvent, StoreConfig};
 use proptest::prelude::*;
 
 /// Transfers of `amount` bytes by process `p{proc_id}` at second `t`.
@@ -14,13 +15,20 @@ fn arb_transfer() -> impl Strategy<Value = (u32, i64, u64)> {
 }
 
 fn build_store(transfers: &[(u32, i64, u64)]) -> EventStore {
+    let to_one_host: Vec<_> = transfers.iter().map(|&(p, t, a)| (p, 129, t, a)).collect();
+    build_store_to_hosts(&to_one_host)
+}
+
+/// Transfers of `amount` bytes by process `p{proc_id}` to host
+/// `10.0.4.{host}` at second `t`.
+fn build_store_to_hosts(transfers: &[(u32, u8, i64, u64)]) -> EventStore {
     let mut store = EventStore::new(StoreConfig {
         dedup: false,
         ..StoreConfig::default()
     });
     let raws: Vec<RawEvent> = transfers
         .iter()
-        .map(|&(p, t, amount)| {
+        .map(|&(p, host, t, amount)| {
             RawEvent::instant(
                 AgentId(1),
                 Operation::Write,
@@ -28,7 +36,7 @@ fn build_store(transfers: &[(u32, i64, u64)]) -> EventStore {
                 EntitySpec::tcp(
                     aiql_model::IpV4::from_octets(10, 0, 0, 1),
                     40_000,
-                    aiql_model::IpV4::from_octets(10, 0, 4, 129),
+                    aiql_model::IpV4::from_octets(10, 0, 4, host),
                     443,
                 ),
                 Timestamp::from_secs(t),
@@ -38,6 +46,258 @@ fn build_store(transfers: &[(u32, i64, u64)]) -> EventStore {
         .collect();
     store.ingest_all(&raws);
     store
+}
+
+/// One windowed group-by: `return [distinct] <group>, <func>(<arg>) as v,
+/// count(evt.amount) as n group by <group> having <form>`.
+#[derive(Debug, Clone)]
+struct Spec {
+    length_s: i64,
+    step_s: i64,
+    /// `(at "…")` day, or `None` for the data's span.
+    at: Option<&'static str>,
+    func: &'static str,
+    arg: &'static str,
+    group: &'static [&'static str],
+    /// 0 none, 1 `n >= n[lag]`, 2 `v = v[lag]`, 3 `n > c`,
+    /// 4 `v > v[lag] or n < n[lag]`.
+    having: usize,
+    lag: u32,
+    c: i64,
+    distinct: bool,
+}
+
+impl Spec {
+    fn query(&self) -> String {
+        let at = self
+            .at
+            .map(|d| format!("(at \"{d}\") "))
+            .unwrap_or_default();
+        let (lag, c) = (self.lag, self.c);
+        let having = match self.having {
+            1 => format!("having n >= n[{lag}]"),
+            2 => format!("having v = v[{lag}]"),
+            3 => format!("having n > {c}"),
+            4 => format!("having v > v[{lag}] or n < n[{lag}]"),
+            _ => String::new(),
+        };
+        let (keys, group_by) = match self.group.join(", ") {
+            g if g.is_empty() => (g, String::new()),
+            g => (format!("{g}, "), format!("group by {g}")),
+        };
+        format!(
+            "{at}window = {} sec, step = {} sec proc p write ip i as evt \
+             return {}{keys}{}({}) as v, count(evt.amount) as n {group_by} {having}",
+            self.length_s,
+            self.step_s,
+            if self.distinct { "distinct " } else { "" },
+            self.func,
+            self.arg,
+        )
+    }
+}
+
+fn arb_spec() -> impl Strategy<Value = Spec> {
+    const FUNCS: [&str; 5] = ["count", "sum", "avg", "min", "max"];
+    const ARGS: [&str; 3] = ["evt.amount", "evt.starttime", "p.exe_name"];
+    const GROUPS: [&[&str]; 4] = [&["p"], &["i"], &["p", "i"], &[]];
+    (
+        (0usize..4, 1i64..40, 1i64..40),
+        (0usize..5, 0usize..3, 0usize..4),
+        (0usize..5, 0u32..4, 0i64..3, 0u8..2),
+    )
+        .prop_map(
+            |((shape, a, b), (func, arg, group), (having, lag, c, distinct))| {
+                let (length_s, step_s) = match shape {
+                    0 => (a, a),                           // tumbling
+                    1 => (a.min(b), a.max(b) + 1),         // gaps between windows
+                    2 => (2 * (a + 1) + 1 + b % a, a + 1), // overlap, not a multiple
+                    _ => (a, b),
+                };
+                Spec {
+                    length_s,
+                    step_s,
+                    at: None,
+                    func: FUNCS[func],
+                    arg: ARGS[arg],
+                    group: GROUPS[group],
+                    having,
+                    lag,
+                    c,
+                    distinct: distinct == 1,
+                }
+            },
+        )
+}
+
+/// The query's rows by definition, from the store's events and the model
+/// alone: events sorted (stably) by start time; windows `[s, s + length)`
+/// stepped from the range start (the `at` day, else the first event's
+/// start) while `s` is before the range end (the `at` day's end, else just
+/// past the last event's start); per window, groups in first-occurrence
+/// order; `alias[k]` is the group's value `k` windows earlier, `0.0` when
+/// the group had no events there.
+fn oracle(store: &EventStore, spec: &Spec) -> Vec<Vec<Value>> {
+    let mut events = store.scan_collect(&EventFilter::all());
+    if let Some(day) = spec.at {
+        let day = TimeWindow::parse_day(day).unwrap();
+        events.retain(|e| day.contains(e.start_time));
+    }
+    events.sort_by_key(|e| e.start_time);
+    let (Some(first), Some(last)) = (events.first(), events.last()) else {
+        return Vec::new();
+    };
+    let (start, end) = match spec.at.map(|d| TimeWindow::parse_day(d).unwrap()) {
+        Some(day) => (day.start.micros(), day.end.micros()),
+        None => (first.start_time.micros(), last.start_time.micros() + 1),
+    };
+    let entity = |id| store.entities().get(id).attrs.default_value();
+    let arg = |e: &Event| match spec.arg {
+        "evt.amount" => Value::Int(e.amount as i64),
+        "evt.starttime" => Value::Time(e.start_time),
+        _ => store.entities().get(e.subject).get("exe_name").unwrap(),
+    };
+    let key = |e: &Event| -> Vec<Value> {
+        (spec.group.iter())
+            .map(|g| entity(if *g == "p" { e.subject } else { e.object }))
+            .collect()
+    };
+    let (length, step) = (spec.length_s * 1_000_000, spec.step_s * 1_000_000);
+    let mut history: HashMap<(String, usize), (Value, Value)> = HashMap::new();
+    let mut rows: Vec<Vec<Value>> = Vec::new();
+    for (k, s) in (start..end).step_by(step as usize).enumerate() {
+        let mut groups: Vec<(Vec<Value>, Vec<Value>)> = Vec::new();
+        for e in events
+            .iter()
+            .filter(|e| (s..s + length).contains(&e.start_time.micros()))
+        {
+            match groups.iter_mut().find(|(g, _)| *g == key(e)) {
+                Some((_, args)) => args.push(arg(e)),
+                None => groups.push((key(e), vec![arg(e)])),
+            }
+        }
+        for (group, args) in groups {
+            let now = (aggregate(spec.func, &args), Value::Int(args.len() as i64));
+            let name = format!("{group:?}");
+            let zero = (Value::Float(0.0), Value::Float(0.0));
+            let lag = spec.lag as usize;
+            let (v_then, n_then) = match k.checked_sub(lag) {
+                _ if lag == 0 => now,
+                Some(then) => history.get(&(name.clone(), then)).copied().unwrap_or(zero),
+                None => zero,
+            };
+            history.insert((name, k), now);
+            let (v, n) = now;
+            let is = |x: Value, y: Value, want: &[std::cmp::Ordering]| {
+                x.compare(y).is_some_and(|o| want.contains(&o))
+            };
+            use std::cmp::Ordering::{Equal, Greater, Less};
+            let keep = match spec.having {
+                1 => is(n, n_then, &[Greater, Equal]),
+                2 => is(v, v_then, &[Equal]),
+                3 => is(n, Value::Int(spec.c), &[Greater]),
+                4 => is(v, v_then, &[Greater]) || is(n, n_then, &[Less]),
+                _ => true,
+            };
+            if keep {
+                rows.push(group.into_iter().chain([v, n]).collect());
+            }
+        }
+    }
+    if spec.distinct {
+        let mut seen: Vec<Vec<Value>> = Vec::new();
+        rows.retain(|r| {
+            !seen.contains(r) && {
+                seen.push(r.clone());
+                true
+            }
+        });
+    }
+    rows
+}
+
+/// `count` / `sum` / `avg` / `min` / `max` over one group's arguments, in
+/// arrival order (an `f64` running sum, as SQL engines keep one).
+fn aggregate(func: &str, args: &[Value]) -> Value {
+    let sum = args
+        .iter()
+        .filter_map(|v| v.as_f64())
+        .fold(0.0, |a, b| a + b);
+    let pick = |want| {
+        let better = |x: &Value, y: &Value| x.compare(*y) == Some(want);
+        *args
+            .iter()
+            .reduce(|m, v| if better(v, m) { v } else { m })
+            .unwrap()
+    };
+    match func {
+        "count" => Value::Int(args.len() as i64),
+        "sum" if args.iter().all(|v| matches!(v, Value::Int(_))) => Value::Int(sum as i64),
+        "sum" => Value::Float(sum),
+        "avg" => Value::Float(sum / args.len() as f64),
+        "min" => pick(std::cmp::Ordering::Less),
+        _ => pick(std::cmp::Ordering::Greater),
+    }
+}
+
+/// Runs `spec` on the engine and checks it returns the oracle's rows, in
+/// the oracle's order — row order is what a partial result's prefix is
+/// taken from.
+fn assert_matches_oracle(store: &EventStore, spec: &Spec) {
+    let src = spec.query();
+    let table = Engine::new(EngineConfig::default())
+        .execute_text(store, &src)
+        .unwrap();
+    assert!(!table.truncated, "{src}");
+    assert_eq!(table.rows, oracle(store, spec), "{src}");
+}
+
+/// Transfers by four processes to three hosts over ten minutes (with
+/// start-time ties).
+fn arb_transfers_to_hosts() -> impl Strategy<Value = Vec<(u32, u8, i64, u64)>> {
+    proptest::collection::vec((0u32..4, 1u8..4, 0i64..600, 1u64..10_000), 1..50)
+}
+
+/// A whole-day query over a few events near midnight, 1 Jan 1970.
+fn day_spec(length_s: i64, step_s: i64, having: usize, lag: u32) -> Spec {
+    Spec {
+        length_s,
+        step_s,
+        at: Some("01/01/1970"),
+        func: "sum",
+        arg: "evt.amount",
+        group: &["p"],
+        having,
+        lag,
+        c: 0,
+        distinct: false,
+    }
+}
+
+/// History state is kept per group for the lags the query names: neither a
+/// lag of four billion windows nor 86 400 one-second windows over a day
+/// makes it allocate per window or per lag.
+#[test]
+fn history_state_scales_with_neither_lag_nor_window_count() {
+    let transfers: Vec<_> = (0..40i64)
+        .map(|k| ((k % 3) as u32, 1, (k * 7_919) % 86_400, 1 + k as u64 % 5))
+        .collect();
+    let store = build_store_to_hosts(&transfers);
+    for spec in [
+        day_spec(60, 60, 1, 4_000_000_000),
+        day_spec(1, 1, 1, 1),
+        day_spec(1, 1, 4, 3),
+        day_spec(3_600, 1, 0, 0),
+    ] {
+        let t0 = Instant::now();
+        assert_matches_oracle(&store, &spec);
+        assert!(
+            t0.elapsed() < Duration::from_secs(30),
+            "{} took {:?}",
+            spec.query(),
+            t0.elapsed()
+        );
+    }
 }
 
 /// Reference: per 100s window (step 50s), per process, sum of amounts;
@@ -77,6 +337,16 @@ fn reference_rows(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Any window shape, aggregate, grouping, history lag and `distinct`:
+    /// the engine returns the independent oracle's rows in its order.
+    #[test]
+    fn windowed_group_by_matches_the_oracle_in_order(
+        transfers in arb_transfers_to_hosts(),
+        spec in arb_spec(),
+    ) {
+        assert_matches_oracle(&build_store_to_hosts(&transfers), &spec);
+    }
 
     /// The window operator's (group, sum) rows match the reference for
     /// arbitrary event placements.
