@@ -78,7 +78,7 @@ impl GraphEngine {
             Query::Anomaly(anom) => {
                 let a = analyze_anomaly(anom, store)?;
                 let tuples = self.match_tuples(store, &a.base);
-                aiql_engine::anomaly::run_anomaly_over_tuples_naive(store, &a, tuples, false)
+                aiql_engine::anomaly::run_anomaly_over_tuples_naive(store, &a, tuples)
             }
         }
     }

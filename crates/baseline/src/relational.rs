@@ -271,7 +271,7 @@ fn run_windowed(
     a: &aiql_engine::analyze::AnalyzedAnomaly,
     tuples: Vec<Tuple>,
 ) -> Result<ResultTable, EngineError> {
-    aiql_engine::anomaly::run_anomaly_over_tuples_naive(store, a, tuples, false)
+    aiql_engine::anomaly::run_anomaly_over_tuples_naive(store, a, tuples)
 }
 
 #[cfg(test)]

@@ -141,6 +141,11 @@ pub enum SlotExpr {
     },
     /// Precomputed aggregate value by dense aggregate index.
     Agg(usize),
+    /// `alias[0]`: the alias slot, `Null` while unset (as in [`eval`]).
+    AliasNow(usize),
+    /// `alias[k]`, `k > 0`: history slot `i` ([`SlotEnv::history`]); `0.0`
+    /// — an empty window — where no history is bound.
+    History(usize),
     /// Binary operator.
     Binary {
         /// The operator.
@@ -259,8 +264,8 @@ impl TupleView<'_> {
 }
 
 /// Everything a slot-compiled expression evaluates against: the tuple, the
-/// store behind it, and (in aggregated projections) the alias and
-/// aggregate values of the group being emitted.
+/// store behind it, and (in aggregated projections) the alias, aggregate
+/// and history values of the group being emitted.
 pub(crate) struct SlotCtx<'t> {
     pub store: &'t EventStore,
     pub parts: &'t PartTable<'t>,
@@ -269,6 +274,8 @@ pub(crate) struct SlotCtx<'t> {
     pub aliases: &'t [Option<Value>],
     /// Aggregate values, parallel to the query's dense aggregate list.
     pub aggs: &'t [Value],
+    /// Historical alias values, parallel to [`SlotEnv::history`].
+    pub history: &'t [Value],
 }
 
 /// Name environment of [`compile_slots`]: resolves variable, event, alias,
@@ -283,13 +290,17 @@ pub struct SlotEnv<'a> {
     pub aliases: HashMap<&'a str, usize>,
     /// Canonical aggregate key ([`agg_key`]) → dense aggregate index.
     pub aggs: HashMap<String, usize>,
+    /// `(alias slot, lag)` per distinct `alias[lag]`, `lag > 0`, compiled
+    /// so far: the history slots (anomaly queries only).
+    pub history: Vec<(usize, u32)>,
 }
 
-/// Compiles an expression against a slot environment. Returns `None` when
-/// the expression cannot be slot-compiled (unknown name, historical access)
-/// — callers fall back to the dynamic [`eval`] path, which reproduces the
-/// legacy behavior including its error messages.
-pub fn compile_slots(e: &Expr, store: &EventStore, env: &SlotEnv<'_>) -> Option<SlotExpr> {
+/// Compiles an expression against a slot environment, giving each new
+/// historical access a history slot. Returns `None` when the expression
+/// cannot be slot-compiled (unknown name) — callers fall back to the
+/// dynamic [`eval`] path, which reproduces the legacy behavior including
+/// its error messages.
+pub fn compile_slots(e: &Expr, store: &EventStore, env: &mut SlotEnv<'_>) -> Option<SlotExpr> {
     Some(match e {
         Expr::Literal(lit) => SlotExpr::Const(match lit {
             Literal::Int(i) => Value::Int(*i),
@@ -327,9 +338,15 @@ pub fn compile_slots(e: &Expr, store: &EventStore, env: &SlotEnv<'_>) -> Option<
             }
         }
         Expr::Agg { .. } => SlotExpr::Agg(*env.aggs.get(&agg_key(e))?),
-        // Historical access only exists in anomaly having clauses, which
-        // keep the dynamic path.
-        Expr::History { .. } => return None,
+        Expr::History { name, lag: 0 } => SlotExpr::AliasNow(*env.aliases.get(name.as_str())?),
+        Expr::History { name, lag } => {
+            let slot = (*env.aliases.get(name.as_str())?, *lag);
+            let i = env.history.iter().position(|&h| h == slot);
+            SlotExpr::History(i.unwrap_or_else(|| {
+                env.history.push(slot);
+                env.history.len() - 1
+            }))
+        }
         Expr::Binary { op, lhs, rhs } => SlotExpr::Binary {
             op: *op,
             lhs: Box::new(compile_slots(lhs, store, env)?),
@@ -370,7 +387,11 @@ impl SlotExpr {
                 None => Err(unbound(name)),
             },
             SlotExpr::Alias { slot, name } => cx.aliases[*slot].ok_or_else(|| unbound(name)),
-            SlotExpr::Agg(i) => Ok(cx.aggs[*i]),
+            SlotExpr::Agg(i) => cx.aggs.get(*i).copied().ok_or_else(|| {
+                EngineError::Analysis("aggregate evaluated outside aggregation context".into())
+            }),
+            SlotExpr::AliasNow(slot) => Ok(cx.aliases[*slot].unwrap_or(Value::Null)),
+            SlotExpr::History(i) => Ok(cx.history.get(*i).copied().unwrap_or(Value::Float(0.0))),
             SlotExpr::Binary { op, lhs, rhs } => {
                 let l = lhs.eval(cx)?;
                 let r = rhs.eval(cx)?;
@@ -639,14 +660,15 @@ mod tests {
         );
         // The compiler declines the expression, so the dynamic path raises
         // the error exactly as before — and only once a tuple exists.
-        let env = SlotEnv {
+        let mut env = SlotEnv {
             vars: HashMap::new(),
             events: HashMap::from([("e", 0)]),
             aliases: HashMap::new(),
             aggs: HashMap::new(),
+            history: Vec::new(),
         };
-        assert!(compile_slots(&having_expr("e.bogus > 1"), &s, &env).is_none());
-        assert!(compile_slots(&having_expr("e.amount > 1"), &s, &env).is_some());
+        assert!(compile_slots(&having_expr("e.bogus > 1"), &s, &mut env).is_none());
+        assert!(compile_slots(&having_expr("e.amount > 1"), &s, &mut env).is_some());
         let engine = crate::Engine::new(crate::EngineConfig::default());
         let err = engine
             .execute_text(&s, "proc p write file f as e return e.bogus")

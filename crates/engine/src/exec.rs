@@ -13,7 +13,7 @@
 //! [`EventRef`]s — ⟨partition, row⟩ pairs resolved against the columnar
 //! segments on demand. Full `Event` structs are built only for what
 //! outlives the join: a group's representative tuple, or the tuples
-//! [`MultieventExec::match_tuples`] hands out.
+//! [`MultieventExec::match_tuples`] hands out to tests.
 
 use std::sync::Arc;
 
@@ -21,7 +21,7 @@ use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::Governor;
-use crate::op::{self, ExecEnv, PartTable, PipelineState};
+use crate::op::{self, ExecEnv, PartTable, PipelineState, RefArena};
 use crate::pool::ScanPool;
 use crate::result::ResultTable;
 use crate::schedule::{self, PlanCache};
@@ -30,7 +30,6 @@ use aiql_storage::EventStore;
 
 // Public API surface kept stable across the operator-pipeline refactor:
 // the baselines and tests reach these through `aiql_engine::exec`.
-pub(crate) use crate::op::project::collect_aggs;
 pub use crate::op::project::project;
 pub use crate::op::scan::residual_ok;
 pub use crate::op::{EventRef, ExecStats, OpStat, Tuple};
@@ -126,19 +125,26 @@ impl<'a> MultieventExec<'a> {
         Ok((table, st.stats))
     }
 
-    /// Finds all joined tuples satisfying the query's pattern constraints.
-    ///
-    /// Runs the operator tree without its projection root and materializes
-    /// the surviving tuples — callers that only need projection should use
-    /// [`MultieventExec::run`], which skips this materialization entirely.
-    pub fn match_tuples(&self) -> Result<(Vec<Tuple>, bool, ExecStats), EngineError> {
+    /// Runs the operator tree without its projection root: the joined
+    /// tuples as row references, the environment they resolve in, whether
+    /// the join stopped early (its cap or a governor trip), and the
+    /// operators' statistics.
+    pub(crate) fn join(&self) -> Result<(ExecEnv<'a>, RefArena, bool, ExecStats), EngineError> {
         let env = self.env(false);
         let tree = op::join_tree(&env.ctx.plan.order);
         let mut st = PipelineState::new(self.a, &env.ctx.plan.order);
         tree.execute(&env, &mut st)?;
-        let tuples = st.frontier.materialize(&env.parts);
         let tripped = self.governor.as_ref().is_some_and(|g| g.trip().is_some());
-        Ok((tuples, st.truncated || tripped, st.stats))
+        let (tuples, truncated, stats) = (st.frontier, st.truncated || tripped, st.stats);
+        Ok((env, tuples, truncated, stats))
+    }
+
+    /// Finds all joined tuples satisfying the query's pattern constraints,
+    /// with their events materialized (tests compare them with an oracle;
+    /// the engine itself reads [`MultieventExec::join`]'s row references).
+    pub fn match_tuples(&self) -> Result<(Vec<Tuple>, bool, ExecStats), EngineError> {
+        let (env, tuples, truncated, stats) = self.join()?;
+        Ok((tuples.materialize(&env.parts), truncated, stats))
     }
 }
 

@@ -8,7 +8,8 @@
 
 use std::fmt::Write as _;
 
-use aiql_lang::Query;
+use aiql_lang::{Query, WindowSpec};
+use aiql_model::TimeWindow;
 use aiql_storage::EventStore;
 
 use crate::analyze::{self, AnalyzedMultievent};
@@ -44,7 +45,8 @@ pub struct PatternPlan {
 #[derive(Debug, Clone)]
 pub struct OpPlanNode {
     /// Operator kind (`PatternScan`, `SemiJoinNarrow`, `TemporalJoin`,
-    /// `Project`, `Aggregate`) — matches [`crate::op::OpStat::kind`].
+    /// `Project`, `Aggregate`) — matches [`crate::op::OpStat::kind`] — or
+    /// `SlidingWindow`, an anomaly query's window loop.
     pub kind: &'static str,
     /// Human-readable operator detail (pattern, estimates, access path,
     /// fan-out).
@@ -154,6 +156,10 @@ pub fn explain(
             (an.base, "anomaly", false)
         }
     };
+    let window = match query {
+        Query::Anomaly(a) => a.globals.window,
+        _ => None,
+    };
     let resolved = schedule::resolve_vars(&analyzed, store);
     let plan = schedule::plan(&analyzed, store, &resolved, config.prioritize_pruning);
     let patterns: Vec<PatternPlan> = analyzed
@@ -178,7 +184,7 @@ pub fn explain(
             }
         })
         .collect();
-    let operators = operator_tree(store, &analyzed, &resolved, &plan, config);
+    let operators = operator_tree(store, &analyzed, &resolved, &plan, config, window);
     Ok(QueryPlan {
         kind,
         rewritten,
@@ -243,6 +249,7 @@ fn operator_tree(
     resolved: &schedule::ResolvedVars,
     plan: &schedule::Schedule,
     config: &EngineConfig,
+    window: Option<WindowSpec>,
 ) -> OpPlanNode {
     let threads = config.parallelism.max(1);
     let scans: Vec<OpPlanNode> = plan
@@ -336,8 +343,10 @@ fn operator_tree(
         layers.push("sideways filters");
     }
     // The drive pushes its tuples straight into the projection sink when
-    // the projection compiles; name what it retains.
-    let sink = crate::op::project::compile_projection(store, a)
+    // the projection compiles (an anomaly query's join feeds the window
+    // loop instead); name what it retains.
+    let cp = crate::op::project::compile_projection(store, a);
+    let sink = (cp.as_ref().filter(|_| window.is_none()))
         .map(|_| format!(" → sink: {}", crate::op::project::sink_label(a)));
     let join = OpPlanNode {
         kind: "TemporalJoin",
@@ -357,15 +366,23 @@ fn operator_tree(
         ),
         children: scans,
     };
+    let (kind, head) = match window {
+        Some(w) => (
+            "SlidingWindow",
+            window_head(a, &w, cp.as_ref().map_or(&[], |cp| &cp.lags)),
+        ),
+        None => (
+            match crate::op::project::is_aggregated(a) {
+                true => "Aggregate",
+                false => "Project",
+            },
+            format!("{} column(s)", a.ret.items.len()),
+        ),
+    };
     OpPlanNode {
-        kind: if crate::op::project::is_aggregated(a) {
-            "Aggregate"
-        } else {
-            "Project"
-        },
+        kind,
         detail: format!(
-            "{} column(s){}{}{}",
-            a.ret.items.len(),
+            "{head}{}{}{}",
             if a.group_by.is_empty() {
                 String::new()
             } else {
@@ -379,6 +396,27 @@ fn operator_tree(
         ),
         children: vec![join],
     }
+}
+
+/// The window loop's shape: window and step, how many windows the `at`
+/// range holds (without one, the data's span bounds them), and the history
+/// lags `having` reads.
+fn window_head(a: &AnalyzedMultievent, w: &WindowSpec, lags: &[(usize, u32)]) -> String {
+    let mut head = format!("{} / step {} | ", w.length, w.step);
+    let _ = match a.globals.window {
+        TimeWindow::ALL => write!(head, "windows over the data's span"),
+        r => {
+            let (span, step) = ((r.end - r.start).micros(), w.step.micros());
+            write!(head, "{} window(s)", (span + step - 1) / step)
+        }
+    };
+    let mut lags: Vec<u32> = lags.iter().map(|&(_, lag)| lag).collect();
+    lags.sort_unstable();
+    lags.dedup();
+    if !lags.is_empty() {
+        let _ = write!(head, " | history lags {lags:?}");
+    }
+    head
 }
 
 #[cfg(test)]
@@ -527,6 +565,42 @@ mod tests {
         // A projection that keeps the dynamic path names no sink: the join
         // leaves its tuples for `Project`.
         assert!(!join_detail("return e2.bogus", &default).contains("sink"));
+    }
+
+    /// An anomaly query's root is the window loop that runs, with its
+    /// shape; the join under it feeds the loop, not a projection sink.
+    #[test]
+    fn anomaly_root_names_the_sliding_window() {
+        let store = store();
+        let plan = |src: &str| {
+            let q = parse_query(src).unwrap();
+            explain(&store, &q, &EngineConfig::default()).unwrap()
+        };
+        let day = plan(
+            r#"(at "01/01/1970") window = 1 min, step = 10 sec
+               proc p write file f as e
+               return p, f, sum(e.amount) as amt group by p, f
+               having amt > 2 * (amt + amt[2] + amt[1] + amt[1]) / 4"#,
+        );
+        assert_eq!(day.kind, "anomaly");
+        assert_eq!(day.operators.kind, "SlidingWindow");
+        assert_eq!(
+            day.operators.detail,
+            "1 min / step 10 sec | 8640 window(s) | history lags [1, 2] | group by 2"
+        );
+        let join = &day.operators.children[0];
+        assert_eq!(join.kind, "TemporalJoin");
+        assert!(!join.detail.contains("sink"), "{}", join.detail);
+        assert!(day.render().contains("SlidingWindow 1 min / step 10 sec"));
+
+        let span = plan(
+            "window = 5 min, step = 5 min proc p write file f as e \
+             return distinct count(e.amount) as n",
+        );
+        assert_eq!(
+            span.operators.detail,
+            "5 min / step 5 min | windows over the data's span | distinct"
+        );
     }
 
     #[test]

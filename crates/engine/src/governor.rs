@@ -256,11 +256,6 @@ impl Governor {
         }
     }
 
-    /// Whether trips should truncate (partial mode) rather than error.
-    pub fn partial(&self) -> bool {
-        self.partial
-    }
-
     /// Elapsed time since the query started, by the governor's clock.
     pub fn elapsed(&self) -> Duration {
         self.now().saturating_duration_since(self.started)
@@ -376,6 +371,16 @@ impl Governor {
         }
     }
 
+    /// What trip `t` means for the operator that observed it: error mode
+    /// unwinds with the trip's typed error; partial mode returns `Ok` — stop
+    /// early and keep what is finished.
+    pub fn on_trip(&self, t: Trip) -> Result<(), EngineError> {
+        match self.partial {
+            true => Ok(()),
+            false => Err(self.error(t)),
+        }
+    }
+
     /// The warning a trip maps to in partial mode.
     pub fn warning(&self, t: Trip) -> Warning {
         match t {
@@ -454,6 +459,8 @@ mod tests {
             gov.error(Trip::Deadline),
             EngineError::DeadlineExceeded { deadline_ms: 0 }
         ));
+        // Error mode: the trip unwinds as its typed error.
+        assert_eq!(gov.on_trip(Trip::Deadline), Err(gov.error(Trip::Deadline)));
     }
 
     #[test]
@@ -517,7 +524,7 @@ mod tests {
                 .with_memory_bytes(4096)
                 .with_partial_results(true),
         );
-        assert!(gov.partial());
+        assert_eq!(gov.on_trip(Trip::Deadline), Ok(()));
         assert!(gov.warning(Trip::Deadline).to_string().contains("250"));
         assert!(gov.warning(Trip::Memory).to_string().contains("4096"));
     }

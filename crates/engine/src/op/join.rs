@@ -1199,9 +1199,7 @@ impl Drive<'_, '_> {
         };
         let _ = g.charge(bytes);
         if let Some(t) = g.trip() {
-            if !g.partial() {
-                st.err = Some(g.error(t));
-            }
+            st.err = g.on_trip(t).err();
             st.gov_stop = true;
             return Flow::Stop;
         }
@@ -1600,11 +1598,7 @@ fn drive_join<O: JoinOutput>(
             // far; error mode unwinds (deadline/cancel trips observed by
             // the pollers rather than a live charge land here).
             if let Some(g) = gov {
-                if let Some(t) = g.trip() {
-                    if !g.partial() {
-                        return Err(g.error(t));
-                    }
-                }
+                g.trip().map_or(Ok(()), |t| g.on_trip(t))?;
             }
         }
         (step_rows, step_ctrs, step_nanos) = (st.rows, st.ctrs, st.nanos);

@@ -88,7 +88,7 @@ impl Operator for Project {
 }
 
 /// Populates the (reused) row context from a materialized tuple.
-fn fill_ctx<'a>(a: &'a AnalyzedMultievent, t: &Tuple, ctx: &mut RowCtx<'a>) {
+pub(crate) fn fill_ctx<'a>(a: &'a AnalyzedMultievent, t: &Tuple, ctx: &mut RowCtx<'a>) {
     ctx.var_entity.clear();
     ctx.events.clear();
     ctx.aliases.clear();
@@ -227,7 +227,7 @@ pub(crate) fn is_aggregated(a: &AnalyzedMultievent) -> bool {
 }
 
 /// Column header for a return item.
-fn column_name(item: &aiql_lang::ReturnItem) -> String {
+pub(crate) fn column_name(item: &aiql_lang::ReturnItem) -> String {
     item.alias
         .clone()
         .unwrap_or_else(|| aiql_lang::pretty::print_expr(&item.expr))
@@ -239,27 +239,30 @@ fn column_name(item: &aiql_lang::ReturnItem) -> String {
 #[derive(Debug)]
 pub(crate) struct CompiledProjection {
     /// Compiled return items, in column order.
-    items: Vec<SlotExpr>,
+    pub(crate) items: Vec<SlotExpr>,
     /// Alias slot written after evaluating each item (aggregated path).
-    alias_slot: Vec<Option<usize>>,
+    pub(crate) alias_slot: Vec<Option<usize>>,
     /// One unset alias per alias slot: what every per-tuple evaluation
     /// sees (aliases only bind while a finished group's row is emitted).
-    unset_aliases: Vec<Option<Value>>,
+    pub(crate) unset_aliases: Vec<Option<Value>>,
     /// Compiled grouping keys.
-    group_by: Vec<SlotExpr>,
+    pub(crate) group_by: Vec<SlotExpr>,
     /// Compiled having filter.
-    having: Option<SlotExpr>,
+    pub(crate) having: Option<SlotExpr>,
     /// Aggregates: function + compiled argument, in [`collect_aggs`] order
     /// (the dense index [`SlotExpr::Agg`] nodes refer to).
-    aggs: Vec<(aiql_lang::AggFunc, SlotExpr)>,
+    pub(crate) aggs: Vec<(aiql_lang::AggFunc, SlotExpr)>,
+    /// The history slots [`SlotExpr::History`] nodes index (anomaly
+    /// queries only): see [`SlotEnv::history`].
+    pub(crate) lags: Vec<(usize, u32)>,
     /// Aggregate calls or `group by` present.
     aggregated: bool,
 }
 
 /// Compiles a query's projection to slots. `None` when any expression
-/// resists compilation (unknown name or event attribute, historical
-/// access) — the caller then keeps the dynamic [`RowCtx`] path, which
-/// reproduces legacy behavior bit for bit, errors included.
+/// resists compilation (unknown name or event attribute) — the caller then
+/// keeps the dynamic [`RowCtx`] path, which reproduces legacy behavior bit
+/// for bit, errors included.
 pub(crate) fn compile_projection(
     store: &EventStore,
     a: &AnalyzedMultievent,
@@ -284,6 +287,7 @@ pub(crate) fn compile_projection(
             .enumerate()
             .map(|(i, (k, _, _))| (k.clone(), i))
             .collect(),
+        history: Vec::new(),
     };
     // Compile items in order; each alias becomes visible to later items,
     // the grouping keys, the having clause, and the aggregate arguments —
@@ -292,7 +296,7 @@ pub(crate) fn compile_projection(
     let mut alias_slot = Vec::with_capacity(a.ret.items.len());
     let mut naliases = 0usize;
     for item in &a.ret.items {
-        items.push(eval::compile_slots(&item.expr, store, &env)?);
+        items.push(eval::compile_slots(&item.expr, store, &mut env)?);
         alias_slot.push(item.alias.as_ref().map(|alias| {
             let slot = naliases;
             naliases += 1;
@@ -303,15 +307,15 @@ pub(crate) fn compile_projection(
     let group_by: Vec<SlotExpr> = a
         .group_by
         .iter()
-        .map(|g| eval::compile_slots(g, store, &env))
+        .map(|g| eval::compile_slots(g, store, &mut env))
         .collect::<Option<_>>()?;
     let having = match &a.having {
-        Some(h) => Some(eval::compile_slots(h, store, &env)?),
+        Some(h) => Some(eval::compile_slots(h, store, &mut env)?),
         None => None,
     };
     let aggs: Vec<(aiql_lang::AggFunc, SlotExpr)> = aggs_src
         .iter()
-        .map(|(_, func, arg)| Some((*func, eval::compile_slots(arg, store, &env)?)))
+        .map(|(_, func, arg)| Some((*func, eval::compile_slots(arg, store, &mut env)?)))
         .collect::<Option<_>>()?;
     Some(CompiledProjection {
         items,
@@ -321,6 +325,7 @@ pub(crate) fn compile_projection(
         group_by,
         having,
         aggs,
+        lags: env.history,
     })
 }
 
@@ -366,7 +371,7 @@ fn value_bits(v: Value) -> [u64; 2] {
 /// First-occurrence numbering of value rows, keyed on the values' bit
 /// patterns — entity symbols and integers, not rendered strings.
 #[derive(Debug, Default)]
-struct KeyIndex {
+pub(crate) struct KeyIndex {
     index: HashMap<Box<[u64]>, usize>,
     /// Reused key encoding: a lookup that hits allocates nothing.
     bits: Vec<u64>,
@@ -374,7 +379,7 @@ struct KeyIndex {
 
 impl KeyIndex {
     /// The number of `key`, the next unused one when it is new (`true`).
-    fn find_or_insert(&mut self, key: &[Value]) -> (usize, bool) {
+    pub(crate) fn find_or_insert(&mut self, key: &[Value]) -> (usize, bool) {
         self.bits.clear();
         self.bits.extend(key.iter().flat_map(|&v| value_bits(v)));
         let next = self.index.len();
@@ -426,8 +431,9 @@ pub(crate) struct ProjectionSink<'e> {
 }
 
 /// The evaluation context of one tuple (`aliases` and `aggs` are bound only
-/// while a finished group's row is emitted).
-fn slots<'t>(
+/// while a finished group's row is emitted; no history outside anomaly
+/// queries).
+pub(crate) fn slots<'t>(
     env: &'t ExecEnv<'t>,
     tuple: TupleView<'t>,
     aliases: &'t [Option<Value>],
@@ -439,6 +445,7 @@ fn slots<'t>(
         tuple,
         aliases,
         aggs,
+        history: &[],
     }
 }
 

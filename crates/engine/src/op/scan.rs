@@ -151,9 +151,7 @@ fn governed_scan_stop(
     let Some(t) = g.trip() else {
         return Ok(None);
     };
-    if !g.partial() {
-        return Err(g.error(t));
-    }
+    g.on_trip(t)?;
     st.done = true;
     Ok(Some(OpIo {
         rows_in: estimate,

@@ -60,7 +60,7 @@ struct Spec {
     arg: &'static str,
     group: &'static [&'static str],
     /// 0 none, 1 `n >= n[lag]`, 2 `v = v[lag]`, 3 `n > c`,
-    /// 4 `v > v[lag] or n < n[lag]`.
+    /// 4 `v > v[lag] or n < n[lag]`, 5 `n[lag] < 1` (quiet back then).
     having: usize,
     lag: u32,
     c: i64,
@@ -79,6 +79,7 @@ impl Spec {
             2 => format!("having v = v[{lag}]"),
             3 => format!("having n > {c}"),
             4 => format!("having v > v[{lag}] or n < n[{lag}]"),
+            5 => format!("having n[{lag}] < 1"),
             _ => String::new(),
         };
         let (keys, group_by) = match self.group.join(", ") {
@@ -104,7 +105,7 @@ fn arb_spec() -> impl Strategy<Value = Spec> {
     (
         (0usize..4, 1i64..40, 1i64..40),
         (0usize..5, 0usize..3, 0usize..4),
-        (0usize..5, 0u32..4, 0i64..3, 0u8..2),
+        (0usize..6, 0u32..4, 0i64..3, 0u8..2),
     )
         .prop_map(
             |((shape, a, b), (func, arg, group), (having, lag, c, distinct))| {
@@ -197,6 +198,7 @@ fn oracle(store: &EventStore, spec: &Spec) -> Vec<Vec<Value>> {
                 2 => is(v, v_then, &[Equal]),
                 3 => is(n, Value::Int(spec.c), &[Greater]),
                 4 => is(v, v_then, &[Greater]) || is(n, n_then, &[Less]),
+                5 => is(n_then, Value::Int(1), &[Less]),
                 _ => true,
             };
             if keep {

@@ -118,6 +118,21 @@ fn anomaly_window_larger_than_data_range() {
     assert_eq!(total, 3); // 3 write events (ids 0, 2, 4)
 }
 
+/// A nested aggregate's argument is evaluated per tuple, before any
+/// aggregate value exists: a typed error in both query kinds, not a panic.
+#[test]
+fn nested_aggregate_is_an_error() {
+    let store = store_with(10);
+    let engine = Engine::new(EngineConfig::default());
+    for header in ["", "window = 1 min, step = 30 sec "] {
+        let src = format!(
+            "{header}proc p write file f as e return p, sum(count(e.amount)) as n group by p"
+        );
+        let err = engine.execute_text(&store, &src).unwrap_err();
+        assert!(err.to_string().contains("outside aggregation"), "{err}");
+    }
+}
+
 #[test]
 fn zero_limit_returns_nothing() {
     let store = store_with(10);

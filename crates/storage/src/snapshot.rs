@@ -207,6 +207,10 @@ pub fn load(path: &Path) -> Result<EventStore, WalError> {
         if event.subject.index().max(event.object.index()) >= store.entities().len() {
             return Err(CodecError::Invalid("event names an entity past the dictionary").into());
         }
+        // The store's next id is one past the largest loaded.
+        if event.id.raw() == u64::MAX {
+            return Err(CodecError::Invalid("event id leaves no next id").into());
+        }
         store.insert_committed(event);
     }
     // Epoch vector.
@@ -649,6 +653,29 @@ mod tests {
             );
             assert!(load_is_invalid(&path), "event {subject} -> {object}");
         }
+    }
+
+    #[test]
+    fn event_id_u64_max_is_an_error_not_an_overflow() {
+        // `insert_committed` sets the next id to one past each loaded id.
+        let load_with_id = |id: u64| {
+            let event = Event {
+                id: EventId(id),
+                ..write_event(0, 1)
+            };
+            crafted(
+                "max-id",
+                HOUR,
+                &["", "/a", "/b"],
+                &[file(1), file(2)],
+                &[event],
+            )
+        };
+        assert!(load_is_invalid(&load_with_id(u64::MAX)));
+        let path = load_with_id(u64::MAX - 1);
+        let loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.event_count(), 1);
     }
 
     #[test]
