@@ -43,6 +43,7 @@ pub mod ingest;
 pub mod partition;
 pub mod recovery;
 pub mod segment;
+pub mod shared;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -55,6 +56,7 @@ pub use ingest::{EntitySpec, RawEvent};
 pub use partition::{CompactionCancelled, Partition};
 pub use recovery::{load_or_recover, recover, RecoverySource};
 pub use segment::{PartitionKey, Segment};
+pub use shared::{MaintenanceExecutor, SharedStore};
 pub use stats::{SegmentStats, StoreStats};
-pub use store::{CompactionReport, EventStore, MaintenanceExecutor, SharedStore, StoreConfig};
+pub use store::{CompactionReport, EventStore, StoreConfig};
 pub use wal::{ReplayReport, Wal, WalError};

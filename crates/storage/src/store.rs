@@ -2,7 +2,7 @@
 //! batch ingestion with event-level deduplication.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use aiql_model::{AgentId, CancelToken, Duration, EntityId, Event, EventId, Operation, Timestamp};
 
@@ -49,8 +49,9 @@ pub struct StoreConfig {
     pub novelty_flush_rows: usize,
     /// Defer automatic compaction off the commit path: instead of merging
     /// inline at commit, partitions crossing the trigger are queued and
-    /// drained by the owning [`SharedStore`]'s maintenance executor (or
-    /// inline after snapshot publication when no executor is wired).
+    /// drained by the owning [`SharedStore`](crate::SharedStore)'s
+    /// maintenance executor (or inline after snapshot publication when no
+    /// executor is wired).
     /// Disabled, the PR 4 inline policy runs unchanged.
     pub background_compaction: bool,
 }
@@ -102,13 +103,14 @@ static NEXT_STORE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 /// Cloning is cheap — O(partitions + segments), not O(events): sealed
 /// segments and the entity dictionary are `Arc`-shared with the clone, and
 /// only the (bounded) novelty overlays copy on the next write to either
-/// side. [`SharedStore`] publishes read snapshots this way. A clone shares
-/// the original's `store_id` and epoch vector, so plan-cache entries
-/// validated against a snapshot stay keyed exactly like the live store.
+/// side. [`SharedStore`](crate::SharedStore) publishes read snapshots this
+/// way. A clone shares the original's `store_id` and epoch vector, so
+/// plan-cache entries validated against a snapshot stay keyed exactly like
+/// the live store.
 #[derive(Debug, Clone)]
 pub struct EventStore {
     config: StoreConfig,
-    entities: Arc<EntityStore>,
+    pub(crate) entities: Arc<EntityStore>,
     partitions: BTreeMap<PartitionKey, Partition>,
     buffer: Vec<PendingEvent>,
     next_event_id: u64,
@@ -120,7 +122,7 @@ pub struct EventStore {
     /// Dictionary epoch: bumped only when the entity dictionary (or the
     /// string interner behind it) may have changed. Variable resolutions
     /// read nothing else, so plan caches key them on this alone.
-    dict_epoch: u64,
+    pub(crate) dict_epoch: u64,
     /// Partition-set epoch: bumped only when a partition is created. A
     /// cached estimate whose dependency partitions are unchanged is still
     /// invalid if a *new* partition appeared inside its scan range; this
@@ -432,8 +434,9 @@ impl EventStore {
 
     /// Drains the deferred background-compaction queue (partitions whose
     /// segment count crossed the automatic trigger while
-    /// `background_compaction` was on). The caller — [`SharedStore`]'s
-    /// write path — schedules the actual merges.
+    /// `background_compaction` was on). The caller —
+    /// [`SharedStore`](crate::SharedStore)'s write path — schedules the
+    /// actual merges.
     pub fn take_maintenance(&mut self) -> Vec<PartitionKey> {
         std::mem::take(&mut self.maintenance)
     }
@@ -829,219 +832,12 @@ fn bucket_floor(t: Timestamp, bucket: i64) -> i64 {
     }
 }
 
-/// Executor for store maintenance jobs (background compaction and novelty
-/// flushes). The storage crate defines only the contract; the engine wires
-/// its shared scan pool in, keeping the storage→engine dependency direction
-/// intact.
-pub trait MaintenanceExecutor: Send + Sync {
-    /// Runs `job` off the caller's thread, eventually exactly once (jobs
-    /// guard themselves with a [`CancelToken`] for shutdown).
-    fn spawn(&self, job: Box<dyn FnOnce() + Send>);
-}
-
-/// Maintenance wiring of a [`SharedStore`]: the optional executor plus the
-/// cancel token every scheduled pass polls.
-struct Maintenance {
-    executor: Option<Arc<dyn MaintenanceExecutor>>,
-    cancel: CancelToken,
-}
-
-impl std::fmt::Debug for Maintenance {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Maintenance")
-            .field("executor", &self.executor.is_some())
-            .field("cancel", &self.cancel)
-            .finish()
-    }
-}
-
-#[derive(Debug)]
-struct SharedInner {
-    /// The writer's authoritative store. Readers never touch this lock.
-    writer: RwLock<EventStore>,
-    /// Last published immutable snapshot. The lock is held only for the
-    /// pointer swap/clone, never across query execution.
-    published: RwLock<Arc<EventStore>>,
-    /// Reads that found the publish lock contended and had to wait for the
-    /// pointer swap (not for the writer!). A high count means publishes are
-    /// too frequent, not that queries block ingest.
-    reader_stalls: std::sync::atomic::AtomicU64,
-    /// Background-maintenance wiring (executor + drain token).
-    maintenance: std::sync::Mutex<Maintenance>,
-    /// The dictionary copy the published snapshots share, keyed by the
-    /// dict epoch it was taken at. Re-cloned (minus the ingest-only dedup
-    /// map) only when a commit actually grew the dictionary; batches that
-    /// hit the dedup fast path republish the same `Arc`. Handing snapshots
-    /// their *own* dictionary keeps the writer's `Arc` permanently unique,
-    /// so ingest never pays `Arc::make_mut`'s full-dictionary copy on the
-    /// commit path.
-    dict_cache: std::sync::Mutex<Option<(u64, Arc<EntityStore>)>>,
-}
-
-/// A cloneable, thread-safe handle to a store.
-///
-/// Every write publishes an immutable epoch-tagged `Arc` clone of the store
-/// (cheap — sealed segments and dictionaries are shared).
-/// [`SharedStore::read`] pins the current snapshot with a pointer clone and
-/// runs entirely lock-free: queries never block ingest, ingest never blocks
-/// queries, and a query sees one consistent store state for its whole run.
-#[derive(Debug, Clone)]
-pub struct SharedStore {
-    inner: Arc<SharedInner>,
-}
-
-impl SharedStore {
-    /// Wraps a store and publishes its first snapshot.
-    pub fn new(store: EventStore) -> Self {
-        let dict_cache = std::sync::Mutex::new(None);
-        let snapshot = Arc::new(Self::publish_clone(&store, &dict_cache));
-        SharedStore {
-            inner: Arc::new(SharedInner {
-                writer: RwLock::new(store),
-                published: RwLock::new(snapshot),
-                reader_stalls: std::sync::atomic::AtomicU64::new(0),
-                maintenance: std::sync::Mutex::new(Maintenance {
-                    executor: None,
-                    cancel: CancelToken::new(),
-                }),
-                dict_cache,
-            }),
-        }
-    }
-
-    /// The snapshot to publish after a write: shares sealed segments and
-    /// overlays by `Arc`, and swaps in the cached read-only dictionary —
-    /// re-copied via [`EntityStore::clone_for_read`] only when this write
-    /// moved the dict epoch. The writer's own dictionary `Arc` is never
-    /// handed out, so its `Arc::make_mut` stays the free unique-owner path
-    /// on every subsequent commit.
-    fn publish_clone(
-        store: &EventStore,
-        cache: &std::sync::Mutex<Option<(u64, Arc<EntityStore>)>>,
-    ) -> EventStore {
-        let mut snap = store.clone();
-        let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-        snap.entities = match cache.as_ref() {
-            Some((epoch, dict)) if *epoch == store.dict_epoch => dict.clone(),
-            _ => {
-                let dict = Arc::new(store.entities.clone_for_read());
-                *cache = Some((store.dict_epoch, dict.clone()));
-                dict
-            }
-        };
-        snap
-    }
-
-    /// Pins the current immutable snapshot: an epoch-tagged `Arc` the
-    /// caller can query for as long as it likes without blocking ingest.
-    /// Counts a reader stall when the publish lock is momentarily
-    /// contended.
-    pub fn snapshot(&self) -> Arc<EventStore> {
-        let guard = match self.inner.published.try_read() {
-            Ok(guard) => guard,
-            Err(std::sync::TryLockError::WouldBlock) => {
-                self.inner
-                    .reader_stalls
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.inner
-                    .published
-                    .read()
-                    .unwrap_or_else(|e| e.into_inner())
-            }
-            Err(std::sync::TryLockError::Poisoned(e)) => e.into_inner(),
-        };
-        guard.clone()
-    }
-
-    /// Runs `f` with shared (read) access: against the pinned snapshot,
-    /// with no lock held — a long query never blocks ingest or other
-    /// readers.
-    pub fn read<R>(&self, f: impl FnOnce(&EventStore) -> R) -> R {
-        f(&self.snapshot())
-    }
-
-    /// Runs `f` with exclusive (write) access, publishes the post-write
-    /// state (while the write lock is still held, so publishes are
-    /// serialized in write order) and then schedules any deferred
-    /// background compaction.
-    pub fn write<R>(&self, f: impl FnOnce(&mut EventStore) -> R) -> R {
-        let mut guard = self.inner.writer.write().unwrap_or_else(|e| e.into_inner());
-        let r = f(&mut guard);
-        let snap = Arc::new(Self::publish_clone(&guard, &self.inner.dict_cache));
-        *self
-            .inner
-            .published
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = snap;
-        let pending = guard.take_maintenance();
-        drop(guard);
-        if !pending.is_empty() {
-            self.run_maintenance(pending);
-        }
-        r
-    }
-
-    /// Wires a background-maintenance executor and the cancel token its
-    /// jobs poll (a service passes its drain token so shutdown aborts
-    /// in-flight passes). Replaces any previous wiring.
-    pub fn set_maintenance(&self, executor: Arc<dyn MaintenanceExecutor>, cancel: CancelToken) {
-        let mut st = self
-            .inner
-            .maintenance
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        st.executor = Some(executor);
-        st.cancel = cancel;
-    }
-
-    /// Compacts the deferred partitions — on the wired executor when one is
-    /// present, inline (but *after* the commit's write lock released, so
-    /// readers were never blocked behind the merge) otherwise.
-    fn run_maintenance(&self, keys: Vec<PartitionKey>) {
-        let (executor, cancel) = {
-            let st = self
-                .inner
-                .maintenance
-                .lock()
-                .unwrap_or_else(|e| e.into_inner());
-            (st.executor.clone(), st.cancel.clone())
-        };
-        let this = self.clone();
-        let pass = move || {
-            for key in keys {
-                if cancel.is_cancelled() {
-                    return;
-                }
-                this.write(|s| {
-                    // A cancelled pass is a no-op (layout and epochs are
-                    // untouched); the next commit re-queues the partition.
-                    let _ = s.compact_partition_with_cancel(key, &cancel);
-                });
-            }
-        };
-        match executor {
-            Some(exec) => exec.spawn(Box::new(pass)),
-            None => pass(),
-        }
-    }
-
-    /// Store statistics with the handle-level reader-stall counter filled
-    /// in.
-    pub fn stats(&self) -> StoreStats {
-        let mut stats = self.read(|s| s.stats());
-        stats.reader_stalls = self
-            .inner
-            .reader_stalls
-            .load(std::sync::atomic::Ordering::Relaxed);
-        stats
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::filter::OpSet;
     use crate::ingest::EntitySpec;
+    use crate::shared::{MaintenanceExecutor, SharedStore};
     use aiql_model::TimeWindow;
 
     fn raw(agent: u32, op: Operation, exe: &str, file: &str, t: i64, amount: u64) -> RawEvent {
