@@ -12,12 +12,13 @@
 //!
 //! Also covered: compaction bumps only the merged partitions' epochs, so
 //! plan-cache entries over untouched partitions survive an explicit
-//! compaction (asserted through `Engine::plan_cache_counters`).
+//! compaction (asserted through `Engine::plan_cache_counters`), and a fold
+//! of the entity dictionary costs no plan-cache entry at all.
 
 use aiql_engine::{analyze_multievent, reference, Engine, EngineConfig};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
-use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
+use aiql_storage::{EntitySpec, EventStore, RawEvent, SharedStore, StoreConfig};
 use proptest::prelude::*;
 
 fn arb_raw() -> impl Strategy<Value = RawEvent> {
@@ -318,4 +319,56 @@ fn plan_cache_survives_compaction_of_unread_partitions() {
     });
     let want = fresh.execute_text(&store, day2).expect("day-2 query");
     assert_eq!(warm.rows, want.rows);
+}
+
+/// A dictionary fold is the dictionary's compaction: it moves the delta's
+/// entities into a fresh base and changes no id, no answer, no epoch. Here
+/// the delta holds only noise the query never reads, so a warm engine on a
+/// snapshot taken after the fold answers identically without a single
+/// plan-cache miss.
+#[test]
+fn plan_cache_survives_a_dictionary_fold() {
+    let mut store = EventStore::default();
+    store.ingest_all(&[RawEvent::instant(
+        AgentId(1),
+        Operation::Write,
+        EntitySpec::process(7, "svc.exe", "svc"),
+        EntitySpec::file("/day0/data", "svc"),
+        Timestamp::from_secs(60),
+        5,
+    )]);
+    let shared = SharedStore::new(store);
+    // Interned while the published snapshot shares the base: the delta.
+    let noise: Vec<RawEvent> = (0..500)
+        .map(|i| {
+            RawEvent::instant(
+                AgentId(2),
+                Operation::Read,
+                EntitySpec::process(1000 + i, "noise.exe", "user"),
+                EntitySpec::file(&format!("/noise/{i}"), "user"),
+                Timestamp::from_secs(2 * 86_400 + i64::from(i)),
+                1,
+            )
+        })
+        .collect();
+    shared.write(|s| s.ingest_all(&noise));
+    let before = shared.snapshot();
+    assert_eq!(before.entities().delta_len(), 1_000);
+
+    let engine = Engine::new(EngineConfig::default());
+    let query = r#"proc p["%svc.exe"] write file f as e return p, f"#;
+    let first = engine.execute_text(&before, query).expect("svc query");
+    assert_eq!(first.rows.len(), 1);
+    engine.execute_text(&before, query).expect("svc query");
+    let (h1, m1) = engine.plan_cache_counters();
+
+    shared.write(EventStore::fold_dictionary);
+    let after = shared.snapshot();
+    assert_eq!(after.entities().delta_len(), 0);
+    assert_eq!(after.dict_epoch(), before.dict_epoch());
+    let again = engine.execute_text(&after, query).expect("svc query");
+    let (h2, m2) = engine.plan_cache_counters();
+    assert_eq!(again.rows, first.rows);
+    assert!(h2 > h1, "the warm plan must be reused ({h1} -> {h2} hits)");
+    assert_eq!(m2, m1, "a fold must not cost a plan-cache miss");
 }

@@ -9,8 +9,14 @@
 //! foundation of the engine's pruning-power scheduling: a `LIKE` pattern is
 //! evaluated once against a few thousand distinct names, yielding an id set
 //! that prunes event scans via posting lists.
+//!
+//! The dictionary keeps growing while snapshots of it are being read, so it
+//! is stored as a shared frozen base plus a small delta (see
+//! [`EntityStore`]): publishing a snapshot shares the layers instead of
+//! copying them.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use aiql_model::{
     AgentId, Entity, EntityAttrs, EntityId, EntityKind, Interner, PatternShape, StringPattern,
@@ -224,13 +230,21 @@ impl EntityConstraint {
     }
 }
 
-/// The deduplicating entity dictionary, including the string interner shared
-/// by the whole store.
-#[derive(Debug)]
-pub struct EntityStore {
-    interner: Interner,
+/// The delta folds into a fresh base once it holds this fraction of the
+/// base (`1 / FOLD_DIVISOR`), but never below [`FOLD_FLOOR`] entities: the
+/// fold copies the base, so spacing folds in proportion to it keeps the
+/// copy amortized O(1) per new entity, and the floor keeps a small store
+/// from folding every few batches.
+const FOLD_DIVISOR: usize = 8;
+/// Smallest delta that folds (see [`FOLD_DIVISOR`]).
+const FOLD_FLOOR: usize = 4096;
+
+/// One layer of the dictionary: a run of consecutive entity ids and every
+/// index a lookup is answered from. The base and the delta are both this,
+/// so the delta is indexed exactly like the base.
+#[derive(Debug, Default, Clone)]
+struct Layer {
     entities: Vec<Entity>,
-    dedup: HashMap<(AgentId, EntityAttrs), EntityId>,
     by_kind: [Vec<EntityId>; 3],
     /// Process entities grouped by executable-name symbol.
     proc_by_name: HashMap<Symbol, Vec<EntityId>>,
@@ -238,12 +252,206 @@ pub struct EntityStore {
     file_by_name: HashMap<Symbol, Vec<EntityId>>,
     /// Network connections grouped by destination IP.
     conn_by_dst: HashMap<u32, Vec<EntityId>>,
-    /// Trigram/prefix index over distinct process executable names.
+    /// Trigram/prefix index over the layer's distinct executable names.
     proc_dict: DictIndex,
-    /// Trigram/prefix index over distinct file paths.
+    /// Trigram/prefix index over the layer's distinct file paths.
     file_dict: DictIndex,
-    /// Trigram/prefix index over rendered destination IPs.
+    /// Trigram/prefix index over the layer's rendered destination IPs.
     conn_dict: DictIndex,
+}
+
+impl Layer {
+    /// Appends an entity whose id is one past the layer's last.
+    fn push(&mut self, entity: Entity, interner: &Interner) {
+        let id = entity.id;
+        self.by_kind[kind_slot(entity.kind())].push(id);
+        // Group the entity under its dictionary key; the first observation
+        // of a distinct key in this layer also enters its n-gram/prefix
+        // index.
+        match entity.attrs {
+            EntityAttrs::Process(p) => {
+                let ids = self.proc_by_name.entry(p.exe_name).or_default();
+                if ids.is_empty() {
+                    self.proc_dict
+                        .insert(p.exe_name.raw(), interner.resolve(p.exe_name));
+                }
+                ids.push(id);
+            }
+            EntityAttrs::File(f) => {
+                let ids = self.file_by_name.entry(f.name).or_default();
+                if ids.is_empty() {
+                    self.file_dict
+                        .insert(f.name.raw(), interner.resolve(f.name));
+                }
+                ids.push(id);
+            }
+            EntityAttrs::NetConn(n) => {
+                let ids = self.conn_by_dst.entry(n.dst_ip.0).or_default();
+                if ids.is_empty() {
+                    self.conn_dict.insert(n.dst_ip.0, &n.dst_ip.to_string());
+                }
+                ids.push(id);
+            }
+        }
+        self.entities.push(entity);
+    }
+
+    /// A copy with capacity for `extra` more entities in the id-ordered
+    /// vectors.
+    fn copy_with_room(&self, extra: usize) -> Layer {
+        fn with_room<T: Copy>(items: &[T], extra: usize) -> Vec<T> {
+            let mut out = Vec::with_capacity(items.len() + extra);
+            out.extend_from_slice(items);
+            out
+        }
+        Layer {
+            entities: with_room(&self.entities, extra),
+            by_kind: self.by_kind.each_ref().map(|ids| with_room(ids, extra)),
+            proc_by_name: self.proc_by_name.clone(),
+            file_by_name: self.file_by_name.clone(),
+            conn_by_dst: self.conn_by_dst.clone(),
+            proc_dict: self.proc_dict.clone(),
+            file_dict: self.file_dict.clone(),
+            conn_dict: self.conn_dict.clone(),
+        }
+    }
+
+    /// Attempts an index-assisted candidate lookup for one constraint over
+    /// this layer. The returned id vector is **sorted and deduped**. Whether
+    /// it is `None` depends on the constraint alone, never on the layer's
+    /// contents.
+    fn index_lookup(
+        &self,
+        kind: EntityKind,
+        c: &EntityConstraint,
+        interner: &Interner,
+    ) -> Option<Vec<EntityId>> {
+        let attr = c.resolved_attr(kind);
+        match (kind, attr) {
+            (EntityKind::Process, "exe_name" | "name") => {
+                sym_index_lookup(&self.proc_by_name, &self.proc_dict, c, interner)
+            }
+            (EntityKind::File, "name" | "path") => {
+                sym_index_lookup(&self.file_by_name, &self.file_dict, c, interner)
+            }
+            (EntityKind::NetConn, "dst_ip" | "dstip") => match &c.cmp {
+                AttrCmp::Eq(Value::Ip(ip)) => Some(finish_ids(
+                    self.conn_by_dst.get(&ip.0).cloned().unwrap_or_default(),
+                )),
+                AttrCmp::Like(p) => {
+                    let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
+                        let mut out = Vec::new();
+                        for raw in keys {
+                            if let Some(ids) = self.conn_by_dst.get(raw) {
+                                out.extend_from_slice(ids);
+                            }
+                        }
+                        finish_ids(out)
+                    };
+                    match self.conn_dict.resolve(p) {
+                        DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
+                        DictCandidates::Verify(keys) => {
+                            let verified: Vec<u32> = keys
+                                .into_iter()
+                                .filter(|raw| p.matches(&aiql_model::IpV4(*raw).to_string()))
+                                .collect();
+                            return Some(resolve_keys(&verified));
+                        }
+                        DictCandidates::Scan => {}
+                    }
+                    // Evaluate the pattern over distinct destination IPs.
+                    let mut out = Vec::new();
+                    for (raw, ids) in &self.conn_by_dst {
+                        let rendered = aiql_model::IpV4(*raw).to_string();
+                        if p.matches(&rendered) {
+                            out.extend_from_slice(ids);
+                        }
+                    }
+                    Some(finish_ids(out))
+                }
+                _ => None,
+            },
+            _ => None,
+        }
+    }
+}
+
+fn sym_index_lookup(
+    index: &HashMap<Symbol, Vec<EntityId>>,
+    dict: &DictIndex,
+    c: &EntityConstraint,
+    interner: &Interner,
+) -> Option<Vec<EntityId>> {
+    match &c.cmp {
+        AttrCmp::Eq(Value::Str(sym)) => {
+            Some(finish_ids(index.get(sym).cloned().unwrap_or_default()))
+        }
+        AttrCmp::Like(p) => {
+            let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
+                let mut out = Vec::new();
+                for &raw in keys {
+                    if let Some(ids) = index.get(&Symbol(raw)) {
+                        out.extend_from_slice(ids);
+                    }
+                }
+                finish_ids(out)
+            };
+            match dict.resolve(p) {
+                DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
+                DictCandidates::Verify(keys) => {
+                    let verified: Vec<u32> = keys
+                        .into_iter()
+                        .filter(|&raw| p.matches(interner.resolve(Symbol(raw))))
+                        .collect();
+                    return Some(resolve_keys(&verified));
+                }
+                DictCandidates::Scan => {}
+            }
+            // Evaluate the pattern once per *distinct* string — the core
+            // dictionary-vs-events asymmetry (and the n-gram fallback when
+            // no literal run is trigram-sized).
+            let mut out = Vec::new();
+            for (sym, ids) in index {
+                if p.matches(interner.resolve(*sym)) {
+                    out.extend_from_slice(ids);
+                }
+            }
+            Some(finish_ids(out))
+        }
+        _ => None,
+    }
+}
+
+/// `layer`, writable: in place when nothing else holds it, otherwise a copy
+/// with room for `extra` more entities — the large vectors are copied once
+/// and do not reallocate while the room lasts.
+fn writable(layer: &mut Arc<Layer>, extra: usize) -> &mut Layer {
+    if Arc::get_mut(layer).is_none() {
+        *layer = Arc::new(layer.copy_with_room(extra));
+    }
+    Arc::make_mut(layer)
+}
+
+/// The deduplicating entity dictionary, including the string interner shared
+/// by the whole store.
+///
+/// Entities live in two layers over one dense id space: a frozen, `Arc`-
+/// shared **base** and a small **delta** whose ids all follow the base's.
+/// Interning goes straight into the base while nothing else holds it (every
+/// bare [`EventStore`](crate::EventStore)), so such a store has an empty
+/// delta and reads one layer. Once a published snapshot shares the base,
+/// new entities go to the delta instead, and the delta folds into a fresh
+/// base when it holds `1 / FOLD_DIVISOR` of the base (at least
+/// [`FOLD_FLOOR`] entities). Publishing copies `Arc`s: the base, the delta
+/// and the interner are shared copy-on-write, and the writer-only dedup map
+/// is never shared.
+#[derive(Debug)]
+pub struct EntityStore {
+    interner: Arc<Interner>,
+    base: Arc<Layer>,
+    delta: Arc<Layer>,
+    /// Writer-only: ⟨agent, attrs⟩ → id. Snapshots leave it empty.
+    dedup: HashMap<(AgentId, EntityAttrs), EntityId>,
     /// Distinct hosts observed, ascending (the `find` agent-restriction
     /// fast path: a restriction covering every host is a no-op).
     agents_seen: Vec<AgentId>,
@@ -257,48 +465,8 @@ pub struct EntityStore {
 impl Clone for EntityStore {
     fn clone(&self) -> Self {
         EntityStore {
-            interner: self.interner.clone(),
-            entities: self.entities.clone(),
             dedup: self.dedup.clone(),
-            by_kind: self.by_kind.clone(),
-            proc_by_name: self.proc_by_name.clone(),
-            file_by_name: self.file_by_name.clone(),
-            conn_by_dst: self.conn_by_dst.clone(),
-            proc_dict: self.proc_dict.clone(),
-            file_dict: self.file_dict.clone(),
-            conn_dict: self.conn_dict.clone(),
-            agents_seen: self.agents_seen.clone(),
-            dedup_hits: std::sync::atomic::AtomicU64::new(
-                self.dedup_hits.load(std::sync::atomic::Ordering::Relaxed),
-            ),
-        }
-    }
-}
-
-impl EntityStore {
-    /// Clone for publication into a read-only snapshot: identical
-    /// query-visible state (entities, interner, name and n-gram indexes),
-    /// but the dedup map — consulted only by the ingest path, which never
-    /// runs against a snapshot — stays empty. Skipping it roughly halves
-    /// the copy a dictionary-changing publish pays, and the copy itself is
-    /// what keeps the writer's dictionary `Arc` unique so commits never
-    /// hit `Arc::make_mut`'s copy-on-write slow path.
-    pub(crate) fn clone_for_read(&self) -> Self {
-        EntityStore {
-            interner: self.interner.clone(),
-            entities: self.entities.clone(),
-            dedup: HashMap::new(),
-            by_kind: self.by_kind.clone(),
-            proc_by_name: self.proc_by_name.clone(),
-            file_by_name: self.file_by_name.clone(),
-            conn_by_dst: self.conn_by_dst.clone(),
-            proc_dict: self.proc_dict.clone(),
-            file_dict: self.file_dict.clone(),
-            conn_dict: self.conn_dict.clone(),
-            agents_seen: self.agents_seen.clone(),
-            dedup_hits: std::sync::atomic::AtomicU64::new(
-                self.dedup_hits.load(std::sync::atomic::Ordering::Relaxed),
-            ),
+            ..self.share_for_read()
         }
     }
 }
@@ -333,18 +501,26 @@ impl EntityStore {
     /// Creates an empty dictionary.
     pub fn new() -> Self {
         EntityStore {
-            interner: Interner::new(),
-            entities: Vec::new(),
+            interner: Arc::new(Interner::new()),
+            base: Arc::default(),
+            delta: Arc::default(),
             dedup: HashMap::new(),
-            by_kind: [Vec::new(), Vec::new(), Vec::new()],
-            proc_by_name: HashMap::new(),
-            file_by_name: HashMap::new(),
-            conn_by_dst: HashMap::new(),
-            proc_dict: DictIndex::default(),
-            file_dict: DictIndex::default(),
-            conn_dict: DictIndex::default(),
             agents_seen: Vec::new(),
             dedup_hits: std::sync::atomic::AtomicU64::new(0),
+        }
+    }
+
+    /// The dictionary a published snapshot reads: the base, delta and
+    /// interner `Arc`s shared, the writer-only dedup map left empty
+    /// (snapshots never ingest).
+    pub(crate) fn share_for_read(&self) -> Self {
+        EntityStore {
+            interner: self.interner.clone(),
+            base: self.base.clone(),
+            delta: self.delta.clone(),
+            dedup: HashMap::new(),
+            agents_seen: self.agents_seen.clone(),
+            dedup_hits: std::sync::atomic::AtomicU64::new(self.dedup_hits()),
         }
     }
 
@@ -353,10 +529,19 @@ impl EntityStore {
         &self.interner
     }
 
-    /// Mutable access to the string dictionary (used by ingestion and by
-    /// engines interning query literals).
+    /// Mutable access to the string dictionary (copy-on-write: it is first
+    /// copied when a published snapshot shares it).
     pub fn interner_mut(&mut self) -> &mut Interner {
-        &mut self.interner
+        Arc::make_mut(&mut self.interner)
+    }
+
+    /// Interns one string, touching the shared interner only when the
+    /// string is new — so ingesting known names never copies it.
+    pub(crate) fn intern_str(&mut self, s: &str) -> Symbol {
+        match self.interner.get(s) {
+            Some(sym) => sym,
+            None => self.interner_mut().intern(s),
+        }
     }
 
     /// Interns an entity observation, returning its stable id. Repeated
@@ -367,42 +552,52 @@ impl EntityStore {
             self.note_dedup_hit();
             return id;
         }
-        let id = EntityId(self.entities.len() as u32);
+        let id = EntityId(self.len() as u32);
         let entity = Entity { id, agent, attrs };
-        self.entities.push(entity);
         self.dedup.insert((agent, attrs), id);
-        self.by_kind[kind_slot(attrs.kind())].push(id);
         if let Err(pos) = self.agents_seen.binary_search(&agent) {
             self.agents_seen.insert(pos, agent);
         }
-        // Group the entity under its dictionary key; the first observation
-        // of a distinct key also enters the n-gram/prefix index.
-        match attrs {
-            EntityAttrs::Process(p) => {
-                let ids = self.proc_by_name.entry(p.exe_name).or_default();
-                if ids.is_empty() {
-                    self.proc_dict
-                        .insert(p.exe_name.raw(), self.interner.resolve(p.exe_name));
-                }
-                ids.push(id);
-            }
-            EntityAttrs::File(f) => {
-                let ids = self.file_by_name.entry(f.name).or_default();
-                if ids.is_empty() {
-                    self.file_dict
-                        .insert(f.name.raw(), self.interner.resolve(f.name));
-                }
-                ids.push(id);
-            }
-            EntityAttrs::NetConn(n) => {
-                let ids = self.conn_by_dst.entry(n.dst_ip.0).or_default();
-                if ids.is_empty() {
-                    self.conn_dict.insert(n.dst_ip.0, &n.dst_ip.to_string());
-                }
-                ids.push(id);
-            }
+        let fold_at = (self.base.entities.len() / FOLD_DIVISOR).max(FOLD_FLOOR);
+        if Arc::get_mut(&mut self.base).is_some() || self.delta.entities.len() >= fold_at {
+            // Either way the base is unshared after the fold, so it takes
+            // the entity without a copy.
+            self.fold();
+            writable(&mut self.base, 0).push(entity, &self.interner);
+        } else {
+            let room = fold_at - self.delta.entities.len();
+            writable(&mut self.delta, room).push(entity, &self.interner);
         }
         id
+    }
+
+    /// Moves the delta into the base — copying the base first only while a
+    /// snapshot still shares it. Ids, lookups and answers are unchanged;
+    /// only the layering is.
+    pub(crate) fn fold(&mut self) {
+        if self.delta.entities.is_empty() {
+            return;
+        }
+        let delta = std::mem::take(&mut self.delta);
+        let base = writable(&mut self.base, delta.entities.len() + FOLD_FLOOR);
+        for e in &delta.entities {
+            base.push(*e, &self.interner);
+        }
+    }
+
+    /// Entities in the delta layer: 0 on a dictionary no snapshot shares,
+    /// and right after a fold.
+    pub fn delta_len(&self) -> usize {
+        self.delta.entities.len()
+    }
+
+    /// Whether `self` and `other` share their base and their delta `Arc`.
+    #[cfg(test)]
+    pub(crate) fn shares_layers(&self, other: &EntityStore) -> [bool; 2] {
+        [
+            Arc::ptr_eq(&self.base, &other.base),
+            Arc::ptr_eq(&self.delta, &other.delta),
+        ]
     }
 
     /// Fetches an entity by id.
@@ -411,22 +606,27 @@ impl EntityStore {
     /// Panics if the id was not produced by this store.
     #[inline]
     pub fn get(&self, id: EntityId) -> &Entity {
-        &self.entities[id.index()]
+        let base = &self.base.entities;
+        match base.get(id.index()) {
+            Some(e) => e,
+            None => &self.delta.entities[id.index() - base.len()],
+        }
     }
 
     /// Number of distinct entities.
     pub fn len(&self) -> usize {
-        self.entities.len()
+        self.base.entities.len() + self.delta.entities.len()
     }
 
     /// Whether the dictionary is empty.
     pub fn is_empty(&self) -> bool {
-        self.entities.is_empty()
+        self.len() == 0
     }
 
     /// Number of distinct entities of one kind.
     pub fn count_kind(&self, kind: EntityKind) -> usize {
-        self.by_kind[kind_slot(kind)].len()
+        let slot = kind_slot(kind);
+        self.base.by_kind[slot].len() + self.delta.by_kind[slot].len()
     }
 
     /// Read-only dedup probe: the id of an already-interned ⟨agent, attrs⟩
@@ -450,13 +650,16 @@ impl EntityStore {
     }
 
     /// All entities of a kind, in id order.
-    pub fn ids_of_kind(&self, kind: EntityKind) -> &[EntityId] {
-        &self.by_kind[kind_slot(kind)]
+    pub fn ids_of_kind(&self, kind: EntityKind) -> impl Iterator<Item = &EntityId> {
+        let slot = kind_slot(kind);
+        self.base.by_kind[slot]
+            .iter()
+            .chain(&self.delta.by_kind[slot])
     }
 
     /// Iterates all entities in id order.
     pub fn iter(&self) -> impl Iterator<Item = &Entity> {
-        self.entities.iter()
+        self.base.entities.iter().chain(&self.delta.entities)
     }
 
     /// Resolves the set of entity ids of `kind` satisfying all `constraints`
@@ -503,111 +706,23 @@ impl EntityStore {
         };
         match candidates {
             Some(seed) => seed.into_iter().filter(|id| check(id)).collect(),
-            None => self.by_kind[kind_slot(kind)]
-                .iter()
+            None => self
+                .ids_of_kind(kind)
                 .copied()
                 .filter(|id| check(id))
                 .collect(),
         }
     }
 
-    /// Attempts an index-assisted candidate lookup for one constraint. The
-    /// returned id vector is **sorted and deduped** (dictionary-assigned ids
-    /// ascend, so downstream posting-list merges can sort-merge).
+    /// One constraint's index lookup over both layers: the base's ids, then
+    /// the delta's — every delta id follows every base id, so the result is
+    /// sorted without a merge. An empty delta is not consulted.
     fn index_lookup(&self, kind: EntityKind, c: &EntityConstraint) -> Option<Vec<EntityId>> {
-        let attr = c.resolved_attr(kind);
-        match (kind, attr) {
-            (EntityKind::Process, "exe_name" | "name") => {
-                self.sym_index_lookup(&self.proc_by_name, &self.proc_dict, c)
-            }
-            (EntityKind::File, "name" | "path") => {
-                self.sym_index_lookup(&self.file_by_name, &self.file_dict, c)
-            }
-            (EntityKind::NetConn, "dst_ip" | "dstip") => match &c.cmp {
-                AttrCmp::Eq(Value::Ip(ip)) => Some(finish_ids(
-                    self.conn_by_dst.get(&ip.0).cloned().unwrap_or_default(),
-                )),
-                AttrCmp::Like(p) => {
-                    let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
-                        let mut out = Vec::new();
-                        for raw in keys {
-                            if let Some(ids) = self.conn_by_dst.get(raw) {
-                                out.extend_from_slice(ids);
-                            }
-                        }
-                        finish_ids(out)
-                    };
-                    match self.conn_dict.resolve(p) {
-                        DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                        DictCandidates::Verify(keys) => {
-                            let verified: Vec<u32> = keys
-                                .into_iter()
-                                .filter(|raw| p.matches(&aiql_model::IpV4(*raw).to_string()))
-                                .collect();
-                            return Some(resolve_keys(&verified));
-                        }
-                        DictCandidates::Scan => {}
-                    }
-                    // Evaluate the pattern over distinct destination IPs.
-                    let mut out = Vec::new();
-                    for (raw, ids) in &self.conn_by_dst {
-                        let rendered = aiql_model::IpV4(*raw).to_string();
-                        if p.matches(&rendered) {
-                            out.extend_from_slice(ids);
-                        }
-                    }
-                    Some(finish_ids(out))
-                }
-                _ => None,
-            },
-            _ => None,
+        let mut ids = self.base.index_lookup(kind, c, &self.interner)?;
+        if !self.delta.entities.is_empty() {
+            ids.extend(self.delta.index_lookup(kind, c, &self.interner)?);
         }
-    }
-
-    fn sym_index_lookup(
-        &self,
-        index: &HashMap<Symbol, Vec<EntityId>>,
-        dict: &DictIndex,
-        c: &EntityConstraint,
-    ) -> Option<Vec<EntityId>> {
-        match &c.cmp {
-            AttrCmp::Eq(Value::Str(sym)) => {
-                Some(finish_ids(index.get(sym).cloned().unwrap_or_default()))
-            }
-            AttrCmp::Like(p) => {
-                let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
-                    let mut out = Vec::new();
-                    for &raw in keys {
-                        if let Some(ids) = index.get(&Symbol(raw)) {
-                            out.extend_from_slice(ids);
-                        }
-                    }
-                    finish_ids(out)
-                };
-                match dict.resolve(p) {
-                    DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                    DictCandidates::Verify(keys) => {
-                        let verified: Vec<u32> = keys
-                            .into_iter()
-                            .filter(|&raw| p.matches(self.interner.resolve(Symbol(raw))))
-                            .collect();
-                        return Some(resolve_keys(&verified));
-                    }
-                    DictCandidates::Scan => {}
-                }
-                // Evaluate the pattern once per *distinct* string — the core
-                // dictionary-vs-events asymmetry (and the n-gram fallback
-                // when no literal run is trigram-sized).
-                let mut out = Vec::new();
-                for (sym, ids) in index {
-                    if p.matches(self.interner.resolve(*sym)) {
-                        out.extend_from_slice(ids);
-                    }
-                }
-                Some(finish_ids(out))
-            }
-            _ => None,
-        }
+        Some(ids)
     }
 
     /// Evaluates one constraint against one entity.

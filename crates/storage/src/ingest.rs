@@ -125,9 +125,9 @@ impl EntitySpec {
                 user,
                 cmdline,
             } => {
-                let exe_name = entities.interner_mut().intern(exe_name);
-                let user = entities.interner_mut().intern(user);
-                let cmdline = entities.interner_mut().intern(cmdline);
+                let exe_name = entities.intern_str(exe_name);
+                let user = entities.intern_str(user);
+                let cmdline = entities.intern_str(cmdline);
                 EntityAttrs::Process(ProcessAttrs {
                     pid: *pid,
                     exe_name,
@@ -136,8 +136,8 @@ impl EntitySpec {
                 })
             }
             EntitySpec::File { name, owner } => {
-                let name = entities.interner_mut().intern(name);
-                let owner = entities.interner_mut().intern(owner);
+                let name = entities.intern_str(name);
+                let owner = entities.intern_str(owner);
                 EntityAttrs::File(FileAttrs { name, owner })
             }
             EntitySpec::NetConn {

@@ -5,7 +5,6 @@ use std::sync::{Arc, RwLock};
 
 use aiql_model::CancelToken;
 
-use crate::entities::EntityStore;
 use crate::segment::PartitionKey;
 use crate::stats::StoreStats;
 use crate::store::EventStore;
@@ -49,14 +48,6 @@ struct SharedInner {
     reader_stalls: std::sync::atomic::AtomicU64,
     /// Background-maintenance wiring (executor + drain token).
     maintenance: std::sync::Mutex<Maintenance>,
-    /// The dictionary copy the published snapshots share, keyed by the
-    /// dict epoch it was taken at. Re-cloned (minus the ingest-only dedup
-    /// map) only when a commit actually grew the dictionary; batches that
-    /// hit the dedup fast path republish the same `Arc`. Handing snapshots
-    /// their *own* dictionary keeps the writer's `Arc` permanently unique,
-    /// so ingest never pays `Arc::make_mut`'s full-dictionary copy on the
-    /// commit path.
-    dict_cache: std::sync::Mutex<Option<(u64, Arc<EntityStore>)>>,
 }
 
 /// A cloneable, thread-safe handle to a store.
@@ -74,8 +65,7 @@ pub struct SharedStore {
 impl SharedStore {
     /// Wraps a store and publishes its first snapshot.
     pub fn new(store: EventStore) -> Self {
-        let dict_cache = std::sync::Mutex::new(None);
-        let snapshot = Arc::new(Self::publish_clone(&store, &dict_cache));
+        let snapshot = Arc::new(Self::publish_clone(&store));
         SharedStore {
             inner: Arc::new(SharedInner {
                 writer: RwLock::new(store),
@@ -85,31 +75,20 @@ impl SharedStore {
                     executor: None,
                     cancel: CancelToken::new(),
                 }),
-                dict_cache,
             }),
         }
     }
 
     /// The snapshot to publish after a write: shares sealed segments and
-    /// overlays by `Arc`, and swaps in the cached read-only dictionary —
-    /// re-copied via [`EntityStore::clone_for_read`] only when this write
-    /// moved the dict epoch. The writer's own dictionary `Arc` is never
-    /// handed out, so its `Arc::make_mut` stays the free unique-owner path
-    /// on every subsequent commit.
-    fn publish_clone(
-        store: &EventStore,
-        cache: &std::sync::Mutex<Option<(u64, Arc<EntityStore>)>>,
-    ) -> EventStore {
+    /// overlays by `Arc`, and gets a dictionary of its own that shares the
+    /// writer's base, delta and interner `Arc`s but not its dedup map
+    /// ([`EntityStore`](crate::EntityStore) has the layer rule). Nothing is
+    /// copied but `Arc`s, and the writer's own dictionary `Arc` stays
+    /// unique, so its `Arc::make_mut` stays the free unique-owner path on
+    /// every commit.
+    fn publish_clone(store: &EventStore) -> EventStore {
         let mut snap = store.clone();
-        let mut cache = cache.lock().unwrap_or_else(|e| e.into_inner());
-        snap.entities = match cache.as_ref() {
-            Some((epoch, dict)) if *epoch == store.dict_epoch => dict.clone(),
-            _ => {
-                let dict = Arc::new(store.entities.clone_for_read());
-                *cache = Some((store.dict_epoch, dict.clone()));
-                dict
-            }
-        };
+        snap.entities = Arc::new(store.entities.share_for_read());
         snap
     }
 
@@ -148,7 +127,7 @@ impl SharedStore {
     pub fn write<R>(&self, f: impl FnOnce(&mut EventStore) -> R) -> R {
         let mut guard = self.inner.writer.write().unwrap_or_else(|e| e.into_inner());
         let r = f(&mut guard);
-        let snap = Arc::new(Self::publish_clone(&guard, &self.inner.dict_cache));
+        let snap = Arc::new(Self::publish_clone(&guard));
         *self
             .inner
             .published

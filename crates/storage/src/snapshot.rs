@@ -393,6 +393,32 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// A published snapshot reads a base and a delta; saving it writes one
+    /// id-ordered dictionary, and the loaded store owns its base, so it
+    /// reads one layer.
+    #[test]
+    fn layered_dictionary_loads_into_one_layer() {
+        let shared = crate::SharedStore::new(populated_store());
+        shared.write(|s| {
+            s.ingest_all(&[RawEvent::instant(
+                AgentId(9),
+                Operation::Read,
+                EntitySpec::process(1, "late.exe", "bob"),
+                EntitySpec::file("/late", "bob"),
+                Timestamp::from_secs(7),
+                1,
+            )]);
+        });
+        let snap = shared.snapshot();
+        assert_eq!(snap.entities().delta_len(), 2);
+        let path = tmpfile("layered");
+        save(&snap, &path).unwrap();
+        let loaded = load(&path).unwrap();
+        assert_eq!(loaded.entities().delta_len(), 0);
+        assert!(loaded.entities().iter().eq(snap.entities().iter()));
+        std::fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn snapshot_roundtrip_preserves_epoch_vector() {
         let store = populated_store();

@@ -41,7 +41,12 @@ pub struct StoreStats {
     pub commits: u64,
     /// Approximate resident bytes of event columns.
     pub event_bytes: u64,
-    /// Approximate resident bytes of the string dictionary.
+    /// Approximate resident bytes of the *string interner* only
+    /// ([`Interner::heap_bytes`](aiql_model::Interner::heap_bytes)): the
+    /// interned strings and their lookup table. It does not count the
+    /// entity table, its per-kind and per-name postings, or the trigram /
+    /// prefix indexes — on a store of a few hundred distinct strings and
+    /// 10⁵ entities it is a few KB, far below what the dictionary holds.
     pub dict_bytes: u64,
     /// Total segments across partitions (== `partitions` when every
     /// partition is fully compacted; higher means fragmentation).

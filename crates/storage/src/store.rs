@@ -122,7 +122,7 @@ pub struct EventStore {
     /// Dictionary epoch: bumped only when the entity dictionary (or the
     /// string interner behind it) may have changed. Variable resolutions
     /// read nothing else, so plan caches key them on this alone.
-    pub(crate) dict_epoch: u64,
+    dict_epoch: u64,
     /// Partition-set epoch: bumped only when a partition is created. A
     /// cached estimate whose dependency partitions are unchanged is still
     /// invalid if a *new* partition appeared inside its scan range; this
@@ -258,6 +258,15 @@ impl EventStore {
         Arc::make_mut(&mut self.entities)
     }
 
+    /// Folds the dictionary's delta layer into a fresh base now, rather
+    /// than when the write path finds it at its fold size (see
+    /// [`EntityStore`]). Ids, answers and [`Self::dict_epoch`] are
+    /// unchanged — only the layering moves — so plan caches keep every
+    /// entry.
+    pub fn fold_dictionary(&mut self) {
+        Arc::make_mut(&mut self.entities).fold();
+    }
+
     /// Shared string dictionary.
     pub fn interner(&self) -> &aiql_model::Interner {
         self.entities.interner()
@@ -286,11 +295,11 @@ impl EventStore {
     /// Resolves one observation's subject and object entity ids.
     ///
     /// Fast path: when every string is already interned and both entities
-    /// dedup-hit, the ids come from read-only probes — the shared
-    /// dictionary `Arc` is untouched, so a published snapshot keeps sharing
-    /// it and repeat-heavy ingest (the monitoring steady state) never pays
-    /// a dictionary clone. Only genuinely novel entities take the
-    /// copy-on-write slow path.
+    /// dedup-hit, the ids come from read-only probes — the dictionary `Arc`
+    /// is untouched, so a [`Clone`] of this store keeps sharing it and
+    /// repeat-heavy ingest (the monitoring steady state) never pays a
+    /// dictionary clone. Only genuinely novel entities take the interning
+    /// path.
     fn resolve_event_entities(&mut self, raw: &RawEvent) -> (EntityId, EntityId) {
         let object_agent = raw.object_agent.unwrap_or(raw.agent);
         if let (Some(subject_attrs), Some(object_attrs)) = (
@@ -693,7 +702,6 @@ impl EventStore {
     pub fn stats(&self) -> StoreStats {
         let events = self.event_count();
         let mut agents: Vec<AgentId> = self.partitions.keys().map(|k| k.agent).collect();
-        agents.dedup();
         agents.sort_unstable();
         agents.dedup();
         // Fragmentation: segments per partition and segment row sizes (a
@@ -1479,57 +1487,163 @@ mod tests {
         assert!(shared.snapshot().epoch() > epoch_before);
     }
 
-    #[test]
-    fn publishes_share_one_dictionary_copy_per_dict_epoch() {
-        let shared = SharedStore::new(EventStore::default());
-        shared.write(|s| {
-            s.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 10, 100)]);
-        });
-        let s1 = shared.snapshot();
-        // A batch of pure dedup hits leaves the dict epoch alone: the next
-        // publish re-shares the same dictionary Arc instead of copying.
-        shared.write(|s| {
-            s.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 3_000, 7)]);
-        });
-        let s2 = shared.snapshot();
-        assert!(
-            Arc::ptr_eq(&s1.entities, &s2.entities),
-            "dedup-only batch must republish the cached dictionary"
-        );
-        // A genuinely novel entity moves the epoch: the snapshot gets a
-        // fresh copy, the writer's Arc stays unique (no make_mut copy), and
-        // its dedup map still merges repeats.
-        shared.write(|s| {
-            s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 20, 1)]);
-        });
-        let s3 = shared.snapshot();
-        assert!(!Arc::ptr_eq(&s2.entities, &s3.entities));
-        let entities_now = s3.entities.len();
-        shared.write(|s| {
-            s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 25, 1)]);
-        });
-        assert_eq!(
-            shared.read(|s| s.entities().len()),
-            entities_now,
-            "writer-side dedup must still recognize repeats after publishing"
-        );
-        // Snapshots resolve their own entities even though their dedup map
-        // is intentionally empty.
-        let sym = s3
-            .interner()
-            .get("vim")
-            .expect("snapshot interner carries the new name");
-        let ids = s3.entities().find(
+    /// The ids of the processes named `exe` that `entities` resolves.
+    fn procs_named(entities: &EntityStore, exe: &str) -> Vec<EntityId> {
+        let Some(sym) = entities.interner().get(exe) else {
+            return Vec::new();
+        };
+        entities.find(
             aiql_model::EntityKind::Process,
             None,
             &[crate::entities::EntityConstraint::on_default(
                 crate::entities::AttrCmp::Eq(aiql_model::Value::Str(sym)),
             )],
+        )
+    }
+
+    #[test]
+    fn publishes_share_one_dictionary_copy_per_dict_epoch() {
+        let mut store = EventStore::default();
+        store.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 10, 100)]);
+        let shared = SharedStore::new(store);
+        let s1 = shared.snapshot();
+        // A batch of pure dedup hits leaves the dict epoch alone: the next
+        // publish re-shares both layers.
+        shared.write(|s| {
+            s.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 3_000, 7)]);
+        });
+        let s2 = shared.snapshot();
+        assert_eq!(s1.dict_epoch(), s2.dict_epoch());
+        assert_eq!(
+            s1.entities.shares_layers(&s2.entities),
+            [true, true],
+            "dedup-only batch must republish the same base and delta"
         );
-        assert!(
-            !ids.is_empty(),
-            "snapshot dictionary must resolve the new entity"
+        // A genuinely novel entity moves the epoch and lands in the delta:
+        // the base the published snapshot shares is re-shared, not copied.
+        shared.write(|s| {
+            s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 20, 1)]);
+        });
+        let s3 = shared.snapshot();
+        assert!(s3.dict_epoch() > s2.dict_epoch());
+        assert_eq!(s2.entities.shares_layers(&s3.entities), [true, false]);
+        assert_eq!(
+            (s2.entities().delta_len(), s3.entities().delta_len()),
+            (0, 2)
         );
+        // Snapshots resolve delta entities even though their dedup map is
+        // intentionally empty.
+        assert_eq!(procs_named(s3.entities(), "vim").len(), 1);
+        assert!(procs_named(s2.entities(), "vim").is_empty());
+
+        // A fold builds a fresh base and leaves the dict epoch alone; the
+        // snapshot pinned before it still reads its own layers.
+        shared.write(EventStore::fold_dictionary);
+        let s4 = shared.snapshot();
+        assert_eq!(s4.dict_epoch(), s3.dict_epoch());
+        assert_eq!(s3.entities.shares_layers(&s4.entities), [false, false]);
+        assert_eq!(
+            (s3.entities().delta_len(), s4.entities().delta_len()),
+            (2, 0)
+        );
+        assert!(s3.entities().iter().eq(s4.entities().iter()));
+        assert_eq!(
+            procs_named(s3.entities(), "vim"),
+            procs_named(s4.entities(), "vim")
+        );
+        // Writer-side dedup still merges repeats after the fold.
+        let entities_now = s4.entities().len();
+        shared.write(|s| {
+            s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 25, 1)]);
+        });
+        let s5 = shared.snapshot();
+        assert_eq!(
+            s5.entities().len(),
+            entities_now,
+            "writer-side dedup must still recognize repeats after a fold"
+        );
+        assert_eq!(s5.dict_epoch(), s4.dict_epoch());
+    }
+
+    /// `n` reads, each by a process nothing else has run, of a file nothing
+    /// else has touched: two new entities apiece.
+    fn novel(n: usize, from: usize) -> Vec<RawEvent> {
+        (from..from + n)
+            .map(|i| {
+                let exe = format!("exe{}", i % 7);
+                let mut r = raw(
+                    1 + (i % 3) as u32,
+                    Operation::Read,
+                    &exe,
+                    &format!("/f{i}"),
+                    0,
+                    1,
+                );
+                r.subject = EntitySpec::process(i as u32, &exe, "alice");
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bare_stores_read_one_layer() {
+        let mut store = EventStore::default();
+        let mut ingested = 0;
+        for batch in [1, 700, 3_000, 2_500, 10] {
+            store.ingest_all(&novel(batch, ingested));
+            ingested += batch;
+            assert_eq!(store.entities().delta_len(), 0, "after {ingested} events");
+        }
+        assert_eq!(store.entities().len(), 2 * ingested);
+        // A clone shares the base, so the next novelty goes to a delta...
+        let clone = store.clone();
+        store.ingest_all(&novel(5, ingested));
+        assert_eq!(store.entities().delta_len(), 10);
+        assert_eq!(clone.entities().len(), 2 * ingested);
+        // ...until the clone is gone: then the delta folds in place.
+        drop(clone);
+        store.ingest_all(&novel(1, ingested + 5));
+        assert_eq!(store.entities().delta_len(), 0);
+        assert_eq!(store.entities().len(), 2 * (ingested + 6));
+    }
+
+    #[test]
+    fn dict_epoch_moves_only_when_the_dictionary_grows() {
+        let shared = SharedStore::new(EventStore::default());
+        let state = || {
+            let s = shared.snapshot();
+            let e = s.entities();
+            (e.len(), e.interner().len(), s.dict_epoch(), e.delta_len())
+        };
+        let mut before = state();
+        let mut folds = 0;
+        let mut ingested = 0;
+        // Novel batches past the fold floor, repeats, an empty publish and
+        // an explicit fold, in one stream.
+        for step in 0..40 {
+            match step % 5 {
+                4 => shared.write(|s| s.ingest_all(&novel(3, 0))),
+                3 if step == 23 => shared.write(EventStore::fold_dictionary),
+                3 => shared.write(|_| {}),
+                _ => {
+                    shared.write(|s| s.ingest_all(&novel(300, ingested)));
+                    ingested += 300;
+                }
+            }
+            let after = state();
+            let grew = (after.0, after.1) != (before.0, before.1);
+            assert_eq!(
+                after.2 != before.2,
+                grew,
+                "step {step}: {before:?} -> {after:?}"
+            );
+            if after.3 < before.3 {
+                folds += 1;
+            }
+            before = after;
+        }
+        assert!(folds >= 2, "the stream must fold on its own and when asked");
+        assert_eq!(before.0, 2 * ingested);
     }
 
     #[test]
