@@ -90,7 +90,27 @@ impl OpSet {
 #[derive(Debug, Clone, Default)]
 pub struct IdSet {
     words: Vec<u64>,
+    /// Bit `i` is set iff `words[i]` is nonzero. Iteration visits only the
+    /// nonempty words, so a sparse set over a large id space iterates in
+    /// O(words / 64 + len) instead of testing every word — that word-skip
+    /// loop ran once per segment a selective scan reads.
+    nonempty: Vec<u64>,
     len: usize,
+}
+
+/// Positions of the set bits of `words`, ascending (`word * 64 + bit`).
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(i, &w)| {
+        let mut rest = w;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some(i * 64 + bit)
+        })
+    })
 }
 
 impl IdSet {
@@ -126,10 +146,12 @@ impl IdSet {
         let word = idx >> 6;
         if word >= self.words.len() {
             self.words.resize(word + 1, 0);
+            self.nonempty.resize((word >> 6) + 1, 0);
         }
         let bit = 1u64 << (idx & 63);
         if self.words[word] & bit == 0 {
             self.words[word] |= bit;
+            self.nonempty[word >> 6] |= 1u64 << (word & 63);
             self.len += 1;
         }
     }
@@ -140,10 +162,13 @@ impl IdSet {
             self.words.truncate(other.words.len());
         }
         let mut len = 0usize;
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
+        let mut nonempty = vec![0u64; self.words.len().div_ceil(64)];
+        for (i, (w, o)) in self.words.iter_mut().zip(&other.words).enumerate() {
             *w &= *o;
             len += w.count_ones() as usize;
+            nonempty[i >> 6] |= u64::from(*w != 0) << (i & 63);
         }
+        self.nonempty = nonempty;
         self.len = len;
     }
 
@@ -159,16 +184,8 @@ impl IdSet {
 
     /// Iterates the ids in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = EntityId> + '_ {
-        self.words.iter().enumerate().flat_map(|(wi, &w)| {
-            let mut rest = w;
-            std::iter::from_fn(move || {
-                if rest == 0 {
-                    return None;
-                }
-                let bit = rest.trailing_zeros();
-                rest &= rest - 1;
-                Some(EntityId(((wi as u32) << 6) | bit))
-            })
+        set_bits(&self.nonempty).flat_map(move |wi| {
+            set_bits(&self.words[wi..=wi]).map(move |bit| EntityId((wi * 64 + bit) as u32))
         })
     }
 }
@@ -420,6 +437,37 @@ mod tests {
         c.intersect_with(&d);
         assert_eq!(c.len(), 1);
         assert!(!c.contains(EntityId(100_000)));
+    }
+
+    #[test]
+    fn idset_iterates_sparse_sets_in_order_across_intersections() {
+        let sorted = |ids: &[u32]| {
+            let mut v = ids.to_vec();
+            v.sort_unstable();
+            v.dedup();
+            v
+        };
+        let items = |s: &IdSet| s.iter().map(EntityId::raw).collect::<Vec<_>>();
+        // Sparse over ~2 300 words, so most summary bits are clear.
+        let a_ids: Vec<u32> = (0..400).map(|i| (i * 7_919) % 150_000).collect();
+        let b_ids: Vec<u32> = (0..600).map(|i| (i * 104_729) % 150_000).collect();
+        let mut a = IdSet::from_iter(a_ids.iter().map(|&i| EntityId(i)));
+        let b = IdSet::from_iter(b_ids.iter().map(|&i| EntityId(i)));
+        assert_eq!(items(&a), sorted(&a_ids));
+        a.intersect_with(&b);
+        let both: Vec<u32> = sorted(&a_ids)
+            .into_iter()
+            .filter(|i| b_ids.contains(i))
+            .collect();
+        assert!(!both.is_empty());
+        assert_eq!(items(&a), both);
+        assert_eq!(a.len(), both.len());
+        // Emptied words drop out of the summary; a truncating intersection
+        // keeps only the words both sides have.
+        a.intersect_with(&IdSet::from_iter([EntityId(both[0])]));
+        assert_eq!(items(&a), vec![both[0]]);
+        a.insert(EntityId(149_999));
+        assert_eq!(items(&a), vec![both[0], 149_999]);
     }
 
     #[test]
