@@ -256,7 +256,7 @@ pub fn run_anomaly_over_tuples_naive(
     let mut rows: Vec<Vec<Value>> = Vec::new();
     let mut w_start = range_start;
     while w_start < range_end {
-        let w_end = w_start + length;
+        let w_end = w_start.saturating_add(length);
         let k = window_history.len();
         let mut this_window: HashMap<String, HashMap<String, Value>> = HashMap::new();
         // Group the tuples with start time in [w_start, w_end), touching
@@ -308,7 +308,7 @@ pub fn run_anomaly_over_tuples_naive(
             this_window.insert(key.to_string(), std::mem::take(&mut ctx.aliases));
         }
         window_history.push(this_window);
-        w_start += step;
+        w_start = w_start.saturating_add(step);
     }
 
     if a.base.ret.distinct {

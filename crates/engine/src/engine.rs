@@ -1,5 +1,7 @@
 //! The engine facade: parse → analyze → route → execute.
 
+use std::sync::Arc;
+
 use aiql_lang::{parse_query, Query};
 use aiql_storage::EventStore;
 
@@ -9,6 +11,7 @@ use crate::error::EngineError;
 use crate::exec::{ExecStats, MultieventExec};
 use crate::governor::{ExecBudget, Governor};
 use crate::result::ResultTable;
+use crate::schedule::PlanCache;
 
 /// Engine tunables. The paper's five domain-specific optimizations
 /// (`prioritize_pruning`, `partition_parallel`, `entity_pushdown`,
@@ -48,30 +51,11 @@ pub struct EngineConfig {
     /// across block sizes; smaller blocks bound live intermediate state
     /// more tightly, larger blocks amortize per-run overhead.
     pub join_block_tuples: usize,
-    /// Memoize dictionary constraint resolutions and filter estimates in
-    /// an LRU shared by every query this engine (and its clones) runs —
-    /// repeated investigations skip the shared phase. Invalidation is
-    /// partition-scoped: resolutions are guarded by the store's dictionary
-    /// epoch, estimates by the ⟨partition, epoch⟩ dependencies they read,
-    /// so cached plans survive ingest into partitions they never touched.
-    pub plan_cache: bool,
     /// Minimum estimated scan size before partition-parallelism kicks in
     /// (thread fan-out is pure overhead for tiny scans).
     pub parallel_threshold: usize,
     /// Cap on intermediate join tuples (guard against pattern explosion).
     pub max_intermediate: usize,
-    /// Wall-clock deadline per query in milliseconds; 0 disables. Tripping
-    /// the deadline yields [`EngineError::DeadlineExceeded`] unless
-    /// `partial_results` is on.
-    pub deadline_ms: u64,
-    /// Byte budget for in-flight intermediate state (candidate lists plus
-    /// the join frontier); 0 disables. Tripping yields
-    /// [`EngineError::MemoryBudget`] unless `partial_results` is on.
-    pub memory_budget_bytes: u64,
-    /// On a governor trip, return the prefix of results produced so far
-    /// (flagged `truncated` with a [`crate::governor::Warning`]) instead
-    /// of an error.
-    pub partial_results: bool,
     /// Fault injection: panic inside a pooled scan worker. Exercises the
     /// panic-isolation path ([`EngineError::WorkerPanic`]) in tests; never
     /// set in production configs.
@@ -91,12 +75,8 @@ impl Default for EngineConfig {
             temporal_narrowing: true,
             join_partitions: 0,
             join_block_tuples: 4096,
-            plan_cache: true,
             parallel_threshold: 8_192,
             max_intermediate: 4_000_000,
-            deadline_ms: 0,
-            memory_budget_bytes: 0,
-            partial_results: false,
             inject_scan_panic: false,
         }
     }
@@ -106,8 +86,8 @@ impl EngineConfig {
     /// The paper's five optimizations off, on one thread: scheduling
     /// degrades to source order with no pushdown, mirroring how a
     /// general-purpose engine would execute the synthesized plan. Nothing
-    /// else moves — the plan cache stays on — so against `default()` the
-    /// ablation's all-off row differs by the five and the thread count.
+    /// else moves, so against `default()` the ablation's all-off row
+    /// differs by the five and the thread count.
     pub fn unoptimized() -> Self {
         EngineConfig {
             parallelism: 1,
@@ -119,30 +99,21 @@ impl EngineConfig {
             ..EngineConfig::default()
         }
     }
-
-    /// The execution budget implied by the configuration's governor
-    /// tunables (`deadline_ms`, `memory_budget_bytes`, `partial_results`).
-    /// Unlimited when none are set.
-    pub fn budget(&self) -> crate::governor::ExecBudget {
-        let mut b =
-            crate::governor::ExecBudget::unlimited().with_partial_results(self.partial_results);
-        if self.deadline_ms > 0 {
-            b = b.with_deadline(std::time::Duration::from_millis(self.deadline_ms));
-        }
-        if self.memory_budget_bytes > 0 {
-            b = b.with_memory_bytes(self.memory_budget_bytes);
-        }
-        b
-    }
 }
 
-/// The AIQL query engine.
+/// The AIQL query engine. Every engine memoizes dictionary constraint
+/// resolutions and filter estimates in an LRU shared by every query it
+/// (and its clones) runs, so repeated investigations skip the shared
+/// phase. Invalidation is partition-scoped: resolutions are guarded by the
+/// store's dictionary epoch, estimates by the ⟨partition, epoch⟩
+/// dependencies they read, so cached plans survive ingest into partitions
+/// they never touched.
 #[derive(Debug, Clone, Default)]
 pub struct Engine {
     config: EngineConfig,
     /// Cross-query plan-resolution cache; the handle is shared, so clones
     /// of an engine — whenever they were made — use one cache.
-    plan_cache: std::sync::Arc<crate::schedule::PlanCache>,
+    plan_cache: Arc<PlanCache>,
 }
 
 impl Engine {
@@ -150,7 +121,7 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Engine {
             config,
-            plan_cache: std::sync::Arc::new(crate::schedule::PlanCache::default()),
+            plan_cache: Arc::default(),
         }
     }
 
@@ -159,14 +130,9 @@ impl Engine {
         &self.config
     }
 
-    /// The plan-resolution cache handle, if the configuration wants one.
-    fn cache(&self) -> Option<std::sync::Arc<crate::schedule::PlanCache>> {
-        self.config.plan_cache.then(|| self.plan_cache.clone())
-    }
-
     /// The process-wide scan executor, if the configuration fans out at
     /// all. Per-query fan-out stays capped at `parallelism`.
-    fn pool(&self) -> Option<std::sync::Arc<crate::pool::ScanPool>> {
+    fn pool(&self) -> Option<Arc<crate::pool::ScanPool>> {
         (self.config.partition_parallel && self.config.parallelism > 1).then(crate::pool::shared)
     }
 
@@ -177,23 +143,13 @@ impl Engine {
         self.plan_cache.counters()
     }
 
-    /// The governor for a budget: `Some` only when the budget actually
-    /// limits something, so unbudgeted queries keep the zero-overhead
-    /// ungoverned path.
-    fn governor(&self, budget: &ExecBudget) -> Option<std::sync::Arc<Governor>> {
-        budget
-            .is_limited()
-            .then(|| std::sync::Arc::new(Governor::new(budget)))
-    }
-
-    /// Parses and executes AIQL query text against a store.
+    /// Parses and executes AIQL query text against a store, ungoverned.
     pub fn execute_text(
         &self,
         store: &EventStore,
         source: &str,
     ) -> Result<ResultTable, EngineError> {
-        let query = parse_query(source)?;
-        self.execute(store, &query)
+        self.execute_text_with_budget(store, source, &ExecBudget::unlimited())
     }
 
     /// Parses and executes AIQL query text under an explicit execution
@@ -208,11 +164,10 @@ impl Engine {
         self.execute_with_budget(store, &query, budget)
     }
 
-    /// Executes a parsed query under the configuration's implied budget
-    /// (`deadline_ms` / `memory_budget_bytes` / `partial_results`; all off
-    /// by default, i.e. ungoverned).
+    /// Executes a parsed query ungoverned: no deadline, no memory budget,
+    /// no cancellation.
     pub fn execute(&self, store: &EventStore, query: &Query) -> Result<ResultTable, EngineError> {
-        self.execute_with_budget(store, query, &self.config.budget())
+        self.execute_with_budget(store, query, &ExecBudget::unlimited())
     }
 
     /// Executes a parsed query under an explicit execution budget: a
@@ -230,51 +185,51 @@ impl Engine {
         budget: &ExecBudget,
     ) -> Result<ResultTable, EngineError> {
         match query {
-            Query::Multievent(m) => {
-                let a = analyze::analyze_multievent(m, store)?;
-                MultieventExec::new(store, &a, &self.config)
-                    .with_pool(self.pool())
-                    .with_plan_cache(self.cache())
-                    .with_governor(self.governor(budget))
-                    .run()
-            }
+            Query::Multievent(m) => self.run_multievent(store, m, budget).map(|(t, _)| t),
+            // §2.3: compile to a semantically equivalent multievent query.
             Query::Dependency(d) => {
-                // §2.3: compile to a semantically equivalent multievent query.
                 let m = aiql_lang::dependency_to_multievent(d)?;
-                let a = analyze::analyze_multievent(&m, store)?;
-                MultieventExec::new(store, &a, &self.config)
-                    .with_pool(self.pool())
-                    .with_plan_cache(self.cache())
-                    .with_governor(self.governor(budget))
-                    .run()
+                self.run_multievent(store, &m, budget).map(|(t, _)| t)
             }
             Query::Anomaly(anom) => {
                 let a = analyze::analyze_anomaly(anom, store)?;
-                anomaly::run_anomaly_pooled(
-                    store,
-                    &a,
-                    &self.config,
-                    self.pool(),
-                    self.governor(budget),
-                )
+                anomaly::run_anomaly_pooled(store, &a, &self.config, self.pool(), governor(budget))
             }
         }
     }
 
-    /// Executes a multievent query and returns execution statistics
-    /// (pattern order, per-pattern fetch counts) for benchmarking.
+    /// Executes a multievent query ungoverned and returns execution
+    /// statistics (pattern order, per-operator counts and timings) for
+    /// benchmarking.
     pub fn execute_multievent_with_stats(
         &self,
         store: &EventStore,
         m: &aiql_lang::MultieventQuery,
     ) -> Result<(ResultTable, ExecStats), EngineError> {
+        self.run_multievent(store, m, &ExecBudget::unlimited())
+    }
+
+    /// The one multievent path: analyze, then run the operator pipeline on
+    /// the engine's pool and plan cache under `budget`.
+    fn run_multievent(
+        &self,
+        store: &EventStore,
+        m: &aiql_lang::MultieventQuery,
+        budget: &ExecBudget,
+    ) -> Result<(ResultTable, ExecStats), EngineError> {
         let a = analyze::analyze_multievent(m, store)?;
         MultieventExec::new(store, &a, &self.config)
             .with_pool(self.pool())
-            .with_plan_cache(self.cache())
-            .with_governor(self.governor(&self.config.budget()))
+            .with_plan_cache(&self.plan_cache)
+            .with_governor(governor(budget))
             .run_with_stats()
     }
+}
+
+/// The governor for a budget: `Some` only when the budget actually limits
+/// something, so unbudgeted queries keep the zero-overhead ungoverned path.
+fn governor(budget: &ExecBudget) -> Option<Arc<Governor>> {
+    budget.is_limited().then(|| Arc::new(Governor::new(budget)))
 }
 
 #[cfg(test)]
@@ -294,7 +249,7 @@ mod tests {
         let p1 = e1.pool().expect("parallel config wants a pool");
         let p2 = e2.pool().expect("parallel config wants a pool");
         assert!(
-            std::sync::Arc::ptr_eq(&p1, &p2),
+            Arc::ptr_eq(&p1, &p2),
             "every engine must use the one process-wide executor"
         );
     }

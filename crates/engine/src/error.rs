@@ -12,16 +12,16 @@
 //! | [`Analysis`](EngineError::Analysis) | query rejection | semantic analysis | no — fix the query |
 //! | [`Model`](EngineError::Model) | query rejection | literal conversion (dates, IPs) | no — fix the query |
 //! | [`TooManyMatches`](EngineError::TooManyMatches) | resource governance | the join budget (`max_intermediate`) | yes — refine predicates or raise the cap |
-//! | [`DeadlineExceeded`](EngineError::DeadlineExceeded) | resource governance | the governor's wall-clock deadline | yes — raise `deadline_ms` or narrow the time window |
+//! | [`DeadlineExceeded`](EngineError::DeadlineExceeded) | resource governance | the governor's wall-clock deadline | yes — give the query a longer [`ExecBudget`](crate::ExecBudget) deadline or narrow the time window |
 //! | [`Cancelled`](EngineError::Cancelled) | resource governance | a caller-held [`CancelToken`](crate::governor::CancelToken) | yes — the query was killed on purpose |
-//! | [`MemoryBudget`](EngineError::MemoryBudget) | resource governance | the governor's byte accounting over arena + frontier | yes — raise `memory_budget_bytes` or refine |
+//! | [`MemoryBudget`](EngineError::MemoryBudget) | resource governance | the governor's byte accounting over arena + frontier | yes — give the query a larger budget `memory_bytes` or refine |
 //! | [`WorkerPanic`](EngineError::WorkerPanic) | fault containment | a panic caught on a pool worker | maybe — indicates a bug; the pool stays healthy |
 //! | [`Internal`](EngineError::Internal) | fault containment | a broken engine invariant caught on a fallible path (missing pool/partition, unstaged scan filter) | no — indicates a bug; the query unwinds cleanly instead of panicking |
 //!
 //! Resource-governance errors are *clean* stops: they are raised at batch
 //! boundaries, the engine unwinds normally, and the shared scan pool and
 //! plan cache remain fully usable. Under
-//! [`partial_results`](crate::EngineConfig::partial_results) the governance
+//! [`partial_results`](crate::ExecBudget::partial_results) the governance
 //! family (except `Cancelled`-free paths that never started) is downgraded
 //! to a truncated [`ResultTable`](crate::ResultTable) carrying
 //! [`Warning`](crate::governor::Warning)s instead of an `Err`.
@@ -50,8 +50,8 @@ pub enum EngineError {
         /// The configured deadline, in milliseconds.
         deadline_ms: u64,
     },
-    /// The caller cancelled the query through its [`CancelToken`]
-    /// (crate::governor::CancelToken).
+    /// The caller cancelled the query through its
+    /// [`CancelToken`](crate::governor::CancelToken).
     Cancelled,
     /// The query's intermediate state exceeded its memory budget.
     MemoryBudget {

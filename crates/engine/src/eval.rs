@@ -90,21 +90,26 @@ pub fn eval(expr: &Expr, store: &EventStore, ctx: &RowCtx<'_>) -> Result<Value, 
             let r = eval(rhs, store, ctx)?;
             Ok(apply_binop(*op, l, r))
         }
-        Expr::Neg(inner) => {
-            let v = eval(inner, store, ctx)?;
-            Ok(match v {
-                Value::Int(i) => Value::Int(-i),
-                Value::Float(x) => Value::Float(-x),
-                _ => Value::Null,
-            })
-        }
+        Expr::Neg(inner) => Ok(negate(eval(inner, store, ctx)?)),
+    }
+}
+
+/// Arithmetic negation; `-i64::MIN` becomes a `Float`, as an overflowing
+/// [`apply_binop`] does.
+fn negate(v: Value) -> Value {
+    match v {
+        Value::Int(i) => i
+            .checked_neg()
+            .map_or(Value::Float(-(i as f64)), Value::Int),
+        Value::Float(x) => Value::Float(-x),
+        _ => Value::Null,
     }
 }
 
 /// A slot-compiled expression: every variable, alias, and aggregate
 /// reference is resolved to a dense slot index at compile time, so the
 /// per-tuple evaluation loop never hashes a name. Compiled once per query
-/// by [`compile_slots`]; evaluated against a [`SlotRow`].
+/// by [`compile_slots`]; evaluated against a `SlotCtx`.
 #[derive(Debug, Clone)]
 pub enum SlotExpr {
     /// A literal, resolved once (string literals to their dictionary
@@ -397,14 +402,7 @@ impl SlotExpr {
                 let r = rhs.eval(cx)?;
                 Ok(apply_binop(*op, l, r))
             }
-            SlotExpr::Neg(inner) => {
-                let v = inner.eval(cx)?;
-                Ok(match v {
-                    Value::Int(i) => Value::Int(-i),
-                    Value::Float(x) => Value::Float(-x),
-                    _ => Value::Null,
-                })
-            }
+            SlotExpr::Neg(inner) => Ok(negate(inner.eval(cx)?)),
         }
     }
 }
@@ -422,12 +420,17 @@ pub fn apply_binop(op: BinOp, l: Value, r: Value) -> Value {
             if l.is_null() || r.is_null() {
                 return Value::Null;
             }
+            // Integer arithmetic stays integral while it fits; an overflow
+            // gets the `Float` result a mixed Int/Float pair gets.
             if let (Value::Int(a), Value::Int(b)) = (l, r) {
-                return Value::Int(match op {
-                    BinOp::Add => a + b,
-                    BinOp::Sub => a - b,
-                    _ => a * b,
-                });
+                let exact = match op {
+                    BinOp::Add => a.checked_add(b),
+                    BinOp::Sub => a.checked_sub(b),
+                    _ => a.checked_mul(b),
+                };
+                if let Some(v) = exact {
+                    return Value::Int(v);
+                }
             }
             match (l.as_f64(), r.as_f64()) {
                 (Some(a), Some(b)) => Value::Float(match op {
@@ -690,5 +693,25 @@ mod tests {
             apply_binop(BinOp::Gt, Value::Null, Value::Int(1)),
             Value::Bool(false)
         );
+    }
+
+    #[test]
+    fn integer_overflow_becomes_the_mixed_pair_float() {
+        let (max, min) = (Value::Int(i64::MAX), Value::Int(i64::MIN));
+        for (op, l, r) in [
+            (BinOp::Add, max, Value::Int(1)),
+            (BinOp::Sub, min, Value::Int(1)),
+            (BinOp::Mul, max, Value::Int(2)),
+        ] {
+            let mixed = apply_binop(op, l, Value::Float(r.as_f64().unwrap()));
+            assert_eq!(apply_binop(op, l, r), mixed, "{op:?}");
+            assert!(matches!(mixed, Value::Float(_)));
+        }
+        assert_eq!(
+            apply_binop(BinOp::Sub, max, Value::Int(1)),
+            Value::Int(i64::MAX - 1)
+        );
+        assert_eq!(negate(min), Value::Float(-(i64::MIN as f64)));
+        assert_eq!(negate(max), Value::Int(-i64::MAX));
     }
 }

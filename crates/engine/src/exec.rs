@@ -40,7 +40,7 @@ pub struct MultieventExec<'a> {
     a: &'a AnalyzedMultievent,
     config: &'a EngineConfig,
     pool: Option<Arc<ScanPool>>,
-    plan_cache: Option<Arc<PlanCache>>,
+    plan_cache: Option<&'a PlanCache>,
     governor: Option<Arc<Governor>>,
 }
 
@@ -65,11 +65,11 @@ impl<'a> MultieventExec<'a> {
         self
     }
 
-    /// Attaches a cross-query plan-resolution cache (ignored when
-    /// `EngineConfig::plan_cache` is off).
+    /// Attaches a cross-query plan-resolution cache; without one the
+    /// shared phase is computed afresh.
     #[must_use]
-    pub fn with_plan_cache(mut self, cache: Option<Arc<PlanCache>>) -> Self {
-        self.plan_cache = cache;
+    pub fn with_plan_cache(mut self, cache: &'a PlanCache) -> Self {
+        self.plan_cache = Some(cache);
         self
     }
 
@@ -87,28 +87,23 @@ impl<'a> MultieventExec<'a> {
     /// when a projection closes the pipeline (`project`) — its compiled
     /// form.
     fn env(&self, project: bool) -> ExecEnv<'a> {
-        let cache = if self.config.plan_cache {
-            self.plan_cache.as_deref()
-        } else {
-            None
-        };
         ExecEnv {
             store: self.store,
             a: self.a,
             config: self.config,
             pool: self.pool.clone(),
-            ctx: schedule::prepare(self.a, self.store, self.config.prioritize_pruning, cache),
+            ctx: schedule::prepare(
+                self.a,
+                self.store,
+                self.config.prioritize_pruning,
+                self.plan_cache,
+            ),
             parts: PartTable::build(self.store),
             projection: project
                 .then(|| op::project::compile_projection(self.store, self.a))
                 .flatten(),
             governor: self.governor.clone(),
         }
-    }
-
-    /// Runs the query to a result table.
-    pub fn run(&self) -> Result<ResultTable, EngineError> {
-        self.run_with_stats().map(|(table, _)| table)
     }
 
     /// Runs the query and also returns execution statistics.
@@ -141,7 +136,7 @@ impl<'a> MultieventExec<'a> {
 
     /// Finds all joined tuples satisfying the query's pattern constraints,
     /// with their events materialized (tests compare them with an oracle;
-    /// the engine itself reads [`MultieventExec::join`]'s row references).
+    /// the engine itself reads `MultieventExec::join`'s row references).
     pub fn match_tuples(&self) -> Result<(Vec<Tuple>, bool, ExecStats), EngineError> {
         let (env, tuples, truncated, stats) = self.join()?;
         Ok((tuples.materialize(&env.parts), truncated, stats))

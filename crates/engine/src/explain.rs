@@ -15,6 +15,7 @@ use aiql_storage::EventStore;
 use crate::analyze::{self, AnalyzedMultievent};
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
+use crate::governor::ExecBudget;
 use crate::schedule;
 
 /// The plan of one pattern's data query.
@@ -139,11 +140,13 @@ impl QueryPlan {
     }
 }
 
-/// Builds the execution plan for a query without executing it.
+/// Builds the execution plan for a query without executing it: the plan
+/// `config` runs under `budget`, the budget the query would execute with.
 pub fn explain(
     store: &EventStore,
     query: &Query,
     config: &EngineConfig,
+    budget: &ExecBudget,
 ) -> Result<QueryPlan, EngineError> {
     let (analyzed, kind, rewritten): (AnalyzedMultievent, &'static str, bool) = match query {
         Query::Multievent(m) => (analyze::analyze_multievent(m, store)?, "multievent", false),
@@ -184,7 +187,7 @@ pub fn explain(
             }
         })
         .collect();
-    let operators = operator_tree(store, &analyzed, &resolved, &plan, config, window);
+    let operators = operator_tree(store, &analyzed, &resolved, &plan, config, budget, window);
     Ok(QueryPlan {
         kind,
         rewritten,
@@ -192,7 +195,7 @@ pub fn explain(
         temporal_relations: analyzed.temporal.len(),
         pruning_priority: config.prioritize_pruning,
         parallelism: config.parallelism,
-        governor: governor_summary(config),
+        governor: governor_summary(budget),
         overlay: overlay_summary(store),
         operators,
     })
@@ -211,23 +214,22 @@ fn overlay_summary(store: &EventStore) -> Option<String> {
     ))
 }
 
-/// Renders the configuration's governor tunables for `EXPLAIN`, or `None`
-/// when no limit is set (the zero-overhead ungoverned path).
-fn governor_summary(config: &EngineConfig) -> Option<String> {
-    if config.deadline_ms == 0 && config.memory_budget_bytes == 0 {
+/// Renders the budget's limits for `EXPLAIN`, or `None` when the query runs
+/// ungoverned (the zero-overhead path).
+fn governor_summary(budget: &ExecBudget) -> Option<String> {
+    if !budget.is_limited() {
         return None;
     }
     let mut parts = Vec::new();
-    if config.deadline_ms > 0 {
-        parts.push(format!("deadline {}ms", config.deadline_ms));
+    if let Some(d) = budget.deadline {
+        parts.push(format!("deadline {}ms", d.as_millis()));
     }
-    if config.memory_budget_bytes > 0 {
-        parts.push(format!("memory {} bytes", config.memory_budget_bytes));
+    if let Some(bytes) = budget.memory_bytes {
+        parts.push(format!("memory {bytes} bytes"));
     }
-    parts.push(if config.partial_results {
-        "on trip: partial results".to_string()
-    } else {
-        "on trip: error".to_string()
+    parts.push(match budget.partial_results {
+        true => "on trip: partial results".to_string(),
+        false => "on trip: error".to_string(),
     });
     Some(parts.join(" | "))
 }
@@ -249,6 +251,7 @@ fn operator_tree(
     resolved: &schedule::ResolvedVars,
     plan: &schedule::Schedule,
     config: &EngineConfig,
+    budget: &ExecBudget,
     window: Option<WindowSpec>,
 ) -> OpPlanNode {
     let threads = config.parallelism.max(1);
@@ -321,8 +324,9 @@ fn operator_tree(
     // attached and the seed pattern's candidates — known only at run time —
     // reach the fan-out floor; below it the same plan runs serial. A memory
     // budget forces the serial drive (live charging needs a single
-    // observer).
-    let drive = if config.memory_budget_bytes > 0 {
+    // observer): the drive's test is its governor's `has_memory_budget`,
+    // which is this budget's `memory_bytes`.
+    let drive = if budget.memory_bytes.is_some() {
         "serial (memory-budgeted)".to_string()
     } else if config.partition_parallel && threads > 1 {
         format!(
@@ -406,8 +410,8 @@ fn window_head(a: &AnalyzedMultievent, w: &WindowSpec, lags: &[(usize, u32)]) ->
     let _ = match a.globals.window {
         TimeWindow::ALL => write!(head, "windows over the data's span"),
         r => {
-            let (span, step) = ((r.end - r.start).micros(), w.step.micros());
-            write!(head, "{} window(s)", (span + step - 1) / step)
+            let span = r.end.micros().abs_diff(r.start.micros());
+            write!(head, "{} window(s)", span.div_ceil(w.step.micros() as u64))
         }
     };
     let mut lags: Vec<u32> = lags.iter().map(|&(_, lag)| lag).collect();
@@ -425,6 +429,11 @@ mod tests {
     use aiql_lang::parse_query;
     use aiql_model::{AgentId, Operation, Timestamp};
     use aiql_storage::{EntitySpec, RawEvent};
+
+    /// The plan of a query run without a budget (`Engine::execute`).
+    fn unbudgeted(store: &EventStore, q: &Query, config: &EngineConfig) -> QueryPlan {
+        explain(store, q, config, &ExecBudget::unlimited()).unwrap()
+    }
 
     fn store() -> EventStore {
         let mut s = EventStore::default();
@@ -460,7 +469,7 @@ mod tests {
                return p1"#,
         )
         .unwrap();
-        let plan = explain(&store, &q, &EngineConfig::default()).unwrap();
+        let plan = unbudgeted(&store, &q, &EngineConfig::default());
         let rare = plan.patterns.iter().find(|p| p.name == "rare").unwrap();
         let big = plan.patterns.iter().find(|p| p.name == "big").unwrap();
         assert_eq!(rare.position, 0, "rare pattern must execute first");
@@ -473,7 +482,7 @@ mod tests {
     fn dependency_plans_are_marked_rewritten() {
         let store = store();
         let q = parse_query(r#"forward: proc p1["%cmd.exe"] ->[start] proc p2 return p2"#).unwrap();
-        let plan = explain(&store, &q, &EngineConfig::default()).unwrap();
+        let plan = unbudgeted(&store, &q, &EngineConfig::default());
         assert!(plan.rewritten);
         assert_eq!(plan.kind, "dependency");
         assert_eq!(plan.temporal_relations, 0);
@@ -489,7 +498,7 @@ mod tests {
                return p1, f"#,
         )
         .unwrap();
-        let plan = explain(&store, &q, &EngineConfig::default()).unwrap();
+        let plan = unbudgeted(&store, &q, &EngineConfig::default());
         let text = plan.render();
         assert!(text.contains("multievent query"));
         assert!(text.contains("1 temporal relation"));
@@ -512,7 +521,7 @@ mod tests {
             parallelism: 8,
             ..EngineConfig::default()
         };
-        let plan = explain(&store, &q, &config).unwrap();
+        let plan = unbudgeted(&store, &q, &config);
         // Root: aggregation; one join; one scan chain per pattern, each
         // with its narrowing child — the exact shape op::query_tree builds.
         assert_eq!(plan.operators.kind, "Aggregate");
@@ -550,7 +559,7 @@ mod tests {
                 "proc p1 start proc p2 as e1 proc p2 write file f as e2 with e1 before e2 {ret}"
             ))
             .unwrap();
-            let plan = explain(&store, &q, config).unwrap();
+            let plan = unbudgeted(&store, &q, config);
             plan.operators.children[0].detail.clone()
         };
         let default = EngineConfig::default();
@@ -574,7 +583,7 @@ mod tests {
         let store = store();
         let plan = |src: &str| {
             let q = parse_query(src).unwrap();
-            explain(&store, &q, &EngineConfig::default()).unwrap()
+            unbudgeted(&store, &q, &EngineConfig::default())
         };
         let day = plan(
             r#"(at "01/01/1970") window = 1 min, step = 10 sec
@@ -608,7 +617,7 @@ mod tests {
         // Fully sealed store: no overlay line.
         let sealed = store();
         let q = parse_query(r#"proc p write file f as e return p, f"#).unwrap();
-        let plan = explain(&sealed, &q, &EngineConfig::default()).unwrap();
+        let plan = unbudgeted(&sealed, &q, &EngineConfig::default());
         assert!(plan.overlay.is_none());
         assert!(!plan.render().contains("novelty overlay"));
         // A store with unsealed overlay rows names them in the plan.
@@ -632,7 +641,7 @@ mod tests {
             .collect();
         live.ingest_all(&raws);
         assert!(live.stats().novelty_events > 0);
-        let plan = explain(&live, &q, &EngineConfig::default()).unwrap();
+        let plan = unbudgeted(&live, &q, &EngineConfig::default());
         let overlay = plan.overlay.as_deref().expect("overlay line present");
         assert!(overlay.contains("unsealed row(s)"));
         assert!(plan.render().contains("novelty overlay:"));
@@ -646,7 +655,7 @@ mod tests {
             parallelism: 1,
             ..EngineConfig::default()
         };
-        let plan = explain(&store, &q, &config).unwrap();
+        let plan = unbudgeted(&store, &q, &config);
         assert_eq!(plan.operators.kind, "Project");
         assert!(plan.operators.children[0]
             .detail
@@ -654,8 +663,8 @@ mod tests {
     }
 
     /// A memory budget forces the serial drive whatever the parallelism:
-    /// EXPLAIN names the drive that will run, not the one the thread count
-    /// alone would pick.
+    /// EXPLAIN names the drive that will run under the budget it is given,
+    /// not the one the thread count alone would pick.
     #[test]
     fn memory_budget_renders_the_serial_drive() {
         let store = store();
@@ -666,23 +675,33 @@ mod tests {
                return p1, f"#,
         )
         .unwrap();
-        let parallel = EngineConfig {
+        let config = EngineConfig {
             parallelism: 8,
             ..EngineConfig::default()
         };
-        let budgeted = EngineConfig {
-            memory_budget_bytes: 1 << 20,
-            ..parallel.clone()
-        };
-        let join_detail = |config: &EngineConfig| {
-            let plan = explain(&store, &q, config).unwrap();
-            plan.operators.children[0].detail.clone()
-        };
-        assert!(join_detail(&parallel).contains("drive, parallel ×8 worker(s)"));
+        let plan = |budget: &ExecBudget| explain(&store, &q, &config, budget).unwrap();
+        let join_detail = |budget: &ExecBudget| plan(budget).operators.children[0].detail.clone();
+        let unlimited = ExecBudget::unlimited();
+        assert!(join_detail(&unlimited).contains("drive, parallel ×8 worker(s)"));
+        assert_eq!(plan(&unlimited).governor, None);
+        let budgeted = ExecBudget::unlimited().with_memory_bytes(1 << 20);
         let detail = join_detail(&budgeted);
         assert!(
             detail.contains("drive, serial (memory-budgeted)") && !detail.contains("parallel"),
             "{detail}"
+        );
+        assert_eq!(
+            plan(&budgeted).governor.as_deref(),
+            Some("memory 1048576 bytes | on trip: error")
+        );
+        // A deadline governs the query but leaves the drive parallel.
+        let deadline = ExecBudget::unlimited()
+            .with_deadline(std::time::Duration::from_millis(250))
+            .with_partial_results(true);
+        assert!(join_detail(&deadline).contains("drive, parallel ×8 worker(s)"));
+        assert_eq!(
+            plan(&deadline).governor.as_deref(),
+            Some("deadline 250ms | on trip: partial results")
         );
     }
 
@@ -699,7 +718,7 @@ mod tests {
             prioritize_pruning: false,
             ..EngineConfig::default()
         };
-        let plan = explain(&store, &q, &config).unwrap();
+        let plan = unbudgeted(&store, &q, &config);
         let big = plan.patterns.iter().find(|p| p.name == "big").unwrap();
         assert_eq!(big.position, 0);
     }

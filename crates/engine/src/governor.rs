@@ -16,7 +16,7 @@
 //! * **Error mode** (default): the query unwinds cleanly with
 //!   `EngineError::{DeadlineExceeded, Cancelled, MemoryBudget}`. The store,
 //!   plan cache, and shared pool are untouched.
-//! * **Partial mode** (`EngineConfig::partial_results`): the pipeline stops
+//! * **Partial mode** (`ExecBudget::partial_results`): the pipeline stops
 //!   extending the frontier and the query returns a *prefix-preserving*
 //!   truncated table — for queries without `ORDER BY`/aggregation the rows
 //!   are a prefix of the untripped result, byte-identical across serial

@@ -21,7 +21,7 @@
 //! Execution is structured as a tree of physical operators ([`op`]):
 //! `SemiJoinNarrow → PatternScan` per pattern, `TemporalJoin`,
 //! `Project`/`Aggregate` — assembled by the scheduler, driven by
-//! [`exec`], and rendered verbatim by `EXPLAIN` ([`explain`]).
+//! [`exec`], and rendered verbatim by `EXPLAIN` ([`mod@explain`]).
 //!
 //! The data path is columnar end to end ([`exec`]): scans produce
 //! selection vectors, candidate lists and the multi-way join carry
@@ -35,12 +35,12 @@
 //! per-group aggregate history so `having` clauses can reference previous
 //! windows (`amt[1]`).
 //!
-//! Execution is fault-contained: an optional per-query governor
-//! ([`governor`]) enforces wall-clock deadlines, cooperative cancellation,
-//! and byte budgets on intermediate state at batch boundaries, either
-//! erroring with a structured [`EngineError`] or — under
-//! `partial_results` — returning a prefix of the full answer with a
-//! warning. Worker panics are caught at the pool boundary ([`pool`]) and
+//! Execution is fault-contained: a query run under an [`ExecBudget`] gets a
+//! governor ([`governor`]) that enforces wall-clock deadlines, cooperative
+//! cancellation, and byte budgets on intermediate state at batch
+//! boundaries, either erroring with a structured [`EngineError`] or — when
+//! the budget asks for partial results — returning a prefix of the full
+//! answer with a warning. The budget is the only way to limit a query. Worker panics are caught at the pool boundary ([`pool`]) and
 //! delivered to the owning query as [`EngineError::WorkerPanic`] while the
 //! shared executor keeps serving other queries.
 //!

@@ -3,19 +3,19 @@
 //!
 //! ## Order and indexes
 //!
-//! Patterns join in a connectivity-aware greedy order ([`plan_join_order`]):
+//! Patterns join in a connectivity-aware greedy order (`plan_join_order`):
 //! the smallest candidate list seeds the frontier, then the smallest
 //! pattern sharing a variable with the placed set, else one related to it
 //! in time. Every later step indexes its candidates — once, up front — by
 //! the entity ids of the variables the frontier already binds (a pattern
 //! binds at most two, so the key packs into one `u64`). A step with
-//! temporal relations to placed patterns builds a [`StepIndex::Timed`]:
+//! temporal relations to placed patterns builds a `StepIndex::Timed`:
 //! posting lists carry dense start/end columns plus per-chunk start-bucket
-//! zone maps over a [`BucketGrid`] sized from the candidate time range, so
+//! zone maps over a `BucketGrid` sized from the candidate time range, so
 //! a probe derives the tuple's admissible start/end intervals once, skips
 //! whole chunks whose zone cannot intersect, and verifies survivors
 //! against the dense columns. A relation-free step builds a
-//! [`StepIndex::Plain`] and every match joins. Large builds shard by key
+//! `StepIndex::Plain` and every match joins. Large builds shard by key
 //! hash on the executor (scatter, then gather in candidate order), so a
 //! sharded index answers exactly as a serial one.
 //!
@@ -32,10 +32,10 @@
 //! taken in runs of `join_block_tuples` tuples, and each run is driven
 //! depth-first through *every* step before the next run starts. Within a
 //! run the recursion is *chunked*: a non-final step consumes its input in
-//! [`EXPAND_CHUNK`]-tuple windows, probes one window into the level's
+//! `EXPAND_CHUNK`-tuple windows, probes one window into the level's
 //! reused scratch arena (one **expansion**, capped at `max_intermediate`
 //! tuples), and recurses on the expansion before the next window runs. The
-//! final step delivers straight into the drive's [`JoinOutput`]: the
+//! final step delivers straight into the drive's `JoinOutput`: the
 //! projection sink when a compiled projection closes the pipeline — each
 //! joined tuple is evaluated as it is found and never written anywhere;
 //! what is kept is what `return` needs (see `op/project.rs`) — or an output
@@ -59,7 +59,7 @@
 //! (`max_intermediate` delivered tuples across the whole drive).
 //!
 //! With an executor attached and enough seed tuples, runs fan out: each
-//! fills a fork of the output under a shared [`JoinBudget`] and the forks
+//! fills a fork of the output under a shared `JoinBudget` and the forks
 //! fold into the output in ascending seed order. A run whose partial
 //! overshoots the remaining room (the one run that straddles the cap) or
 //! would not merge bit for bit (float sums) is dropped and re-driven on the

@@ -22,9 +22,9 @@
 //! Operator execution order is dataflow order: for each scheduled pattern,
 //! narrow then scan; then join; then project.
 //!
-//! The join and the projection meet in a [`project::ProjectionSink`]: the
+//! The join and the projection meet in a `project::ProjectionSink`: the
 //! join drive pushes every joined tuple straight into it
-//! ([`PipelineState::sink`]) and `Project` only finishes it. A projection
+//! (`PipelineState::sink`) and `Project` only finishes it. A projection
 //! that resists compilation has no sink; the join then leaves its tuples in
 //! [`PipelineState::frontier`] for `Project`'s dynamic path.
 
@@ -70,7 +70,7 @@ pub struct Tuple {
 /// valid across layout rewrites.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct EventRef {
-    /// Index into [`PartTable::keys`].
+    /// Index into `PartTable::keys`.
     pub part: u32,
     /// Flat row inside the partition.
     pub row: u32,
@@ -475,7 +475,7 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Renders the per-operator statistics as indented text — the
-    /// `EXPLAIN ANALYZE` companion of [`crate::explain`]'s static plan:
+    /// `EXPLAIN ANALYZE` companion of [`crate::explain()`]'s static plan:
     /// what each operator actually did (timings, row flow, fan-out, and the
     /// join's per-step probe-reduction counters).
     pub fn render(&self) -> String {

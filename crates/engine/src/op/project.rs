@@ -3,11 +3,11 @@
 //! Produces the final result table from the joined tuples: return items,
 //! grouping + aggregation, having, distinct, order by, limit.
 //!
-//! The projection is a streaming [`ProjectionSink`]: the join emits its
+//! The projection is a streaming `ProjectionSink`: the join emits its
 //! tuples into it one at a time, as flat row references, and `finish`
 //! closes the table.
 //! Every name is resolved to a dense slot and every event attribute to its
-//! storage column before the first tuple ([`CompiledProjection`]), so an
+//! storage column before the first tuple (`CompiledProjection`), so an
 //! emission evaluates straight from the partitions' columns — no `Event` is
 //! materialized. What a sink retains depends only on the return shape:
 //!

@@ -116,7 +116,7 @@ impl AdmissionController {
     }
 
     /// Closes the pool: blocked and future acquires fail with
-    /// [`AdmissionClosed`] (releases still work during the drain).
+    /// `AdmissionClosed` (releases still work during the drain).
     pub fn close(&self) {
         self.lock().closed = true;
         self.freed.notify_all();

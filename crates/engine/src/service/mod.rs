@@ -252,11 +252,15 @@ struct ServiceInner {
 }
 
 impl ServiceInner {
-    fn budget_for(&self, req: &Request, grant: &MemoryGrant) -> ExecBudget {
+    /// The budget a served query runs under: its admission grant as the
+    /// byte budget (partial results when the grant is degraded), the
+    /// service deadline and clock, and the request's cancel token.
+    /// `EXPLAIN` plans under the same function with a full grant.
+    fn budget_for(&self, grant: MemoryGrant, cancel: CancelToken) -> ExecBudget {
         let mut budget = ExecBudget::unlimited()
-            .with_cancel(req.cancel.clone())
+            .with_cancel(cancel)
             .with_memory_bytes(grant.bytes)
-            .with_partial_results(grant.degraded || self.config.engine.partial_results);
+            .with_partial_results(grant.degraded);
         if self.config.default_deadline_ms > 0 {
             budget = budget.with_deadline(Duration::from_millis(self.config.default_deadline_ms));
         }
@@ -290,7 +294,7 @@ impl ServiceInner {
         if grant.degraded {
             self.counters.degraded.fetch_add(1, Ordering::Relaxed);
         }
-        let budget = self.budget_for(&req, &grant);
+        let budget = self.budget_for(grant, req.cancel.clone());
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
         self.inflight
             .lock()
@@ -487,22 +491,22 @@ impl QueryService {
 
     /// Plans a query without executing it (the EXPLAIN endpoint). Runs
     /// inline — planning is microseconds and needs no admission — but
-    /// plans under what execution would run under: every served query
-    /// holds an admission grant as its memory budget (the full grant here;
-    /// pressure only shrinks it) and the service's default deadline.
+    /// plans under the budget a served query runs under: an unpressured
+    /// admission grant (pressure only shrinks it), the service deadline,
+    /// a cancel token.
     pub fn explain(&self, session: SessionId, text: &str) -> Result<QueryPlan, ServiceError> {
         let Some((engine, text)) = self.inner.sessions.prepare(session, text) else {
             return Err(ServiceError::UnknownSession { session: session.0 });
         };
         let query = aiql_lang::parse_query(&text).map_err(EngineError::from)?;
-        let mut config = engine.config().clone();
-        config.memory_budget_bytes = self.inner.admission.full_grant();
-        if self.inner.config.default_deadline_ms > 0 {
-            config.deadline_ms = self.inner.config.default_deadline_ms;
-        }
+        let grant = MemoryGrant {
+            bytes: self.inner.admission.full_grant(),
+            degraded: false,
+        };
+        let budget = self.inner.budget_for(grant, CancelToken::new());
         self.inner
             .store
-            .read(|s| crate::explain::explain(s, &query, &config))
+            .read(|s| crate::explain::explain(s, &query, engine.config(), &budget))
             .map_err(ServiceError::from)
     }
 

@@ -25,8 +25,8 @@
 
 use aiql_engine::exec::{self, MultieventExec};
 use aiql_engine::{
-    analyze_multievent, reference, Engine, EngineConfig, EngineError, ExecBudget, ResultTable,
-    Warning,
+    analyze_multievent, reference, Engine, EngineConfig, EngineError, ExecBudget, Governor,
+    ResultTable, Warning,
 };
 use aiql_lang::{parse_query, MultieventQuery, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
@@ -225,6 +225,23 @@ fn delivered(stats: &exec::ExecStats) -> usize {
         .map_or(0, |o| o.rows_out)
 }
 
+/// `Engine::execute_multievent_with_stats` under a budget: the engine's
+/// executor with its pool rule and a governor over `budget`, so partial
+/// mode can be held to the tuples the join delivered before the trip.
+fn governed_with_stats(
+    store: &EventStore,
+    m: &MultieventQuery,
+    config: &EngineConfig,
+    budget: &ExecBudget,
+) -> Result<(ResultTable, exec::ExecStats), EngineError> {
+    let a = analyze_multievent(m, store)?;
+    let parallel = config.partition_parallel && config.parallelism > 1;
+    MultieventExec::new(store, &a, config)
+        .with_pool(parallel.then(aiql_engine::pool::shared))
+        .with_governor(Some(std::sync::Arc::new(Governor::new(budget))))
+        .run_with_stats()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -328,22 +345,15 @@ proptest! {
                 .unwrap();
             let want_full: ResultTable = exec::project(&store, &a, &full).unwrap();
 
-            let strict = Engine::new(EngineConfig {
-                memory_budget_bytes: budget_bytes,
-                ..ungoverned.clone()
-            });
-            match strict.execute_multievent_with_stats(&store, &m) {
-                Ok((t, _)) => prop_assert_eq!(&t.rows, &want_full.rows),
+            let strict = ExecBudget::unlimited().with_memory_bytes(budget_bytes);
+            let q = Query::Multievent(m.clone());
+            match Engine::new(ungoverned.clone()).execute_with_budget(&store, &q, &strict) {
+                Ok(t) => prop_assert_eq!(&t.rows, &want_full.rows),
                 Err(e) => prop_assert_eq!(e, EngineError::MemoryBudget { budget_bytes }),
             }
 
-            let partial = Engine::new(EngineConfig {
-                memory_budget_bytes: budget_bytes,
-                partial_results: true,
-                ..ungoverned.clone()
-            });
-            let (p, stats) = partial
-                .execute_multievent_with_stats(&store, &m)
+            let partial = strict.with_partial_results(true);
+            let (p, stats) = governed_with_stats(&store, &m, &ungoverned, &partial)
                 .expect("partial mode never errors on a memory trip");
             let k = delivered(&stats);
             prop_assert!(k <= full.len());
@@ -678,34 +688,28 @@ fn single_pattern_memory_budget_yields_a_prefix_or_the_typed_error() {
     // The scan charges its 200 candidate refs (1 600 bytes); the budget
     // leaves room for a few 16-tuple runs of retained rows, not for all.
     let budget_bytes = 4_000;
-    let strict = Engine::new(EngineConfig {
-        memory_budget_bytes: budget_bytes,
-        ..config.clone()
-    });
+    let strict = ExecBudget::unlimited().with_memory_bytes(budget_bytes);
+    let engine = Engine::new(config.clone());
+    let run = |m: &MultieventQuery| {
+        engine.execute_with_budget(&store, &Query::Multievent(m.clone()), &strict)
+    };
     assert_eq!(
-        strict
-            .execute_multievent_with_stats(&store, &rows)
-            .unwrap_err(),
+        run(&rows).unwrap_err(),
         EngineError::MemoryBudget { budget_bytes }
     );
-    let (n, _) = strict
-        .execute_multievent_with_stats(&store, &count)
-        .unwrap();
+    let n = run(&count).unwrap();
     assert_eq!(
         (n.rows, n.truncated),
         (vec![vec![aiql_model::Value::Int(200)]], false)
     );
 
+    let partial = strict.clone().with_partial_results(true);
     for threads in [1usize, 2, 8] {
-        let partial = Engine::new(EngineConfig {
-            memory_budget_bytes: budget_bytes,
-            partial_results: true,
+        let config = EngineConfig {
             parallelism: threads,
             ..config.clone()
-        });
-        let (got, stats) = partial
-            .execute_multievent_with_stats(&store, &rows)
-            .unwrap();
+        };
+        let (got, stats) = governed_with_stats(&store, &rows, &config, &partial).unwrap();
         let k = delivered(&stats);
         assert!(
             0 < k && k < full.rows.len() && k.is_multiple_of(16),

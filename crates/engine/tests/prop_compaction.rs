@@ -116,17 +116,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Serial or with the sharded index build and parallel drive forced,
-    /// plan cache on or off: the engine returns byte-identical tables on
-    /// fragmented, explicitly compacted, and auto-compacted stores — on
-    /// first execution and the cache-hitting second round — and what it
-    /// returns on the fragmented store is the brute-force oracle's answer.
+    /// one warm engine or a fresh one per query: the engine returns
+    /// byte-identical tables on fragmented, explicitly compacted, and
+    /// auto-compacted stores — on first execution and the second round —
+    /// and what it returns on the fragmented store is the brute-force
+    /// oracle's answer.
     #[test]
     fn fragmented_and_compacted_stores_agree_under_all_flags(
         raws in proptest::collection::vec(arb_raw(), 0..120),
         flags in 0u32..4,
     ) {
         let parallel = flags & 1 != 0;
-        let plan_cache = flags & 2 != 0;
+        let warm = flags & 2 != 0;
         let (fragmented, compacted, auto) = build_stores(&raws);
         if !raws.is_empty() {
             let f = fragmented.stats();
@@ -134,17 +135,18 @@ proptest! {
             let c = compacted.stats();
             prop_assert_eq!(c.segments, c.partitions, "compact() leaves dense runs");
         }
-        let engine = Engine::new(EngineConfig {
+        let config = EngineConfig {
             parallelism: if parallel { 2 } else { 1 },
             // Non-zero forces the parallel drive AND the sharded index
             // build on tiny inputs.
             join_partitions: 3,
-            plan_cache,
             ..EngineConfig::default()
-        });
+        };
+        let shared = Engine::new(config.clone());
+        let engine = || if warm { shared.clone() } else { Engine::new(config.clone()) };
         for src in query_catalog() {
             let q = parse_query(src).unwrap();
-            let want = engine.execute(&fragmented, &q).unwrap();
+            let want = engine().execute(&fragmented, &q).unwrap();
             // `limit` without `order by` keeps whichever tuples come first:
             // only the engine's own order defines that answer.
             if !src.contains("limit") {
@@ -158,7 +160,7 @@ proptest! {
             }
             for (name, store) in [("compacted", &compacted), ("auto", &auto)] {
                 for round in 0..2 {
-                    let got = engine.execute(store, &q).unwrap();
+                    let got = engine().execute(store, &q).unwrap();
                     prop_assert_eq!(
                         &want.rows, &got.rows,
                         "query {:?} flags {:02b} store {} round {}: rows/order differ",
@@ -310,13 +312,10 @@ fn plan_cache_survives_compaction_of_unread_partitions() {
     assert_eq!(m2, m1, "no entry may be recomputed");
 
     // A query over the compacted partition *is* recomputed (its epochs
-    // moved) and still answers identically to an uncached engine.
+    // moved) and still answers identically to a fresh engine.
     let day2 = r#"(at "01/03/1970") proc p["%svc.exe"] write file f as e return p, f"#;
     let warm = engine.execute_text(&store, day2).expect("day-2 query");
-    let fresh = Engine::new(EngineConfig {
-        plan_cache: false,
-        ..EngineConfig::default()
-    });
+    let fresh = Engine::new(EngineConfig::default());
     let want = fresh.execute_text(&store, day2).expect("day-2 query");
     assert_eq!(warm.rows, want.rows);
 }

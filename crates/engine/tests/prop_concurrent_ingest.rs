@@ -7,9 +7,10 @@
 //! store that sealed each commit serially and never compacted. Queries run
 //! against pinned snapshots, exactly like the service path; the program of
 //! ingest/query/flush/compact operations is randomized, as are the cube
-//! ⟨serial/parallel engine, plan_cache, background_compaction⟩ and the
-//! overlay flush threshold. What the reference store answers is in turn
-//! checked against the brute-force oracle.
+//! ⟨serial/parallel engine, one warm engine or a fresh one per query,
+//! background_compaction⟩ and the overlay flush threshold. What the
+//! reference store answers is in turn checked against the brute-force
+//! oracle.
 //!
 //! Also covered: plan-cache counters stay consistent across epoch bumps —
 //! re-running a query against the *same* pinned snapshot never misses
@@ -126,7 +127,7 @@ proptest! {
         flush_rows in 4usize..24,
     ) {
         let parallel = flags & 1 != 0;
-        let plan_cache = flags & 2 != 0;
+        let warm = flags & 2 != 0;
         let background_compaction = flags & 4 != 0;
         let bucket = aiql_model::Duration::from_mins(10);
         // Live: overlay on, auto-compaction (deferred when the flag says
@@ -148,12 +149,15 @@ proptest! {
             compaction: false,
             ..StoreConfig::default()
         });
-        let engine = Engine::new(EngineConfig {
+        let config = EngineConfig {
             parallelism: if parallel { 2 } else { 1 },
             join_partitions: 3,
-            plan_cache,
             ..EngineConfig::default()
-        });
+        };
+        // Warm: every query shares one engine's plan cache. Cold: each
+        // query plans from scratch on a fresh engine.
+        let shared = Engine::new(config.clone());
+        let engine = || if warm { shared.clone() } else { Engine::new(config.clone()) };
         let catalog = query_catalog();
         for (step, op) in ops.iter().enumerate() {
             match op {
@@ -169,7 +173,7 @@ proptest! {
                 }),
                 Op::Query(i) => {
                     let q = parse_query(catalog[*i]).unwrap();
-                    let want = engine.execute(&reference, &q).unwrap();
+                    let want = engine().execute(&reference, &q).unwrap();
                     // `limit` without `order by` keeps whichever tuples
                     // come first: only the engine's order defines it.
                     if !catalog[*i].contains("limit") {
@@ -183,6 +187,7 @@ proptest! {
                         );
                     }
                     let snap = live.snapshot();
+                    let engine = engine();
                     let first = engine.execute(&snap, &q).unwrap();
                     prop_assert_eq!(
                         &want.rows, &first.rows,
@@ -197,12 +202,10 @@ proptest! {
                     let second = engine.execute(&snap, &q).unwrap();
                     let (_, misses_after) = engine.plan_cache_counters();
                     prop_assert_eq!(&first.rows, &second.rows);
-                    if plan_cache {
-                        prop_assert_eq!(
-                            misses_after, misses_before,
-                            "identical rerun on a pinned snapshot missed the cache"
-                        );
-                    }
+                    prop_assert_eq!(
+                        misses_after, misses_before,
+                        "identical rerun on a pinned snapshot missed the cache"
+                    );
                 }
             }
         }
@@ -214,8 +217,8 @@ proptest! {
         });
         for src in catalog {
             let q = parse_query(src).unwrap();
-            let want = engine.execute(&reference, &q).unwrap();
-            let got = live.read(|s| engine.execute(s, &q)).unwrap();
+            let want = engine().execute(&reference, &q).unwrap();
+            let got = live.read(|s| engine().execute(s, &q)).unwrap();
             prop_assert_eq!(
                 &want.rows, &got.rows,
                 "post-maintenance {:?} flags {:03b}",

@@ -182,7 +182,7 @@ fn expired_deadline_maps_to_structured_error() {
 }
 
 #[test]
-fn config_level_governor_tunables_apply() {
+fn one_byte_memory_budget_trips_in_both_modes() {
     let store = build_store(&[RawEvent::instant(
         AgentId(1),
         Operation::Write,
@@ -191,24 +191,18 @@ fn config_level_governor_tunables_apply() {
         Timestamp::from_secs(1),
         10,
     )]);
-    // memory_budget_bytes: 1 cannot hold a single scanned batch: error mode
+    // A 1-byte budget cannot hold a single scanned batch: error mode
     // surfaces MemoryBudget, partial mode a truncated (empty) prefix.
-    let strict = Engine::new(EngineConfig {
-        memory_budget_bytes: 1,
-        ..config(false)
-    });
-    let err = strict
-        .execute_text(&store, "proc p write file f as e return p")
+    let engine = Engine::new(config(false));
+    let strict = ExecBudget::unlimited().with_memory_bytes(1);
+    let err = engine
+        .execute_text_with_budget(&store, "proc p write file f as e return p", &strict)
         .unwrap_err();
     assert_eq!(err, EngineError::MemoryBudget { budget_bytes: 1 });
 
-    let lenient = Engine::new(EngineConfig {
-        memory_budget_bytes: 1,
-        partial_results: true,
-        ..config(false)
-    });
-    let table = lenient
-        .execute_text(&store, "proc p write file f as e return p")
+    let lenient = strict.with_partial_results(true);
+    let table = engine
+        .execute_text_with_budget(&store, "proc p write file f as e return p", &lenient)
         .unwrap();
     assert!(table.truncated);
     assert_eq!(

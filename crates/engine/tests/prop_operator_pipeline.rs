@@ -337,10 +337,10 @@ proptest! {
             let q = parse_query(src).unwrap();
             let Query::Multievent(m) = &q else { panic!("{src:?} is multievent") };
             let a = analyze_multievent(m, &store).unwrap();
-            let want = MultieventExec::new(&store, &a, &serial_cfg).run().unwrap();
-            let got = MultieventExec::new(&store, &a, &wide_cfg)
+            let (want, _) = MultieventExec::new(&store, &a, &serial_cfg).run_with_stats().unwrap();
+            let (got, _) = MultieventExec::new(&store, &a, &wide_cfg)
                 .with_pool(Some(pool.clone()))
-                .run()
+                .run_with_stats()
                 .unwrap();
             prop_assert_eq!(
                 (&want.rows, want.truncated), (&got.rows, got.truncated),
@@ -364,14 +364,11 @@ proptest! {
             parallel_threshold: 0,
             ..EngineConfig::default()
         });
-        let uncached = Engine::new(EngineConfig {
-            plan_cache: false,
-            ..EngineConfig::default()
-        });
         for round in &rounds[1..] {
             for src in query_catalog() {
                 let q = parse_query(src).unwrap();
-                let want = uncached.execute(&store, &q).unwrap();
+                // A fresh engine per query: nothing memoized.
+                let want = Engine::new(EngineConfig::default()).execute(&store, &q).unwrap();
                 let got = cached.execute(&store, &q).unwrap();
                 prop_assert_eq!(&want.rows, &got.rows, "query {:?}", src);
             }

@@ -1,16 +1,16 @@
 //! Differential property tests for the shared phase — constraint
 //! resolution, pushdown filters and estimates, built once per query and
-//! memoized across queries by `EngineConfig::plan_cache` (the
+//! memoized across queries by every `Engine`'s plan cache (the
 //! store-epoch-invalidated plan-resolution LRU).
 //!
-//! The cached engine must return tables byte-identical (rows AND order) to
-//! the cache-free one, including on *repeated* execution (cache hits) and
+//! A warm engine must return tables byte-identical (rows AND order) to a
+//! fresh engine per query, including on *repeated* execution (cache hits) and
 //! across concurrent ingest (epoch bumps must invalidate the cache); and
 //! what the shared phase resolves — `LIKE` shapes through the dictionary
 //! indexes, id sets pushed into the scans — must agree with the
 //! brute-force oracle, which evaluates every constraint per event.
 
-use aiql_engine::{analyze_multievent, reference, Engine, EngineConfig};
+use aiql_engine::{analyze_multievent, reference, Engine, EngineConfig, ResultTable};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
@@ -97,19 +97,19 @@ fn build_store(raws: &[RawEvent]) -> EventStore {
     store
 }
 
-/// The pipeline with nothing memoized across queries.
-fn baseline_config() -> EngineConfig {
-    EngineConfig {
-        plan_cache: false,
-        ..EngineConfig::default()
-    }
+/// The pipeline with nothing memoized across queries: a fresh engine, so
+/// an empty plan cache, for this one query.
+fn uncached(store: &EventStore, q: &Query) -> ResultTable {
+    Engine::new(EngineConfig::default())
+        .execute(store, q)
+        .unwrap()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// The plan cache changes nothing: the cached engine returns tables
-    /// byte-identical to the cache-free one on first execution and on the
+    /// The plan cache changes nothing: the warm engine returns tables
+    /// byte-identical to a fresh one on first execution and on the
     /// cache-hitting second execution — and both agree with the oracle,
     /// which resolves no constraint through the dictionary indexes.
     #[test]
@@ -117,11 +117,10 @@ proptest! {
         raws in proptest::collection::vec(arb_raw(), 0..120),
     ) {
         let store = build_store(&raws);
-        let baseline = Engine::new(baseline_config());
         let cached = Engine::new(EngineConfig::default());
         for src in query_catalog() {
             let q = parse_query(src).unwrap();
-            let want = baseline.execute(&store, &q).unwrap();
+            let want = uncached(&store, &q);
             for round in 0..2 {
                 let got = cached.execute(&store, &q).unwrap();
                 prop_assert_eq!(
@@ -149,7 +148,7 @@ proptest! {
 
     /// Concurrent ingest invalidates the plan cache: after appending a
     /// second batch (epoch bump), the cached engine must agree with a
-    /// fresh uncached engine on the grown store.
+    /// fresh engine on the grown store.
     #[test]
     fn plan_cache_survives_concurrent_ingest(
         first in proptest::collection::vec(arb_raw(), 1..80),
@@ -158,12 +157,11 @@ proptest! {
         let mut cached_store = build_store(&first);
         let mut uncached_store = build_store(&first);
         let cached = Engine::new(EngineConfig::default());
-        let uncached = Engine::new(baseline_config());
         for src in query_catalog() {
             let q = parse_query(src).unwrap();
             // Warm the cache on the first batch…
             let warm = cached.execute(&cached_store, &q).unwrap();
-            let want = uncached.execute(&uncached_store, &q).unwrap();
+            let want = uncached(&uncached_store, &q);
             prop_assert_eq!(&warm.rows, &want.rows, "pre-ingest {:?}", src);
         }
         // …then grow both stores identically and re-run everything: stale
@@ -173,7 +171,7 @@ proptest! {
         for src in query_catalog() {
             let q = parse_query(src).unwrap();
             let got = cached.execute(&cached_store, &q).unwrap();
-            let want = uncached.execute(&uncached_store, &q).unwrap();
+            let want = uncached(&uncached_store, &q);
             prop_assert_eq!(&got.rows, &want.rows, "post-ingest {:?}", src);
         }
     }

@@ -2,7 +2,7 @@
 //! degenerate windows, empty groups, ordering and limits, unicode-ish
 //! inputs, and adversarial queries.
 
-use aiql_engine::{Engine, EngineConfig};
+use aiql_engine::{Engine, EngineConfig, EngineError};
 use aiql_lang::parse_query;
 use aiql_model::{AgentId, Operation, Timestamp, Value};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
@@ -244,6 +244,82 @@ fn windows_paths_with_escapes_survive_the_pipeline() {
     // Query text containing the escaped quote also parses.
     let q = parse_query(r#"proc p read file f["%\"quotes\"%"] as e return f"#);
     assert!(q.is_ok());
+}
+
+/// What one row of [`numeric_extremes_at_every_text_surface`] must return.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Expect {
+    /// A result table (its values are not pinned).
+    Table,
+    /// A parse error: a count the parser cannot represent.
+    Parse,
+    /// A model error: a date outside the representable time range.
+    Model,
+}
+
+/// Numeric extremes in query text, at every place a number enters: window
+/// and step lengths, temporal bounds, `at` dates, arithmetic in `return`
+/// and `having` of both multievent and anomaly queries, and `limit`. Each
+/// row returns a table or the typed error the row names — never a panic
+/// (debug builds check integer overflow) and never a worker fault.
+#[test]
+fn numeric_extremes_at_every_text_surface() {
+    use Expect::{Model, Parse, Table};
+    let store = store_with(20);
+    let engine = Engine::new(EngineConfig::default());
+    const PAT: &str = "proc p write file f as e";
+    const JOIN: &str = "proc p1 write file f as e1 proc p2 read file f as e2";
+    const COUNT: &str = "return p, count(e.amount) as n group by p";
+    let rows: Vec<(String, Expect)> = vec![
+        // Window and step counts: past i64 microseconds is a parse error;
+        // the largest representable ones run.
+        (format!("window = 9223372036854775807 day, step = 1 min {PAT} {COUNT}"), Parse),
+        (format!("window = 1 min, step = 9223372036854775807 ms {PAT} {COUNT}"), Parse),
+        (format!("window = 106751991 day, step = 106751991 day {PAT} {COUNT}"), Table),
+        (format!("window = 9223372036854775807 us, step = 9223372036854775807 us {PAT} {COUNT}"), Table),
+        (format!(r#"(at "01/01/1970") window = 1 min, step = 9223372036854775807 us {PAT} {COUNT}"#), Table),
+        // Temporal bounds.
+        (format!("{JOIN} with e1 before[300000000000 day] e2 return p1, p2"), Parse),
+        (format!("{JOIN} with e1 before[106751991 day] e2 return p1, p2"), Table),
+        (format!("{JOIN} with e1 after[9223372036854775807 us] e2 return p1, p2"), Table),
+        // `at` years outside the representable range.
+        (format!(r#"(at "01/01/300000") {PAT} return p"#), Model),
+        (format!(r#"(at "01/01/-300000") {PAT} return p"#), Model),
+        (format!(r#"(at "12/31/2147483647") {PAT} return p"#), Model),
+        (format!(r#"(at "01/01/1970" to "01/01/300000") {PAT} return p"#), Model),
+        (format!(r#"(at "01/01/300000") window = 1 min, step = 1 min {PAT} {COUNT}"#), Model),
+        // Overflowing integer arithmetic in `return` and `having`.
+        (format!("{PAT} return p, 9223372036854775807 * 2 as x"), Table),
+        (format!("{PAT} return p, -9223372036854775807 - 2 as x"), Table),
+        (format!("{PAT} return p, 9223372036854775807 + e.amount as x"), Table),
+        (format!("{PAT} return p, -(-9223372036854775807 - 1) as x"), Table),
+        (format!("{PAT} {COUNT} having n * 9223372036854775807 > 0"), Table),
+        (format!("{PAT} {COUNT} having 0 - n - 9223372036854775807 < 0"), Table),
+        (format!("window = 1 min, step = 1 min {PAT} return p, count(e.amount) * 9223372036854775807 as x group by p"), Table),
+        (format!("window = 1 min, step = 1 min {PAT} {COUNT} having n + 9223372036854775807 > 0"), Table),
+        (format!("window = 10 sec, step = 5 sec {PAT} {COUNT} having n * 9223372036854775807 - n[1] > 0"), Table),
+        // The largest `limit`.
+        (format!("{PAT} return p limit 9223372036854775807"), Table),
+        (format!("{PAT} return p, sum(e.amount) as s group by p order by s desc limit 9223372036854775807"), Table),
+    ];
+    let mut failures = Vec::new();
+    for (src, expect) in &rows {
+        let run = std::panic::catch_unwind(|| engine.execute_text(&store, src));
+        let got = match &run {
+            Ok(Ok(_)) => Some(Table),
+            Ok(Err(EngineError::Parse(_))) => Some(Parse),
+            Ok(Err(EngineError::Model(_))) => Some(Model),
+            _ => None,
+        };
+        if got != Some(*expect) {
+            let outcome = match run {
+                Ok(r) => format!("{:?}", r.map(|t| t.rows.len())),
+                Err(_) => "panicked".to_string(),
+            };
+            failures.push(format!("{src:?}: expected {expect:?}, got {outcome}"));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
 
 #[test]

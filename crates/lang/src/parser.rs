@@ -231,16 +231,21 @@ impl Parser {
             other => return Err(self.err_here(format!("expected duration count, found {other}"))),
         };
         let unit = self.any_ident("duration unit (us/ms/sec/min/hour/day)")?;
-        let d = match unit.as_str() {
-            "us" => Duration::from_micros(n),
-            "ms" => Duration::from_millis(n),
-            "s" | "sec" | "secs" | "second" | "seconds" => Duration::from_secs(n),
-            "min" | "mins" | "minute" | "minutes" => Duration::from_mins(n),
-            "h" | "hour" | "hours" => Duration::from_hours(n),
-            "d" | "day" | "days" => Duration::from_days(n),
+        let one = match unit.as_str() {
+            "us" => Duration::from_micros(1),
+            "ms" => Duration::from_millis(1),
+            "s" | "sec" | "secs" | "second" | "seconds" => Duration::from_secs(1),
+            "min" | "mins" | "minute" | "minutes" => Duration::from_mins(1),
+            "h" | "hour" | "hours" => Duration::from_hours(1),
+            "d" | "day" | "days" => Duration::from_days(1),
             other => return Err(self.err_here(format!("unknown duration unit `{other}`"))),
         };
-        Ok(d)
+        match n.checked_mul(one.micros()) {
+            Some(micros) => Ok(Duration::from_micros(micros)),
+            None => Err(self.err_here(format!(
+                "duration `{n} {unit}` exceeds the representable range"
+            ))),
+        }
     }
 
     // ---- entity declarations and event patterns --------------------------
@@ -821,6 +826,23 @@ having (amt > 2 * (amt + amt[1] + amt[2]) / 3)
             m.temporal[0].op,
             TemporalOp::Before(Some(Duration::from_mins(5)))
         );
+    }
+
+    #[test]
+    fn duration_past_the_microsecond_range_is_an_error() {
+        let max = parse_query(
+            "window = 9223372036854775807 us, step = 106751991 day proc p read file f as e return p",
+        )
+        .unwrap();
+        let Query::Anomaly(a) = max else { panic!() };
+        assert_eq!(a.globals.window.unwrap().length, Duration(i64::MAX));
+        for src in [
+            "window = 106751992 day, step = 1 min proc p read file f as e return p",
+            "proc p read file f as e1 proc p write ip i as e2 with e1 before[300000000000 day] e2 return p",
+        ] {
+            let err = parse_query(src).unwrap_err();
+            assert!(err.message.contains("representable range"), "{err}");
+        }
     }
 
     #[test]

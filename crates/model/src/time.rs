@@ -164,25 +164,24 @@ impl TimeWindow {
         }
     }
 
-    /// Parses the argument of an `at` constraint: `"mm/dd/yyyy"`.
+    /// Parses the argument of an `at` constraint: `"mm/dd/yyyy"`. A day
+    /// whose window does not fit in `i64` microseconds is a bad date.
     pub fn parse_day(text: &str) -> Result<Self, ModelError> {
+        let bad = || ModelError::BadDate(text.to_string());
         let parts: Vec<&str> = text.split('/').collect();
         if parts.len() != 3 {
-            return Err(ModelError::BadDate(text.to_string()));
+            return Err(bad());
         }
-        let month: u32 = parts[0]
-            .parse()
-            .map_err(|_| ModelError::BadDate(text.to_string()))?;
-        let day: u32 = parts[1]
-            .parse()
-            .map_err(|_| ModelError::BadDate(text.to_string()))?;
-        let year: i32 = parts[2]
-            .parse()
-            .map_err(|_| ModelError::BadDate(text.to_string()))?;
+        let month: u32 = parts[0].parse().map_err(|_| bad())?;
+        let day: u32 = parts[1].parse().map_err(|_| bad())?;
+        let year: i32 = parts[2].parse().map_err(|_| bad())?;
         if !(1..=12).contains(&month) || !(1..=31).contains(&day) {
-            return Err(ModelError::BadDate(text.to_string()));
+            return Err(bad());
         }
-        Ok(TimeWindow::day(year, month, day))
+        let start =
+            (days_from_civil(year, month, day).checked_mul(MICROS_PER_DAY)).ok_or_else(bad)?;
+        let end = start.checked_add(MICROS_PER_DAY).ok_or_else(bad)?;
+        Ok(TimeWindow::new(Timestamp(start), Timestamp(end)))
     }
 
     /// Whether `t` falls inside `[start, end)`.
@@ -382,6 +381,21 @@ mod tests {
         assert!(TimeWindow::parse_day("13/01/2018").is_err());
         assert!(TimeWindow::parse_day("01/32/2018").is_err());
         assert!(TimeWindow::parse_day("hello").is_err());
+    }
+
+    #[test]
+    fn parse_day_rejects_days_outside_the_microsecond_range() {
+        for text in ["01/01/300000", "01/01/-300000", "12/31/2147483647"] {
+            assert_eq!(
+                TimeWindow::parse_day(text),
+                Err(ModelError::BadDate(text.to_string()))
+            );
+        }
+        // The last whole day that fits still parses.
+        let (y, m, d) = (Timestamp::MAX - Duration::from_days(1)).to_date();
+        let text = format!("{m:02}/{d:02}/{y}");
+        let w = TimeWindow::parse_day(&text).unwrap();
+        assert!(w.end <= Timestamp::MAX && w.length() == Duration::from_days(1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The build environment has no network access, so the workspace vendors a
-//! minimal, API-compatible subset of proptest: the [`Strategy`] trait with
+//! minimal, API-compatible subset of proptest: the [`Strategy`](strategy::Strategy) trait with
 //! `prop_map`/`prop_recursive`/`boxed`, strategies for ranges, tuples,
 //! string patterns, `Just`, `any`, `collection::vec`, `option::of`, the
 //! `prop_oneof!`/`proptest!`/`prop_assert!`/`prop_assert_eq!` macros, and a

@@ -442,7 +442,7 @@ fn writable(layer: &mut Arc<Layer>, extra: usize) -> &mut Layer {
 /// delta and reads one layer. Once a published snapshot shares the base,
 /// new entities go to the delta instead, and the delta folds into a fresh
 /// base when it holds `1 / FOLD_DIVISOR` of the base (at least
-/// [`FOLD_FLOOR`] entities). Publishing copies `Arc`s: the base, the delta
+/// `FOLD_FLOOR` entities). Publishing copies `Arc`s: the base, the delta
 /// and the interner are shared copy-on-write, and the writer-only dedup map
 /// is never shared.
 #[derive(Debug)]

@@ -4,7 +4,7 @@
 //! one new segment per commit, so a partition receiving many small commits
 //! fragments into many small segments — every scan then pays per-segment
 //! setup, posting-list unions across tiny lists, and sparse selection
-//! vectors. [`Partition::compact`] merges adjacent small segments back into
+//! vectors. `Partition::compact` merges adjacent small segments back into
 //! dense runs under a size-tiered policy.
 //!
 //! The partition exposes a **flat row address space**: row `r` is the

@@ -357,7 +357,7 @@ impl Segment {
     /// subject/object posting lists, each taken only when it prunes) are
     /// combined by sort-merge intersection and the survivors verified
     /// row by row; with no access path the residual predicates run as
-    /// chunked columnar mask passes ([`Segment::residual_mask_scan`]).
+    /// chunked columnar mask passes (`Segment::residual_mask_scan`).
     pub fn select(&self, agent: AgentId, filter: &EventFilter) -> Vec<u32> {
         if !self.overlaps_window(filter) {
             return Vec::new();

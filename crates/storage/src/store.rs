@@ -603,7 +603,8 @@ impl EventStore {
 
     /// Selection-vector scan of one partition: sorted matching flat row ids,
     /// every predicate evaluated directly against the columns
-    /// ([`Segment::select`]) — no `Event` is materialized.
+    /// ([`Segment::select`](crate::Segment::select)) — no `Event` is
+    /// materialized.
     pub fn select_partition(&self, key: PartitionKey, filter: &EventFilter) -> Vec<u32> {
         self.partitions
             .get(&key)
@@ -803,7 +804,7 @@ impl EventStore {
     /// The access path the selection-vector scan takes for a filter,
     /// summarized over the filter's partitions — what `EXPLAIN` reports as
     /// the chosen path. Each label follows the per-segment choice in
-    /// [`Segment::select`]: entity posting lists when some segment the scan
+    /// [`Segment::select`](crate::Segment::select): entity posting lists when some segment the scan
     /// reads resolves the filter's id sets through them (the same budget
     /// test — a set whose postings cover more than half a segment is
     /// declined there and is not named here), operation postings when they

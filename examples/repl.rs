@@ -101,7 +101,12 @@ impl Repl {
                     Err(e) => println!("{}", e.render(arg)),
                 },
                 "explain" => match aiql::parse_query(arg) {
-                    Ok(q) => match aiql::engine::explain(&self.store, &q, self.engine.config()) {
+                    Ok(q) => match aiql::engine::explain(
+                        &self.store,
+                        &q,
+                        self.engine.config(),
+                        &aiql::engine::ExecBudget::unlimited(),
+                    ) {
                         Ok(plan) => println!("{}", plan.render()),
                         Err(e) => println!("error: {e}"),
                     },
