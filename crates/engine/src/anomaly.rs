@@ -31,21 +31,25 @@ use crate::op::project::{
 };
 use crate::op::{ExecEnv, RefArena};
 use crate::result::ResultTable;
+use crate::schedule::PlanCache;
 
 /// Executes an anomaly query end to end: the candidate fetch runs on the
-/// optional persistent scan pool, and both the fetch and the window loop
-/// answer to `governor`. In error mode a trip is its typed error; in
-/// partial mode the table is the rows of the windows finished before the
-/// trip, flagged `truncated` with the governor's warning.
+/// optional persistent scan pool and plans through `plan_cache`, and both
+/// the fetch and the window loop answer to `governor`. In error mode a trip
+/// is its typed error; in partial mode the table is the rows of the windows
+/// finished before the trip, flagged `truncated` with the governor's
+/// warning.
 pub fn run_anomaly_pooled(
     store: &EventStore,
     a: &AnalyzedAnomaly,
     config: &EngineConfig,
     pool: Option<Arc<crate::pool::ScanPool>>,
+    plan_cache: &PlanCache,
     governor: Option<Arc<Governor>>,
 ) -> Result<ResultTable, EngineError> {
     let exec = MultieventExec::new(store, &a.base, config)
         .with_pool(pool)
+        .with_plan_cache(plan_cache)
         .with_governor(governor.clone());
     let (env, tuples, truncated, _) = exec.join()?;
     let mut table = match compile_projection(store, &a.base) {

@@ -193,7 +193,8 @@ impl Engine {
             }
             Query::Anomaly(anom) => {
                 let a = analyze::analyze_anomaly(anom, store)?;
-                anomaly::run_anomaly_pooled(store, &a, &self.config, self.pool(), governor(budget))
+                let (config, cache) = (&self.config, &self.plan_cache);
+                anomaly::run_anomaly_pooled(store, &a, config, self.pool(), cache, governor(budget))
             }
         }
     }

@@ -362,6 +362,25 @@ pub fn compile_slots(e: &Expr, store: &EventStore, env: &mut SlotEnv<'_>) -> Opt
 }
 
 impl SlotExpr {
+    /// Whether evaluating the expression reads pattern `pattern`'s event
+    /// or one of the variables `vars`.
+    pub(crate) fn reads(&self, pattern: usize, vars: &[usize]) -> bool {
+        match self {
+            SlotExpr::Event { slot, .. } => *slot == pattern,
+            SlotExpr::Entity { slot, .. } => vars.contains(slot),
+            SlotExpr::Binary { lhs, rhs, .. } => {
+                lhs.reads(pattern, vars) || rhs.reads(pattern, vars)
+            }
+            SlotExpr::Neg(inner) => inner.reads(pattern, vars),
+            _ => false,
+        }
+    }
+
+    /// Whether the expression is a column of pattern `pattern`'s event.
+    pub(crate) fn is_event_of(&self, pattern: usize) -> bool {
+        matches!(self, SlotExpr::Event { slot, .. } if *slot == pattern)
+    }
+
     /// Whether the expression, as a filter, lets the tuple through.
     pub(crate) fn passes(&self, cx: &SlotCtx<'_>) -> Result<bool, EngineError> {
         self.eval(cx).map(Value::truthy)

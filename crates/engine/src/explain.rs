@@ -336,12 +336,12 @@ fn operator_tree(
     } else {
         "serial".to_string()
     };
-    // The probe-reduction layers in effect (time buckets only matter when
-    // a temporal relation exists to prune by; sideways filters only when
+    // The probe-reduction layers in effect (the time search only runs when
+    // a temporal relation exists to search by; sideways filters only when
     // there is a second pattern to filter for).
     let mut layers: Vec<&str> = Vec::new();
     if !a.temporal.is_empty() {
-        layers.push("time-bucket");
+        layers.push("time-sorted runs");
     }
     if a.patterns.len() >= 2 {
         layers.push("sideways filters");

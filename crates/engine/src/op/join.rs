@@ -10,14 +10,17 @@
 //! the entity ids of the variables the frontier already binds (a pattern
 //! binds at most two, so the key packs into one `u64`). A step with
 //! temporal relations to placed patterns builds a `StepIndex::Timed`:
-//! posting lists carry dense start/end columns plus per-chunk start-bucket
-//! zone maps over a `BucketGrid` sized from the candidate time range, so
-//! a probe derives the tuple's admissible start/end intervals once, skips
-//! whole chunks whose zone cannot intersect, and verifies survivors
-//! against the dense columns. A relation-free step builds a
-//! `StepIndex::Plain` and every match joins. Large builds shard by key
-//! hash on the executor (scatter, then gather in candidate order), so a
-//! sharded index answers exactly as a serial one.
+//! posting lists carry dense start/end columns cut into *sorted runs*
+//! (maximal stretches, in candidate order, whose starts do not decrease)
+//! plus the posting's duration extremes. A probe derives the tuple's
+//! admissible start/end intervals once, folds the end interval onto starts
+//! through those durations, binary-searches every run for its admissible
+//! start slice, and checks only the slices' ends — none at all when no end
+//! bound applies. Runs are visited in posting order, so matches come out
+//! in candidate order. A relation-free step builds a `StepIndex::Plain`
+//! and every match joins. Large builds shard by key hash on the executor
+//! (scatter, then gather in candidate order), so a sharded index answers
+//! exactly as a serial one.
 //!
 //! Sideways filters cut work before it happens: scans publish bitmap
 //! domains of their candidates' subject/object ids; the join prunes each
@@ -42,6 +45,15 @@
 //! arena when nothing projects (`match_tuples`) or the projection keeps the
 //! dynamic path. A single-pattern query has no join: its seed *is* the
 //! final step, and the candidates are delivered in candidate order.
+//!
+//! The final step is *unread* when the projection reads neither its
+//! pattern's event nor a variable that pattern binds first — except as
+//! `count(<that event>.<column>)`, which only counts. Its matches for one
+//! tuple are then indistinguishable to the sink, so the step counts them
+//! (slice lengths, or the posting length on a relation-free step) and
+//! delivers the count, clamped to the output's remaining room, in one sink
+//! call; `delivered()`, the caps and the emission counters see the same
+//! tuples as when each match is delivered.
 //!
 //! Windows run in input order and the recursion is depth-first, so the
 //! output is in nested-loop emission order, and a prefix of it in that
@@ -78,6 +90,7 @@
 //! emission-order prefix).
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -107,16 +120,6 @@ const PARALLEL_INDEX_MIN_BUILD: usize = 4096;
 /// shared-budget cap. Bounds how far a run can overshoot the budget before
 /// it notices earlier runs have already filled it.
 const BUDGET_REFRESH: usize = 4096;
-
-/// Target bucket count of a timed index's [`BucketGrid`]. The bucket width
-/// is the candidate start-time range divided by this (floored to ≥ 1 µs),
-/// so sparse steps get wide buckets and dense steps fine ones.
-const TIME_BUCKETS: i64 = 256;
-
-/// Posting-list refs covered by one zone-map entry of a timed index. The
-/// probe skips a whole chunk when its (min, max) start-bucket zone cannot
-/// intersect the tuple's admissible bucket range.
-const BUCKET_CHUNK: usize = 64;
 
 /// Ceiling on the drive's run count: with more seed tuples than
 /// `MAX_RUNS × join_block_tuples`, the effective block grows instead. The
@@ -164,14 +167,14 @@ impl Operator for TemporalJoin {
             .collect::<Result<_, _>>()?;
         let rows_in: usize = candidates.iter().map(Vec::len).sum();
         let cand_bytes = (rows_in * std::mem::size_of::<EventRef>()) as u64;
-        let (frontier, sink, run) = join_refs(env, candidates, &st.domains)?;
+        let (frontier, sink, truncated, io) = join_refs(env, candidates, &st.domains)?;
         st.sink = sink;
         // The candidate batches the scans charged are consumed now; only
         // what the output retains (charged inside the drive) remains live.
         if let Some(g) = env.gov() {
             g.uncharge(cand_bytes);
         }
-        st.truncated = run.truncated;
+        st.truncated = truncated;
         // Tuples the join produced: left in the frontier, or pushed into
         // the projection sink.
         let sink_kept = st.sink.as_ref().map(ProjectionSink::kept);
@@ -184,42 +187,10 @@ impl Operator for TemporalJoin {
         Ok(OpIo {
             rows_in,
             rows_out,
-            fanout: run.fanout,
-            build_nanos: run.build_nanos,
-            probe_nanos: run.probe_nanos,
-            probe_hits: run.probe_hits,
-            bucket_skipped: run.bucket_skipped,
-            filter_pruned: run.filter_pruned,
-            runs_driven: run.runs_driven,
-            emitted_tuples: run.emitted_tuples,
-            early_exit_depth: run.early_exit_depth,
             sink_kept,
-            join_steps: run.steps,
+            ..io
         })
     }
-}
-
-/// Aggregate accounting of one join execution: truncation, widest
-/// run/shard fan-out, the per-phase timing split (index builds vs the
-/// drive), the probe-reduction counters, and the per-step breakdown for
-/// EXPLAIN ANALYZE.
-#[derive(Debug, Clone, Default)]
-struct JoinRun {
-    truncated: bool,
-    fanout: usize,
-    build_nanos: u64,
-    probe_nanos: u64,
-    probe_hits: u64,
-    bucket_skipped: u64,
-    filter_pruned: u64,
-    /// Seed runs merged into the output.
-    runs_driven: u64,
-    /// Tuples emitted across all merged runs' steps.
-    emitted_tuples: u64,
-    /// The step depth at which the drive stopped emitting (`None` = every
-    /// run was driven to completion).
-    early_exit_depth: Option<usize>,
-    steps: Vec<JoinStepStat>,
 }
 
 /// The smallest seed the drive fans out over when an executor is attached:
@@ -278,155 +249,166 @@ fn route(key: u64, n: usize) -> usize {
     }
 }
 
-/// One scatter chunk's output: a (key, ref) bucket per shard.
-type ShardBuckets = Vec<Vec<(u64, EventRef)>>;
-
-/// One timed scatter row: key, ref, and its start/end times in micros.
-type TimedRow = (u64, EventRef, i64, i64);
-
-/// One timed scatter chunk's output: a [`TimedRow`] bucket per shard.
-type TimedShardBuckets = Vec<Vec<TimedRow>>;
-
-/// Start-time bucket grid of a timed step index, sized at build time from
-/// the candidate range ([`TIME_BUCKETS`] target buckets, width ≥ 1 µs).
-/// `max_dur`/`min_dur` are the extreme candidate durations, folding the
-/// probe's admissible *end* interval onto start buckets (a candidate with
-/// `end ≥ elo` must have `start ≥ elo − max_dur`, and with `end ≤ ehi`
-/// must have `start ≤ ehi − min_dur`).
-#[derive(Debug, Clone, Copy)]
-struct BucketGrid {
-    /// Start-time origin: the smallest candidate start.
-    base: i64,
-    /// Bucket width in microseconds (≥ 1).
-    width: i64,
-    /// Bucket count covering the candidate start range.
-    buckets: u32,
-    /// Largest candidate duration (`end − start`), ≥ 0.
-    max_dur: i64,
-    /// Smallest candidate duration (may be 0; negative only on malformed
-    /// events, which the fold then still covers soundly).
-    min_dur: i64,
-}
-
-impl BucketGrid {
-    /// Build-side bucket id of a candidate start in `[base, max_start]`.
-    #[inline]
-    fn bucket_of(&self, start: i64) -> u16 {
-        (start.saturating_sub(self.base) / self.width) as u16
-    }
-
-    /// Probe-side bucket id of an arbitrary instant, clamped to the grid.
-    #[inline]
-    fn clamp(&self, t: i64) -> u16 {
-        let b = t.saturating_sub(self.base) / self.width;
-        b.clamp(0, i64::from(self.buckets - 1)) as u16
-    }
-}
-
-/// Running start-time/duration aggregate of a timed index build, reduced
-/// across scatter chunks before the grid is fixed.
-#[derive(Debug, Clone, Copy)]
-struct TimeAgg {
-    min_start: i64,
-    max_start: i64,
-    max_dur: i64,
-    min_dur: i64,
-}
-
-impl Default for TimeAgg {
-    fn default() -> Self {
-        TimeAgg {
-            min_start: i64::MAX,
-            max_start: i64::MIN,
-            max_dur: 0,
-            min_dur: 0,
-        }
-    }
-}
-
-impl TimeAgg {
-    #[inline]
-    fn add(&mut self, s: i64, e: i64) {
-        self.min_start = self.min_start.min(s);
-        self.max_start = self.max_start.max(s);
-        let dur = e.saturating_sub(s);
-        self.max_dur = self.max_dur.max(dur);
-        self.min_dur = self.min_dur.min(dur);
-    }
-
-    fn merge(&mut self, o: &TimeAgg) {
-        self.min_start = self.min_start.min(o.min_start);
-        self.max_start = self.max_start.max(o.max_start);
-        self.max_dur = self.max_dur.max(o.max_dur);
-        self.min_dur = self.min_dur.min(o.min_dur);
-    }
-
-    /// The bucket grid covering the observed start range (a degenerate
-    /// one-bucket grid when no candidate survived the build filter).
-    fn grid(&self) -> BucketGrid {
-        if self.min_start > self.max_start {
-            return BucketGrid {
-                base: 0,
-                width: 1,
-                buckets: 1,
-                max_dur: 0,
-                min_dur: 0,
-            };
-        }
-        let range = self.max_start.saturating_sub(self.min_start);
-        let width = (range / TIME_BUCKETS + 1).max(1);
-        BucketGrid {
-            base: self.min_start,
-            width,
-            buckets: (range / width + 1) as u32,
-            max_dur: self.max_dur,
-            min_dur: self.min_dur,
-        }
-    }
-}
-
 /// One key's posting list in a timed index: refs in candidate order with
 /// their start/end times as dense columns (the probe's exact temporal
-/// check reads these instead of re-resolving partition rows), plus a
-/// (min, max) start-bucket zone per [`BUCKET_CHUNK`] refs for skipping.
+/// check reads these instead of re-resolving partition rows), cut into
+/// sorted runs, plus the extreme durations of its refs.
 #[derive(Debug, Default)]
 struct Postings {
     refs: Vec<EventRef>,
     starts: Vec<i64>,
     ends: Vec<i64>,
-    zones: Vec<(u16, u16)>,
+    /// Where each run after the first begins: every index whose start is
+    /// smaller than its predecessor's.
+    breaks: Vec<u32>,
+    /// Smallest and largest `end − start` (exact, hence 128-bit: the
+    /// difference of two extreme `i64`s does not fit 64 bits). Negative
+    /// only on malformed events, which the fold still covers soundly.
+    min_dur: i128,
+    max_dur: i128,
+}
+
+/// A probe's admissible start and end intervals (inclusive) for a step's
+/// candidates, derived from the placed events its relations name.
+#[derive(Debug, Clone, Copy)]
+struct TimeBounds {
+    slo: i64,
+    shi: i64,
+    elo: i64,
+    ehi: i64,
+}
+
+impl TimeBounds {
+    fn of(rels: &[StepRel], events: &[EventRef], parts: &PartTable<'_>) -> Self {
+        let mut b = TimeBounds {
+            slo: i64::MIN,
+            shi: i64::MAX,
+            elo: i64::MIN,
+            ehi: i64::MAX,
+        };
+        for rel in rels {
+            let placed = events[rel.other];
+            if rel.cand_is_left {
+                // cand.end ≤ placed.start; a bound floors cand.end.
+                let ps = parts.start(placed).micros();
+                b.ehi = b.ehi.min(ps);
+                if let Some(bound) = rel.bound {
+                    b.elo = b.elo.max(ps.saturating_sub(bound));
+                }
+            } else {
+                // placed.end ≤ cand.start; a bound ceils cand.start.
+                let pe = parts.end(placed).micros();
+                b.slo = b.slo.max(pe);
+                if let Some(bound) = rel.bound {
+                    b.shi = b.shi.min(pe.saturating_add(bound));
+                }
+            }
+        }
+        b
+    }
+
+    /// Whether an end time is admissible.
+    #[inline]
+    fn end_ok(&self, e: i64) -> bool {
+        self.elo <= e && e <= self.ehi
+    }
 }
 
 impl Postings {
     #[inline]
-    fn push(&mut self, r: EventRef, s: i64, e: i64, bucket: u16) {
-        if self.refs.len().is_multiple_of(BUCKET_CHUNK) {
-            self.zones.push((bucket, bucket));
-        } else {
-            let z = self.zones.last_mut().expect("zone entry exists");
-            z.0 = z.0.min(bucket);
-            z.1 = z.1.max(bucket);
+    fn push(&mut self, r: EventRef, s: i64, e: i64) {
+        let dur = i128::from(e) - i128::from(s);
+        match self.starts.last() {
+            None => (self.min_dur, self.max_dur) = (dur, dur),
+            Some(&last) => {
+                if s < last {
+                    self.breaks.push(self.refs.len() as u32);
+                }
+                self.min_dur = self.min_dur.min(dur);
+                self.max_dur = self.max_dur.max(dur);
+            }
         }
         self.refs.push(r);
         self.starts.push(s);
         self.ends.push(e);
     }
+
+    /// The sorted runs as `[lo, hi)` index ranges, in posting order.
+    fn runs(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let cuts = self.breaks.iter().map(|&b| b as usize);
+        std::iter::once(0)
+            .chain(cuts.clone())
+            .zip(cuts.chain(std::iter::once(self.refs.len())))
+    }
+
+    /// The time search: per sorted run, in posting order, the slice whose
+    /// starts can be admissible under `b`, and whether the slices' ends
+    /// still need [`TimeBounds::end_ok`] (`false`: every ref in them is
+    /// admissible). `None` when no ref can be. The end interval folds onto
+    /// starts through the posting's durations: `end ≥ elo` forces
+    /// `start ≥ elo − max_dur`, and `end ≤ ehi` forces
+    /// `start ≤ ehi − min_dur`.
+    fn slices(&self, b: &TimeBounds) -> Option<(impl Iterator<Item = Range<usize>> + '_, bool)> {
+        let fold = |t: i64, dur: i128| {
+            (i128::from(t) - dur).clamp(i128::from(i64::MIN), i128::from(i64::MAX)) as i64
+        };
+        let lo = b.slo.max(fold(b.elo, self.max_dur));
+        let hi = b.shi.min(fold(b.ehi, self.min_dur));
+        if lo > hi || b.elo > b.ehi {
+            return None;
+        }
+        let check_end = b.elo > i64::MIN || b.ehi < i64::MAX;
+        let slices = self.runs().map(move |(a, z)| {
+            let run = &self.starts[a..z];
+            a + run.partition_point(|&s| s < lo)..a + run.partition_point(|&s| s <= hi)
+        });
+        Some((slices, check_end))
+    }
+}
+
+/// What a step index keeps per key: a plain ref list, or timed
+/// [`Postings`].
+trait IndexEntry: Default + Send {
+    /// What the build resolves per candidate.
+    type Row: Copy + Send + Sync;
+    fn row(parts: &PartTable<'_>, r: EventRef) -> Self::Row;
+    fn add(&mut self, row: Self::Row);
+}
+
+impl IndexEntry for Vec<EventRef> {
+    type Row = EventRef;
+    fn row(_: &PartTable<'_>, r: EventRef) -> EventRef {
+        r
+    }
+    fn add(&mut self, r: EventRef) {
+        self.push(r);
+    }
+}
+
+impl IndexEntry for Postings {
+    type Row = (EventRef, i64, i64);
+    /// Resolves the candidate's start/end once at build time (one segment
+    /// locate per candidate instead of one per probe match).
+    fn row(parts: &PartTable<'_>, r: EventRef) -> Self::Row {
+        let (s, e) = parts.start_end(r);
+        (r, s, e)
+    }
+    fn add(&mut self, (r, s, e): Self::Row) {
+        self.push(r, s, e);
+    }
 }
 
 /// One join step's candidate hash index: key-hash shards (1 = serial
 /// build) of plain ref lists, or — when the step has temporal relations
-/// to placed patterns — of time-bucketed [`Postings`]. Probes hash the key
-/// to its shard, so sharded and single
-/// indexes answer identically; the build preserves candidate order within
-/// every key's ref list (scatter chunks are contiguous candidate ranges
-/// gathered in chunk order), so the probe traversal — and therefore the
-/// joined frontier — is byte-identical to the serial build.
+/// to placed patterns — of timed [`Postings`]. Probes hash the key to its
+/// shard, so sharded and single indexes answer identically; the build
+/// preserves candidate order within every key's ref list (scatter chunks
+/// are contiguous candidate ranges gathered in chunk order), so the probe
+/// traversal — and therefore the joined frontier — is byte-identical to
+/// the serial build.
 enum StepIndex {
     Plain(Vec<HashMap<u64, Vec<EventRef>>>),
-    Timed {
-        shards: Vec<HashMap<u64, Postings>>,
-        grid: BucketGrid,
-    },
+    Timed(Vec<HashMap<u64, Postings>>),
 }
 
 impl StepIndex {
@@ -434,7 +416,7 @@ impl StepIndex {
     fn shard_count(&self) -> usize {
         match self {
             StepIndex::Plain(s) => s.len(),
-            StepIndex::Timed { shards, .. } => shards.len(),
+            StepIndex::Timed(s) => s.len(),
         }
     }
 
@@ -443,27 +425,19 @@ impl StepIndex {
     fn total_refs(&self) -> usize {
         match self {
             StepIndex::Plain(shards) => shards.iter().flat_map(HashMap::values).map(Vec::len).sum(),
-            StepIndex::Timed { shards, .. } => shards
-                .iter()
-                .flat_map(HashMap::values)
+            StepIndex::Timed(shards) => (shards.iter().flat_map(HashMap::values))
                 .map(|p| p.refs.len())
                 .sum(),
         }
     }
 
-    /// Time-bucket count (0 = untimed index).
-    fn buckets(&self) -> u32 {
+    /// Sorted runs across every posting (0 = untimed index).
+    fn sorted_runs(&self) -> u64 {
         match self {
             StepIndex::Plain(_) => 0,
-            StepIndex::Timed { grid, .. } => grid.buckets,
-        }
-    }
-
-    /// Bucket width in micros (0 = untimed index).
-    fn bucket_width(&self) -> i64 {
-        match self {
-            StepIndex::Plain(_) => 0,
-            StepIndex::Timed { grid, .. } => grid.width,
+            StepIndex::Timed(shards) => (shards.iter().flat_map(HashMap::values))
+                .map(|p| p.breaks.len() as u64 + 1)
+                .sum(),
         }
     }
 }
@@ -487,59 +461,31 @@ fn index_shards(env: &ExecEnv<'_>, candidates: usize, bound: bool) -> Option<usi
     }
 }
 
+/// One scatter chunk's output: a (key, row) bucket per shard.
+type ShardBuckets<R> = Vec<Vec<(u64, R)>>;
+
 /// Builds a step's candidate index, fanning the build out into key-hash
 /// shards when [`index_shards`] says it pays. The parallel build runs in
 /// two phases on the scan executor: *scatter* — contiguous candidate
-/// chunks bucket their (key, ref) pairs by shard — then *gather* — each
+/// chunks bucket their (key, row) pairs by shard — then *gather* — each
 /// shard inserts its buckets in chunk order. Both phases preserve
 /// candidate order per key.
-/// When `timed`, the index resolves every candidate's start/end once at
-/// build time (one segment locate per candidate instead of one per probe
-/// match) and carries them as dense posting columns under a [`BucketGrid`]
-/// reduced from per-chunk time aggregates.
-fn build_index(
+fn build_index<P: IndexEntry>(
     env: &ExecEnv<'_>,
     refs: &[EventRef],
     same_var: bool,
     key_of: &(dyn Fn(EventRef) -> u64 + Sync),
     bound: bool,
-    timed: bool,
-) -> Result<StepIndex, EngineError> {
+) -> Result<Vec<HashMap<u64, P>>, EngineError> {
     let parts = &env.parts;
+    let keep = |r: &&EventRef| !same_var || parts.subject(**r) == parts.object(**r);
     let nshards = index_shards(env, refs.len(), bound).filter(|&s| s > 1);
     let Some(nshards) = nshards else {
-        if timed {
-            let mut rows: Vec<TimedRow> = Vec::with_capacity(refs.len());
-            let mut agg = TimeAgg::default();
-            for &r in refs {
-                if same_var && parts.subject(r) != parts.object(r) {
-                    continue;
-                }
-                let (s, e) = parts.start_end(r);
-                agg.add(s, e);
-                rows.push((key_of(r), r, s, e));
-            }
-            let grid = agg.grid();
-            let mut index: HashMap<u64, Postings> = HashMap::new();
-            for (key, r, s, e) in rows {
-                index
-                    .entry(key)
-                    .or_default()
-                    .push(r, s, e, grid.bucket_of(s));
-            }
-            return Ok(StepIndex::Timed {
-                shards: vec![index],
-                grid,
-            });
+        let mut index: HashMap<u64, P> = HashMap::new();
+        for &r in refs.iter().filter(keep) {
+            index.entry(key_of(r)).or_default().add(P::row(parts, r));
         }
-        let mut index: HashMap<u64, Vec<EventRef>> = HashMap::new();
-        for &r in refs {
-            if same_var && parts.subject(r) != parts.object(r) {
-                continue;
-            }
-            index.entry(key_of(r)).or_default().push(r);
-        }
-        return Ok(StepIndex::Plain(vec![index]));
+        return Ok(vec![index]);
     };
     let Some(pool) = env.pool.as_ref() else {
         return Err(crate::op::internal(
@@ -548,92 +494,35 @@ fn build_index(
     };
     let workers = env.config.parallelism.max(1);
     let chunk = refs.len().div_ceil(nshards);
-    if timed {
-        // Scatter: chunk c buckets its candidate range by shard, tracking
-        // the chunk's local time aggregate.
-        let scattered: Vec<Mutex<(TimedShardBuckets, TimeAgg)>> = (0..nshards)
-            .map(|_| Mutex::new((Vec::new(), TimeAgg::default())))
-            .collect();
-        pool.run_chunks_capped(nshards, workers, &|c| {
-            let lo = (c * chunk).min(refs.len());
-            let hi = (lo + chunk).min(refs.len());
-            let mut buckets: TimedShardBuckets = (0..nshards).map(|_| Vec::new()).collect();
-            let mut agg = TimeAgg::default();
-            for &r in &refs[lo..hi] {
-                if same_var && parts.subject(r) != parts.object(r) {
-                    continue;
-                }
-                let key = key_of(r);
-                let (s, e) = parts.start_end(r);
-                agg.add(s, e);
-                buckets[shard_of(key, nshards)].push((key, r, s, e));
-            }
-            *crate::op::lock_clean(&scattered[c]) = (buckets, agg);
-        })
-        .map_err(worker_panic)?;
-        let scattered: Vec<(TimedShardBuckets, TimeAgg)> =
-            scattered.into_iter().map(crate::op::unwrap_clean).collect();
-        // The grid reduces over chunk aggregates on the query thread, so
-        // every shard gathers against the same (deterministic) grid.
-        let mut agg = TimeAgg::default();
-        for (_, chunk_agg) in &scattered {
-            agg.merge(chunk_agg);
-        }
-        let grid = agg.grid();
-        // Gather: shard s drains every chunk's bucket s, in chunk order.
-        let shards: Vec<Mutex<HashMap<u64, Postings>>> =
-            (0..nshards).map(|_| Mutex::new(HashMap::new())).collect();
-        pool.run_chunks_capped(nshards, workers, &|s| {
-            let mut map: HashMap<u64, Postings> = HashMap::new();
-            for (chunk_buckets, _) in &scattered {
-                for &(key, r, start, end) in &chunk_buckets[s] {
-                    map.entry(key)
-                        .or_default()
-                        .push(r, start, end, grid.bucket_of(start));
-                }
-            }
-            *crate::op::lock_clean(&shards[s]) = map;
-        })
-        .map_err(worker_panic)?;
-        return Ok(StepIndex::Timed {
-            shards: shards.into_iter().map(crate::op::unwrap_clean).collect(),
-            grid,
-        });
-    }
     // Scatter: chunk c buckets its candidate range by shard.
-    let scattered: Vec<Mutex<ShardBuckets>> =
+    let scattered: Vec<Mutex<ShardBuckets<P::Row>>> =
         (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
     pool.run_chunks_capped(nshards, workers, &|c| {
         let lo = (c * chunk).min(refs.len());
         let hi = (lo + chunk).min(refs.len());
-        let mut buckets: ShardBuckets = (0..nshards).map(|_| Vec::new()).collect();
-        for &r in &refs[lo..hi] {
-            if same_var && parts.subject(r) != parts.object(r) {
-                continue;
-            }
+        let mut buckets: ShardBuckets<P::Row> = (0..nshards).map(|_| Vec::new()).collect();
+        for &r in refs[lo..hi].iter().filter(keep) {
             let key = key_of(r);
-            buckets[shard_of(key, nshards)].push((key, r));
+            buckets[shard_of(key, nshards)].push((key, P::row(parts, r)));
         }
         *crate::op::lock_clean(&scattered[c]) = buckets;
     })
     .map_err(worker_panic)?;
-    let scattered: Vec<ShardBuckets> = scattered.into_iter().map(crate::op::unwrap_clean).collect();
+    let scattered: Vec<_> = scattered.into_iter().map(crate::op::unwrap_clean).collect();
     // Gather: shard s drains every chunk's bucket s, in chunk order.
-    let shards: Vec<Mutex<HashMap<u64, Vec<EventRef>>>> =
+    let shards: Vec<Mutex<HashMap<u64, P>>> =
         (0..nshards).map(|_| Mutex::new(HashMap::new())).collect();
     pool.run_chunks_capped(nshards, workers, &|s| {
-        let mut map: HashMap<u64, Vec<EventRef>> = HashMap::new();
+        let mut map: HashMap<u64, P> = HashMap::new();
         for chunk_buckets in &scattered {
-            for &(key, r) in &chunk_buckets[s] {
-                map.entry(key).or_default().push(r);
+            for &(key, row) in &chunk_buckets[s] {
+                map.entry(key).or_default().add(row);
             }
         }
         *crate::op::lock_clean(&shards[s]) = map;
     })
     .map_err(worker_panic)?;
-    Ok(StepIndex::Plain(
-        shards.into_iter().map(crate::op::unwrap_clean).collect(),
-    ))
+    Ok(shards.into_iter().map(crate::op::unwrap_clean).collect())
 }
 
 /// Shared output budget of one parallel drive. `produced[k]` is a monotone
@@ -773,21 +662,23 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
 
 /// Multi-way hash join over the per-pattern candidate refs. Returns the
 /// joined tuples — or, when a compiled projection closes the pipeline, an
-/// empty arena and the sink the drive streamed them into — plus the run
-/// accounting (truncation, widest fan-out, build/probe timing split).
+/// empty arena and the sink the drive streamed them into — plus whether it
+/// truncated and its accounting (widest run/shard fan-out, the build/probe
+/// timing split, the probe-reduction and emission counters, and the
+/// per-step breakdown for EXPLAIN ANALYZE).
 fn join_refs<'e>(
     env: &'e ExecEnv<'_>,
     candidates: Vec<Vec<EventRef>>,
     domains: &[Option<(IdSet, IdSet)>],
-) -> Result<(RefArena, Option<ProjectionSink<'e>>, JoinRun), EngineError> {
+) -> Result<(RefArena, Option<ProjectionSink<'e>>, bool, OpIo), EngineError> {
     let (n, nvars) = (env.a.patterns.len(), env.a.vars.len());
     // With a compiled projection closing the pipeline, the final step
     // pushes into its sink; otherwise the tuples are kept.
     match ProjectionSink::new(env) {
         Some(sink) => drive_join(env, &candidates, domains, sink)
-            .map(|(sink, run)| (RefArena::new(n, nvars), Some(sink), run)),
+            .map(|(sink, t, io)| (RefArena::new(n, nvars), Some(sink), t, io)),
         None => drive_join(env, &candidates, domains, RefArena::new(n, nvars))
-            .map(|(arena, run)| (arena, None, run)),
+            .map(|(arena, t, io)| (arena, None, t, io)),
     }
 }
 
@@ -948,6 +839,30 @@ impl Place {
         }
         caps.exhausted(out.delivered())
     }
+
+    /// Delivers tuple `t` of `src` extended by `n` matches at an unread
+    /// level (see the module docs), clamped to the tracker's remaining
+    /// room so the delivery stops exactly where `n` [`Place::emit`]s
+    /// would. Returns as [`Place::emit`].
+    #[inline]
+    fn emit_count<O: JoinOutput>(
+        self,
+        out: &mut O,
+        src: &RefArena,
+        t: usize,
+        n: usize,
+        caps: &mut CapTracker<'_>,
+    ) -> bool {
+        if n == 0 {
+            return false;
+        }
+        let n = n.min(caps.cap.saturating_sub(out.delivered()));
+        if n > 0 && out.emit_count(src, t, self.pattern, n) == Flow::Stop {
+            caps.gov_stop = true;
+            return true;
+        }
+        caps.exhausted(out.delivered())
+    }
 }
 
 /// One probe step of the drive, built once before any run starts. Bound
@@ -980,10 +895,8 @@ struct RunState {
     /// capacity). The final level's stays empty — it delivers straight into
     /// the drive's output.
     levels: Vec<RefArena>,
-    /// Per-level probe counters, probe nanos, and emitted-tuple counts.
-    ctrs: Vec<StepCounters>,
-    nanos: Vec<u64>,
-    rows: Vec<u64>,
+    /// Per-level counters: probes, probe nanos, emitted tuples.
+    steps: Vec<JoinStepStat>,
     /// First level observed hitting the intermediate cap. The recursion
     /// finishes the truncated expansion's subtree before stopping, so a
     /// deeper level affected by the same stop records first.
@@ -998,9 +911,7 @@ impl RunState {
     fn new(n: usize, nvars: usize) -> Self {
         RunState {
             levels: (0..n).map(|_| RefArena::new(n, nvars)).collect(),
-            ctrs: vec![StepCounters::default(); n],
-            nanos: vec![0; n],
-            rows: vec![0; n],
+            steps: vec![JoinStepStat::default(); n],
             cut: None,
             gov_stop: false,
             err: None,
@@ -1027,6 +938,8 @@ struct Drive<'s, 'a> {
     /// forced the serial drive (one observer makes the trip point
     /// deterministic).
     charge: bool,
+    /// The final level is unread: it delivers counts, not matches.
+    count_last: bool,
 }
 
 impl Drive<'_, '_> {
@@ -1053,17 +966,18 @@ impl Drive<'_, '_> {
     }
 
     /// Probes `step`'s index for tuple `t` and delivers the surviving
-    /// extensions to `out`. Returns `true` when the tracker's budget was
+    /// extensions to `out` — one by one, or (`COUNT`, an unread final
+    /// level) as one count. Returns `true` when the tracker's budget was
     /// exhausted — the caller must stop its drive.
     #[inline]
-    fn probe_into<O: JoinOutput>(
+    fn probe_into<O: JoinOutput, const COUNT: bool>(
         &self,
         step: &JoinStep,
         tuples: &RefArena,
         t: usize,
         out: &mut O,
         caps: &mut CapTracker<'_>,
-        ctr: &mut StepCounters,
+        ctr: &mut JoinStepStat,
     ) -> bool {
         let parts = &self.env.parts;
         let place = step.place;
@@ -1085,85 +999,60 @@ impl Drive<'_, '_> {
         }
         let key = pack(ids);
         ctr.probes += 1;
-        match &step.index {
+        let p = match &step.index {
             // Relation-free step: every match under the key joins.
             StepIndex::Plain(shards) => {
                 let Some(matches) = shards[route(key, shards.len())].get(&key) else {
                     return false;
                 };
                 ctr.probe_hits += 1;
+                if COUNT {
+                    return place.emit_count(out, tuples, t, matches.len(), caps);
+                }
                 for &r in matches {
                     if place.emit(parts, out, tuples, t, r, caps) {
                         return true;
                     }
                 }
-                false
+                return false;
             }
-            StepIndex::Timed { shards, grid } => {
-                let Some(p) = shards[route(key, shards.len())].get(&key) else {
-                    return false;
-                };
-                ctr.probe_hits += 1;
-                // Admissible start/end intervals of a joining candidate,
-                // derived once per tuple from the placed events.
-                let events = tuples.events_of(t);
-                let (mut slo, mut shi) = (i64::MIN, i64::MAX);
-                let (mut elo, mut ehi) = (i64::MIN, i64::MAX);
-                for rel in &step.rels {
-                    let placed = events[rel.other];
-                    if rel.cand_is_left {
-                        // cand.end ≤ placed.start; a bound floors cand.end.
-                        let ps = parts.start(placed).micros();
-                        ehi = ehi.min(ps);
-                        if let Some(b) = rel.bound {
-                            elo = elo.max(ps.saturating_sub(b));
-                        }
-                    } else {
-                        // placed.end ≤ cand.start; a bound ceils cand.start.
-                        let pe = parts.end(placed).micros();
-                        slo = slo.max(pe);
-                        if let Some(b) = rel.bound {
-                            shi = shi.min(pe.saturating_add(b));
-                        }
-                    }
+            StepIndex::Timed(shards) => match shards[route(key, shards.len())].get(&key) {
+                Some(p) => p,
+                None => return false,
+            },
+        };
+        ctr.probe_hits += 1;
+        let b = TimeBounds::of(&step.rels, tuples.events_of(t), parts);
+        let Some((slices, check_end)) = p.slices(&b) else {
+            ctr.bucket_skipped += p.refs.len() as u64;
+            return false;
+        };
+        let (mut searched, mut n) = (0, 0);
+        for slice in slices {
+            searched += slice.len();
+            if COUNT && !check_end {
+                n += slice.len();
+                continue;
+            }
+            for j in slice {
+                if check_end && !b.end_ok(p.ends[j]) {
+                    continue;
                 }
-                // Fold the end interval onto start buckets through the
-                // build-time duration extremes.
-                let lo_t = slo.max(elo.saturating_sub(grid.max_dur));
-                let hi_t = shi.min(ehi.saturating_sub(grid.min_dur));
-                if slo > shi || elo > ehi || lo_t > hi_t {
-                    ctr.bucket_skipped += p.refs.len() as u64;
-                    return false;
+                if COUNT {
+                    n += 1;
+                } else if place.emit(parts, out, tuples, t, p.refs[j], caps) {
+                    return true;
                 }
-                let blo = grid.clamp(lo_t);
-                let bhi = grid.clamp(hi_t);
-                for (c, &(zmin, zmax)) in p.zones.iter().enumerate() {
-                    let lo = c * BUCKET_CHUNK;
-                    let hi = (lo + BUCKET_CHUNK).min(p.refs.len());
-                    if zmax < blo || zmin > bhi {
-                        ctr.bucket_skipped += (hi - lo) as u64;
-                        continue;
-                    }
-                    for j in lo..hi {
-                        let s = p.starts[j];
-                        let e = p.ends[j];
-                        if s < slo || s > shi || e < elo || e > ehi {
-                            continue;
-                        }
-                        if place.emit(parts, out, tuples, t, p.refs[j], caps) {
-                            return true;
-                        }
-                    }
-                }
-                false
             }
         }
+        ctr.bucket_skipped += (p.refs.len() - searched) as u64;
+        COUNT && place.emit_count(out, tuples, t, n, caps)
     }
 
     /// Probes level `j`'s step for tuples `[lo, hi)` of `cur`, delivering
     /// into `next`. Returns `(capped, gov_stop)`.
     #[allow(clippy::too_many_arguments)]
-    fn probe_window<O: JoinOutput>(
+    fn probe_window<O: JoinOutput, const COUNT: bool>(
         &self,
         j: usize,
         cur: &RefArena,
@@ -1171,7 +1060,7 @@ impl Drive<'_, '_> {
         hi: usize,
         next: &mut O,
         caps: &mut CapTracker<'_>,
-        ctr: &mut StepCounters,
+        ctr: &mut JoinStepStat,
         gov: Option<&Governor>,
     ) -> (bool, bool) {
         let step = &self.steps[j - 1];
@@ -1180,7 +1069,7 @@ impl Drive<'_, '_> {
             if gate.tick().is_some() {
                 return (false, true);
             }
-            if self.probe_into(step, cur, t, next, caps, ctr) {
+            if self.probe_into::<O, COUNT>(step, cur, t, next, caps, ctr) {
                 return (!caps.gov_stop, caps.gov_stop);
             }
         }
@@ -1225,16 +1114,14 @@ impl Drive<'_, '_> {
         st: &mut RunState,
         out: &mut O,
         gov: Option<&Governor>,
-        deliver: impl FnOnce(&mut O, &mut StepCounters) -> (bool, bool),
+        deliver: impl FnOnce(&mut O, &mut JoinStepStat) -> (bool, bool),
     ) -> Flow {
         let before = out.delivered();
         let held = out.retained_bytes();
         let t = Instant::now();
-        let mut ctr = StepCounters::default();
-        let (capped, gov_stop) = deliver(out, &mut ctr);
-        st.nanos[j] += t.elapsed().as_nanos() as u64;
-        st.ctrs[j].merge(&ctr);
-        st.rows[j] += (out.delivered() - before) as u64;
+        let (capped, gov_stop) = deliver(out, &mut st.steps[j]);
+        st.steps[j].probe_nanos += t.elapsed().as_nanos() as u64;
+        st.steps[j].rows_out += out.delivered() - before;
         let charged = self.charge_live(st, gov, out.retained_bytes() - held);
         if gov_stop {
             st.gov_stop = true;
@@ -1263,8 +1150,10 @@ impl Drive<'_, '_> {
         gov: Option<&Governor>,
     ) -> Flow {
         if j == self.levels() - 1 {
-            return self.deliver_final(j, st, out, gov, |out, ctr| {
-                self.probe_window(j, cur, 0, cur.len(), out, out_caps, ctr, gov)
+            let n = cur.len();
+            return self.deliver_final(j, st, out, gov, |out, ctr| match self.count_last {
+                true => self.probe_window::<O, true>(j, cur, 0, n, out, out_caps, ctr, gov),
+                false => self.probe_window::<O, false>(j, cur, 0, n, out, out_caps, ctr, gov),
             });
         }
         let mut scratch = std::mem::take(&mut st.levels[j]);
@@ -1274,13 +1163,20 @@ impl Drive<'_, '_> {
             let hi = (lo + EXPAND_CHUNK).min(cur.len());
             scratch.truncate(0);
             let t = Instant::now();
-            let mut ctr = StepCounters::default();
             let mut caps = CapTracker::fixed(self.icap, gov);
-            let (capped, gov_stop) =
-                self.probe_window(j, cur, lo, hi, &mut scratch, &mut caps, &mut ctr, gov);
-            st.nanos[j] += t.elapsed().as_nanos() as u64;
-            st.ctrs[j].merge(&ctr);
-            st.rows[j] += scratch.len() as u64;
+            let step = &mut st.steps[j];
+            let (capped, gov_stop) = self.probe_window::<RefArena, false>(
+                j,
+                cur,
+                lo,
+                hi,
+                &mut scratch,
+                &mut caps,
+                step,
+                gov,
+            );
+            step.probe_nanos += t.elapsed().as_nanos() as u64;
+            step.rows_out += scratch.len();
             if gov_stop {
                 st.gov_stop = true;
                 flow = Flow::Stop;
@@ -1336,8 +1232,8 @@ impl Drive<'_, '_> {
         seedbuf.truncate(0);
         let mut caps = CapTracker::fixed(usize::MAX, gov);
         let (_, gov_stop) = self.emit_seed(lo, hi, &mut seedbuf, &mut caps);
-        st.nanos[0] += t0.elapsed().as_nanos() as u64;
-        st.rows[0] += seedbuf.len() as u64;
+        st.steps[0].probe_nanos += t0.elapsed().as_nanos() as u64;
+        st.steps[0].rows_out += seedbuf.len();
         // An uncapped tracker only stops on a governor trip.
         let flow = if gov_stop {
             st.gov_stop = true;
@@ -1365,7 +1261,7 @@ fn drive_join<O: JoinOutput>(
     candidates: &[Vec<EventRef>],
     domains: &[Option<(IdSet, IdSet)>],
     mut out: O,
-) -> Result<(O, JoinRun), EngineError> {
+) -> Result<(O, bool, OpIo), EngineError> {
     let a = env.a;
     let n = a.patterns.len();
     let nvars = a.vars.len();
@@ -1377,9 +1273,9 @@ fn drive_join<O: JoinOutput>(
     let seed_pruned_count = (seed_all.len() - seed_refs.len()) as u64;
     let gov = env.gov();
     let out_cap = env.config.max_intermediate;
-    let mut run = JoinRun {
+    let mut io = OpIo {
         fanout: 1,
-        ..JoinRun::default()
+        ..OpIo::default()
     };
 
     // The seed places its pattern first; every later pattern gets a probe
@@ -1426,20 +1322,17 @@ fn drive_join<O: JoinOutput>(
             pack(ids)
         };
         // With temporal relations to verify, the index carries time columns
-        // and bucket zones for probe-side pruning.
+        // in sorted runs for the probe's time search.
         let rels = a.step_relations(i, &placed);
         let t_build = Instant::now();
-        let index = build_index(
-            env,
-            refs,
-            same_var,
-            &key_of_ref,
-            !bound_vars.is_empty(),
-            !rels.is_empty(),
-        )?;
+        let bound = !bound_vars.is_empty();
+        let index = match rels.is_empty() {
+            true => StepIndex::Plain(build_index(env, refs, same_var, &key_of_ref, bound)?),
+            false => StepIndex::Timed(build_index(env, refs, same_var, &key_of_ref, bound)?),
+        };
         let build_nanos = t_build.elapsed().as_nanos() as u64;
-        run.build_nanos += build_nanos;
-        run.fanout = run.fanout.max(index.shard_count());
+        io.build_nanos += build_nanos;
+        io.fanout = io.fanout.max(index.shard_count());
         steps.push(JoinStep {
             place,
             candidates: refs.len(),
@@ -1457,6 +1350,15 @@ fn drive_join<O: JoinOutput>(
     let mut proto = RefArena::new(n, nvars);
     proto.resize_tuples(1);
     let seed_total = seed_refs.len();
+    // The final level counts its matches when the output reads nothing
+    // they place: the pattern's event, or a variable it binds first.
+    let count_last = steps.last().is_some_and(|s| {
+        let fresh: Vec<usize> = [s.place.subject, s.place.object]
+            .into_iter()
+            .filter(|v| !s.bound_vars.contains(v))
+            .collect();
+        out.unread(s.place.pattern, &fresh)
+    });
 
     // An arena output is reserved to the drive's worst case — seed size
     // times every step's indexed-ref count — clamped by the output cap and
@@ -1475,9 +1377,7 @@ fn drive_join<O: JoinOutput>(
     let mut truncated = false;
     let mut early_exit: Option<usize> = None;
     let mut runs_driven = 0u64;
-    let mut step_rows: Vec<u64> = vec![0; n];
-    let mut step_ctrs: Vec<StepCounters> = vec![StepCounters::default(); n];
-    let mut step_nanos: Vec<u64> = vec![0; n];
+    let mut counters = vec![JoinStepStat::default(); n];
 
     if out_cap == 0 {
         // The cap is already spent (a zero `max_intermediate`): the empty
@@ -1501,6 +1401,7 @@ fn drive_join<O: JoinOutput>(
             proto,
             icap: out_cap,
             charge,
+            count_last,
         };
         let workers = env.config.parallelism.max(1);
         // A memory budget forces the serial drive: live charging yields a
@@ -1538,7 +1439,7 @@ fn drive_join<O: JoinOutput>(
             })
             .map_err(worker_panic)?;
             partials = slots.into_iter().map(crate::op::unwrap_clean).collect();
-            run.fanout = run.fanout.max(workers.min(nruns));
+            io.fanout = io.fanout.max(workers.min(nruns));
         }
         partials.resize_with(nruns, || None);
 
@@ -1572,11 +1473,7 @@ fn drive_join<O: JoinOutput>(
                     merged = true;
                     // The run's accounting joins that of the runs driven
                     // here.
-                    for j in 0..n {
-                        st.rows[j] += p.rows[j];
-                        st.ctrs[j].merge(&p.ctrs[j]);
-                        st.nanos[j] += p.nanos[j];
-                    }
+                    (st.steps.iter_mut().zip(&p.steps)).for_each(|(s, o)| s.add(o));
                     st.cut = st.cut.or(p.cut);
                 }
             }
@@ -1601,7 +1498,7 @@ fn drive_join<O: JoinOutput>(
                 g.trip().map_or(Ok(()), |t| g.on_trip(t))?;
             }
         }
-        (step_rows, step_ctrs, step_nanos) = (st.rows, st.ctrs, st.nanos);
+        counters = st.steps;
         if st.cut.is_some() {
             truncated = true;
             early_exit = st.cut;
@@ -1609,69 +1506,129 @@ fn drive_join<O: JoinOutput>(
             truncated = true;
             early_exit = Some(n - 1);
         }
-        run.probe_nanos += t_probe.elapsed().as_nanos() as u64;
+        io.probe_nanos += t_probe.elapsed().as_nanos() as u64;
     }
 
-    run.truncated |= truncated;
-    run.runs_driven = runs_driven;
-    run.emitted_tuples = step_rows.iter().sum();
-    run.early_exit_depth = early_exit;
     // Level 0 is the seed — delivered, never probed; what sideways seed
     // pruning dropped counts there.
-    run.steps.push(JoinStepStat {
+    let seed_stat = JoinStepStat {
         pattern: seed.pattern,
         candidates: seed_total,
         filter_pruned: seed_pruned_count,
         fanout: 1,
         ..JoinStepStat::default()
-    });
-    for s in &steps {
-        run.steps.push(JoinStepStat {
+    };
+    io.join_steps = (std::iter::once(seed_stat))
+        .chain(steps.iter().map(|s| JoinStepStat {
             pattern: s.place.pattern,
             candidates: s.candidates,
             filter_pruned: s.candidate_pruned,
-            buckets: s.index.buckets(),
-            bucket_width_micros: s.index.bucket_width(),
+            sorted_runs: s.index.sorted_runs(),
             build_nanos: s.build_nanos,
             fanout: s.index.shard_count(),
             ..JoinStepStat::default()
-        });
+        }))
+        .collect();
+    for (stat, c) in io.join_steps.iter_mut().zip(&counters) {
+        stat.add(c);
+        io.probe_hits += stat.probe_hits;
+        io.bucket_skipped += stat.bucket_skipped;
+        io.filter_pruned += stat.filter_pruned;
+        io.emitted_tuples += stat.rows_out as u64;
     }
-    for (j, stat) in run.steps.iter_mut().enumerate() {
-        let c = step_ctrs[j];
-        stat.rows_out = step_rows[j] as usize;
-        stat.probes = c.probes;
-        stat.probe_hits = c.probe_hits;
-        stat.bucket_skipped = c.bucket_skipped;
-        stat.filter_pruned += c.filter_pruned;
-        stat.probe_nanos = step_nanos[j];
-        run.probe_hits += stat.probe_hits;
-        run.bucket_skipped += stat.bucket_skipped;
-        run.filter_pruned += stat.filter_pruned;
-    }
-    Ok((out, run))
+    io.runs_driven = runs_driven;
+    io.early_exit_depth = early_exit;
+    Ok((out, truncated, io))
 }
 
-/// Per-level probe-reduction counters, merged across runs into the step's
-/// [`JoinStepStat`].
-#[derive(Debug, Clone, Copy, Default)]
-struct StepCounters {
-    /// Index lookups attempted (after the sideways pre-filter).
-    probes: u64,
-    /// Lookups that found a posting list.
-    probe_hits: u64,
-    /// Posting refs skipped by time-bucket pruning (never temporally
-    /// verified).
-    bucket_skipped: u64,
-    /// Candidates/probes rejected by sideways domain filters.
-    filter_pruned: u64,
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-impl StepCounters {
-    fn merge(&mut self, o: &StepCounters) {
-        self.probes += o.probes;
-        self.probe_hits += o.probe_hits;
-        self.bucket_skipped += o.bucket_skipped;
-        self.filter_pruned += o.filter_pruned;
+    /// xorshift64*: a deterministic stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        }
+
+        /// A time: mostly small values near zero, sometimes anywhere, and
+        /// sometimes within a few micros of either `i64` extreme.
+        fn time(&mut self) -> i64 {
+            match self.next() % 8 {
+                0 => i64::MIN + (self.next() % 3) as i64,
+                1 => i64::MAX - (self.next() % 3) as i64,
+                2 => self.next() as i64,
+                _ => (self.next() % 40) as i64 - 20,
+            }
+        }
+
+        /// An interval bound: unbounded a third of the time.
+        fn bound(&mut self, unbounded: i64) -> i64 {
+            match self.next() % 3 {
+                0 => unbounded,
+                _ => self.time(),
+            }
+        }
+    }
+
+    /// Random postings — short sorted stretches broken by jumps, durations
+    /// negative, zero, positive and extreme — against random admissible
+    /// intervals: the runs break exactly where a start decreases, and the
+    /// binary-searched slices (with their end check) select exactly the
+    /// refs a linear filter selects, in candidate order.
+    #[test]
+    fn time_search_slices_equal_a_linear_filter_in_candidate_order() {
+        let mut rng = Rng(0x9e37_79b9_7f4a_7c15);
+        for _ in 0..3000 {
+            let mut p = Postings::default();
+            let mut prev = rng.time();
+            for row in 0..(rng.next() % 40) as u32 {
+                let s = match rng.next() % 3 {
+                    0 => rng.time(),
+                    _ => prev.saturating_add((rng.next() % 5) as i64),
+                };
+                let e = match rng.next() % 4 {
+                    0 => rng.time(),
+                    1 => s.saturating_sub((rng.next() % 5) as i64),
+                    _ => s.saturating_add((rng.next() % 10) as i64),
+                };
+                p.push(EventRef { part: 0, row }, s, e);
+                prev = s;
+            }
+            let breaks: Vec<u32> = (1..p.starts.len())
+                .filter(|&j| p.starts[j] < p.starts[j - 1])
+                .map(|j| j as u32)
+                .collect();
+            assert_eq!(p.breaks, breaks);
+            assert_eq!(
+                p.runs().map(|(lo, hi)| hi - lo).sum::<usize>(),
+                p.refs.len()
+            );
+            for _ in 0..20 {
+                let b = TimeBounds {
+                    slo: rng.bound(i64::MIN),
+                    shi: rng.bound(i64::MAX),
+                    elo: rng.bound(i64::MIN),
+                    ehi: rng.bound(i64::MAX),
+                };
+                let want: Vec<usize> = (0..p.refs.len())
+                    .filter(|&j| b.slo <= p.starts[j] && p.starts[j] <= b.shi)
+                    .filter(|&j| b.end_ok(p.ends[j]))
+                    .collect();
+                let got: Vec<usize> = match p.slices(&b) {
+                    None => Vec::new(),
+                    Some((slices, check_end)) => slices
+                        .flatten()
+                        .filter(|&j| !check_end || b.end_ok(p.ends[j]))
+                        .collect(),
+                };
+                assert_eq!(got, want, "{b:?} over {:?}", (&p.starts, &p.ends));
+            }
+        }
     }
 }

@@ -183,6 +183,20 @@ pub(crate) trait JoinOutput: Send + Sync + Sized {
         object: (usize, EntityId),
     ) -> Flow;
 
+    /// Whether the output reads nothing a match of `pattern` places — its
+    /// event, or the variables `fresh` it binds first — so the drive may
+    /// deliver a count of matches ([`JoinOutput::emit_count`]) instead.
+    fn unread(&self, _pattern: usize, _fresh: &[usize]) -> bool {
+        false
+    }
+
+    /// Delivers `n` tuples: tuple `i` of `src`, extended by `n` matches of
+    /// a pattern the output reported [`JoinOutput::unread`]. Returns as
+    /// [`JoinOutput::emit`].
+    fn emit_count(&mut self, _src: &RefArena, _i: usize, _pattern: usize, _n: usize) -> Flow {
+        unreachable!("only an output that reads nothing of a pattern is handed its counts")
+    }
+
     /// Tuples delivered so far (what `max_intermediate` caps).
     fn delivered(&self) -> usize;
 
@@ -540,11 +554,11 @@ impl ExecStats {
                     ms(s.probe_nanos),
                     s.fanout,
                 );
-                if s.buckets > 0 {
+                if s.sorted_runs > 0 {
                     let _ = write!(
                         out,
-                        " | {} bucket(s) x {} us, {} ref(s) bucket-skipped",
-                        s.buckets, s.bucket_width_micros, s.bucket_skipped
+                        " | {} sorted run(s), {} ref(s) skipped by time search",
+                        s.sorted_runs, s.bucket_skipped
                     );
                 }
                 if s.filter_pruned > 0 {
@@ -582,9 +596,10 @@ pub struct OpStat {
     /// Index probes that found a non-empty posting list (joins only),
     /// summed over join steps.
     pub probe_hits: u64,
-    /// Candidate refs skipped without an exact temporal check because their
-    /// time-bucket chunk (or whole posting list) cannot satisfy the probe
-    /// tuple's admissible interval (joins only).
+    /// Candidate refs skipped without an exact temporal check because the
+    /// probe's time search excluded them: outside every sorted run's
+    /// admissible start slice, or in a posting no start can satisfy (joins
+    /// only).
     pub bucket_skipped: u64,
     /// Build candidates, seed tuples, and probes eliminated by sideways
     /// bitmap filters (joins only).
@@ -619,20 +634,31 @@ pub struct JoinStepStat {
     pub probes: u64,
     /// Probes that found a non-empty posting list.
     pub probe_hits: u64,
-    /// Refs skipped by time-bucket pruning (no exact check run).
+    /// Refs the time search excluded (no exact check run).
     pub bucket_skipped: u64,
     /// Candidates/seed tuples/probes eliminated by sideways filters.
     pub filter_pruned: u64,
-    /// Time buckets of this step's index grid (0 = untimed index).
-    pub buckets: u32,
-    /// Bucket width in microseconds (0 = untimed index).
-    pub bucket_width_micros: i64,
+    /// Sorted runs across this step's timed postings (0 = untimed index).
+    pub sorted_runs: u64,
     /// Index build time of this step.
     pub build_nanos: u64,
     /// Probe time of this step.
     pub probe_nanos: u64,
     /// Index shards of this step (1 = serial build).
     pub fanout: usize,
+}
+
+impl JoinStepStat {
+    /// Adds the counters `o` gathered for the same step: rows, probes,
+    /// skips, probe time.
+    pub(crate) fn add(&mut self, o: &JoinStepStat) {
+        self.rows_out += o.rows_out;
+        self.probes += o.probes;
+        self.probe_hits += o.probe_hits;
+        self.bucket_skipped += o.bucket_skipped;
+        self.filter_pruned += o.filter_pruned;
+        self.probe_nanos += o.probe_nanos;
+    }
 }
 
 /// Tuple in/out accounting returned by each operator run.

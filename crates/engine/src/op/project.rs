@@ -14,8 +14,19 @@
 //! * **aggregates** (single group or `group by`): one accumulator set and
 //!   one representative tuple per group — nothing per tuple;
 //! * **`distinct`**: the distinct rows, in first-occurrence order, found
-//!   through an index keyed on the values' bit patterns;
+//!   through an index keyed on the values' bit patterns — and, when every
+//!   item is an entity reference (no aggregate, no `having`), first through
+//!   a set of the tuples' entity-id keys: a row is a function of those ids,
+//!   so a repeated key skips evaluation, and only a new one is evaluated
+//!   and looked up by value (same-named entities on two hosts still give
+//!   one row);
 //! * **plain rows**: one row per tuple that passes `having`.
+//!
+//! When the join's final level is unread
+//! (`CompiledProjection::unread`), the sink receives a tuple and a count
+//! of matches instead: plain rows push that many copies, `distinct` looks
+//! the row up once, and a group adds the count to its `count`
+//! accumulators and the (constant) value that many times to the others.
 //!
 //! The join drive delivers its final step's tuples straight into the sink
 //! (see `op/join.rs`), so the joined tuples are never written to an output
@@ -24,9 +35,9 @@
 //! of the brute-force oracle (`reference.rs`), which therefore shares no
 //! tuple loop with the sink.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-use aiql_lang::{Expr, SortDir};
+use aiql_lang::{AggFunc, Expr, SortDir};
 use aiql_model::{EntityId, Value};
 use aiql_storage::EventStore;
 
@@ -156,6 +167,12 @@ impl AggAcc {
         });
     }
 
+    /// Counts `n` more non-null values without their statistics: for a
+    /// `count` accumulator, whose result reads nothing else.
+    fn add_count(&mut self, n: usize) {
+        self.count += n as u64;
+    }
+
     /// Folds in the accumulator of the values that directly follow this
     /// one's. Equal to adding them one by one when both are `exact`.
     fn merge(&mut self, o: &AggAcc) {
@@ -257,6 +274,21 @@ pub(crate) struct CompiledProjection {
     pub(crate) lags: Vec<(usize, u32)>,
     /// Aggregate calls or `group by` present.
     aggregated: bool,
+}
+
+impl CompiledProjection {
+    /// Whether evaluating the projection never reads pattern `pattern`'s
+    /// event or a variable in `fresh` — but as the argument of `count` over
+    /// one of that event's columns, which are never null, so only the
+    /// number of tuples matters.
+    pub(crate) fn unread(&self, pattern: usize, fresh: &[usize]) -> bool {
+        let reads = |e: &SlotExpr| e.reads(pattern, fresh);
+        let mut scalars = self.items.iter().chain(&self.group_by).chain(&self.having);
+        !scalars.any(reads)
+            && (self.aggs.iter()).all(|(func, arg)| {
+                !reads(arg) || (*func == AggFunc::Count && arg.is_event_of(pattern))
+            })
+    }
 }
 
 /// Compiles a query's projection to slots. `None` when any expression
@@ -393,14 +425,63 @@ impl KeyIndex {
     }
 }
 
+/// The entity-id keys of a `distinct` whose every item is an entity
+/// reference, with no `having` (see the module docs).
+#[derive(Debug)]
+struct IdKeys {
+    /// The variable slots the items read, in first-occurrence order.
+    slots: Vec<usize>,
+    seen: HashSet<Box<[u32]>>,
+    /// Reused key encoding: a repeat allocates nothing.
+    key: Vec<u32>,
+}
+
+impl IdKeys {
+    fn of(cp: &CompiledProjection) -> Option<Self> {
+        let mut slots = Vec::new();
+        for item in &cp.items {
+            let SlotExpr::Entity { slot, .. } = item else {
+                return None;
+            };
+            if !slots.contains(slot) {
+                slots.push(*slot);
+            }
+        }
+        (cp.having.is_none()).then(|| IdKeys {
+            slots,
+            seen: HashSet::new(),
+            key: Vec::new(),
+        })
+    }
+
+    /// Records the id key of the tuple binding `vars`, overridden by the
+    /// `placed` (slot, id) bindings; `false` when it was already seen.
+    #[inline]
+    fn insert(&mut self, vars: &[u32], placed: &[(usize, EntityId)]) -> bool {
+        self.key.clear();
+        for &s in &self.slots {
+            let placed = placed.iter().rev().find(|p| p.0 == s);
+            self.key.push(placed.map_or(vars[s], |p| p.1.raw()));
+        }
+        !self.seen.contains(self.key.as_slice()) && self.seen.insert(self.key.as_slice().into())
+    }
+
+    fn bytes(&self) -> usize {
+        let key = std::mem::size_of::<Box<[u32]>>() + self.slots.len() * std::mem::size_of::<u32>();
+        self.seen.len() * key
+    }
+}
+
 /// What a sink has retained of the tuples pushed so far.
 #[derive(Debug)]
 enum SinkState {
     /// One evaluated row per tuple that passed `having` — under `distinct`
-    /// (`seen`), per distinct such row, in first-occurrence order.
+    /// (`seen`), per distinct such row, in first-occurrence order, with the
+    /// entity-id keys seen (`ids`) when every item is an entity reference.
     Rows {
         rows: Vec<Vec<Value>>,
         seen: Option<KeyIndex>,
+        ids: Option<IdKeys>,
     },
     /// Per group, in first-occurrence order: its key (no keys when the
     /// query has no `group by` — one implicit group), its representative
@@ -464,6 +545,7 @@ impl<'e> ProjectionSink<'e> {
             SinkState::Rows {
                 rows: Vec::new(),
                 seen: env.a.ret.distinct.then(KeyIndex::default),
+                ids: env.a.ret.distinct.then(|| IdKeys::of(cp)).flatten(),
             }
         };
         Some(ProjectionSink {
@@ -477,9 +559,9 @@ impl<'e> ProjectionSink<'e> {
         })
     }
 
-    /// Counts one emission and keeps its error, if any.
-    fn note(&mut self, consumed: Result<(), EngineError>) -> Flow {
-        self.pushed += 1;
+    /// Counts `n` pushed tuples and keeps their error, if any.
+    fn note(&mut self, n: usize, consumed: Result<(), EngineError>) -> Flow {
+        self.pushed += n;
         match consumed {
             Ok(()) => Flow::Continue,
             Err(e) => {
@@ -487,6 +569,19 @@ impl<'e> ProjectionSink<'e> {
                 Flow::Stop
             }
         }
+    }
+
+    /// Whether `n` tuples binding `vars` (overridden by `placed`) repeat
+    /// an entity-id key of an id-keyed `distinct`: their row is known, so
+    /// they are only counted.
+    #[inline]
+    fn repeat(&mut self, vars: &[u32], placed: &[(usize, EntityId)], n: usize) -> bool {
+        let SinkState::Rows { ids: Some(ids), .. } = &mut self.state else {
+            return false;
+        };
+        let repeat = !ids.insert(vars, placed);
+        self.pushed += if repeat { n } else { 0 };
+        repeat
     }
 
     /// Tuples pushed so far.
@@ -550,15 +645,21 @@ impl<'e> ProjectionSink<'e> {
 }
 
 /// One push: evaluates what the sink's state needs of `tuple` and retains
-/// it (see [`SinkState`]). Per-tuple evaluation sees no alias and no
-/// aggregate value, exactly as the dynamic path's tuple loop; `having`
-/// without aggregation degenerates to a row filter.
+/// it (see [`SinkState`]) — as `n` pushes of tuples that differ only in
+/// pattern `counted`'s match, which the projection reads at most through
+/// `count` ([`CompiledProjection::unread`]; `n` is 1 and `counted` `None`
+/// for one tuple). Per-tuple evaluation sees no alias and no aggregate
+/// value, exactly as the dynamic path's tuple loop; `having` without
+/// aggregation degenerates to a row filter.
+#[inline]
 fn consume(
     env: &ExecEnv<'_>,
     cp: &CompiledProjection,
     state: &mut SinkState,
     vals: &mut Vec<Value>,
     tuple: TupleView<'_>,
+    n: usize,
+    counted: Option<usize>,
 ) -> Result<(), EngineError> {
     let scx = slots(env, tuple, &cp.unset_aliases, &[]);
     let eval_into = |exprs: &[SlotExpr], vals: &mut Vec<Value>| {
@@ -566,11 +667,13 @@ fn consume(
         (exprs.iter()).try_for_each(|e| e.eval(&scx).map(|v| vals.push(v)))
     };
     match state {
-        SinkState::Rows { rows, seen } => {
+        SinkState::Rows { rows, seen, .. } => {
             eval_into(&cp.items, vals)?;
             let passes = cp.having.as_ref().map_or(Ok(true), |h| h.passes(&scx))?;
             if passes && seen.as_mut().is_none_or(|s| s.find_or_insert(vals).1) {
-                rows.push(vals.clone());
+                // A distinct row is kept once, a plain one per tuple.
+                let copies = if seen.is_some() { 1 } else { n };
+                rows.extend(std::iter::repeat_n(&*vals, copies).cloned());
             }
         }
         SinkState::Groups { keys, reps, accs } => {
@@ -585,7 +688,13 @@ fn consume(
             }
             let group = &mut accs[g * cp.aggs.len()..(g + 1) * cp.aggs.len()];
             for ((_, arg), acc) in cp.aggs.iter().zip(group) {
-                acc.add(arg.eval(&scx)?);
+                match counted {
+                    Some(p) if arg.is_event_of(p) => acc.add_count(n),
+                    _ => {
+                        let v = arg.eval(&scx)?;
+                        (0..n).for_each(|_| acc.add(v));
+                    }
+                }
             }
         }
     }
@@ -603,22 +712,43 @@ impl JoinOutput for ProjectionSink<'_> {
         subject: (usize, EntityId),
         object: (usize, EntityId),
     ) -> Flow {
+        if self.repeat(src.vars_of(i), &[subject, object], 1) {
+            return Flow::Continue;
+        }
         self.tuple.truncate(0);
         self.tuple.emit(src, i, pattern, r, subject, object);
         let tuple = TupleView::Refs {
             events: self.tuple.events_of(0),
             vars: self.tuple.vars_of(0),
         };
-        let consumed = consume(self.env, self.cp, &mut self.state, &mut self.vals, tuple);
-        self.note(consumed)
+        let (state, vals) = (&mut self.state, &mut self.vals);
+        let consumed = consume(self.env, self.cp, state, vals, tuple, 1, None);
+        self.note(1, consumed)
+    }
+
+    fn unread(&self, pattern: usize, fresh: &[usize]) -> bool {
+        self.cp.unread(pattern, fresh)
+    }
+
+    fn emit_count(&mut self, src: &RefArena, i: usize, pattern: usize, n: usize) -> Flow {
+        if self.repeat(src.vars_of(i), &[], n) {
+            return Flow::Continue;
+        }
+        let tuple = TupleView::Refs {
+            events: src.events_of(i),
+            vars: src.vars_of(i),
+        };
+        let (state, vals) = (&mut self.state, &mut self.vals);
+        let consumed = consume(self.env, self.cp, state, vals, tuple, n, Some(pattern));
+        self.note(n, consumed)
     }
 
     fn delivered(&self) -> usize {
         self.pushed
     }
 
-    /// Rows (with their keys under `distinct`) or group states — never the
-    /// pushed tuples themselves.
+    /// Rows (with their keys under `distinct`, and the entity-id keys
+    /// seen) or group states — never the pushed tuples themselves.
     fn retained_bytes(&self) -> u64 {
         let (cp, a) = (self.cp, self.env.a);
         let values = |n: usize| n * std::mem::size_of::<Value>();
@@ -636,7 +766,11 @@ impl JoinOutput for ProjectionSink<'_> {
                     + cp.aggs.len() * std::mem::size_of::<AggAcc>()
             }
         };
-        (self.kept() * per) as u64
+        let ids = match &self.state {
+            SinkState::Rows { ids: Some(ids), .. } => ids.bytes(),
+            _ => 0,
+        };
+        (self.kept() * per + ids) as u64
     }
 
     fn fork(&self) -> Self {
@@ -646,7 +780,7 @@ impl JoinOutput for ProjectionSink<'_> {
     fn merge(&mut self, part: Self) -> bool {
         let naggs = self.cp.aggs.len();
         match (&mut self.state, part.state) {
-            (SinkState::Rows { rows, seen }, SinkState::Rows { rows: more, .. }) => {
+            (SinkState::Rows { rows, seen, .. }, SinkState::Rows { rows: more, .. }) => {
                 let fresh =
                     |row: &Vec<Value>| seen.as_mut().is_none_or(|s| s.find_or_insert(row).1);
                 rows.extend(more.into_iter().filter(fresh));
@@ -875,6 +1009,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One file name written on two hosts is two entities and one
+    /// `distinct f` row: the second entity's id key is retained (and
+    /// charged) although no new row appears.
+    #[test]
+    fn id_keys_count_in_retained_bytes_without_a_new_row() {
+        let mut store = EventStore::default();
+        store.ingest_all(&[0, 1].map(|agent| {
+            aiql_storage::RawEvent::instant(
+                aiql_model::AgentId(agent),
+                aiql_model::Operation::Write,
+                aiql_storage::EntitySpec::process(1, "w.exe", "u"),
+                aiql_storage::EntitySpec::file("/data/f", "u"),
+                Timestamp::from_secs(1),
+                1,
+            )
+        }));
+        let Ok(aiql_lang::Query::Multievent(m)) =
+            aiql_lang::parse_query("proc p write file f as e return distinct f")
+        else {
+            panic!("a multievent query")
+        };
+        let a = crate::analyze_multievent(&m, &store).unwrap();
+        let config = crate::EngineConfig::default();
+        let exec = crate::exec::MultieventExec::new(&store, &a, &config);
+        let (mut env, tuples, _, _) = exec.join().unwrap();
+        env.projection = compile_projection(&store, &a);
+        let mut sink = ProjectionSink::new(&env).unwrap();
+        let p = &a.patterns[0];
+        let mut bytes = Vec::new();
+        // The second tuple twice: its id key is only new the first time.
+        for i in [0, 1, 1] {
+            let (events, vars) = (tuples.events_of(i), tuples.vars_of(i));
+            let bind = |v: usize| (v, EntityId(vars[v]));
+            let flow = sink.emit(&tuples, i, 0, events[0], bind(p.subject), bind(p.object));
+            assert_eq!(flow, Flow::Continue);
+            bytes.push(sink.retained_bytes());
+        }
+        assert_eq!((tuples.len(), sink.kept(), sink.pushed()), (2, 1, 3));
+        assert!(bytes[1] > bytes[0], "a new id key is retained: {bytes:?}");
+        assert_eq!(bytes[2], bytes[1], "a repeated one retains nothing more");
     }
 
     #[test]

@@ -456,3 +456,30 @@ proptest! {
         prop_assert_eq!(fast.rows, slow.rows);
     }
 }
+
+/// An anomaly query's fetch plans through the engine's plan cache: an
+/// identical second run hits the cache and recomputes nothing.
+#[test]
+fn repeated_anomaly_query_reuses_cached_plans() {
+    let transfers: Vec<_> = (0..40i64)
+        .map(|k| ((k % 3) as u32, k * 13, 100 + k as u64))
+        .collect();
+    let store = build_store(&transfers);
+    let engine = Engine::new(EngineConfig::default());
+    let src = r#"window = 100 sec, step = 50 sec
+                 proc p["%proc1.exe"] write ip i as evt
+                 return p, sum(evt.amount) as amt
+                 group by p"#;
+    let first = engine.execute_text(&store, src).unwrap();
+    assert!(!first.rows.is_empty(), "the query must find transfers");
+    let (hits, misses) = engine.plan_cache_counters();
+    assert!(misses > 0, "the first run plans afresh");
+    let again = engine.execute_text(&store, src).unwrap();
+    let (hits2, misses2) = engine.plan_cache_counters();
+    assert!(
+        hits2 > hits,
+        "a repeated anomaly query must hit the plan cache"
+    );
+    assert_eq!(misses2, misses, "and recompute nothing");
+    assert_eq!(again.rows, first.rows);
+}

@@ -16,7 +16,12 @@
 //! * **governed modes** — under a memory budget, error mode either
 //!   reproduces the ungoverned result or fails with the structured
 //!   `MemoryBudget` error; partial mode always returns the projection of an
-//!   emission-order prefix, flagged and warned.
+//!   emission-order prefix, flagged and warned;
+//! * **unread final levels count** — over bodies whose join order places a
+//!   pattern last that the shape reads at most as `count(e3.…)`, the drive
+//!   delivers counts instead of matches, and every contract above holds
+//!   with the same delivered counts (the stats show the pattern placed
+//!   last).
 //!
 //! The two reference implementations share no tuple loop with the sink: the
 //! brute-force matcher with the dynamic projection, and the dynamic
@@ -120,9 +125,14 @@ fn prefix_catalog() -> Vec<&'static str> {
 }
 
 /// Join bodies the return shapes attach to; each binds p1, p2, f, e1, e2:
-/// an unbounded 2-chain, a bounded 3-chain, an unbounded 4-chain, and a
-/// branching 3-pattern seeded by a process start.
-const BODIES: [&str; 4] = [
+/// an unbounded 2-chain, a bounded 3-chain, an unbounded 4-chain, a
+/// branching 3-pattern seeded by a process start, and (from
+/// [`UNREAD_FROM`]) two bodies whose `e3` shares no variable — related to
+/// `e2` in time (a timed step) or not at all (a plain one). `e3` has at
+/// least as many candidates as `e1` (every write, where `e1`'s are narrowed
+/// by `f`) and a later index, and it connects to nothing by a variable, so
+/// the join places it last.
+const BODIES: [&str; 6] = [
     "proc p1 write file f as e1
      proc p2 read file f as e2
      with e1 before e2\n",
@@ -139,7 +149,19 @@ const BODIES: [&str; 4] = [
      proc p2 write file f as e2
      proc p2 write file f2 as e3
      with e1 before e2, e2 before e3\n",
+    "proc p1 write file f as e1
+     proc p2 read file f as e2
+     proc p3 write file f3 as e3
+     with e1 before e2, e2 before e3\n",
+    "proc p1 write file f as e1
+     proc p2 read file f as e2
+     proc p3 write file f3 as e3
+     with e1 before e2\n",
 ];
+
+/// The first body whose last-placed pattern, `e3`, no shape reads but
+/// through `count(e3.…)`.
+const UNREAD_FROM: usize = 4;
 
 /// The single-pattern body (index `BODIES.len()`): no join — the drive
 /// delivers the scan's candidates, in candidate order, straight to the
@@ -169,6 +191,15 @@ const SHAPES: [&str; 11] = [
     "return p1, sum(e2.amount / 3) as thirds, avg(e1.amount / 7) as m group by p1",
 ];
 
+/// Shapes reading the unread bodies' `e3` only through `count`, or not at
+/// all; every shape of [`SHAPES`] runs on those bodies too.
+const UNREAD_SHAPES: [&str; 4] = [
+    "return count(e3.amount) as n",
+    "return count(e3) as n, sum(e1.amount) as s",
+    "return p1, count(e3.amount) as n, max(e2.amount) as hi group by p1",
+    "return distinct p2",
+];
+
 /// The single pattern's shapes — plain, `distinct`, `count`, `group by`,
 /// `order by` + `limit` (ordered by every column) — then one whose float
 /// sums depend on addition order.
@@ -183,13 +214,22 @@ const SINGLE_SHAPES: [&str; 6] = [
 
 /// The return shapes of a body; `order_free` drops the trailing shape whose
 /// answer depends on tuple order.
-fn shapes(body: usize, order_free: bool) -> &'static [&'static str] {
-    let all: &[&str] = if body < BODIES.len() {
-        &SHAPES
-    } else {
-        &SINGLE_SHAPES
+fn shapes(body: usize, order_free: bool) -> Vec<&'static str> {
+    let mut all: Vec<&str> = match body {
+        b if b < UNREAD_FROM => SHAPES.to_vec(),
+        b if b < BODIES.len() => UNREAD_SHAPES.iter().chain(&SHAPES).copied().collect(),
+        _ => SINGLE_SHAPES.to_vec(),
     };
-    &all[..all.len() - usize::from(order_free)]
+    all.truncate(all.len() - usize::from(order_free));
+    all
+}
+
+/// Whether the join placed the unread bodies' `e3` last (vacuous for the
+/// other bodies, and when a pattern found nothing and the join never ran).
+fn unread_last(body: usize, stats: &exec::ExecStats) -> bool {
+    let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin");
+    let last = join.and_then(|j| j.join_steps.last()).map(|s| s.pattern);
+    body < UNREAD_FROM || body >= BODIES.len() || last.is_none_or(|p| p == 2)
 }
 
 fn shaped_query(body: usize, shape: &str) -> MultieventQuery {
@@ -274,6 +314,7 @@ proptest! {
                 &want.rows, &got.rows,
                 "body {} shape {:?} block {} threads {}", body, shape, block, threads
             );
+            prop_assert!(unread_last(body, &stats), "body {} placed e3 early", body);
             // The fusion is observable: a join that ran names what the sink
             // kept (an empty candidate list short-circuits before it).
             let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
@@ -314,6 +355,7 @@ proptest! {
             for threads in [1usize, 2, 8] {
                 let engine = Engine::new(drive_config(threads, block, cap));
                 let (got, stats) = engine.execute_multievent_with_stats(&store, &m).unwrap();
+                prop_assert!(unread_last(body, &stats), "body {} placed e3 early", body);
                 prop_assert_eq!(
                     (&want.rows, truncated, kept.len()),
                     (&got.rows, got.truncated, delivered(&stats)),
@@ -356,6 +398,7 @@ proptest! {
             let (p, stats) = governed_with_stats(&store, &m, &ungoverned, &partial)
                 .expect("partial mode never errors on a memory trip");
             let k = delivered(&stats);
+            prop_assert!(unread_last(body, &stats), "body {} placed e3 early", body);
             prop_assert!(k <= full.len());
             let want = exec::project(&store, &a, &full[..k]).unwrap();
             prop_assert_eq!(
@@ -718,5 +761,59 @@ fn single_pattern_memory_budget_yields_a_prefix_or_the_typed_error() {
         assert_eq!(&got.rows[..], &full.rows[..k], "threads {threads}");
         assert!(got.truncated);
         assert_eq!(got.warnings, vec![Warning::MemoryBudget { budget_bytes }]);
+    }
+}
+
+/// `distinct` over entity references dedups by entity id first and by
+/// value second: the same process and file names on two hosts are distinct
+/// entities but the same rows, and the forced parallel drive — whose runs
+/// learn their own ids and merge by value — returns the serial drive's rows
+/// in the serial drive's order.
+#[test]
+fn id_keyed_distinct_collapses_same_named_entities_across_hosts() {
+    let raws: Vec<RawEvent> = (0..400u32)
+        .map(|i| {
+            RawEvent::instant(
+                AgentId(i % 2),
+                if (i / 2) % 2 == 0 {
+                    Operation::Write
+                } else {
+                    Operation::Read
+                },
+                EntitySpec::process(
+                    100 + (i / 4) % 3,
+                    &format!("exe{}.bin", (i / 4) % 3),
+                    "user",
+                ),
+                EntitySpec::file(&format!("/data/file{}", (i / 12) % 2), "user"),
+                Timestamp::from_secs(i64::from(i) * 3),
+                u64::from(i),
+            )
+        })
+        .collect();
+    let store = build_store(&raws);
+    let m = shaped_query(0, "return distinct p1, f");
+    let a = analyze_multievent(&m, &store).unwrap();
+    let (serial, _) = Engine::new(drive_config(1, 4096, UNCAPPED))
+        .execute_multievent_with_stats(&store, &m)
+        .unwrap();
+    let want = reference::run_reference(&store, &a).unwrap();
+    assert_eq!(serial.clone().normalized().rows, want.normalized().rows);
+    // Every row stands for entities on both hosts.
+    let (tuples, _, _) = MultieventExec::new(&store, &a, &drive_config(1, 4096, UNCAPPED))
+        .match_tuples()
+        .unwrap();
+    let slot = |name: &str| a.vars.iter().position(|v| v.name == name).unwrap();
+    let (p1, f) = (slot("p1"), slot("f"));
+    let keys: std::collections::HashSet<_> =
+        tuples.iter().map(|t| (t.vars[p1], t.vars[f])).collect();
+    assert_eq!(keys.len(), 2 * serial.rows.len(), "two hosts' ids per row");
+    for threads in [2usize, 8] {
+        for block in [1usize, 7] {
+            let (par, _) = Engine::new(drive_config(threads, block, UNCAPPED))
+                .execute_multievent_with_stats(&store, &m)
+                .unwrap();
+            assert_eq!(par.rows, serial.rows, "threads {threads} block {block}");
+        }
     }
 }

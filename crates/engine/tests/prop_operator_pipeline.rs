@@ -23,8 +23,9 @@
 //!   host, so its thread counts cap fan-out; one test attaches a private
 //!   eight-worker executor so the interleavings do not shrink with the
 //!   CI box;
-//! * **time-bucket pruning drops no admissible tuple** — the timed indexes
-//!   skip bucket ranges and still agree with the oracle's exact checks;
+//! * **the time search drops no admissible tuple** — the timed indexes
+//!   binary-search their sorted runs, in time order and shuffled, and
+//!   still agree with the oracle's exact checks;
 //! * the **partition-scoped plan cache** stays correct under concurrent
 //!   ingest: results always match a cache-free engine, and ingest into a
 //!   partition a cached plan never read does not evict it.
@@ -504,17 +505,18 @@ fn plan_cache_hit_survives_ingest_into_untouched_partition() {
     assert_eq!(touched.rows.len(), first.rows.len() + 1);
 }
 
-/// Time-bucket pruning is purely an acceleration: on clustered ("bursty")
-/// data with bounded temporal relations it must skip whole bucket ranges
-/// (visible in the join's operator stats) while never dropping a tuple the
-/// oracle's exact temporal check admits.
+/// The time search is purely an acceleration: on clustered ("bursty")
+/// data with bounded temporal relations it must exclude refs (visible in
+/// the join's operator stats) while never dropping a tuple the oracle's
+/// exact temporal check admits — also when the store was ingested out of
+/// time order, which cuts postings into many sorted runs.
 #[test]
-fn time_bucket_pruning_drops_no_admissible_tuple() {
+fn time_search_drops_no_admissible_tuple() {
     // Six bursts of activity far apart in time on one host and one file;
     // within a burst events are seconds apart, so a `before[10 min]`
-    // bound admits only same-burst pairs. Single-host ingest keeps
-    // candidate lists in time order, so posting chunks cover disjoint
-    // bursts and the bucket grid can skip the other bursts' chunks.
+    // bound admits only same-burst pairs. Single-host ingest in time order
+    // keeps candidate lists in time order: one sorted run per posting,
+    // whose binary search excludes the other bursts.
     let raws: Vec<RawEvent> = (0..360)
         .map(|i| {
             let burst = i / 60;
@@ -533,7 +535,10 @@ fn time_bucket_pruning_drops_no_admissible_tuple() {
             )
         })
         .collect();
-    let store = build_store(&raws);
+    // The same events in a fixed shuffle (7 is a unit modulo 360).
+    let shuffled: Vec<RawEvent> = (0..raws.len())
+        .map(|i| raws[(i * 7 + 3) % raws.len()].clone())
+        .collect();
     let q = parse_query(
         r#"proc p1 write file f as e1
            proc p2 read file f as e2
@@ -544,28 +549,33 @@ fn time_bucket_pruning_drops_no_admissible_tuple() {
     .unwrap();
     let Query::Multievent(m) = q else { panic!() };
 
-    let (timed, stats) = Engine::new(serial_config())
-        .execute_multievent_with_stats(&store, &m)
-        .unwrap();
-    let a = analyze_multievent(&m, &store).unwrap();
-    let exact = reference::run_reference(&store, &a).unwrap();
-    assert!(!timed.rows.is_empty(), "query must match something");
-    assert_eq!(
-        timed.normalized().rows,
-        exact.normalized().rows,
-        "bucket pruning must not change results"
-    );
-
-    let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+    let mut runs = Vec::new();
+    for raws in [&raws, &shuffled] {
+        let store = build_store(raws);
+        let (timed, stats) = Engine::new(serial_config())
+            .execute_multievent_with_stats(&store, &m)
+            .unwrap();
+        let a = analyze_multievent(&m, &store).unwrap();
+        let exact = reference::run_reference(&store, &a).unwrap();
+        assert!(!timed.rows.is_empty(), "query must match something");
+        assert_eq!(
+            timed.normalized().rows,
+            exact.normalized().rows,
+            "the time search must not change results"
+        );
+        let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+        assert!(
+            join.bucket_skipped > 0,
+            "bursty data with bounded relations must exclude refs by time"
+        );
+        assert!(join.probe_hits > 0, "joined rows imply probe hits");
+        runs.push(join.join_steps.iter().map(|s| s.sorted_runs).sum::<u64>());
+    }
+    assert!(runs[0] > 0, "a bounded step must build a timed index");
     assert!(
-        join.bucket_skipped > 0,
-        "bursty data with bounded relations must skip bucket ranges"
+        runs[1] > 10 * runs[0],
+        "out-of-order ingest must cut postings into many runs: {runs:?}"
     );
-    assert!(
-        join.join_steps.iter().any(|s| s.buckets > 1),
-        "a bounded step must build a multi-bucket index"
-    );
-    assert!(join.probe_hits > 0, "joined rows imply probe hits");
 }
 
 /// One deterministic check that a pooled scan really runs on pool workers
