@@ -10,11 +10,13 @@
 //! joins.
 
 use aiql_engine::analyze::{analyze_anomaly, analyze_multievent, AnalyzedMultievent};
-use aiql_engine::exec::{residual_ok, Tuple};
+use aiql_engine::exec::Tuple;
 use aiql_engine::{EngineError, ResultTable};
 use aiql_lang::{parse_query, Query, TemporalOp};
-use aiql_model::{Event, EventId};
-use aiql_storage::{EventFilter, EventStore};
+use aiql_model::Event;
+use aiql_storage::EventStore;
+
+use crate::naive::reference::{binds_consistently, event_satisfies_pattern};
 
 /// An adjacency-list property graph over a store's entities and events.
 #[derive(Debug)]
@@ -69,7 +71,7 @@ impl GraphEngine {
             Query::Multievent(m) => {
                 let a = analyze_multievent(m, store)?;
                 let tuples = self.match_tuples(store, &a);
-                aiql_engine::exec::project(store, &a, &tuples)
+                crate::naive::project(store, &a, &tuples)
             }
             Query::Dependency(d) => {
                 let m = aiql_lang::dependency_to_multievent(d)?;
@@ -78,7 +80,7 @@ impl GraphEngine {
             Query::Anomaly(anom) => {
                 let a = analyze_anomaly(anom, store)?;
                 let tuples = self.match_tuples(store, &a.base);
-                aiql_engine::anomaly::run_anomaly_over_tuples_naive(store, &a, tuples)
+                crate::naive::run_anomaly_over_tuples_naive(store, &a, tuples)
             }
         }
     }
@@ -136,7 +138,9 @@ impl GraphEngine {
                 Box::new(full_scan.iter())
             };
         for e in candidates {
-            if !self.edge_matches(store, a, idx, e) || !consistent(a, idx, e, tuple) {
+            // Every predicate is evaluated per visited relationship (no
+            // posting lists); structural consistency prunes the traversal.
+            if !event_satisfies_pattern(store, a, idx, e) || !binds_consistently(a, idx, e, tuple) {
                 continue;
             }
             let prev_s = tuple.vars[p.subject];
@@ -150,61 +154,6 @@ impl GraphEngine {
             tuple.vars[p.object] = prev_o;
         }
     }
-
-    /// Per-relationship predicate evaluation (type, time, host, endpoint
-    /// properties) — no posting lists, every check is per edge.
-    fn edge_matches(
-        &self,
-        store: &EventStore,
-        a: &AnalyzedMultievent,
-        idx: usize,
-        e: &Event,
-    ) -> bool {
-        let p = &a.patterns[idx];
-        if !p.ops.contains(e.op) {
-            return false;
-        }
-        if !a.globals.window.contains(e.start_time) {
-            return false;
-        }
-        if let Some(agents) = &a.globals.agents {
-            if !agents.contains(&e.agent) {
-                return false;
-            }
-        }
-        if !residual_ok(e, &a.globals.residual) {
-            return false;
-        }
-        for (var_idx, id) in [(p.subject, e.subject), (p.object, e.object)] {
-            let var = &a.vars[var_idx];
-            if var.unsatisfiable {
-                return false;
-            }
-            let entity = store.entities().get(id);
-            if entity.kind() != var.kind {
-                return false;
-            }
-            for c in &var.constraints {
-                if !store.entities().eval(entity, c) {
-                    return false;
-                }
-            }
-        }
-        p.subject != p.object || e.subject == e.object
-    }
-}
-
-/// Structural consistency only: shared variables must bind the same node.
-fn consistent(a: &AnalyzedMultievent, idx: usize, e: &Event, tuple: &Tuple) -> bool {
-    let p = &a.patterns[idx];
-    for (var_idx, id) in [(p.subject, e.subject), (p.object, e.object)] {
-        if let Some(bound) = tuple.vars[var_idx] {
-            if bound != id {
-                return false;
-            }
-        }
-    }
-    true
 }
 
 /// The deferred temporal filter over a complete match.
@@ -236,11 +185,6 @@ pub fn import_stats(store: &EventStore) -> (usize, usize) {
     let nodes = store.entities().len();
     (nodes, g.edge_count())
 }
-
-// Quiet the unused-import lint for EventId / EventFilter which are only
-// used in tests on some feature combinations.
-#[allow(unused)]
-fn _type_anchors(_: EventId, _: EventFilter) {}
 
 #[cfg(test)]
 mod tests {

@@ -22,8 +22,12 @@
 //!
 //! Both engines return exactly the same rows as `aiql-engine` (verified by
 //! the equivalence test-suite); only their execution strategies differ.
+//! Both project their matches on the dynamic evaluator of [`naive`], which
+//! also holds the brute-force oracle ([`naive::run_reference`]) the
+//! engine's property tests compare against.
 
 pub mod graph;
+pub mod naive;
 pub mod relational;
 
 pub use graph::GraphEngine;

@@ -4,16 +4,16 @@
 //! with no indexes, no scheduling, no pushdown, and no partitioning. It is
 //! deliberately the dumbest correct implementation; the optimized executor
 //! must produce exactly the same tuples (verified in the engine's property
-//! tests and in `tests/engine_equivalence.rs`).
+//! tests and in `tests/engine_equivalence.rs`). It projects on the dynamic
+//! evaluator ([`super::project`]), which shares no tuple loop with the
+//! engine's compiled projection sink.
 
+use aiql_engine::analyze::AnalyzedMultievent;
+use aiql_engine::exec::Tuple;
+use aiql_engine::{EngineError, ResultTable};
 use aiql_lang::TemporalOp;
 use aiql_model::Event;
 use aiql_storage::{EventFilter, EventStore};
-
-use crate::analyze::AnalyzedMultievent;
-use crate::error::EngineError;
-use crate::exec::Tuple;
-use crate::result::ResultTable;
 
 /// Runs a multievent query by brute force, producing the final table with
 /// the shared projection code.
@@ -22,7 +22,7 @@ pub fn run_reference(
     a: &AnalyzedMultievent,
 ) -> Result<ResultTable, EngineError> {
     let tuples = match_reference(store, a);
-    crate::exec::project(store, a, &tuples)
+    super::project(store, a, &tuples)
 }
 
 /// Brute-force tuple matching.
@@ -39,7 +39,10 @@ pub fn match_reference(store: &EventStore, a: &AnalyzedMultievent) -> Vec<Tuple>
     out
 }
 
-fn event_satisfies_pattern(
+/// Whether an event matches pattern `idx` on its own: operation, time,
+/// host, residual predicates, and both endpoints' kinds and constraints,
+/// every check on the event itself (the graph baseline's per-edge test).
+pub(crate) fn event_satisfies_pattern(
     store: &EventStore,
     a: &AnalyzedMultievent,
     idx: usize,
@@ -69,7 +72,7 @@ fn event_satisfies_pattern(
             aiql_lang::CmpOp::Gt => aiql_lang::BinOp::Gt,
             aiql_lang::CmpOp::Ge => aiql_lang::BinOp::Ge,
         };
-        if !crate::eval::apply_binop(bin, actual, *value).truthy() {
+        if !aiql_engine::eval::apply_binop(bin, actual, *value).truthy() {
             return false;
         }
     }
@@ -96,6 +99,17 @@ fn event_satisfies_pattern(
 }
 
 fn consistent(a: &AnalyzedMultievent, idx: usize, e: &Event, tuple: &Tuple) -> bool {
+    binds_consistently(a, idx, e, tuple) && temporal_ok(a, idx, e, tuple)
+}
+
+/// Structural consistency: the variables `e` binds for pattern `idx` bind
+/// the same entities in `tuple`.
+pub(crate) fn binds_consistently(
+    a: &AnalyzedMultievent,
+    idx: usize,
+    e: &Event,
+    tuple: &Tuple,
+) -> bool {
     let p = &a.patterns[idx];
     for (var_idx, id) in [(p.subject, e.subject), (p.object, e.object)] {
         if let Some(bound) = tuple.vars[var_idx] {
@@ -104,7 +118,12 @@ fn consistent(a: &AnalyzedMultievent, idx: usize, e: &Event, tuple: &Tuple) -> b
             }
         }
     }
-    // Temporal relations with already-placed patterns.
+    true
+}
+
+/// The temporal relations between `e`, placed for pattern `idx`, and the
+/// patterns `tuple` already places hold.
+pub(crate) fn temporal_ok(a: &AnalyzedMultievent, idx: usize, e: &Event, tuple: &Tuple) -> bool {
     for rel in &a.temporal {
         let (l, r, bound) = match &rel.op {
             TemporalOp::Before(b) => (rel.left, rel.right, b),

@@ -5,9 +5,11 @@ use std::collections::HashMap;
 use aiql_engine::analyze::{analyze_anomaly, analyze_multievent, AnalyzedMultievent};
 use aiql_engine::exec::Tuple;
 use aiql_engine::{EngineError, ResultTable};
-use aiql_lang::{parse_query, Query, TemporalOp};
+use aiql_lang::{parse_query, Query};
 use aiql_model::{EntityId, Event};
 use aiql_storage::{EventFilter, EventStore, IdSet};
+
+use crate::naive::reference::temporal_ok;
 
 /// A general-purpose relational executor: one scan per `events` alias in
 /// the synthesized SQL, textual join order, hash joins, and no
@@ -56,7 +58,7 @@ impl RelationalEngine {
             Query::Multievent(m) => {
                 let a = analyze_multievent(m, store)?;
                 let tuples = self.match_tuples(store, &a)?;
-                aiql_engine::exec::project(store, &a, &tuples)
+                crate::naive::project(store, &a, &tuples)
             }
             Query::Dependency(d) => {
                 let m = aiql_lang::dependency_to_multievent(d)?;
@@ -69,7 +71,7 @@ impl RelationalEngine {
                 // (without domain pushdown) followed by the same windowed
                 // aggregation.
                 let tuples = self.match_tuples(store, &a.base)?;
-                run_windowed(store, &a, tuples)
+                crate::naive::run_anomaly_over_tuples_naive(store, &a, tuples)
             }
         }
     }
@@ -237,42 +239,6 @@ fn kinds_ok(store: &EventStore, a: &AnalyzedMultievent, idx: usize, e: &Event) -
 }
 
 use aiql_engine::exec::residual_ok;
-
-fn temporal_ok(a: &AnalyzedMultievent, i: usize, e: &Event, t: &Tuple) -> bool {
-    for rel in &a.temporal {
-        let (l, r, bound) = match &rel.op {
-            TemporalOp::Before(b) => (rel.left, rel.right, b),
-            TemporalOp::After(b) => (rel.right, rel.left, b),
-        };
-        let (left_event, right_event) = if l == i && t.events[r].is_some() {
-            (*e, t.events[r].expect("checked"))
-        } else if r == i && t.events[l].is_some() {
-            (t.events[l].expect("checked"), *e)
-        } else {
-            continue;
-        };
-        if left_event.end_time > right_event.start_time {
-            return false;
-        }
-        if let Some(b) = bound {
-            if (right_event.start_time - left_event.end_time) > *b {
-                return false;
-            }
-        }
-    }
-    true
-}
-
-/// Windowed aggregation for the baseline's anomaly path: the candidates
-/// were fetched without domain pushdown above; the windowing semantics are
-/// shared with the engine so both return identical rows.
-fn run_windowed(
-    store: &EventStore,
-    a: &aiql_engine::analyze::AnalyzedAnomaly,
-    tuples: Vec<Tuple>,
-) -> Result<ResultTable, EngineError> {
-    aiql_engine::anomaly::run_anomaly_over_tuples_naive(store, a, tuples)
-}
 
 #[cfg(test)]
 mod tests {

@@ -2,25 +2,31 @@
 //!
 //! Analysis (a) validates the query — variable kinds are consistent,
 //! subjects are processes, operations exist and fit their object kinds,
-//! temporal relations reference declared events — and (b) lowers textual
-//! constraints to typed [`EntityConstraint`]s: string literals with
-//! wildcards become `LIKE` patterns, IP-attribute strings parse to
-//! addresses, and exact strings resolve through the store's dictionary
-//! (an exact string absent from the dictionary makes the constraint
-//! *unsatisfiable*, which the scheduler exploits as maximal pruning power).
+//! temporal relations reference declared events, every attribute a
+//! constraint names exists on its owner — (b) lowers textual constraints to
+//! typed [`EntityConstraint`]s: string literals with wildcards become
+//! `LIKE` patterns, IP-attribute strings parse to addresses, and exact
+//! strings resolve through the store's dictionary (an exact string absent
+//! from the dictionary makes the constraint *unsatisfiable*, which the
+//! scheduler exploits as maximal pruning power), and (c) compiles the
+//! projection and resolves `order by` to returned columns. Analysis is the
+//! one name resolver: a query that names something the schema lacks is an
+//! error here, whether or not anything would match.
 
 use std::collections::HashMap;
 
 use aiql_lang::{
     AnomalyQuery, AttrConstraint, CmpOp, DeclConstraint, EntityDecl, Expr, Literal,
-    MultieventQuery, ReturnClause, TemporalOp, WindowSpec,
+    MultieventQuery, ReturnClause, SortDir, TemporalOp, WindowSpec,
 };
 use aiql_model::{
-    AgentId, EntityKind, Interner, IpV4, Operation, StringPattern, TimeWindow, Value,
+    AgentId, Attr, EntityKind, Interner, IpV4, Operation, StringPattern, TimeWindow, Value,
 };
 use aiql_storage::{AttrCmp, EntityConstraint, EventStore, OpSet};
 
 use crate::error::EngineError;
+use crate::op::project::compile_projection;
+use crate::op::CompiledProjection;
 
 /// A query variable with its merged constraints from every declaration site.
 #[derive(Debug, Clone)]
@@ -100,16 +106,19 @@ pub struct AnalyzedMultievent {
     pub temporal: Vec<TemporalConstraint>,
     /// Global constraints.
     pub globals: AnalyzedGlobals,
-    /// Projection (AST reused; evaluation resolves variables dynamically).
+    /// Projection (the AST; analysis also compiled it, every name resolved
+    /// to a slot).
     pub ret: ReturnClause,
     /// Grouping keys.
     pub group_by: Vec<Expr>,
     /// Post-aggregation filter.
     pub having: Option<Expr>,
-    /// Ordering keys.
-    pub order_by: Vec<aiql_lang::OrderItem>,
+    /// Ordering keys: the returned column each names, and its direction.
+    pub order_by: Vec<(usize, SortDir)>,
     /// Row limit.
     pub limit: Option<u64>,
+    /// The projection, compiled: every name resolved to a slot.
+    pub(crate) projection: CompiledProjection,
 }
 
 impl AnalyzedMultievent {
@@ -157,6 +166,16 @@ pub struct AnalyzedAnomaly {
 pub fn analyze_multievent(
     q: &MultieventQuery,
     store: &EventStore,
+) -> Result<AnalyzedMultievent, EngineError> {
+    analyze(q, store, false)
+}
+
+/// Analyzes a multievent query, or an anomaly query's single-pattern
+/// skeleton (`anomaly`), whose projection binds aliases and reads history.
+fn analyze(
+    q: &MultieventQuery,
+    store: &EventStore,
+    anomaly: bool,
 ) -> Result<AnalyzedMultievent, EngineError> {
     let globals = analyze_globals(&q.globals, store.interner())?;
     let mut vars: Vec<VarInfo> = Vec::new();
@@ -230,23 +249,21 @@ pub fn analyze_multievent(
         });
     }
 
-    // Validate return/group/having references.
-    let known = |name: &str| var_index.contains_key(name) || event_index.contains_key(name);
-    let mut aliases: Vec<String> = Vec::new();
-    for item in &q.ret.items {
-        validate_expr(&item.expr, &known, &aliases, false)?;
-        if let Some(a) = &item.alias {
-            aliases.push(a.clone());
-        }
-    }
-    for g in &q.group_by {
-        validate_expr(g, &known, &aliases, false)?;
-    }
-    if let Some(h) = &q.having {
-        validate_expr(h, &known, &aliases, false)?;
-    }
+    // Each order key must be a returned column or an item's alias.
+    let order_by = (q.order_by.iter())
+        .map(|o| {
+            let col = q.ret.items.iter().position(|item| {
+                item.expr == o.expr
+                    || matches!((&o.expr, &item.alias),
+                        (Expr::Ref { var, attr: None }, Some(alias)) if var == alias)
+            });
+            col.map(|c| (c, o.dir)).ok_or_else(|| {
+                EngineError::Analysis("order by must reference a returned column or alias".into())
+            })
+        })
+        .collect::<Result<_, _>>()?;
 
-    Ok(AnalyzedMultievent {
+    let mut a = AnalyzedMultievent {
         vars,
         patterns,
         temporal,
@@ -254,9 +271,12 @@ pub fn analyze_multievent(
         ret: q.ret.clone(),
         group_by: q.group_by.clone(),
         having: q.having.clone(),
-        order_by: q.order_by.clone(),
+        order_by,
         limit: q.limit,
-    })
+        projection: CompiledProjection::default(),
+    };
+    a.projection = compile_projection(store, &a, anomaly)?;
+    Ok(a)
 }
 
 /// Analyzes an anomaly query (exactly one event pattern, a window spec, and
@@ -290,56 +310,12 @@ pub fn analyze_anomaly(
         temporal: Vec::new(),
         ret: q.ret.clone(),
         group_by: q.group_by.clone(),
-        having: None, // having is window-scoped; validated separately below
+        having: q.having.clone(),
         order_by: Vec::new(),
         limit: None,
     };
-    let mut base = analyze_multievent(&skeleton, store)?;
-    // Validate having with history allowed.
-    if let Some(h) = &q.having {
-        let aliases: Vec<String> = q.ret.items.iter().filter_map(|i| i.alias.clone()).collect();
-        let known = |name: &str| {
-            base.vars.iter().any(|v| v.name == name) || base.patterns.iter().any(|p| p.name == name)
-        };
-        validate_expr(h, &known, &aliases, true)?;
-        base.having = Some(h.clone());
-    }
+    let base = analyze(&skeleton, store, true)?;
     Ok(AnalyzedAnomaly { base, window_spec })
-}
-
-fn validate_expr(
-    e: &Expr,
-    known_var: &dyn Fn(&str) -> bool,
-    aliases: &[String],
-    allow_history: bool,
-) -> Result<(), EngineError> {
-    let mut err = None;
-    e.visit(&mut |node| {
-        if err.is_some() {
-            return;
-        }
-        match node {
-            Expr::Ref { var, .. } if !known_var(var) && !aliases.iter().any(|a| a == var) => {
-                err = Some(EngineError::Analysis(format!("unknown variable `{var}`")));
-            }
-            Expr::History { name, .. } => {
-                if !allow_history {
-                    err = Some(EngineError::Analysis(format!(
-                        "historical access `{name}[…]` is only allowed in anomaly having clauses"
-                    )));
-                } else if !aliases.iter().any(|a| a == name) {
-                    err = Some(EngineError::Analysis(format!(
-                        "historical access references unknown aggregate alias `{name}`"
-                    )));
-                }
-            }
-            _ => {}
-        }
-    });
-    match err {
-        Some(e) => Err(e),
-        None => Ok(()),
-    }
 }
 
 fn bind_var(
@@ -377,6 +353,7 @@ fn bind_var(
         let (attr, op, lit) = match c {
             DeclConstraint::Default(lit) => (String::new(), CmpOp::Eq, lit.clone()),
             DeclConstraint::Attr(AttrConstraint { attr, op, value }) => {
+                Attr::resolve(Some(kind), attr)?;
                 (attr.clone(), *op, value.clone())
             }
         };
@@ -519,6 +496,7 @@ fn analyze_globals(
                 _ => vec![id],
             });
         } else {
+            Attr::resolve(None, &c.attr)?;
             let value = match &c.value {
                 Literal::Int(i) => Value::Int(*i),
                 Literal::Float(x) => Value::Float(*x),
@@ -680,6 +658,32 @@ mod tests {
     fn unknown_return_variable_rejected() {
         let err = analyze("proc p read file f as e return q").unwrap_err();
         assert!(err.to_string().contains("unknown variable"), "{err}");
+    }
+
+    /// `order by` resolves to returned columns at analysis, before any
+    /// scan runs.
+    #[test]
+    fn order_by_must_name_a_returned_column() {
+        let err = analyze("proc p read file f as e return p order by f").unwrap_err();
+        assert!(err.to_string().contains("order by"), "{err}");
+        let a = analyze("proc p read file f as e return p, f as g order by g desc, p").unwrap();
+        assert_eq!(a.order_by, vec![(1, SortDir::Desc), (0, SortDir::Asc)]);
+    }
+
+    /// Constraint attribute names resolve through the model's table: on an
+    /// entity per its kind, and on the event for a global constraint.
+    #[test]
+    fn unknown_constraint_attributes_rejected() {
+        for src in [
+            "proc p[bogus = 1] read file f as e return p",
+            r#"proc p read file f[bogus = "x"] as e return p"#,
+            r#"proc p read file f[dstip = "10.0.0.1"] as e return p"#,
+            "bogus = 3 proc p read file f as e return p",
+        ] {
+            assert!(matches!(analyze(src), Err(EngineError::Model(_))), "{src}");
+        }
+        let known = "amount > 3 agentid != 2 proc p[agentid = 1, pid = 4] read ip i[dstport = 80] as e return p";
+        assert!(analyze(known).is_ok());
     }
 
     #[test]

@@ -9,26 +9,22 @@
 //! frequency-based behavioral models (e.g. moving averages).
 //!
 //! The engine walks the windows over the join's row references with the
-//! slot-compiled projection (README, "Anomaly queries");
-//! [`run_anomaly_over_tuples_naive`] is the baselines' dynamic loop.
+//! projection analysis compiled (README, "Anomaly queries"); the
+//! baselines' dynamic loop lives in `aiql_baseline::naive`.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use aiql_lang::Expr;
-use aiql_model::{TimeWindow, Timestamp, Value};
+use aiql_model::{TimeWindow, Value};
 use aiql_storage::EventStore;
 
 use crate::analyze::AnalyzedAnomaly;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
-use crate::eval::{self, RowCtx, SlotCtx, TupleView};
-use crate::exec::{flag_trip, MultieventExec, Tuple};
+use crate::eval::{SlotCtx, TupleView};
+use crate::exec::{flag_trip, MultieventExec};
 use crate::governor::Governor;
-use crate::op::project::{
-    collect_aggs, column_name, compile_projection, fill_ctx, slots, AggAcc, CompiledProjection,
-    KeyIndex,
-};
+use crate::op::project::{column_name, slots, AggAcc, CompiledProjection, KeyIndex};
 use crate::op::{ExecEnv, RefArena};
 use crate::result::ResultTable;
 use crate::schedule::PlanCache;
@@ -52,12 +48,8 @@ pub fn run_anomaly_pooled(
         .with_plan_cache(plan_cache)
         .with_governor(governor.clone());
     let (env, tuples, truncated, _) = exec.join()?;
-    let mut table = match compile_projection(store, &a.base) {
-        Some(cp) => run_windows(&env, a, &cp, &tuples, governor.as_deref())?,
-        // An expression that resists compilation keeps the dynamic loop,
-        // which raises its error exactly as `Project`'s fallback does.
-        None => run_anomaly_over_tuples_naive(store, a, tuples.materialize(&env.parts))?,
-    };
+    let cp = &a.base.projection;
+    let mut table = run_windows(&env, a, cp, &tuples, governor.as_deref())?;
     table.truncated |= truncated;
     flag_trip(&mut table, governor.as_deref());
     Ok(table)
@@ -65,7 +57,7 @@ pub fn run_anomaly_pooled(
 
 /// The window range: the query's `at` window when bounded, else the
 /// data's span — from the first start time to just past the last.
-fn window_range(a: &AnalyzedAnomaly, first: i64, last: i64) -> (i64, i64) {
+pub fn window_range(a: &AnalyzedAnomaly, first: i64, last: i64) -> (i64, i64) {
     match a.base.globals.window {
         TimeWindow::ALL => (first, last + 1),
         w => (w.start.micros(), w.end.micros()),
@@ -104,15 +96,11 @@ fn run_windows(
     for &(_, i) in &order {
         let cx = slots(env, view(i), &cp.unset_aliases, &[]);
         vals.clear();
-        for g in &cp.group_by {
-            vals.push(g.eval(&cx)?);
-        }
+        vals.extend(cp.group_by.iter().map(|g| g.eval(&cx)));
         let (g, new) = keys.find_or_insert(&vals);
         ngroups += usize::from(new);
         group.push(g);
-        for (_, arg) in &cp.aggs {
-            inputs.push(arg.eval(&cx)?);
-        }
+        inputs.extend(cp.aggs.iter().map(|(_, arg)| arg.eval(&cx)));
     }
 
     // Per group: accumulators and the window they were last reset for, and
@@ -164,7 +152,7 @@ fn run_windows(
             let rep = view(order[j].1);
             for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
                 if let Some(slot) = alias {
-                    aliases[*slot] = Some(item.eval(&slots(env, rep, &aliases, &aggs))?);
+                    aliases[*slot] = Some(item.eval(&slots(env, rep, &aliases, &aggs)));
                 }
             }
             let group_history = &mut history[g * nlags..(g + 1) * nlags];
@@ -183,9 +171,8 @@ fn run_windows(
                 history: &past,
                 ..slots(env, rep, &aliases, &aggs)
             };
-            if cp.having.as_ref().map_or(Ok(true), |h| h.passes(&cx))? {
-                let row = cp.items.iter().map(|e| e.eval(&cx));
-                rows.push(row.collect::<Result<_, _>>()?);
+            if cp.having.as_ref().is_none_or(|h| h.passes(&cx)) {
+                rows.push(cp.items.iter().map(|e| e.eval(&cx)).collect());
             }
         }
         k += 1;
@@ -198,151 +185,4 @@ fn run_windows(
     }
     table.rows = rows;
     Ok(table)
-}
-
-/// Runs the sliding-window aggregation over already-fetched tuples on the
-/// dynamic [`RowCtx`] path, assigning events to windows by a per-window
-/// linear filter — the cost model of a general-purpose engine
-/// nested-looping `generate_series` against the event set. The baselines
-/// fetch candidates their own way and aggregate here; it is their
-/// reference, an implementation the engine's window loop shares no tuple
-/// loop with.
-pub fn run_anomaly_over_tuples_naive(
-    store: &EventStore,
-    a: &AnalyzedAnomaly,
-    mut tuples: Vec<Tuple>,
-) -> Result<ResultTable, EngineError> {
-    let mut table = ResultTable::new(a.base.ret.items.iter().map(column_name).collect());
-    let start_of = |t: &Tuple| t.events[0].map_or(Timestamp(0), |e| e.start_time).micros();
-    tuples.sort_by_key(start_of);
-    let start_times: Vec<i64> = tuples.iter().map(start_of).collect();
-    let (Some(&first), Some(&last)) = (start_times.first(), start_times.last()) else {
-        return Ok(table);
-    };
-    let (range_start, range_end) = window_range(a, first, last);
-    let (length, step) = (a.window_spec.length.micros(), a.window_spec.step.micros());
-
-    // Per-tuple group keys and aggregate inputs are window-independent;
-    // compute them once instead of per overlapping window.
-    let aggs = collect_aggs(&a.base);
-    let mut ctx = RowCtx::default();
-    let mut tuple_keys: Vec<String> = Vec::with_capacity(tuples.len());
-    let mut tuple_inputs: Vec<Vec<Value>> = Vec::with_capacity(tuples.len());
-    for t in &tuples {
-        fill_ctx(&a.base, t, &mut ctx);
-        let keys = a.base.group_by.iter().map(|g| eval::eval(g, store, &ctx));
-        tuple_keys.push(ResultTable::row_key(&keys.collect::<Result<Vec<_>, _>>()?));
-        let inputs = aggs.iter().map(|(_, _, arg)| eval::eval(arg, store, &ctx));
-        tuple_inputs.push(inputs.collect::<Result<_, _>>()?);
-    }
-
-    // Every aggregate node becomes a synthetic alias, so a group's
-    // evaluation looks it up by name instead of re-deriving its key.
-    let agg_aliases: Vec<String> = (0..aggs.len()).map(|i| format!("__agg{i}")).collect();
-    let items: Vec<(Option<&String>, Expr)> = (a.base.ret.items.iter())
-        .map(|item| (item.alias.as_ref(), replace_aggs(&item.expr, &aggs)))
-        .collect();
-    let having = a.base.having.as_ref().map(|h| replace_aggs(h, &aggs));
-    // History lags referenced by the having clause.
-    let mut lags: Vec<(String, u32)> = Vec::new();
-    if let Some(h) = &having {
-        h.visit(&mut |e| {
-            if let Expr::History { name, lag } = e {
-                if *lag > 0 && !lags.contains(&(name.clone(), *lag)) {
-                    lags.push((name.clone(), *lag));
-                }
-            }
-        });
-    }
-    // Aliased values per window per group, for history access:
-    // window index → group key → alias → value.
-    let mut window_history: Vec<HashMap<String, HashMap<String, Value>>> = Vec::new();
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    let mut w_start = range_start;
-    while w_start < range_end {
-        let w_end = w_start.saturating_add(length);
-        let k = window_history.len();
-        let mut this_window: HashMap<String, HashMap<String, Value>> = HashMap::new();
-        // Group the tuples with start time in [w_start, w_end), touching
-        // every tuple per window.
-        let mut order: Vec<&str> = Vec::new();
-        let mut groups: HashMap<&str, (usize, Vec<AggAcc>)> = HashMap::new();
-        let in_window = start_times.iter().enumerate();
-        for (ti, _) in in_window.filter(|(_, t)| (w_start..w_end).contains(*t)) {
-            let key = tuple_keys[ti].as_str();
-            let (_, accs) = groups.entry(key).or_insert_with(|| {
-                order.push(key);
-                (ti, aggs.iter().map(|_| AggAcc::new()).collect())
-            });
-            (accs.iter_mut().zip(&tuple_inputs[ti])).for_each(|(acc, v)| acc.add(*v));
-        }
-        for key in order {
-            let (rep, accs) = &groups[key];
-            fill_ctx(&a.base, &tuples[*rep], &mut ctx);
-            for ((name, (_, func, _)), acc) in agg_aliases.iter().zip(&aggs).zip(accs) {
-                ctx.aliases.insert(name.clone(), acc.finalize(*func));
-            }
-            // Alias env from return items (needed by having and by future
-            // windows' history lookups).
-            for (alias, expr) in &items {
-                if let Some(alias) = alias {
-                    let v = eval::eval(expr, store, &ctx)?;
-                    ctx.aliases.insert(alias.to_string(), v);
-                }
-            }
-            // Wire up history: alias values from windows k-1, k-2, …
-            ctx.history.clear();
-            for (name, lag) in &lags {
-                let v = window_history
-                    .get(k.wrapping_sub(*lag as usize))
-                    .and_then(|w| w.get(key))
-                    .and_then(|m| m.get(name))
-                    .copied()
-                    .unwrap_or(Value::Float(0.0));
-                ctx.history.insert((name.clone(), *lag), v);
-            }
-            let keep = match &having {
-                Some(h) => eval::eval(h, store, &ctx)?.truthy(),
-                None => true,
-            };
-            if keep {
-                let row = items.iter().map(|(_, expr)| eval::eval(expr, store, &ctx));
-                rows.push(row.collect::<Result<_, EngineError>>()?);
-            }
-            this_window.insert(key.to_string(), std::mem::take(&mut ctx.aliases));
-        }
-        window_history.push(this_window);
-        w_start = w_start.saturating_add(step);
-    }
-
-    if a.base.ret.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| seen.insert(ResultTable::row_key(r)));
-    }
-    table.rows = rows;
-    Ok(table)
-}
-
-/// Structurally replaces every aggregate node with a lag-0 history access
-/// to its synthetic alias `__agg{i}` (aggregate identity matched by
-/// canonical key).
-fn replace_aggs(e: &Expr, aggs: &[(String, aiql_lang::AggFunc, Expr)]) -> Expr {
-    match e {
-        Expr::Agg { .. } => {
-            let key = eval::agg_key(e);
-            let i = (aggs.iter().position(|(k, _, _)| *k == key))
-                .expect("aggregate collected during analysis");
-            Expr::History {
-                name: format!("__agg{i}"),
-                lag: 0,
-            }
-        }
-        Expr::Binary { op, lhs, rhs } => Expr::Binary {
-            op: *op,
-            lhs: Box::new(replace_aggs(lhs, aggs)),
-            rhs: Box::new(replace_aggs(rhs, aggs)),
-        },
-        Expr::Neg(inner) => Expr::Neg(Box::new(replace_aggs(inner, aggs))),
-        other => other.clone(),
-    }
 }

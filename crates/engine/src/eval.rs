@@ -1,102 +1,31 @@
-//! Row-level expression evaluation.
+//! Compiled expression evaluation.
 //!
-//! Evaluates AIQL expressions against a *binding*: one entity per entity
-//! variable, one event per event variable, plus (for aggregated contexts)
-//! alias values and per-window aggregate history. The context-aware syntax
-//! shortcuts live here: a bare `p1` in a return clause evaluates to the
-//! default attribute of its entity kind (`p1.exe_name` for processes).
+//! Every expression of a query's projection is compiled once, at analysis
+//! ([`crate::analyze`]), to a [`SlotExpr`]: each variable, alias, and
+//! aggregate reference is resolved to a dense slot and each attribute
+//! through the model's attribute table ([`aiql_model::Attr`]). A name the
+//! query cannot read where it stands is an analysis error, so evaluation
+//! cannot fail. The context-aware syntax shortcut lives here: a bare `p1`
+//! in a return clause evaluates to the default attribute of its entity kind
+//! (`p1.exe_name` for processes).
 
 use std::collections::HashMap;
 
 use aiql_lang::{BinOp, Expr, Literal};
-use aiql_model::{EntityId, Event, ModelError, Value};
+use aiql_model::{Attr, EntityId, EntityKind, Event, ModelError, Value};
 use aiql_storage::EventStore;
 
 use crate::error::EngineError;
 use crate::op::{EventRef, PartTable, Tuple, NO_REF, NO_VAR};
-
-/// The evaluation context of one result row.
-#[derive(Default)]
-pub struct RowCtx<'a> {
-    /// Entity variable bindings.
-    pub var_entity: HashMap<&'a str, EntityId>,
-    /// Event variable bindings.
-    pub events: HashMap<&'a str, Event>,
-    /// Aggregate alias values (current window / current group).
-    pub aliases: HashMap<String, Value>,
-    /// Precomputed aggregate values keyed by the aggregate node's canonical
-    /// key (see [`agg_key`]).
-    pub agg_values: HashMap<String, Value>,
-    /// Historical alias values: `(alias, lag) → value`. Missing history is
-    /// treated as 0 (stream semantics: an empty previous window contributed
-    /// nothing).
-    pub history: HashMap<(String, u32), Value>,
-}
 
 /// Canonical key identifying an aggregate expression node.
 pub fn agg_key(e: &Expr) -> String {
     format!("{e:?}")
 }
 
-/// Evaluates an expression in a row context.
-pub fn eval(expr: &Expr, store: &EventStore, ctx: &RowCtx<'_>) -> Result<Value, EngineError> {
-    match expr {
-        Expr::Literal(lit) => Ok(match lit {
-            Literal::Int(i) => Value::Int(*i),
-            Literal::Float(x) => Value::Float(*x),
-            Literal::Str(s) => match store.interner().get(s) {
-                Some(sym) => Value::Str(sym),
-                None => Value::Null,
-            },
-        }),
-        Expr::Ref { var, attr } => {
-            if let Some(event) = ctx.events.get(var.as_str()) {
-                let attr = attr.as_deref().unwrap_or("id");
-                return event.get(attr).map_err(EngineError::Model);
-            }
-            if let Some(&id) = ctx.var_entity.get(var.as_str()) {
-                let entity = store.entities().get(id);
-                return match attr {
-                    Some(a) => entity.get(a).map_err(EngineError::Model),
-                    None => Ok(entity.attrs.default_value()),
-                };
-            }
-            if attr.is_none() {
-                if let Some(v) = ctx.aliases.get(var.as_str()) {
-                    return Ok(*v);
-                }
-            }
-            Err(EngineError::Analysis(format!("unbound variable `{var}`")))
-        }
-        Expr::Agg { .. } => ctx.agg_values.get(&agg_key(expr)).copied().ok_or_else(|| {
-            EngineError::Analysis("aggregate evaluated outside aggregation context".into())
-        }),
-        Expr::History { name, lag } => {
-            if *lag == 0 {
-                return Ok(ctx
-                    .aliases
-                    .get(name.as_str())
-                    .copied()
-                    .unwrap_or(Value::Null));
-            }
-            Ok(ctx
-                .history
-                .get(&(name.clone(), *lag))
-                .copied()
-                .unwrap_or(Value::Float(0.0)))
-        }
-        Expr::Binary { op, lhs, rhs } => {
-            let l = eval(lhs, store, ctx)?;
-            let r = eval(rhs, store, ctx)?;
-            Ok(apply_binop(*op, l, r))
-        }
-        Expr::Neg(inner) => Ok(negate(eval(inner, store, ctx)?)),
-    }
-}
-
 /// Arithmetic negation; `-i64::MIN` becomes a `Float`, as an overflowing
 /// [`apply_binop`] does.
-fn negate(v: Value) -> Value {
+pub fn negate(v: Value) -> Value {
     match v {
         Value::Int(i) => i
             .checked_neg()
@@ -109,7 +38,7 @@ fn negate(v: Value) -> Value {
 /// A slot-compiled expression: every variable, alias, and aggregate
 /// reference is resolved to a dense slot index at compile time, so the
 /// per-tuple evaluation loop never hashes a name. Compiled once per query
-/// by [`compile_slots`]; evaluated against a `SlotCtx`.
+/// by `compile_slots`; evaluated against a `SlotCtx`.
 #[derive(Debug, Clone)]
 pub enum SlotExpr {
     /// A literal, resolved once (string literals to their dictionary
@@ -119,36 +48,23 @@ pub enum SlotExpr {
     Event {
         /// Pattern index.
         slot: usize,
-        /// Resolved attribute name (`id` when the reference was bare).
-        attr: String,
         /// Its storage column, resolved once at compile time.
         col: EventCol,
-        /// Source variable name (for error parity with the dynamic path).
-        name: String,
     },
     /// Entity attribute through the variable's slot (`attr: None` = the
     /// kind's default attribute).
     Entity {
         /// Variable index.
         slot: usize,
-        /// Attribute name, or `None` for the kind default.
-        attr: Option<String>,
-        /// Source variable name.
-        name: String,
+        /// The attribute, or `None` for the kind default.
+        attr: Option<Attr>,
     },
-    /// Alias of an earlier return item (populated only in aggregated
-    /// projections, mirroring the dynamic path).
-    Alias {
-        /// Alias slot (item order).
-        slot: usize,
-        /// Alias text.
-        name: String,
-    },
+    /// An alias (`alias` or `alias[0]`) by alias slot (item order): its
+    /// value in the group or window whose row is being emitted.
+    Alias(usize),
     /// Precomputed aggregate value by dense aggregate index.
     Agg(usize),
-    /// `alias[0]`: the alias slot, `Null` while unset (as in [`eval`]).
-    AliasNow(usize),
-    /// `alias[k]`, `k > 0`: history slot `i` ([`SlotEnv::history`]); `0.0`
+    /// `alias[k]`, `k > 0`: history slot `i` (`SlotEnv::history`); `0.0`
     /// — an empty window — where no history is bound.
     History(usize),
     /// Binary operator.
@@ -185,23 +101,31 @@ pub enum EventCol {
 }
 
 impl EventCol {
-    /// Resolves an attribute name exactly as [`Event::get`] does — same
-    /// aliases, same error for an unknown name.
+    /// Resolves an attribute name through the model's attribute table, as
+    /// [`Event::get`] does — same aliases, same error for an unknown name.
     pub fn resolve(attr: &str) -> Result<Self, ModelError> {
-        Ok(match attr {
-            "amount" => EventCol::Amount,
-            "starttime" | "start_time" => EventCol::Start,
-            "endtime" | "end_time" => EventCol::End,
-            "agentid" => EventCol::Agent,
-            "optype" | "operation" => EventCol::Op,
-            "id" => EventCol::Id,
-            _ => {
-                return Err(ModelError::UnknownAttribute {
-                    kind: "event",
-                    attr: attr.to_string(),
-                })
-            }
+        Ok(match Attr::resolve(None, attr)? {
+            Attr::Amount => EventCol::Amount,
+            Attr::StartTime => EventCol::Start,
+            Attr::EndTime => EventCol::End,
+            Attr::AgentId => EventCol::Agent,
+            Attr::Operation => EventCol::Op,
+            // `Attr::Id`: no other attribute is an event's.
+            _ => EventCol::Id,
         })
+    }
+
+    /// The attribute the column holds, which a materialized event reads
+    /// through [`Event::value`].
+    fn attr(self) -> Attr {
+        match self {
+            EventCol::Amount => Attr::Amount,
+            EventCol::Start => Attr::StartTime,
+            EventCol::End => Attr::EndTime,
+            EventCol::Agent => Attr::AgentId,
+            EventCol::Op => Attr::Operation,
+            EventCol::Id => Attr::Id,
+        }
     }
 
     /// Reads the column at a row reference — the value [`Event::get`]
@@ -283,16 +207,35 @@ pub(crate) struct SlotCtx<'t> {
     pub history: &'t [Value],
 }
 
+/// Where an expression sits in a projection, which decides the names it
+/// may read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Clause {
+    /// A return item: also the aliases of earlier items and aggregates.
+    Item,
+    /// `having`: also every alias and aggregate, and in an anomaly query
+    /// history (`alias[k]`).
+    Having,
+    /// A `group by` key or an aggregate's argument, read per tuple before
+    /// any alias or aggregate value exists.
+    PerTuple,
+}
+
 /// Name environment of [`compile_slots`]: resolves variable, event, alias,
-/// and aggregate names to their dense slots. Lookup precedence mirrors
-/// [`eval`] exactly: event bindings shadow entity bindings shadow aliases.
-pub struct SlotEnv<'a> {
-    /// Entity variable name → variable slot.
-    pub vars: HashMap<&'a str, usize>,
+/// and aggregate names to their dense slots. Event bindings shadow entity
+/// bindings shadow aliases.
+pub(crate) struct SlotEnv<'a> {
+    /// Entity variable name → variable slot and entity kind.
+    pub vars: HashMap<&'a str, (usize, EntityKind)>,
     /// Event variable name → pattern slot.
     pub events: HashMap<&'a str, usize>,
-    /// Alias name → alias slot (item order).
+    /// Alias name → alias slot (item order), for the items compiled so far.
     pub aliases: HashMap<&'a str, usize>,
+    /// Whether aliases bind at all: only while an aggregated or anomaly
+    /// projection emits a group's row, never per tuple.
+    pub binds_aliases: bool,
+    /// An anomaly query, whose `having` may read history.
+    pub anomaly: bool,
     /// Canonical aggregate key ([`agg_key`]) → dense aggregate index.
     pub aggs: HashMap<String, usize>,
     /// `(alias slot, lag)` per distinct `alias[lag]`, `lag > 0`, compiled
@@ -300,13 +243,23 @@ pub struct SlotEnv<'a> {
     pub history: Vec<(usize, u32)>,
 }
 
-/// Compiles an expression against a slot environment, giving each new
-/// historical access a history slot. Returns `None` when the expression
-/// cannot be slot-compiled (unknown name) — callers fall back to the
-/// dynamic [`eval`] path, which reproduces the legacy behavior including
-/// its error messages.
-pub fn compile_slots(e: &Expr, store: &EventStore, env: &mut SlotEnv<'_>) -> Option<SlotExpr> {
-    Some(match e {
+fn analysis(message: String) -> EngineError {
+    EngineError::Analysis(message)
+}
+
+/// Compiles an expression in `clause` against a slot environment, giving
+/// each new historical access a history slot. Every name the expression
+/// cannot read there is a typed error: an unknown variable or attribute
+/// (the model's [`aiql_model::ModelError::UnknownAttribute`]), an alias
+/// where none is bound, an aggregate read per tuple, history outside an
+/// anomaly `having`.
+pub(crate) fn compile_slots(
+    e: &Expr,
+    store: &EventStore,
+    env: &mut SlotEnv<'_>,
+    clause: Clause,
+) -> Result<SlotExpr, EngineError> {
+    Ok(match e {
         Expr::Literal(lit) => SlotExpr::Const(match lit {
             Literal::Int(i) => Value::Int(*i),
             Literal::Float(x) => Value::Float(*x),
@@ -317,47 +270,65 @@ pub fn compile_slots(e: &Expr, store: &EventStore, env: &mut SlotEnv<'_>) -> Opt
         }),
         Expr::Ref { var, attr } => {
             if let Some(&slot) = env.events.get(var.as_str()) {
-                // An unknown attribute keeps the dynamic path, which
-                // raises `Event::get`'s error only once a tuple exists.
-                let attr = attr.clone().unwrap_or_else(|| "id".to_string());
-                SlotExpr::Event {
-                    slot,
-                    col: EventCol::resolve(&attr).ok()?,
-                    attr,
-                    name: var.clone(),
-                }
-            } else if let Some(&slot) = env.vars.get(var.as_str()) {
+                let col = EventCol::resolve(attr.as_deref().unwrap_or("id"))?;
+                SlotExpr::Event { slot, col }
+            } else if let Some(&(slot, kind)) = env.vars.get(var.as_str()) {
+                let attr = attr.as_deref().map(|a| Attr::resolve(Some(kind), a));
                 SlotExpr::Entity {
                     slot,
-                    attr: attr.clone(),
-                    name: var.clone(),
+                    attr: attr.transpose()?,
                 }
-            } else if attr.is_none() {
-                let &slot = env.aliases.get(var.as_str())?;
-                SlotExpr::Alias {
-                    slot,
-                    name: var.clone(),
+            } else if let Some(&slot) = env.aliases.get(var.as_str()) {
+                if let Some(attr) = attr {
+                    return Err(analysis(format!("alias `{var}` has no attribute `{attr}`")));
                 }
+                if !env.binds_aliases || clause == Clause::PerTuple {
+                    return Err(analysis(format!(
+                        "alias `{var}` is not bound here: an alias is bound only in later \
+                         return items and `having` of an aggregated or anomaly query"
+                    )));
+                }
+                SlotExpr::Alias(slot)
             } else {
-                return None;
+                return Err(analysis(format!("unknown variable `{var}`")));
             }
         }
-        Expr::Agg { .. } => SlotExpr::Agg(*env.aggs.get(&agg_key(e))?),
-        Expr::History { name, lag: 0 } => SlotExpr::AliasNow(*env.aliases.get(name.as_str())?),
+        Expr::Agg { .. } => match env.aggs.get(&agg_key(e)) {
+            Some(&i) if clause != Clause::PerTuple => SlotExpr::Agg(i),
+            _ => {
+                return Err(analysis(format!(
+                    "aggregate `{}` read outside aggregation: a `group by` key or an \
+                     aggregate's argument is evaluated per tuple",
+                    aiql_lang::pretty::print_expr(e)
+                )))
+            }
+        },
         Expr::History { name, lag } => {
-            let slot = (*env.aliases.get(name.as_str())?, *lag);
-            let i = env.history.iter().position(|&h| h == slot);
+            if !env.anomaly || clause != Clause::Having {
+                return Err(analysis(format!(
+                    "historical access `{name}[…]` is only allowed in anomaly having clauses"
+                )));
+            }
+            let Some(&alias) = env.aliases.get(name.as_str()) else {
+                return Err(analysis(format!(
+                    "historical access references unknown aggregate alias `{name}`"
+                )));
+            };
+            if *lag == 0 {
+                return Ok(SlotExpr::Alias(alias));
+            }
+            let i = env.history.iter().position(|&h| h == (alias, *lag));
             SlotExpr::History(i.unwrap_or_else(|| {
-                env.history.push(slot);
+                env.history.push((alias, *lag));
                 env.history.len() - 1
             }))
         }
         Expr::Binary { op, lhs, rhs } => SlotExpr::Binary {
             op: *op,
-            lhs: Box::new(compile_slots(lhs, store, env)?),
-            rhs: Box::new(compile_slots(rhs, store, env)?),
+            lhs: Box::new(compile_slots(lhs, store, env, clause)?),
+            rhs: Box::new(compile_slots(rhs, store, env, clause)?),
         },
-        Expr::Neg(inner) => SlotExpr::Neg(Box::new(compile_slots(inner, store, env)?)),
+        Expr::Neg(inner) => SlotExpr::Neg(Box::new(compile_slots(inner, store, env, clause)?)),
     })
 }
 
@@ -382,52 +353,38 @@ impl SlotExpr {
     }
 
     /// Whether the expression, as a filter, lets the tuple through.
-    pub(crate) fn passes(&self, cx: &SlotCtx<'_>) -> Result<bool, EngineError> {
-        self.eval(cx).map(Value::truthy)
+    pub(crate) fn passes(&self, cx: &SlotCtx<'_>) -> bool {
+        self.eval(cx).truthy()
     }
 
-    /// Evaluates the compiled expression for one tuple.
-    pub(crate) fn eval(&self, cx: &SlotCtx<'_>) -> Result<Value, EngineError> {
+    /// Evaluates the compiled expression for one tuple. Analysis compiled
+    /// every read for where it is evaluated, so nothing can fail: a joined
+    /// tuple binds every slot, and an unset alias reads `Null`.
+    pub(crate) fn eval(&self, cx: &SlotCtx<'_>) -> Value {
         match self {
-            SlotExpr::Const(v) => Ok(*v),
-            SlotExpr::Event {
-                slot,
-                attr,
-                col,
-                name,
-            } => match cx.tuple.event(*slot) {
-                Some(Ok(r)) => Ok(col.read(cx.parts, r)),
-                Some(Err(e)) => e.get(attr).map_err(EngineError::Model),
-                None => Err(unbound(name)),
+            SlotExpr::Const(v) => *v,
+            SlotExpr::Event { slot, col } => match cx.tuple.event(*slot) {
+                Some(Ok(r)) => col.read(cx.parts, r),
+                Some(Err(e)) => e.value(col.attr()),
+                None => Value::Null,
             },
-            SlotExpr::Entity { slot, attr, name } => match cx.tuple.entity(*slot) {
+            SlotExpr::Entity { slot, attr } => match cx.tuple.entity(*slot) {
                 Some(id) => {
                     let entity = cx.store.entities().get(id);
                     match attr {
-                        Some(a) => entity.get(a).map_err(EngineError::Model),
-                        None => Ok(entity.attrs.default_value()),
+                        Some(a) => entity.value(*a).unwrap_or(Value::Null),
+                        None => entity.attrs.default_value(),
                     }
                 }
-                None => Err(unbound(name)),
+                None => Value::Null,
             },
-            SlotExpr::Alias { slot, name } => cx.aliases[*slot].ok_or_else(|| unbound(name)),
-            SlotExpr::Agg(i) => cx.aggs.get(*i).copied().ok_or_else(|| {
-                EngineError::Analysis("aggregate evaluated outside aggregation context".into())
-            }),
-            SlotExpr::AliasNow(slot) => Ok(cx.aliases[*slot].unwrap_or(Value::Null)),
-            SlotExpr::History(i) => Ok(cx.history.get(*i).copied().unwrap_or(Value::Float(0.0))),
-            SlotExpr::Binary { op, lhs, rhs } => {
-                let l = lhs.eval(cx)?;
-                let r = rhs.eval(cx)?;
-                Ok(apply_binop(*op, l, r))
-            }
-            SlotExpr::Neg(inner) => Ok(negate(inner.eval(cx)?)),
+            SlotExpr::Alias(slot) => cx.aliases[*slot].unwrap_or(Value::Null),
+            SlotExpr::Agg(i) => cx.aggs.get(*i).copied().unwrap_or(Value::Null),
+            SlotExpr::History(i) => cx.history.get(*i).copied().unwrap_or(Value::Float(0.0)),
+            SlotExpr::Binary { op, lhs, rhs } => apply_binop(*op, lhs.eval(cx), rhs.eval(cx)),
+            SlotExpr::Neg(inner) => negate(inner.eval(cx)),
         }
     }
-}
-
-fn unbound(name: &str) -> EngineError {
-    EngineError::Analysis(format!("unbound variable `{name}`"))
 }
 
 /// Applies a binary operator with numeric coercion; `Null` propagates
@@ -520,73 +477,105 @@ mod tests {
         m.having.unwrap()
     }
 
+    /// Compiles `src` as the `having` of an anomaly projection binding
+    /// `p`, `f`, event `e` and alias `amt` (slot 0).
+    fn compile(src: &str, store: &EventStore) -> Result<SlotExpr, EngineError> {
+        let mut env = SlotEnv {
+            vars: HashMap::from([
+                ("p", (0, EntityKind::Process)),
+                ("f", (1, EntityKind::File)),
+            ]),
+            events: HashMap::from([("e", 0)]),
+            aliases: HashMap::from([("amt", 0)]),
+            binds_aliases: true,
+            anomaly: true,
+            aggs: HashMap::new(),
+            history: Vec::new(),
+        };
+        compile_slots(&having_expr(src), store, &mut env, Clause::Having)
+    }
+
+    /// Evaluates `src` (see [`compile`]) on the materialized tuple of
+    /// `event`, or on an empty one, with alias `amt` and its history.
+    fn eval_on(
+        src: &str,
+        store: &EventStore,
+        event: Option<Event>,
+        amt: &[Option<Value>],
+        history: &[Value],
+    ) -> Value {
+        let tuple = Tuple {
+            events: vec![event],
+            vars: vec![event.map(|e| e.subject), event.map(|e| e.object)],
+        };
+        let parts = PartTable::build(store);
+        let cx = SlotCtx {
+            store,
+            parts: &parts,
+            tuple: TupleView::Events(&tuple),
+            aliases: amt,
+            aggs: &[],
+            history,
+        };
+        compile(src, store).unwrap().eval(&cx)
+    }
+
     #[test]
     fn arithmetic_precedence_and_types() {
         let (s, _) = store_and_event();
-        let ctx = RowCtx::default();
-        let e = having_expr("1 + 2 * 3");
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Int(7));
-        let e = having_expr("7 / 2");
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Float(3.5));
-        let e = having_expr("2 * 3.5");
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Float(7.0));
+        let eval = |src| eval_on(src, &s, None, &[None], &[]);
+        assert_eq!(eval("1 + 2 * 3"), Value::Int(7));
+        assert_eq!(eval("7 / 2"), Value::Float(3.5));
+        assert_eq!(eval("2 * 3.5"), Value::Float(7.0));
     }
 
     #[test]
     fn division_by_zero_is_null() {
         let (s, _) = store_and_event();
-        let e = having_expr("1 / 0");
-        assert_eq!(eval(&e, &s, &RowCtx::default()).unwrap(), Value::Null);
+        assert_eq!(eval_on("1 / 0", &s, None, &[None], &[]), Value::Null);
     }
 
     #[test]
     fn event_attribute_access() {
         let (s, event) = store_and_event();
-        let mut ctx = RowCtx::default();
-        ctx.events.insert("e", event);
-        let e = having_expr("e.amount > 1000");
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Bool(true));
+        let got = eval_on("e.amount > 1000", &s, Some(event), &[None], &[]);
+        assert_eq!(got, Value::Bool(true));
     }
 
     #[test]
     fn entity_default_attribute_shortcut() {
         let (s, event) = store_and_event();
-        let mut ctx = RowCtx::default();
-        ctx.var_entity.insert("p", event.subject);
-        let e = having_expr(r#"p = "sbblv.exe""#);
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Bool(true));
-        let e2 = having_expr(r#"p.user = "system""#);
-        assert_eq!(eval(&e2, &s, &ctx).unwrap(), Value::Bool(true));
+        let eval = |src| eval_on(src, &s, Some(event), &[None], &[]);
+        assert_eq!(eval(r#"p = "sbblv.exe""#), Value::Bool(true));
+        assert_eq!(eval(r#"p.user = "system""#), Value::Bool(true));
     }
 
     #[test]
     fn alias_and_history_lookup() {
         let (s, _) = store_and_event();
-        let mut ctx = RowCtx::default();
-        ctx.aliases.insert("amt".into(), Value::Float(100.0));
-        ctx.history.insert(("amt".into(), 1), Value::Float(40.0));
         // amt > 2 * (amt + amt[1] + amt[2]) / 3 with amt[2] missing (=0).
-        let e = having_expr("amt > 2 * (amt[0] + amt[1] + amt[2]) / 3");
+        let src = "amt > 2 * (amt[0] + amt[1] + amt[2]) / 3";
+        let amt = [Some(Value::Float(100.0))];
         // 100 > 2*(100+40+0)/3 = 93.3 → true
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Bool(true));
-        ctx.history.insert(("amt".into(), 2), Value::Float(80.0));
+        let history = [Value::Float(40.0)];
+        assert_eq!(eval_on(src, &s, None, &amt, &history), Value::Bool(true));
         // 100 > 2*(100+40+80)/3 = 146.7 → false
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Bool(false));
+        let history = [Value::Float(40.0), Value::Float(80.0)];
+        assert_eq!(eval_on(src, &s, None, &amt, &history), Value::Bool(false));
     }
 
     #[test]
     fn logic_operators() {
         let (s, _) = store_and_event();
-        let ctx = RowCtx::default();
-        let e = having_expr("1 < 2 and 3 < 2 or 1 = 1");
-        assert_eq!(eval(&e, &s, &ctx).unwrap(), Value::Bool(true));
+        let got = eval_on("1 < 2 and 3 < 2 or 1 = 1", &s, None, &[None], &[]);
+        assert_eq!(got, Value::Bool(true));
     }
 
     #[test]
     fn unbound_variable_errors() {
         let (s, _) = store_and_event();
-        let e = having_expr("zz > 1");
-        assert!(eval(&e, &s, &RowCtx::default()).is_err());
+        let err = compile("zz > 1", &s).unwrap_err();
+        assert_eq!(err, EngineError::Analysis("unknown variable `zz`".into()));
     }
 
     /// A store whose events differ in every event column, spread over
@@ -671,35 +660,25 @@ mod tests {
         assert_col_matches_event_get(EventCol::Id, &["id"]);
     }
 
+    /// The model's error for an unknown event attribute is an analysis
+    /// error, on a store where the query matches and on one where it
+    /// matches nothing.
     #[test]
-    fn unknown_event_attribute_has_event_gets_error_and_keeps_the_dynamic_path() {
+    fn unknown_event_attribute_has_event_gets_error_at_analysis() {
         let (s, event) = store_and_event();
         let want = event.get("bogus").unwrap_err();
         assert_eq!(EventCol::resolve("bogus"), Err(want.clone()));
         assert_eq!(
-            want.to_string(),
-            EventCol::resolve("bogus").unwrap_err().to_string()
+            compile("e.bogus > 1", &s).unwrap_err(),
+            EngineError::Model(want.clone())
         );
-        // The compiler declines the expression, so the dynamic path raises
-        // the error exactly as before — and only once a tuple exists.
-        let mut env = SlotEnv {
-            vars: HashMap::new(),
-            events: HashMap::from([("e", 0)]),
-            aliases: HashMap::new(),
-            aggs: HashMap::new(),
-            history: Vec::new(),
-        };
-        assert!(compile_slots(&having_expr("e.bogus > 1"), &s, &mut env).is_none());
-        assert!(compile_slots(&having_expr("e.amount > 1"), &s, &mut env).is_some());
+        assert!(compile("e.amount > 1", &s).is_ok());
         let engine = crate::Engine::new(crate::EngineConfig::default());
-        let err = engine
-            .execute_text(&s, "proc p write file f as e return e.bogus")
-            .unwrap_err();
-        assert_eq!(err, EngineError::Model(want));
-        let none = engine
-            .execute_text(&s, "proc p read file f as e return e.bogus")
-            .unwrap();
-        assert!(none.rows.is_empty());
+        for op in ["write", "read"] {
+            let src = format!("proc p {op} file f as e return e.bogus");
+            let err = engine.execute_text(&s, &src).unwrap_err();
+            assert_eq!(err, EngineError::Model(want.clone()), "{op}");
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ use aiql_storage::EventStore;
 
 // Public API surface kept stable across the operator-pipeline refactor:
 // the baselines and tests reach these through `aiql_engine::exec`.
-pub use crate::op::project::project;
 pub use crate::op::scan::residual_ok;
 pub use crate::op::{EventRef, ExecStats, OpStat, Tuple};
 
@@ -83,9 +82,8 @@ impl<'a> MultieventExec<'a> {
 
     /// Builds the execution environment: the compiled shared phase
     /// (resolved vars, base filters, schedule — memoized across queries
-    /// when a plan cache is attached), the partition address space, and —
-    /// when a projection closes the pipeline (`project`) — its compiled
-    /// form.
+    /// when a plan cache is attached), the partition address space, and
+    /// whether the query's projection closes the pipeline (`project`).
     fn env(&self, project: bool) -> ExecEnv<'a> {
         ExecEnv {
             store: self.store,
@@ -99,9 +97,7 @@ impl<'a> MultieventExec<'a> {
                 self.plan_cache,
             ),
             parts: PartTable::build(self.store),
-            projection: project
-                .then(|| op::project::compile_projection(self.store, self.a))
-                .flatten(),
+            project,
             governor: self.governor.clone(),
         }
     }

@@ -346,12 +346,11 @@ fn operator_tree(
     if a.patterns.len() >= 2 {
         layers.push("sideways filters");
     }
-    // The drive pushes its tuples straight into the projection sink when
-    // the projection compiles (an anomaly query's join feeds the window
-    // loop instead); name what it retains.
-    let cp = crate::op::project::compile_projection(store, a);
-    let sink = (cp.as_ref().filter(|_| window.is_none()))
-        .map(|_| format!(" → sink: {}", crate::op::project::sink_label(a)));
+    // The drive pushes its tuples straight into the projection sink (an
+    // anomaly query's join feeds the window loop instead); name what it
+    // retains.
+    let sink =
+        (window.is_none()).then(|| format!(" → sink: {}", crate::op::project::sink_label(a)));
     let join = OpPlanNode {
         kind: "TemporalJoin",
         detail: format!(
@@ -371,12 +370,9 @@ fn operator_tree(
         children: scans,
     };
     let (kind, head) = match window {
-        Some(w) => (
-            "SlidingWindow",
-            window_head(a, &w, cp.as_ref().map_or(&[], |cp| &cp.lags)),
-        ),
+        Some(w) => ("SlidingWindow", window_head(a, &w, &a.projection.lags)),
         None => (
-            match crate::op::project::is_aggregated(a) {
+            match a.projection.aggregated {
                 true => "Aggregate",
                 false => "Project",
             },
@@ -571,9 +567,13 @@ mod tests {
         .ends_with("→ sink: sum, avg by (p1)"));
         assert!(join_detail("return distinct p1, f", &default).ends_with("→ sink: distinct(p1, f)"));
         assert!(join_detail("return p1, e2.amount as amt", &default).ends_with("→ sink: rows"));
-        // A projection that keeps the dynamic path names no sink: the join
-        // leaves its tuples for `Project`.
-        assert!(!join_detail("return e2.bogus", &default).contains("sink"));
+        // A name the schema lacks has no plan: the same typed error the
+        // query gets, before any scan.
+        let q =
+            parse_query("proc p1 start proc p2 as e1 proc p2 write file f as e2 return e2.bogus")
+                .unwrap();
+        let err = explain(&store, &q, &default, &ExecBudget::unlimited()).unwrap_err();
+        assert!(matches!(err, EngineError::Model(_)), "{err}");
     }
 
     /// An anomaly query's root is the window loop that runs, with its

@@ -51,10 +51,13 @@
 //! explicit overload shedding with client-side backoff — many concurrent
 //! investigations over one store without sharing their failures.
 //!
-//! The paper's five optimizations are individually toggleable through
-//! [`EngineConfig`] for the fig. 5 ablation. The [`mod@reference`] module
-//! provides a tiny, obviously-correct executor used as the
-//! property-testing oracle.
+//! Analysis ([`analyze`]) is the one name resolver: it compiles the
+//! projection ([`eval`]), so a query that names something the schema lacks
+//! is an error whether or not anything matches, and execution has one
+//! evaluator. The paper's five optimizations are individually toggleable
+//! through [`EngineConfig`] for the fig. 5 ablation. The property-testing
+//! oracle — a tiny, obviously-correct brute-force executor over a dynamic
+//! evaluator — lives with the baselines, in `aiql_baseline::naive`.
 
 pub mod analyze;
 pub mod anomaly;
@@ -66,7 +69,6 @@ pub mod explain;
 pub mod governor;
 pub mod op;
 pub mod pool;
-pub mod reference;
 pub mod result;
 pub mod schedule;
 pub mod service;

@@ -39,12 +39,12 @@
 //! reused scratch arena (one **expansion**, capped at `max_intermediate`
 //! tuples), and recurses on the expansion before the next window runs. The
 //! final step delivers straight into the drive's `JoinOutput`: the
-//! projection sink when a compiled projection closes the pipeline — each
+//! projection sink when the query's projection closes the pipeline — each
 //! joined tuple is evaluated as it is found and never written anywhere;
 //! what is kept is what `return` needs (see `op/project.rs`) — or an output
-//! arena when nothing projects (`match_tuples`) or the projection keeps the
-//! dynamic path. A single-pattern query has no join: its seed *is* the
-//! final step, and the candidates are delivered in candidate order.
+//! arena when nothing projects (`match_tuples`, an anomaly query's fetch).
+//! A single-pattern query has no join: its seed *is* the final step, and
+//! the candidates are delivered in candidate order.
 //!
 //! The final step is *unread* when the projection reads neither its
 //! pattern's event nor a variable that pattern binds first — except as
@@ -661,8 +661,8 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
 }
 
 /// Multi-way hash join over the per-pattern candidate refs. Returns the
-/// joined tuples — or, when a compiled projection closes the pipeline, an
-/// empty arena and the sink the drive streamed them into — plus whether it
+/// joined tuples — or, when the projection closes the pipeline, an empty
+/// arena and the sink the drive streamed them into — plus whether it
 /// truncated and its accounting (widest run/shard fan-out, the build/probe
 /// timing split, the probe-reduction and emission counters, and the
 /// per-step breakdown for EXPLAIN ANALYZE).
@@ -672,13 +672,14 @@ fn join_refs<'e>(
     domains: &[Option<(IdSet, IdSet)>],
 ) -> Result<(RefArena, Option<ProjectionSink<'e>>, bool, OpIo), EngineError> {
     let (n, nvars) = (env.a.patterns.len(), env.a.vars.len());
-    // With a compiled projection closing the pipeline, the final step
-    // pushes into its sink; otherwise the tuples are kept.
-    match ProjectionSink::new(env) {
-        Some(sink) => drive_join(env, &candidates, domains, sink)
-            .map(|(sink, t, io)| (RefArena::new(n, nvars), Some(sink), t, io)),
-        None => drive_join(env, &candidates, domains, RefArena::new(n, nvars))
-            .map(|(arena, t, io)| (arena, None, t, io)),
+    // With the projection closing the pipeline, the final step pushes into
+    // its sink; otherwise the tuples are kept.
+    if env.project {
+        drive_join(env, &candidates, domains, ProjectionSink::new(env))
+            .map(|(sink, t, io)| (RefArena::new(n, nvars), Some(sink), t, io))
+    } else {
+        drive_join(env, &candidates, domains, RefArena::new(n, nvars))
+            .map(|(arena, t, io)| (arena, None, t, io))
     }
 }
 
@@ -819,8 +820,7 @@ impl Place {
 
     /// Delivers tuple `t` of `src` extended with match `r` to `out`.
     /// Returns `true` when the drive must stop: the tracker's budget is
-    /// exhausted, or the output failed — reported like a governor stop
-    /// (nothing was truncated; [`JoinOutput::failed`] holds the error).
+    /// exhausted.
     #[inline]
     fn emit<O: JoinOutput>(
         self,
@@ -833,10 +833,7 @@ impl Place {
     ) -> bool {
         let (subj, obj) = parts.subject_object(r);
         let (subject, object) = ((self.subject, subj), (self.object, obj));
-        if out.emit(src, t, self.pattern, r, subject, object) == Flow::Stop {
-            caps.gov_stop = true;
-            return true;
-        }
+        out.emit(src, t, self.pattern, r, subject, object);
         caps.exhausted(out.delivered())
     }
 
@@ -857,9 +854,8 @@ impl Place {
             return false;
         }
         let n = n.min(caps.cap.saturating_sub(out.delivered()));
-        if n > 0 && out.emit_count(src, t, self.pattern, n) == Flow::Stop {
-            caps.gov_stop = true;
-            return true;
+        if n > 0 {
+            out.emit_count(src, t, self.pattern, n);
         }
         caps.exhausted(out.delivered())
     }
@@ -1457,10 +1453,7 @@ fn drive_join<O: JoinOutput>(
         let mut tripped = false;
         for (k, partial) in partials.into_iter().enumerate() {
             let mut merged = false;
-            if let Some((mut part, p)) = partial {
-                if let Some(e) = part.failed() {
-                    return Err(e);
-                }
+            if let Some((part, p)) = partial {
                 if p.gov_stop {
                     // The run stopped mid-flight on a trip: its partial
                     // output is dropped and the merged prefix ends at the
@@ -1481,7 +1474,7 @@ fn drive_join<O: JoinOutput>(
             if !merged {
                 let (lo, hi) = run_range(k);
                 flow = drive.drive_run(lo, hi, &mut st, &mut out, &mut caps, gov);
-                if let Some(e) = st.err.take().or_else(|| out.failed()) {
+                if let Some(e) = st.err.take() {
                     return Err(e);
                 }
             }

@@ -24,9 +24,10 @@
 //!
 //! The join and the projection meet in a `project::ProjectionSink`: the
 //! join drive pushes every joined tuple straight into it
-//! (`PipelineState::sink`) and `Project` only finishes it. A projection
-//! that resists compilation has no sink; the join then leaves its tuples in
-//! [`PipelineState::frontier`] for `Project`'s dynamic path.
+//! (`PipelineState::sink`) and `Project` only finishes it. Analysis
+//! compiled the projection, so every query that projects has a sink; only
+//! an execution without a projection (`MultieventExec::match_tuples`, an
+//! anomaly query's fetch) leaves its tuples in [`PipelineState::frontier`].
 
 pub mod join;
 pub mod project;
@@ -167,12 +168,10 @@ impl RefArena {
 
 /// Where a join drive delivers its joined tuples: a [`RefArena`] that keeps
 /// them all, or the [`ProjectionSink`] that consumes each one as it arrives
-/// and keeps only what `return` needs.
+/// and keeps only what `return` needs. Neither can fail.
 pub(crate) trait JoinOutput: Send + Sync + Sized {
     /// Delivers tuple `i` of `src` extended with one placed event: ref `r`
-    /// for `pattern`, binding its `subject` and `object` variables. `Stop`
-    /// means the output failed and the drive must end;
-    /// [`JoinOutput::failed`] holds the error.
+    /// for `pattern`, binding its `subject` and `object` variables.
     fn emit(
         &mut self,
         src: &RefArena,
@@ -181,7 +180,7 @@ pub(crate) trait JoinOutput: Send + Sync + Sized {
         r: EventRef,
         subject: (usize, EntityId),
         object: (usize, EntityId),
-    ) -> Flow;
+    );
 
     /// Whether the output reads nothing a match of `pattern` places — its
     /// event, or the variables `fresh` it binds first — so the drive may
@@ -191,9 +190,8 @@ pub(crate) trait JoinOutput: Send + Sync + Sized {
     }
 
     /// Delivers `n` tuples: tuple `i` of `src`, extended by `n` matches of
-    /// a pattern the output reported [`JoinOutput::unread`]. Returns as
-    /// [`JoinOutput::emit`].
-    fn emit_count(&mut self, _src: &RefArena, _i: usize, _pattern: usize, _n: usize) -> Flow {
+    /// a pattern the output reported [`JoinOutput::unread`].
+    fn emit_count(&mut self, _src: &RefArena, _i: usize, _pattern: usize, _n: usize) {
         unreachable!("only an output that reads nothing of a pattern is handed its counts")
     }
 
@@ -214,11 +212,6 @@ pub(crate) trait JoinOutput: Send + Sync + Sized {
     /// delivering those tuples one by one; `part` is dropped, nothing
     /// changed, and the caller re-drives the run into `self`.
     fn merge(&mut self, part: Self) -> bool;
-
-    /// The error that made [`JoinOutput::emit`] stop, taken.
-    fn failed(&mut self) -> Option<EngineError> {
-        None
-    }
 }
 
 impl JoinOutput for RefArena {
@@ -235,7 +228,7 @@ impl JoinOutput for RefArena {
         r: EventRef,
         subject: (usize, EntityId),
         object: (usize, EntityId),
-    ) -> Flow {
+    ) {
         let e0 = self.events.len();
         self.events.extend_from_slice(src.events_of(i));
         self.events[e0 + pattern] = r;
@@ -244,7 +237,6 @@ impl JoinOutput for RefArena {
         self.vars[v0 + subject.0] = subject.1.raw();
         self.vars[v0 + object.0] = object.1.raw();
         self.ntuples += 1;
-        Flow::Continue
     }
 
     #[inline]
@@ -368,10 +360,10 @@ pub struct ExecEnv<'a> {
     pub ctx: PlanCtx,
     /// The partition address space of this execution.
     pub parts: PartTable<'a>,
-    /// The query's projection, slot-compiled. `None` when no projection
-    /// closes this execution (`match_tuples`) or when an expression resists
-    /// compilation — `Project` then keeps the dynamic `RowCtx` path.
-    pub(crate) projection: Option<CompiledProjection>,
+    /// Whether the query's projection (compiled at analysis) closes this
+    /// execution, so the join streams into its sink; without one
+    /// (`match_tuples`, an anomaly query's fetch) the join keeps its tuples.
+    pub(crate) project: bool,
     /// The query governor (deadline, cancellation, memory budget), shared
     /// by every thread working on this query. `None` = ungoverned: every
     /// check compiles to a no-op branch.
@@ -437,7 +429,7 @@ pub struct PipelineState<'e> {
     /// into `sink`).
     pub frontier: RefArena,
     /// The projection sink the join drive pushed its tuples into (`None`:
-    /// the projection did not compile and the join left a `frontier`).
+    /// no projection closes the execution, and the join left a `frontier`).
     pub(crate) sink: Option<ProjectionSink<'e>>,
     /// Whether the join hit `max_intermediate`.
     pub truncated: bool,
@@ -613,7 +605,7 @@ pub struct OpStat {
     pub early_exit_depth: Option<usize>,
     /// Rows, groups, or distinct keys the projection sink retained of the
     /// `rows_out` tuples the join pushed into it (joins only; `None` when
-    /// the projection did not compile and the join left a frontier).
+    /// no projection closes the execution and the join left a frontier).
     pub sink_kept: Option<usize>,
     /// Per-join-step detail (joins only, execution order of the steps).
     pub join_steps: Vec<JoinStepStat>,
@@ -766,7 +758,7 @@ pub fn join_tree(order: &[usize]) -> PlanNode {
 /// Builds the full query tree: `Project`/`Aggregate` over the join subtree.
 pub fn query_tree(a: &AnalyzedMultievent, order: &[usize]) -> PlanNode {
     PlanNode {
-        op: Box::new(Project::new(project::is_aggregated(a))),
+        op: Box::new(Project::new(a.projection.aggregated)),
         children: vec![join_tree(order)],
     }
 }

@@ -5,9 +5,8 @@
 //!
 //! The projection is a streaming `ProjectionSink`: the join emits its
 //! tuples into it one at a time, as flat row references, and `finish`
-//! closes the table.
-//! Every name is resolved to a dense slot and every event attribute to its
-//! storage column before the first tuple (`CompiledProjection`), so an
+//! closes the table. Analysis resolved every name to a dense slot and every
+//! event attribute to its storage column (`CompiledProjection`), so an
 //! emission evaluates straight from the partitions' columns — no `Event` is
 //! materialized. What a sink retains depends only on the return shape:
 //!
@@ -30,10 +29,9 @@
 //!
 //! The join drive delivers its final step's tuples straight into the sink
 //! (see `op/join.rs`), so the joined tuples are never written to an output
-//! arena. The dynamic [`RowCtx`] path ([`project`]) remains as the
-//! fallback for expressions that resist compilation and as the projection
-//! of the brute-force oracle (`reference.rs`), which therefore shares no
-//! tuple loop with the sink.
+//! arena. There is no other projection in the engine: the baselines'
+//! dynamic one (`aiql_baseline::naive`) shares no tuple loop with the sink,
+//! only the value semantics ([`AggAcc`], [`order_and_limit`]).
 
 use std::collections::{HashMap, HashSet};
 
@@ -43,10 +41,8 @@ use aiql_storage::EventStore;
 
 use crate::analyze::AnalyzedMultievent;
 use crate::error::EngineError;
-use crate::eval::{self, agg_key, RowCtx, SlotCtx, SlotEnv, SlotExpr, TupleView};
-use crate::op::{
-    EventRef, ExecEnv, Flow, JoinOutput, OpIo, Operator, PipelineState, RefArena, Tuple,
-};
+use crate::eval::{self, agg_key, Clause, SlotCtx, SlotEnv, SlotExpr, TupleView};
+use crate::op::{EventRef, ExecEnv, JoinOutput, OpIo, Operator, PipelineState, RefArena, Tuple};
 use crate::result::ResultTable;
 
 /// The projection operator.
@@ -76,16 +72,11 @@ impl Operator for Project {
         env: &'e ExecEnv<'_>,
         st: &mut PipelineState<'e>,
     ) -> Result<OpIo, EngineError> {
-        let rows_in = (st.sink.as_ref()).map_or(st.frontier.len(), ProjectionSink::pushed);
-        let mut table = match st.sink.take().or_else(|| ProjectionSink::new(env)) {
-            // The join streamed into the sink — or never ran (a pattern came
-            // back empty) and a fresh sink closes the empty table.
-            Some(sink) => sink.finish()?,
-            // The projection resisted compilation: the dynamic path (which
-            // can only fail on, or find nothing in, such a projection — it
-            // needs no governor).
-            None => project(env.store, env.a, &st.frontier.materialize(&env.parts))?,
-        };
+        // The join streamed into the sink — or never ran (a pattern came
+        // back empty) and a fresh sink closes the empty table.
+        let sink = st.sink.take().unwrap_or_else(|| ProjectionSink::new(env));
+        let rows_in = sink.pushed();
+        let mut table = sink.finish();
         table.truncated = st.truncated;
         let rows_out = table.rows.len();
         st.table = Some(table);
@@ -98,31 +89,13 @@ impl Operator for Project {
     }
 }
 
-/// Populates the (reused) row context from a materialized tuple.
-pub(crate) fn fill_ctx<'a>(a: &'a AnalyzedMultievent, t: &Tuple, ctx: &mut RowCtx<'a>) {
-    ctx.var_entity.clear();
-    ctx.events.clear();
-    ctx.aliases.clear();
-    ctx.agg_values.clear();
-    for (vi, var) in a.vars.iter().enumerate() {
-        if let Some(id) = t.vars[vi] {
-            ctx.var_entity.insert(var.name.as_str(), id);
-        }
-    }
-    for (pi, p) in a.patterns.iter().enumerate() {
-        if let Some(e) = t.events[pi] {
-            ctx.events.insert(p.name.as_str(), e);
-        }
-    }
-}
-
 /// Largest magnitude below which every integer-valued `f64` sum is exact,
 /// with headroom for one more such addend.
 const EXACT_SUM: f64 = (1u64 << 52) as f64;
 
 /// Aggregate accumulator.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct AggAcc {
+pub struct AggAcc {
     count: u64,
     sum: f64,
     all_int: bool,
@@ -135,7 +108,8 @@ pub(crate) struct AggAcc {
 }
 
 impl AggAcc {
-    pub(crate) fn new() -> Self {
+    /// An accumulator of no values.
+    pub fn new() -> Self {
         AggAcc {
             all_int: true,
             exact: true,
@@ -143,7 +117,8 @@ impl AggAcc {
         }
     }
 
-    pub(crate) fn add(&mut self, v: Value) {
+    /// Adds one value; `Null` is skipped.
+    pub fn add(&mut self, v: Value) {
         if v.is_null() {
             return;
         }
@@ -191,7 +166,8 @@ impl AggAcc {
         };
     }
 
-    pub(crate) fn finalize(&self, func: aiql_lang::AggFunc) -> Value {
+    /// The aggregate's value over the values added.
+    pub fn finalize(&self, func: aiql_lang::AggFunc) -> Value {
         use aiql_lang::AggFunc::*;
         match func {
             Count => Value::Int(self.count as i64),
@@ -217,7 +193,7 @@ impl AggAcc {
 
 /// Collects every aggregate node appearing in the return items and having
 /// clause.
-pub(crate) fn collect_aggs(a: &AnalyzedMultievent) -> Vec<(String, aiql_lang::AggFunc, Expr)> {
+pub fn collect_aggs(a: &AnalyzedMultievent) -> Vec<(String, aiql_lang::AggFunc, Expr)> {
     let mut out: Vec<(String, aiql_lang::AggFunc, Expr)> = Vec::new();
     let mut visit = |e: &Expr| {
         e.visit(&mut |node| {
@@ -238,13 +214,8 @@ pub(crate) fn collect_aggs(a: &AnalyzedMultievent) -> Vec<(String, aiql_lang::Ag
     out
 }
 
-/// Whether a query's projection aggregates (aggregate calls or `group by`).
-pub(crate) fn is_aggregated(a: &AnalyzedMultievent) -> bool {
-    !a.group_by.is_empty() || !collect_aggs(a).is_empty()
-}
-
 /// Column header for a return item.
-pub(crate) fn column_name(item: &aiql_lang::ReturnItem) -> String {
+pub fn column_name(item: &aiql_lang::ReturnItem) -> String {
     item.alias
         .clone()
         .unwrap_or_else(|| aiql_lang::pretty::print_expr(&item.expr))
@@ -253,7 +224,7 @@ pub(crate) fn column_name(item: &aiql_lang::ReturnItem) -> String {
 /// A fully slot-compiled projection: return items, grouping keys, having
 /// filter, and aggregate arguments with every name resolved to a dense
 /// slot and every event attribute to its column.
-#[derive(Debug)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledProjection {
     /// Compiled return items, in column order.
     pub(crate) items: Vec<SlotExpr>,
@@ -273,7 +244,7 @@ pub(crate) struct CompiledProjection {
     /// queries only): see [`SlotEnv::history`].
     pub(crate) lags: Vec<(usize, u32)>,
     /// Aggregate calls or `group by` present.
-    aggregated: bool,
+    pub(crate) aggregated: bool,
 }
 
 impl CompiledProjection {
@@ -291,44 +262,42 @@ impl CompiledProjection {
     }
 }
 
-/// Compiles a query's projection to slots. `None` when any expression
-/// resists compilation (unknown name or event attribute) — the caller then
-/// keeps the dynamic [`RowCtx`] path, which reproduces legacy behavior bit
-/// for bit, errors included.
+/// Compiles a query's projection to slots, at analysis. Every name an
+/// expression cannot read where it stands is a typed error here, before
+/// any scan runs ([`eval::compile_slots`]). An anomaly projection binds its
+/// aliases whether or not it aggregates, and its `having` reads history.
 pub(crate) fn compile_projection(
     store: &EventStore,
     a: &AnalyzedMultievent,
-) -> Option<CompiledProjection> {
+    anomaly: bool,
+) -> Result<CompiledProjection, EngineError> {
     let aggs_src = collect_aggs(a);
+    let aggregated = !aggs_src.is_empty() || !a.group_by.is_empty();
     let mut env = SlotEnv {
-        vars: a
-            .vars
-            .iter()
-            .enumerate()
-            .map(|(i, v)| (v.name.as_str(), i))
+        vars: (a.vars.iter().enumerate())
+            .map(|(i, v)| (v.name.as_str(), (i, v.kind)))
             .collect(),
-        events: a
-            .patterns
-            .iter()
-            .enumerate()
+        events: (a.patterns.iter().enumerate())
             .map(|(i, p)| (p.name.as_str(), i))
             .collect(),
         aliases: HashMap::new(),
-        aggs: aggs_src
-            .iter()
-            .enumerate()
+        binds_aliases: aggregated || anomaly,
+        anomaly,
+        aggs: (aggs_src.iter().enumerate())
             .map(|(i, (k, _, _))| (k.clone(), i))
             .collect(),
         history: Vec::new(),
     };
+    let compile =
+        |e: &Expr, env: &mut SlotEnv<'_>, clause| eval::compile_slots(e, store, env, clause);
     // Compile items in order; each alias becomes visible to later items,
     // the grouping keys, the having clause, and the aggregate arguments —
-    // the same progressive scope the analyzer validated against.
+    // which then read it where the projection binds it.
     let mut items = Vec::with_capacity(a.ret.items.len());
     let mut alias_slot = Vec::with_capacity(a.ret.items.len());
     let mut naliases = 0usize;
     for item in &a.ret.items {
-        items.push(eval::compile_slots(&item.expr, store, &mut env)?);
+        items.push(compile(&item.expr, &mut env, Clause::Item)?);
         alias_slot.push(item.alias.as_ref().map(|alias| {
             let slot = naliases;
             naliases += 1;
@@ -336,24 +305,20 @@ pub(crate) fn compile_projection(
             slot
         }));
     }
-    let group_by: Vec<SlotExpr> = a
-        .group_by
-        .iter()
-        .map(|g| eval::compile_slots(g, store, &mut env))
-        .collect::<Option<_>>()?;
-    let having = match &a.having {
-        Some(h) => Some(eval::compile_slots(h, store, &mut env)?),
-        None => None,
-    };
-    let aggs: Vec<(aiql_lang::AggFunc, SlotExpr)> = aggs_src
-        .iter()
-        .map(|(_, func, arg)| Some((*func, eval::compile_slots(arg, store, &mut env)?)))
-        .collect::<Option<_>>()?;
-    Some(CompiledProjection {
+    let group_by = (a.group_by.iter())
+        .map(|g| compile(g, &mut env, Clause::PerTuple))
+        .collect::<Result<_, _>>()?;
+    let having = (a.having.as_ref())
+        .map(|h| compile(h, &mut env, Clause::Having))
+        .transpose()?;
+    let aggs = (aggs_src.iter())
+        .map(|(_, func, arg)| Ok((*func, compile(arg, &mut env, Clause::PerTuple)?)))
+        .collect::<Result<_, EngineError>>()?;
+    Ok(CompiledProjection {
         items,
         alias_slot,
         unset_aliases: vec![None; naliases],
-        aggregated: !aggs.is_empty() || !group_by.is_empty(),
+        aggregated,
         group_by,
         having,
         aggs,
@@ -503,8 +468,6 @@ pub(crate) struct ProjectionSink<'e> {
     state: SinkState,
     /// Tuples pushed.
     pushed: usize,
-    /// First evaluation error; `finish` returns it.
-    err: Option<EngineError>,
     /// Reused buffer of one tuple's evaluated row or group key.
     vals: Vec<Value>,
     /// Reused one-tuple buffer [`JoinOutput::emit`] assembles its tuple in.
@@ -531,10 +494,9 @@ pub(crate) fn slots<'t>(
 }
 
 impl<'e> ProjectionSink<'e> {
-    /// An empty sink for the execution's projection; `None` when it did
-    /// not compile (the caller keeps the dynamic path).
-    pub(crate) fn new(env: &'e ExecEnv<'e>) -> Option<Self> {
-        let cp = env.projection.as_ref()?;
+    /// An empty sink for the query's projection.
+    pub(crate) fn new(env: &'e ExecEnv<'e>) -> Self {
+        let cp = &env.a.projection;
         let state = if cp.aggregated {
             SinkState::Groups {
                 keys: KeyIndex::default(),
@@ -548,26 +510,13 @@ impl<'e> ProjectionSink<'e> {
                 ids: env.a.ret.distinct.then(|| IdKeys::of(cp)).flatten(),
             }
         };
-        Some(ProjectionSink {
+        ProjectionSink {
             env,
             cp,
             state,
             pushed: 0,
-            err: None,
             vals: Vec::new(),
             tuple: RefArena::new(env.a.patterns.len(), env.a.vars.len()),
-        })
-    }
-
-    /// Counts `n` pushed tuples and keeps their error, if any.
-    fn note(&mut self, n: usize, consumed: Result<(), EngineError>) -> Flow {
-        self.pushed += n;
-        match consumed {
-            Ok(()) => Flow::Continue,
-            Err(e) => {
-                self.err.get_or_insert(e);
-                Flow::Stop
-            }
         }
     }
 
@@ -599,10 +548,7 @@ impl<'e> ProjectionSink<'e> {
 
     /// Closes the table: emits each group's row (aggregates), then
     /// distinct, order by, limit.
-    pub(crate) fn finish(self) -> Result<ResultTable, EngineError> {
-        if let Some(e) = self.err {
-            return Err(e);
-        }
+    pub(crate) fn finish(self) -> ResultTable {
         let (env, a, cp) = (self.env, self.env.a, self.cp);
         let mut rows: Vec<Vec<Value>> = match self.state {
             SinkState::Rows { rows, .. } => rows,
@@ -619,14 +565,14 @@ impl<'e> ProjectionSink<'e> {
                     let rep = TupleView::Events(rep);
                     let mut row = Vec::with_capacity(cp.items.len());
                     for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
-                        let v = item.eval(&slots(env, rep, &aliases, &aggs))?;
+                        let v = item.eval(&slots(env, rep, &aliases, &aggs));
                         if let Some(slot) = alias {
                             aliases[*slot] = Some(v);
                         }
                         row.push(v);
                     }
                     let scx = slots(env, rep, &aliases, &aggs);
-                    if cp.having.as_ref().map_or(Ok(true), |h| h.passes(&scx))? {
+                    if cp.having.as_ref().is_none_or(|h| h.passes(&scx)) {
                         rows.push(row);
                     }
                 }
@@ -637,10 +583,10 @@ impl<'e> ProjectionSink<'e> {
                 rows
             }
         };
-        order_and_limit(a, &mut rows)?;
+        order_and_limit(a, &mut rows);
         let mut table = ResultTable::new(a.ret.items.iter().map(column_name).collect());
         table.rows = rows;
-        Ok(table)
+        table
     }
 }
 
@@ -649,7 +595,7 @@ impl<'e> ProjectionSink<'e> {
 /// pattern `counted`'s match, which the projection reads at most through
 /// `count` ([`CompiledProjection::unread`]; `n` is 1 and `counted` `None`
 /// for one tuple). Per-tuple evaluation sees no alias and no aggregate
-/// value, exactly as the dynamic path's tuple loop; `having` without
+/// value (analysis compiled no such read here); `having` without
 /// aggregation degenerates to a row filter.
 #[inline]
 fn consume(
@@ -660,16 +606,16 @@ fn consume(
     tuple: TupleView<'_>,
     n: usize,
     counted: Option<usize>,
-) -> Result<(), EngineError> {
+) {
     let scx = slots(env, tuple, &cp.unset_aliases, &[]);
     let eval_into = |exprs: &[SlotExpr], vals: &mut Vec<Value>| {
         vals.clear();
-        (exprs.iter()).try_for_each(|e| e.eval(&scx).map(|v| vals.push(v)))
+        vals.extend(exprs.iter().map(|e| e.eval(&scx)));
     };
     match state {
         SinkState::Rows { rows, seen, .. } => {
-            eval_into(&cp.items, vals)?;
-            let passes = cp.having.as_ref().map_or(Ok(true), |h| h.passes(&scx))?;
+            eval_into(&cp.items, vals);
+            let passes = cp.having.as_ref().is_none_or(|h| h.passes(&scx));
             if passes && seen.as_mut().is_none_or(|s| s.find_or_insert(vals).1) {
                 // A distinct row is kept once, a plain one per tuple.
                 let copies = if seen.is_some() { 1 } else { n };
@@ -677,7 +623,7 @@ fn consume(
             }
         }
         SinkState::Groups { keys, reps, accs } => {
-            eval_into(&cp.group_by, vals)?;
+            eval_into(&cp.group_by, vals);
             let g = match vals.is_empty() {
                 true => 0,
                 false => keys.find_or_insert(vals).0,
@@ -691,14 +637,13 @@ fn consume(
                 match counted {
                     Some(p) if arg.is_event_of(p) => acc.add_count(n),
                     _ => {
-                        let v = arg.eval(&scx)?;
+                        let v = arg.eval(&scx);
                         (0..n).for_each(|_| acc.add(v));
                     }
                 }
             }
         }
     }
-    Ok(())
 }
 
 impl JoinOutput for ProjectionSink<'_> {
@@ -711,9 +656,9 @@ impl JoinOutput for ProjectionSink<'_> {
         r: EventRef,
         subject: (usize, EntityId),
         object: (usize, EntityId),
-    ) -> Flow {
+    ) {
         if self.repeat(src.vars_of(i), &[subject, object], 1) {
-            return Flow::Continue;
+            return;
         }
         self.tuple.truncate(0);
         self.tuple.emit(src, i, pattern, r, subject, object);
@@ -721,26 +666,33 @@ impl JoinOutput for ProjectionSink<'_> {
             events: self.tuple.events_of(0),
             vars: self.tuple.vars_of(0),
         };
-        let (state, vals) = (&mut self.state, &mut self.vals);
-        let consumed = consume(self.env, self.cp, state, vals, tuple, 1, None);
-        self.note(1, consumed)
+        consume(
+            self.env,
+            self.cp,
+            &mut self.state,
+            &mut self.vals,
+            tuple,
+            1,
+            None,
+        );
+        self.pushed += 1;
     }
 
     fn unread(&self, pattern: usize, fresh: &[usize]) -> bool {
         self.cp.unread(pattern, fresh)
     }
 
-    fn emit_count(&mut self, src: &RefArena, i: usize, pattern: usize, n: usize) -> Flow {
+    fn emit_count(&mut self, src: &RefArena, i: usize, pattern: usize, n: usize) {
         if self.repeat(src.vars_of(i), &[], n) {
-            return Flow::Continue;
+            return;
         }
         let tuple = TupleView::Refs {
             events: src.events_of(i),
             vars: src.vars_of(i),
         };
         let (state, vals) = (&mut self.state, &mut self.vals);
-        let consumed = consume(self.env, self.cp, state, vals, tuple, n, Some(pattern));
-        self.note(n, consumed)
+        consume(self.env, self.cp, state, vals, tuple, n, Some(pattern));
+        self.pushed += n;
     }
 
     fn delivered(&self) -> usize {
@@ -774,7 +726,7 @@ impl JoinOutput for ProjectionSink<'_> {
     }
 
     fn fork(&self) -> Self {
-        ProjectionSink::new(self.env).expect("a sink exists, so the projection compiled")
+        ProjectionSink::new(self.env)
     }
 
     fn merge(&mut self, part: Self) -> bool {
@@ -821,130 +773,15 @@ impl JoinOutput for ProjectionSink<'_> {
         self.pushed += part.pushed;
         true
     }
-
-    fn failed(&mut self) -> Option<EngineError> {
-        self.err.take()
-    }
 }
 
-/// Projects joined tuples into the final result table (aggregation,
-/// having, distinct, order by, limit) on the dynamic [`RowCtx`] path: every
-/// name is looked up per evaluation, in a row context refilled per tuple.
-/// Deliberately not a sink: it is the oracle's projection, an
-/// implementation the sink shares no tuple loop with.
-pub fn project(
-    store: &EventStore,
-    a: &AnalyzedMultievent,
-    tuples: &[Tuple],
-) -> Result<ResultTable, EngineError> {
-    let columns: Vec<String> = a.ret.items.iter().map(column_name).collect();
-    let mut table = ResultTable::new(columns);
-    let aggs = collect_aggs(a);
-    let aggregated = !aggs.is_empty() || !a.group_by.is_empty();
-    let mut ctx = RowCtx::default();
-
-    let mut rows: Vec<Vec<Value>> = Vec::new();
-    if !aggregated {
-        for t in tuples {
-            fill_ctx(a, t, &mut ctx);
-            let mut row = Vec::with_capacity(a.ret.items.len());
-            for item in &a.ret.items {
-                row.push(eval::eval(&item.expr, store, &ctx)?);
-            }
-            if let Some(h) = &a.having {
-                // having without aggregation degenerates to a row filter.
-                if !eval::eval(h, store, &ctx)?.truthy() {
-                    continue;
-                }
-            }
-            rows.push(row);
-        }
-    } else {
-        // Group tuples; `groups` is in first-occurrence order.
-        struct Group<'t> {
-            rep: &'t Tuple,
-            accs: Vec<AggAcc>,
-        }
-        let mut index: HashMap<String, usize> = HashMap::new();
-        let mut groups: Vec<Group<'_>> = Vec::new();
-        for t in tuples {
-            fill_ctx(a, t, &mut ctx);
-            let mut key_vals = Vec::with_capacity(a.group_by.len());
-            for g in &a.group_by {
-                key_vals.push(eval::eval(g, store, &ctx)?);
-            }
-            let next = groups.len();
-            let gi = *index.entry(ResultTable::row_key(&key_vals)).or_insert(next);
-            if gi == next {
-                groups.push(Group {
-                    rep: t,
-                    accs: aggs.iter().map(|_| AggAcc::new()).collect(),
-                });
-            }
-            for ((_, _, arg), acc) in aggs.iter().zip(groups[gi].accs.iter_mut()) {
-                acc.add(eval::eval(arg, store, &ctx)?);
-            }
-        }
-        for group in &groups {
-            fill_ctx(a, group.rep, &mut ctx);
-            for ((k, func, _), acc) in aggs.iter().zip(group.accs.iter()) {
-                ctx.agg_values.insert(k.clone(), acc.finalize(*func));
-            }
-            // Alias environment (items may be referenced by alias in having).
-            let mut row = Vec::with_capacity(a.ret.items.len());
-            for item in &a.ret.items {
-                let v = eval::eval(&item.expr, store, &ctx)?;
-                if let Some(alias) = &item.alias {
-                    ctx.aliases.insert(alias.clone(), v);
-                }
-                row.push(v);
-            }
-            if let Some(h) = &a.having {
-                if !eval::eval(h, store, &ctx)?.truthy() {
-                    continue;
-                }
-            }
-            rows.push(row);
-        }
-    }
-
-    if a.ret.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| seen.insert(ResultTable::row_key(r)));
-    }
-    order_and_limit(a, &mut rows)?;
-    table.rows = rows;
-    Ok(table)
-}
-
-/// The projection tail shared by the dynamic path and the sink: order by,
-/// limit.
-fn order_and_limit(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result<(), EngineError> {
+/// The projection tail shared with the baselines' dynamic projection:
+/// order by the returned columns analysis resolved, then limit.
+pub fn order_and_limit(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) {
     if !a.order_by.is_empty() {
-        // Each order key must correspond to an output column.
-        let mut key_cols = Vec::with_capacity(a.order_by.len());
-        for o in &a.order_by {
-            let idx = a
-                .ret
-                .items
-                .iter()
-                .position(|item| {
-                    item.expr == o.expr
-                        || matches!(
-                            (&o.expr, &item.alias),
-                            (Expr::Ref { var, attr: None }, Some(alias)) if var == alias
-                        )
-                })
-                .ok_or_else(|| {
-                    EngineError::Analysis(
-                        "order by must reference a returned column or alias".into(),
-                    )
-                })?;
-            key_cols.push((idx, o.dir));
-        }
         rows.sort_by(|x, y| {
-            for (idx, dir) in &key_cols {
-                let ord = eval::cmp_values(&x[*idx], &y[*idx]);
+            for &(idx, dir) in &a.order_by {
+                let ord = eval::cmp_values(&x[idx], &y[idx]);
                 let ord = match dir {
                     SortDir::Asc => ord,
                     SortDir::Desc => ord.reverse(),
@@ -956,11 +793,9 @@ fn order_and_limit(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) -> Result
             std::cmp::Ordering::Equal
         });
     }
-
     if let Some(limit) = a.limit {
         rows.truncate(limit as usize);
     }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -987,8 +822,8 @@ mod tests {
         ]
     }
 
-    /// The index equates two rows exactly when `row_key` — the dynamic
-    /// path's `distinct` and `group by` key — renders them alike, and
+    /// The index equates two rows exactly when `row_key` — the baselines'
+    /// dynamic `distinct` and `group by` key — renders them alike, and
     /// numbers them in first-occurrence order.
     #[test]
     fn key_index_equates_rows_exactly_as_row_key_does() {
@@ -1035,17 +870,15 @@ mod tests {
         let a = crate::analyze_multievent(&m, &store).unwrap();
         let config = crate::EngineConfig::default();
         let exec = crate::exec::MultieventExec::new(&store, &a, &config);
-        let (mut env, tuples, _, _) = exec.join().unwrap();
-        env.projection = compile_projection(&store, &a);
-        let mut sink = ProjectionSink::new(&env).unwrap();
+        let (env, tuples, _, _) = exec.join().unwrap();
+        let mut sink = ProjectionSink::new(&env);
         let p = &a.patterns[0];
         let mut bytes = Vec::new();
         // The second tuple twice: its id key is only new the first time.
         for i in [0, 1, 1] {
             let (events, vars) = (tuples.events_of(i), tuples.vars_of(i));
             let bind = |v: usize| (v, EntityId(vars[v]));
-            let flow = sink.emit(&tuples, i, 0, events[0], bind(p.subject), bind(p.object));
-            assert_eq!(flow, Flow::Continue);
+            sink.emit(&tuples, i, 0, events[0], bind(p.subject), bind(p.object));
             bytes.push(sink.retained_bytes());
         }
         assert_eq!((tuples.len(), sink.kept(), sink.pushed()), (2, 1, 3));

@@ -26,12 +26,13 @@
 //! The two reference implementations share no tuple loop with the sink: the
 //! brute-force matcher with the dynamic projection, and the dynamic
 //! projection of the emission-order tuple prefix (`match_tuples` +
-//! `exec::project`).
+//! `naive::project`).
 
+use aiql_baseline::naive::{self, reference};
 use aiql_engine::exec::{self, MultieventExec};
 use aiql_engine::{
-    analyze_multievent, reference, Engine, EngineConfig, EngineError, ExecBudget, Governor,
-    ResultTable, Warning,
+    analyze_multievent, Engine, EngineConfig, EngineError, ExecBudget, Governor, ResultTable,
+    Warning,
 };
 use aiql_lang::{parse_query, MultieventQuery, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
@@ -351,7 +352,7 @@ proptest! {
             let (full, _) = tuples_at(UNCAPPED);
             let (kept, truncated) = tuples_at(cap);
             prop_assert!(kept.len() <= cap && kept.len() <= full.len());
-            let want = exec::project(&store, &a, &full[..kept.len()]).unwrap();
+            let want = naive::project(&store, &a, &full[..kept.len()]).unwrap();
             for threads in [1usize, 2, 8] {
                 let engine = Engine::new(drive_config(threads, block, cap));
                 let (got, stats) = engine.execute_multievent_with_stats(&store, &m).unwrap();
@@ -385,7 +386,7 @@ proptest! {
             let (full, _, _) = MultieventExec::new(&store, &a, &ungoverned)
                 .match_tuples()
                 .unwrap();
-            let want_full: ResultTable = exec::project(&store, &a, &full).unwrap();
+            let want_full: ResultTable = naive::project(&store, &a, &full).unwrap();
 
             let strict = ExecBudget::unlimited().with_memory_bytes(budget_bytes);
             let q = Query::Multievent(m.clone());
@@ -400,7 +401,7 @@ proptest! {
             let k = delivered(&stats);
             prop_assert!(unread_last(body, &stats), "body {} placed e3 early", body);
             prop_assert!(k <= full.len());
-            let want = exec::project(&store, &a, &full[..k]).unwrap();
+            let want = naive::project(&store, &a, &full[..k]).unwrap();
             prop_assert_eq!(
                 &want.rows, &p.rows,
                 "body {} shape {:?} budget {} block {}: not the projection of the {}-tuple prefix",

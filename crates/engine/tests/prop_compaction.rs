@@ -15,7 +15,8 @@
 //! compaction (asserted through `Engine::plan_cache_counters`), and a fold
 //! of the entity dictionary costs no plan-cache entry at all.
 
-use aiql_engine::{analyze_multievent, reference, Engine, EngineConfig};
+use aiql_baseline::naive::reference;
+use aiql_engine::{analyze_multievent, Engine, EngineConfig};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, SharedStore, StoreConfig};

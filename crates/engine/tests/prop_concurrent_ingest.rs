@@ -17,7 +17,8 @@
 //! (epochs unchanged ⇒ the first round's resolutions are still valid),
 //! while writes in between are free to invalidate.
 
-use aiql_engine::{analyze_multievent, reference as oracle, Engine, EngineConfig};
+use aiql_baseline::naive::reference as oracle;
+use aiql_engine::{analyze_multievent, Engine, EngineConfig};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, SharedStore, StoreConfig};

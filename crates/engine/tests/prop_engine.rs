@@ -3,7 +3,7 @@
 //! parallelism) must return exactly the rows of the brute-force reference
 //! executor for arbitrary stores and a family of generated queries.
 
-use aiql_engine::reference;
+use aiql_baseline::naive::reference;
 use aiql_engine::{analyze_multievent, Engine, EngineConfig};
 use aiql_lang::parse_query;
 use aiql_model::{AgentId, Operation, Timestamp};

@@ -32,9 +32,10 @@
 
 use std::sync::{Arc, OnceLock};
 
+use aiql_baseline::naive::reference;
 use aiql_engine::exec::MultieventExec;
 use aiql_engine::pool::ScanPool;
-use aiql_engine::{analyze_multievent, reference, schedule};
+use aiql_engine::{analyze_multievent, schedule};
 use aiql_engine::{Engine, EngineConfig};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};

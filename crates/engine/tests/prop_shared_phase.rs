@@ -10,7 +10,8 @@
 //! indexes, id sets pushed into the scans — must agree with the
 //! brute-force oracle, which evaluates every constraint per event.
 
-use aiql_engine::{analyze_multievent, reference, Engine, EngineConfig, ResultTable};
+use aiql_baseline::naive::reference;
+use aiql_engine::{analyze_multievent, Engine, EngineConfig, ResultTable};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};

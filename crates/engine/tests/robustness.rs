@@ -351,3 +351,111 @@ fn deep_temporal_chain_executes() {
     let table = engine.execute_text(&store, src).unwrap();
     assert_eq!(table.rows.len(), 1);
 }
+
+/// The typed error a row of [`unknown_names_are_analysis_errors`] expects.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Rejected {
+    /// `EngineError::Analysis`: a name read where nothing binds it.
+    Analysis,
+    /// `EngineError::Model`: an attribute its owner lacks.
+    Model,
+}
+
+/// A one-event store: `w.exe` writes `/tmp/x` (`op` = `Write`), or reads
+/// it, so that `proc p write file f as e` matches it or matches nothing.
+fn one_event_store(op: Operation) -> EventStore {
+    let mut store = EventStore::default();
+    store.ingest_all(&[RawEvent::instant(
+        AgentId(1),
+        op,
+        EntitySpec::process(10, "w.exe", "u"),
+        EntitySpec::file("/tmp/x", "u"),
+        Timestamp::from_secs(5),
+        4096,
+    )]);
+    store
+}
+
+/// A query that names something the schema lacks, or reads a name where
+/// nothing binds it, is an analysis error whether or not anything matches:
+/// each row, on a store where the query matches and on one where it
+/// matches nothing, as a multievent query and (where the row says so and
+/// the parser accepts it) as an anomaly query, returns the same typed error
+/// from `execute_text` and from `explain`, never a table.
+#[test]
+fn unknown_names_are_analysis_errors() {
+    use Rejected::{Analysis, Model};
+    // (query, with `P` for the pattern `proc p write file f as e`; the
+    // expected error; whether the anomaly form is an error too: an anomaly
+    // projection binds its aliases in later items and `having`).
+    let rows = [
+        ("P return e.bogus", Model, true),
+        ("P return p.bogus", Model, true),
+        ("P return e.amount as x, x", Analysis, false),
+        ("P return e.amount as x, x.foo", Analysis, true),
+        ("P return p, e.amount as x having x > 1", Analysis, false),
+        (
+            "P return e.amount as x, count(e) as n group by x",
+            Analysis,
+            true,
+        ),
+        ("P return e.amount as x, sum(x) as s", Analysis, true),
+        (
+            "P return p, sum(count(e.amount)) as n group by p",
+            Analysis,
+            true,
+        ),
+        (
+            "P return p, count(e.amount) as n group by count(e.amount)",
+            Analysis,
+            true,
+        ),
+        ("P return p order by f", Analysis, true),
+        // Constraint attribute names: on an entity, and a global one.
+        ("proc p[bogus = 1] write file f as e return p", Model, true),
+        (
+            r#"proc p write file f[bogus = "x"] as e return p"#,
+            Model,
+            true,
+        ),
+        ("bogus = 3 P return p", Model, true),
+    ];
+    let stores = [
+        one_event_store(Operation::Write),
+        one_event_store(Operation::Read),
+    ];
+    let engine = Engine::new(EngineConfig::default());
+    let (config, budget) = (
+        EngineConfig::default(),
+        aiql_engine::ExecBudget::unlimited(),
+    );
+    let mut failures = Vec::new();
+    for (src, expect, anomaly) in rows {
+        let src = src.replace("P ", "proc p write file f as e ");
+        let anomaly_src = format!("window = 1 min, step = 1 min {src}");
+        let forms = std::iter::once(src.as_str()).chain(anomaly.then_some(anomaly_src.as_str()));
+        // The parser rejects `order by` in an anomaly query.
+        for form in forms.filter(|form| parse_query(form).is_ok()) {
+            let q = parse_query(form).unwrap();
+            let errs: Vec<_> = (stores.iter())
+                .flat_map(|store| {
+                    let run = engine.execute_text(store, form).map(|t| t.rows.len());
+                    let plan = aiql_engine::explain(store, &q, &config, &budget).map(|_| 0);
+                    [run, plan]
+                })
+                .collect();
+            let typed = errs.iter().all(|e| {
+                matches!(
+                    (e, expect),
+                    (Err(EngineError::Analysis(_)), Analysis) | (Err(EngineError::Model(_)), Model)
+                )
+            });
+            if !typed || errs.iter().any(|e| e != &errs[0]) {
+                failures.push(format!(
+                    "{form:?}: expected {expect:?} everywhere, got {errs:?}"
+                ));
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}

@@ -6,6 +6,7 @@
 //! collected by the agents. Entities are deduplicated by the storage layer:
 //! two observations with identical attributes map to the same [`EntityId`].
 
+use crate::attr::{unknown, Attr};
 use crate::error::ModelError;
 use crate::ids::{AgentId, EntityId};
 use crate::interner::Symbol;
@@ -40,15 +41,6 @@ impl EntityKind {
             EntityKind::Process => "exe_name",
             EntityKind::File => "name",
             EntityKind::NetConn => "dst_ip",
-        }
-    }
-
-    /// All attribute names defined for the kind.
-    pub fn attr_names(self) -> &'static [&'static str] {
-        match self {
-            EntityKind::Process => &["pid", "exe_name", "user", "cmdline"],
-            EntityKind::File => &["name", "owner"],
-            EntityKind::NetConn => &["src_ip", "src_port", "dst_ip", "dst_port", "protocol"],
         }
     }
 }
@@ -130,43 +122,26 @@ impl EntityAttrs {
         }
     }
 
-    /// Looks up an attribute by name. `"name"` on a process resolves to
-    /// `exe_name` so the context-aware shortcut works uniformly.
-    pub fn get(&self, attr: &str) -> Result<Value, ModelError> {
-        match self {
-            EntityAttrs::Process(p) => match attr {
-                "pid" => Ok(Value::Int(i64::from(p.pid))),
-                "exe_name" | "name" => Ok(Value::Str(p.exe_name)),
-                "user" => Ok(Value::Str(p.user)),
-                "cmdline" => Ok(Value::Str(p.cmdline)),
-                _ => Err(ModelError::UnknownAttribute {
-                    kind: "proc",
-                    attr: attr.to_string(),
-                }),
-            },
-            EntityAttrs::File(f) => match attr {
-                "name" | "path" => Ok(Value::Str(f.name)),
-                "owner" => Ok(Value::Str(f.owner)),
-                _ => Err(ModelError::UnknownAttribute {
-                    kind: "file",
-                    attr: attr.to_string(),
-                }),
-            },
-            EntityAttrs::NetConn(n) => match attr {
-                "src_ip" | "srcip" => Ok(Value::Ip(n.src_ip)),
-                "src_port" | "srcport" => Ok(Value::Int(i64::from(n.src_port))),
-                "dst_ip" | "dstip" => Ok(Value::Ip(n.dst_ip)),
-                "dst_port" | "dstport" => Ok(Value::Int(i64::from(n.dst_port))),
-                "protocol" => Ok(Value::Int(match n.protocol {
-                    Protocol::Tcp => 6,
-                    Protocol::Udp => 17,
-                })),
-                _ => Err(ModelError::UnknownAttribute {
-                    kind: "ip",
-                    attr: attr.to_string(),
-                }),
-            },
-        }
+    /// The value of an attribute; `None` when these attributes lack it
+    /// (`agentid` is the [`Entity`]'s).
+    pub fn value(&self, attr: Attr) -> Option<Value> {
+        Some(match (self, attr) {
+            (EntityAttrs::Process(p), Attr::Pid) => Value::Int(i64::from(p.pid)),
+            (EntityAttrs::Process(p), Attr::ExeName) => Value::Str(p.exe_name),
+            (EntityAttrs::Process(p), Attr::User) => Value::Str(p.user),
+            (EntityAttrs::Process(p), Attr::Cmdline) => Value::Str(p.cmdline),
+            (EntityAttrs::File(f), Attr::Path) => Value::Str(f.name),
+            (EntityAttrs::File(f), Attr::Owner) => Value::Str(f.owner),
+            (EntityAttrs::NetConn(n), Attr::SrcIp) => Value::Ip(n.src_ip),
+            (EntityAttrs::NetConn(n), Attr::SrcPort) => Value::Int(i64::from(n.src_port)),
+            (EntityAttrs::NetConn(n), Attr::DstIp) => Value::Ip(n.dst_ip),
+            (EntityAttrs::NetConn(n), Attr::DstPort) => Value::Int(i64::from(n.dst_port)),
+            (EntityAttrs::NetConn(n), Attr::Protocol) => Value::Int(match n.protocol {
+                Protocol::Tcp => 6,
+                Protocol::Udp => 17,
+            }),
+            _ => return None,
+        })
     }
 
     /// The value of the kind's default attribute (used by the dictionary
@@ -197,13 +172,22 @@ impl Entity {
         self.attrs.kind()
     }
 
-    /// Attribute lookup (see [`EntityAttrs::get`]); `agentid` resolves on any
-    /// kind because every entity is host-local.
+    /// Attribute lookup by name ([`Attr::resolve`]): `"name"` on a process
+    /// resolves to `exe_name`, so the context-aware shortcut works
+    /// uniformly, and `agentid` resolves on any kind because every entity
+    /// is host-local.
     pub fn get(&self, attr: &str) -> Result<Value, ModelError> {
-        if attr == "agentid" {
-            return Ok(Value::Int(i64::from(self.agent.raw())));
+        let kind = Some(self.kind());
+        let resolved = Attr::resolve(kind, attr)?;
+        self.value(resolved).ok_or_else(|| unknown(kind, attr))
+    }
+
+    /// The value of an attribute; `None` when the entity's kind lacks it.
+    pub fn value(&self, attr: Attr) -> Option<Value> {
+        match attr {
+            Attr::AgentId => Some(Value::Int(i64::from(self.agent.raw()))),
+            _ => self.attrs.value(attr),
         }
-        self.attrs.get(attr)
     }
 }
 

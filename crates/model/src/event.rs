@@ -8,6 +8,7 @@
 
 use std::fmt;
 
+use crate::attr::Attr;
 use crate::entity::EntityKind;
 use crate::error::ModelError;
 use crate::ids::{AgentId, EntityId, EventId};
@@ -203,19 +204,23 @@ impl Event {
     }
 
     /// Event-level attribute lookup used by query evaluation
-    /// (`evt.amount`, `evt.starttime`, …).
+    /// (`evt.amount`, `evt.starttime`, …); names resolve through
+    /// [`Attr::resolve`].
     pub fn get(&self, attr: &str) -> Result<Value, ModelError> {
+        Ok(self.value(Attr::resolve(None, attr)?))
+    }
+
+    /// The value of an event attribute (`Null` for an entity's, which no
+    /// event name resolves to).
+    pub fn value(&self, attr: Attr) -> Value {
         match attr {
-            "amount" => Ok(Value::Int(self.amount as i64)),
-            "starttime" | "start_time" => Ok(Value::Time(self.start_time)),
-            "endtime" | "end_time" => Ok(Value::Time(self.end_time)),
-            "agentid" => Ok(Value::Int(i64::from(self.agent.raw()))),
-            "optype" | "operation" => Ok(Value::Int(self.op.index() as i64)),
-            "id" => Ok(Value::Int(self.id.raw() as i64)),
-            _ => Err(ModelError::UnknownAttribute {
-                kind: "event",
-                attr: attr.to_string(),
-            }),
+            Attr::Amount => Value::Int(self.amount as i64),
+            Attr::StartTime => Value::Time(self.start_time),
+            Attr::EndTime => Value::Time(self.end_time),
+            Attr::AgentId => Value::Int(i64::from(self.agent.raw())),
+            Attr::Operation => Value::Int(self.op.index() as i64),
+            Attr::Id => Value::Int(self.id.raw() as i64),
+            _ => Value::Null,
         }
     }
 }

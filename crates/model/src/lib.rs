@@ -17,12 +17,14 @@
 //!   events, network events, categorized by object kind);
 //! * [`Value`] and [`StringPattern`] — attribute values and SQL-`LIKE` style
 //!   patterns used in query constraints;
+//! * [`Attr`] — the one table of attribute names queries resolve against;
 //! * [`Interner`] — a string dictionary shared by storage and engines so that
 //!   attribute comparisons are integer comparisons.
 //!
 //! Everything downstream (storage, language, engines, simulator) depends only
 //! on this crate for its data vocabulary.
 
+pub mod attr;
 pub mod cancel;
 pub mod entity;
 pub mod error;
@@ -33,6 +35,7 @@ pub mod pattern;
 pub mod time;
 pub mod value;
 
+pub use attr::Attr;
 pub use cancel::CancelToken;
 pub use entity::{
     Entity, EntityAttrs, EntityKind, FileAttrs, NetConnAttrs, ProcessAttrs, Protocol,
