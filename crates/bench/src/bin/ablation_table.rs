@@ -37,9 +37,9 @@ fn main() {
             },
         ),
         (
-            "- partition parallel",
+            "- parallelism",
             EngineConfig {
-                partition_parallel: false,
+                parallelism: 1,
                 ..EngineConfig::default()
             },
         ),

@@ -12,7 +12,7 @@
 //!   PostgreSQL-style baseline *without* the storage optimizations vs
 //!   Neo4j-style graph baseline;
 //! * `bin/ablation_table.rs` — contribution of each design choice (pruning
-//!   scheduling, partition parallelism, semi-join pushdown, temporal
+//!   scheduling, parallelism, semi-join pushdown, temporal
 //!   narrowing, dedup, batch size, indexes);
 //! * `bin/conciseness.rs` — the §3 conciseness comparison (constraints,
 //!   words, characters of AIQL vs generated SQL/Cypher).

@@ -14,21 +14,19 @@ use crate::result::ResultTable;
 use crate::schedule::PlanCache;
 
 /// Engine tunables. The paper's five domain-specific optimizations
-/// (`prioritize_pruning`, `partition_parallel`, `entity_pushdown`,
+/// (`prioritize_pruning`, `parallelism`, `entity_pushdown`,
 /// `semi_join_pushdown`, `temporal_narrowing`) can be switched off
-/// individually, which is how the fig. 5 ablation isolates their
-/// contributions; everything else the pipeline does is unconditional.
+/// individually — `parallelism: 1` is the paper's parallelism switch —
+/// which is how the fig. 5 ablation isolates their contributions;
+/// everything else the pipeline does is unconditional.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Per-query fan-out on the process-wide scan executor
-    /// ([`crate::pool::shared`]): partition-parallel scans and the join's
-    /// run-sharded drive and sharded index builds. 1 = everything runs on
-    /// the query thread.
+    /// Per-query fan-out of the join's seed runs on the process-wide
+    /// executor ([`crate::pool::shared`]). 1 = everything runs on the query
+    /// thread.
     pub parallelism: usize,
     /// Schedule patterns by estimated pruning power (vs. source order).
     pub prioritize_pruning: bool,
-    /// Scan hypertable partitions in parallel.
-    pub partition_parallel: bool,
     /// Resolve entity constraints against the dictionary and push the id
     /// sets into the event scans as posting-list lookups — the paper's
     /// per-pattern data-query synthesis. Without it, entity predicates are
@@ -38,28 +36,21 @@ pub struct EngineConfig {
     pub semi_join_pushdown: bool,
     /// Narrow scan windows using temporal relations and observed bounds.
     pub temporal_narrowing: bool,
-    /// Join partition count. 0 = auto: the seed frontier's runs fan out
-    /// across the executor once there are enough seed tuples to pay for the
-    /// fork/merge, and an index build shards once its candidate list is big
-    /// enough. A non-zero value forces the parallel drive and exactly that
-    /// many index shards on every step big enough to split (differential
-    /// tests pin this to reach both on tiny inputs).
-    pub join_partitions: usize,
     /// Seed-frontier run size (in tuples) of the join drive: the seed
     /// candidates are taken in runs of this many tuples, each driven
-    /// depth-first through every join step. The result is byte-identical
+    /// depth-first through every join step, and the runs fan out on the
+    /// executor once there is more than one. The result is byte-identical
     /// across block sizes; smaller blocks bound live intermediate state
     /// more tightly, larger blocks amortize per-run overhead.
     pub join_block_tuples: usize,
-    /// Minimum estimated scan size before partition-parallelism kicks in
-    /// (thread fan-out is pure overhead for tiny scans).
-    pub parallel_threshold: usize,
     /// Cap on intermediate join tuples (guard against pattern explosion).
     pub max_intermediate: usize,
-    /// Fault injection: panic inside a pooled scan worker. Exercises the
-    /// panic-isolation path ([`EngineError::WorkerPanic`]) in tests; never
-    /// set in production configs.
-    pub inject_scan_panic: bool,
+    /// Fault injection: panic at the start of every join-drive run, on
+    /// whichever thread drives it. On a pool worker that exercises the
+    /// panic-isolation path ([`EngineError::WorkerPanic`]); on the query
+    /// thread, whatever catches panics there (the service's dispatcher).
+    /// Tests only; never set in production configs.
+    pub inject_drive_panic: bool,
 }
 
 impl Default for EngineConfig {
@@ -69,30 +60,26 @@ impl Default for EngineConfig {
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
             prioritize_pruning: true,
-            partition_parallel: true,
             entity_pushdown: true,
             semi_join_pushdown: true,
             temporal_narrowing: true,
-            join_partitions: 0,
             join_block_tuples: 4096,
-            parallel_threshold: 8_192,
             max_intermediate: 4_000_000,
-            inject_scan_panic: false,
+            inject_drive_panic: false,
         }
     }
 }
 
 impl EngineConfig {
-    /// The paper's five optimizations off, on one thread: scheduling
-    /// degrades to source order with no pushdown, mirroring how a
-    /// general-purpose engine would execute the synthesized plan. Nothing
-    /// else moves, so against `default()` the ablation's all-off row
-    /// differs by the five and the thread count.
+    /// The paper's five optimizations off (`parallelism: 1` among them):
+    /// scheduling degrades to source order with no pushdown, on one thread,
+    /// mirroring how a general-purpose engine would execute the synthesized
+    /// plan. Nothing else moves, so against `default()` the ablation's
+    /// all-off row differs by the five.
     pub fn unoptimized() -> Self {
         EngineConfig {
             parallelism: 1,
             prioritize_pruning: false,
-            partition_parallel: false,
             entity_pushdown: false,
             semi_join_pushdown: false,
             temporal_narrowing: false,
@@ -130,10 +117,10 @@ impl Engine {
         &self.config
     }
 
-    /// The process-wide scan executor, if the configuration fans out at
-    /// all. Per-query fan-out stays capped at `parallelism`.
+    /// The process-wide executor, if the configuration fans out at all.
+    /// Per-query fan-out stays capped at `parallelism`.
     fn pool(&self) -> Option<Arc<crate::pool::ScanPool>> {
-        (self.config.partition_parallel && self.config.parallelism > 1).then(crate::pool::shared)
+        (self.config.parallelism > 1).then(crate::pool::shared)
     }
 
     /// `(hits, misses)` of the engine's plan-resolution cache, for tests

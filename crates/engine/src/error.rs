@@ -16,7 +16,7 @@
 //! | [`Cancelled`](EngineError::Cancelled) | resource governance | a caller-held [`CancelToken`](crate::governor::CancelToken) | yes — the query was killed on purpose |
 //! | [`MemoryBudget`](EngineError::MemoryBudget) | resource governance | the governor's byte accounting over arena + frontier | yes — give the query a larger budget `memory_bytes` or refine |
 //! | [`WorkerPanic`](EngineError::WorkerPanic) | fault containment | a panic caught on a pool worker | maybe — indicates a bug; the pool stays healthy |
-//! | [`Internal`](EngineError::Internal) | fault containment | a broken engine invariant caught on a fallible path (missing pool/partition, unstaged scan filter) | no — indicates a bug; the query unwinds cleanly instead of panicking |
+//! | [`Internal`](EngineError::Internal) | fault containment | a broken engine invariant caught on a fallible path (missing partition, unstaged scan filter), or a panic `QueryService`'s dispatcher caught on the query thread | no — indicates a bug; the query unwinds cleanly instead of panicking |
 //!
 //! Resource-governance errors are *clean* stops: they are raised at batch
 //! boundaries, the engine unwinds normally, and the shared scan pool and

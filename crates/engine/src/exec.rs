@@ -56,8 +56,8 @@ impl<'a> MultieventExec<'a> {
         }
     }
 
-    /// Attaches the scan executor; without one every scan and the join run
-    /// on the query thread.
+    /// Attaches the executor the join's runs fan out on; without one the
+    /// whole query runs on the query thread.
     #[must_use]
     pub fn with_pool(mut self, pool: Option<Arc<ScanPool>>) -> Self {
         self.pool = pool;

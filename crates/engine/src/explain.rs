@@ -2,9 +2,10 @@
 //!
 //! `EXPLAIN` for AIQL: shows how the engine will schedule a query — the
 //! per-pattern data queries, their selectivity estimates, the resolved
-//! entity-candidate set sizes, and the partition fan-out — without running
-//! it. The web UI's execution-status panel surfaces this; the `repl`
-//! example exposes it as `:explain`.
+//! entity-candidate set sizes, the partitions each scan touches, and the
+//! join drive's fan-out — without running it. The web UI's
+//! execution-status panel surfaces this; the `repl` example exposes it as
+//! `:explain`.
 
 use std::fmt::Write as _;
 
@@ -16,6 +17,7 @@ use crate::analyze::{self, AnalyzedMultievent};
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::ExecBudget;
+use crate::pool;
 use crate::schedule;
 
 /// The plan of one pattern's data query.
@@ -78,7 +80,7 @@ pub struct QueryPlan {
     pub temporal_relations: usize,
     /// Whether pruning-power scheduling is active.
     pub pruning_priority: bool,
-    /// Scan parallelism.
+    /// The configured per-query fan-out (`EngineConfig::parallelism`).
     pub parallelism: usize,
     /// Governor limits in effect (`None` when the query runs ungoverned):
     /// rendered summary of deadline / memory budget / partial-results mode.
@@ -244,7 +246,7 @@ fn segment_count(store: &EventStore, keys: &[aiql_storage::PartitionKey]) -> usi
 
 /// Builds the `EXPLAIN` rendering of the physical operator tree — the same
 /// shape [`crate::op::query_tree`] assembles for execution, annotated with
-/// estimates, chosen access paths, and planned partition fan-out.
+/// estimates, chosen access paths, and the join drive's planned fan-out.
 fn operator_tree(
     store: &EventStore,
     a: &AnalyzedMultievent,
@@ -254,7 +256,6 @@ fn operator_tree(
     budget: &ExecBudget,
     window: Option<WindowSpec>,
 ) -> OpPlanNode {
-    let threads = config.parallelism.max(1);
     let scans: Vec<OpPlanNode> = plan
         .order
         .iter()
@@ -265,10 +266,6 @@ fn operator_tree(
             let keys = store.partitions_for(&filter);
             let partitions = keys.len();
             let segments = segment_count(store, &keys);
-            let parallel = config.partition_parallel
-                && threads > 1
-                && partitions > 1
-                && plan.estimates[i] >= config.parallel_threshold;
             // Which of this pattern's variables earlier patterns will have
             // bound by the time it scans (the semi-join inputs).
             let earlier = &plan.order[..position];
@@ -300,17 +297,12 @@ fn operator_tree(
             OpPlanNode {
                 kind: "PatternScan",
                 detail: format!(
-                    "{} est {} candidates | path {} | {} partition(s) / {} segment(s){}",
+                    "{} est {} candidates | path {} | {} partition(s) / {} segment(s)",
                     p.name,
                     plan.estimates[i],
                     store.access_path(&filter),
                     partitions,
                     segments,
-                    if parallel {
-                        format!(" | parallel ×{threads}")
-                    } else {
-                        String::new()
-                    },
                 ),
                 children: vec![OpPlanNode {
                     kind: "SemiJoinNarrow",
@@ -320,17 +312,21 @@ fn operator_tree(
             }
         })
         .collect();
-    // The drive that will run: runs fan out on the executor when one is
-    // attached and the seed pattern's candidates — known only at run time —
-    // reach the fan-out floor; below it the same plan runs serial. A memory
+    // The drive that will run: runs fan out on the process-wide executor
+    // when the seed pattern's candidates — known only at run time — fill
+    // more than one run; below that floor the same plan runs serial. The
+    // worker count is what can run: the executor's threads, capped by
+    // `parallelism` (the run count caps it again at run time). A memory
     // budget forces the serial drive (live charging needs a single
     // observer): the drive's test is its governor's `has_memory_budget`,
     // which is this budget's `memory_bytes`.
     let drive = if budget.memory_bytes.is_some() {
         "serial (memory-budgeted)".to_string()
-    } else if config.partition_parallel && threads > 1 {
+    } else if config.parallelism > 1 {
+        let workers =
+            crate::op::join::drive_workers(&pool::shared(), config.parallelism, usize::MAX);
         format!(
-            "parallel ×{threads} worker(s) when seed ≥ {}",
+            "parallel ×{workers} worker(s) when seed ≥ {}",
             crate::op::join::parallel_seed_floor(config)
         )
     } else {
@@ -525,10 +521,13 @@ mod tests {
         let join = &plan.operators.children[0];
         assert_eq!(join.kind, "TemporalJoin");
         // The seed's size is a run-time fact: the label carries the floor
-        // (more than one 4096-tuple run) below which this plan runs serial.
-        assert!(join
-            .detail
-            .contains("demand-driven blocked(4096) drive, parallel ×8 worker(s) when seed ≥ 4097"));
+        // (more than one 4096-tuple run) below which this plan runs serial,
+        // and the workers the process-wide executor can run of the eight
+        // asked for.
+        let workers = pool::shared().threads().min(8);
+        assert!(join.detail.contains(&format!(
+            "demand-driven blocked(4096) drive, parallel ×{workers} worker(s) when seed ≥ 4097"
+        )));
         assert_eq!(join.children.len(), 2);
         for scan in &join.children {
             assert_eq!(scan.kind, "PatternScan");
@@ -681,8 +680,12 @@ mod tests {
         };
         let plan = |budget: &ExecBudget| explain(&store, &q, &config, budget).unwrap();
         let join_detail = |budget: &ExecBudget| plan(budget).operators.children[0].detail.clone();
+        let parallel = format!(
+            "drive, parallel ×{} worker(s)",
+            pool::shared().threads().min(8)
+        );
         let unlimited = ExecBudget::unlimited();
-        assert!(join_detail(&unlimited).contains("drive, parallel ×8 worker(s)"));
+        assert!(join_detail(&unlimited).contains(&parallel));
         assert_eq!(plan(&unlimited).governor, None);
         let budgeted = ExecBudget::unlimited().with_memory_bytes(1 << 20);
         let detail = join_detail(&budgeted);
@@ -698,7 +701,7 @@ mod tests {
         let deadline = ExecBudget::unlimited()
             .with_deadline(std::time::Duration::from_millis(250))
             .with_partial_results(true);
-        assert!(join_detail(&deadline).contains("drive, parallel ×8 worker(s)"));
+        assert!(join_detail(&deadline).contains(&parallel));
         assert_eq!(
             plan(&deadline).governor.as_deref(),
             Some("deadline 250ms | on trip: partial results")

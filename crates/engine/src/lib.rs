@@ -13,10 +13,11 @@
 //!    data queries as entity-id semi-joins — irrelevant events are discarded
 //!    as early as possible.
 //! 2. **Temporal/spatial partitioning** ([`op`]): each data query is
-//!    split along the hypertable's ⟨time-bucket, agent⟩ partitions and the
-//!    partitions are scanned in parallel on a process-wide shared worker
-//!    pool ([`pool`]); the multi-way join drives its seed runs on the
-//!    same executor.
+//!    split along the hypertable's ⟨time-bucket, agent⟩ partitions, so a
+//!    scan touches only the partitions its window and agents name. The
+//!    parallelism is in the multi-way join, which drives its seed runs on
+//!    a process-wide shared worker pool ([`pool`]); scans stay on the query
+//!    thread, where they measured faster than fanned out.
 //!
 //! Execution is structured as a tree of physical operators ([`op`]):
 //! `SemiJoinNarrow → PatternScan` per pattern, `TemporalJoin`,

@@ -18,9 +18,7 @@
 //! start slice, and checks only the slices' ends — none at all when no end
 //! bound applies. Runs are visited in posting order, so matches come out
 //! in candidate order. A relation-free step builds a `StepIndex::Plain`
-//! and every match joins. Large builds shard by key hash on the executor
-//! (scatter, then gather in candidate order), so a sharded index answers
-//! exactly as a serial one.
+//! and every match joins.
 //!
 //! Sideways filters cut work before it happens: scans publish bitmap
 //! domains of their candidates' subject/object ids; the join prunes each
@@ -70,9 +68,9 @@
 //! stopping the drive after it; the final step draws on the output budget
 //! (`max_intermediate` delivered tuples across the whole drive).
 //!
-//! With an executor attached and enough seed tuples, runs fan out: each
-//! fills a fork of the output under a shared `JoinBudget` and the forks
-//! fold into the output in ascending seed order. A run whose partial
+//! With an executor attached and a seed that fills more than one run, runs
+//! fan out: each fills a fork of the output under a shared `JoinBudget` and
+//! the forks fold into the output in ascending seed order. A run whose partial
 //! overshoots the remaining room (the one run that straddles the cap) or
 //! would not merge bit for bit (float sums) is dropped and re-driven on the
 //! merge thread into the output itself, so the serial and parallel drives
@@ -105,16 +103,7 @@ use crate::op::{
     worker_panic, EventRef, ExecEnv, Flow, JoinOutput, JoinStepStat, OpIo, Operator, PartTable,
     PipelineState, ProjectionSink, RefArena, NO_VAR,
 };
-
-/// Minimum seed tuples before the drive fans its runs out in auto mode
-/// (`join_partitions = 0`). Below this the fork/merge overhead outweighs
-/// the join.
-const PARALLEL_JOIN_MIN_WORK: usize = 1024;
-
-/// Minimum candidate-list size before a step's hash-index *build* fans out
-/// into key-hash shards in auto mode. Below this the two-phase
-/// scatter/gather costs more than the serial insert loop.
-const PARALLEL_INDEX_MIN_BUILD: usize = 4096;
+use crate::pool::ScanPool;
 
 /// How many delivered tuples a run produces between refreshes of its
 /// shared-budget cap. Bounds how far a run can overshoot the budget before
@@ -195,24 +184,15 @@ impl Operator for TemporalJoin {
 
 /// The smallest seed the drive fans out over when an executor is attached:
 /// more than one run's worth of tuples (a single run has nothing to fan
-/// out), and enough work to pay for the fork/merge — unless
-/// `join_partitions` forces it (tests exercise tiny seeds through the
-/// parallel drive). EXPLAIN quotes it next to the worker count.
+/// out). EXPLAIN quotes it next to the worker count.
 pub(crate) fn parallel_seed_floor(config: &crate::engine::EngineConfig) -> usize {
-    let min_work = if config.join_partitions > 0 {
-        2
-    } else {
-        PARALLEL_JOIN_MIN_WORK
-    };
-    min_work.max(config.join_block_tuples.max(1) + 1)
+    config.join_block_tuples.max(1) + 1
 }
 
-/// Whether a drive over `work` seed tuples fans its runs out: an executor
-/// is attached and the seed reaches [`parallel_seed_floor`].
-fn parallel_drive(env: &ExecEnv<'_>, work: usize) -> bool {
-    env.pool.is_some()
-        && (env.config.join_partitions > 0 || env.config.parallelism > 1)
-        && work >= parallel_seed_floor(env.config)
+/// The workers a drive of `runs` runs can use on `pool`: what the pool has,
+/// what the engine allows, and no more than there are runs.
+pub(crate) fn drive_workers(pool: &ScanPool, parallelism: usize, runs: usize) -> usize {
+    pool.threads().min(parallelism.max(1)).min(runs)
 }
 
 /// Packs the at-most-two bound entity ids of a pattern into one `u64`
@@ -220,33 +200,6 @@ fn parallel_drive(env: &ExecEnv<'_>, work: usize) -> bool {
 #[inline]
 fn pack(ids: [u32; 2]) -> u64 {
     (u64::from(ids[0]) << 32) | u64::from(ids[1])
-}
-
-/// SplitMix64 finalizer: spreads packed entity-id keys across shards (the
-/// raw keys are dense small integers — `key % shards` would pile them up).
-#[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    x ^= x >> 33;
-    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    x ^ (x >> 33)
-}
-
-/// The shard owning `key` in an `n`-shard index.
-#[inline]
-fn shard_of(key: u64, n: usize) -> usize {
-    (mix(key) % n as u64) as usize
-}
-
-/// Like [`shard_of`], skipping the hash for single-shard indexes.
-#[inline]
-fn route(key: u64, n: usize) -> usize {
-    if n == 1 {
-        0
-    } else {
-        shard_of(key, n)
-    }
 }
 
 /// One key's posting list in a timed index: refs in candidate order with
@@ -368,66 +321,41 @@ impl Postings {
 
 /// What a step index keeps per key: a plain ref list, or timed
 /// [`Postings`].
-trait IndexEntry: Default + Send {
-    /// What the build resolves per candidate.
-    type Row: Copy + Send + Sync;
-    fn row(parts: &PartTable<'_>, r: EventRef) -> Self::Row;
-    fn add(&mut self, row: Self::Row);
+trait IndexEntry: Default {
+    fn add(&mut self, parts: &PartTable<'_>, r: EventRef);
 }
 
 impl IndexEntry for Vec<EventRef> {
-    type Row = EventRef;
-    fn row(_: &PartTable<'_>, r: EventRef) -> EventRef {
-        r
-    }
-    fn add(&mut self, r: EventRef) {
+    fn add(&mut self, _: &PartTable<'_>, r: EventRef) {
         self.push(r);
     }
 }
 
 impl IndexEntry for Postings {
-    type Row = (EventRef, i64, i64);
     /// Resolves the candidate's start/end once at build time (one segment
     /// locate per candidate instead of one per probe match).
-    fn row(parts: &PartTable<'_>, r: EventRef) -> Self::Row {
+    fn add(&mut self, parts: &PartTable<'_>, r: EventRef) {
         let (s, e) = parts.start_end(r);
-        (r, s, e)
-    }
-    fn add(&mut self, (r, s, e): Self::Row) {
         self.push(r, s, e);
     }
 }
 
-/// One join step's candidate hash index: key-hash shards (1 = serial
-/// build) of plain ref lists, or — when the step has temporal relations
-/// to placed patterns — of timed [`Postings`]. Probes hash the key to its
-/// shard, so sharded and single indexes answer identically; the build
-/// preserves candidate order within every key's ref list (scatter chunks
-/// are contiguous candidate ranges gathered in chunk order), so the probe
-/// traversal — and therefore the joined frontier — is byte-identical to
-/// the serial build.
+/// One join step's candidate hash index: plain ref lists, or — when the
+/// step has temporal relations to placed patterns — timed [`Postings`].
+/// Every key's list keeps candidate order, so probes traverse matches in
+/// candidate order.
 enum StepIndex {
-    Plain(Vec<HashMap<u64, Vec<EventRef>>>),
-    Timed(Vec<HashMap<u64, Postings>>),
+    Plain(HashMap<u64, Vec<EventRef>>),
+    Timed(HashMap<u64, Postings>),
 }
 
 impl StepIndex {
-    /// Build fan-out used (1 = serial).
-    fn shard_count(&self) -> usize {
-        match self {
-            StepIndex::Plain(s) => s.len(),
-            StepIndex::Timed(s) => s.len(),
-        }
-    }
-
     /// Total refs across every posting (an upper bound on one frontier
     /// tuple's emission, used to size the output reservation).
     fn total_refs(&self) -> usize {
         match self {
-            StepIndex::Plain(shards) => shards.iter().flat_map(HashMap::values).map(Vec::len).sum(),
-            StepIndex::Timed(shards) => (shards.iter().flat_map(HashMap::values))
-                .map(|p| p.refs.len())
-                .sum(),
+            StepIndex::Plain(m) => m.values().map(Vec::len).sum(),
+            StepIndex::Timed(m) => m.values().map(|p| p.refs.len()).sum(),
         }
     }
 
@@ -435,94 +363,25 @@ impl StepIndex {
     fn sorted_runs(&self) -> u64 {
         match self {
             StepIndex::Plain(_) => 0,
-            StepIndex::Timed(shards) => (shards.iter().flat_map(HashMap::values))
-                .map(|p| p.breaks.len() as u64 + 1)
-                .sum(),
+            StepIndex::Timed(m) => m.values().map(|p| p.breaks.len() as u64 + 1).sum(),
         }
     }
 }
 
-/// Shard count for building a step's index over `candidates` refs, or
-/// `None` for the serial build. Sharding only pays when the step has bound
-/// variables (`bound`): an unconnected step puts every candidate under one
-/// key, where sharding is pure overhead.
-fn index_shards(env: &ExecEnv<'_>, candidates: usize, bound: bool) -> Option<usize> {
-    if !bound || env.pool.is_none() {
-        return None;
-    }
-    if env.config.join_partitions > 0 {
-        // Explicit partition count: force the sharded build (tests exercise
-        // tiny candidate lists through it).
-        (candidates >= 2).then_some(env.config.join_partitions.min(candidates))
-    } else {
-        let threads = env.config.parallelism.max(1);
-        (threads > 1 && candidates >= PARALLEL_INDEX_MIN_BUILD)
-            .then(|| (threads * 2).min(candidates))
-    }
-}
-
-/// One scatter chunk's output: a (key, row) bucket per shard.
-type ShardBuckets<R> = Vec<Vec<(u64, R)>>;
-
-/// Builds a step's candidate index, fanning the build out into key-hash
-/// shards when [`index_shards`] says it pays. The parallel build runs in
-/// two phases on the scan executor: *scatter* — contiguous candidate
-/// chunks bucket their (key, row) pairs by shard — then *gather* — each
-/// shard inserts its buckets in chunk order. Both phases preserve
-/// candidate order per key.
+/// Builds a step's candidate index, keyed by `key_of`, in candidate order.
 fn build_index<P: IndexEntry>(
-    env: &ExecEnv<'_>,
+    parts: &PartTable<'_>,
     refs: &[EventRef],
     same_var: bool,
-    key_of: &(dyn Fn(EventRef) -> u64 + Sync),
-    bound: bool,
-) -> Result<Vec<HashMap<u64, P>>, EngineError> {
-    let parts = &env.parts;
-    let keep = |r: &&EventRef| !same_var || parts.subject(**r) == parts.object(**r);
-    let nshards = index_shards(env, refs.len(), bound).filter(|&s| s > 1);
-    let Some(nshards) = nshards else {
-        let mut index: HashMap<u64, P> = HashMap::new();
-        for &r in refs.iter().filter(keep) {
-            index.entry(key_of(r)).or_default().add(P::row(parts, r));
+    key_of: impl Fn(EventRef) -> u64,
+) -> HashMap<u64, P> {
+    let mut index: HashMap<u64, P> = HashMap::new();
+    for &r in refs {
+        if !same_var || parts.subject(r) == parts.object(r) {
+            index.entry(key_of(r)).or_default().add(parts, r);
         }
-        return Ok(vec![index]);
-    };
-    let Some(pool) = env.pool.as_ref() else {
-        return Err(crate::op::internal(
-            "sharded index build scheduled without a scan executor",
-        ));
-    };
-    let workers = env.config.parallelism.max(1);
-    let chunk = refs.len().div_ceil(nshards);
-    // Scatter: chunk c buckets its candidate range by shard.
-    let scattered: Vec<Mutex<ShardBuckets<P::Row>>> =
-        (0..nshards).map(|_| Mutex::new(Vec::new())).collect();
-    pool.run_chunks_capped(nshards, workers, &|c| {
-        let lo = (c * chunk).min(refs.len());
-        let hi = (lo + chunk).min(refs.len());
-        let mut buckets: ShardBuckets<P::Row> = (0..nshards).map(|_| Vec::new()).collect();
-        for &r in refs[lo..hi].iter().filter(keep) {
-            let key = key_of(r);
-            buckets[shard_of(key, nshards)].push((key, P::row(parts, r)));
-        }
-        *crate::op::lock_clean(&scattered[c]) = buckets;
-    })
-    .map_err(worker_panic)?;
-    let scattered: Vec<_> = scattered.into_iter().map(crate::op::unwrap_clean).collect();
-    // Gather: shard s drains every chunk's bucket s, in chunk order.
-    let shards: Vec<Mutex<HashMap<u64, P>>> =
-        (0..nshards).map(|_| Mutex::new(HashMap::new())).collect();
-    pool.run_chunks_capped(nshards, workers, &|s| {
-        let mut map: HashMap<u64, P> = HashMap::new();
-        for chunk_buckets in &scattered {
-            for &(key, row) in &chunk_buckets[s] {
-                map.entry(key).or_default().add(row);
-            }
-        }
-        *crate::op::lock_clean(&shards[s]) = map;
-    })
-    .map_err(worker_panic)?;
-    Ok(shards.into_iter().map(crate::op::unwrap_clean).collect())
+    }
+    index
 }
 
 /// Shared output budget of one parallel drive. `produced[k]` is a monotone
@@ -663,7 +522,7 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
 /// Multi-way hash join over the per-pattern candidate refs. Returns the
 /// joined tuples — or, when the projection closes the pipeline, an empty
 /// arena and the sink the drive streamed them into — plus whether it
-/// truncated and its accounting (widest run/shard fan-out, the build/probe
+/// truncated and its accounting (run fan-out, the build/probe
 /// timing split, the probe-reduction and emission counters, and the
 /// per-step breakdown for EXPLAIN ANALYZE).
 fn join_refs<'e>(
@@ -997,8 +856,8 @@ impl Drive<'_, '_> {
         ctr.probes += 1;
         let p = match &step.index {
             // Relation-free step: every match under the key joins.
-            StepIndex::Plain(shards) => {
-                let Some(matches) = shards[route(key, shards.len())].get(&key) else {
+            StepIndex::Plain(index) => {
+                let Some(matches) = index.get(&key) else {
                     return false;
                 };
                 ctr.probe_hits += 1;
@@ -1012,7 +871,7 @@ impl Drive<'_, '_> {
                 }
                 return false;
             }
-            StepIndex::Timed(shards) => match shards[route(key, shards.len())].get(&key) {
+            StepIndex::Timed(index) => match index.get(&key) {
                 Some(p) => p,
                 None => return false,
             },
@@ -1209,6 +1068,10 @@ impl Drive<'_, '_> {
     /// the intermediate cap — it is bounded by the block size by
     /// construction, which keeps sideways seed pruning emission-invariant
     /// under truncation), then the chunked recursion over the steps.
+    ///
+    /// `EngineConfig::inject_drive_panic` panics here, on whichever thread
+    /// drives the run: a pool worker (the query gets `WorkerPanic`) or the
+    /// query thread.
     fn drive_run<O: JoinOutput>(
         &self,
         lo: usize,
@@ -1218,6 +1081,9 @@ impl Drive<'_, '_> {
         out_caps: &mut CapTracker<'_>,
         gov: Option<&Governor>,
     ) -> Flow {
+        if self.env.config.inject_drive_panic {
+            panic!("injected drive panic (EngineConfig::inject_drive_panic)");
+        }
         if self.steps.is_empty() {
             return self.deliver_final(0, st, out, gov, |out, _| {
                 self.emit_seed(lo, hi, out, out_caps)
@@ -1269,10 +1135,7 @@ fn drive_join<O: JoinOutput>(
     let seed_pruned_count = (seed_all.len() - seed_refs.len()) as u64;
     let gov = env.gov();
     let out_cap = env.config.max_intermediate;
-    let mut io = OpIo {
-        fanout: 1,
-        ..OpIo::default()
-    };
+    let mut io = OpIo::default();
 
     // The seed places its pattern first; every later pattern gets a probe
     // step, its index built here, once.
@@ -1321,14 +1184,12 @@ fn drive_join<O: JoinOutput>(
         // in sorted runs for the probe's time search.
         let rels = a.step_relations(i, &placed);
         let t_build = Instant::now();
-        let bound = !bound_vars.is_empty();
         let index = match rels.is_empty() {
-            true => StepIndex::Plain(build_index(env, refs, same_var, &key_of_ref, bound)?),
-            false => StepIndex::Timed(build_index(env, refs, same_var, &key_of_ref, bound)?),
+            true => StepIndex::Plain(build_index(parts, refs, same_var, key_of_ref)),
+            false => StepIndex::Timed(build_index(parts, refs, same_var, key_of_ref)),
         };
         let build_nanos = t_build.elapsed().as_nanos() as u64;
         io.build_nanos += build_nanos;
-        io.fanout = io.fanout.max(index.shard_count());
         steps.push(JoinStep {
             place,
             candidates: refs.len(),
@@ -1399,22 +1260,22 @@ fn drive_join<O: JoinOutput>(
             charge,
             count_last,
         };
-        let workers = env.config.parallelism.max(1);
-        // A memory budget forces the serial drive: live charging yields a
-        // deterministic trip point only with a single observer.
-        let parallel = !charge && parallel_drive(env, seed_total);
+        // Runs fan out when the seed fills more than one and an executor
+        // is attached. A memory budget forces the serial drive: live
+        // charging yields a deterministic trip point only with a single
+        // observer.
+        let pool = env
+            .pool
+            .as_deref()
+            .filter(|_| !charge && nruns > 1 && env.config.parallelism > 1);
         let t_probe = Instant::now();
         // Parallel drive: every run fills a fork of the output under the
         // shared budget. `None` marks a run skipped because the runs before
         // it had already produced the whole output cap — the demand-driven
         // win: seed tuples nobody will consume are never driven.
         let mut partials: Vec<Option<(O, RunState)>> = Vec::new();
-        if parallel {
-            let Some(pool) = env.pool.as_ref() else {
-                return Err(crate::op::internal(
-                    "parallel join drive scheduled without a scan executor",
-                ));
-            };
+        if let Some(pool) = pool {
+            let workers = drive_workers(pool, env.config.parallelism, nruns);
             let budget = JoinBudget::new(out_cap, nruns);
             let slots: Vec<Mutex<Option<(O, RunState)>>> =
                 (0..nruns).map(|_| Mutex::new(None)).collect();
@@ -1435,7 +1296,7 @@ fn drive_join<O: JoinOutput>(
             })
             .map_err(worker_panic)?;
             partials = slots.into_iter().map(crate::op::unwrap_clean).collect();
-            io.fanout = io.fanout.max(workers.min(nruns));
+            io.fanout = workers;
         }
         partials.resize_with(nruns, || None);
 
@@ -1508,7 +1369,6 @@ fn drive_join<O: JoinOutput>(
         pattern: seed.pattern,
         candidates: seed_total,
         filter_pruned: seed_pruned_count,
-        fanout: 1,
         ..JoinStepStat::default()
     };
     io.join_steps = (std::iter::once(seed_stat))
@@ -1518,7 +1378,6 @@ fn drive_join<O: JoinOutput>(
             filter_pruned: s.candidate_pruned,
             sorted_runs: s.index.sorted_runs(),
             build_nanos: s.build_nanos,
-            fanout: s.index.shard_count(),
             ..JoinStepStat::default()
         }))
         .collect();

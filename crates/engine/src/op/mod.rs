@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! Project / Aggregate
-//! └── TemporalJoin                     (multi-way hash join, parallel)
+//! └── TemporalJoin                     (multi-way hash join, parallel runs)
 //!     ├── PatternScan #1 ── SemiJoinNarrow #1
 //!     ├── PatternScan #2 ── SemiJoinNarrow #2
 //!     └── …one chain per pattern, in schedule order
@@ -353,8 +353,8 @@ pub struct ExecEnv<'a> {
     pub store: &'a EventStore,
     pub a: &'a AnalyzedMultievent,
     pub config: &'a EngineConfig,
-    /// The scan executor (`None` = scans and the join stay on the query
-    /// thread).
+    /// The executor the join's runs fan out on (`None` = the join stays on
+    /// the query thread).
     pub pool: Option<Arc<ScanPool>>,
     /// The compiled shared phase: resolved vars, base filters, schedule.
     pub ctx: PlanCtx,
@@ -536,7 +536,7 @@ impl ExecStats {
             for s in &op.join_steps {
                 let _ = write!(
                     out,
-                    "    step pattern #{}: {} candidate(s) -> {} tuple(s) | probes {} hits {} | build {:.3} ms probe {:.3} ms | fanout x{}",
+                    "    step pattern #{}: {} candidate(s) -> {} tuple(s) | probes {} hits {} | build {:.3} ms probe {:.3} ms",
                     s.pattern,
                     s.candidates,
                     s.rows_out,
@@ -544,7 +544,6 @@ impl ExecStats {
                     s.probe_hits,
                     ms(s.build_nanos),
                     ms(s.probe_nanos),
-                    s.fanout,
                 );
                 if s.sorted_runs > 0 {
                     let _ = write!(
@@ -577,7 +576,9 @@ pub struct OpStat {
     pub rows_in: usize,
     /// Tuples the operator produced.
     pub rows_out: usize,
-    /// Parallel fan-out used (1 = serial).
+    /// Pool workers the operator ran on (1 = the query thread): the join's
+    /// parallel drive, capped by the pool's threads, `parallelism` and the
+    /// run count.
     pub fanout: usize,
     /// Hash-index build time (joins only, 0 elsewhere): nanoseconds spent
     /// building the per-step candidate indexes, summed over join steps.
@@ -636,8 +637,6 @@ pub struct JoinStepStat {
     pub build_nanos: u64,
     /// Probe time of this step.
     pub probe_nanos: u64,
-    /// Index shards of this step (1 = serial build).
-    pub fanout: usize,
 }
 
 impl JoinStepStat {

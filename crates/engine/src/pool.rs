@@ -1,12 +1,13 @@
-//! A persistent scan worker pool.
+//! A persistent worker pool: the engine's one executor.
 //!
-//! Spawning a fresh set of scoped threads for every pattern scan pays
-//! thread-spawn latency per pattern per query. The pool spawns its workers
-//! once per process ([`shared`]) and feeds them scan and join tasks through
-//! a shared queue; parallel scans
-//! self-schedule over fine-grained partition chunks (each worker pulls the
-//! next chunk index from a shared atomic cursor), which balances skewed
-//! partitions the way work-stealing would.
+//! Spawning a fresh set of scoped threads for every query pays thread-spawn
+//! latency per query. The pool spawns its workers once per process
+//! ([`shared`]) and feeds them two kinds of work through a shared queue:
+//! the join drive's seed runs ([`ScanPool::run_chunks_capped`], where each
+//! worker pulls the next run index from a shared atomic cursor, so skewed
+//! runs balance the way work-stealing would), and fire-and-forget store
+//! maintenance — deferred compaction and novelty flushes
+//! ([`ScanPool::submit`]). Scans run on the query thread.
 //!
 //! Panics are *contained*, not propagated: a panicking task is caught on
 //! its worker (the worker survives and keeps pulling jobs), the payload
@@ -48,7 +49,7 @@ fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The process-wide shared scan executor, spawned once on first use and
+/// The process-wide shared executor, spawned once on first use and
 /// sized by the machine (`std::thread::available_parallelism`). Every
 /// engine uses it, so concurrent engine instances spawn no worker sets of
 /// their own; per-query fan-out is capped by each engine's `parallelism`
@@ -119,7 +120,7 @@ impl WaitGroup {
     }
 }
 
-/// A fixed set of worker threads executing submitted scan tasks.
+/// A fixed set of worker threads executing submitted tasks.
 pub struct ScanPool {
     sender: Option<Sender<Job>>,
     workers: Vec<JoinHandle<()>>,
@@ -144,7 +145,7 @@ impl ScanPool {
             .map(|i| {
                 let receiver = Arc::clone(&receiver);
                 std::thread::Builder::new()
-                    .name(format!("aiql-scan-{i}"))
+                    .name(format!("aiql-pool-{i}"))
                     .spawn(move || loop {
                         let job = {
                             // Recover a poisoned queue lock: jobs are
@@ -159,7 +160,7 @@ impl ScanPool {
                             Err(_) => break, // pool dropped
                         }
                     })
-                    .expect("spawn scan worker")
+                    .expect("spawn pool worker")
             })
             .collect();
         ScanPool {
@@ -242,7 +243,7 @@ impl ScanPool {
         drop(guard); // blocks until all submitted tasks finished
         if workers_gone {
             return Err(PoolPanic {
-                message: "scan pool workers exited while tasks were pending".into(),
+                message: "pool workers exited while tasks were pending".into(),
             });
         }
         match wg.take_panic() {
@@ -252,7 +253,7 @@ impl ScanPool {
     }
 
     /// Fire-and-forget submission of one owned job — the caller does NOT
-    /// block (background store maintenance rides on this; scan batches use
+    /// block (background store maintenance rides on this; join runs use
     /// [`ScanPool::scope`]). A panicking job is contained exactly like a
     /// scoped task's, it just has no batch to report to. Returns `false`
     /// when the pool is shutting down and the job was dropped unrun.
@@ -267,15 +268,10 @@ impl ScanPool {
         }
     }
 
-    /// Convenience: runs `f(chunk_index)` for every chunk index in
-    /// `0..chunks`, using up to `threads` concurrent self-scheduling tasks.
-    pub fn run_chunks(&self, chunks: usize, f: &(dyn Fn(usize) + Sync)) -> Result<(), PoolPanic> {
-        self.run_chunks_capped(chunks, self.threads, f)
-    }
-
-    /// [`ScanPool::run_chunks`] with the concurrent-task fan-out capped at
-    /// `max_workers`: a query configured for `parallelism = 2` keeps that
-    /// degree even on a machine-wide shared pool with more workers.
+    /// Runs `f(chunk_index)` for every chunk index in `0..chunks` on
+    /// `min(threads, chunks, max_workers)` concurrent self-scheduling tasks:
+    /// a query configured for `parallelism = 2` keeps that degree even on a
+    /// machine-wide shared pool with more workers.
     pub fn run_chunks_capped(
         &self,
         chunks: usize,
@@ -302,10 +298,10 @@ impl ScanPool {
     }
 }
 
-/// The scan pool doubles as the store's background-maintenance executor:
+/// The pool doubles as the store's background-maintenance executor:
 /// deferred compaction and novelty flushes run as ordinary pool jobs, so
-/// maintenance shares the machine with scans instead of spawning its own
-/// threads. A job submitted while the pool is shutting down is dropped
+/// maintenance shares the machine with join runs instead of spawning its
+/// own threads. A job submitted while the pool is shutting down is dropped
 /// unrun — safe, because maintenance jobs are re-queued by the next commit
 /// and guard themselves with a drain token anyway.
 impl aiql_storage::MaintenanceExecutor for ScanPool {
@@ -349,7 +345,7 @@ mod tests {
     fn chunked_runs_visit_every_chunk_once() {
         let pool = ScanPool::new(3);
         let hits: Vec<AtomicUsize> = (0..100).map(|_| AtomicUsize::new(0)).collect();
-        pool.run_chunks(100, &|i| {
+        pool.run_chunks_capped(100, 3, &|i| {
             hits[i].fetch_add(1, Ordering::SeqCst);
         })
         .unwrap();
@@ -361,7 +357,7 @@ mod tests {
         let pool = ScanPool::new(2);
         for _ in 0..10 {
             let counter = AtomicUsize::new(0);
-            pool.run_chunks(8, &|_| {
+            pool.run_chunks_capped(8, 2, &|_| {
                 counter.fetch_add(1, Ordering::SeqCst);
             })
             .unwrap();
@@ -378,7 +374,7 @@ mod tests {
         assert!(err.message.contains("intentional test panic"));
         // Workers must still be serviceable afterwards.
         let counter = AtomicUsize::new(0);
-        pool.run_chunks(4, &|_| {
+        pool.run_chunks_capped(4, 2, &|_| {
             counter.fetch_add(1, Ordering::SeqCst);
         })
         .unwrap();

@@ -1,8 +1,8 @@
 //! The multi-tenant query service.
 //!
 //! Everything below the service executes *one* query well: the engine
-//! plans and runs it, the governor (PR 6) stops it at its budget, the
-//! shared scan pool survives its panics. This module is the controller
+//! plans and runs it, the governor (PR 6) stops it at its budget, and its
+//! panics stay inside it. This module is the controller
 //! above them that lets **many concurrent investigations** share one
 //! process without sharing their failures:
 //!
@@ -21,8 +21,10 @@
 //!   ([`retry_overloaded`]);
 //! * fault containment — a faulted query (worker panic, IO fault, cancel,
 //!   deadline) answers only its own caller; dispatchers, the pool, and
-//!   every other session keep running (`catch_unwind` backstops even a
-//!   non-pool panic as [`EngineError::Internal`]).
+//!   every other session keep running. A service query runs under a
+//!   memory budget, which keeps its join drive serial on the dispatcher
+//!   thread, so the dispatcher's `catch_unwind` is what turns its panic
+//!   into [`EngineError::Internal`].
 //!
 //! Enforcement stays at batch boundaries inside the engine — the service
 //! only *derives* budgets, it never preempts. Shutdown is a drain: queued
@@ -301,8 +303,8 @@ impl ServiceInner {
             .unwrap_or_else(|e| e.into_inner())
             .insert(req_id, req.cancel.clone());
         let started = Instant::now();
-        // catch_unwind backstops panics that escape the engine outside
-        // pooled tasks: the dispatcher must survive any single query.
+        // catch_unwind backstops panics on this thread (the budgeted serial
+        // drive runs here): the dispatcher must survive any single query.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.store
                 .read(|s| req.engine.execute_text_with_budget(s, &req.text, &budget))
@@ -820,6 +822,9 @@ mod tests {
         assert!(service.create_session().is_ok());
     }
 
+    /// A service query runs the memory-budgeted serial drive, so the
+    /// injected panic fires on the dispatcher thread: its `catch_unwind`
+    /// backstop turns it into `Internal` for this session only.
     #[test]
     fn a_worker_panic_is_contained_to_its_session() {
         let service = QueryService::new(
@@ -835,17 +840,18 @@ mod tests {
                 1,
                 EngineConfig {
                     parallelism: 2,
-                    parallel_threshold: 0,
-                    inject_scan_panic: true,
+                    inject_drive_panic: true,
                     ..EngineConfig::default()
                 },
             )
             .unwrap();
         let boom = service.query(faulty, SIMPLE);
-        assert!(matches!(
-            boom,
-            Err(ServiceError::Engine(EngineError::WorkerPanic { .. }))
-        ));
+        match boom {
+            Err(ServiceError::Engine(EngineError::Internal { message })) => {
+                assert!(message.contains("injected drive panic"), "{message}");
+            }
+            other => panic!("expected the dispatcher's Internal backstop, got {other:?}"),
+        }
         // The dispatcher, the pool, and other sessions are unharmed.
         for _ in 0..3 {
             assert!(service.query(healthy, SIMPLE).is_ok());

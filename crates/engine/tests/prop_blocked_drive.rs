@@ -7,7 +7,7 @@
 //!   body (and over a single pattern, which has no join at all) equals the
 //!   brute-force matcher with the dynamic projection
 //!   (`reference::run_reference`), at threads 1 / 2 / 8 × block sizes
-//!   1 / 7 / 4096 × forced `join_partitions`;
+//!   1 / 7 / 4096 (blocks of 1 and 7 fan proptest-sized seeds out);
 //! * **emission-order prefix under truncation** — with `max_intermediate`
 //!   truncating, the output is the projection of a prefix, in nested-loop
 //!   emission order (candidate order for a single pattern), of the
@@ -242,15 +242,13 @@ fn shaped_query(body: usize, shape: &str) -> MultieventQuery {
 }
 
 /// The drive at a given fan-out, block size and cap. One thread attaches
-/// no executor: the serial drive. More force the parallel drive, sharded
-/// index builds and pooled scans onto proptest-sized inputs.
+/// no executor: the serial drive. More fan the runs out whenever the seed
+/// fills more than one block.
 fn drive_config(threads: usize, block: usize, max_intermediate: usize) -> EngineConfig {
     EngineConfig {
         max_intermediate,
         join_block_tuples: block,
-        join_partitions: 3,
         parallelism: threads,
-        parallel_threshold: 0,
         ..EngineConfig::default()
     }
 }
@@ -276,9 +274,8 @@ fn governed_with_stats(
     budget: &ExecBudget,
 ) -> Result<(ResultTable, exec::ExecStats), EngineError> {
     let a = analyze_multievent(m, store)?;
-    let parallel = config.partition_parallel && config.parallelism > 1;
     MultieventExec::new(store, &a, config)
-        .with_pool(parallel.then(aiql_engine::pool::shared))
+        .with_pool((config.parallelism > 1).then(aiql_engine::pool::shared))
         .with_governor(Some(std::sync::Arc::new(Governor::new(budget))))
         .run_with_stats()
 }

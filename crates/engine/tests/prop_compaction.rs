@@ -116,7 +116,7 @@ fn build_stores(raws: &[RawEvent]) -> (EventStore, EventStore, EventStore) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Serial or with the sharded index build and parallel drive forced,
+    /// Serial or with the parallel drive fanning out seven-tuple runs,
     /// one warm engine or a fresh one per query: the engine returns
     /// byte-identical tables on fragmented, explicitly compacted, and
     /// auto-compacted stores — on first execution and the second round —
@@ -138,9 +138,8 @@ proptest! {
         }
         let config = EngineConfig {
             parallelism: if parallel { 2 } else { 1 },
-            // Non-zero forces the parallel drive AND the sharded index
-            // build on tiny inputs.
-            join_partitions: 3,
+            // Seven-tuple runs fan the drive out on tiny inputs.
+            join_block_tuples: 7,
             ..EngineConfig::default()
         };
         let shared = Engine::new(config.clone());
@@ -195,9 +194,9 @@ proptest! {
     }
 }
 
-/// The join's `OpStat` carries the build-vs-probe timing split (satellite
-/// of the sharded index build): both phases must be timed on a join query,
-/// and scans must not report them.
+/// The join's `OpStat` carries the build-vs-probe timing split: both
+/// phases must be timed on a join query, serial and fanned out, and scans
+/// must not report them.
 #[test]
 fn join_stats_split_build_and_probe_time() {
     let mut raws = Vec::new();
@@ -231,10 +230,10 @@ fn join_stats_split_build_and_probe_time() {
     let aiql_lang::Query::Multievent(m) = &q else {
         panic!("multievent query");
     };
-    for join_partitions in [0usize, 4] {
+    for join_block_tuples in [4096usize, 7] {
         let engine = Engine::new(EngineConfig {
             parallelism: 2,
-            join_partitions,
+            join_block_tuples,
             ..EngineConfig::default()
         });
         let (_, stats) = engine.execute_multievent_with_stats(&store, m).unwrap();

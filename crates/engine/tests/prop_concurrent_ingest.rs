@@ -152,7 +152,8 @@ proptest! {
         });
         let config = EngineConfig {
             parallelism: if parallel { 2 } else { 1 },
-            join_partitions: 3,
+            // Seven-tuple runs fan the drive out on tiny inputs.
+            join_block_tuples: 7,
             ..EngineConfig::default()
         };
         // Warm: every query shares one engine's plan cache. Cold: each

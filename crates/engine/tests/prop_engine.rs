@@ -129,7 +129,7 @@ proptest! {
         let mut config = EngineConfig::default();
         match which {
             0 => config.prioritize_pruning = false,
-            1 => config.partition_parallel = false,
+            1 => config.parallelism = 1,
             2 => config.semi_join_pushdown = false,
             3 => config.temporal_narrowing = false,
             4 => config.entity_pushdown = false,

@@ -71,14 +71,22 @@ fn build_store(raws: &[RawEvent]) -> EventStore {
     store
 }
 
-/// A governed config: `parallel` toggles both the run-sharded join drive
-/// and the pooled parallel scans that the governor must coordinate with.
+/// A governed config: `parallel` attaches the executor the run-sharded
+/// join drive fans out on. A memory budget forces the serial drive, so
+/// under one both configs trip at the same tuple.
 fn config(parallel: bool) -> EngineConfig {
     EngineConfig {
         parallelism: if parallel { 4 } else { 1 },
-        join_partitions: if parallel { 3 } else { 0 },
-        parallel_threshold: 0,
         ..EngineConfig::default()
+    }
+}
+
+/// The parallel drive on proptest-sized seeds: every seed tuple is a run of
+/// its own, so any seed of two or more fans out.
+fn fanned_out() -> EngineConfig {
+    EngineConfig {
+        join_block_tuples: 1,
+        ..config(true)
     }
 }
 
@@ -117,7 +125,7 @@ fn precancelled_query_errors_cleanly_and_engine_survives() {
         })
         .collect();
     let store = build_store(&raws);
-    let engine = Engine::new(config(true));
+    let engine = Engine::new(fanned_out());
 
     let token = CancelToken::new();
     token.cancel();
@@ -230,7 +238,7 @@ fn mid_query_cancel_from_another_thread_is_clean_and_sticky() {
         })
         .collect();
     let store = build_store(&raws);
-    let engine = Engine::new(config(true));
+    let engine = Engine::new(fanned_out());
     let query = parse_query(CHAIN_QUERY).unwrap();
 
     let token = CancelToken::new();
@@ -285,24 +293,25 @@ fn worker_panic_is_contained_and_pool_stays_healthy() {
     let store = build_store(&raws);
     let query = parse_query("proc p write file f as e return p, f").unwrap();
 
-    // Chaos engine: every pooled scan task panics. The panic must surface
+    // Chaos engine: every join-drive run panics, and with one seed tuple
+    // per run every run is driven on a pool worker. The panic must surface
     // as a structured WorkerPanic for this query, not abort the process or
     // poison the shared executor.
     let chaos = Engine::new(EngineConfig {
-        inject_scan_panic: true,
-        ..config(true)
+        inject_drive_panic: true,
+        ..fanned_out()
     });
     let err = chaos.execute(&store, &query).unwrap_err();
     match &err {
         EngineError::WorkerPanic { message } => {
-            assert!(message.contains("injected scan panic"), "{message}");
+            assert!(message.contains("injected drive panic"), "{message}");
         }
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
 
     // The same process-wide pool keeps serving: a healthy engine returns
     // the exact serial-reference result after the panic...
-    let healthy = Engine::new(config(true));
+    let healthy = Engine::new(fanned_out());
     let expected = Engine::new(config(false)).execute(&store, &query).unwrap();
     let got = healthy.execute(&store, &query).unwrap();
     assert_eq!(got, expected);
@@ -374,7 +383,7 @@ proptest! {
     ) {
         let store = build_store(&raws);
         let query = parse_query(CHAIN_QUERY).unwrap();
-        let engine = Engine::new(config(parallel));
+        let engine = Engine::new(if parallel { fanned_out() } else { config(false) });
         let before = engine.execute(&store, &query).unwrap();
 
         let token = CancelToken::new();

@@ -15,14 +15,16 @@
 //!   pruning drops no partition with a match: candidates are enumerated in
 //!   partition order, then row order, which is what `limit` without
 //!   `order by` and every truncation prefix depend on;
-//! * **serial ≡ parallel** — the pooled scans, sharded index builds and
-//!   run-sharded join drive return tables byte-identical (rows, order,
-//!   truncation flag) to the single-threaded pipeline at any thread count,
-//!   partition count and block size — including when `max_intermediate`
-//!   truncates. `Engine` runs on the process-wide executor, sized by the
-//!   host, so its thread counts cap fan-out; one test attaches a private
-//!   eight-worker executor so the interleavings do not shrink with the
-//!   CI box;
+//! * **serial ≡ parallel** — the run-sharded join drive, the engine's one
+//!   parallel path, returns tables byte-identical (rows, order, truncation
+//!   flag) to the single-threaded pipeline at any thread count and block
+//!   size — including when `max_intermediate` truncates. `Engine` runs on
+//!   the process-wide executor, sized by the host, so its thread counts cap
+//!   fan-out; one test attaches a private eight-worker executor so the
+//!   interleavings do not shrink with the CI box;
+//! * **the fan-out rule** — the drive fans out exactly when the seed fills
+//!   more than one run, and reports the workers that could run, not the
+//!   configured `parallelism`;
 //! * **the time search drops no admissible tuple** — the timed indexes
 //!   binary-search their sorted runs, in time order and shuffled, and
 //!   still agree with the oracle's exact checks;
@@ -35,8 +37,8 @@ use std::sync::{Arc, OnceLock};
 use aiql_baseline::naive::reference;
 use aiql_engine::exec::MultieventExec;
 use aiql_engine::pool::ScanPool;
-use aiql_engine::{analyze_multievent, schedule};
-use aiql_engine::{Engine, EngineConfig};
+use aiql_engine::{analyze_multievent, explain, schedule};
+use aiql_engine::{Engine, EngineConfig, ExecBudget};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
 use aiql_storage::{EntitySpec, EventFilter, EventStore, PartitionKey, RawEvent, StoreConfig};
@@ -173,8 +175,8 @@ fn full_scan_rows(store: &EventStore, key: PartitionKey, filter: &EventFilter) -
         .collect()
 }
 
-/// The single-threaded pipeline: no executor, so scans, index builds and
-/// the join drive all run on the query thread.
+/// The single-threaded pipeline: no executor, so the whole query runs on
+/// the query thread.
 fn serial_config() -> EngineConfig {
     EngineConfig {
         parallelism: 1,
@@ -182,13 +184,11 @@ fn serial_config() -> EngineConfig {
     }
 }
 
-/// The pipeline at `threads`, with the parallel scan, the sharded index
-/// build and the parallel drive all forced onto proptest-sized inputs.
-fn parallel_config(threads: usize, partitions: usize) -> EngineConfig {
+/// The pipeline at `threads`: the drive's runs fan out once the seed fills
+/// more than one `join_block_tuples` block.
+fn parallel_config(threads: usize) -> EngineConfig {
     EngineConfig {
         parallelism: threads,
-        join_partitions: partitions,
-        parallel_threshold: 0,
         ..EngineConfig::default()
     }
 }
@@ -204,13 +204,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The parallel and serial pipelines agree byte-for-byte across thread
-    /// counts 1/2/8, partition counts, block sizes, and `max_intermediate`
-    /// truncation.
+    /// counts 1/2/8, block sizes, and `max_intermediate` truncation.
     #[test]
     fn parallel_pipeline_matches_serial_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
-        partitions in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
         max_intermediate in prop_oneof![
             Just(1usize), Just(2), Just(7), Just(100), Just(4_000_000)
@@ -227,7 +225,7 @@ proptest! {
         let parallel = Engine::new(EngineConfig {
             max_intermediate,
             join_block_tuples: block,
-            ..parallel_config(threads, partitions)
+            ..parallel_config(threads)
         });
         for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
@@ -235,23 +233,23 @@ proptest! {
             let got = parallel.execute(&store, &q).unwrap();
             prop_assert_eq!(
                 &want.rows, &got.rows,
-                "query {:?} threads {} partitions {} block {} max {}: rows/order differ ({} vs {})",
-                src, threads, partitions, block, max_intermediate,
+                "query {:?} threads {} block {} max {}: rows/order differ ({} vs {})",
+                src, threads, block, max_intermediate,
                 want.rows.len(), got.rows.len()
             );
             prop_assert_eq!(
                 want.truncated, got.truncated,
-                "query {:?} threads {} partitions {} block {} max {}: truncation flag differs",
-                src, threads, partitions, block, max_intermediate
+                "query {:?} threads {} block {} max {}: truncation flag differs",
+                src, threads, block, max_intermediate
             );
         }
     }
 
-    /// The pipeline agrees with the brute-force oracle, with partition
-    /// parallelism on and off, serial and fanned out — and the fanned-out
-    /// run is byte-identical to the serial one. Under both, each pattern's
-    /// scan enumerates candidates in one order (partition order, then row
-    /// order) that a test-side full scan reproduces row for row, so `limit`
+    /// The pipeline agrees with the brute-force oracle, in one-tuple and
+    /// default-sized runs, serial and fanned out — and the fanned-out run
+    /// is byte-identical to the serial one. Under both, each pattern's scan
+    /// enumerates candidates in one order (partition order, then row order)
+    /// that a test-side full scan reproduces row for row, so `limit`
     /// without `order by` and every truncation prefix rest on an order the
     /// store is held to, not one two configurations happen to share.
     #[test]
@@ -259,14 +257,14 @@ proptest! {
         raws in proptest::collection::vec(arb_raw(), 0..100),
         flags in 0u32..4,
     ) {
-        let partition_parallel = flags & 1 != 0;
+        let join_block_tuples = if flags & 1 != 0 { 1 } else { 4096 };
         let threads = if flags & 2 != 0 { 4 } else { 1 };
 
         let store = build_store(&raws);
         let serial = Engine::new(serial_config());
         let variant = Engine::new(EngineConfig {
-            partition_parallel,
-            ..parallel_config(threads, 3)
+            join_block_tuples,
+            ..parallel_config(threads)
         });
         for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
@@ -313,12 +311,11 @@ proptest! {
     /// host (one or two workers on a small CI box), so "threads 8" above
     /// caps a query's fan-out without promising eight workers. This case
     /// attaches a private executor that really has eight, whatever the
-    /// host: scans, sharded builds and the run-sharded drive interleave
-    /// across all of them and still reproduce the serial table.
+    /// host: the run-sharded drive interleaves across all of them and still
+    /// reproduces the serial table.
     #[test]
     fn eight_worker_executor_matches_serial_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
-        partitions in prop_oneof![Just(0usize), Just(3), Just(8)],
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
         max_intermediate in prop_oneof![Just(7usize), Just(100), Just(4_000_000)],
     ) {
@@ -331,7 +328,7 @@ proptest! {
         let wide_cfg = EngineConfig {
             max_intermediate,
             join_block_tuples: block,
-            ..parallel_config(8, partitions)
+            ..parallel_config(8)
         };
         let pool = eight_workers();
         prop_assert_eq!(pool.threads(), 8);
@@ -346,8 +343,8 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(
                 (&want.rows, want.truncated), (&got.rows, got.truncated),
-                "query {:?} partitions {} block {} max {}: eight workers diverged from serial",
-                src, partitions, block, max_intermediate
+                "query {:?} block {} max {}: eight workers diverged from serial",
+                src, block, max_intermediate
             );
         }
     }
@@ -362,10 +359,7 @@ proptest! {
         ),
     ) {
         let mut store = build_store(&rounds[0]);
-        let cached = Engine::new(EngineConfig {
-            parallel_threshold: 0,
-            ..EngineConfig::default()
-        });
+        let cached = Engine::new(EngineConfig::default());
         for round in &rounds[1..] {
             for src in query_catalog() {
                 let q = parse_query(src).unwrap();
@@ -402,8 +396,8 @@ fn run_with_stats_reports_per_operator_timings() {
     let store = build_store(&raws);
     let engine = Engine::new(EngineConfig {
         parallelism: 4,
-        parallel_threshold: 0,
-        join_partitions: 4,
+        // Seven-tuple runs: the seed fills hundreds, so the drive fans out.
+        join_block_tuples: 7,
         ..EngineConfig::default()
     });
     let q = parse_query(
@@ -435,7 +429,8 @@ fn run_with_stats_reports_per_operator_timings() {
     );
     for op in &stats.ops {
         assert!(op.nanos > 0, "{} must be timed", op.kind);
-        assert!(op.fanout >= 1);
+        // Only the join fans out.
+        assert!(op.fanout == 1 || op.kind == "TemporalJoin", "{}", op.kind);
     }
     let scans: Vec<_> = stats
         .ops
@@ -451,7 +446,12 @@ fn run_with_stats_reports_per_operator_timings() {
     let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
     assert!(join.rows_in > 0);
     assert_eq!(join.rows_out, stats.tuples);
-    assert!(join.fanout > 1, "forced join partitions must be used");
+    assert!(join.runs_driven > 1, "seven-tuple runs must split the seed");
+    assert_eq!(
+        join.fanout,
+        aiql_engine::pool::shared().threads().min(4),
+        "the drive fans out on as many workers as the executor can run"
+    );
     let project = stats.ops.iter().find(|o| o.kind == "Project").unwrap();
     assert_eq!(project.rows_in, stats.tuples);
     assert_eq!(project.rows_out, table.rows.len());
@@ -579,10 +579,12 @@ fn time_search_drops_no_admissible_tuple() {
     );
 }
 
-/// One deterministic check that a pooled scan really runs on pool workers
-/// and still matches the serial scan tuple for tuple, fetch counts included.
+/// A pooled drive reports the workers that ran, not the configured
+/// `parallelism`: a private two-worker executor under `parallelism: 8` runs
+/// two. Scans stay on the query thread, and the tuples match the serial
+/// pipeline's, fetch counts included.
 #[test]
-fn pool_scan_unit_roundtrip() {
+fn pooled_drive_reports_the_workers_that_ran() {
     let raws: Vec<RawEvent> = (0..2_000)
         .map(|i| {
             RawEvent::instant(
@@ -610,20 +612,30 @@ fn pool_scan_unit_roundtrip() {
     let Query::Multievent(m) = &q else { panic!() };
     let analyzed = analyze_multievent(m, &store).unwrap();
 
-    let pooled_cfg = parallel_config(4, 0);
+    let pooled_cfg = EngineConfig {
+        join_block_tuples: 7,
+        ..parallel_config(8)
+    };
     let serial_cfg = serial_config();
-    let pool = Arc::new(ScanPool::new(4));
-    assert_eq!(pool.threads(), 4);
+    let pool = Arc::new(ScanPool::new(2));
     let pooled = MultieventExec::new(&store, &analyzed, &pooled_cfg).with_pool(Some(pool));
     let serial = MultieventExec::new(&store, &analyzed, &serial_cfg);
     let (t1, trunc1, stats1) = pooled.match_tuples().unwrap();
     let (t2, trunc2, stats2) = serial.match_tuples().unwrap();
-    assert!(
-        stats1
-            .ops
-            .iter()
-            .any(|o| o.kind == "PatternScan" && o.fanout > 1),
-        "the pooled run must fan its scans out"
+    let fanout = |kind: &str| -> Vec<usize> {
+        (stats1.ops.iter().filter(|o| o.kind == kind))
+            .map(|o| o.fanout)
+            .collect()
+    };
+    assert_eq!(
+        fanout("TemporalJoin"),
+        [2],
+        "two workers can run, not eight"
+    );
+    assert_eq!(
+        fanout("PatternScan"),
+        [1, 1],
+        "scans run on the query thread"
     );
     assert_eq!(trunc1, trunc2);
     assert_eq!(stats1.fetched, stats2.fetched, "per-pattern fetch counts");
@@ -631,5 +643,49 @@ fn pool_scan_unit_roundtrip() {
     for (a, b) in t1.iter().zip(&t2) {
         assert_eq!(a.vars, b.vars);
         assert_eq!(a.events, b.events);
+    }
+}
+
+/// The fan-out rule: with `join_block_tuples: b`, a seed of exactly `b`
+/// tuples is one run on the query thread, and a seed of `b + 1` is two runs
+/// on two workers. EXPLAIN quotes the same floor, `seed ≥ b+1`.
+#[test]
+fn drive_fans_out_exactly_when_the_seed_fills_more_than_one_run() {
+    let b = 7usize;
+    let config = EngineConfig {
+        join_block_tuples: b,
+        ..parallel_config(2)
+    };
+    let q = parse_query("proc p write file f as e return p, f").unwrap();
+    let Query::Multievent(m) = &q else { panic!() };
+    for (seed, runs, fanout) in [(b, 1u64, 1usize), (b + 1, 2, 2)] {
+        let raws: Vec<RawEvent> = (0..seed as i64)
+            .map(|i| {
+                RawEvent::instant(
+                    AgentId(1),
+                    Operation::Write,
+                    EntitySpec::process(100, "exe0.bin", "user"),
+                    EntitySpec::file(&format!("/data/file{i}"), "user"),
+                    Timestamp::from_secs(i),
+                    1,
+                )
+            })
+            .collect();
+        let store = build_store(&raws);
+        let a = analyze_multievent(m, &store).unwrap();
+        let (table, stats) = MultieventExec::new(&store, &a, &config)
+            .with_pool(Some(Arc::new(ScanPool::new(2))))
+            .run_with_stats()
+            .unwrap();
+        assert_eq!(table.rows.len(), seed);
+        let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+        assert_eq!(
+            (join.runs_driven, join.fanout),
+            (runs, fanout),
+            "a seed of {seed} with {b}-tuple runs"
+        );
+        let plan = explain(&store, &q, &config, &ExecBudget::unlimited()).unwrap();
+        let label = &plan.operators.children[0].detail;
+        assert!(label.contains(&format!("when seed ≥ {}", b + 1)), "{label}");
     }
 }

@@ -69,7 +69,7 @@ fn engine_config_ablations_preserve_results() {
             ..EngineConfig::default()
         },
         EngineConfig {
-            partition_parallel: false,
+            parallelism: 1,
             ..EngineConfig::default()
         },
         EngineConfig {
