@@ -2,13 +2,15 @@
 //!
 //! Consumes the narrowed filter staged by
 //! [`SemiJoinNarrow`](crate::op::SemiJoinNarrow), scans the matching
-//! hypertable partitions on the query thread, verifies entity kinds /
-//! residual predicates, and publishes the candidates — selection vectors
-//! turned into [`EventRef`]s — plus the binding sets, join-key domains and
-//! time statistics later operators narrow with.
+//! hypertable partitions on the query thread, and publishes the candidates
+//! — selection vectors turned into [`EventRef`]s — plus the binding sets,
+//! join-key domains and time statistics later operators narrow with. One
+//! pass over each segment's selection vector produces all of them straight
+//! from the columns, verifying entity kinds (from the dictionary's dense
+//! kind column, never an entity fetch) and residual predicates on the way.
 
 use aiql_lang::CmpOp;
-use aiql_model::{Event, Value};
+use aiql_model::{EntityId, Event, Value};
 use aiql_storage::{EventFilter, IdSet, PartitionKey};
 
 use crate::error::EngineError;
@@ -50,33 +52,12 @@ impl Operator for PatternScan {
         let estimate = env.ctx.plan.estimates[i];
         let parts = env.store.partitions_for(&filter);
 
-        let (sub_kind, obj_kind) = (a.vars[p.subject].kind, a.vars[p.object].kind);
-        let same_var = p.subject == p.object;
-        let entities = env.store.entities();
-        // Enforce the declared entity kinds and (without entity pushdown)
-        // the per-variable attribute constraints.
-        let keep = |subj: aiql_model::EntityId, obj: aiql_model::EntityId| -> bool {
-            if entities.get(subj).kind() != sub_kind
-                || entities.get(obj).kind() != obj_kind
-                || (same_var && subj != obj)
-            {
-                return false;
-            }
-            if !env.config.entity_pushdown {
-                for (var_idx, id) in [(p.subject, subj), (p.object, obj)] {
-                    let entity = entities.get(id);
-                    for c in &a.vars[var_idx].constraints {
-                        if !entities.eval(entity, c) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            true
-        };
-
-        let mut refs = scan_refs(env, &parts, &filter);
-        refs.retain(|&r| keep(env.parts.subject(r), env.parts.object(r)));
+        let Candidates {
+            refs,
+            subjects,
+            objects,
+            times,
+        } = scan_partitions(env, p, &parts, &filter);
         let fetched = refs.len();
         let batch_bytes = (fetched * std::mem::size_of::<EventRef>()) as u64;
         if let Some(io) = governed_scan_stop(env, st, batch_bytes, estimate)? {
@@ -92,24 +73,14 @@ impl Operator for PatternScan {
                 ..OpIo::default()
             });
         }
-        let subj = IdSet::from_iter(refs.iter().map(|&r| env.parts.subject(r)));
-        let obj = IdSet::from_iter(refs.iter().map(|&r| env.parts.object(r)));
         if env.config.semi_join_pushdown {
-            st.bound.insert(p.subject, subj.clone());
-            st.bound.insert(p.object, obj.clone());
+            st.bound.insert(p.subject, subjects.clone());
+            st.bound.insert(p.object, objects.clone());
         }
         // Published sideways into the join: the candidates' id domains
         // prune later steps' builds and probes.
-        st.domains[i] = Some((subj, obj));
-        let mut ts = (i64::MAX, i64::MIN, i64::MAX, i64::MIN);
-        for &r in &refs {
-            let (start, end) = (env.parts.start(r).micros(), env.parts.end(r).micros());
-            ts.0 = ts.0.min(start);
-            ts.1 = ts.1.max(start);
-            ts.2 = ts.2.min(end);
-            ts.3 = ts.3.max(end);
-        }
-        st.time_stats[i] = Some(ts);
+        st.domains[i] = Some((subjects, objects));
+        st.time_stats[i] = Some(times);
         st.candidates[i] = Some(refs);
         st.stats.fetched[i] = fetched;
         Ok(OpIo {
@@ -150,13 +121,62 @@ fn governed_scan_stop(
     }))
 }
 
-/// Selection vectors per partition become [`EventRef`]s; residual global
-/// predicates are verified per surviving row.
-fn scan_refs(env: &ExecEnv<'_>, parts: &[PartitionKey], filter: &EventFilter) -> Vec<EventRef> {
-    let residual = &env.a.globals.residual;
+/// What one pattern's scan publishes: its candidates in partition order
+/// (ascending rows within a partition), the subject and object id domains
+/// they bind, and their time extremes (min / max start, min / max end).
+struct Candidates {
+    refs: Vec<EventRef>,
+    subjects: IdSet,
+    objects: IdSet,
+    times: (i64, i64, i64, i64),
+}
+
+/// One pass over each partition's selection vectors, reading every
+/// selected row's columns off its segment once: the entity kinds (and,
+/// without entity pushdown, the per-variable constraints) are enforced,
+/// residual global predicates verified, and the survivors become
+/// [`EventRef`]s while the id domains and time extremes accumulate.
+fn scan_partitions(
+    env: &ExecEnv<'_>,
+    p: &crate::analyze::AnalyzedPattern,
+    parts: &[PartitionKey],
+    filter: &EventFilter,
+) -> Candidates {
+    let a = env.a;
+    let residual = &a.globals.residual;
     let table = &env.parts;
     let gov = env.gov();
-    let mut out = Vec::new();
+    let entities = env.store.entities();
+    let (sub_kind, obj_kind) = (a.vars[p.subject].kind, a.vars[p.object].kind);
+    let same_var = p.subject == p.object;
+    // The declared kinds come from the dictionary's dense kind column; the
+    // per-variable constraints are verified here only without entity
+    // pushdown (with it, they are already in the filter's id sets).
+    let keep = |subj: EntityId, obj: EntityId| -> bool {
+        if entities.kind_of(subj) != sub_kind
+            || entities.kind_of(obj) != obj_kind
+            || (same_var && subj != obj)
+        {
+            return false;
+        }
+        if !env.config.entity_pushdown {
+            for (var_idx, id) in [(p.subject, subj), (p.object, obj)] {
+                let entity = entities.get(id);
+                for c in &a.vars[var_idx].constraints {
+                    if !entities.eval(entity, c) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    };
+    let mut out = Candidates {
+        refs: Vec::new(),
+        subjects: IdSet::new(),
+        objects: IdSet::new(),
+        times: (i64::MAX, i64::MIN, i64::MAX, i64::MIN),
+    };
     for &key in parts {
         // Governor granularity here is one partition: a tripped query skips
         // the partitions it has not started (PatternScan::run observes the
@@ -166,11 +186,28 @@ fn scan_refs(env: &ExecEnv<'_>, parts: &[PartitionKey], filter: &EventFilter) ->
         }
         let part = table.index_of(key);
         let partition = table.parts[part as usize];
-        for row in env.store.select_partition(key, filter) {
-            if residual.is_empty()
-                || residual_ok(&partition.event_at(key.agent, row as usize), residual)
-            {
-                out.push(EventRef { part, row });
+        for (seg, base, rows) in partition.select_by_segment(key.agent, filter) {
+            for local in rows {
+                let (subj, obj) = (seg.subject_at(local), seg.object_at(local));
+                if !keep(subj, obj)
+                    || !(residual.is_empty()
+                        || residual_ok(&seg.event_at(key.agent, local as usize), residual))
+                {
+                    continue;
+                }
+                out.subjects.insert(subj);
+                out.objects.insert(obj);
+                let (start, end) = seg.start_end_at(local);
+                let (start, end) = (start.micros(), end.micros());
+                let t = &mut out.times;
+                t.0 = t.0.min(start);
+                t.1 = t.1.max(start);
+                t.2 = t.2.min(end);
+                t.3 = t.3.max(end);
+                out.refs.push(EventRef {
+                    part,
+                    row: base + local,
+                });
             }
         }
     }

@@ -689,3 +689,84 @@ fn drive_fans_out_exactly_when_the_seed_fills_more_than_one_run() {
         assert!(label.contains(&format!("when seed ≥ {}", b + 1)), "{label}");
     }
 }
+
+/// The scan enforces each pattern's declared entity kinds itself: on one
+/// host one process writes to and connects to files, processes (itself
+/// included) and connections, so an operation selects rows of every object
+/// kind and only the kind test separates them. (`write` cannot target a
+/// process in a query, so the one-variable pattern `p … p` uses `connect`,
+/// which may.) With and without entity pushdown (the latter verifies
+/// constraints per row), the engine returns exactly the oracle's tuples.
+#[test]
+fn scans_enforce_declared_entity_kinds() {
+    let shell = || EntitySpec::process(100, "sh.bin", "user");
+    let mut raws = Vec::new();
+    for i in 0..48i64 {
+        let object = match i % 4 {
+            0 => EntitySpec::file(&format!("/data/file{}", i % 5), "user"),
+            1 => EntitySpec::process(200 + (i % 3) as u32, "child.bin", "user"),
+            2 => shell(),
+            _ => EntitySpec::tcp(
+                aiql_model::IpV4::from_octets(10, 0, 0, 1),
+                40_000,
+                aiql_model::IpV4::from_octets(10, 0, 4, 128 + (i % 2) as u8),
+                443,
+            ),
+        };
+        let subject = if i % 7 == 0 {
+            EntitySpec::process(300, "other.bin", "user")
+        } else {
+            shell()
+        };
+        let op = [Operation::Write, Operation::Connect][(i / 4 % 2) as usize];
+        raws.push(RawEvent::instant(
+            AgentId(1),
+            op,
+            subject,
+            object,
+            Timestamp::from_secs(i * 30),
+            1,
+        ));
+    }
+    let store = build_store(&raws);
+    for (src, op) in [
+        ("proc p write file f as e return p, f, e", Operation::Write),
+        ("proc p write ip i as e return p, i, e", Operation::Write),
+        ("proc p connect proc p as e return p, e", Operation::Connect),
+        (
+            "proc p connect proc c as e return p, c, e",
+            Operation::Connect,
+        ),
+        (
+            r#"proc p["%sh%"] write file f as e return p, f, e"#,
+            Operation::Write,
+        ),
+        (
+            r#"proc p["%sh%"] connect proc p as e return p, e"#,
+            Operation::Connect,
+        ),
+    ] {
+        let q = parse_query(src).unwrap();
+        let Query::Multievent(m) = &q else {
+            panic!("{src:?} is multievent")
+        };
+        let want = reference::run_reference(&store, &analyze_multievent(m, &store).unwrap())
+            .unwrap()
+            .normalized();
+        assert!(want.rows.len() >= 2, "{src:?}: {} rows", want.rows.len());
+        let op_rows = raws.iter().filter(|r| r.op == op).count();
+        assert!(want.rows.len() < op_rows, "{src:?}: the kinds must filter");
+        for entity_pushdown in [true, false] {
+            let config = EngineConfig {
+                entity_pushdown,
+                ..serial_config()
+            };
+            let got = Engine::new(config).execute(&store, &q).unwrap();
+            assert_eq!(
+                got.normalized().rows,
+                want.rows,
+                "{src:?} entity_pushdown {entity_pushdown}"
+            );
+        }
+    }
+}

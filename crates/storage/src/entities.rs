@@ -245,6 +245,9 @@ const FOLD_FLOOR: usize = 4096;
 #[derive(Debug, Default, Clone)]
 struct Layer {
     entities: Vec<Entity>,
+    /// Each entity's kind, in id order: one byte per entity, so a scan's
+    /// kind test reads this dense column instead of the entity records.
+    kinds: Vec<EntityKind>,
     by_kind: [Vec<EntityId>; 3],
     /// Process entities grouped by executable-name symbol.
     proc_by_name: HashMap<Symbol, Vec<EntityId>>,
@@ -264,6 +267,7 @@ impl Layer {
     /// Appends an entity whose id is one past the layer's last.
     fn push(&mut self, entity: Entity, interner: &Interner) {
         let id = entity.id;
+        self.kinds.push(entity.kind());
         self.by_kind[kind_slot(entity.kind())].push(id);
         // Group the entity under its dictionary key; the first observation
         // of a distinct key in this layer also enters its n-gram/prefix
@@ -306,6 +310,7 @@ impl Layer {
         }
         Layer {
             entities: with_room(&self.entities, extra),
+            kinds: with_room(&self.kinds, extra),
             by_kind: self.by_kind.each_ref().map(|ids| with_room(ids, extra)),
             proc_by_name: self.proc_by_name.clone(),
             file_by_name: self.file_by_name.clone(),
@@ -610,6 +615,20 @@ impl EntityStore {
         match base.get(id.index()) {
             Some(e) => e,
             None => &self.delta.entities[id.index() - base.len()],
+        }
+    }
+
+    /// The kind of an entity, read from the layers' dense kind columns
+    /// without touching the entity record.
+    ///
+    /// # Panics
+    /// Panics if the id was not produced by this store.
+    #[inline]
+    pub fn kind_of(&self, id: EntityId) -> EntityKind {
+        let base = &self.base.kinds;
+        match base.get(id.index()) {
+            Some(&k) => k,
+            None => self.delta.kinds[id.index() - base.len()],
         }
     }
 

@@ -342,26 +342,34 @@ impl Partition {
     /// concatenated, which keeps the partition-global output sorted (bases
     /// ascend in commit order; novelty rows occupy the end).
     pub fn select(&self, agent: AgentId, filter: &EventFilter) -> Vec<u32> {
-        if self.novelty.is_empty() {
-            if let [seg] = self.segments.as_slice() {
-                return seg.select(agent, filter);
-            }
-        } else if self.segments.is_empty() {
-            return self.novelty.select(agent, filter);
-        }
         let mut out = Vec::new();
+        for (_, base, rows) in self.select_by_segment(agent, filter) {
+            if out.is_empty() && base == 0 {
+                out = rows;
+            } else {
+                out.extend(rows.into_iter().map(|r| r + base));
+            }
+        }
+        out
+    }
+
+    /// [`Partition::select`] one segment at a time, in flat-row order: each
+    /// segment with its flat-row base and its sorted local row ids. A
+    /// reader of the selected rows' columns reads them off the segment
+    /// directly (flat row = base + local row) instead of locating the
+    /// owning segment again per row.
+    pub fn select_by_segment<'a>(
+        &'a self,
+        agent: AgentId,
+        filter: &'a EventFilter,
+    ) -> impl Iterator<Item = (&'a Segment, u32, Vec<u32>)> + 'a {
         let novelty_base = self.sealed_rows() as u32;
-        for (seg, base) in self
-            .segments
+        self.segments
             .iter()
             .map(|s| s.as_ref())
             .zip(self.bases.iter().copied())
             .chain((!self.novelty.is_empty()).then(|| (self.novelty.as_ref(), novelty_base)))
-        {
-            let rows = seg.select(agent, filter);
-            out.extend(rows.into_iter().map(|r| r + base));
-        }
-        out
+            .map(move |(seg, base)| (seg, base, seg.select(agent, filter)))
     }
 
     /// Whether some segment resolves the filter's entity id sets through

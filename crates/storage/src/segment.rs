@@ -32,6 +32,18 @@ impl PartitionKey {
     }
 }
 
+/// Rows of the column mask pass that cost about as much as one posting
+/// probe: a hash lookup whose rows then enter a heap merge. An entity id set
+/// takes a segment's posting lists only while `probes × PROBE_ROWS` stays
+/// within the segment's rows (see [`Segment::entity_rows`]); past that,
+/// testing the set's bitmap once per row is cheaper.
+///
+/// Measured with `Segment::select` on 300- and 2 000-row segments holding
+/// 40–600 distinct subjects (2-core Intel Xeon host): the mask pass
+/// costs ≈ 3.7 ns a row, a probe 70–540 ns (more as each list grows), and
+/// the two paths break even at 15–120 rows per probe.
+const PROBE_ROWS: usize = 32;
+
 /// Columnar storage for one partition.
 #[derive(Debug, Clone)]
 pub struct Segment {
@@ -274,10 +286,12 @@ impl Segment {
         self.min_time < filter.window.end.micros() && self.max_time >= filter.window.start.micros()
     }
 
-    /// Index-assisted scan of this segment: picks the cheapest available
-    /// access path, verifies residual predicates, and invokes `f` for every
-    /// matching event. `agent` is the partition's host (segments do not
-    /// duplicate it per row).
+    /// Index-assisted scan of this segment: takes the index access paths
+    /// [`Segment::select`] takes (one rule per segment, see
+    /// `Segment::index_rows`), verifies every predicate on the
+    /// materialized event, and invokes `f` for every match in row order.
+    /// `agent` is the partition's host (segments do not duplicate it per
+    /// row).
     ///
     /// This is the *materializing* access path: the relational and graph
     /// baselines and the engine's brute-force oracle read through it, which
@@ -287,59 +301,8 @@ impl Segment {
         if !self.overlaps_window(filter) {
             return;
         }
-        // Access path selection: smallest candidate row list wins.
-        let subj_rows = filter.subjects.as_ref().and_then(|ids| {
-            if ids.len() <= 64 {
-                let mut rows: Vec<u32> = Vec::new();
-                for id in ids.iter() {
-                    if let Some(r) = self.subject_rows(id) {
-                        rows.extend_from_slice(r);
-                    }
-                }
-                Some(rows)
-            } else {
-                None
-            }
-        });
-        let obj_rows = filter.objects.as_ref().and_then(|ids| {
-            if ids.len() <= 64 {
-                let mut rows: Vec<u32> = Vec::new();
-                for id in ids.iter() {
-                    if let Some(r) = self.object_rows(id) {
-                        rows.extend_from_slice(r);
-                    }
-                }
-                Some(rows)
-            } else {
-                None
-            }
-        });
-        let op_rows = if filter.ops.is_all() {
-            None
-        } else {
-            let total: usize = filter.ops.iter().map(|op| self.op_count(op)).sum();
-            // Only worth using when it actually prunes.
-            if total * 2 < self.len() {
-                let mut rows: Vec<u32> = Vec::with_capacity(total);
-                for op in filter.ops.iter() {
-                    rows.extend_from_slice(&self.op_postings[op.index()]);
-                }
-                Some(rows)
-            } else {
-                None
-            }
-        };
-        let candidates: Option<Vec<u32>> = [subj_rows, obj_rows, op_rows]
-            .into_iter()
-            .flatten()
-            .min_by_key(Vec::len);
-        match candidates {
-            Some(mut rows) => {
-                // Candidate lists concatenated from several posting lists
-                // arrive unsorted; visiting rows out of order defeats cache
-                // locality and breaks the sorted-output contract.
-                rows.sort_unstable();
-                rows.dedup();
+        match self.index_rows(filter) {
+            Some(rows) => {
                 for row in rows {
                     let e = self.event_at(agent, row as usize);
                     if filter.matches(&e) {
@@ -353,11 +316,12 @@ impl Segment {
 
     /// Selection-vector scan: evaluates every predicate directly against
     /// the columns and returns the sorted, deduped row ids that match —
-    /// no `Event` is materialized. Access paths (operation postings,
-    /// subject/object posting lists, each taken only when it prunes) are
-    /// combined by sort-merge intersection and the survivors verified
-    /// row by row; with no access path the residual predicates run as
-    /// chunked columnar mask passes (`Segment::residual_mask_scan`).
+    /// no `Event` is materialized. The index access paths
+    /// (`Segment::index_rows`: entity postings where probing them is
+    /// cheaper than the column pass, operation postings where they prune)
+    /// are combined by sort-merge intersection and the survivors verified
+    /// row by row; with no access path every predicate runs as chunked
+    /// columnar mask passes (`Segment::residual_mask_scan`).
     pub fn select(&self, agent: AgentId, filter: &EventFilter) -> Vec<u32> {
         if !self.overlaps_window(filter) {
             return Vec::new();
@@ -365,21 +329,6 @@ impl Segment {
         if let Some(agents) = &filter.agents {
             if !agents.contains(&agent) {
                 return Vec::new();
-            }
-        }
-        // Build each applicable access path as a sorted row-id list.
-        let mut paths: Vec<Vec<u32>> = self.entity_paths(filter).collect();
-        if !filter.ops.is_all() {
-            let total: usize = filter.ops.iter().map(|op| self.op_count(op)).sum();
-            // The op path only pays for itself when it prunes; an
-            // unselective op set is cheaper as a direct column pass below.
-            if total * 2 < self.len() {
-                let lists: Vec<&[u32]> = filter
-                    .ops
-                    .iter()
-                    .map(|op| self.op_postings[op.index()].as_slice())
-                    .collect();
-                paths.push(merge_sorted(&lists));
             }
         }
         // Residual verification straight off the columns. The window/op
@@ -413,7 +362,7 @@ impl Segment {
             }
             true
         };
-        match paths.into_iter().reduce(|a, b| intersect_sorted(&a, &b)) {
+        match self.index_rows(filter) {
             Some(mut rows) => {
                 // Index-pruned candidates are sparse; a gather-style mask
                 // pass would touch the same scattered cache lines, so the
@@ -425,6 +374,30 @@ impl Segment {
             // over the columns — no candidate vector is materialized.
             None => self.residual_mask_scan(filter),
         }
+    }
+
+    /// The segment's one access-path rule, shared by [`Segment::select`]
+    /// and [`Segment::scan`]: the sorted intersection of every index path
+    /// that pays — the entity paths ([`Segment::entity_paths`]) and the
+    /// operation postings when the filter's operations cover less than half
+    /// the segment — or `None` when none does and a column pass is cheaper.
+    /// Candidates still need every predicate verified.
+    fn index_rows(&self, filter: &EventFilter) -> Option<Vec<u32>> {
+        let mut paths: Vec<Vec<u32>> = self.entity_paths(filter).collect();
+        if !filter.ops.is_all() {
+            let total: usize = filter.ops.iter().map(|op| self.op_count(op)).sum();
+            // The op path only pays for itself when it prunes; an
+            // unselective op set is cheaper as a direct column pass.
+            if total * 2 < self.len() {
+                let lists: Vec<&[u32]> = filter
+                    .ops
+                    .iter()
+                    .map(|op| self.op_postings[op.index()].as_slice())
+                    .collect();
+                paths.push(merge_sorted(&lists));
+            }
+        }
+        paths.into_iter().reduce(|a, b| intersect_sorted(&a, &b))
     }
 
     /// Chunked columnar residual pass: each predicate runs as its own loop
@@ -511,13 +484,19 @@ impl Segment {
     }
 
     /// Sorted candidate rows for an entity id set via its posting index, or
-    /// `None` when the postings cover more than half the segment and a
-    /// column scan is cheaper.
+    /// `None` when the column mask pass is cheaper. Two tests decline the
+    /// postings: probing them costs more than testing the set once per row
+    /// (`probes × PROBE_ROWS > rows`, one probe per id in the set or per
+    /// distinct entity in the index, whichever side is iterated), or they
+    /// cover more than half the segment.
     fn entity_rows(
         &self,
         ids: &crate::filter::IdSet,
         index: &HashMap<EntityId, Vec<u32>>,
     ) -> Option<Vec<u32>> {
+        if ids.len().min(index.len()) * PROBE_ROWS > self.len() {
+            return None;
+        }
         let budget = self.len() / 2;
         let mut lists: Vec<&[u32]> = Vec::new();
         let mut total = 0usize;
@@ -804,13 +783,96 @@ mod tests {
             EventFilter::all().with_agents(vec![AgentId(9)]), // wrong agent
         ];
         for filter in filters {
-            let rows = s.select(AgentId(1), &filter);
-            assert!(rows.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
-            let mut slow = Vec::new();
-            s.scan_full(AgentId(1), &filter, &mut |e| slow.push(e.id));
-            let got: Vec<EventId> = rows.iter().map(|&r| s.id_at(r)).collect();
-            assert_eq!(got, slow, "filter {filter:?}");
+            assert_select_matches_full_scan(&s, &filter);
         }
+
+        // Id sets sized around the access-path threshold: a segment of
+        // `rows` rows takes an id set's postings up to `rows / PROBE_ROWS`
+        // probes. 200 distinct subjects and 320 distinct objects each cover
+        // at most a few rows, so only the probe count decides.
+        let rows = 640u32;
+        let threshold = rows as usize / PROBE_ROWS;
+        let mut s = Segment::new();
+        let mut rng = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u32| {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            (rng % u64::from(n)) as u32
+        };
+        for i in 0..rows {
+            let op = [Operation::Read, Operation::Write, Operation::Connect][next(3) as usize];
+            s.push(
+                AgentId(1),
+                &mk_event(u64::from(i), op, next(200), 1_000 + next(320), i64::from(i)),
+            );
+        }
+        // `size` distinct ids from `[lo, lo + span)`, half of which the
+        // segment holds.
+        let mut sample = |size: usize, lo: u32, span: u32| {
+            let mut ids = IdSet::new();
+            while ids.len() < size {
+                ids.insert(EntityId(lo + next(span)));
+            }
+            ids
+        };
+        for size in [threshold - 1, threshold, threshold + 1] {
+            let subjects = sample(size, 0, 400);
+            let objects = sample(size, 1_000, 640);
+            for filter in [
+                EventFilter::all().with_subjects(subjects.clone()),
+                EventFilter::all().with_objects(objects.clone()),
+                EventFilter::all()
+                    .with_subjects(subjects.clone())
+                    .with_objects(objects.clone()),
+                EventFilter::all()
+                    .with_ops(OpSet::single(Operation::Write))
+                    .with_subjects(subjects.clone()),
+            ] {
+                assert_select_matches_full_scan(&s, &filter);
+                // The rule, restated: postings when the probes fit and the
+                // rows they cover stay within half the segment.
+                let takes = |ids: &Option<IdSet>, index: &HashMap<EntityId, Vec<u32>>| {
+                    ids.as_ref().is_some_and(|ids| {
+                        let covered: usize = ids
+                            .iter()
+                            .filter_map(|id| index.get(&id))
+                            .map(Vec::len)
+                            .sum();
+                        ids.len().min(index.len()) * PROBE_ROWS <= s.len() && covered <= s.len() / 2
+                    })
+                };
+                let expected =
+                    takes(&filter.subjects, &s.subj_index) || takes(&filter.objects, &s.obj_index);
+                assert_eq!(
+                    s.entity_paths(&filter).next().is_some(),
+                    expected,
+                    "select's entity paths, {size} ids"
+                );
+                assert_eq!(s.uses_entity_postings(&filter), expected, "{size} ids");
+            }
+            let by_subjects = EventFilter::all().with_subjects(subjects);
+            assert_eq!(
+                s.uses_entity_postings(&by_subjects),
+                size <= threshold,
+                "{size} subject ids against {rows} rows"
+            );
+        }
+    }
+
+    /// `select` returns exactly `scan_full`'s rows, sorted and deduped, and
+    /// the materializing `scan` (which shares its access-path rule) visits
+    /// the same events in the same order.
+    fn assert_select_matches_full_scan(s: &Segment, filter: &EventFilter) {
+        let rows = s.select(AgentId(1), filter);
+        assert!(rows.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
+        let mut slow = Vec::new();
+        s.scan_full(AgentId(1), filter, &mut |e| slow.push(e.id));
+        let got: Vec<EventId> = rows.iter().map(|&r| s.id_at(r)).collect();
+        assert_eq!(got, slow, "select, filter {filter:?}");
+        let mut scanned = Vec::new();
+        s.scan(AgentId(1), filter, &mut |e| scanned.push(e.id));
+        assert_eq!(scanned, slow, "scan, filter {filter:?}");
     }
 
     /// The mask scan must agree with the per-row full scan across block

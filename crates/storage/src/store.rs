@@ -804,12 +804,15 @@ impl EventStore {
     /// The access path the selection-vector scan takes for a filter,
     /// summarized over the filter's partitions — what `EXPLAIN` reports as
     /// the chosen path. Each label follows the per-segment choice in
-    /// [`Segment::select`](crate::Segment::select): entity posting lists when some segment the scan
-    /// reads resolves the filter's id sets through them (the same budget
-    /// test — a set whose postings cover more than half a segment is
-    /// declined there and is not named here), operation postings when they
-    /// prune (the op rows cover less than half the candidate rows),
-    /// otherwise the columnar mask scan.
+    /// [`Segment::select`](crate::Segment::select): entity posting lists
+    /// when some segment the scan reads resolves the filter's id sets
+    /// through them — the segment's own decision, read back, so a set it
+    /// declines is not named here. A segment declines a set's postings when
+    /// probing them costs more than testing the set once per row in the
+    /// column pass (`min(ids, distinct entities) × PROBE_ROWS > rows`) or
+    /// when they cover more than half the segment. Operation postings are
+    /// named when they prune (the op rows cover less than half the
+    /// candidate rows); otherwise the label is the columnar mask scan.
     pub fn access_path(&self, filter: &EventFilter) -> &'static str {
         let keys = self.partitions_for(filter);
         let entity = keys

@@ -10,14 +10,21 @@
 //! exact, prefix and trigram paths, the scan fallback for patterns without
 //! a trigram-sized literal, rendered IPs), a numeric attribute and agent
 //! restrictions (`Some(&[])` and a restriction covering every host
-//! included); `get`, `iter`, `len`, `count_kind`, `ids_of_kind`; and the
-//! interner's `get` / `resolve`.
+//! included); `get`, `kind_of`, `iter`, `len`, `count_kind`, `ids_of_kind`;
+//! and the interner's `get` / `resolve`.
+//!
+//! The dense kind column `kind_of` reads must never drift from the entity
+//! records: it is checked on the writer's live dictionary after every batch
+//! (interns into the delta and folds interleave there), on every pinned
+//! snapshot, and on the stores a snapshot save/load round trip and a WAL
+//! recovery rebuild.
 
 use std::sync::Arc;
 
 use aiql_model::{AgentId, EntityId, EntityKind, IpV4, Operation, StringPattern, Timestamp, Value};
 use aiql_storage::{
-    AttrCmp, EntityConstraint, EntitySpec, EntityStore, EventStore, RawEvent, SharedStore,
+    recover, snapshot, AttrCmp, EntityConstraint, EntitySpec, EntityStore, EventStore, RawEvent,
+    SharedStore, StoreConfig, Wal,
 };
 use proptest::prelude::*;
 
@@ -184,7 +191,15 @@ fn constraint_sets(kind: EntityKind, flat: &EntityStore) -> Vec<Vec<EntityConstr
     sets
 }
 
+/// `kind_of` agrees with the entity record for every id.
+fn assert_kinds_match_entities(dict: &EntityStore, label: &str) {
+    for e in dict.iter() {
+        assert_eq!(dict.kind_of(e.id), e.kind(), "{label}: kind_of({:?})", e.id);
+    }
+}
+
 fn assert_same_dictionary(got: &EntityStore, want: &EntityStore, label: &str) {
+    assert_kinds_match_entities(got, label);
     assert_eq!(got.len(), want.len(), "{label}: len");
     assert_eq!(got.is_empty(), want.is_empty(), "{label}: is_empty");
     assert!(
@@ -193,6 +208,7 @@ fn assert_same_dictionary(got: &EntityStore, want: &EntityStore, label: &str) {
     );
     for e in want.iter() {
         assert_eq!(got.get(e.id), e, "{label}: get({:?})", e.id);
+        assert_eq!(got.kind_of(e.id), e.kind(), "{label}: kind_of({:?})", e.id);
     }
     let kinds = [EntityKind::Process, EntityKind::File, EntityKind::NetConn];
     for kind in kinds {
@@ -264,24 +280,48 @@ proptest! {
         let shared = SharedStore::new(EventStore::default());
         let mut flat = EntityStore::new();
         let mut pinned: Vec<(usize, Arc<EventStore>, EntityStore)> = Vec::new();
+        let wal_path = std::env::temp_dir().join(format!(
+            "aiql-prop-layered-dict-{}-{}.wal",
+            std::process::id(),
+            stream.len()
+        ));
+        let mut wal = Wal::create(&wal_path).unwrap();
         let mut rest = stream.as_slice();
         let mut batch = 0usize;
         while !rest.is_empty() {
             let (head, tail) = rest.split_at(sizes[batch % sizes.len()].min(rest.len()));
-            shared.write(|s| s.ingest_all(head));
+            shared.write(|s| {
+                s.ingest_all(head);
+                assert_kinds_match_entities(s.entities(), &format!("writer after batch {batch}"));
+            });
             for raw in head {
                 intern_serially(&mut flat, raw);
+                wal.append(raw).unwrap();
             }
+            wal.commit().unwrap();
             if pins.contains(&batch) {
                 pinned.push((batch, shared.snapshot(), flat.clone()));
             }
             rest = tail;
             batch += 1;
         }
-        pinned.push((batch, shared.snapshot(), flat));
+        drop(wal);
+        let last = shared.snapshot();
+        pinned.push((batch, last.clone(), flat));
         for (batch, snapshot, flat) in &pinned {
             let label = format!("snapshot after batch {batch} of {}", stream.len());
             assert_same_dictionary(snapshot.entities(), flat, &label);
         }
+        let flat = &pinned.last().unwrap().2;
+
+        let snap_path = wal_path.with_extension("snap");
+        snapshot::save(&last, &snap_path).unwrap();
+        let loaded = snapshot::load(&snap_path).unwrap();
+        assert_same_dictionary(loaded.entities(), flat, "snapshot save/load round trip");
+
+        let (recovered, _) = recover(StoreConfig::default(), &wal_path).unwrap();
+        assert_same_dictionary(recovered.entities(), flat, "recovered from the WAL");
+        let _ = std::fs::remove_file(&snap_path);
+        let _ = std::fs::remove_file(&wal_path);
     }
 }
