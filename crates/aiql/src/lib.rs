@@ -39,6 +39,8 @@
 //! [`baseline`] engines (PostgreSQL-like, Neo4j-like) and the [`sim`]
 //! workloads exist to regenerate the evaluation figures.
 
+#![forbid(unsafe_code)]
+
 pub use aiql_baseline as baseline;
 pub use aiql_engine as engine;
 pub use aiql_lang as lang;

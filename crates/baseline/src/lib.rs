@@ -26,6 +26,8 @@
 //! also holds the brute-force oracle ([`naive::run_reference`]) the
 //! engine's property tests compare against.
 
+#![forbid(unsafe_code)]
+
 pub mod graph;
 pub mod naive;
 pub mod relational;

@@ -17,6 +17,8 @@
 //! * `bin/conciseness.rs` — the §3 conciseness comparison (constraints,
 //!   words, characters of AIQL vs generated SQL/Cypher).
 
+#![forbid(unsafe_code)]
+
 use std::time::Instant;
 
 use aiql_engine::ResultTable;

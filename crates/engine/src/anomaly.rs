@@ -29,22 +29,20 @@ use crate::op::{ExecEnv, RefArena};
 use crate::result::ResultTable;
 use crate::schedule::PlanCache;
 
-/// Executes an anomaly query end to end: the candidate fetch runs on the
-/// optional persistent scan pool and plans through `plan_cache`, and both
+/// Executes an anomaly query end to end: the candidate fetch plans through
+/// `plan_cache`, and both
 /// the fetch and the window loop answer to `governor`. In error mode a trip
 /// is its typed error; in partial mode the table is the rows of the windows
 /// finished before the trip, flagged `truncated` with the governor's
 /// warning.
-pub fn run_anomaly_pooled(
+pub fn run_anomaly(
     store: &EventStore,
     a: &AnalyzedAnomaly,
     config: &EngineConfig,
-    pool: Option<Arc<crate::pool::ScanPool>>,
     plan_cache: &PlanCache,
     governor: Option<Arc<Governor>>,
 ) -> Result<ResultTable, EngineError> {
     let exec = MultieventExec::new(store, &a.base, config)
-        .with_pool(pool)
         .with_plan_cache(plan_cache)
         .with_governor(governor.clone());
     let (env, tuples, truncated, _) = exec.join()?;

@@ -21,9 +21,9 @@ use crate::schedule::PlanCache;
 /// everything else the pipeline does is unconditional.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Per-query fan-out of the join's seed runs on the process-wide
-    /// executor ([`crate::pool::shared`]). 1 = everything runs on the query
-    /// thread.
+    /// Threads a join's seed runs fan out on: the query thread plus
+    /// `parallelism − 1` scoped threads, no more than there are runs. 1 =
+    /// everything runs on the query thread.
     pub parallelism: usize,
     /// Schedule patterns by estimated pruning power (vs. source order).
     pub prioritize_pruning: bool,
@@ -38,17 +38,18 @@ pub struct EngineConfig {
     pub temporal_narrowing: bool,
     /// Seed-frontier run size (in tuples) of the join drive: the seed
     /// candidates are taken in runs of this many tuples, each driven
-    /// depth-first through every join step, and the runs fan out on the
-    /// executor once there is more than one. The result is byte-identical
+    /// depth-first through every join step, and the runs fan out once
+    /// there is more than one. The result is byte-identical
     /// across block sizes; smaller blocks bound live intermediate state
     /// more tightly, larger blocks amortize per-run overhead.
     pub join_block_tuples: usize,
     /// Cap on intermediate join tuples (guard against pattern explosion).
     pub max_intermediate: usize,
     /// Fault injection: panic at the start of every join-drive run, on
-    /// whichever thread drives it. On a pool worker that exercises the
-    /// panic-isolation path ([`EngineError::WorkerPanic`]); on the query
-    /// thread, whatever catches panics there (the service's dispatcher).
+    /// whichever thread drives it. In the parallel drive that exercises the
+    /// panic-isolation path ([`EngineError::WorkerPanic`]); in the serial
+    /// drive, whatever catches panics on the query thread (the service's
+    /// dispatcher).
     /// Tests only; never set in production configs.
     pub inject_drive_panic: bool,
 }
@@ -117,12 +118,6 @@ impl Engine {
         &self.config
     }
 
-    /// The process-wide executor, if the configuration fans out at all.
-    /// Per-query fan-out stays capped at `parallelism`.
-    fn pool(&self) -> Option<Arc<crate::pool::ScanPool>> {
-        (self.config.parallelism > 1).then(crate::pool::shared)
-    }
-
     /// `(hits, misses)` of the engine's plan-resolution cache, for tests
     /// and benches asserting cache behavior (e.g. that a cached plan
     /// survives an ingest into a partition it never read).
@@ -181,7 +176,7 @@ impl Engine {
             Query::Anomaly(anom) => {
                 let a = analyze::analyze_anomaly(anom, store)?;
                 let (config, cache) = (&self.config, &self.plan_cache);
-                anomaly::run_anomaly_pooled(store, &a, config, self.pool(), cache, governor(budget))
+                anomaly::run_anomaly(store, &a, config, cache, governor(budget))
             }
         }
     }
@@ -197,8 +192,8 @@ impl Engine {
         self.run_multievent(store, m, &ExecBudget::unlimited())
     }
 
-    /// The one multievent path: analyze, then run the operator pipeline on
-    /// the engine's pool and plan cache under `budget`.
+    /// The one multievent path: analyze, then run the operator pipeline
+    /// through the engine's plan cache under `budget`.
     fn run_multievent(
         &self,
         store: &EventStore,
@@ -207,7 +202,6 @@ impl Engine {
     ) -> Result<(ResultTable, ExecStats), EngineError> {
         let a = analyze::analyze_multievent(m, store)?;
         MultieventExec::new(store, &a, &self.config)
-            .with_pool(self.pool())
             .with_plan_cache(&self.plan_cache)
             .with_governor(governor(budget))
             .run_with_stats()
@@ -218,38 +212,4 @@ impl Engine {
 /// something, so unbudgeted queries keep the zero-overhead ungoverned path.
 fn governor(budget: &ExecBudget) -> Option<Arc<Governor>> {
     budget.is_limited().then(|| Arc::new(Governor::new(budget)))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn engines_share_the_process_wide_pool() {
-        let e1 = Engine::new(EngineConfig {
-            parallelism: 2,
-            ..EngineConfig::default()
-        });
-        let e2 = Engine::new(EngineConfig {
-            parallelism: 4,
-            ..EngineConfig::default()
-        });
-        let p1 = e1.pool().expect("parallel config wants a pool");
-        let p2 = e2.pool().expect("parallel config wants a pool");
-        assert!(
-            Arc::ptr_eq(&p1, &p2),
-            "every engine must use the one process-wide executor"
-        );
-    }
-
-    #[test]
-    fn serial_config_gets_no_pool() {
-        let e = Engine::new(EngineConfig {
-            parallelism: 1,
-            ..EngineConfig::default()
-        });
-        assert!(e.pool().is_none());
-        let unopt = Engine::new(EngineConfig::unoptimized());
-        assert!(unopt.pool().is_none());
-    }
 }

@@ -3,7 +3,7 @@
 //! # Error taxonomy
 //!
 //! Every failure a query can surface is a structured [`EngineError`]
-//! variant; nothing on the execution path panics past the pool boundary.
+//! variant; nothing on the execution path panics past a join-drive thread.
 //! The variants split into three families:
 //!
 //! | Variant | Family | Raised by | Retryable? |
@@ -15,12 +15,12 @@
 //! | [`DeadlineExceeded`](EngineError::DeadlineExceeded) | resource governance | the governor's wall-clock deadline | yes — give the query a longer [`ExecBudget`](crate::ExecBudget) deadline or narrow the time window |
 //! | [`Cancelled`](EngineError::Cancelled) | resource governance | a caller-held [`CancelToken`](crate::governor::CancelToken) | yes — the query was killed on purpose |
 //! | [`MemoryBudget`](EngineError::MemoryBudget) | resource governance | the governor's byte accounting over arena + frontier | yes — give the query a larger budget `memory_bytes` or refine |
-//! | [`WorkerPanic`](EngineError::WorkerPanic) | fault containment | a panic caught on a pool worker | maybe — indicates a bug; the pool stays healthy |
+//! | [`WorkerPanic`](EngineError::WorkerPanic) | fault containment | a panic caught on a thread of the parallel join drive | maybe — indicates a bug; the engine stays healthy |
 //! | [`Internal`](EngineError::Internal) | fault containment | a broken engine invariant caught on a fallible path (missing partition, unstaged scan filter), or a panic `QueryService`'s dispatcher caught on the query thread | no — indicates a bug; the query unwinds cleanly instead of panicking |
 //!
 //! Resource-governance errors are *clean* stops: they are raised at batch
-//! boundaries, the engine unwinds normally, and the shared scan pool and
-//! plan cache remain fully usable. Under
+//! boundaries, the engine unwinds normally, and its plan cache remains
+//! fully usable. Under
 //! [`partial_results`](crate::ExecBudget::partial_results) the governance
 //! family (except `Cancelled`-free paths that never started) is downgraded
 //! to a truncated [`ResultTable`](crate::ResultTable) carrying
@@ -58,9 +58,9 @@ pub enum EngineError {
         /// The configured budget, in bytes.
         budget_bytes: u64,
     },
-    /// A worker panicked while executing part of this query. The panic was
-    /// contained: the message is captured here and the shared pool keeps
-    /// serving other queries.
+    /// A thread of the parallel join drive panicked while executing part of
+    /// this query. The panic was contained: the message is captured here
+    /// and the engine keeps serving other queries.
     WorkerPanic {
         /// The panic payload, when it was a string.
         message: String,
@@ -117,6 +117,18 @@ impl From<ParseError> for EngineError {
 impl From<ModelError> for EngineError {
     fn from(e: ModelError) -> Self {
         EngineError::Model(e)
+    }
+}
+
+/// A caught panic's message: the payload when it is a string, else a
+/// placeholder.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
     }
 }
 

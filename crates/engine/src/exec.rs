@@ -6,7 +6,7 @@
 //! `TemporalJoin`, closed by `Project`/`Aggregate` — and executes it
 //! post-order, timing every operator into [`ExecStats::ops`]. All data
 //! movement lives in the operators; this module only prepares the shared
-//! phase (plan context, partition table, pool handle) and adapts the
+//! phase (plan context, partition table) and adapts the
 //! pipeline's outputs to the public API.
 //!
 //! Candidate lists, binding propagation, and the multi-way join carry
@@ -22,7 +22,6 @@ use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::Governor;
 use crate::op::{self, ExecEnv, PartTable, PipelineState, RefArena};
-use crate::pool::ScanPool;
 use crate::result::ResultTable;
 use crate::schedule::{self, PlanCache};
 
@@ -38,7 +37,6 @@ pub struct MultieventExec<'a> {
     store: &'a EventStore,
     a: &'a AnalyzedMultievent,
     config: &'a EngineConfig,
-    pool: Option<Arc<ScanPool>>,
     plan_cache: Option<&'a PlanCache>,
     governor: Option<Arc<Governor>>,
 }
@@ -50,18 +48,9 @@ impl<'a> MultieventExec<'a> {
             store,
             a,
             config,
-            pool: None,
             plan_cache: None,
             governor: None,
         }
-    }
-
-    /// Attaches the executor the join's runs fan out on; without one the
-    /// whole query runs on the query thread.
-    #[must_use]
-    pub fn with_pool(mut self, pool: Option<Arc<ScanPool>>) -> Self {
-        self.pool = pool;
-        self
     }
 
     /// Attaches a cross-query plan-resolution cache; without one the
@@ -89,7 +78,6 @@ impl<'a> MultieventExec<'a> {
             store: self.store,
             a: self.a,
             config: self.config,
-            pool: self.pool.clone(),
             ctx: schedule::prepare(
                 self.a,
                 self.store,

@@ -17,7 +17,6 @@ use crate::analyze::{self, AnalyzedMultievent};
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::ExecBudget;
-use crate::pool;
 use crate::schedule;
 
 /// The plan of one pattern's data query.
@@ -312,21 +311,19 @@ fn operator_tree(
             }
         })
         .collect();
-    // The drive that will run: runs fan out on the process-wide executor
-    // when the seed pattern's candidates — known only at run time — fill
-    // more than one run; below that floor the same plan runs serial. The
-    // worker count is what can run: the executor's threads, capped by
-    // `parallelism` (the run count caps it again at run time). A memory
-    // budget forces the serial drive (live charging needs a single
-    // observer): the drive's test is its governor's `has_memory_budget`,
-    // which is this budget's `memory_bytes`.
+    // The drive that will run: runs fan out on `parallelism` threads when
+    // the seed pattern's candidates — known only at run time — fill more
+    // than one run; below that floor the same plan runs serial (the run
+    // count caps the threads again at run time). A memory budget forces
+    // the serial drive (live charging needs a single observer): the
+    // drive's test is its governor's `has_memory_budget`, which is this
+    // budget's `memory_bytes`.
     let drive = if budget.memory_bytes.is_some() {
         "serial (memory-budgeted)".to_string()
     } else if config.parallelism > 1 {
-        let workers =
-            crate::op::join::drive_workers(&pool::shared(), config.parallelism, usize::MAX);
         format!(
-            "parallel ×{workers} worker(s) when seed ≥ {}",
+            "parallel ×{} worker(s) when seed ≥ {}",
+            config.parallelism,
             crate::op::join::parallel_seed_floor(config)
         )
     } else {
@@ -522,12 +519,10 @@ mod tests {
         assert_eq!(join.kind, "TemporalJoin");
         // The seed's size is a run-time fact: the label carries the floor
         // (more than one 4096-tuple run) below which this plan runs serial,
-        // and the workers the process-wide executor can run of the eight
-        // asked for.
-        let workers = pool::shared().threads().min(8);
-        assert!(join.detail.contains(&format!(
-            "demand-driven blocked(4096) drive, parallel ×{workers} worker(s) when seed ≥ 4097"
-        )));
+        // and the eight workers asked for.
+        assert!(join
+            .detail
+            .contains("demand-driven blocked(4096) drive, parallel ×8 worker(s) when seed ≥ 4097"));
         assert_eq!(join.children.len(), 2);
         for scan in &join.children {
             assert_eq!(scan.kind, "PatternScan");
@@ -680,12 +675,9 @@ mod tests {
         };
         let plan = |budget: &ExecBudget| explain(&store, &q, &config, budget).unwrap();
         let join_detail = |budget: &ExecBudget| plan(budget).operators.children[0].detail.clone();
-        let parallel = format!(
-            "drive, parallel ×{} worker(s)",
-            pool::shared().threads().min(8)
-        );
+        let parallel = "drive, parallel ×8 worker(s)";
         let unlimited = ExecBudget::unlimited();
-        assert!(join_detail(&unlimited).contains(&parallel));
+        assert!(join_detail(&unlimited).contains(parallel));
         assert_eq!(plan(&unlimited).governor, None);
         let budgeted = ExecBudget::unlimited().with_memory_bytes(1 << 20);
         let detail = join_detail(&budgeted);
@@ -701,7 +693,7 @@ mod tests {
         let deadline = ExecBudget::unlimited()
             .with_deadline(std::time::Duration::from_millis(250))
             .with_partial_results(true);
-        assert!(join_detail(&deadline).contains(&parallel));
+        assert!(join_detail(&deadline).contains(parallel));
         assert_eq!(
             plan(&deadline).governor.as_deref(),
             Some("deadline 250ms | on trip: partial results")

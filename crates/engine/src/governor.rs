@@ -1,7 +1,7 @@
 //! The query governor: per-query deadlines, cooperative cancellation, and
 //! memory budgets.
 //!
-//! Interactive attack investigations share one store and one scan pool; a
+//! Interactive attack investigations share one store and one process; a
 //! runaway query must not starve the analysts next to it. The governor
 //! generalizes the join's `max_intermediate` early-stop into a full
 //! [`ExecBudget`]: a wall-clock deadline, a caller-held [`CancelToken`],
@@ -14,8 +14,8 @@
 //! A trip surfaces one of two ways:
 //!
 //! * **Error mode** (default): the query unwinds cleanly with
-//!   `EngineError::{DeadlineExceeded, Cancelled, MemoryBudget}`. The store,
-//!   plan cache, and shared pool are untouched.
+//!   `EngineError::{DeadlineExceeded, Cancelled, MemoryBudget}`. The store
+//!   and plan cache are untouched.
 //! * **Partial mode** (`ExecBudget::partial_results`): the pipeline stops
 //!   extending the frontier and the query returns a *prefix-preserving*
 //!   truncated table — for queries without `ORDER BY`/aggregation the rows
@@ -311,16 +311,6 @@ impl Governor {
         }
     }
 
-    /// Bytes of memory budget still unspent (`u64::MAX` when unlimited).
-    /// The join converts this into a deterministic row cap at each step, so
-    /// serial and parallel execution truncate at the same tuple.
-    pub fn remaining_bytes(&self) -> u64 {
-        match self.memory_bytes {
-            Some(limit) => limit.saturating_sub(self.charged.load(Ordering::Relaxed)),
-            None => u64::MAX,
-        }
-    }
-
     /// Whether a memory budget is configured at all.
     pub fn has_memory_budget(&self) -> bool {
         self.memory_bytes.is_some()
@@ -467,10 +457,11 @@ mod tests {
     fn memory_budget_charges_and_releases() {
         let gov = Governor::new(&ExecBudget::unlimited().with_memory_bytes(100));
         gov.charge(60).unwrap();
-        assert_eq!(gov.remaining_bytes(), 40);
         gov.uncharge(30);
-        assert_eq!(gov.remaining_bytes(), 70);
-        assert_eq!(gov.charge(80), Err(Trip::Memory));
+        // 30 live + 70 fills the budget exactly; one byte more trips it.
+        assert_eq!(gov.charge(70), Ok(()));
+        assert_eq!(gov.trip(), None);
+        assert_eq!(gov.charge(1), Err(Trip::Memory));
         assert_eq!(gov.trip(), Some(Trip::Memory));
     }
 

@@ -16,8 +16,9 @@
 //!    split along the hypertable's ⟨time-bucket, agent⟩ partitions, so a
 //!    scan touches only the partitions its window and agents name. The
 //!    parallelism is in the multi-way join, which drives its seed runs on
-//!    a process-wide shared worker pool ([`pool`]); scans stay on the query
-//!    thread, where they measured faster than fanned out.
+//!    the query thread and `parallelism − 1` scoped threads
+//!    ([`op::join`]); scans stay on the query thread, where they measured
+//!    faster than fanned out.
 //!
 //! Execution is structured as a tree of physical operators ([`op`]):
 //! `SemiJoinNarrow → PatternScan` per pattern, `TemporalJoin`,
@@ -41,9 +42,10 @@
 //! cancellation, and byte budgets on intermediate state at batch
 //! boundaries, either erroring with a structured [`EngineError`] or — when
 //! the budget asks for partial results — returning a prefix of the full
-//! answer with a warning. The budget is the only way to limit a query. Worker panics are caught at the pool boundary ([`pool`]) and
-//! delivered to the owning query as [`EngineError::WorkerPanic`] while the
-//! shared executor keeps serving other queries.
+//! answer with a warning. The budget is the only way to limit a query. A
+//! panic on a thread of the parallel join drive is caught where it runs and
+//! delivered to the owning query as [`EngineError::WorkerPanic`], while the
+//! engine keeps serving other queries.
 //!
 //! Above single-query execution sits the multi-tenant query [`service`]:
 //! per-analyst sessions with private plan caches and variable bindings,
@@ -60,6 +62,8 @@
 //! oracle — a tiny, obviously-correct brute-force executor over a dynamic
 //! evaluator — lives with the baselines, in `aiql_baseline::naive`.
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod anomaly;
 pub mod engine;
@@ -69,7 +73,6 @@ pub mod exec;
 pub mod explain;
 pub mod governor;
 pub mod op;
-pub mod pool;
 pub mod result;
 pub mod schedule;
 pub mod service;
@@ -79,7 +82,6 @@ pub use engine::{Engine, EngineConfig};
 pub use error::EngineError;
 pub use explain::{explain, QueryPlan};
 pub use governor::{CancelToken, Clock, ExecBudget, Governor, ManualClock, SystemClock, Warning};
-pub use pool::PoolPanic;
 pub use result::ResultTable;
 pub use service::{
     BackoffPolicy, QueryResponse, QueryService, QueryTicket, ServiceConfig, ServiceError,

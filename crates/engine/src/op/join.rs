@@ -68,13 +68,14 @@
 //! stopping the drive after it; the final step draws on the output budget
 //! (`max_intermediate` delivered tuples across the whole drive).
 //!
-//! With an executor attached and a seed that fills more than one run, runs
-//! fan out: each fills a fork of the output under a shared `JoinBudget` and
-//! the forks fold into the output in ascending seed order. A run whose partial
-//! overshoots the remaining room (the one run that straddles the cap) or
-//! would not merge bit for bit (float sums) is dropped and re-driven on the
-//! merge thread into the output itself, so the serial and parallel drives
-//! produce the same output by construction.
+//! With `parallelism > 1` and a seed that fills more than one run, runs fan
+//! out on the query thread and scoped threads: each fills a fork of the
+//! output under a shared `JoinBudget` and the forks fold into the output in
+//! ascending seed order. A run whose partial overshoots the remaining room
+//! (the one run that straddles the cap) or would not merge bit for bit
+//! (float sums) is dropped and re-driven on the merge thread into the
+//! output itself, so the serial and parallel drives produce the same output
+//! by construction.
 //!
 //! Governor integration: a memory budget forces the serial drive, which
 //! *live-charges* each expansion's bytes while its subtree runs and what
@@ -89,6 +90,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -100,10 +102,9 @@ use crate::analyze::{AnalyzedMultievent, StepRel};
 use crate::error::EngineError;
 use crate::governor::{GovGate, Governor};
 use crate::op::{
-    worker_panic, EventRef, ExecEnv, Flow, JoinOutput, JoinStepStat, OpIo, Operator, PartTable,
-    PipelineState, ProjectionSink, RefArena, NO_VAR,
+    EventRef, ExecEnv, Flow, JoinOutput, JoinStepStat, OpStat, Operator, PartTable, PipelineState,
+    ProjectionSink, RefArena, NO_VAR,
 };
-use crate::pool::ScanPool;
 
 /// How many delivered tuples a run produces between refreshes of its
 /// shared-budget cap. Bounds how far a run can overshoot the budget before
@@ -143,12 +144,12 @@ impl Operator for TemporalJoin {
         &self,
         env: &'e ExecEnv<'_>,
         st: &mut PipelineState<'e>,
-    ) -> Result<OpIo, EngineError> {
+    ) -> Result<OpStat, EngineError> {
         if st.done {
             // A pattern came back empty: the frontier stays empty, and the
             // projection above produces the empty table.
             st.stats.tuples = 0;
-            return Ok(OpIo::default());
+            return Ok(OpStat::default());
         }
         let candidates: Vec<Vec<EventRef>> = std::mem::take(&mut st.candidates)
             .into_iter()
@@ -173,7 +174,7 @@ impl Operator for TemporalJoin {
             .map_or(frontier.len(), ProjectionSink::pushed);
         st.stats.tuples = rows_out;
         st.frontier = frontier;
-        Ok(OpIo {
+        Ok(OpStat {
             rows_in,
             rows_out,
             sink_kept,
@@ -182,17 +183,11 @@ impl Operator for TemporalJoin {
     }
 }
 
-/// The smallest seed the drive fans out over when an executor is attached:
-/// more than one run's worth of tuples (a single run has nothing to fan
-/// out). EXPLAIN quotes it next to the worker count.
+/// The smallest seed the drive fans out over when `parallelism > 1`: more
+/// than one run's worth of tuples (a single run has nothing to fan out).
+/// EXPLAIN quotes it next to the worker count.
 pub(crate) fn parallel_seed_floor(config: &crate::engine::EngineConfig) -> usize {
     config.join_block_tuples.max(1) + 1
-}
-
-/// The workers a drive of `runs` runs can use on `pool`: what the pool has,
-/// what the engine allows, and no more than there are runs.
-pub(crate) fn drive_workers(pool: &ScanPool, parallelism: usize, runs: usize) -> usize {
-    pool.threads().min(parallelism.max(1)).min(runs)
 }
 
 /// Packs the at-most-two bound entity ids of a pattern into one `u64`
@@ -529,7 +524,7 @@ fn join_refs<'e>(
     env: &'e ExecEnv<'_>,
     candidates: Vec<Vec<EventRef>>,
     domains: &[Option<(IdSet, IdSet)>],
-) -> Result<(RefArena, Option<ProjectionSink<'e>>, bool, OpIo), EngineError> {
+) -> Result<(RefArena, Option<ProjectionSink<'e>>, bool, OpStat), EngineError> {
     let (n, nvars) = (env.a.patterns.len(), env.a.vars.len());
     // With the projection closing the pipeline, the final step pushes into
     // its sink; otherwise the tuples are kept.
@@ -1070,8 +1065,9 @@ impl Drive<'_, '_> {
     /// under truncation), then the chunked recursion over the steps.
     ///
     /// `EngineConfig::inject_drive_panic` panics here, on whichever thread
-    /// drives the run: a pool worker (the query gets `WorkerPanic`) or the
-    /// query thread.
+    /// drives the run: in the parallel drive the panic is caught and the
+    /// query gets `WorkerPanic`; in the serial drive it unwinds the query
+    /// thread.
     fn drive_run<O: JoinOutput>(
         &self,
         lo: usize,
@@ -1123,7 +1119,7 @@ fn drive_join<O: JoinOutput>(
     candidates: &[Vec<EventRef>],
     domains: &[Option<(IdSet, IdSet)>],
     mut out: O,
-) -> Result<(O, bool, OpIo), EngineError> {
+) -> Result<(O, bool, OpStat), EngineError> {
     let a = env.a;
     let n = a.patterns.len();
     let nvars = a.vars.len();
@@ -1135,7 +1131,7 @@ fn drive_join<O: JoinOutput>(
     let seed_pruned_count = (seed_all.len() - seed_refs.len()) as u64;
     let gov = env.gov();
     let out_cap = env.config.max_intermediate;
-    let mut io = OpIo::default();
+    let mut io = OpStat::default();
 
     // The seed places its pattern first; every later pattern gets a probe
     // step, its index built here, once.
@@ -1260,41 +1256,61 @@ fn drive_join<O: JoinOutput>(
             charge,
             count_last,
         };
-        // Runs fan out when the seed fills more than one and an executor
-        // is attached. A memory budget forces the serial drive: live
-        // charging yields a deterministic trip point only with a single
-        // observer.
-        let pool = env
-            .pool
-            .as_deref()
-            .filter(|_| !charge && nruns > 1 && env.config.parallelism > 1);
+        // Runs fan out when the seed fills more than one and `parallelism`
+        // allows. A memory budget forces the serial drive: live charging
+        // yields a deterministic trip point only with a single observer.
+        let parallel = !charge && nruns > 1 && env.config.parallelism > 1;
         let t_probe = Instant::now();
         // Parallel drive: every run fills a fork of the output under the
         // shared budget. `None` marks a run skipped because the runs before
         // it had already produced the whole output cap — the demand-driven
         // win: seed tuples nobody will consume are never driven.
         let mut partials: Vec<Option<(O, RunState)>> = Vec::new();
-        if let Some(pool) = pool {
-            let workers = drive_workers(pool, env.config.parallelism, nruns);
+        if parallel {
+            let workers = env.config.parallelism.min(nruns);
             let budget = JoinBudget::new(out_cap, nruns);
             let slots: Vec<Mutex<Option<(O, RunState)>>> =
                 (0..nruns).map(|_| Mutex::new(None)).collect();
+            let cursor = AtomicUsize::new(0);
+            let panicked: Mutex<Option<String>> = Mutex::new(None);
             let out = &out;
-            pool.run_chunks_capped(nruns, workers, &|k| {
-                if budget.cap(k) == 0 {
-                    return;
+            // The query thread and `workers − 1` scoped threads pull run
+            // indexes from one cursor, so skewed runs balance. A panic ends
+            // only its own thread's loop; the first message becomes the
+            // query's `WorkerPanic` once every thread has joined.
+            let participate = || {
+                let drove = catch_unwind(AssertUnwindSafe(|| loop {
+                    let k = cursor.fetch_add(1, Ordering::Relaxed);
+                    if k >= nruns {
+                        break;
+                    }
+                    if budget.cap(k) == 0 {
+                        continue;
+                    }
+                    let (lo, hi) = run_range(k);
+                    let mut st = RunState::new(n, nvars);
+                    let mut local = out.fork();
+                    let mut caps = CapTracker::shared(&budget, k, gov);
+                    let _ = drive.drive_run(lo, hi, &mut st, &mut local, &mut caps, gov);
+                    budget.publish(k, local.delivered());
+                    // Only the run's accounting outlives it, not its scratch.
+                    st.levels = Vec::new();
+                    *crate::op::lock_clean(&slots[k]) = Some((local, st));
+                }));
+                if let Err(payload) = drove {
+                    let message = crate::error::panic_message(payload.as_ref());
+                    crate::op::lock_clean(&panicked).get_or_insert(message);
                 }
-                let (lo, hi) = run_range(k);
-                let mut st = RunState::new(n, nvars);
-                let mut local = out.fork();
-                let mut caps = CapTracker::shared(&budget, k, gov);
-                let _ = drive.drive_run(lo, hi, &mut st, &mut local, &mut caps, gov);
-                budget.publish(k, local.delivered());
-                // Only the run's accounting outlives it, not its scratch.
-                st.levels = Vec::new();
-                *crate::op::lock_clean(&slots[k]) = Some((local, st));
-            })
-            .map_err(worker_panic)?;
+            };
+            std::thread::scope(|s| {
+                for _ in 1..workers {
+                    s.spawn(participate);
+                }
+                participate();
+            });
+            if let Some(message) = crate::op::unwrap_clean(panicked) {
+                return Err(EngineError::WorkerPanic { message });
+            }
             partials = slots.into_iter().map(crate::op::unwrap_clean).collect();
             io.fanout = workers;
         }

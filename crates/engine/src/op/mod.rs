@@ -45,7 +45,6 @@ use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::Governor;
-use crate::pool::{PoolPanic, ScanPool};
 use crate::result::ResultTable;
 use crate::schedule::PlanCtx;
 
@@ -353,9 +352,6 @@ pub struct ExecEnv<'a> {
     pub store: &'a EventStore,
     pub a: &'a AnalyzedMultievent,
     pub config: &'a EngineConfig,
-    /// The executor the join's runs fan out on (`None` = the join stays on
-    /// the query thread).
-    pub pool: Option<Arc<ScanPool>>,
     /// The compiled shared phase: resolved vars, base filters, schedule.
     pub ctx: PlanCtx,
     /// The partition address space of this execution.
@@ -378,12 +374,6 @@ impl ExecEnv<'_> {
     }
 }
 
-/// A caught worker panic, surfaced to the owning query as a structured
-/// error (the pool and its workers stay healthy).
-pub(crate) fn worker_panic(p: PoolPanic) -> EngineError {
-    EngineError::WorkerPanic { message: p.message }
-}
-
 /// A broken engine invariant, surfaced as a structured
 /// [`EngineError::Internal`] instead of a panic: the query unwinds cleanly
 /// and the sessions sharing the process keep running.
@@ -393,16 +383,16 @@ pub(crate) fn internal(message: impl Into<String>) -> EngineError {
     }
 }
 
-/// Locks a per-task result slot, recovering from poisoning. A pool task
-/// that panics is caught at the batch boundary and surfaced as
-/// `WorkerPanic` *before* any partial data behind the lock is consumed, so
-/// recovery here can never leak a half-written result — it only avoids a
-/// secondary panic while the query unwinds.
+/// Locks a per-run result slot, recovering from poisoning. A drive thread
+/// that panics is caught where it runs and surfaced as `WorkerPanic`
+/// *before* any partial data behind the lock is consumed, so recovery here
+/// can never leak a half-written result — it only avoids a secondary panic
+/// while the query unwinds.
 pub(crate) fn lock_clean<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// [`lock_clean`] for consuming the slot after the batch completed.
+/// [`lock_clean`] for consuming the slot after every drive thread joined.
 pub(crate) fn unwrap_clean<T>(m: std::sync::Mutex<T>) -> T {
     m.into_inner().unwrap_or_else(|e| e.into_inner())
 }
@@ -562,8 +552,9 @@ impl ExecStats {
     }
 }
 
-/// One operator's contribution to [`ExecStats`].
-#[derive(Debug, Clone)]
+/// One operator's contribution to [`ExecStats`]. An operator's `run`
+/// fills its counters; the driver fills `kind`, `pattern` and `nanos`.
+#[derive(Debug, Clone, Default)]
 pub struct OpStat {
     /// Operator kind label (`PatternScan`, `SemiJoinNarrow`,
     /// `TemporalJoin`, `Project`, `Aggregate`).
@@ -576,9 +567,8 @@ pub struct OpStat {
     pub rows_in: usize,
     /// Tuples the operator produced.
     pub rows_out: usize,
-    /// Pool workers the operator ran on (1 = the query thread): the join's
-    /// parallel drive, capped by the pool's threads, `parallelism` and the
-    /// run count.
+    /// Threads the operator ran on (1 = the query thread alone): the
+    /// join's parallel drive runs on `min(parallelism, runs)`.
     pub fanout: usize,
     /// Hash-index build time (joins only, 0 elsewhere): nanoseconds spent
     /// building the per-step candidate indexes, summed over join steps.
@@ -652,27 +642,6 @@ impl JoinStepStat {
     }
 }
 
-/// Tuple in/out accounting returned by each operator run.
-#[derive(Debug, Clone, Default)]
-pub struct OpIo {
-    pub rows_in: usize,
-    pub rows_out: usize,
-    pub fanout: usize,
-    /// Join-only build/probe timing split (see [`OpStat`]).
-    pub build_nanos: u64,
-    pub probe_nanos: u64,
-    /// Join-only probe-reduction counters (see [`OpStat`]).
-    pub probe_hits: u64,
-    pub bucket_skipped: u64,
-    pub filter_pruned: u64,
-    /// Join-only emission counters (see [`OpStat`]).
-    pub runs_driven: u64,
-    pub emitted_tuples: u64,
-    pub early_exit_depth: Option<usize>,
-    pub sink_kept: Option<usize>,
-    pub join_steps: Vec<JoinStepStat>,
-}
-
 /// The uniform physical-operator interface: one batch-oriented `run` over
 /// the shared pipeline state.
 pub trait Operator: std::fmt::Debug + Send + Sync {
@@ -684,12 +653,13 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
         None
     }
 
-    /// Executes the operator, reading and writing the pipeline state.
+    /// Executes the operator, reading and writing the pipeline state, and
+    /// returns its counters.
     fn run<'e>(
         &self,
         env: &'e ExecEnv<'_>,
         st: &mut PipelineState<'e>,
-    ) -> Result<OpIo, EngineError>;
+    ) -> Result<OpStat, EngineError>;
 }
 
 /// A node of the physical plan tree.
@@ -710,26 +680,15 @@ impl PlanNode {
             child.execute(env, st)?;
         }
         let t0 = Instant::now();
-        let io = self.op.run(env, st)?;
+        let stat = self.op.run(env, st)?;
         st.stats.ops.push(OpStat {
             kind: self.op.kind(),
             pattern: self.op.pattern(),
             // Clamp to 1ns: "ran, under the clock's resolution" must stay
             // distinguishable from "never ran".
             nanos: (t0.elapsed().as_nanos() as u64).max(1),
-            rows_in: io.rows_in,
-            rows_out: io.rows_out,
-            fanout: io.fanout.max(1),
-            build_nanos: io.build_nanos,
-            probe_nanos: io.probe_nanos,
-            probe_hits: io.probe_hits,
-            bucket_skipped: io.bucket_skipped,
-            filter_pruned: io.filter_pruned,
-            runs_driven: io.runs_driven,
-            emitted_tuples: io.emitted_tuples,
-            early_exit_depth: io.early_exit_depth,
-            sink_kept: io.sink_kept,
-            join_steps: io.join_steps,
+            fanout: stat.fanout.max(1),
+            ..stat
         });
         Ok(())
     }

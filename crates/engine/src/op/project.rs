@@ -42,7 +42,7 @@ use aiql_storage::EventStore;
 use crate::analyze::AnalyzedMultievent;
 use crate::error::EngineError;
 use crate::eval::{self, agg_key, Clause, SlotCtx, SlotEnv, SlotExpr, TupleView};
-use crate::op::{EventRef, ExecEnv, JoinOutput, OpIo, Operator, PipelineState, RefArena, Tuple};
+use crate::op::{EventRef, ExecEnv, JoinOutput, OpStat, Operator, PipelineState, RefArena, Tuple};
 use crate::result::ResultTable;
 
 /// The projection operator.
@@ -71,7 +71,7 @@ impl Operator for Project {
         &self,
         env: &'e ExecEnv<'_>,
         st: &mut PipelineState<'e>,
-    ) -> Result<OpIo, EngineError> {
+    ) -> Result<OpStat, EngineError> {
         // The join streamed into the sink — or never ran (a pattern came
         // back empty) and a fresh sink closes the empty table.
         let sink = st.sink.take().unwrap_or_else(|| ProjectionSink::new(env));
@@ -80,11 +80,10 @@ impl Operator for Project {
         table.truncated = st.truncated;
         let rows_out = table.rows.len();
         st.table = Some(table);
-        Ok(OpIo {
+        Ok(OpStat {
             rows_in,
             rows_out,
-            fanout: 1,
-            ..OpIo::default()
+            ..OpStat::default()
         })
     }
 }

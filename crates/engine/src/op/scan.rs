@@ -15,7 +15,7 @@ use aiql_storage::{EventFilter, IdSet, PartitionKey};
 
 use crate::error::EngineError;
 use crate::eval;
-use crate::op::{EventRef, ExecEnv, OpIo, Operator, PipelineState};
+use crate::op::{EventRef, ExecEnv, OpStat, Operator, PipelineState};
 
 /// The scan operator of one pattern.
 #[derive(Debug, Clone, Copy)]
@@ -38,9 +38,9 @@ impl Operator for PatternScan {
         Some(self.pattern)
     }
 
-    fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpIo, EngineError> {
+    fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpStat, EngineError> {
         if st.done {
-            return Ok(OpIo::default());
+            return Ok(OpStat::default());
         }
         let a = env.a;
         let i = self.pattern;
@@ -60,17 +60,17 @@ impl Operator for PatternScan {
         } = scan_partitions(env, p, &parts, &filter);
         let fetched = refs.len();
         let batch_bytes = (fetched * std::mem::size_of::<EventRef>()) as u64;
-        if let Some(io) = governed_scan_stop(env, st, batch_bytes, estimate)? {
+        if let Some(stat) = governed_scan_stop(env, st, batch_bytes, estimate)? {
             st.stats.fetched[i] = fetched;
-            return Ok(io);
+            return Ok(stat);
         }
         if refs.is_empty() {
             st.stats.fetched[i] = 0;
             st.done = true;
-            return Ok(OpIo {
+            return Ok(OpStat {
                 rows_in: estimate,
                 rows_out: 0,
-                ..OpIo::default()
+                ..OpStat::default()
             });
         }
         if env.config.semi_join_pushdown {
@@ -83,10 +83,10 @@ impl Operator for PatternScan {
         st.time_stats[i] = Some(times);
         st.candidates[i] = Some(refs);
         st.stats.fetched[i] = fetched;
-        Ok(OpIo {
+        Ok(OpStat {
             rows_in: estimate,
             rows_out: fetched,
-            ..OpIo::default()
+            ..OpStat::default()
         })
     }
 }
@@ -96,13 +96,13 @@ impl Operator for PatternScan {
 /// the scan leaves the candidate list incomplete, so the operator must not
 /// publish it). In error mode the trip unwinds as its `EngineError`; in
 /// partial mode the pipeline short-circuits (`st.done`) — the empty table
-/// is a valid prefix of the full result. `Ok(Some(io))` means stop here.
+/// is a valid prefix of the full result. `Ok(Some(stat))` means stop here.
 fn governed_scan_stop(
     env: &ExecEnv<'_>,
     st: &mut PipelineState,
     batch_bytes: u64,
     estimate: usize,
-) -> Result<Option<OpIo>, EngineError> {
+) -> Result<Option<OpStat>, EngineError> {
     let Some(g) = env.gov() else {
         return Ok(None);
     };
@@ -114,10 +114,10 @@ fn governed_scan_stop(
     };
     g.on_trip(t)?;
     st.done = true;
-    Ok(Some(OpIo {
+    Ok(Some(OpStat {
         rows_in: estimate,
         rows_out: 0,
-        ..OpIo::default()
+        ..OpStat::default()
     }))
 }
 

@@ -19,7 +19,7 @@ use aiql_model::{TimeWindow, Timestamp};
 use aiql_storage::EventFilter;
 
 use crate::error::EngineError;
-use crate::op::{ExecEnv, OpIo, Operator, PipelineState};
+use crate::op::{ExecEnv, OpStat, Operator, PipelineState};
 
 /// The filter-narrowing operator of one pattern.
 #[derive(Debug, Clone, Copy)]
@@ -42,9 +42,9 @@ impl Operator for SemiJoinNarrow {
         Some(self.pattern)
     }
 
-    fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpIo, EngineError> {
+    fn run(&self, env: &ExecEnv<'_>, st: &mut PipelineState) -> Result<OpStat, EngineError> {
         if st.done {
-            return Ok(OpIo::default());
+            return Ok(OpStat::default());
         }
         let a = env.a;
         let i = self.pattern;
@@ -56,7 +56,7 @@ impl Operator for SemiJoinNarrow {
             // scan (but unsatisfiable constraints still short-circuit).
             if a.vars[p.subject].unsatisfiable || a.vars[p.object].unsatisfiable {
                 st.done = true;
-                return Ok(OpIo::default());
+                return Ok(OpStat::default());
             }
             filter.subjects = None;
             filter.objects = None;
@@ -85,11 +85,10 @@ impl Operator for SemiJoinNarrow {
             narrow_window(env, &mut filter, i, &st.time_stats);
         }
         st.narrowed = Some(filter);
-        Ok(OpIo {
+        Ok(OpStat {
             rows_in: bound_in,
             rows_out: pushed,
-            fanout: 1,
-            ..OpIo::default()
+            ..OpStat::default()
         })
     }
 }

@@ -7,8 +7,7 @@
 //! process without sharing their failures:
 //!
 //! * [`SessionManager`] — one [`Engine`] per analyst session, so plan
-//!   caches and `$name` variable bindings are per-tenant while the scan
-//!   executor stays process-wide;
+//!   caches and `$name` variable bindings are per-tenant;
 //! * [`DrrScheduler`] — deficit-round-robin over bounded per-session
 //!   queues: dispatch order converges to the sessions' weight ratios, so
 //!   a chatty tenant fills its own queue instead of starving the rest;
@@ -20,17 +19,19 @@
 //!   `retry_after_ms` hint for the client's jittered backoff
 //!   ([`retry_overloaded`]);
 //! * fault containment — a faulted query (worker panic, IO fault, cancel,
-//!   deadline) answers only its own caller; dispatchers, the pool, and
-//!   every other session keep running. A service query runs under a
-//!   memory budget, which keeps its join drive serial on the dispatcher
-//!   thread, so the dispatcher's `catch_unwind` is what turns its panic
-//!   into [`EngineError::Internal`].
+//!   deadline) answers only its own caller; dispatchers, the maintenance
+//!   thread, and every other session keep running. A service query runs
+//!   under a memory budget, which keeps its join drive serial on the
+//!   dispatcher thread, so the dispatcher's `catch_unwind` is what turns
+//!   its panic into [`EngineError::Internal`].
 //!
 //! Enforcement stays at batch boundaries inside the engine — the service
 //! only *derives* budgets, it never preempts. Shutdown is a drain: queued
 //! requests answer `ShuttingDown`, in-flight queries are cancelled through
 //! their governor tokens, and cancellable maintenance (storage compaction)
-//! aborts with its partial merges discarded.
+//! aborts with its partial merges discarded. Deferred store maintenance
+//! runs on one `aiql-maintenance` thread the service owns and joins at
+//! shutdown.
 
 mod admission;
 mod retry;
@@ -46,7 +47,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use aiql_storage::{CompactionReport, SharedStore};
+use aiql_storage::{CompactionReport, MaintenanceExecutor, SharedStore};
 
 use crate::engine::{Engine, EngineConfig};
 use crate::error::EngineError;
@@ -58,16 +59,14 @@ use crate::result::ResultTable;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Dispatcher threads — the service's concurrency slots. Each runs at
-    /// most one query at a time; queries parallelize internally on the
-    /// process-wide scan pool. 0 is valid (tests drive dispatch manually).
+    /// most one query at a time, on its own thread (a served query's
+    /// memory budget keeps its join drive serial). 0 is valid (tests drive
+    /// dispatch manually).
     pub dispatchers: usize,
     /// Concurrent-session cap.
     pub max_sessions: usize,
     /// Bounded per-session queue depth; a submit beyond it is shed.
     pub session_queue_cap: usize,
-    /// Deficit units a weight-1 session earns per scheduler round
-    /// ([`REQUEST_COST`] ⇒ weight = dispatches per round).
-    pub drr_quantum: u64,
     /// Global memory pool for intermediate query state.
     pub total_memory_bytes: u64,
     /// Full per-query grant (the governor byte budget when unpressured).
@@ -90,7 +89,6 @@ impl Default for ServiceConfig {
             dispatchers: 4,
             max_sessions: 1024,
             session_queue_cap: 32,
-            drr_quantum: REQUEST_COST,
             total_memory_bytes: 512 << 20,
             per_query_memory_bytes: 64 << 20,
             min_grant_bytes: 8 << 20,
@@ -336,7 +334,7 @@ impl ServiceInner {
             Err(panic) => {
                 self.counters.failed.fetch_add(1, Ordering::Relaxed);
                 Err(ServiceError::Engine(EngineError::Internal {
-                    message: panic_message(panic),
+                    message: crate::error::panic_message(panic.as_ref()),
                 }))
             }
         };
@@ -344,13 +342,23 @@ impl ServiceInner {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+type Job = Box<dyn FnOnce() + Send>;
+
+/// The sending end of the service's maintenance thread, wired into the
+/// store as its [`MaintenanceExecutor`]. Shutdown takes the sender, which
+/// closes the channel: the thread finishes the jobs already queued (no-ops
+/// on the cancelled drain token) and exits, and a job spawned afterwards is
+/// dropped unrun.
+#[derive(Debug)]
+struct MaintenanceQueue {
+    jobs: Mutex<Option<mpsc::Sender<Job>>>,
+}
+
+impl MaintenanceExecutor for MaintenanceQueue {
+    fn spawn(&self, job: Job) {
+        if let Some(jobs) = &*self.jobs.lock().unwrap_or_else(|e| e.into_inner()) {
+            let _ = jobs.send(job);
+        }
     }
 }
 
@@ -359,6 +367,8 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 pub struct QueryService {
     inner: Arc<ServiceInner>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    maintenance: Arc<MaintenanceQueue>,
+    maintenance_thread: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
 impl QueryService {
@@ -368,7 +378,7 @@ impl QueryService {
         let dispatchers = config.dispatchers;
         let inner = Arc::new(ServiceInner {
             sessions: SessionManager::new(config.max_sessions),
-            sched: DrrScheduler::new(config.drr_quantum, config.session_queue_cap),
+            sched: DrrScheduler::new(config.session_queue_cap),
             admission: AdmissionController::new(
                 config.total_memory_bytes,
                 config.per_query_memory_bytes,
@@ -382,12 +392,25 @@ impl QueryService {
             config,
         });
         // Deferred store maintenance (background compaction behind
-        // `background_compaction`) runs on the process-wide scan pool and
-        // aborts on the service drain token, so shutdown never waits behind
-        // a merge.
+        // `background_compaction`) runs on the service's one maintenance
+        // thread and aborts on the service drain token, so shutdown never
+        // waits behind a merge. A panicking job is contained: the thread
+        // keeps serving the next one.
+        let (jobs, queued) = mpsc::channel::<Job>();
+        let maintenance = Arc::new(MaintenanceQueue {
+            jobs: Mutex::new(Some(jobs)),
+        });
+        let maintenance_thread = std::thread::Builder::new()
+            .name("aiql-maintenance".into())
+            .spawn(move || {
+                for job in queued {
+                    let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                }
+            })
+            .expect("spawn maintenance thread");
         inner
             .store
-            .set_maintenance(crate::pool::shared(), inner.drain.clone());
+            .set_maintenance(maintenance.clone(), inner.drain.clone());
         let workers = (0..dispatchers)
             .map(|i| {
                 let inner = inner.clone();
@@ -404,6 +427,8 @@ impl QueryService {
         QueryService {
             inner,
             workers: Mutex::new(workers),
+            maintenance,
+            maintenance_thread: Mutex::new(Some(maintenance_thread)),
         }
     }
 
@@ -564,7 +589,8 @@ impl QueryService {
 
     /// Drains the service: sheds the queue with `ShuttingDown`, cancels
     /// in-flight queries through their governor tokens, aborts cancellable
-    /// maintenance, and joins the dispatchers. Idempotent.
+    /// maintenance, and joins the dispatchers and the maintenance thread.
+    /// Idempotent.
     pub fn shutdown(&self) {
         self.inner.drain.cancel();
         for token in self
@@ -585,6 +611,12 @@ impl QueryService {
             guard.drain(..).collect()
         };
         for handle in workers {
+            let _ = handle.join();
+        }
+        let jobs = &self.maintenance.jobs;
+        drop(jobs.lock().unwrap_or_else(|e| e.into_inner()).take());
+        let thread = &self.maintenance_thread;
+        if let Some(handle) = thread.lock().unwrap_or_else(|e| e.into_inner()).take() {
             let _ = handle.join();
         }
     }
@@ -852,7 +884,7 @@ mod tests {
             }
             other => panic!("expected the dispatcher's Internal backstop, got {other:?}"),
         }
-        // The dispatcher, the pool, and other sessions are unharmed.
+        // The dispatcher and the other sessions are unharmed.
         for _ in 0..3 {
             assert!(service.query(healthy, SIMPLE).is_ok());
         }
@@ -911,6 +943,73 @@ mod tests {
         ));
         // Idempotent.
         service.shutdown();
+    }
+
+    /// Deferred compaction runs on the service's maintenance thread: small
+    /// commits through the shared store queue their partitions, and the
+    /// thread densifies them with nobody driving it. Shutdown joins the
+    /// thread; a commit afterwards neither panics nor compacts.
+    #[test]
+    fn background_compaction_runs_on_the_service_thread() {
+        let shared = SharedStore::new(EventStore::new(StoreConfig {
+            compaction_min_segments: 2,
+            background_compaction: true,
+            dedup: false,
+            ..StoreConfig::default()
+        }));
+        let service = QueryService::new(
+            shared.clone(),
+            ServiceConfig {
+                dispatchers: 0,
+                engine: serial_engine_config(),
+                ..ServiceConfig::default()
+            },
+        );
+        // One agent, one hour bucket: every commit lands in one partition
+        // and seals one more segment there.
+        let commit = |round: u64| {
+            shared.write(|s| {
+                let raws: Vec<RawEvent> = (round * 8..round * 8 + 8)
+                    .map(|i| {
+                        RawEvent::instant(
+                            AgentId(1),
+                            Operation::Read,
+                            EntitySpec::process(100, "exe.bin", "u"),
+                            EntitySpec::file(&format!("/f{}", i % 9), "u"),
+                            Timestamp::from_secs(i as i64),
+                            1,
+                        )
+                    })
+                    .collect();
+                s.ingest_all(&raws);
+            })
+        };
+        let segments = || -> Vec<usize> {
+            let layouts = shared.read(|s| s.segment_layouts());
+            layouts.into_iter().map(|(_, segs)| segs.len()).collect()
+        };
+        for round in 0..12 {
+            commit(round);
+        }
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while segments() != [1] {
+            assert!(
+                Instant::now() < deadline,
+                "the maintenance thread never compacted: {:?}",
+                segments()
+            );
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let events = shared.read(|s| s.stats().events);
+        assert_eq!(events, 96, "compaction keeps every row");
+
+        service.shutdown();
+        // The store still routes deferred merges to the service, whose
+        // thread is gone: the job is dropped, nothing merges inline.
+        commit(12);
+        commit(13);
+        assert_eq!(segments(), [3]);
+        assert_eq!(shared.read(|s| s.stats().events), 112);
     }
 
     #[test]

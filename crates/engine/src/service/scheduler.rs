@@ -3,8 +3,8 @@
 //! Every session owns a **bounded** FIFO of pending requests; dispatchers
 //! pull work through a deficit-round-robin ring over the sessions that
 //! have anything queued. Each request costs [`REQUEST_COST`] units and a
-//! session earns `weight × quantum` units each time the ring reaches it,
-//! so over any window the dispatch ratio between backlogged sessions
+//! session earns `weight × REQUEST_COST` units each time the ring reaches
+//! it — `weight` dispatches per round — so over any window the dispatch ratio between backlogged sessions
 //! converges to their weight ratio — one chatty tenant cannot starve the
 //! rest, it can only fill (and overflow) its own queue. A submit against a
 //! full queue fails immediately with the depth, which the service turns
@@ -60,15 +60,12 @@ struct State<T> {
 pub struct DrrScheduler<T> {
     state: Mutex<State<T>>,
     work: Condvar,
-    quantum: u64,
     capacity: usize,
 }
 
 impl<T> DrrScheduler<T> {
-    /// Creates a scheduler: `quantum` deficit units per ring visit per
-    /// unit weight (use [`REQUEST_COST`] for "weight = requests per
-    /// round"), `capacity` requests per session queue.
-    pub fn new(quantum: u64, capacity: usize) -> Self {
+    /// Creates a scheduler with `capacity` requests per session queue.
+    pub fn new(capacity: usize) -> Self {
         DrrScheduler {
             state: Mutex::new(State {
                 sessions: HashMap::new(),
@@ -77,7 +74,6 @@ impl<T> DrrScheduler<T> {
                 shutdown: false,
             }),
             work: Condvar::new(),
-            quantum: quantum.max(1),
             capacity: capacity.max(1),
         }
     }
@@ -145,7 +141,7 @@ impl<T> DrrScheduler<T> {
             if st.shutdown {
                 return None;
             }
-            if let Some(out) = Self::pop_locked(&mut st, self.quantum) {
+            if let Some(out) = Self::pop_locked(&mut st) {
                 return Some(out);
             }
             st = self.work.wait(st).unwrap_or_else(|e| e.into_inner());
@@ -158,10 +154,10 @@ impl<T> DrrScheduler<T> {
         if st.shutdown {
             return None;
         }
-        Self::pop_locked(&mut st, self.quantum)
+        Self::pop_locked(&mut st)
     }
 
-    fn pop_locked(st: &mut State<T>, quantum: u64) -> Option<(u64, T)> {
+    fn pop_locked(st: &mut State<T>) -> Option<(u64, T)> {
         while let Some(&sid) = st.ring.front() {
             let Some(sq) = st.sessions.get_mut(&sid) else {
                 st.ring.pop_front();
@@ -173,29 +169,24 @@ impl<T> DrrScheduler<T> {
                 st.ring.pop_front();
                 continue;
             }
-            // A fresh visit earns the session its quantum; while the
+            // A fresh visit earns the session `weight` requests; while the
             // deficit covers requests it keeps the head (the DRR "burst"
             // that realizes weighted ratios).
             if sq.deficit < REQUEST_COST {
-                sq.deficit += quantum * u64::from(sq.weight);
+                sq.deficit += REQUEST_COST * u64::from(sq.weight);
             }
-            if sq.deficit >= REQUEST_COST {
-                sq.deficit -= REQUEST_COST;
-                let item = sq.queue.pop_front().expect("non-empty queue");
-                st.queued -= 1;
-                if sq.queue.is_empty() {
-                    sq.in_ring = false;
-                    sq.deficit = 0;
-                    st.ring.pop_front();
-                } else if sq.deficit < REQUEST_COST {
-                    // Deficit spent: rotate to the back of the ring.
-                    st.ring.rotate_left(1);
-                }
-                return Some((sid, item));
+            sq.deficit -= REQUEST_COST;
+            let item = sq.queue.pop_front().expect("non-empty queue");
+            st.queued -= 1;
+            if sq.queue.is_empty() {
+                sq.in_ring = false;
+                sq.deficit = 0;
+                st.ring.pop_front();
+            } else if sq.deficit < REQUEST_COST {
+                // Deficit spent: rotate to the back of the ring.
+                st.ring.rotate_left(1);
             }
-            // Quantum too small to cover one request this visit; keep the
-            // earned deficit and move on.
-            st.ring.rotate_left(1);
+            return Some((sid, item));
         }
         None
     }
@@ -241,7 +232,7 @@ mod tests {
 
     #[test]
     fn equal_weights_alternate() {
-        let s = DrrScheduler::new(REQUEST_COST, 64);
+        let s = DrrScheduler::new(64);
         s.register(1, 1);
         s.register(2, 1);
         for i in 0..6 {
@@ -253,7 +244,7 @@ mod tests {
 
     #[test]
     fn weights_set_the_dispatch_ratio() {
-        let s = DrrScheduler::new(REQUEST_COST, 64);
+        let s = DrrScheduler::new(64);
         s.register(1, 2); // premium analyst: twice the share
         s.register(2, 1);
         for i in 0..12 {
@@ -271,7 +262,7 @@ mod tests {
 
     #[test]
     fn chatty_session_cannot_starve_a_quiet_one() {
-        let s = DrrScheduler::new(REQUEST_COST, 1024);
+        let s = DrrScheduler::new(1024);
         s.register(1, 1);
         s.register(2, 1);
         for i in 0..1000 {
@@ -287,7 +278,7 @@ mod tests {
 
     #[test]
     fn bounded_queue_sheds_with_depth() {
-        let s = DrrScheduler::new(REQUEST_COST, 2);
+        let s = DrrScheduler::new(2);
         s.register(1, 1);
         assert_eq!(s.submit(1, 0), Ok(1));
         assert_eq!(s.submit(1, 1), Ok(2));
@@ -299,7 +290,7 @@ mod tests {
 
     #[test]
     fn unknown_session_and_shutdown_are_structured() {
-        let s: DrrScheduler<u32> = DrrScheduler::new(REQUEST_COST, 4);
+        let s: DrrScheduler<u32> = DrrScheduler::new(4);
         assert_eq!(s.submit(9, 0), Err(SubmitError::UnknownSession));
         s.register(1, 1);
         s.submit(1, 7).unwrap();
@@ -311,7 +302,7 @@ mod tests {
 
     #[test]
     fn deregister_returns_pending_work() {
-        let s = DrrScheduler::new(REQUEST_COST, 8);
+        let s = DrrScheduler::new(8);
         s.register(1, 1);
         s.register(2, 1);
         s.submit(1, 10).unwrap();
@@ -324,7 +315,7 @@ mod tests {
 
     #[test]
     fn blocking_next_wakes_on_submit() {
-        let s = std::sync::Arc::new(DrrScheduler::new(REQUEST_COST, 4));
+        let s = std::sync::Arc::new(DrrScheduler::new(4));
         s.register(1, 1);
         let consumer = {
             let s = s.clone();

@@ -5,8 +5,8 @@
 //! queries within an investigation skip the shared phase without cache
 //! interference from other tenants), a fairness weight, and named variable
 //! bindings that `$name` references in query text expand to before
-//! parsing. Sessions are cheap: the engine shares the process-wide scan
-//! pool, so a thousand sessions still run on one executor.
+//! parsing. Sessions are cheap: a session holds no threads, so a thousand
+//! sessions still run on the service's dispatchers.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};

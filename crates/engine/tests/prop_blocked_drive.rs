@@ -265,8 +265,8 @@ fn delivered(stats: &exec::ExecStats) -> usize {
 }
 
 /// `Engine::execute_multievent_with_stats` under a budget: the engine's
-/// executor with its pool rule and a governor over `budget`, so partial
-/// mode can be held to the tuples the join delivered before the trip.
+/// executor with a governor over `budget`, so partial mode can be held to
+/// the tuples the join delivered before the trip.
 fn governed_with_stats(
     store: &EventStore,
     m: &MultieventQuery,
@@ -275,7 +275,6 @@ fn governed_with_stats(
 ) -> Result<(ResultTable, exec::ExecStats), EngineError> {
     let a = analyze_multievent(m, store)?;
     MultieventExec::new(store, &a, config)
-        .with_pool((config.parallelism > 1).then(aiql_engine::pool::shared))
         .with_governor(Some(std::sync::Arc::new(Governor::new(budget))))
         .run_with_stats()
 }

@@ -5,8 +5,8 @@
 //!
 //! * **Error mode** (default): a tripped budget unwinds cleanly with the
 //!   matching structured error — `DeadlineExceeded`, `Cancelled`, or
-//!   `MemoryBudget` — and the engine (store, plan cache, shared pool)
-//!   remains fully usable afterwards.
+//!   `MemoryBudget` — and the engine (store, plan cache) remains fully
+//!   usable afterwards.
 //! * **Partial mode** (`partial_results`): the query returns a
 //!   *prefix-preserving* truncated table — its rows are a prefix of the
 //!   ungoverned result — flagged `truncated` and carrying a [`Warning`].
@@ -14,8 +14,8 @@
 //!   live-charges what it keeps at run and window boundaries, so a serial
 //!   and a parallel configuration trip at the same tuple and return
 //!   byte-identical tables.
-//! * **Panic containment**: a worker panic mid-scan surfaces as
-//!   `WorkerPanic` for the owning query only; the process-wide pool keeps
+//! * **Panic containment**: a panic on a thread of the parallel join drive
+//!   surfaces as `WorkerPanic` for the owning query only; the engine keeps
 //!   serving subsequent queries.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -71,8 +71,8 @@ fn build_store(raws: &[RawEvent]) -> EventStore {
     store
 }
 
-/// A governed config: `parallel` attaches the executor the run-sharded
-/// join drive fans out on. A memory budget forces the serial drive, so
+/// A governed config: `parallel` gives the run-sharded join drive four
+/// threads to fan out on. A memory budget forces the serial drive, so
 /// under one both configs trip at the same tuple.
 fn config(parallel: bool) -> EngineConfig {
     EngineConfig {
@@ -136,7 +136,7 @@ fn precancelled_query_errors_cleanly_and_engine_survives() {
         .unwrap_err();
     assert_eq!(err, EngineError::Cancelled);
 
-    // The engine (plan cache, pool) is untouched: the same query runs
+    // The engine (plan cache) is untouched: the same query runs
     // ungoverned to completion afterwards.
     engine.execute(&store, &query).unwrap();
 }
@@ -294,9 +294,9 @@ fn worker_panic_is_contained_and_pool_stays_healthy() {
     let query = parse_query("proc p write file f as e return p, f").unwrap();
 
     // Chaos engine: every join-drive run panics, and with one seed tuple
-    // per run every run is driven on a pool worker. The panic must surface
-    // as a structured WorkerPanic for this query, not abort the process or
-    // poison the shared executor.
+    // per run every run is driven by the parallel drive, whose threads
+    // catch it. The panic must surface as a structured WorkerPanic for this
+    // query, not abort the process or unwind the caller.
     let chaos = Engine::new(EngineConfig {
         inject_drive_panic: true,
         ..fanned_out()
@@ -309,8 +309,8 @@ fn worker_panic_is_contained_and_pool_stays_healthy() {
         other => panic!("expected WorkerPanic, got {other:?}"),
     }
 
-    // The same process-wide pool keeps serving: a healthy engine returns
-    // the exact serial-reference result after the panic...
+    // The process keeps serving: a healthy engine returns the exact
+    // serial-reference result after the panic...
     let healthy = Engine::new(fanned_out());
     let expected = Engine::new(config(false)).execute(&store, &query).unwrap();
     let got = healthy.execute(&store, &query).unwrap();

@@ -32,11 +32,8 @@
 //!   ingest: results always match a cache-free engine, and ingest into a
 //!   partition a cached plan never read does not evict it.
 
-use std::sync::{Arc, OnceLock};
-
 use aiql_baseline::naive::reference;
 use aiql_engine::exec::MultieventExec;
-use aiql_engine::pool::ScanPool;
 use aiql_engine::{analyze_multievent, explain, schedule};
 use aiql_engine::{Engine, EngineConfig, ExecBudget};
 use aiql_lang::{parse_query, Query};
@@ -193,13 +190,6 @@ fn parallel_config(threads: usize) -> EngineConfig {
     }
 }
 
-/// An executor with eight workers regardless of the host's core count,
-/// shared by every case of the test that uses it.
-fn eight_workers() -> Arc<ScanPool> {
-    static POOL: OnceLock<Arc<ScanPool>> = OnceLock::new();
-    POOL.get_or_init(|| Arc::new(ScanPool::new(8))).clone()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -307,12 +297,10 @@ proptest! {
         }
     }
 
-    /// `Engine` fans out on the process-wide executor, which is sized by the
-    /// host (one or two workers on a small CI box), so "threads 8" above
-    /// caps a query's fan-out without promising eight workers. This case
-    /// attaches a private executor that really has eight, whatever the
-    /// host: the run-sharded drive interleaves across all of them and still
-    /// reproduces the serial table.
+    /// `parallelism: 8` drives the runs on eight threads whatever the
+    /// host's core count (the query thread and seven scoped threads): the
+    /// run-sharded drive interleaves across all of them at every block
+    /// size and still reproduces the serial table.
     #[test]
     fn eight_worker_executor_matches_serial_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
@@ -330,17 +318,12 @@ proptest! {
             join_block_tuples: block,
             ..parallel_config(8)
         };
-        let pool = eight_workers();
-        prop_assert_eq!(pool.threads(), 8);
         for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
             let Query::Multievent(m) = &q else { panic!("{src:?} is multievent") };
             let a = analyze_multievent(m, &store).unwrap();
             let (want, _) = MultieventExec::new(&store, &a, &serial_cfg).run_with_stats().unwrap();
-            let (got, _) = MultieventExec::new(&store, &a, &wide_cfg)
-                .with_pool(Some(pool.clone()))
-                .run_with_stats()
-                .unwrap();
+            let (got, _) = MultieventExec::new(&store, &a, &wide_cfg).run_with_stats().unwrap();
             prop_assert_eq!(
                 (&want.rows, want.truncated), (&got.rows, got.truncated),
                 "query {:?} block {} max {}: eight workers diverged from serial",
@@ -448,9 +431,8 @@ fn run_with_stats_reports_per_operator_timings() {
     assert_eq!(join.rows_out, stats.tuples);
     assert!(join.runs_driven > 1, "seven-tuple runs must split the seed");
     assert_eq!(
-        join.fanout,
-        aiql_engine::pool::shared().threads().min(4),
-        "the drive fans out on as many workers as the executor can run"
+        join.fanout, 4,
+        "the drive fans out on `parallelism` threads"
     );
     let project = stats.ops.iter().find(|o| o.kind == "Project").unwrap();
     assert_eq!(project.rows_in, stats.tuples);
@@ -579,10 +561,10 @@ fn time_search_drops_no_admissible_tuple() {
     );
 }
 
-/// A pooled drive reports the workers that ran, not the configured
-/// `parallelism`: a private two-worker executor under `parallelism: 8` runs
-/// two. Scans stay on the query thread, and the tuples match the serial
-/// pipeline's, fetch counts included.
+/// A parallel drive reports the threads that ran, `min(parallelism, runs)`:
+/// `parallelism: 8` over hundreds of seven-tuple runs runs eight. Scans
+/// stay on the query thread, and the tuples match the serial pipeline's,
+/// fetch counts included.
 #[test]
 fn pooled_drive_reports_the_workers_that_ran() {
     let raws: Vec<RawEvent> = (0..2_000)
@@ -612,25 +594,33 @@ fn pooled_drive_reports_the_workers_that_ran() {
     let Query::Multievent(m) = &q else { panic!() };
     let analyzed = analyze_multievent(m, &store).unwrap();
 
-    let pooled_cfg = EngineConfig {
+    let parallel_cfg = EngineConfig {
         join_block_tuples: 7,
         ..parallel_config(8)
     };
     let serial_cfg = serial_config();
-    let pool = Arc::new(ScanPool::new(2));
-    let pooled = MultieventExec::new(&store, &analyzed, &pooled_cfg).with_pool(Some(pool));
+    let parallel = MultieventExec::new(&store, &analyzed, &parallel_cfg);
     let serial = MultieventExec::new(&store, &analyzed, &serial_cfg);
-    let (t1, trunc1, stats1) = pooled.match_tuples().unwrap();
+    let (t1, trunc1, stats1) = parallel.match_tuples().unwrap();
     let (t2, trunc2, stats2) = serial.match_tuples().unwrap();
     let fanout = |kind: &str| -> Vec<usize> {
         (stats1.ops.iter().filter(|o| o.kind == kind))
             .map(|o| o.fanout)
             .collect()
     };
+    let join = stats1
+        .ops
+        .iter()
+        .find(|o| o.kind == "TemporalJoin")
+        .unwrap();
+    assert!(
+        join.runs_driven > 8,
+        "the seed fills more runs than threads"
+    );
     assert_eq!(
         fanout("TemporalJoin"),
-        [2],
-        "two workers can run, not eight"
+        [8.min(join.runs_driven as usize)],
+        "min(parallelism, runs) threads ran"
     );
     assert_eq!(
         fanout("PatternScan"),
@@ -648,7 +638,8 @@ fn pooled_drive_reports_the_workers_that_ran() {
 
 /// The fan-out rule: with `join_block_tuples: b`, a seed of exactly `b`
 /// tuples is one run on the query thread, and a seed of `b + 1` is two runs
-/// on two workers. EXPLAIN quotes the same floor, `seed ≥ b+1`.
+/// on two threads. EXPLAIN quotes the same floor, `seed ≥ b+1`, next to
+/// `parallelism` workers.
 #[test]
 fn drive_fans_out_exactly_when_the_seed_fills_more_than_one_run() {
     let b = 7usize;
@@ -674,7 +665,6 @@ fn drive_fans_out_exactly_when_the_seed_fills_more_than_one_run() {
         let store = build_store(&raws);
         let a = analyze_multievent(m, &store).unwrap();
         let (table, stats) = MultieventExec::new(&store, &a, &config)
-            .with_pool(Some(Arc::new(ScanPool::new(2))))
             .run_with_stats()
             .unwrap();
         assert_eq!(table.rows.len(), seed);
@@ -686,7 +676,8 @@ fn drive_fans_out_exactly_when_the_seed_fills_more_than_one_run() {
         );
         let plan = explain(&store, &q, &config, &ExecBudget::unlimited()).unwrap();
         let label = &plan.operators.children[0].detail;
-        assert!(label.contains(&format!("when seed ≥ {}", b + 1)), "{label}");
+        let expected = format!("parallel ×2 worker(s) when seed ≥ {}", b + 1);
+        assert!(label.contains(&expected), "{label}");
     }
 }
 

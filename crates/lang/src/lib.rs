@@ -20,6 +20,8 @@
 //! and translators to semantically equivalent SQL ([`sql`]) and Cypher
 //! ([`cypher`]) used for the paper's conciseness comparison ([`metrics`]).
 
+#![forbid(unsafe_code)]
+
 pub mod ast;
 pub mod cypher;
 pub mod error;

@@ -24,6 +24,8 @@
 //! Everything downstream (storage, language, engines, simulator) depends only
 //! on this crate for its data vocabulary.
 
+#![forbid(unsafe_code)]
+
 pub mod attr;
 pub mod cancel;
 pub mod entity;

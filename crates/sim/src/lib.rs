@@ -21,6 +21,8 @@
 //! * [`scenario`] — glue that assembles background + attack into a loaded
 //!   [`aiql_storage::EventStore`] at a configurable scale.
 
+#![forbid(unsafe_code)]
+
 pub mod attack;
 pub mod enterprise;
 pub mod queries;

@@ -35,6 +35,8 @@
 //! ([`EventStore::scan_unoptimized`]) because Figure 5 evaluates baselines
 //! without the storage optimizations.
 
+#![forbid(unsafe_code)]
+
 pub mod codec;
 pub mod entities;
 pub mod fault;

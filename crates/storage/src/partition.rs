@@ -304,13 +304,6 @@ impl Partition {
         seg.start_end_at(local)
     }
 
-    /// Min/max event start time across segments (None when empty): the
-    /// partition-level zone map time-bucketed join indexes seed their grid
-    /// candidates from.
-    pub fn time_bounds(&self) -> Option<(Timestamp, Timestamp)> {
-        Some((self.min_time()?, self.max_time()?))
-    }
-
     /// Amount column accessor (flat row).
     #[inline]
     pub fn amount_at(&self, row: u32) -> u64 {

@@ -10,9 +10,9 @@ use crate::stats::StoreStats;
 use crate::store::EventStore;
 
 /// Executor for store maintenance jobs (background compaction and novelty
-/// flushes). The storage crate defines only the contract; the engine wires
-/// its shared scan pool in, keeping the storage→engine dependency direction
-/// intact.
+/// flushes). The storage crate defines only the contract; the engine's
+/// `QueryService` wires in its one maintenance thread, keeping the
+/// storage→engine dependency direction intact.
 pub trait MaintenanceExecutor: Send + Sync {
     /// Runs `job` off the caller's thread, eventually exactly once (jobs
     /// guard themselves with a [`CancelToken`] for shutdown).

@@ -5,10 +5,10 @@
 //! background. The contract under test:
 //!
 //! * **Fault isolation**: a faulted session's failures answer only its own
-//!   requests — a contained panic (`WorkerPanic` from a pool worker, or
-//!   `Internal` from the dispatcher's `catch_unwind` backstop, which is
-//!   where a service query's memory-budgeted serial drive panics) never
-//!   reaches a healthy session, and the dispatchers keep serving.
+//!   requests — a contained panic (`WorkerPanic` from the parallel join
+//!   drive, or `Internal` from the dispatcher's `catch_unwind` backstop,
+//!   which is where a service query's memory-budgeted serial drive panics)
+//!   never reaches a healthy session, and the dispatchers keep serving.
 //! * **Byte-identical results**: every healthy response equals the serial
 //!   single-threaded reference run, column for column, row for row.
 //! * **Explicit shedding**: a full session queue sheds with
