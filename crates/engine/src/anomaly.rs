@@ -13,7 +13,6 @@
 //! baselines' dynamic loop lives in `aiql_baseline::naive`.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use aiql_model::{TimeWindow, Value};
 use aiql_storage::EventStore;
@@ -23,33 +22,32 @@ use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::eval::{SlotCtx, TupleView};
 use crate::exec::{flag_trip, MultieventExec};
-use crate::governor::Governor;
+use crate::governor::{ExecBudget, Governor};
 use crate::op::project::{column_name, slots, AggAcc, CompiledProjection, KeyIndex};
 use crate::op::{ExecEnv, RefArena};
 use crate::result::ResultTable;
 use crate::schedule::PlanCache;
 
 /// Executes an anomaly query end to end: the candidate fetch plans through
-/// `plan_cache`, and both
-/// the fetch and the window loop answer to `governor`. In error mode a trip
-/// is its typed error; in partial mode the table is the rows of the windows
-/// finished before the trip, flagged `truncated` with the governor's
-/// warning.
+/// `plan_cache`, and both the fetch and the window loop answer to
+/// `budget`. In error mode a governor trip is its typed error; in partial
+/// mode the table is the rows of the windows finished before the trip. A
+/// fetch the tuple cap cut, or a partial-mode trip, flags the table
+/// `truncated` with one warning per cause.
 pub fn run_anomaly(
     store: &EventStore,
     a: &AnalyzedAnomaly,
     config: &EngineConfig,
     plan_cache: &PlanCache,
-    governor: Option<Arc<Governor>>,
+    budget: &ExecBudget,
 ) -> Result<ResultTable, EngineError> {
     let exec = MultieventExec::new(store, &a.base, config)
         .with_plan_cache(plan_cache)
-        .with_governor(governor.clone());
-    let (env, tuples, truncated, _) = exec.join()?;
+        .with_budget(budget);
+    let (env, tuples, cap_trip, _) = exec.join()?;
     let cp = &a.base.projection;
-    let mut table = run_windows(&env, a, cp, &tuples, governor.as_deref())?;
-    table.truncated |= truncated;
-    flag_trip(&mut table, governor.as_deref());
+    let mut table = run_windows(&env, a, cp, &tuples, env.gov())?;
+    flag_trip(&mut table, cap_trip, env.gov());
     Ok(table)
 }
 

@@ -9,7 +9,7 @@ use crate::analyze;
 use crate::anomaly;
 use crate::error::EngineError;
 use crate::exec::{ExecStats, MultieventExec};
-use crate::governor::{ExecBudget, Governor};
+use crate::governor::ExecBudget;
 use crate::result::ResultTable;
 use crate::schedule::PlanCache;
 
@@ -43,8 +43,6 @@ pub struct EngineConfig {
     /// across block sizes; smaller blocks bound live intermediate state
     /// more tightly, larger blocks amortize per-run overhead.
     pub join_block_tuples: usize,
-    /// Cap on intermediate join tuples (guard against pattern explosion).
-    pub max_intermediate: usize,
     /// Fault injection: panic at the start of every join-drive run, on
     /// whichever thread drives it. In the parallel drive that exercises the
     /// panic-isolation path ([`EngineError::WorkerPanic`]); in the serial
@@ -65,7 +63,6 @@ impl Default for EngineConfig {
             semi_join_pushdown: true,
             temporal_narrowing: true,
             join_block_tuples: 4096,
-            max_intermediate: 4_000_000,
             inject_drive_panic: false,
         }
     }
@@ -147,15 +144,17 @@ impl Engine {
     }
 
     /// Executes a parsed query ungoverned: no deadline, no memory budget,
-    /// no cancellation.
+    /// no cancellation — under [`ExecBudget::unlimited`], whose tuple cap
+    /// still applies.
     pub fn execute(&self, store: &EventStore, query: &Query) -> Result<ResultTable, EngineError> {
         self.execute_with_budget(store, query, &ExecBudget::unlimited())
     }
 
-    /// Executes a parsed query under an explicit execution budget: a
-    /// wall-clock deadline, a cooperative [`crate::governor::CancelToken`],
-    /// and/or a byte budget on intermediate state, checked cooperatively
-    /// at batch boundaries throughout the pipeline. With
+    /// Executes a parsed query under an explicit execution budget: its
+    /// tuple cap, plus a wall-clock deadline, a cooperative
+    /// [`crate::governor::CancelToken`], and/or a byte budget on
+    /// intermediate state, checked cooperatively at batch boundaries
+    /// throughout the pipeline. With
     /// `partial_results`, a tripped budget returns the prefix of results
     /// produced so far (flagged with a warning) instead of an error. For an
     /// anomaly query that prefix is the rows of the windows aggregated
@@ -176,7 +175,7 @@ impl Engine {
             Query::Anomaly(anom) => {
                 let a = analyze::analyze_anomaly(anom, store)?;
                 let (config, cache) = (&self.config, &self.plan_cache);
-                anomaly::run_anomaly(store, &a, config, cache, governor(budget))
+                anomaly::run_anomaly(store, &a, config, cache, budget)
             }
         }
     }
@@ -203,13 +202,7 @@ impl Engine {
         let a = analyze::analyze_multievent(m, store)?;
         MultieventExec::new(store, &a, &self.config)
             .with_plan_cache(&self.plan_cache)
-            .with_governor(governor(budget))
+            .with_budget(budget)
             .run_with_stats()
     }
-}
-
-/// The governor for a budget: `Some` only when the budget actually limits
-/// something, so unbudgeted queries keep the zero-overhead ungoverned path.
-fn governor(budget: &ExecBudget) -> Option<Arc<Governor>> {
-    budget.is_limited().then(|| Arc::new(Governor::new(budget)))
 }

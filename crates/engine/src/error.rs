@@ -11,7 +11,6 @@
 //! | [`Parse`](EngineError::Parse) | query rejection | the AIQL parser | no — fix the query text |
 //! | [`Analysis`](EngineError::Analysis) | query rejection | semantic analysis | no — fix the query |
 //! | [`Model`](EngineError::Model) | query rejection | literal conversion (dates, IPs) | no — fix the query |
-//! | [`TooManyMatches`](EngineError::TooManyMatches) | resource governance | the join budget (`max_intermediate`) | yes — refine predicates or raise the cap |
 //! | [`DeadlineExceeded`](EngineError::DeadlineExceeded) | resource governance | the governor's wall-clock deadline | yes — give the query a longer [`ExecBudget`](crate::ExecBudget) deadline or narrow the time window |
 //! | [`Cancelled`](EngineError::Cancelled) | resource governance | a caller-held [`CancelToken`](crate::governor::CancelToken) | yes — the query was killed on purpose |
 //! | [`MemoryBudget`](EngineError::MemoryBudget) | resource governance | the governor's byte accounting over arena + frontier | yes — give the query a larger budget `memory_bytes` or refine |
@@ -24,7 +23,11 @@
 //! [`partial_results`](crate::ExecBudget::partial_results) the governance
 //! family (except `Cancelled`-free paths that never started) is downgraded
 //! to a truncated [`ResultTable`](crate::ResultTable) carrying
-//! [`Warning`](crate::governor::Warning)s instead of an `Err`.
+//! [`Warning`](crate::governor::Warning)s instead of an `Err`. The budget's
+//! tuple cap ([`max_tuples`](crate::ExecBudget::max_tuples)) is no error in
+//! either mode: reaching it truncates the table with a
+//! [`TupleCap`](crate::governor::Warning::TupleCap) warning naming the cap,
+//! the join level that cut and the runs driven.
 
 use std::fmt;
 
@@ -40,11 +43,6 @@ pub enum EngineError {
     Analysis(String),
     /// A model-level conversion failed (bad date, bad IP, …).
     Model(ModelError),
-    /// The intermediate result exceeded the configured bound.
-    TooManyMatches {
-        /// The configured cap that was exceeded.
-        cap: usize,
-    },
     /// The query ran past its wall-clock deadline.
     DeadlineExceeded {
         /// The configured deadline, in milliseconds.
@@ -80,12 +78,6 @@ impl fmt::Display for EngineError {
             EngineError::Parse(e) => write!(f, "{e}"),
             EngineError::Analysis(m) => write!(f, "semantic error: {m}"),
             EngineError::Model(e) => write!(f, "semantic error: {e}"),
-            EngineError::TooManyMatches { cap } => {
-                write!(
-                    f,
-                    "intermediate result exceeded {cap} tuples; refine the query"
-                )
-            }
             EngineError::DeadlineExceeded { deadline_ms } => {
                 write!(f, "query exceeded its {deadline_ms} ms deadline")
             }
@@ -141,9 +133,6 @@ mod tests {
         assert!(EngineError::Analysis("unknown variable `p9`".into())
             .to_string()
             .contains("p9"));
-        assert!(EngineError::TooManyMatches { cap: 10 }
-            .to_string()
-            .contains("10"));
         assert!(EngineError::DeadlineExceeded { deadline_ms: 250 }
             .to_string()
             .contains("250"));

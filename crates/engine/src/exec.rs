@@ -20,7 +20,7 @@ use std::sync::Arc;
 use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
-use crate::governor::Governor;
+use crate::governor::{ExecBudget, Governor, Warning, DEFAULT_MAX_TUPLES};
 use crate::op::{self, ExecEnv, PartTable, PipelineState, RefArena};
 use crate::result::ResultTable;
 use crate::schedule::{self, PlanCache};
@@ -39,6 +39,7 @@ pub struct MultieventExec<'a> {
     config: &'a EngineConfig,
     plan_cache: Option<&'a PlanCache>,
     governor: Option<Arc<Governor>>,
+    max_tuples: usize,
 }
 
 impl<'a> MultieventExec<'a> {
@@ -50,6 +51,7 @@ impl<'a> MultieventExec<'a> {
             config,
             plan_cache: None,
             governor: None,
+            max_tuples: DEFAULT_MAX_TUPLES,
         }
     }
 
@@ -61,11 +63,14 @@ impl<'a> MultieventExec<'a> {
         self
     }
 
-    /// Attaches a query governor ([`crate::governor`]). `None` — the
-    /// default — executes ungoverned with zero budget-checking overhead.
+    /// Runs under `budget` ([`crate::governor`]): its tuple cap, and a
+    /// governor when it sets a governed limit. Without this call — or under
+    /// a budget with no governed limit — the query executes ungoverned,
+    /// with zero budget-checking overhead, under the default tuple cap.
     #[must_use]
-    pub fn with_governor(mut self, governor: Option<Arc<Governor>>) -> Self {
-        self.governor = governor;
+    pub fn with_budget(mut self, budget: &ExecBudget) -> Self {
+        self.governor = budget.is_limited().then(|| Arc::new(Governor::new(budget)));
+        self.max_tuples = budget.max_tuples;
         self
     }
 
@@ -87,6 +92,7 @@ impl<'a> MultieventExec<'a> {
             parts: PartTable::build(self.store),
             project,
             governor: self.governor.clone(),
+            max_tuples: self.max_tuples,
         }
     }
 
@@ -100,42 +106,49 @@ impl<'a> MultieventExec<'a> {
             .table
             .take()
             .ok_or_else(|| op::internal("projection operator left no result table"))?;
-        flag_trip(&mut table, self.governor.as_deref());
+        flag_trip(&mut table, st.cap_trip, self.governor.as_deref());
         Ok((table, st.stats))
     }
 
     /// Runs the operator tree without its projection root: the joined
-    /// tuples as row references, the environment they resolve in, whether
-    /// the join stopped early (its cap or a governor trip), and the
-    /// operators' statistics.
-    pub(crate) fn join(&self) -> Result<(ExecEnv<'a>, RefArena, bool, ExecStats), EngineError> {
+    /// tuples as row references, the environment they resolve in, the
+    /// join's tuple-cap warning when the cap cut it, and the operators'
+    /// statistics.
+    pub(crate) fn join(
+        &self,
+    ) -> Result<(ExecEnv<'a>, RefArena, Option<Warning>, ExecStats), EngineError> {
         let env = self.env(false);
         let tree = op::join_tree(&env.ctx.plan.order);
         let mut st = PipelineState::new(self.a, &env.ctx.plan.order);
         tree.execute(&env, &mut st)?;
-        let tripped = self.governor.as_ref().is_some_and(|g| g.trip().is_some());
-        let (tuples, truncated, stats) = (st.frontier, st.truncated || tripped, st.stats);
-        Ok((env, tuples, truncated, stats))
+        let (tuples, cap_trip, stats) = (st.frontier, st.cap_trip, st.stats);
+        Ok((env, tuples, cap_trip, stats))
     }
 
     /// Finds all joined tuples satisfying the query's pattern constraints,
     /// with their events materialized (tests compare them with an oracle;
-    /// the engine itself reads `MultieventExec::join`'s row references).
+    /// the engine itself reads `MultieventExec::join`'s row references),
+    /// and whether the join stopped early (its tuple cap or a governor
+    /// trip).
     pub fn match_tuples(&self) -> Result<(Vec<Tuple>, bool, ExecStats), EngineError> {
-        let (env, tuples, truncated, stats) = self.join()?;
+        let (env, tuples, cap_trip, stats) = self.join()?;
+        let tripped = env.gov().is_some_and(|g| g.trip().is_some());
+        let truncated = cap_trip.is_some() || tripped;
         Ok((tuples.materialize(&env.parts), truncated, stats))
     }
 }
 
-/// A sticky governor trip on a query that still returned a table (partial
-/// mode) means it stopped early somewhere: surface it as a truncation plus
-/// a warning so the caller can tell a budgeted prefix from a complete
-/// result.
-pub(crate) fn flag_trip(table: &mut ResultTable, governor: Option<&Governor>) {
-    if let Some(g) = governor {
-        if let Some(t) = g.trip() {
-            table.truncated = true;
-            table.warnings.push(g.warning(t));
-        }
-    }
+/// Records why a query that still returned a table stopped early — the
+/// join's tuple cap, then a sticky governor trip (partial mode) — as one
+/// warning each. The one place a table becomes `truncated`: it is exactly
+/// when it carries a warning, so the caller can tell a capped or budgeted
+/// prefix from a complete result, and which limit cut it.
+pub(crate) fn flag_trip(
+    table: &mut ResultTable,
+    cap_trip: Option<Warning>,
+    governor: Option<&Governor>,
+) {
+    let trip = governor.and_then(|g| g.trip().map(|t| g.warning(t)));
+    table.warnings.extend(cap_trip.into_iter().chain(trip));
+    table.truncated = !table.warnings.is_empty();
 }

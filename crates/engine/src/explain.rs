@@ -311,16 +311,11 @@ fn operator_tree(
             }
         })
         .collect();
-    // The drive that will run: runs fan out on `parallelism` threads when
-    // the seed pattern's candidates — known only at run time — fill more
-    // than one run; below that floor the same plan runs serial (the run
-    // count caps the threads again at run time). A memory budget forces
-    // the serial drive (live charging needs a single observer): the
-    // drive's test is its governor's `has_memory_budget`, which is this
-    // budget's `memory_bytes`.
-    let drive = if budget.memory_bytes.is_some() {
-        "serial (memory-budgeted)".to_string()
-    } else if config.parallelism > 1 {
+    // The drive that will run, whatever the budget: runs fan out on
+    // `parallelism` threads when the seed pattern's candidates — known only
+    // at run time — fill more than one run; below that floor the same plan
+    // runs serial (the run count caps the threads again at run time).
+    let drive = if config.parallelism > 1 {
         format!(
             "parallel ×{} worker(s) when seed ≥ {}",
             config.parallelism,
@@ -347,12 +342,12 @@ fn operator_tree(
     let join = OpPlanNode {
         kind: "TemporalJoin",
         detail: format!(
-            "{} pattern(s), {} temporal relation(s) | demand-driven blocked({}) drive, {} | max_intermediate {}{}{}",
+            "{} pattern(s), {} temporal relation(s) | demand-driven blocked({}) drive, {} | tuple cap {}{}{}",
             a.patterns.len(),
             a.temporal.len(),
             config.join_block_tuples,
             drive,
-            config.max_intermediate,
+            budget.max_tuples,
             if layers.is_empty() {
                 String::new()
             } else {
@@ -656,11 +651,12 @@ mod tests {
             .contains("drive, serial |"));
     }
 
-    /// A memory budget forces the serial drive whatever the parallelism:
-    /// EXPLAIN names the drive that will run under the budget it is given,
-    /// not the one the thread count alone would pick.
+    /// EXPLAIN renders the plan under the budget it is given: the governor
+    /// line names its limits and the join node its tuple cap, while the
+    /// drive is the same under every budget — a memory budget runs the
+    /// parallel drive too.
     #[test]
-    fn memory_budget_renders_the_serial_drive() {
+    fn memory_budget_keeps_the_parallel_drive() {
         let store = store();
         let q = parse_query(
             r#"proc p1 start proc p2 as e1
@@ -675,21 +671,16 @@ mod tests {
         };
         let plan = |budget: &ExecBudget| explain(&store, &q, &config, budget).unwrap();
         let join_detail = |budget: &ExecBudget| plan(budget).operators.children[0].detail.clone();
-        let parallel = "drive, parallel ×8 worker(s)";
+        let parallel = "drive, parallel ×8 worker(s) when seed ≥ 4097 | tuple cap 4000000";
         let unlimited = ExecBudget::unlimited();
         assert!(join_detail(&unlimited).contains(parallel));
         assert_eq!(plan(&unlimited).governor, None);
         let budgeted = ExecBudget::unlimited().with_memory_bytes(1 << 20);
-        let detail = join_detail(&budgeted);
-        assert!(
-            detail.contains("drive, serial (memory-budgeted)") && !detail.contains("parallel"),
-            "{detail}"
-        );
+        assert!(join_detail(&budgeted).contains(parallel));
         assert_eq!(
             plan(&budgeted).governor.as_deref(),
             Some("memory 1048576 bytes | on trip: error")
         );
-        // A deadline governs the query but leaves the drive parallel.
         let deadline = ExecBudget::unlimited()
             .with_deadline(std::time::Duration::from_millis(250))
             .with_partial_results(true);
@@ -698,6 +689,10 @@ mod tests {
             plan(&deadline).governor.as_deref(),
             Some("deadline 250ms | on trip: partial results")
         );
+        // The cap is the budget's, and needs no governor.
+        let capped = ExecBudget::unlimited().with_max_tuples(1000);
+        assert!(join_detail(&capped).contains("| tuple cap 1000"));
+        assert_eq!(plan(&capped).governor, None);
     }
 
     #[test]

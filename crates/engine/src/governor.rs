@@ -1,15 +1,17 @@
-//! The query governor: per-query deadlines, cooperative cancellation, and
-//! memory budgets.
+//! The query's limits: the [`ExecBudget`] and the governor that enforces
+//! its deadlines, cooperative cancellation, and memory budgets.
 //!
 //! Interactive attack investigations share one store and one process; a
-//! runaway query must not starve the analysts next to it. The governor
-//! generalizes the join's `max_intermediate` early-stop into a full
-//! [`ExecBudget`]: a wall-clock deadline, a caller-held [`CancelToken`],
-//! and a byte budget over the query's intermediate state (candidate
-//! batches + the join frontier). Operators poll [`Governor::check`] at
-//! batch boundaries — every [`GOV_CHECK_INTERVAL`] tuples in the scan,
-//! join probe, and projection loops — so enforcement latency is bounded by
-//! a few thousand cheap iterations while the fast path stays branch-cheap.
+//! runaway query must not starve the analysts next to it. An
+//! [`ExecBudget`] is a query's only limit: a cap on the tuples its join
+//! delivers (`max_tuples`, which the join enforces itself, no governor
+//! needed), and the governed limits — a wall-clock deadline, a caller-held
+//! [`CancelToken`], and a byte budget over the query's intermediate state
+//! (candidate batches + the join frontier). Operators poll
+//! [`Governor::check`] at batch boundaries — every [`GOV_CHECK_INTERVAL`]
+//! tuples in the scan, join probe, and projection loops — so enforcement
+//! latency is bounded by a few thousand cheap iterations while the fast
+//! path stays branch-cheap.
 //!
 //! A trip surfaces one of two ways:
 //!
@@ -25,6 +27,10 @@
 //! Trips are *sticky*: the first one wins and later polls return it
 //! unchanged, so a deadline that fires mid-join reports as a deadline even
 //! if the caller also cancels during unwind.
+//!
+//! Every early stop names its cause: a result table is `truncated` exactly
+//! when it carries at least one [`Warning`] — a governor trip in partial
+//! mode, or [`Warning::TupleCap`] when the join reached `max_tuples`.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -95,9 +101,18 @@ impl Clock for ManualClock {
     }
 }
 
-/// The per-query resource envelope. `None` fields are unlimited.
-#[derive(Debug, Clone, Default)]
+/// The default [`ExecBudget::max_tuples`]: 4 M joined tuples.
+pub const DEFAULT_MAX_TUPLES: usize = 4_000_000;
+
+/// The per-query resource envelope: the query's only limit. `None` fields
+/// are unlimited; the tuple cap always applies.
+#[derive(Debug, Clone)]
 pub struct ExecBudget {
+    /// Cap on the tuples the join delivers, and on each intermediate
+    /// expansion window (a guard against pattern explosion). Reaching it
+    /// truncates the result with [`Warning::TupleCap`] in either mode.
+    /// Enforced by the join itself, so it needs no governor.
+    pub max_tuples: usize,
     /// Wall-clock deadline, measured from query start.
     pub deadline: Option<Duration>,
     /// Cooperative cancellation handle.
@@ -112,10 +127,30 @@ pub struct ExecBudget {
     pub clock: Option<Arc<dyn Clock>>,
 }
 
+impl Default for ExecBudget {
+    fn default() -> Self {
+        ExecBudget {
+            max_tuples: DEFAULT_MAX_TUPLES,
+            deadline: None,
+            cancel: None,
+            memory_bytes: None,
+            partial_results: false,
+            clock: None,
+        }
+    }
+}
+
 impl ExecBudget {
-    /// An unlimited budget (every check passes).
+    /// No deadline, cancellation or memory budget (every governor check
+    /// passes); the tuple cap keeps its [`DEFAULT_MAX_TUPLES`] default.
     pub fn unlimited() -> Self {
         Self::default()
+    }
+
+    /// Sets the tuple cap.
+    pub fn with_max_tuples(mut self, max_tuples: usize) -> Self {
+        self.max_tuples = max_tuples;
+        self
     }
 
     /// Sets the wall-clock deadline.
@@ -148,8 +183,8 @@ impl ExecBudget {
         self
     }
 
-    /// Whether any limit is set (an unlimited, uncancellable budget needs
-    /// no governor at all).
+    /// Whether any governed limit is set (a budget with none — whatever its
+    /// tuple cap — needs no governor at all).
     pub fn is_limited(&self) -> bool {
         self.deadline.is_some() || self.cancel.is_some() || self.memory_bytes.is_some()
     }
@@ -187,6 +222,20 @@ pub enum Warning {
         /// The configured budget, in bytes.
         budget_bytes: u64,
     },
+    /// The join reached the tuple cap ([`ExecBudget::max_tuples`]); rows
+    /// are the projection of an emission-order prefix of the joined tuples.
+    TupleCap {
+        /// The configured cap, in tuples.
+        cap: usize,
+        /// The join level that cut, in join order (0 = the seed pattern):
+        /// an intermediate expansion that filled the cap, or the final
+        /// level when the output did.
+        cut_level: usize,
+        /// Seed runs the join drove, the cut one included.
+        runs_driven: u64,
+        /// Seed runs in the drive.
+        runs: u64,
+    },
 }
 
 impl std::fmt::Display for Warning {
@@ -202,6 +251,16 @@ impl std::fmt::Display for Warning {
                     "memory budget of {budget_bytes} bytes exceeded; result truncated"
                 )
             }
+            Warning::TupleCap {
+                cap,
+                cut_level,
+                runs_driven,
+                runs,
+            } => write!(
+                f,
+                "tuple cap of {cap} reached at join level {cut_level} after \
+                 {runs_driven} of {runs} seed run(s); result truncated"
+            ),
         }
     }
 }
@@ -316,6 +375,14 @@ impl Governor {
         self.memory_bytes.is_some()
     }
 
+    /// Bytes that can still be charged without a trip (`u64::MAX` without
+    /// a memory budget).
+    pub(crate) fn room(&self) -> u64 {
+        self.memory_bytes.map_or(u64::MAX, |limit| {
+            limit.saturating_sub(self.charged.load(Ordering::Relaxed))
+        })
+    }
+
     /// The sticky first trip, if any.
     pub fn trip(&self) -> Option<Trip> {
         match self.tripped.load(Ordering::Acquire) {
@@ -428,6 +495,11 @@ mod tests {
             gov.charge(1 << 20).unwrap();
         }
         assert_eq!(gov.trip(), None);
+        // The tuple cap is no governed limit: it keeps its 4 M default and
+        // never asks for a governor.
+        let capped = ExecBudget::unlimited();
+        assert_eq!(capped.max_tuples, DEFAULT_MAX_TUPLES);
+        assert!(!capped.with_max_tuples(1).is_limited());
     }
 
     #[test]
@@ -459,8 +531,9 @@ mod tests {
         gov.charge(60).unwrap();
         gov.uncharge(30);
         // 30 live + 70 fills the budget exactly; one byte more trips it.
+        assert_eq!(gov.room(), 70);
         assert_eq!(gov.charge(70), Ok(()));
-        assert_eq!(gov.trip(), None);
+        assert_eq!((gov.trip(), gov.room()), (None, 0));
         assert_eq!(gov.charge(1), Err(Trip::Memory));
         assert_eq!(gov.trip(), Some(Trip::Memory));
     }
@@ -518,5 +591,15 @@ mod tests {
         assert_eq!(gov.on_trip(Trip::Deadline), Ok(()));
         assert!(gov.warning(Trip::Deadline).to_string().contains("250"));
         assert!(gov.warning(Trip::Memory).to_string().contains("4096"));
+        let cap = Warning::TupleCap {
+            cap: 7,
+            cut_level: 2,
+            runs_driven: 3,
+            runs: 9,
+        };
+        assert_eq!(
+            cap.to_string(),
+            "tuple cap of 7 reached at join level 2 after 3 of 9 seed run(s); result truncated"
+        );
     }
 }

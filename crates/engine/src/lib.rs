@@ -42,7 +42,10 @@
 //! cancellation, and byte budgets on intermediate state at batch
 //! boundaries, either erroring with a structured [`EngineError`] or — when
 //! the budget asks for partial results — returning a prefix of the full
-//! answer with a warning. The budget is the only way to limit a query. A
+//! answer with a warning. The budget is the only way to limit a query: its
+//! tuple cap (4 M joined tuples by default, enforced by the join without a
+//! governor) truncates with a warning too, so a table is `truncated`
+//! exactly when it carries a [`Warning`] naming why. A
 //! panic on a thread of the parallel join drive is caught where it runs and
 //! delivered to the owning query as [`EngineError::WorkerPanic`], while the
 //! engine keeps serving other queries.
@@ -51,7 +54,7 @@
 //! per-analyst sessions with private plan caches and variable bindings,
 //! admission control that carves a global memory pool into per-query
 //! governor budgets, deficit-round-robin fairness across sessions, and
-//! explicit overload shedding with client-side backoff — many concurrent
+//! explicit overload shedding with a backoff hint — many concurrent
 //! investigations over one store without sharing their failures.
 //!
 //! Analysis ([`analyze`]) is the one name resolver: it compiles the
@@ -84,6 +87,5 @@ pub use explain::{explain, QueryPlan};
 pub use governor::{CancelToken, Clock, ExecBudget, Governor, ManualClock, SystemClock, Warning};
 pub use result::ResultTable;
 pub use service::{
-    BackoffPolicy, QueryResponse, QueryService, QueryTicket, ServiceConfig, ServiceError,
-    ServiceStats, SessionId,
+    QueryResponse, QueryService, QueryTicket, ServiceConfig, ServiceError, ServiceStats, SessionId,
 };

@@ -34,8 +34,9 @@
 //! depth-first through *every* step before the next run starts. Within a
 //! run the recursion is *chunked*: a non-final step consumes its input in
 //! `EXPAND_CHUNK`-tuple windows, probes one window into the level's
-//! reused scratch arena (one **expansion**, capped at `max_intermediate`
-//! tuples), and recurses on the expansion before the next window runs. The
+//! reused scratch arena (one **expansion**, capped at the budget's tuple
+//! cap, `ExecBudget::max_tuples`), and recurses on the expansion before the
+//! next window runs. The
 //! final step delivers straight into the drive's `JoinOutput`: the
 //! projection sink when the query's projection closes the pipeline — each
 //! joined tuple is evaluated as it is found and never written anywhere;
@@ -55,7 +56,7 @@
 //!
 //! Windows run in input order and the recursion is depth-first, so the
 //! output is in nested-loop emission order, and a prefix of it in that
-//! order whenever `max_intermediate` (or a governor budget) trips. Once the
+//! order whenever the tuple cap (or a governor budget) trips. Once the
 //! output cap fills, every unconsumed window — and every remaining seed
 //! run — is never driven at all. Live intermediate memory is bounded by the
 //! per-level scratch high-water marks.
@@ -63,35 +64,49 @@
 //! Cap/truncation semantics: a non-final seed expansion is exempt from the
 //! intermediate cap (it is bounded by the block size by construction,
 //! which also keeps sideways seed pruning emission-invariant under
-//! truncation); an expansion that hits `max_intermediate` is still
-//! recursed on — its prefix's subtree finishes — and then cuts the run,
-//! stopping the drive after it; the final step draws on the output budget
-//! (`max_intermediate` delivered tuples across the whole drive).
+//! truncation); an expansion that hits the cap is still recursed on — its
+//! prefix's subtree finishes — and then cuts the run, stopping the drive
+//! after it; the final step draws on the output budget (the cap's worth of
+//! delivered tuples across the whole drive). A cut names itself: the drive
+//! returns a `Warning::TupleCap` with the cap, the level that cut and the
+//! runs driven.
 //!
 //! With `parallelism > 1` and a seed that fills more than one run, runs fan
-//! out on the query thread and scoped threads: each fills a fork of the
-//! output under a shared `JoinBudget` and the forks fold into the output in
-//! ascending seed order. A run whose partial overshoots the remaining room
-//! (the one run that straddles the cap) or would not merge bit for bit
-//! (float sums) is dropped and re-driven on the merge thread into the
-//! output itself, so the serial and parallel drives produce the same output
-//! by construction.
+//! out on the query thread and scoped threads — under every budget: each
+//! fills a fork of the output under a shared `JoinBudget` and the forks
+//! fold into the output in ascending seed order. A run whose partial
+//! overshoots the remaining room (the one run that straddles the cap),
+//! would not fit the memory budget, or would not merge bit for bit (float
+//! sums) is dropped and re-driven on the merge thread into the output
+//! itself, so the serial and parallel drives produce the same output by
+//! construction.
 //!
-//! Governor integration: a memory budget forces the serial drive, which
-//! *live-charges* each expansion's bytes while its subtree runs and what
-//! the output retains permanently (every tuple of an arena; only the rows,
-//! group states or distinct keys of a projection sink) — a trip stops the
-//! drive at a deterministic tuple (error mode unwinds, partial mode keeps
-//! the emission-order prefix, or its projection). Deadline/cancel trips
-//! are polled inside every probe loop; the parallel merge drops a tripped
-//! run's partial output and stops at the previous run boundary, while the
-//! serial drive keeps its own partial emission (either way a valid
-//! emission-order prefix).
+//! Memory budgets: the merge thread *live-charges* each expansion's bytes
+//! while its subtree runs and what the output retains permanently (every
+//! tuple of an arena; only the rows, group states or distinct keys of a
+//! projection sink), so a trip stops the drive at a deterministic tuple
+//! (error mode unwinds, partial mode keeps the emission-order prefix, or
+//! its projection). A fork charges nothing: it tallies the same charges for
+//! its run (`Tally`), whose peak overstates what the run adds to the merged
+//! output (distinct keys and groups dedup across runs). A fork merges only
+//! when that peak fits the room left, so it is a run the serial drive would
+//! have finished; any other is re-driven with live charging. The forks are
+//! bounded together, not one by one: their tallies add into one shared
+//! count (what a finished fork's output retains stays in it until the
+//! merge), which never exceeds the budget's room at the drive's start. A
+//! charge that would push it past stops its fork, whose output is dropped
+//! at once, and every other fork at its next charge; no new run starts in a
+//! fork, and the merge thread re-drives every run left undone.
+//!
+//! Deadline/cancel trips are polled inside every probe loop; the parallel
+//! merge drops a tripped run's partial output and stops at the previous
+//! run boundary, while the serial drive keeps its own partial emission
+//! (either way a valid emission-order prefix).
 
 use std::collections::HashMap;
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -100,7 +115,7 @@ use aiql_storage::IdSet;
 
 use crate::analyze::{AnalyzedMultievent, StepRel};
 use crate::error::EngineError;
-use crate::governor::{GovGate, Governor};
+use crate::governor::{GovGate, Governor, Warning};
 use crate::op::{
     EventRef, ExecEnv, Flow, JoinOutput, JoinStepStat, OpStat, Operator, PartTable, PipelineState,
     ProjectionSink, RefArena, NO_VAR,
@@ -157,14 +172,14 @@ impl Operator for TemporalJoin {
             .collect::<Result<_, _>>()?;
         let rows_in: usize = candidates.iter().map(Vec::len).sum();
         let cand_bytes = (rows_in * std::mem::size_of::<EventRef>()) as u64;
-        let (frontier, sink, truncated, io) = join_refs(env, candidates, &st.domains)?;
+        let (frontier, sink, cap_trip, io) = join_refs(env, candidates, &st.domains)?;
         st.sink = sink;
         // The candidate batches the scans charged are consumed now; only
         // what the output retains (charged inside the drive) remains live.
         if let Some(g) = env.gov() {
             g.uncharge(cand_bytes);
         }
-        st.truncated = truncated;
+        st.cap_trip = cap_trip;
         // Tuples the join produced: left in the frontier, or pushed into
         // the projection sink.
         let sink_kept = st.sink.as_ref().map(ProjectionSink::kept);
@@ -484,8 +499,8 @@ impl<'b> CapTracker<'b> {
 /// placed set — by a shared variable first, by a temporal relation
 /// second. A variable-sharing step probes by key and a related step
 /// prunes by time, but an unconnected pick cross-products the frontier
-/// straight into `max_intermediate` and every later step pays to probe
-/// the blow-up.
+/// straight into the tuple cap and every later step pays to probe the
+/// blow-up.
 fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
     let n = sizes.len();
     let mut order: Vec<usize> = Vec::with_capacity(n);
@@ -516,15 +531,23 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
 
 /// Multi-way hash join over the per-pattern candidate refs. Returns the
 /// joined tuples — or, when the projection closes the pipeline, an empty
-/// arena and the sink the drive streamed them into — plus whether it
-/// truncated and its accounting (run fan-out, the build/probe
+/// arena and the sink the drive streamed them into — plus the tuple-cap
+/// warning when the cap cut it, and its accounting (run fan-out, the build/probe
 /// timing split, the probe-reduction and emission counters, and the
 /// per-step breakdown for EXPLAIN ANALYZE).
 fn join_refs<'e>(
     env: &'e ExecEnv<'_>,
     candidates: Vec<Vec<EventRef>>,
     domains: &[Option<(IdSet, IdSet)>],
-) -> Result<(RefArena, Option<ProjectionSink<'e>>, bool, OpStat), EngineError> {
+) -> Result<
+    (
+        RefArena,
+        Option<ProjectionSink<'e>>,
+        Option<Warning>,
+        OpStat,
+    ),
+    EngineError,
+> {
     let (n, nvars) = (env.a.patterns.len(), env.a.vars.len());
     // With the projection closing the pipeline, the final step pushes into
     // its sink; otherwise the tuples are kept.
@@ -541,8 +564,8 @@ fn join_refs<'e>(
 /// candidates whose shared-variable ids are absent from the *second* step's
 /// candidate domains — such tuples probe a missing key at step two and
 /// extend nothing. Restricting the filter to the second step keeps the
-/// emission identical to the unfiltered run even under a truncating
-/// `max_intermediate`: a dropped tuple emits nothing at step two, so every
+/// emission identical to the unfiltered run even under a truncating tuple
+/// cap: a dropped tuple emits nothing at step two, so every
 /// surviving emission happens at the same position. Gated off under a
 /// memory budget (the seed expansion is live-charged, so pruning would move
 /// the trip point) and when the seed list itself could truncate. `None`
@@ -555,9 +578,7 @@ fn sideways_seed_prune(
 ) -> Option<Vec<EventRef>> {
     let (a, parts) = (env.a, &env.parts);
     let (&seed, &second) = (join_order.first()?, join_order.get(1)?);
-    if env.gov().is_some_and(|g| g.has_memory_budget())
-        || candidates[seed].len() > env.config.max_intermediate
-    {
+    if env.gov().is_some_and(|g| g.has_memory_budget()) || candidates[seed].len() > env.max_tuples {
         return None;
     }
     let (subj, obj) = domains[second].as_ref()?;
@@ -734,11 +755,22 @@ struct JoinStep {
     build_nanos: u64,
 }
 
+/// A fork's account, under a memory budget, of the bytes the merge thread
+/// would live-charge driving its run: what is live now, and the peak.
+#[derive(Debug, Default)]
+struct Tally {
+    live: u64,
+    peak: u64,
+    /// The forks together ran out of room before this run finished: its
+    /// output is incomplete, so it is dropped and the run re-driven.
+    stopped: bool,
+}
+
 /// Mutable state of one drive: the per-level reused scratch arenas plus the
 /// accounting the recursion accumulates. Level 0 is the seed, level `j ≥ 1`
-/// probe step `j − 1`. The serial drive threads one `RunState` through
-/// every run, so each level's scratch grows to its high-water mark once;
-/// the parallel drive gives each run its own.
+/// probe step `j − 1`. The merge thread threads one `RunState` through
+/// every run it drives, so each level's scratch grows to its high-water
+/// mark once; the parallel drive gives each run its own.
 struct RunState {
     /// `levels[0]` holds the current run's seed expansion and `levels[j]`
     /// level `j`'s scratch output (`truncate(0)` between windows keeps
@@ -755,16 +787,20 @@ struct RunState {
     gov_stop: bool,
     /// Error-mode governor trip, surfaced once the recursion unwinds.
     err: Option<EngineError>,
+    /// A fork's byte tally under a memory budget (`None`: the merge thread,
+    /// which charges the governor, or no memory budget).
+    tally: Option<Tally>,
 }
 
 impl RunState {
-    fn new(n: usize, nvars: usize) -> Self {
+    fn new(n: usize, nvars: usize, tally: bool) -> Self {
         RunState {
             levels: (0..n).map(|_| RefArena::new(n, nvars)).collect(),
             steps: vec![JoinStepStat::default(); n],
             cut: None,
             gov_stop: false,
             err: None,
+            tally: tally.then(Tally::default),
         }
     }
 }
@@ -782,12 +818,20 @@ struct Drive<'s, 'a> {
     domains: &'s [Option<(IdSet, IdSet)>],
     /// The all-unplaced tuple every seed tuple extends.
     proto: RefArena,
-    /// Expansion (non-seed, non-final) row cap: `max_intermediate`.
+    /// Expansion (non-seed, non-final) row cap: the tuple cap.
     icap: usize,
-    /// Live memory accounting is on: a memory budget is set, which also
-    /// forced the serial drive (one observer makes the trip point
-    /// deterministic).
+    /// Live memory accounting is on: a memory budget is set.
     charge: bool,
+    /// Bytes the memory budget had left when the drive started: what the
+    /// forks may hold together.
+    room: u64,
+    /// Bytes the forks' tallies hold together (never above `room`).
+    forks_held: AtomicU64,
+    /// The highest `forks_held` reached.
+    forks_peak: AtomicU64,
+    /// A fork's charge did not fit `room`: every fork stops at its next
+    /// charge, and no run starts in a fork.
+    forks_full: AtomicBool,
     /// The final level is unread: it delivers counts, not matches.
     count_last: bool,
 }
@@ -926,12 +970,29 @@ impl Drive<'_, '_> {
         (false, false)
     }
 
-    /// Live memory accounting (serial drive under a memory budget only):
-    /// charges `bytes`, stopping the drive on a trip — error mode stashes
-    /// the unwind error in `st`.
+    /// Live memory accounting (under a memory budget only): on the merge
+    /// thread, charges `bytes`, stopping the drive on a trip — error mode
+    /// stashes the unwind error in `st`; in a fork, adds them to its tally
+    /// and to the forks' shared count, stopping the run (and every other
+    /// fork) when that count would pass the drive's starting room.
     fn charge_live(&self, st: &mut RunState, gov: Option<&Governor>, bytes: u64) -> Flow {
         if !self.charge {
             return Flow::Continue;
+        }
+        if let Some(t) = &mut st.tally {
+            if !self.forks_full.load(Ordering::Relaxed) {
+                let held = self.forks_held.fetch_add(bytes, Ordering::Relaxed) + bytes;
+                if held <= self.room {
+                    self.forks_peak.fetch_max(held, Ordering::Relaxed);
+                    t.live += bytes;
+                    t.peak = t.peak.max(t.live);
+                    return Flow::Continue;
+                }
+                self.forks_held.fetch_sub(bytes, Ordering::Relaxed);
+                self.forks_full.store(true, Ordering::Relaxed);
+            }
+            t.stopped = true;
+            return Flow::Stop;
         }
         let Some(g) = gov else {
             return Flow::Continue;
@@ -945,11 +1006,17 @@ impl Drive<'_, '_> {
         Flow::Continue
     }
 
-    fn uncharge(&self, gov: Option<&Governor>, bytes: u64) {
-        if self.charge {
-            if let Some(g) = gov {
-                g.uncharge(bytes);
+    fn uncharge(&self, st: &mut RunState, gov: Option<&Governor>, bytes: u64) {
+        if !self.charge {
+            return;
+        }
+        match (&mut st.tally, gov) {
+            (Some(t), _) => {
+                t.live -= bytes;
+                self.forks_held.fetch_sub(bytes, Ordering::Relaxed);
             }
+            (None, Some(g)) => g.uncharge(bytes),
+            (None, None) => {}
         }
     }
 
@@ -1038,7 +1105,7 @@ impl Drive<'_, '_> {
                 break;
             }
             let sub = self.expand(j + 1, &scratch, st, out, out_caps, gov);
-            self.uncharge(gov, bytes);
+            self.uncharge(st, gov, bytes);
             if sub == Flow::Stop {
                 flow = Flow::Stop;
                 break;
@@ -1102,7 +1169,7 @@ impl Drive<'_, '_> {
                 Flow::Stop
             } else {
                 let flow = self.expand(1, &seedbuf, st, out, out_caps, gov);
-                self.uncharge(gov, bytes);
+                self.uncharge(st, gov, bytes);
                 flow
             }
         };
@@ -1113,13 +1180,14 @@ impl Drive<'_, '_> {
 
 /// The join drive (see the module docs): every probe step's index built
 /// once up front, then the seed driven depth-first in bounded runs, merged
-/// in ascending seed order into `out`.
+/// in ascending seed order into `out`. Returns the output, the
+/// `Warning::TupleCap` when the cap cut the drive, and the accounting.
 fn drive_join<O: JoinOutput>(
     env: &ExecEnv<'_>,
     candidates: &[Vec<EventRef>],
     domains: &[Option<(IdSet, IdSet)>],
     mut out: O,
-) -> Result<(O, bool, OpStat), EngineError> {
+) -> Result<(O, Option<Warning>, OpStat), EngineError> {
     let a = env.a;
     let n = a.patterns.len();
     let nvars = a.vars.len();
@@ -1130,7 +1198,7 @@ fn drive_join<O: JoinOutput>(
     let seed_refs: &[EventRef] = seed_pruned.as_deref().unwrap_or(seed_all);
     let seed_pruned_count = (seed_all.len() - seed_refs.len()) as u64;
     let gov = env.gov();
-    let out_cap = env.config.max_intermediate;
+    let out_cap = env.max_tuples;
     let mut io = OpStat::default();
 
     // The seed places its pattern first; every later pattern gets a probe
@@ -1215,7 +1283,7 @@ fn drive_join<O: JoinOutput>(
 
     // An arena output is reserved to the drive's worst case — seed size
     // times every step's indexed-ref count — clamped by the output cap and
-    // a 4 Mi-tuple lid so a pathological `max_intermediate` cannot reserve
+    // a 4 Mi-tuple lid so a pathological tuple cap cannot reserve
     // the moon. Selective queries reserve small; emission-bound ones fill
     // the reservation exactly. (A projection sink ignores the hint: it
     // keeps rows, keys or groups, not tuples.)
@@ -1227,22 +1295,21 @@ fn drive_join<O: JoinOutput>(
             .min(1 << 22),
     );
 
-    let mut truncated = false;
+    let block = env
+        .config
+        .join_block_tuples
+        .max(1)
+        .max(seed_total.div_ceil(MAX_RUNS));
+    let nruns = seed_total.div_ceil(block);
     let mut early_exit: Option<usize> = None;
     let mut runs_driven = 0u64;
     let mut counters = vec![JoinStepStat::default(); n];
 
     if out_cap == 0 {
-        // The cap is already spent (a zero `max_intermediate`): the empty
-        // prefix is the whole answer.
-        truncated = true;
+        // The cap is already spent: the empty prefix is the whole answer,
+        // cut where the output fills.
+        early_exit = Some(n - 1);
     } else if seed_total > 0 {
-        let block = env
-            .config
-            .join_block_tuples
-            .max(1)
-            .max(seed_total.div_ceil(MAX_RUNS));
-        let nruns = seed_total.div_ceil(block);
         let run_range = |k: usize| (k * block, ((k + 1) * block).min(seed_total));
         let charge = gov.is_some_and(|g| g.has_memory_budget());
         let drive = Drive {
@@ -1254,19 +1321,19 @@ fn drive_join<O: JoinOutput>(
             proto,
             icap: out_cap,
             charge,
+            room: gov.map_or(u64::MAX, Governor::room),
+            forks_held: AtomicU64::new(0),
+            forks_peak: AtomicU64::new(0),
+            forks_full: AtomicBool::new(false),
             count_last,
         };
-        // Runs fan out when the seed fills more than one and `parallelism`
-        // allows. A memory budget forces the serial drive: live charging
-        // yields a deterministic trip point only with a single observer.
-        let parallel = !charge && nruns > 1 && env.config.parallelism > 1;
         let t_probe = Instant::now();
         // Parallel drive: every run fills a fork of the output under the
         // shared budget. `None` marks a run skipped because the runs before
         // it had already produced the whole output cap — the demand-driven
         // win: seed tuples nobody will consume are never driven.
         let mut partials: Vec<Option<(O, RunState)>> = Vec::new();
-        if parallel {
+        if nruns > 1 && env.config.parallelism > 1 {
             let workers = env.config.parallelism.min(nruns);
             let budget = JoinBudget::new(out_cap, nruns);
             let slots: Vec<Mutex<Option<(O, RunState)>>> =
@@ -1284,15 +1351,22 @@ fn drive_join<O: JoinOutput>(
                     if k >= nruns {
                         break;
                     }
-                    if budget.cap(k) == 0 {
+                    if budget.cap(k) == 0 || drive.forks_full.load(Ordering::Relaxed) {
                         continue;
                     }
                     let (lo, hi) = run_range(k);
-                    let mut st = RunState::new(n, nvars);
+                    let mut st = RunState::new(n, nvars, charge);
                     let mut local = out.fork();
                     let mut caps = CapTracker::shared(&budget, k, gov);
                     let _ = drive.drive_run(lo, hi, &mut st, &mut local, &mut caps, gov);
                     budget.publish(k, local.delivered());
+                    // What the run still holds is its output's retained
+                    // bytes: released with a stopped run's output now,
+                    // counted until the merge otherwise.
+                    if let Some(t) = st.tally.as_ref().filter(|t| t.stopped) {
+                        drive.forks_held.fetch_sub(t.live, Ordering::Relaxed);
+                        continue;
+                    }
                     // Only the run's accounting outlives it, not its scratch.
                     st.levels = Vec::new();
                     *crate::op::lock_clean(&slots[k]) = Some((local, st));
@@ -1313,22 +1387,27 @@ fn drive_join<O: JoinOutput>(
             }
             partials = slots.into_iter().map(crate::op::unwrap_clean).collect();
             io.fanout = workers;
+            io.fork_peak_bytes = drive.forks_peak.load(Ordering::Relaxed);
         }
         partials.resize_with(nruns, || None);
 
         // Runs fold into `out` in ascending seed order. A run's partial is
-        // merged when it fits the remaining output room and merges exactly;
-        // every other run — all of them in the serial drive, and in the
-        // parallel one the run that straddles the output cap or whose
-        // partial would not merge bit for bit — is driven here, into `out`
-        // itself, under one absolute tracker that sees the exact remaining
-        // room. Serial and parallel therefore produce the same output by
-        // construction. One `RunState` serves every run driven here, so
-        // each level's scratch grows to its high-water mark once.
-        let mut st = RunState::new(n, nvars);
+        // merged when it fits the remaining output room and the memory
+        // budget's remaining room, and merges exactly; every other run —
+        // all of them in the serial drive, and in the parallel one the run
+        // that straddles the output cap, a run the memory budget cannot
+        // take whole, a run whose fork the forks' shared room stopped or
+        // never started, or one whose partial would not merge bit for bit — is
+        // driven here, into `out` itself, under one absolute tracker that
+        // sees the exact remaining room and with live charging. Serial and
+        // parallel therefore produce the same output by construction. One
+        // `RunState` serves every run driven here, so each level's scratch
+        // grows to its high-water mark once.
+        let mut st = RunState::new(n, nvars, false);
         let mut caps = CapTracker::fixed(out_cap, gov);
         let mut tripped = false;
         for (k, partial) in partials.into_iter().enumerate() {
+            let held = out.retained_bytes();
             let mut merged = false;
             if let Some((part, p)) = partial {
                 if p.gov_stop {
@@ -1339,7 +1418,10 @@ fn drive_join<O: JoinOutput>(
                     tripped = true;
                     break;
                 }
-                if part.delivered() <= out_cap - out.delivered() && out.merge(part) {
+                let room = gov.map_or(u64::MAX, Governor::room);
+                let fits = part.delivered() <= out_cap - out.delivered()
+                    && p.tally.as_ref().is_none_or(|t| t.peak <= room);
+                if fits && out.merge(part) {
                     merged = true;
                     // The run's accounting joins that of the runs driven
                     // here.
@@ -1347,13 +1429,17 @@ fn drive_join<O: JoinOutput>(
                     st.cut = st.cut.or(p.cut);
                 }
             }
-            let mut flow = Flow::Continue;
-            if !merged {
+            let flow = if merged {
+                // What the run added to the output stays live, charged as
+                // when the run is driven here (it fits: the tally's peak
+                // bounds it).
+                drive.charge_live(&mut st, gov, out.retained_bytes() - held)
+            } else {
                 let (lo, hi) = run_range(k);
-                flow = drive.drive_run(lo, hi, &mut st, &mut out, &mut caps, gov);
-                if let Some(e) = st.err.take() {
-                    return Err(e);
-                }
+                drive.drive_run(lo, hi, &mut st, &mut out, &mut caps, gov)
+            };
+            if let Some(e) = st.err.take() {
+                return Err(e);
             }
             runs_driven += 1;
             if flow == Flow::Stop || st.cut.is_some() || out.delivered() >= out_cap {
@@ -1369,15 +1455,15 @@ fn drive_join<O: JoinOutput>(
             }
         }
         counters = st.steps;
-        if st.cut.is_some() {
-            truncated = true;
-            early_exit = st.cut;
-        } else if out.delivered() >= out_cap {
-            truncated = true;
-            early_exit = Some(n - 1);
-        }
+        early_exit = st.cut.or((out.delivered() >= out_cap).then_some(n - 1));
         io.probe_nanos += t_probe.elapsed().as_nanos() as u64;
     }
+    let cap_trip = early_exit.map(|cut_level| Warning::TupleCap {
+        cap: out_cap,
+        cut_level,
+        runs_driven,
+        runs: nruns as u64,
+    });
 
     // Level 0 is the seed — delivered, never probed; what sideways seed
     // pruning dropped counts there.
@@ -1406,7 +1492,7 @@ fn drive_join<O: JoinOutput>(
     }
     io.runs_driven = runs_driven;
     io.early_exit_depth = early_exit;
-    Ok((out, truncated, io))
+    Ok((out, cap_trip, io))
 }
 
 #[cfg(test)]

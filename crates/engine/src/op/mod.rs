@@ -44,7 +44,7 @@ use aiql_storage::{EventFilter, EventStore, IdSet, Partition, PartitionKey};
 use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
-use crate::governor::Governor;
+use crate::governor::{Governor, Warning};
 use crate::result::ResultTable;
 use crate::schedule::PlanCtx;
 
@@ -194,7 +194,7 @@ pub(crate) trait JoinOutput: Send + Sync + Sized {
         unreachable!("only an output that reads nothing of a pattern is handed its counts")
     }
 
-    /// Tuples delivered so far (what `max_intermediate` caps).
+    /// Tuples delivered so far (what the budget's `max_tuples` caps).
     fn delivered(&self) -> usize;
 
     /// Bytes the output keeps alive (what a memory budget is charged).
@@ -364,6 +364,9 @@ pub struct ExecEnv<'a> {
     /// by every thread working on this query. `None` = ungoverned: every
     /// check compiles to a no-op branch.
     pub governor: Option<Arc<Governor>>,
+    /// The budget's tuple cap ([`crate::ExecBudget::max_tuples`]), which
+    /// the join enforces without a governor.
+    pub(crate) max_tuples: usize,
 }
 
 impl ExecEnv<'_> {
@@ -421,8 +424,9 @@ pub struct PipelineState<'e> {
     /// The projection sink the join drive pushed its tuples into (`None`:
     /// no projection closes the execution, and the join left a `frontier`).
     pub(crate) sink: Option<ProjectionSink<'e>>,
-    /// Whether the join hit `max_intermediate`.
-    pub truncated: bool,
+    /// Why the join stopped at its tuple cap ([`Warning::TupleCap`]);
+    /// `None` when the cap never cut it.
+    pub cap_trip: Option<Warning>,
     /// Short-circuit: a pattern produced no candidates (or was proven
     /// unsatisfiable), so every later operator no-ops.
     pub done: bool,
@@ -443,7 +447,7 @@ impl PipelineState<'_> {
             narrowed: None,
             frontier: RefArena::new(n, a.vars.len()),
             sink: None,
-            truncated: false,
+            cap_trip: None,
             done: false,
             stats: ExecStats {
                 fetched: vec![0; n],
@@ -589,6 +593,11 @@ pub struct OpStat {
     pub filter_pruned: u64,
     /// Seed runs the join drive drove to completion (joins only).
     pub runs_driven: u64,
+    /// Bytes the parallel join drive's forks held together at their peak
+    /// under a memory budget — never more than the budget's room when the
+    /// drive started (joins only; 0 for a serial drive or no memory
+    /// budget).
+    pub fork_peak_bytes: u64,
     /// Tuples emitted across all join steps of those runs (joins only).
     pub emitted_tuples: u64,
     /// Join-order step depth at which the drive stopped emitting (`None` =

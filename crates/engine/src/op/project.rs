@@ -76,8 +76,7 @@ impl Operator for Project {
         // back empty) and a fresh sink closes the empty table.
         let sink = st.sink.take().unwrap_or_else(|| ProjectionSink::new(env));
         let rows_in = sink.pushed();
-        let mut table = sink.finish();
-        table.truncated = st.truncated;
+        let table = sink.finish();
         let rows_out = table.rows.len();
         st.table = Some(table);
         Ok(OpStat {
@@ -731,10 +730,23 @@ impl JoinOutput for ProjectionSink<'_> {
     fn merge(&mut self, part: Self) -> bool {
         let naggs = self.cp.aggs.len();
         match (&mut self.state, part.state) {
-            (SinkState::Rows { rows, seen, .. }, SinkState::Rows { rows: more, .. }) => {
+            (
+                SinkState::Rows { rows, seen, ids },
+                SinkState::Rows {
+                    rows: more,
+                    ids: more_ids,
+                    ..
+                },
+            ) => {
                 let fresh =
                     |row: &Vec<Value>| seen.as_mut().is_none_or(|s| s.find_or_insert(row).1);
                 rows.extend(more.into_iter().filter(fresh));
+                // The id keys the part saw are seen now, as if its tuples
+                // had been pushed here: the merged sink retains what the
+                // serial one does, byte for byte.
+                if let (Some(ids), Some(more_ids)) = (ids, more_ids) {
+                    ids.seen.extend(more_ids.seen);
+                }
             }
             (
                 SinkState::Groups { keys, reps, accs },

@@ -11,10 +11,12 @@ pub struct ResultTable {
     pub columns: Vec<String>,
     /// Result rows.
     pub rows: Vec<Vec<Value>>,
-    /// True when the engine truncated intermediate results at its cap.
+    /// True when the table holds a prefix of the full answer: exactly when
+    /// `warnings` is non-empty (the engine's tables keep that rule).
     pub truncated: bool,
-    /// Governor warnings: set when `partial_results` execution hit a
-    /// budget and the table holds a prefix of the full answer.
+    /// Why the answer was cut, one warning per cause: the join's tuple cap
+    /// ([`Warning::TupleCap`]), or a budget a `partial_results` execution
+    /// hit.
     pub warnings: Vec<Warning>,
 }
 
@@ -176,7 +178,9 @@ mod tests {
         let mut interner = Interner::new();
         interner.intern("x");
         let mut t = ResultTable::new(vec!["c".into()]);
+        t.warnings.push(Warning::Cancelled);
         t.truncated = true;
-        assert!(t.render(&interner).contains("truncated"));
+        let text = t.render(&interner);
+        assert!(text.contains("(truncated)") && text.contains("query cancelled"));
     }
 }

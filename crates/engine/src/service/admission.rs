@@ -2,9 +2,13 @@
 //!
 //! The controller owns the service-wide byte budget for intermediate query
 //! state. Every admitted query must hold a [`MemoryGrant`] while it runs;
-//! the grant's size becomes the query's governor `memory_bytes`, so
-//! enforcement stays exactly where PR 6 put it — at batch boundaries
-//! inside the engine — and the controller never has to preempt anything.
+//! the grant's size becomes the `memory_bytes` of the query's
+//! [`ExecBudget`](crate::ExecBudget) — its one limit, whose tuple cap keeps
+//! the default — so enforcement stays inside the engine, at batch
+//! boundaries, and the controller never has to preempt anything. The grant
+//! does not change how the query runs: its join drive fans out as under
+//! any budget, and only the drive's merge thread charges the grant, so a
+//! trip lands where the serial drive's would.
 //!
 //! Grant policy (graceful degradation):
 //! * pool has a full share free → full grant, error-mode budget;

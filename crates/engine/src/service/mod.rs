@@ -16,14 +16,15 @@
 //!   degrade to `partial_results` mode (truncated prefix + warnings)
 //!   instead of failing, and when a queue is full the submit is **shed**
 //!   immediately with [`ServiceError::Overloaded`] carrying a
-//!   `retry_after_ms` hint for the client's jittered backoff
-//!   ([`retry_overloaded`]);
+//!   `retry_after_ms` hint for the client's jittered backoff;
 //! * fault containment — a faulted query (worker panic, IO fault, cancel,
 //!   deadline) answers only its own caller; dispatchers, the maintenance
-//!   thread, and every other session keep running. A service query runs
-//!   under a memory budget, which keeps its join drive serial on the
-//!   dispatcher thread, so the dispatcher's `catch_unwind` is what turns
-//!   its panic into [`EngineError::Internal`].
+//!   thread, and every other session keep running. A service query's join
+//!   drive fans out like any other (its memory budget does not keep it
+//!   serial): a panic on a drive thread surfaces as
+//!   [`EngineError::WorkerPanic`], and one on the dispatcher thread (a
+//!   serial drive, or anywhere else in the query) is turned into
+//!   [`EngineError::Internal`] by the dispatcher's `catch_unwind`.
 //!
 //! Enforcement stays at batch boundaries inside the engine — the service
 //! only *derives* budgets, it never preempts. Shutdown is a drain: queued
@@ -34,12 +35,10 @@
 //! shutdown.
 
 mod admission;
-mod retry;
 mod scheduler;
 mod session;
 
 pub use admission::{AdmissionController, MemoryGrant};
-pub use retry::{retry_overloaded, retry_overloaded_with, BackoffPolicy};
 pub use scheduler::{DrrScheduler, SubmitError, REQUEST_COST};
 pub use session::{SessionId, SessionManager};
 
@@ -59,9 +58,9 @@ use crate::result::ResultTable;
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Dispatcher threads — the service's concurrency slots. Each runs at
-    /// most one query at a time, on its own thread (a served query's
-    /// memory budget keeps its join drive serial). 0 is valid (tests drive
-    /// dispatch manually).
+    /// most one query at a time, on its own thread plus the scoped threads
+    /// its join drive fans out on. 0 is valid (tests drive dispatch
+    /// manually).
     pub dispatchers: usize,
     /// Concurrent-session cap.
     pub max_sessions: usize,
@@ -104,7 +103,7 @@ impl Default for ServiceConfig {
 #[derive(Debug)]
 pub enum ServiceError {
     /// Shed: the session's queue is full. Come back in `retry_after_ms`
-    /// (see [`retry_overloaded`] for the client side).
+    /// (or later: a client backs off with jitter).
     Overloaded {
         /// Backoff hint, scaled by the queue depth that caused the shed.
         retry_after_ms: u64,
@@ -301,8 +300,8 @@ impl ServiceInner {
             .unwrap_or_else(|e| e.into_inner())
             .insert(req_id, req.cancel.clone());
         let started = Instant::now();
-        // catch_unwind backstops panics on this thread (the budgeted serial
-        // drive runs here): the dispatcher must survive any single query.
+        // catch_unwind backstops panics on this thread (a serial join drive
+        // runs here): the dispatcher must survive any single query.
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.store
                 .read(|s| req.engine.execute_text_with_budget(s, &req.text, &budget))
@@ -854,9 +853,10 @@ mod tests {
         assert!(service.create_session().is_ok());
     }
 
-    /// A service query runs the memory-budgeted serial drive, so the
-    /// injected panic fires on the dispatcher thread: its `catch_unwind`
-    /// backstop turns it into `Internal` for this session only.
+    /// A seed of one run keeps the drive serial whatever the parallelism,
+    /// so the injected panic fires on the dispatcher thread: its
+    /// `catch_unwind` backstop turns it into `Internal` for this session
+    /// only.
     #[test]
     fn a_worker_panic_is_contained_to_its_session() {
         let service = QueryService::new(
@@ -910,12 +910,16 @@ mod tests {
         let s = service.create_session().unwrap();
         let text = service.explain(s, SIMPLE).unwrap().render();
         assert!(text.contains("physical operator tree"));
-        // Served queries run under their admission grant, which forces the
-        // serial join drive whatever the session's parallelism: the plan
-        // names the drive the service will run.
+        // Served queries run under their admission grant, and the grant's
+        // memory budget leaves the drive as the session's parallelism
+        // makes it: the plan names the budget and the drive the service
+        // will run, with the budget's tuple cap.
         assert!(text.contains("memory 1048576 bytes"), "{text}");
         let join = text.lines().find(|l| l.contains("TemporalJoin")).unwrap();
-        assert!(join.contains("drive, serial (memory-budgeted)"), "{join}");
+        assert!(
+            join.contains("drive, parallel ×8 worker(s) when seed ≥ 4097 | tuple cap 4000000"),
+            "{join}"
+        );
         assert_eq!(service.stats().completed, 0, "explain is not execution");
     }
 

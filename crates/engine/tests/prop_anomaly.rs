@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
-use aiql_engine::{Engine, EngineConfig};
+use aiql_engine::{Engine, EngineConfig, ExecBudget, ResultTable, Warning};
 use aiql_model::{AgentId, Event, Operation, TimeWindow, Timestamp, Value};
 use aiql_storage::{EntitySpec, EventFilter, EventStore, RawEvent, StoreConfig};
 use proptest::prelude::*;
@@ -250,8 +250,39 @@ fn assert_matches_oracle(store: &EventStore, spec: &Spec) {
     let table = Engine::new(EngineConfig::default())
         .execute_text(store, &src)
         .unwrap();
-    assert!(!table.truncated, "{src}");
+    assert!(complete(&table), "{src}");
     assert_eq!(table.rows, oracle(store, spec), "{src}");
+}
+
+/// Neither truncated nor warned (a table is `truncated` exactly when it
+/// carries a warning).
+fn complete(t: &ResultTable) -> bool {
+    !t.truncated && t.warnings.is_empty()
+}
+
+/// Runs `spec` with its fetch capped at `cap` tuples: a cut fetch says so
+/// with the one warning that names the cap, at the seed level (the only
+/// one an anomaly's single pattern has); an uncut one warns nothing.
+fn assert_capped_fetch_names_the_cap(store: &EventStore, spec: &Spec, cap: usize) {
+    let src = spec.query();
+    let budget = ExecBudget::unlimited().with_max_tuples(cap);
+    let table = Engine::new(EngineConfig::default())
+        .execute_text_with_budget(store, &src, &budget)
+        .unwrap();
+    match table.warnings[..] {
+        [] => assert!(!table.truncated, "{src}"),
+        [Warning::TupleCap {
+            cap: c,
+            cut_level: 0,
+            runs_driven,
+            runs,
+        }] => assert!(
+            table.truncated && c == cap && runs_driven <= runs,
+            "{src}: {:?}",
+            table.warnings
+        ),
+        ref other => panic!("{src}: a capped fetch warned {other:?}"),
+    }
 }
 
 /// Transfers by four processes to three hosts over ten minutes (with
@@ -347,7 +378,9 @@ proptest! {
         transfers in arb_transfers_to_hosts(),
         spec in arb_spec(),
     ) {
-        assert_matches_oracle(&build_store_to_hosts(&transfers), &spec);
+        let store = build_store_to_hosts(&transfers);
+        assert_matches_oracle(&store, &spec);
+        assert_capped_fetch_names_the_cap(&store, &spec, transfers.len() / 2);
     }
 
     /// The window operator's (group, sum) rows match the reference for
@@ -365,6 +398,7 @@ proptest! {
                having vol > {threshold}"#
         );
         let table = engine.execute_text(&store, &src).unwrap();
+        prop_assert!(complete(&table));
         let mut got: Vec<(String, i64)> = table
             .rows
             .iter()
@@ -397,6 +431,7 @@ proptest! {
                group by p
                having vol = vol[1]"#;
         let table = engine.execute_text(&store, src).unwrap();
+        prop_assert!(complete(&table));
         // All windows after the first satisfy vol = vol[1] (constant rate);
         // the first window's history is 0 ≠ rate.
         prop_assert_eq!(table.rows.len(), windows * 2 - 1);
@@ -431,8 +466,9 @@ proptest! {
             let multievent = engine.execute_text(&store, &body).unwrap().normalized();
             let windowed = engine
                 .execute_text(&store, &format!("window = 1 day, step = 1 day {body}"))
-                .unwrap()
-                .normalized();
+                .unwrap();
+            prop_assert!(complete(&windowed));
+            let windowed = windowed.normalized();
             prop_assert_eq!(&windowed.columns, &multievent.columns);
             prop_assert_eq!(windowed.rows, multievent.rows, "group by {}", group);
         }
@@ -448,7 +484,9 @@ proptest! {
                group by p
                having n >= 1"#;
         let engine = Engine::new(EngineConfig::default());
-        let fast = engine.execute_text(&store, src).unwrap().normalized();
+        let fast = engine.execute_text(&store, src).unwrap();
+        prop_assert!(complete(&fast));
+        let fast = fast.normalized();
         let slow = aiql_baseline::RelationalEngine::new(false)
             .execute_text(&store, src)
             .unwrap()

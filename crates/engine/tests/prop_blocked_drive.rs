@@ -8,11 +8,14 @@
 //!   brute-force matcher with the dynamic projection
 //!   (`reference::run_reference`), at threads 1 / 2 / 8 × block sizes
 //!   1 / 7 / 4096 (blocks of 1 and 7 fan proptest-sized seeds out);
-//! * **emission-order prefix under truncation** — with `max_intermediate`
-//!   truncating, the output is the projection of a prefix, in nested-loop
-//!   emission order (candidate order for a single pattern), of the
-//!   *untruncated* tuples, and the serial and parallel drives agree byte
-//!   for byte (rows, order, `truncated`, delivered count);
+//! * **emission-order prefix under truncation** — with the budget's tuple
+//!   cap truncating, the output is the projection of a prefix, in
+//!   nested-loop emission order (candidate order for a single pattern), of
+//!   the *untruncated* tuples, and the serial and parallel drives agree
+//!   byte for byte (rows, order, `truncated`, delivered count, and the
+//!   cap's warning: the cap, the level that cut, the runs driven);
+//! * **every truncation names its cause** — for every query here a table
+//!   is `truncated` exactly when it carries a warning;
 //! * **governed modes** — under a memory budget, error mode either
 //!   reproduces the ungoverned result or fails with the structured
 //!   `MemoryBudget` error; partial mode always returns the projection of an
@@ -31,8 +34,7 @@
 use aiql_baseline::naive::{self, reference};
 use aiql_engine::exec::{self, MultieventExec};
 use aiql_engine::{
-    analyze_multievent, Engine, EngineConfig, EngineError, ExecBudget, Governor, ResultTable,
-    Warning,
+    analyze_multievent, Engine, EngineConfig, EngineError, ExecBudget, ResultTable, Warning,
 };
 use aiql_lang::{parse_query, MultieventQuery, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
@@ -241,12 +243,11 @@ fn shaped_query(body: usize, shape: &str) -> MultieventQuery {
     }
 }
 
-/// The drive at a given fan-out, block size and cap. One thread attaches
-/// no executor: the serial drive. More fan the runs out whenever the seed
-/// fills more than one block.
-fn drive_config(threads: usize, block: usize, max_intermediate: usize) -> EngineConfig {
+/// The drive at a given fan-out and block size. One thread is the serial
+/// drive; more fan the runs out whenever the seed fills more than one
+/// block.
+fn drive_config(threads: usize, block: usize) -> EngineConfig {
     EngineConfig {
-        max_intermediate,
         join_block_tuples: block,
         parallelism: threads,
         ..EngineConfig::default()
@@ -254,6 +255,17 @@ fn drive_config(threads: usize, block: usize, max_intermediate: usize) -> Engine
 }
 
 const UNCAPPED: usize = usize::MAX >> 1;
+
+/// A budget whose only limit is the tuple cap `cap`.
+fn capped(cap: usize) -> ExecBudget {
+    ExecBudget::unlimited().with_max_tuples(cap)
+}
+
+/// The truncation rule: a table is `truncated` exactly when it carries a
+/// warning naming why.
+fn names_its_cause(t: &ResultTable) -> bool {
+    t.truncated != t.warnings.is_empty()
+}
 
 /// Tuples the join pushed into the sink, from the executed operator stats.
 fn delivered(stats: &exec::ExecStats) -> usize {
@@ -265,8 +277,8 @@ fn delivered(stats: &exec::ExecStats) -> usize {
 }
 
 /// `Engine::execute_multievent_with_stats` under a budget: the engine's
-/// executor with a governor over `budget`, so partial mode can be held to
-/// the tuples the join delivered before the trip.
+/// executor under `budget`, so a cap or partial mode can be held to the
+/// tuples the join delivered before it stopped.
 fn governed_with_stats(
     store: &EventStore,
     m: &MultieventQuery,
@@ -275,8 +287,18 @@ fn governed_with_stats(
 ) -> Result<(ResultTable, exec::ExecStats), EngineError> {
     let a = analyze_multievent(m, store)?;
     MultieventExec::new(store, &a, config)
-        .with_governor(Some(std::sync::Arc::new(Governor::new(budget))))
+        .with_budget(budget)
         .run_with_stats()
+}
+
+/// The table and stats of `m` under tuple cap `cap`.
+fn run_capped(
+    store: &EventStore,
+    m: &MultieventQuery,
+    config: &EngineConfig,
+    cap: usize,
+) -> (ResultTable, exec::ExecStats) {
+    governed_with_stats(store, m, config, &capped(cap)).unwrap()
 }
 
 proptest! {
@@ -292,13 +314,13 @@ proptest! {
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
     ) {
         let store = build_store(&raws);
-        let engine = Engine::new(drive_config(threads, block, UNCAPPED));
+        let engine = Engine::new(drive_config(threads, block));
         for shape in shapes(body, true) {
             let m = shaped_query(body, shape);
             let a = analyze_multievent(&m, &store).unwrap();
             let want = reference::run_reference(&store, &a).unwrap();
             let (got, stats) = engine.execute_multievent_with_stats(&store, &m).unwrap();
-            prop_assert!(!got.truncated);
+            prop_assert!(!got.truncated && got.warnings.is_empty());
             prop_assert_eq!(&want.columns, &got.columns);
             // `order by` fixes the row order; elsewhere the oracle's
             // source-order matching permutes rows, not their multiset.
@@ -321,11 +343,12 @@ proptest! {
         }
     }
 
-    /// Under a `max_intermediate` sweep, every return shape equals the
-    /// dynamic projection of the emission-order tuple prefix of the
-    /// delivered length (for the single pattern: the candidate-order
-    /// prefix), `truncated` matches the unfused drive's, and the serial and
-    /// parallel drives agree byte for byte at every width.
+    /// Under a tuple-cap sweep, every return shape equals the dynamic
+    /// projection of the emission-order tuple prefix of the delivered
+    /// length (for the single pattern: the candidate-order prefix),
+    /// `truncated` matches the unfused drive's and is set exactly when the
+    /// cap's warning is, and the serial and parallel drives agree byte for
+    /// byte — warning included — at every width.
     #[test]
     fn capped_return_shapes_project_the_emission_order_prefix(
         raws in proptest::collection::vec(arb_raw(), 1..150),
@@ -340,22 +363,24 @@ proptest! {
             // The unfused drive (no projection above it) keeps its tuples:
             // the emission order, and the prefix a cap leaves of it.
             let tuples_at = |cap: usize| {
-                let config = drive_config(1, block, cap);
-                let (tuples, truncated, _) =
-                    MultieventExec::new(&store, &a, &config).match_tuples().unwrap();
+                let (tuples, truncated, _) = MultieventExec::new(&store, &a, &drive_config(1, block))
+                    .with_budget(&capped(cap))
+                    .match_tuples()
+                    .unwrap();
                 (tuples, truncated)
             };
             let (full, _) = tuples_at(UNCAPPED);
             let (kept, truncated) = tuples_at(cap);
             prop_assert!(kept.len() <= cap && kept.len() <= full.len());
             let want = naive::project(&store, &a, &full[..kept.len()]).unwrap();
+            let (serial, _) = run_capped(&store, &m, &drive_config(1, block), cap);
             for threads in [1usize, 2, 8] {
-                let engine = Engine::new(drive_config(threads, block, cap));
-                let (got, stats) = engine.execute_multievent_with_stats(&store, &m).unwrap();
+                let (got, stats) = run_capped(&store, &m, &drive_config(threads, block), cap);
                 prop_assert!(unread_last(body, &stats), "body {} placed e3 early", body);
+                prop_assert!(names_its_cause(&got), "{:?}", got.warnings);
                 prop_assert_eq!(
-                    (&want.rows, truncated, kept.len()),
-                    (&got.rows, got.truncated, delivered(&stats)),
+                    (&want.rows, truncated, kept.len(), &serial.warnings),
+                    (&got.rows, got.truncated, delivered(&stats), &got.warnings),
                     "body {} shape {:?} cap {} block {} threads {}",
                     body, shape, cap, block, threads
                 );
@@ -375,7 +400,7 @@ proptest! {
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
         let store = build_store(&raws);
-        let ungoverned = drive_config(1, block, UNCAPPED);
+        let ungoverned = drive_config(1, block);
         for shape in shapes(body, false) {
             let m = shaped_query(body, shape);
             let a = analyze_multievent(&m, &store).unwrap();
@@ -387,7 +412,10 @@ proptest! {
             let strict = ExecBudget::unlimited().with_memory_bytes(budget_bytes);
             let q = Query::Multievent(m.clone());
             match Engine::new(ungoverned.clone()).execute_with_budget(&store, &q, &strict) {
-                Ok(t) => prop_assert_eq!(&t.rows, &want_full.rows),
+                Ok(t) => {
+                    prop_assert_eq!(&t.rows, &want_full.rows);
+                    prop_assert!(!t.truncated && t.warnings.is_empty());
+                }
                 Err(e) => prop_assert_eq!(e, EngineError::MemoryBudget { budget_bytes }),
             }
 
@@ -410,9 +438,9 @@ proptest! {
         }
     }
 
-    /// Under a truncating `max_intermediate`, the capped result is a prefix
-    /// — in nested-loop emission order — of the uncapped one, and the
-    /// serial and parallel drives agree byte-for-byte.
+    /// Under a truncating tuple cap, the capped result is a prefix — in
+    /// nested-loop emission order — of the uncapped one, and the serial and
+    /// parallel drives agree byte-for-byte.
     #[test]
     fn capped_drive_emits_an_emission_order_prefix_of_the_uncapped_result(
         raws in proptest::collection::vec(arb_raw(), 1..150),
@@ -420,14 +448,17 @@ proptest! {
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
     ) {
         let store = build_store(&raws);
-        let blocked = |max_intermediate: usize, parallel: bool| {
-            Engine::new(drive_config(if parallel { 4 } else { 1 }, block, max_intermediate))
+        let blocked = |cap: usize, parallel: bool, q: &Query| {
+            Engine::new(drive_config(if parallel { 4 } else { 1 }, block))
+                .execute_with_budget(&store, q, &capped(cap))
+                .unwrap()
         };
         for src in prefix_catalog() {
             let q = parse_query(src).unwrap();
-            let full = blocked(usize::MAX >> 1, false).execute(&store, &q).unwrap();
+            let full = blocked(UNCAPPED, false, &q);
             prop_assert!(!full.truncated, "reference run must be uncapped");
-            let got = blocked(cap, false).execute(&store, &q).unwrap();
+            let got = blocked(cap, false, &q);
+            prop_assert!(names_its_cause(&got), "{:?}", got.warnings);
             prop_assert!(
                 got.rows.len() <= full.rows.len()
                     && got.rows[..] == full.rows[..got.rows.len()],
@@ -439,10 +470,10 @@ proptest! {
                 "query {:?} cap {} block {}: shortened result without the truncated flag",
                 src, cap, block
             );
-            let par = blocked(cap, true).execute(&store, &q).unwrap();
+            let par = blocked(cap, true, &q);
             prop_assert_eq!(
-                (&got.rows, got.truncated),
-                (&par.rows, par.truncated),
+                (&got.rows, got.truncated, &got.warnings),
+                (&par.rows, par.truncated, &par.warnings),
                 "query {:?} cap {} block {}: serial and parallel capped drives diverged",
                 src, cap, block
             );
@@ -489,9 +520,7 @@ proptest! {
                 "query {:?} budget {} block {}: partial rows not an emission-order prefix",
                 src, budget_bytes, block
             );
-            if !p.warnings.is_empty() {
-                prop_assert!(p.truncated, "a warned partial result must be flagged");
-            }
+            prop_assert!(names_its_cause(&p), "{:?}", p.warnings);
         }
     }
 }
@@ -531,16 +560,14 @@ fn parallel_run_straddling_the_cap_is_redriven_to_the_serial_result() {
     for shape in SHAPES {
         let m = shaped_query(1, shape);
         for cap in [3usize, 10, 50, 200, 1000] {
-            let serial = Engine::new(drive_config(1, 1, cap));
-            let (want, want_stats) = serial.execute_multievent_with_stats(&store, &m).unwrap();
+            let (want, want_stats) = run_capped(&store, &m, &drive_config(1, 1), cap);
             assert!(want.truncated, "cap {cap} must truncate the fan-out chain");
             for threads in [2usize, 8] {
-                let parallel = Engine::new(drive_config(threads, 1, cap));
                 for _ in 0..4 {
-                    let (got, stats) = parallel.execute_multievent_with_stats(&store, &m).unwrap();
+                    let (got, stats) = run_capped(&store, &m, &drive_config(threads, 1), cap);
                     assert_eq!(
-                        (&want.rows, want.truncated, delivered(&want_stats)),
-                        (&got.rows, got.truncated, delivered(&stats)),
+                        (&want.rows, &want.warnings, delivered(&want_stats)),
+                        (&got.rows, &got.warnings, delivered(&stats)),
                         "shape {:?} cap {cap} threads {threads}",
                         shape
                     );
@@ -558,15 +585,11 @@ fn parallel_run_straddling_the_cap_is_redriven_to_the_serial_result() {
 fn capped_chain_sets_truncated_exactly() {
     let store = fanout_store();
     let m = shaped_query(1, "return p1, p2, f, f2");
-    let (full, _) = Engine::new(drive_config(1, 4096, UNCAPPED))
-        .execute_multievent_with_stats(&store, &m)
-        .unwrap();
+    let (full, _) = run_capped(&store, &m, &drive_config(1, 4096), UNCAPPED);
     assert!(!full.truncated && full.rows.len() > 1000);
     for cap in [1usize, 7, 100, 1000, full.rows.len(), full.rows.len() + 1] {
         for block in [7usize, 4096] {
-            let (serial, _) = Engine::new(drive_config(1, block, cap))
-                .execute_multievent_with_stats(&store, &m)
-                .unwrap();
+            let (serial, _) = run_capped(&store, &m, &drive_config(1, block), cap);
             assert_eq!(
                 &serial.rows[..],
                 &full.rows[..serial.rows.len()],
@@ -579,13 +602,83 @@ fn capped_chain_sets_truncated_exactly() {
                 serial.rows.len(),
                 full.rows.len()
             );
-            let (parallel, _) = Engine::new(drive_config(4, block, cap))
-                .execute_multievent_with_stats(&store, &m)
-                .unwrap();
+            assert!(names_its_cause(&serial), "{:?}", serial.warnings);
+            let (parallel, _) = run_capped(&store, &m, &drive_config(4, block), cap);
             assert_eq!(
-                (&serial.rows, serial.truncated),
-                (&parallel.rows, parallel.truncated),
+                (&serial.rows, serial.truncated, &serial.warnings),
+                (&parallel.rows, parallel.truncated, &parallel.warnings),
                 "cap {cap} block {block}: serial and parallel capped drives diverged"
+            );
+        }
+    }
+}
+
+/// Three processes write a file at minute 0 that fifty processes read, one
+/// a minute; every reader writes another file at minute 45. Over the
+/// bounded 3-chain (`e1 before[10 min] e2, e2 before[30 min] e3`) a seed
+/// write expands into the first eleven reads, and none of those readers
+/// writes within 30 minutes of its read.
+fn fan_in_store() -> EventStore {
+    let event = |op, proc: u32, file: &str, mins: i64| {
+        let exe = format!("exe{proc}.bin");
+        let (subject, object) = (
+            EntitySpec::process(proc, &exe, "user"),
+            EntitySpec::file(file, "user"),
+        );
+        RawEvent::instant(
+            AgentId(0),
+            op,
+            subject,
+            object,
+            Timestamp::from_secs(mins * 60),
+            0,
+        )
+    };
+    let mut raws: Vec<RawEvent> = (0..3)
+        .map(|w| event(Operation::Write, w, "/data/shared", 0))
+        .collect();
+    for r in 0..50 {
+        raws.push(event(Operation::Read, 10 + r, "/data/shared", i64::from(r)));
+        raws.push(event(Operation::Write, 10 + r, "/data/out", 45));
+    }
+    build_store(&raws)
+}
+
+/// A cap trip names itself: the table carries one `Warning::TupleCap` with
+/// the cap, the join level that cut and the runs driven out of the run
+/// count — the level and the runs the drive's stats report — and the
+/// serial and fanned-out drives report the same one. Where the output
+/// fills, the final level cuts; where an intermediate expansion fills and
+/// the capped prefix's subtree delivers less than the cap, that level does.
+#[test]
+fn a_cap_trip_names_the_cap_the_cut_level_and_the_runs_driven() {
+    let m = shaped_query(1, "return p1, p2, f, f2");
+    // (store, cap, the level that cuts), all in one-tuple runs.
+    for (store, cap, level) in [(fanout_store(), 50usize, 2usize), (fan_in_store(), 10, 1)] {
+        let (serial, stats) = run_capped(&store, &m, &drive_config(1, 1), cap);
+        let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+        let runs = join.join_steps[0].candidates as u64;
+        assert!(
+            0 < join.runs_driven && join.runs_driven < runs,
+            "cap {cap}: the cap must leave runs undriven ({} of {runs})",
+            join.runs_driven
+        );
+        assert_eq!(join.early_exit_depth, Some(level), "cap {cap}");
+        let want = vec![Warning::TupleCap {
+            cap,
+            cut_level: level,
+            runs_driven: join.runs_driven,
+            runs,
+        }];
+        assert_eq!((serial.truncated, &serial.warnings), (true, &want));
+        for threads in [2usize, 8] {
+            let (fanned, stats) = run_capped(&store, &m, &drive_config(threads, 1), cap);
+            let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+            assert_eq!(join.fanout, threads.min(runs as usize), "cap {cap}");
+            assert_eq!(
+                (&fanned.rows, fanned.truncated, &fanned.warnings),
+                (&serial.rows, true, &want),
+                "cap {cap} threads {threads}"
             );
         }
     }
@@ -619,14 +712,10 @@ fn emission_counters_surface_in_stats() {
         let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
         join.emitted_tuples
     };
-    let engine = Engine::new(EngineConfig {
-        // A cap below the full cardinality makes the chain emission-bound:
-        // the output fills and the drive exits early, leaving the seed runs
-        // and windows nobody will consume undriven.
-        max_intermediate: full.rows.len() / 2,
-        ..EngineConfig::default()
-    });
-    let (table, stats) = engine.execute_multievent_with_stats(&store, &m).unwrap();
+    // A cap below the full cardinality makes the chain emission-bound: the
+    // output fills and the drive exits early, leaving the seed runs and
+    // windows nobody will consume undriven.
+    let (table, stats) = run_capped(&store, &m, &EngineConfig::default(), full.rows.len() / 2);
     assert!(table.truncated, "the tight cap must truncate");
     let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
     assert!(join.runs_driven > 0, "the drive must report its runs");
@@ -672,9 +761,7 @@ fn single_pattern_caps_truncate_exactly_as_the_parent_commit_did() {
     let store = fanout_store();
     let rows = shaped_query(BODIES.len(), "return p1, f, e1.amount");
     let count = shaped_query(BODIES.len(), "return count(e1.amount) as n");
-    let (full, _) = Engine::new(drive_config(1, 4096, UNCAPPED))
-        .execute_multievent_with_stats(&store, &rows)
-        .unwrap();
+    let (full, _) = run_capped(&store, &rows, &drive_config(1, 4096), UNCAPPED);
     assert_eq!((full.rows.len(), full.truncated), (200, false));
     // (cap, rows kept, truncated) as the parent commit answered.
     for (cap, kept, truncated) in [
@@ -687,21 +774,20 @@ fn single_pattern_caps_truncate_exactly_as_the_parent_commit_did() {
         (UNCAPPED, 200, false),
     ] {
         for (threads, block) in [(1usize, 4096usize), (1, 7), (2, 7), (8, 1)] {
-            let engine = Engine::new(drive_config(threads, block, cap));
-            let (got, stats) = engine.execute_multievent_with_stats(&store, &rows).unwrap();
+            let config = drive_config(threads, block);
+            let (got, stats) = run_capped(&store, &rows, &config, cap);
             assert_eq!(
                 (&got.rows[..], got.truncated, delivered(&stats)),
                 (&full.rows[..kept], truncated, kept),
                 "cap {cap} threads {threads} block {block}"
             );
+            assert!(names_its_cause(&got), "{:?}", got.warnings);
             // No tuple, no group: a count over nothing returns no row.
             let want: Vec<_> = (kept > 0)
                 .then(|| vec![aiql_model::Value::Int(kept as i64)])
                 .into_iter()
                 .collect();
-            let (n, _) = engine
-                .execute_multievent_with_stats(&store, &count)
-                .unwrap();
+            let (n, _) = run_capped(&store, &count, &config, cap);
             assert_eq!(
                 (n.rows, n.truncated),
                 (want, truncated),
@@ -721,7 +807,7 @@ fn single_pattern_memory_budget_yields_a_prefix_or_the_typed_error() {
     let store = fanout_store();
     let rows = shaped_query(BODIES.len(), "return p1, f, e1.amount");
     let count = shaped_query(BODIES.len(), "return count(e1.amount) as n");
-    let config = drive_config(1, 16, UNCAPPED);
+    let config = drive_config(1, 16);
     let (full, _) = Engine::new(config.clone())
         .execute_multievent_with_stats(&store, &rows)
         .unwrap();
@@ -791,13 +877,13 @@ fn id_keyed_distinct_collapses_same_named_entities_across_hosts() {
     let store = build_store(&raws);
     let m = shaped_query(0, "return distinct p1, f");
     let a = analyze_multievent(&m, &store).unwrap();
-    let (serial, _) = Engine::new(drive_config(1, 4096, UNCAPPED))
+    let (serial, _) = Engine::new(drive_config(1, 4096))
         .execute_multievent_with_stats(&store, &m)
         .unwrap();
     let want = reference::run_reference(&store, &a).unwrap();
     assert_eq!(serial.clone().normalized().rows, want.normalized().rows);
     // Every row stands for entities on both hosts.
-    let (tuples, _, _) = MultieventExec::new(&store, &a, &drive_config(1, 4096, UNCAPPED))
+    let (tuples, _, _) = MultieventExec::new(&store, &a, &drive_config(1, 4096))
         .match_tuples()
         .unwrap();
     let slot = |name: &str| a.vars.iter().position(|v| v.name == name).unwrap();
@@ -807,7 +893,7 @@ fn id_keyed_distinct_collapses_same_named_entities_across_hosts() {
     assert_eq!(keys.len(), 2 * serial.rows.len(), "two hosts' ids per row");
     for threads in [2usize, 8] {
         for block in [1usize, 7] {
-            let (par, _) = Engine::new(drive_config(threads, block, UNCAPPED))
+            let (par, _) = Engine::new(drive_config(threads, block))
                 .execute_multievent_with_stats(&store, &m)
                 .unwrap();
             assert_eq!(par.rows, serial.rows, "threads {threads} block {block}");

@@ -9,11 +9,13 @@
 //!   usable afterwards.
 //! * **Partial mode** (`partial_results`): the query returns a
 //!   *prefix-preserving* truncated table — its rows are a prefix of the
-//!   ungoverned result — flagged `truncated` and carrying a [`Warning`].
-//! * **Determinism**: a memory budget forces the serial join drive, which
-//!   live-charges what it keeps at run and window boundaries, so a serial
-//!   and a parallel configuration trip at the same tuple and return
-//!   byte-identical tables.
+//!   ungoverned result — flagged `truncated` and carrying a [`Warning`]; a
+//!   table is `truncated` exactly when it carries one.
+//! * **Determinism**: under a memory budget the join drive still fans out,
+//!   but only its merge thread charges the budget — a fork merges only
+//!   when its own byte tally fits what is left, and is re-driven with live
+//!   charging otherwise — so the serial drive and the fanned-out one trip
+//!   at the same tuple and return byte-identical tables.
 //! * **Panic containment**: a panic on a thread of the parallel join drive
 //!   surfaces as `WorkerPanic` for the owning query only; the engine keeps
 //!   serving subsequent queries.
@@ -22,11 +24,12 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use aiql_engine::exec::MultieventExec;
 use aiql_engine::{
-    CancelToken, Clock, Engine, EngineConfig, EngineError, ExecBudget, ManualClock, ResultTable,
-    Warning,
+    analyze_multievent, CancelToken, Clock, Engine, EngineConfig, EngineError, ExecBudget,
+    ManualClock, ResultTable, Warning,
 };
-use aiql_lang::parse_query;
+use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp, Value};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
 use proptest::prelude::*;
@@ -72,8 +75,8 @@ fn build_store(raws: &[RawEvent]) -> EventStore {
 }
 
 /// A governed config: `parallel` gives the run-sharded join drive four
-/// threads to fan out on. A memory budget forces the serial drive, so
-/// under one both configs trip at the same tuple.
+/// threads to fan out on (a seed of one 4096-tuple run still drives
+/// serial).
 fn config(parallel: bool) -> EngineConfig {
     EngineConfig {
         parallelism: if parallel { 4 } else { 1 },
@@ -88,6 +91,22 @@ fn fanned_out() -> EngineConfig {
         join_block_tuples: 1,
         ..config(true)
     }
+}
+
+/// The serial twin of [`fanned_out`]: the same runs, all driven on the
+/// query thread. Under a memory budget where a run ends decides where a
+/// trip lands, so the two share their block size.
+fn serial_runs() -> EngineConfig {
+    EngineConfig {
+        parallelism: 1,
+        ..fanned_out()
+    }
+}
+
+/// The truncation rule: a table is `truncated` exactly when it carries a
+/// warning naming why.
+fn names_its_cause(t: &ResultTable) -> bool {
+    t.truncated != t.warnings.is_empty()
 }
 
 /// Asserts `partial` is a row-prefix of `full` (the partial-mode contract
@@ -321,13 +340,140 @@ fn worker_panic_is_contained_and_pool_stays_healthy() {
     assert!(matches!(err2, EngineError::WorkerPanic { .. }));
 }
 
+/// The chain over a store whose seed fills many one-tuple runs.
+fn chain_store() -> EventStore {
+    // Pairwise-coprime moduli keep op, process and file decorrelated, so
+    // every process both reads and writes and the chain fans out.
+    let raws: Vec<RawEvent> = (0..300)
+        .map(|i| {
+            RawEvent::instant(
+                AgentId((i % 2) as u32),
+                if i % 3 == 0 {
+                    Operation::Write
+                } else {
+                    Operation::Read
+                },
+                EntitySpec::process(100 + (i % 5) as u32, &format!("exe{}.bin", i % 5), "user"),
+                EntitySpec::file(&format!("/data/file{}", i % 7), "user"),
+                Timestamp::from_secs(i * 3),
+                i as u64,
+            )
+        })
+        .collect();
+    build_store(&raws)
+}
+
+/// Under a memory budget the join drive fans out on `min(parallelism,
+/// runs)` threads, under a roomy budget and under budgets that trip
+/// mid-drive, and returns the serial drive's table byte for byte
+/// — rows, `truncated`, warnings — in partial and in error mode, for plain
+/// rows, an entity `distinct` (whose sink also keeps entity-id keys) and
+/// an aggregate.
+#[test]
+fn memory_budgeted_join_fans_out_to_the_serial_result() {
+    let store = chain_store();
+    let body = CHAIN_QUERY.split("return").next().unwrap();
+    for shape in [
+        "return p1, p3, f, f2",
+        "return distinct p1, p3",
+        "return p1, count(e4.amount) as n group by p1",
+    ] {
+        let Query::Multievent(m) = parse_query(&format!("{body}{shape}")).unwrap() else {
+            panic!("the chain is a multievent query")
+        };
+        let a = analyze_multievent(&m, &store).unwrap();
+        let run = |config: &EngineConfig, budget: &ExecBudget| {
+            let out = MultieventExec::new(&store, &a, config)
+                .with_budget(budget)
+                .run_with_stats();
+            out.map(|(table, stats)| {
+                let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+                (table, (join.fanout, join.fork_peak_bytes))
+            })
+        };
+        let (full, _) = run(&serial_runs(), &ExecBudget::unlimited()).unwrap();
+        assert!(!full.rows.is_empty() && !full.truncated, "{shape}");
+        let mut saw_truncation = false;
+        // Budgets 250 bytes apart around where the chain's drive trips: a
+        // merge thread whose charged bytes drifted from the serial drive's
+        // by a few entity-id keys trips at a different run in this range.
+        let sweep = (6_000..16_000)
+            .step_by(250)
+            .chain([40_000, 1 << 17, 1 << 40]);
+        for budget_bytes in sweep {
+            let partial = ExecBudget::unlimited()
+                .with_memory_bytes(budget_bytes)
+                .with_partial_results(true);
+            let (serial, (one, _)) = run(&serial_runs(), &partial).unwrap();
+            let (fanned, (width, held)) = run(&fanned_out(), &partial).unwrap();
+            assert_eq!((one, width), (1, 4), "{shape} @ {budget_bytes}: fan-out");
+            assert!(
+                held <= budget_bytes,
+                "{shape} @ {budget_bytes}: forks held {held}"
+            );
+            assert_eq!(fanned, serial, "{shape} @ {budget_bytes}");
+            assert!(names_its_cause(&serial), "{:?}", serial.warnings);
+            saw_truncation |= serial.truncated && !serial.rows.is_empty();
+
+            let strict = ExecBudget::unlimited().with_memory_bytes(budget_bytes);
+            let serial = run(&serial_runs(), &strict).map(|(t, _)| t);
+            let fanned = run(&fanned_out(), &strict).map(|(t, _)| t);
+            assert_eq!(fanned, serial, "{shape} @ {budget_bytes}");
+            match serial {
+                Ok(t) => assert_eq!(t, full, "{shape} @ {budget_bytes}"),
+                Err(e) => assert_eq!(e, EngineError::MemoryBudget { budget_bytes }),
+            }
+        }
+        assert!(
+            saw_truncation,
+            "{shape}: no budget in the sweep tripped mid-drive"
+        );
+    }
+}
+
+/// The forks of a memory-budgeted drive are bounded together, not one by
+/// one: over a seed of many one-tuple runs on four threads, the bytes all
+/// forks hold at once never pass the budget, though each run alone fits
+/// tight budgets and the forks together hold ≈ 750 KB unbounded.
+#[test]
+fn forks_hold_no_more_than_the_budget_together() {
+    let store = chain_store();
+    let Query::Multievent(m) = parse_query(CHAIN_QUERY).unwrap() else {
+        panic!("the chain is a multievent query")
+    };
+    let a = analyze_multievent(&m, &store).unwrap();
+    let fork_peak = |budget: &ExecBudget| {
+        let (table, stats) = MultieventExec::new(&store, &a, &fanned_out())
+            .with_budget(budget)
+            .run_with_stats()
+            .unwrap();
+        let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+        assert_eq!(join.fanout, 4);
+        (table, join.fork_peak_bytes)
+    };
+    let (full, unbounded) = fork_peak(&ExecBudget::unlimited().with_memory_bytes(1 << 40));
+    assert!(!full.truncated);
+    for budget_bytes in [6_000, 8_000, 10_000, unbounded / 2] {
+        assert!(
+            budget_bytes < unbounded,
+            "the forks never outgrow {budget_bytes}"
+        );
+        let partial = ExecBudget::unlimited()
+            .with_memory_bytes(budget_bytes)
+            .with_partial_results(true);
+        let (table, held) = fork_peak(&partial);
+        assert!(held <= budget_bytes, "forks held {held} of {budget_bytes}");
+        assert!(names_its_cause(&table), "{:?}", table.warnings);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(20))]
 
     /// A memory budget tripping at a random point of the chain either
     /// errors with `MemoryBudget` (error mode) or returns a prefix of the
     /// ungoverned result (partial mode) — byte-identical across the serial
-    /// and parallel joins.
+    /// drive and the fanned-out one, whose forks only tally their bytes.
     #[test]
     fn memory_budget_prefix_is_deterministic_across_join_modes(
         raws in proptest::collection::vec(arb_raw(), 20..150),
@@ -340,31 +486,36 @@ proptest! {
             .unwrap();
 
         // Error mode: a trip is the matching structured error; no trip
-        // must reproduce the ungoverned result exactly.
+        // must reproduce the ungoverned result exactly. Both drives agree
+        // on which.
         let strict = ExecBudget::unlimited().with_memory_bytes(budget_bytes);
-        let serial = Engine::new(config(false))
+        let serial = Engine::new(serial_runs())
             .execute_with_budget(&store, &query, &strict);
         match &serial {
-            Ok(t) => prop_assert_eq!(&t.rows, &full.rows),
+            Ok(t) => {
+                prop_assert_eq!(&t.rows, &full.rows);
+                prop_assert!(!t.truncated && t.warnings.is_empty());
+            }
             Err(e) => prop_assert_eq!(
                 e,
                 &EngineError::MemoryBudget { budget_bytes }
             ),
         }
+        let parallel = Engine::new(fanned_out())
+            .execute_with_budget(&store, &query, &strict);
+        prop_assert_eq!(&parallel, &serial);
 
         // Partial mode: always Ok, rows a prefix of the full result, and
         // the serial/parallel joins agree byte-for-byte.
         let partial = ExecBudget::unlimited()
             .with_memory_bytes(budget_bytes)
             .with_partial_results(true);
-        let p_serial = Engine::new(config(false))
+        let p_serial = Engine::new(serial_runs())
             .execute_with_budget(&store, &query, &partial)
             .unwrap();
         assert_prefix(&p_serial, &full);
-        if !p_serial.warnings.is_empty() {
-            prop_assert!(p_serial.truncated);
-        }
-        let p_parallel = Engine::new(config(true))
+        prop_assert!(names_its_cause(&p_serial), "{:?}", p_serial.warnings);
+        let p_parallel = Engine::new(fanned_out())
             .execute_with_budget(&store, &query, &partial)
             .unwrap();
         prop_assert_eq!(&p_parallel.rows, &p_serial.rows);
@@ -388,23 +539,18 @@ proptest! {
 
         let token = CancelToken::new();
         token.cancel();
-        let _ = engine.execute_with_budget(
-            &store,
-            &query,
-            &ExecBudget::unlimited().with_cancel(token),
-        );
-        let _ = engine.execute_with_budget(
-            &store,
-            &query,
-            &ExecBudget::unlimited().with_memory_bytes(budget_bytes),
-        );
-        let _ = engine.execute_with_budget(
-            &store,
-            &query,
-            &ExecBudget::unlimited()
+        let budgets = [
+            ExecBudget::unlimited().with_cancel(token),
+            ExecBudget::unlimited().with_memory_bytes(budget_bytes),
+            ExecBudget::unlimited()
                 .with_memory_bytes(budget_bytes)
                 .with_partial_results(true),
-        );
+        ];
+        for budget in &budgets {
+            if let Ok(t) = engine.execute_with_budget(&store, &query, budget) {
+                prop_assert!(names_its_cause(&t), "{:?}", t.warnings);
+            }
+        }
 
         let after = engine.execute(&store, &query).unwrap();
         prop_assert_eq!(&before.rows, &after.rows);
@@ -514,24 +660,29 @@ fn aggregated_memory_truncation_preserves_group_prefix() {
         let t = engine
             .execute_with_budget(&store, &query, &partial)
             .unwrap();
+        assert!(names_its_cause(&t), "{:?}", t.warnings);
         if t.truncated {
             assert_eq!(t.warnings, vec![Warning::MemoryBudget { budget_bytes }]);
             assert_group_prefix(&t, &full, 2);
             saw_nonempty_truncation |= !t.rows.is_empty();
-            // A memory budget forces the serial drive, so the trip point
-            // is deterministic: the parallel engine truncates at the same
-            // tuple.
-            let tp = Engine::new(config(true))
-                .execute_with_budget(&store, &query, &partial)
-                .unwrap();
-            assert_eq!(t.rows, tp.rows);
-            assert_eq!(t.warnings, tp.warnings);
         } else {
             assert_eq!(
                 t.rows, full.rows,
                 "untripped budget must not perturb results"
             );
         }
+
+        // Only the merge thread charges the budget, so the trip point is
+        // deterministic: the fanned-out drive truncates at the serial
+        // drive's tuple over the same runs, to a group prefix as well.
+        let ts = Engine::new(serial_runs())
+            .execute_with_budget(&store, &query, &partial)
+            .unwrap();
+        let tp = Engine::new(fanned_out())
+            .execute_with_budget(&store, &query, &partial)
+            .unwrap();
+        assert_group_prefix(&ts, &full, 2);
+        assert_eq!(ts, tp, "budget {budget_bytes}");
 
         // Error mode at the same budget: either a clean structured error
         // or the exact full result — never a silent truncation.
@@ -565,17 +716,22 @@ fn projection_memory_truncation_is_a_row_prefix() {
         let t = engine
             .execute_with_budget(&store, &query, &partial)
             .unwrap();
+        assert!(names_its_cause(&t), "{:?}", t.warnings);
         if t.truncated {
             assert_eq!(t.warnings, vec![Warning::MemoryBudget { budget_bytes }]);
             assert_prefix(&t, &full);
             saw_nonempty_truncation |= !t.rows.is_empty();
-            let tp = Engine::new(config(true))
-                .execute_with_budget(&store, &query, &partial)
-                .unwrap();
-            assert_eq!(t.rows, tp.rows);
         } else {
             assert_eq!(t.rows, full.rows);
         }
+        let ts = Engine::new(serial_runs())
+            .execute_with_budget(&store, &query, &partial)
+            .unwrap();
+        let tp = Engine::new(fanned_out())
+            .execute_with_budget(&store, &query, &partial)
+            .unwrap();
+        assert_prefix(&ts, &full);
+        assert_eq!(ts, tp, "budget {budget_bytes}");
     }
     assert!(
         saw_nonempty_truncation,

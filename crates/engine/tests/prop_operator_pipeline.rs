@@ -17,11 +17,10 @@
 //!   `order by` and every truncation prefix depend on;
 //! * **serial ≡ parallel** — the run-sharded join drive, the engine's one
 //!   parallel path, returns tables byte-identical (rows, order, truncation
-//!   flag) to the single-threaded pipeline at any thread count and block
-//!   size — including when `max_intermediate` truncates. `Engine` runs on
-//!   the process-wide executor, sized by the host, so its thread counts cap
-//!   fan-out; one test attaches a private eight-worker executor so the
-//!   interleavings do not shrink with the CI box;
+//!   flag and warnings) to the single-threaded pipeline at any thread count
+//!   and block size — including when the budget's tuple cap truncates. One
+//!   test runs eight threads whatever the host, so the interleavings do not
+//!   shrink with the CI box;
 //! * **the fan-out rule** — the drive fans out exactly when the seed fills
 //!   more than one run, and reports the workers that could run, not the
 //!   configured `parallelism`;
@@ -194,13 +193,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The parallel and serial pipelines agree byte-for-byte across thread
-    /// counts 1/2/8, block sizes, and `max_intermediate` truncation.
+    /// counts 1/2/8, block sizes, and tuple-cap truncation — down to the
+    /// cap's warning, which names the level that cut and the runs driven.
     #[test]
     fn parallel_pipeline_matches_serial_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
         threads in prop_oneof![Just(1usize), Just(2), Just(8)],
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
-        max_intermediate in prop_oneof![
+        max_tuples in prop_oneof![
             Just(1usize), Just(2), Just(7), Just(100), Just(4_000_000)
         ],
     ) {
@@ -208,29 +208,28 @@ proptest! {
         // Same block on both sides: when an *intermediate* expansion hits
         // the cap, where the run cuts depends on how the seed was blocked.
         let serial = Engine::new(EngineConfig {
-            max_intermediate,
             join_block_tuples: block,
             ..serial_config()
         });
         let parallel = Engine::new(EngineConfig {
-            max_intermediate,
             join_block_tuples: block,
             ..parallel_config(threads)
         });
+        let budget = ExecBudget::unlimited().with_max_tuples(max_tuples);
         for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
-            let want = serial.execute(&store, &q).unwrap();
-            let got = parallel.execute(&store, &q).unwrap();
+            let want = serial.execute_with_budget(&store, &q, &budget).unwrap();
+            let got = parallel.execute_with_budget(&store, &q, &budget).unwrap();
             prop_assert_eq!(
                 &want.rows, &got.rows,
                 "query {:?} threads {} block {} max {}: rows/order differ ({} vs {})",
-                src, threads, block, max_intermediate,
+                src, threads, block, max_tuples,
                 want.rows.len(), got.rows.len()
             );
             prop_assert_eq!(
-                want.truncated, got.truncated,
-                "query {:?} threads {} block {} max {}: truncation flag differs",
-                src, threads, block, max_intermediate
+                (want.truncated, &want.warnings), (got.truncated, &got.warnings),
+                "query {:?} threads {} block {} max {}: truncation differs",
+                src, threads, block, max_tuples
             );
         }
     }
@@ -305,29 +304,35 @@ proptest! {
     fn eight_worker_executor_matches_serial_exactly(
         raws in proptest::collection::vec(arb_raw(), 1..150),
         block in prop_oneof![Just(1usize), Just(7), Just(4096)],
-        max_intermediate in prop_oneof![Just(7usize), Just(100), Just(4_000_000)],
+        max_tuples in prop_oneof![Just(7usize), Just(100), Just(4_000_000)],
     ) {
         let store = build_store(&raws);
         let serial_cfg = EngineConfig {
-            max_intermediate,
             join_block_tuples: block,
             ..serial_config()
         };
         let wide_cfg = EngineConfig {
-            max_intermediate,
             join_block_tuples: block,
             ..parallel_config(8)
         };
+        let budget = ExecBudget::unlimited().with_max_tuples(max_tuples);
         for src in oracle_catalog() {
             let q = parse_query(src).unwrap();
             let Query::Multievent(m) = &q else { panic!("{src:?} is multievent") };
             let a = analyze_multievent(m, &store).unwrap();
-            let (want, _) = MultieventExec::new(&store, &a, &serial_cfg).run_with_stats().unwrap();
-            let (got, _) = MultieventExec::new(&store, &a, &wide_cfg).run_with_stats().unwrap();
+            let run = |config| {
+                MultieventExec::new(&store, &a, config)
+                    .with_budget(&budget)
+                    .run_with_stats()
+                    .unwrap()
+                    .0
+            };
+            let (want, got) = (run(&serial_cfg), run(&wide_cfg));
             prop_assert_eq!(
-                (&want.rows, want.truncated), (&got.rows, got.truncated),
+                (&want.rows, want.truncated, &want.warnings),
+                (&got.rows, got.truncated, &got.warnings),
                 "query {:?} block {} max {}: eight workers diverged from serial",
-                src, block, max_intermediate
+                src, block, max_tuples
             );
         }
     }

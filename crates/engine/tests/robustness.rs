@@ -2,7 +2,7 @@
 //! degenerate windows, empty groups, ordering and limits, unicode-ish
 //! inputs, and adversarial queries.
 
-use aiql_engine::{Engine, EngineConfig, EngineError};
+use aiql_engine::{Engine, EngineConfig, EngineError, ExecBudget, Warning};
 use aiql_lang::parse_query;
 use aiql_model::{AgentId, Operation, Timestamp, Value};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
@@ -34,21 +34,25 @@ fn store_with(n: i64) -> EventStore {
 #[test]
 fn intermediate_truncation_sets_flag() {
     let store = store_with(60);
-    // A cartesian-ish query with a tiny cap must truncate, not explode.
-    let engine = Engine::new(EngineConfig {
-        max_intermediate: 5,
-        ..EngineConfig::default()
-    });
+    // A cartesian-ish query with a tiny cap must truncate, not explode,
+    // and say which limit cut it.
+    let engine = Engine::new(EngineConfig::default());
     let table = engine
-        .execute_text(
+        .execute_text_with_budget(
             &store,
             r#"proc p1 write file f1 as e1
                proc p2 read file f2 as e2
                return p1, p2"#,
+            &ExecBudget::unlimited().with_max_tuples(5),
         )
         .unwrap();
     assert!(table.truncated);
     assert!(!table.rows.is_empty());
+    assert!(
+        matches!(table.warnings[..], [Warning::TupleCap { cap: 5, .. }]),
+        "{:?}",
+        table.warnings
+    );
 }
 
 #[test]

@@ -12,19 +12,18 @@
 //! * **Byte-identical results**: every healthy response equals the serial
 //!   single-threaded reference run, column for column, row for row.
 //! * **Explicit shedding**: a full session queue sheds with
-//!   `Overloaded { retry_after_ms }`, and the client backoff helper gets
-//!   the request through once capacity frees up.
+//!   `Overloaded { retry_after_ms }`, and a client's jittered backoff
+//!   (`retry_overloaded_with`, below) gets the request through once
+//!   capacity frees up.
 //! * **Clean drain**: shutdown under load resolves every outstanding
 //!   ticket — nothing hangs, nothing panics.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+use std::time::Duration;
 
-use aiql::engine::service::retry_overloaded_with;
-use aiql::engine::{
-    BackoffPolicy, CancelToken, QueryService, ServiceConfig, ServiceError, SessionId,
-};
+use aiql::engine::{CancelToken, QueryService, ServiceConfig, ServiceError, SessionId};
 use aiql::sim::{build_store, demo_queries, scenario_demo, zipf::Zipf, Scale};
 use aiql::storage::SharedStore;
 use aiql::{Engine, EngineConfig, EngineError, ResultTable, StoreConfig};
@@ -344,4 +343,169 @@ fn shutdown_under_load_resolves_every_ticket() {
         Err(ServiceError::ShuttingDown)
     ));
     service.shutdown(); // idempotent
+}
+
+// ---------------------------------------------------------------------------
+// The client side of shedding: retry with jittered exponential backoff.
+//
+// Shed requests come back as `Overloaded { retry_after_ms }`. Retrying them
+// all at once would just re-create the spike that caused the shed, so a
+// client waits the server's hint **or** a jittered exponential backoff,
+// whichever is longer, before trying again. Jitter is a deterministic
+// xorshift stream seeded per client: reproducible in tests, decorrelated
+// across clients that seed differently.
+// ---------------------------------------------------------------------------
+
+/// Backoff policy. Delays are `base × 2^attempt` capped at `max`, jittered
+/// to a uniform draw from `[delay/2, delay]` ("equal jitter").
+#[derive(Debug, Clone)]
+struct BackoffPolicy {
+    /// First-retry delay.
+    base: Duration,
+    /// Delay cap.
+    max: Duration,
+    /// Total attempts (the first try counts; 3 means try, retry, retry).
+    max_attempts: u32,
+    /// Jitter stream seed.
+    seed: u64,
+}
+
+impl Default for BackoffPolicy {
+    fn default() -> Self {
+        BackoffPolicy {
+            base: Duration::from_millis(5),
+            max: Duration::from_millis(500),
+            max_attempts: 8,
+            seed: 0x5EED_1E55,
+        }
+    }
+}
+
+/// xorshift64*: tiny, deterministic, no external dependency.
+fn xorshift(state: &mut u64) -> u64 {
+    let mut x = *state;
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    *state = x;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Runs `op`, retrying **only** on `ServiceError::Overloaded` with jittered
+/// exponential backoff via `sleep`. Every other outcome — success or a
+/// different error — returns immediately. After `max_attempts` the last
+/// `Overloaded` error is returned, its `retry_after_ms` still intact.
+fn retry_overloaded_with<T>(
+    policy: &BackoffPolicy,
+    mut sleep: impl FnMut(Duration),
+    mut op: impl FnMut() -> Result<T, ServiceError>,
+) -> Result<T, ServiceError> {
+    let mut rng = policy.seed | 1; // xorshift must not start at 0
+    let attempts = policy.max_attempts.max(1);
+    for attempt in 0..attempts {
+        match op() {
+            Err(ServiceError::Overloaded { retry_after_ms }) => {
+                if attempt + 1 == attempts {
+                    return Err(ServiceError::Overloaded { retry_after_ms });
+                }
+                let exp = policy
+                    .base
+                    .saturating_mul(1u32 << attempt.min(20))
+                    .min(policy.max);
+                let half = exp / 2;
+                let jitter_range = exp.saturating_sub(half).as_millis() as u64;
+                let jittered = half
+                    + Duration::from_millis(if jitter_range == 0 {
+                        0
+                    } else {
+                        xorshift(&mut rng) % (jitter_range + 1)
+                    });
+                sleep(jittered.max(Duration::from_millis(retry_after_ms)));
+            }
+            other => return other,
+        }
+    }
+    unreachable!("loop returns on the final attempt")
+}
+
+fn overloaded(ms: u64) -> ServiceError {
+    ServiceError::Overloaded { retry_after_ms: ms }
+}
+
+#[test]
+fn succeeds_after_sheds_and_respects_the_hint() {
+    let policy = BackoffPolicy {
+        base: Duration::from_millis(4),
+        max: Duration::from_millis(100),
+        max_attempts: 5,
+        seed: 7,
+    };
+    let mut sleeps = Vec::new();
+    let mut calls = 0;
+    let out = retry_overloaded_with(
+        &policy,
+        |d| sleeps.push(d),
+        || {
+            calls += 1;
+            if calls < 4 {
+                Err(overloaded(50))
+            } else {
+                Ok(calls)
+            }
+        },
+    );
+    assert_eq!(out.unwrap(), 4);
+    assert_eq!(sleeps.len(), 3);
+    for s in &sleeps {
+        // Never shorter than the server's hint, never absurdly long.
+        assert!(*s >= Duration::from_millis(50), "hint respected: {s:?}");
+        assert!(*s <= Duration::from_millis(150));
+    }
+}
+
+#[test]
+fn backoff_grows_and_jitter_stays_in_band() {
+    let policy = BackoffPolicy {
+        base: Duration::from_millis(8),
+        max: Duration::from_millis(64),
+        max_attempts: 6,
+        seed: 42,
+    };
+    let mut sleeps = Vec::new();
+    let out: Result<(), _> =
+        retry_overloaded_with(&policy, |d| sleeps.push(d), || Err(overloaded(0)));
+    assert!(matches!(out, Err(ServiceError::Overloaded { .. })));
+    assert_eq!(sleeps.len(), 5, "no sleep after the final attempt");
+    for (i, s) in sleeps.iter().enumerate() {
+        let exp = Duration::from_millis(8 << i).min(policy.max);
+        assert!(*s >= exp / 2 && *s <= exp, "attempt {i}: {s:?} vs {exp:?}");
+    }
+}
+
+#[test]
+fn non_overload_errors_pass_through_immediately() {
+    let mut slept = false;
+    let out: Result<(), _> = retry_overloaded_with(
+        &BackoffPolicy::default(),
+        |_| slept = true,
+        || Err(ServiceError::ShuttingDown),
+    );
+    assert!(matches!(out, Err(ServiceError::ShuttingDown)));
+    assert!(!slept);
+}
+
+#[test]
+fn jitter_streams_are_deterministic_per_seed() {
+    let run = |seed| {
+        let policy = BackoffPolicy {
+            seed,
+            ..BackoffPolicy::default()
+        };
+        let mut sleeps = Vec::new();
+        let _: Result<(), _> =
+            retry_overloaded_with(&policy, |d| sleeps.push(d), || Err(overloaded(0)));
+        sleeps
+    };
+    assert_eq!(run(1), run(1));
+    assert_ne!(run(1), run(2), "different clients decorrelate");
 }
