@@ -1,7 +1,7 @@
 //! Binary encoding primitives shared by the WAL and snapshot formats.
 //!
 //! Little-endian fixed-width integers, LEB128 varints for counts, and a
-//! table-driven CRC-32 (IEEE 802.3 polynomial) for frame integrity. Built on
+//! slicing-by-8 CRC-32 (IEEE 802.3 polynomial) for frame integrity. Built on
 //! the `bytes` crate so encoders can write into any `BufMut`.
 
 use bytes::{Buf, BufMut};
@@ -131,35 +131,64 @@ pub fn get_u16(buf: &mut impl Buf) -> Result<u16, CodecError> {
     Ok(buf.get_u16_le())
 }
 
-/// CRC-32 (IEEE) over a byte slice.
+/// CRC-32 (IEEE) over a byte slice, eight bytes per step (slicing-by-8):
+/// the same polynomial and the same values as the one-byte-per-step table
+/// walk, so every stored checksum still verifies.
 pub fn crc32(data: &[u8]) -> u32 {
-    let table = crc_table();
+    let t = &CRC_TABLES;
     let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ table[idx];
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
     }
     crc ^ 0xFFFF_FFFF
 }
 
-fn crc_table() -> &'static [u32; 256] {
-    use std::sync::OnceLock;
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, entry) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
+/// `CRC_TABLES[0]` is the classic byte table of the reflected IEEE
+/// polynomial; `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k`
+/// zero bytes, so one step folds eight input bytes with eight lookups.
+static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            bit += 1;
         }
-        table
-    })
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    t
 }
 
 #[cfg(test)]
@@ -223,6 +252,45 @@ mod tests {
         // Standard test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
+    }
+
+    /// The one-byte-per-step CRC the slicing-by-8 walk must agree with,
+    /// computed bit by bit so it shares no table with the code under test.
+    fn crc32_bytewise(data: &[u8]) -> u32 {
+        let mut crc: u32 = 0xFFFF_FFFF;
+        for &b in data {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = if crc & 1 != 0 {
+                    0xEDB8_8320 ^ (crc >> 1)
+                } else {
+                    crc >> 1
+                };
+            }
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    #[test]
+    fn crc32_slicing_matches_bytewise_at_every_length_and_offset() {
+        let data: Vec<u8> = (0..320u32)
+            .map(|i| (i.wrapping_mul(131) ^ (i >> 3)) as u8)
+            .collect();
+        for start in 0..8 {
+            for len in 0..=300 {
+                let slice = &data[start..start + len];
+                assert_eq!(
+                    crc32(slice),
+                    crc32_bytewise(slice),
+                    "start {start}, len {len}"
+                );
+            }
+        }
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
     }
 
     #[test]

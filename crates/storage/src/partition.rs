@@ -44,11 +44,12 @@ impl std::error::Error for CompactionCancelled {}
 /// One partition's segment run plus its mutation epoch.
 ///
 /// Segments come in two flavors: **sealed** segments are immutable and
-/// shared (`Arc`), so cloning a partition — the snapshot-publish path —
-/// costs one pointer clone per segment; the **novelty overlay** is the
-/// single open tail segment absorbing recent batch commits. Novelty rows
-/// occupy the end of the flat row space, so sealing the overlay into the
-/// sealed run (an `Arc` move) never renumbers a row.
+/// shared (`Arc`), so cloning a partition — what the store's copy-on-write
+/// does to a partition a published snapshot shares — costs one pointer
+/// clone per segment; the **novelty overlay** is the single open tail
+/// segment absorbing recent batch commits. Novelty rows occupy the end of
+/// the flat row space, so sealing the overlay into the sealed run (an
+/// `Arc` move) never renumbers a row.
 #[derive(Debug, Default, Clone)]
 pub struct Partition {
     /// Sealed (immutable) segments in commit order.
@@ -427,24 +428,41 @@ impl Partition {
         self.compact_cancellable(max_rows, None).unwrap_or(false)
     }
 
-    /// [`Partition::compact`] with cooperative cancellation: the token is
-    /// polled before each run merge (the unit of real work). The pass is
-    /// **plan-then-merge** — run boundaries are planned read-only, merges
-    /// build into a side buffer, and the live layout is replaced only after
-    /// every merge completed — so a cancelled pass discards its partial
-    /// output and leaves segments, flat-row bases, and the epoch exactly as
-    /// they were.
+    /// [`Partition::compact`] with cooperative cancellation (see
+    /// [`Partition::compacted`]): a cancelled pass leaves segments,
+    /// flat-row bases, and the epoch exactly as they were.
     pub(crate) fn compact_cancellable(
         &mut self,
         max_rows: usize,
         cancel: Option<&CancelToken>,
     ) -> Result<bool, CompactionCancelled> {
+        match self.compacted(max_rows, cancel)? {
+            Some(segments) => {
+                self.install_compaction(segments);
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    /// The sealed run a compaction pass would leave, or `None` when the
+    /// layout is already as dense as the tiering allows. Read-only, so the
+    /// store can run it on a partition a snapshot shares and copy the
+    /// partition only when there is something to install. The token is
+    /// polled before each run merge (the unit of real work); the pass is
+    /// **plan-then-merge** — run boundaries are planned first, merges build
+    /// into a side buffer — so a cancelled pass returns nothing partial.
+    pub(crate) fn compacted(
+        &self,
+        max_rows: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Result<Option<Vec<Arc<Segment>>>, CompactionCancelled> {
         if self.segments.len() < 2 {
-            return Ok(false);
+            return Ok(None);
         }
         // Phase 1 — plan: greedy left-to-right run boundaries over the
-        // current layout (read-only; same tiering rule as the original
-        // in-place algorithm, so singleton oversized segments stand alone).
+        // current layout (same tiering rule as the original in-place
+        // algorithm, so singleton oversized segments stand alone).
         let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
         let mut start = 0usize;
         let mut run_rows = 0usize;
@@ -458,39 +476,30 @@ impl Partition {
         }
         runs.push(start..self.segments.len());
         if runs.iter().all(|r| r.len() < 2) {
-            return Ok(false);
+            return Ok(None);
         }
-        // Phase 2 — merge into a side buffer, polling the token before
-        // each run merge. Nothing in the live layout has moved yet, so a
-        // cancel here simply drops the partial buffer.
-        let mut merged: Vec<Option<Segment>> = Vec::with_capacity(runs.len());
-        for run in &runs {
+        // Phase 2 — merge each multi-segment run, polling the token before
+        // each merge; singleton runs keep their segment's `Arc`.
+        let mut out: Vec<Arc<Segment>> = Vec::with_capacity(runs.len());
+        for run in runs {
             if run.len() < 2 {
-                merged.push(None);
+                out.push(Arc::clone(&self.segments[run.start]));
                 continue;
             }
             if cancel.is_some_and(CancelToken::is_cancelled) {
                 return Err(CompactionCancelled);
             }
-            merged.push(Some(Segment::merge(&self.segments[run.clone()])));
+            out.push(Arc::new(Segment::merge(&self.segments[run])));
         }
-        // Phase 3 — commit: splice merged runs over the originals they
-        // replace, keeping singleton runs' segments as they are.
-        let mut old = std::mem::take(&mut self.segments).into_iter();
-        let mut out: Vec<Arc<Segment>> = Vec::with_capacity(runs.len());
-        for (run, m) in runs.iter().zip(merged) {
-            match m {
-                Some(seg) => {
-                    old.by_ref().take(run.len()).for_each(drop);
-                    out.push(Arc::new(seg));
-                }
-                None => out.extend(old.by_ref().take(1)),
-            }
-        }
-        self.segments = out;
+        Ok(Some(out))
+    }
+
+    /// Replaces the sealed run with a [`Partition::compacted`] one (same
+    /// rows in the same flat order) and bumps the epoch once.
+    pub(crate) fn install_compaction(&mut self, segments: Vec<Arc<Segment>>) {
+        self.segments = segments;
         self.rebuild_bases();
         self.epoch += 1;
-        Ok(true)
     }
 
     /// Re-splits the partition's flat rows into sealed segments of the

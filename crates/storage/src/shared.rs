@@ -53,7 +53,8 @@ struct SharedInner {
 /// A cloneable, thread-safe handle to a store.
 ///
 /// Every write publishes an immutable epoch-tagged `Arc` clone of the store
-/// (cheap — sealed segments and dictionaries are shared).
+/// (cheap — partitions and dictionaries are shared `Arc`s, and the next
+/// write copies only the partitions it touches).
 /// [`SharedStore::read`] pins the current snapshot with a pointer clone and
 /// runs entirely lock-free: queries never block ingest, ingest never blocks
 /// queries, and a query sees one consistent store state for its whole run.
@@ -79,8 +80,8 @@ impl SharedStore {
         }
     }
 
-    /// The snapshot to publish after a write: shares sealed segments and
-    /// overlays by `Arc`, and gets a dictionary of its own that shares the
+    /// The snapshot to publish after a write: shares every partition by
+    /// `Arc`, and gets a dictionary of its own that shares the
     /// writer's base, delta and interner `Arc`s but not its dedup map
     /// ([`EntityStore`](crate::EntityStore) has the layer rule). Nothing is
     /// copied but `Arc`s, and the writer's own dictionary `Arc` stays
@@ -123,18 +124,25 @@ impl SharedStore {
     /// Runs `f` with exclusive (write) access, publishes the post-write
     /// state (while the write lock is still held, so publishes are
     /// serialized in write order) and then schedules any deferred
-    /// background compaction.
+    /// background compaction. The previous snapshot is released only after
+    /// both locks are: when no reader pins it, dropping it frees the
+    /// partitions this write replaced, and neither readers nor the next
+    /// write wait for that.
     pub fn write<R>(&self, f: impl FnOnce(&mut EventStore) -> R) -> R {
         let mut guard = self.inner.writer.write().unwrap_or_else(|e| e.into_inner());
         let r = f(&mut guard);
         let snap = Arc::new(Self::publish_clone(&guard));
-        *self
-            .inner
-            .published
-            .write()
-            .unwrap_or_else(|e| e.into_inner()) = snap;
+        let previous = std::mem::replace(
+            &mut *self
+                .inner
+                .published
+                .write()
+                .unwrap_or_else(|e| e.into_inner()),
+            snap,
+        );
         let pending = guard.take_maintenance();
         drop(guard);
+        drop(previous);
         if !pending.is_empty() {
             self.run_maintenance(pending);
         }
@@ -194,5 +202,92 @@ impl SharedStore {
             .reader_stalls
             .load(std::sync::atomic::Ordering::Relaxed);
         stats
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::filter::EventFilter;
+    use crate::ingest::{EntitySpec, RawEvent};
+    use aiql_model::{AgentId, Event, Operation, Timestamp};
+
+    /// One write into agent `agent`'s hour `hour` (a partition of its own
+    /// under the default one-hour bucket).
+    fn raw(agent: u32, hour: i64, i: i64) -> RawEvent {
+        RawEvent::instant(
+            AgentId(agent),
+            Operation::Write,
+            EntitySpec::process(7, "writer.exe", "alice"),
+            EntitySpec::file(&format!("C:\\out\\f{i}.txt"), "alice"),
+            Timestamp::from_secs(hour * 3600 + i),
+            1,
+        )
+    }
+
+    fn rows(store: &EventStore, key: PartitionKey) -> Vec<Event> {
+        let mut out = Vec::new();
+        store.scan_partition(key, &EventFilter::all(), &mut |e| out.push(*e));
+        out
+    }
+
+    #[test]
+    fn a_commit_after_a_publish_copies_only_the_partitions_it_touches() {
+        // 3 agents × 4 hours: twelve partitions, one sealed segment each.
+        let mut store = EventStore::default();
+        let seed: Vec<RawEvent> = (1..=3)
+            .flat_map(|a| (0..4).flat_map(move |h| (0..5).map(move |i| raw(a, h, i))))
+            .collect();
+        store.ingest_all(&seed);
+        store.ingest_all(&seed[..3]);
+        assert_eq!(
+            store.stats().partition_copies,
+            0,
+            "nothing shares a bare store's partitions"
+        );
+        let shared = SharedStore::new(store);
+        let before = shared.snapshot();
+        let keys = before.partition_list();
+        assert_eq!(keys.len(), 12);
+        let epochs = before.partition_epochs();
+        let old_rows: Vec<Vec<Event>> = keys.iter().map(|&k| rows(&before, k)).collect();
+
+        // One batch touching k = 2 partitions.
+        let batch = [raw(1, 0, 100), raw(1, 0, 101), raw(3, 2, 100)];
+        let touched = |k: &PartitionKey| {
+            batch
+                .iter()
+                .any(|r| k.agent == r.agent && k.bucket == r.start_time.micros() / 3_600_000_000)
+        };
+        shared.write(|s| s.ingest_all(&batch));
+        let after = shared.snapshot();
+        assert_eq!(
+            after.stats().partition_copies - before.stats().partition_copies,
+            2
+        );
+        for &key in &keys {
+            let shares = Arc::ptr_eq(
+                before.partition_arc(key).unwrap(),
+                after.partition_arc(key).unwrap(),
+            );
+            assert_eq!(shares, !touched(&key), "{key:?}");
+        }
+        assert_eq!(after.event_count(), before.event_count() + 3);
+
+        // The old snapshot still reads its pre-commit rows and epochs.
+        assert_eq!(before.partition_epochs(), epochs);
+        for (&key, old) in keys.iter().zip(&old_rows) {
+            assert_eq!(&rows(&before, key), old, "{key:?}");
+        }
+
+        // Maintenance copies only partitions that change: every overlay is
+        // empty, and only the two touched partitions have a second segment.
+        let copies = after.stats().partition_copies;
+        assert_eq!(shared.write(|s| s.flush_novelty()), 0);
+        assert_eq!(shared.stats().partition_copies, copies);
+        assert_eq!(shared.write(|s| s.compact()).partitions_compacted, 2);
+        assert_eq!(shared.stats().partition_copies, copies + 2);
+        assert_eq!(shared.write(|s| s.compact()).partitions_compacted, 0);
+        assert_eq!(shared.stats().partition_copies, copies + 2);
     }
 }

@@ -63,6 +63,10 @@ pub struct StoreStats {
     pub novelty_bytes: u64,
     /// Overlays sealed into the immutable run so far (threshold + explicit).
     pub novelty_flushes: u64,
+    /// Partitions a write had to copy because a published snapshot still
+    /// shared them. After a publish, a commit copies exactly the partitions
+    /// it touches; a bare store (nothing shares its partitions) reads 0.
+    pub partition_copies: u64,
     /// Snapshot acquisitions that found the publish lock contended (filled
     /// in by [`SharedStore::stats`](crate::SharedStore::stats); always 0 on
     /// a bare store).
@@ -73,7 +77,7 @@ impl StoreStats {
     /// Human-readable one-line summary for benchmark headers.
     pub fn summary(&self) -> String {
         format!(
-            "{} events ({} raw, {} merged) | {} entities ({} dedup hits) | {} partitions on {} hosts | {} segments (max {}/partition, min {} / avg {} rows) | {} novelty rows ({} flushes, {} reader stalls) | ~{:.1} MB columns",
+            "{} events ({} raw, {} merged) | {} entities ({} dedup hits) | {} partitions on {} hosts ({} copied on write) | {} segments (max {}/partition, min {} / avg {} rows) | {} novelty rows ({} flushes, {} reader stalls) | ~{:.1} MB columns",
             self.events,
             self.raw_events,
             self.merged_events,
@@ -81,6 +85,7 @@ impl StoreStats {
             self.entity_dedup_hits,
             self.partitions,
             self.agents,
+            self.partition_copies,
             self.segments,
             self.max_partition_segments,
             self.min_segment_rows,
@@ -117,12 +122,13 @@ mod tests {
             novelty_events: 12,
             novelty_bytes: 492,
             novelty_flushes: 5,
+            partition_copies: 6,
             reader_stalls: 1,
         };
         let text = s.summary();
         assert!(text.contains("1000 events"));
         assert!(text.contains("8 partitions"));
-        assert!(text.contains("4 hosts"));
+        assert!(text.contains("4 hosts (6 copied on write)"));
         assert!(text.contains("16 segments (max 3/partition, min 40 / avg 62 rows)"));
         assert!(text.contains("12 novelty rows (5 flushes, 1 reader stalls)"));
     }

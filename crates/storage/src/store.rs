@@ -100,18 +100,21 @@ static NEXT_STORE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU6
 
 /// The embedded system-monitoring event store.
 ///
-/// Cloning is cheap — O(partitions + segments), not O(events): sealed
-/// segments and the entity dictionary are `Arc`-shared with the clone, and
-/// only the (bounded) novelty overlays copy on the next write to either
-/// side. [`SharedStore`](crate::SharedStore) publishes read snapshots this
-/// way. A clone shares the original's `store_id` and epoch vector, so
+/// Cloning is cheap — O(partitions), not O(segments) or O(events): every
+/// partition and the entity dictionary are `Arc`-shared with the clone, and
+/// a later write copies only the partitions it touches (each an O(segments)
+/// copy of `Arc`s plus its bounded novelty overlay).
+/// [`SharedStore`](crate::SharedStore) publishes read snapshots this way.
+/// A clone shares the original's `store_id` and epoch vector, so
 /// plan-cache entries validated against a snapshot stay keyed exactly like
 /// the live store.
 #[derive(Debug, Clone)]
 pub struct EventStore {
     config: StoreConfig,
     pub(crate) entities: Arc<EntityStore>,
-    partitions: BTreeMap<PartitionKey, Partition>,
+    /// Shared with published snapshots; every write goes through
+    /// [`cow`], which copies a partition only while a snapshot holds it.
+    partitions: BTreeMap<PartitionKey, Arc<Partition>>,
     buffer: Vec<PendingEvent>,
     next_event_id: u64,
     raw_events: u64,
@@ -136,6 +139,19 @@ pub struct EventStore {
     /// trigger while `background_compaction` deferred the merge. Drained by
     /// [`EventStore::take_maintenance`].
     maintenance: Vec<PartitionKey>,
+    /// Partitions a write had to copy because a published snapshot still
+    /// shared them (see [`StoreStats::partition_copies`]).
+    partition_copies: u64,
+}
+
+/// Copy-on-write access to one partition: the one way a write reaches a
+/// partition. Copies it (an O(segments) copy of `Arc`s) only while another
+/// store — a published snapshot — shares it, and counts the copy.
+fn cow<'a>(part: &'a mut Arc<Partition>, copies: &mut u64) -> &'a mut Partition {
+    if Arc::get_mut(part).is_none() {
+        *copies += 1;
+    }
+    Arc::make_mut(part)
 }
 
 impl Default for EventStore {
@@ -162,6 +178,7 @@ impl EventStore {
             partition_set_epoch: 0,
             novelty_flushes: 0,
             maintenance: Vec::new(),
+            partition_copies: 0,
         }
     }
 
@@ -199,7 +216,7 @@ impl EventStore {
 
     /// Mutation epoch of one partition (`None` for an unknown key).
     pub fn partition_epoch(&self, key: PartitionKey) -> Option<u64> {
-        self.partitions.get(&key).map(Partition::epoch)
+        self.partitions.get(&key).map(|part| part.epoch())
     }
 
     /// The per-partition epoch vector, in partition order. This is what
@@ -457,7 +474,8 @@ impl EventStore {
     pub fn flush_novelty(&mut self) -> usize {
         let mut flushed = 0usize;
         for part in self.partitions.values_mut() {
-            if part.flush_novelty() {
+            if part.novelty_len() > 0 {
+                cow(part, &mut self.partition_copies).flush_novelty();
                 flushed += 1;
             }
         }
@@ -471,9 +489,11 @@ impl EventStore {
         match self.partitions.entry(key) {
             std::collections::btree_map::Entry::Vacant(v) => {
                 self.partition_set_epoch += 1;
-                v.insert(Partition::new())
+                cow(v.insert(Arc::default()), &mut self.partition_copies)
             }
-            std::collections::btree_map::Entry::Occupied(o) => o.into_mut(),
+            std::collections::btree_map::Entry::Occupied(o) => {
+                cow(o.into_mut(), &mut self.partition_copies)
+            }
         }
     }
 
@@ -509,7 +529,7 @@ impl EventStore {
         let mut report = CompactionReport::default();
         for part in self.partitions.values_mut() {
             report.segments_before += part.segment_count();
-            match part.compact_cancellable(max_rows, cancel) {
+            match compact_shared(part, max_rows, cancel, &mut self.partition_copies) {
                 Ok(true) => report.partitions_compacted += 1,
                 Ok(false) => {}
                 Err(e) => {
@@ -553,7 +573,7 @@ impl EventStore {
         let Some(part) = self.partitions.get_mut(&key) else {
             return Ok(false);
         };
-        let changed = part.compact_cancellable(max_rows, cancel)?;
+        let changed = compact_shared(part, max_rows, cancel, &mut self.partition_copies)?;
         if changed {
             self.epoch += 1;
         }
@@ -592,6 +612,13 @@ impl EventStore {
     /// Direct access to one partition (columnar readers resolve flat row
     /// references through this).
     pub fn partition(&self, key: PartitionKey) -> Option<&Partition> {
+        self.partitions.get(&key).map(Arc::as_ref)
+    }
+
+    /// The shared handle of one partition, for tests that check which
+    /// partitions a snapshot still shares with the writer.
+    #[cfg(test)]
+    pub(crate) fn partition_arc(&self, key: PartitionKey) -> Option<&Arc<Partition>> {
         self.partitions.get(&key)
     }
 
@@ -743,6 +770,7 @@ impl EventStore {
             novelty_events,
             novelty_bytes: novelty_events * 41,
             novelty_flushes: self.novelty_flushes,
+            partition_copies: self.partition_copies,
             reader_stalls: 0,
         }
     }
@@ -778,7 +806,7 @@ impl EventStore {
                     .iter()
                     .find(|(k, _)| k == key)
                     .map_or(0, |&(_, n)| n);
-                part.apply_layout(key.agent, lens, novelty_rows);
+                cow(part, &mut self.partition_copies).apply_layout(key.agent, lens, novelty_rows);
             }
         }
     }
@@ -796,7 +824,9 @@ impl EventStore {
         self.dict_epoch = self.dict_epoch.max(dict_epoch);
         for &(key, e) in partition_epochs {
             if let Some(part) = self.partitions.get_mut(&key) {
-                part.set_epoch(part.epoch().max(e));
+                if e > part.epoch() {
+                    cow(part, &mut self.partition_copies).set_epoch(e);
+                }
             }
         }
     }
@@ -831,6 +861,23 @@ impl EventStore {
             (false, false) => "columnar-mask-scan",
         }
     }
+}
+
+/// Compacts one partition to `max_rows` tiers, copying it (through
+/// [`cow`]) only when the pass changes its layout: the merge reads the
+/// shared partition, so a partition that is already dense, or a pass that
+/// is cancelled, leaves a snapshot's `Arc` shared.
+fn compact_shared(
+    part: &mut Arc<Partition>,
+    max_rows: usize,
+    cancel: Option<&CancelToken>,
+    copies: &mut u64,
+) -> Result<bool, CompactionCancelled> {
+    let Some(segments) = part.compacted(max_rows, cancel)? else {
+        return Ok(false);
+    };
+    cow(part, copies).install_compaction(segments);
+    Ok(true)
 }
 
 fn bucket_floor(t: Timestamp, bucket: i64) -> i64 {

@@ -25,7 +25,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
-use bytes::{BufMut, BytesMut};
+use bytes::BufMut;
 
 use aiql_model::{AgentId, IpV4, Operation, Protocol, Timestamp};
 
@@ -136,12 +136,19 @@ impl ReplayReport {
     }
 }
 
+/// Bytes of a frame header: `[len u32][crc32 u32]`, both little endian.
+const FRAME_HEADER: usize = 8;
+
 /// An append-only write-ahead log.
 pub struct Wal {
     writer: BufWriter<Box<dyn Write + Send>>,
     records: u64,
     /// Events appended since the last commit marker.
     pending: u64,
+    /// The frame being written, reused by every append and commit: a
+    /// header placeholder, then the payload encoded in place, then the
+    /// header patched with the payload's length and CRC.
+    frame: Vec<u8>,
 }
 
 impl std::fmt::Debug for Wal {
@@ -173,6 +180,7 @@ impl Wal {
             writer: BufWriter::new(sink),
             records: 0,
             pending: 0,
+            frame: Vec::new(),
         })
     }
 
@@ -208,16 +216,16 @@ impl Wal {
             writer: BufWriter::new(Box::new(file)),
             records: (report.committed_events() + report.uncommitted.len()) as u64,
             pending: report.uncommitted.len() as u64,
+            frame: Vec::new(),
         };
         Ok((wal, report))
     }
 
     /// Appends one observation.
     pub fn append(&mut self, raw: &RawEvent) -> Result<(), WalError> {
-        let mut payload = BytesMut::with_capacity(128);
-        payload.put_u8(KIND_EVENT);
-        encode_raw_event(&mut payload, raw);
-        self.write_frame(&payload)?;
+        self.begin_frame(KIND_EVENT);
+        encode_raw_event(&mut self.frame, raw);
+        self.write_frame()?;
         self.records += 1;
         self.pending += 1;
         Ok(())
@@ -227,21 +235,26 @@ impl Wal {
     /// batch and flushes — the durability point batch commit relies on.
     /// Recovery replays exactly the batches whose markers reached disk.
     pub fn commit(&mut self) -> Result<(), WalError> {
-        let mut payload = BytesMut::with_capacity(12);
-        payload.put_u8(KIND_COMMIT);
-        codec::put_varint(&mut payload, self.pending);
-        self.write_frame(&payload)?;
+        self.begin_frame(KIND_COMMIT);
+        codec::put_varint(&mut self.frame, self.pending);
+        self.write_frame()?;
         self.pending = 0;
         self.flush()
     }
 
-    fn write_frame(&mut self, payload: &[u8]) -> Result<(), WalError> {
-        let crc = codec::crc32(payload);
-        let mut frame = BytesMut::with_capacity(payload.len() + 8);
-        frame.put_u32_le(payload.len() as u32);
-        frame.put_u32_le(crc);
-        frame.extend_from_slice(payload);
-        self.writer.write_all(&frame)?;
+    /// Starts a frame of payload kind `kind` in the reused buffer.
+    fn begin_frame(&mut self, kind: u8) {
+        self.frame.clear();
+        self.frame.extend_from_slice(&[0; FRAME_HEADER]);
+        self.frame.push(kind);
+    }
+
+    /// Patches the header of the buffered frame and writes it out.
+    fn write_frame(&mut self) -> Result<(), WalError> {
+        let (header, payload) = self.frame.split_at_mut(FRAME_HEADER);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4..].copy_from_slice(&codec::crc32(payload).to_le_bytes());
+        self.writer.write_all(&self.frame)?;
         Ok(())
     }
 
@@ -302,19 +315,21 @@ impl Wal {
             valid_len: 4,
             ..ReplayReport::default()
         };
+        let mut payload = Vec::new();
         loop {
-            let mut header = [0u8; 8];
+            let mut header = [0u8; FRAME_HEADER];
             if reader.read_exact(&mut header).is_err() {
                 break; // clean or torn end
             }
             let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]) as u64;
             let stored_crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
             // A frame that claims more bytes than the file holds is a torn
-            // header — bail before trusting the length for an allocation.
-            if len > file_len.saturating_sub(report.valid_len + 8) {
+            // header — bail before growing the reused buffer to its length.
+            if len > file_len.saturating_sub(report.valid_len + FRAME_HEADER as u64) {
                 break;
             }
-            let mut payload = vec![0u8; len as usize];
+            payload.clear();
+            payload.resize(len as usize, 0);
             if reader.read_exact(&mut payload).is_err() {
                 break; // torn tail
             }
@@ -343,7 +358,7 @@ impl Wal {
                 }
                 _ => break, // unknown kind: stop at the last good frame
             }
-            report.valid_len += 8 + len;
+            report.valid_len += FRAME_HEADER as u64 + len;
         }
         report.dropped_bytes = file_len.saturating_sub(report.valid_len);
         Ok(report)
@@ -351,7 +366,7 @@ impl Wal {
 }
 
 /// Encodes a raw event payload (shared with tests).
-pub fn encode_raw_event(buf: &mut BytesMut, raw: &RawEvent) {
+pub fn encode_raw_event(buf: &mut impl BufMut, raw: &RawEvent) {
     buf.put_u32_le(raw.agent.raw());
     buf.put_u8(raw.op.index() as u8);
     encode_spec(buf, &raw.subject);
@@ -394,7 +409,7 @@ pub fn decode_raw_event(buf: &mut &[u8]) -> Result<RawEvent, CodecError> {
     })
 }
 
-fn encode_spec(buf: &mut BytesMut, spec: &EntitySpec) {
+fn encode_spec(buf: &mut impl BufMut, spec: &EntitySpec) {
     match spec {
         EntitySpec::Process {
             pid,
@@ -462,6 +477,7 @@ fn decode_spec(buf: &mut &[u8]) -> Result<EntitySpec, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     fn sample(i: i64) -> RawEvent {
         RawEvent::instant(
@@ -677,6 +693,101 @@ mod tests {
         // (the commit marker was past the kill offset).
         let report = Wal::replay_report(&path).unwrap();
         assert!(report.batches.is_empty());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A sink the test can read back after the WAL wrote through it.
+    #[derive(Clone, Default)]
+    struct SharedSink(std::sync::Arc<std::sync::Mutex<Vec<u8>>>);
+
+    impl Write for SharedSink {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// One event of each spec kind; the netconn crosses to another host.
+    fn golden_events() -> Vec<RawEvent> {
+        let mut exec = RawEvent::instant(
+            AgentId(3),
+            Operation::Start,
+            EntitySpec::process(100, "cmd.exe", "alice"),
+            EntitySpec::process(101, "osql.exe", "alice"),
+            Timestamp::from_secs(1_500_000_000),
+            0,
+        );
+        if let EntitySpec::Process { cmdline, .. } = &mut exec.object {
+            *cmdline = "osql -E -Q backup".to_string();
+        }
+        let write = RawEvent::instant(
+            AgentId(3),
+            Operation::Write,
+            EntitySpec::process(102, "sqlservr.exe", "mssql"),
+            EntitySpec::file("C:\\dumps\\backup1.dmp", "mssql"),
+            Timestamp::from_secs(1_500_000_060),
+            65_536,
+        );
+        let conn = RawEvent::instant(
+            AgentId(3),
+            Operation::Connect,
+            EntitySpec::process(103, "sbblv.exe", "system"),
+            EntitySpec::tcp(
+                IpV4::from_octets(10, 0, 0, 2),
+                49_152,
+                IpV4::from_octets(172, 16, 99, 129),
+                443,
+            ),
+            Timestamp::from_secs(1_500_000_120),
+            300,
+        )
+        .with_object_agent(AgentId(7));
+        vec![exec, write, conn]
+    }
+
+    /// The `AQW2` bytes of [`golden_events`] as two committed batches
+    /// (`[exec, write]`, then `[conn]`). Any change to the frame layout,
+    /// the payload encoding or the CRC breaks this.
+    const GOLDEN_WAL_HEX: &str = concat!(
+        "415157325200000067dfcfe5000300000005006400000007636d642e65786505",
+        "616c696365000065000000086f73716c2e65786505616c696365116f73716c20",
+        "2d45202d51206261636b757000c029f73d54050000c029f73d54050000004f00",
+        "00000aee0dc200030000000100660000000c73716c73657276722e657865056d",
+        "7373716c000114433a5c64756d70735c6261636b7570312e646d70056d737371",
+        "6c0047bdfa3d5405000047bdfa3d54050080800400020000009242ccb6010242",
+        "000000385ffc930003000000070067000000097362626c762e65786506737973",
+        "74656d00020200000a00c0816310acbb010000ce50fe3d54050000ce50fe3d54",
+        "0500ac020107000000020000002813c52f0101",
+    );
+
+    #[test]
+    fn golden_log_bytes_are_unchanged_and_replay() {
+        let sink = SharedSink::default();
+        let mut wal = Wal::create_with(Box::new(sink.clone())).unwrap();
+        let events = golden_events();
+        wal.append(&events[0]).unwrap();
+        wal.append(&events[1]).unwrap();
+        wal.commit().unwrap();
+        wal.append(&events[2]).unwrap();
+        wal.commit().unwrap();
+        drop(wal);
+        let bytes = sink.0.lock().unwrap().clone();
+        let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex, GOLDEN_WAL_HEX);
+
+        let path = tmpfile("golden");
+        std::fs::write(&path, &bytes).unwrap();
+        let report = Wal::replay_report(&path).unwrap();
+        assert_eq!(
+            report.batches,
+            vec![events[..2].to_vec(), events[2..].to_vec()]
+        );
+        assert!(report.uncommitted.is_empty());
+        assert_eq!(report.valid_len, bytes.len() as u64);
         std::fs::remove_file(&path).ok();
     }
 
