@@ -45,14 +45,44 @@
 //! A single-pattern query has no join: its seed *is* the final step, and
 //! the candidates are delivered in candidate order.
 //!
-//! The final step is *unread* when the projection reads neither its
-//! pattern's event nor a variable that pattern binds first — except as
-//! `count(<that event>.<column>)`, which only counts. Its matches for one
-//! tuple are then indistinguishable to the sink, so the step counts them
-//! (slice lengths, or the posting length on a relation-free step) and
-//! delivers the count, clamped to the output's remaining room, in one sink
-//! call; `delivered()`, the caps and the emission counters see the same
-//! tuples as when each match is delivered.
+//! ## Memoised suffixes
+//!
+//! A level's downstream contribution depends only on its tuple's
+//! *interface*: what the remaining levels can observe of it — the ids of
+//! the variables their index keys read and the events their time relations
+//! read, both bound above the level (`Interface`). When the output sees
+//! the remaining levels only in aggregate, the drive keeps a per-run memo
+//! from interface to contribution and computes each distinct interface
+//! once. Two output shapes qualify:
+//!
+//! * **Counted suffix.** The longest suffix of levels whose events and
+//!   first-bound variables the projection does not read — the last may
+//!   still be read as `count(<its event>.<column>)`. The final level counts
+//!   its matches; at the suffix's first level each tuple delivers its
+//!   subtree's count in one `emit_count`. A memo miss enumerates the
+//!   tuple's matches at its level and takes each one's count from the next
+//!   level's memo.
+//! * **Distinct final level.** For an id-keyed `distinct` (every item an
+//!   entity reference, no `having`) that reads variables the final level
+//!   binds first, the memo holds an interface's match count and its
+//!   matches' distinct projected ids in first-seen order. A tuple whose
+//!   other projected ids and interface were delivered earlier in the run is
+//!   only counted; any other delivers its memoised ids (`emit_ids`).
+//!
+//! A level whose interface holds the seed's event computes without storing
+//! (no two tuples of a run share a seed event), and a suffix in which no
+//! level stores is not memoised: its final level counts tuple by tuple.
+//! Memoised windows (`EXPAND_CHUNK` tuples at the suffix's first level, or
+//! of the final level's input) run in two passes: the first takes every
+//! tuple's entry, the second delivers. A window is driven tuple by tuple
+//! instead when a cap could bind in it: when its deliveries could fill the
+//! output's room, or when the tuples it would materialise at any non-final
+//! suffix level reach the tuple cap. So every cap, `TupleCap` warning, cut
+//! level and emission-order prefix is the per-tuple drive's, and so is
+//! every delivered count; only the emission counters fall. The memo is
+//! cleared at each seed run, and under a memory budget its bytes — with
+//! a miss's scratch, like a level's — are live-charged until the run ends,
+//! so a fork's tally and the merge thread's charge of one run agree.
 //!
 //! Windows run in input order and the recursion is depth-first, so the
 //! output is in nested-loop emission order, and a prefix of it in that
@@ -103,7 +133,7 @@
 //! run boundary, while the serial drive keeps its own partial emission
 //! (either way a valid emission-order prefix).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -117,8 +147,8 @@ use crate::analyze::{AnalyzedMultievent, StepRel};
 use crate::error::EngineError;
 use crate::governor::{GovGate, Governor, Warning};
 use crate::op::{
-    EventRef, ExecEnv, Flow, JoinOutput, JoinStepStat, OpStat, Operator, PartTable, PipelineState,
-    ProjectionSink, RefArena, NO_VAR,
+    EventRef, ExecEnv, Flow, JoinOutput, JoinStepStat, MulHash, OpStat, Operator, PartTable,
+    PipelineState, ProjectionSink, RefArena, NO_VAR,
 };
 
 /// How many delivered tuples a run produces between refreshes of its
@@ -353,10 +383,10 @@ impl IndexEntry for Postings {
 /// One join step's candidate hash index: plain ref lists, or — when the
 /// step has temporal relations to placed patterns — timed [`Postings`].
 /// Every key's list keeps candidate order, so probes traverse matches in
-/// candidate order.
+/// candidate order. Keys hash with [`MulHash`].
 enum StepIndex {
-    Plain(HashMap<u64, Vec<EventRef>>),
-    Timed(HashMap<u64, Postings>),
+    Plain(HashMap<u64, Vec<EventRef>, MulHash>),
+    Timed(HashMap<u64, Postings, MulHash>),
 }
 
 impl StepIndex {
@@ -384,8 +414,8 @@ fn build_index<P: IndexEntry>(
     refs: &[EventRef],
     same_var: bool,
     key_of: impl Fn(EventRef) -> u64,
-) -> HashMap<u64, P> {
-    let mut index: HashMap<u64, P> = HashMap::new();
+) -> HashMap<u64, P, MulHash> {
+    let mut index: HashMap<u64, P, MulHash> = HashMap::default();
     for &r in refs {
         if !same_var || parts.subject(r) == parts.object(r) {
             index.entry(key_of(r)).or_default().add(parts, r);
@@ -755,6 +785,178 @@ struct JoinStep {
     build_nanos: u64,
 }
 
+impl JoinStep {
+    /// The pattern's variables no level above binds: a match binds them
+    /// first.
+    fn fresh(&self) -> Vec<usize> {
+        [self.place.subject, self.place.object]
+            .into_iter()
+            .filter(|v| !self.bound_vars.contains(v))
+            .collect()
+    }
+}
+
+/// One probe's matches: a relation-free step's whole posting, or a timed
+/// posting under the probing tuple's admissible intervals.
+enum Matches<'i> {
+    Plain(&'i [EventRef]),
+    Timed(&'i Postings, TimeBounds),
+}
+
+impl Matches<'_> {
+    /// How many matches there are (slice lengths, or the posting's length
+    /// on a relation-free step).
+    #[inline]
+    fn count(&self, ctr: &mut JoinStepStat) -> usize {
+        match *self {
+            Matches::Plain(refs) => refs.len(),
+            Matches::Timed(p, b) => {
+                let Some((slices, check_end)) = p.slices(&b) else {
+                    ctr.bucket_skipped += p.refs.len() as u64;
+                    return 0;
+                };
+                let (mut searched, mut n) = (0, 0);
+                for slice in slices {
+                    searched += slice.len();
+                    n += match check_end {
+                        true => slice.filter(|&j| b.end_ok(p.ends[j])).count(),
+                        false => slice.len(),
+                    };
+                }
+                ctr.bucket_skipped += (p.refs.len() - searched) as u64;
+                n
+            }
+        }
+    }
+
+    /// Calls `f` on every match, in candidate order, until it returns
+    /// `true`; returns whether it did.
+    #[inline]
+    fn each(&self, ctr: &mut JoinStepStat, mut f: impl FnMut(EventRef) -> bool) -> bool {
+        match *self {
+            Matches::Plain(refs) => refs.iter().any(|&r| f(r)),
+            Matches::Timed(p, b) => {
+                let Some((slices, check_end)) = p.slices(&b) else {
+                    ctr.bucket_skipped += p.refs.len() as u64;
+                    return false;
+                };
+                let mut searched = 0;
+                for slice in slices {
+                    searched += slice.len();
+                    for j in slice {
+                        if check_end && !b.end_ok(p.ends[j]) {
+                            continue;
+                        }
+                        if f(p.refs[j]) {
+                            return true;
+                        }
+                    }
+                }
+                ctr.bucket_skipped += (p.refs.len() - searched) as u64;
+                false
+            }
+        }
+    }
+}
+
+/// What the levels from some level `k` on observe of a tuple that placed
+/// the levels above `k`: the ids of the variables their index keys read
+/// and the events their time relations read, both bound above `k` (see the
+/// module docs). Tuples alike in it have alike subtrees below `k`.
+#[derive(Debug)]
+struct Interface {
+    vars: Vec<usize>,
+    events: Vec<usize>,
+    /// Whether level `k` memoises: not when the interface holds the seed's
+    /// event, which no two tuples of a run share.
+    stored: bool,
+}
+
+impl Interface {
+    /// The interface of the levels from `k` on, over the join order `order`
+    /// and its probe steps (`steps[k − 1]` places `order[k]`).
+    fn of(a: &AnalyzedMultievent, order: &[usize], steps: &[JoinStep], k: usize) -> Self {
+        let above = &order[..k];
+        let bound = |v: usize| {
+            (above.iter()).any(|&p| a.patterns[p].subject == v || a.patterns[p].object == v)
+        };
+        let (mut vars, mut events) = (Vec::new(), Vec::new());
+        for s in &steps[k - 1..] {
+            vars.extend(s.bound_vars.iter().copied().filter(|&v| bound(v)));
+            events.extend(s.rels.iter().map(|r| r.other).filter(|p| above.contains(p)));
+        }
+        vars.sort_unstable();
+        vars.dedup();
+        events.sort_unstable();
+        events.dedup();
+        Interface {
+            stored: !events.contains(&order[0]),
+            vars,
+            events,
+        }
+    }
+
+    /// Writes tuple `t`'s interface into `key`: two ids a word, then one
+    /// event a word.
+    #[inline]
+    fn key(&self, src: &RefArena, t: usize, key: &mut Vec<u64>) {
+        key.clear();
+        let (vars, events) = (src.vars_of(t), src.events_of(t));
+        key.extend(id_words(&self.vars, vars));
+        key.extend(self.events.iter().map(|&p| {
+            let r = events[p];
+            (u64::from(r.part) << 32) | u64::from(r.row)
+        }));
+    }
+}
+
+/// The ids a tuple binds in `slots` (`vars`: its binding row), two to a
+/// key word.
+fn id_words<'v>(slots: &'v [usize], vars: &'v [u32]) -> impl Iterator<Item = u64> + 'v {
+    (slots.chunks(2)).map(|pair| (pair.iter()).fold(0, |w, &v| (w << 32) | u64::from(vars[v])))
+}
+
+/// Bytes a memo charges per entry beyond its key and value words: the
+/// key's box and the table's slot and control byte.
+const MEMO_ENTRY_BYTES: u64 = 32;
+
+/// What the drive memoises (see the module docs), decided once per drive.
+#[derive(Debug)]
+enum Memo {
+    /// Every tuple is driven through every level.
+    Off,
+    /// Levels `from..` are unread and the final level counts its matches;
+    /// with `memoised`, a window at `from` delivers memoised counts.
+    Counted { from: usize, memoised: bool },
+    /// An id-keyed `distinct` reads the final level: `fresh` are the
+    /// projected slots it binds first (one given twice when there is one),
+    /// `pre` those bound above it.
+    Distinct { fresh: [usize; 2], pre: Vec<usize> },
+}
+
+/// One level's memo for the current run: interface key → entry number,
+/// the entries' words flat in `vals`. A counted level's entry is its
+/// subtree's deliveries, then the tuples it materialises at each
+/// non-final level from this one on; a distinct final level's is its match
+/// count and the range of its distinct projected ids in `ids`.
+#[derive(Debug, Default)]
+struct LevelMemo {
+    index: HashMap<Box<[u64]>, u32, MulHash>,
+    vals: Vec<u64>,
+    ids: Vec<[u32; 2]>,
+    /// The interface being looked up, kept through a miss's recursion for
+    /// its insert.
+    key: Vec<u64>,
+}
+
+impl LevelMemo {
+    fn clear(&mut self) {
+        self.index.clear();
+        self.vals.clear();
+        self.ids.clear();
+    }
+}
+
 /// A fork's account, under a memory budget, of the bytes the merge thread
 /// would live-charge driving its run: what is live now, and the peak.
 #[derive(Debug, Default)]
@@ -766,11 +968,11 @@ struct Tally {
     stopped: bool,
 }
 
-/// Mutable state of one drive: the per-level reused scratch arenas plus the
-/// accounting the recursion accumulates. Level 0 is the seed, level `j ≥ 1`
-/// probe step `j − 1`. The merge thread threads one `RunState` through
-/// every run it drives, so each level's scratch grows to its high-water
-/// mark once; the parallel drive gives each run its own.
+/// Mutable state of one drive: the per-level reused scratch arenas and
+/// memos plus the accounting the recursion accumulates. Level 0 is the
+/// seed, level `j ≥ 1` probe step `j − 1`. The merge thread threads one
+/// `RunState` through every run it drives, so each level's scratch grows
+/// to its high-water mark once; the parallel drive gives each run its own.
 struct RunState {
     /// `levels[0]` holds the current run's seed expansion and `levels[j]`
     /// level `j`'s scratch output (`truncate(0)` between windows keeps
@@ -779,6 +981,19 @@ struct RunState {
     levels: Vec<RefArena>,
     /// Per-level counters: probes, probe nanos, emitted tuples.
     steps: Vec<JoinStepStat>,
+    /// Per level, its memo in the current run.
+    memo: Vec<LevelMemo>,
+    /// The (projected ids above the final level, final interface) keys an
+    /// id-keyed `distinct` delivered in the current run.
+    delivered: HashSet<Box<[u64]>, MulHash>,
+    /// Bytes the run's memo holds, live-charged until the run ends.
+    memo_bytes: u64,
+    /// Per tuple of the memoised window being driven: its deliveries (a
+    /// counted suffix) or its entry and whether it delivers its ids (a
+    /// distinct final level).
+    window: Vec<u64>,
+    /// One distinct-final miss's ids seen so far.
+    dedup: HashSet<u64, MulHash>,
     /// First level observed hitting the intermediate cap. The recursion
     /// finishes the truncated expansion's subtree before stopping, so a
     /// deeper level affected by the same stop records first.
@@ -797,6 +1012,11 @@ impl RunState {
         RunState {
             levels: (0..n).map(|_| RefArena::new(n, nvars)).collect(),
             steps: vec![JoinStepStat::default(); n],
+            memo: (0..n).map(|_| LevelMemo::default()).collect(),
+            delivered: HashSet::default(),
+            memo_bytes: 0,
+            window: Vec::new(),
+            dedup: HashSet::default(),
             cut: None,
             gov_stop: false,
             err: None,
@@ -832,14 +1052,24 @@ struct Drive<'s, 'a> {
     /// A fork's charge did not fit `room`: every fork stops at its next
     /// charge, and no run starts in a fork.
     forks_full: AtomicBool,
-    /// The final level is unread: it delivers counts, not matches.
-    count_last: bool,
+    /// What the drive memoises.
+    memo: Memo,
+    /// Per level, the interface of the levels from it on (memoised levels
+    /// only).
+    ifaces: Vec<Option<Interface>>,
 }
 
 impl Drive<'_, '_> {
     /// Levels of the drive: the seed plus every probe step.
     fn levels(&self) -> usize {
         self.steps.len() + 1
+    }
+
+    /// The interface of memoised level `k`.
+    fn iface(&self, k: usize) -> &Interface {
+        self.ifaces[k]
+            .as_ref()
+            .expect("a memoised level has an interface")
     }
 
     /// Delivers seed candidates `[lo, hi)`, each extending the proto tuple,
@@ -859,6 +1089,48 @@ impl Drive<'_, '_> {
         (false, false)
     }
 
+    /// Looks tuple `t` up in `step`'s index: its matches, or `None` when
+    /// no candidate can match.
+    #[inline]
+    fn lookup<'i>(
+        &self,
+        step: &'i JoinStep,
+        tuples: &RefArena,
+        t: usize,
+        ctr: &mut JoinStepStat,
+    ) -> Option<Matches<'i>> {
+        let place = step.place;
+        let tvars = tuples.vars_of(t);
+        let mut ids = [NO_VAR; 2];
+        for (slot, &v) in ids.iter_mut().zip(&step.bound_vars) {
+            *slot = tvars[v];
+        }
+        // Sideways pre-filter: a bound id outside this step's candidate
+        // domain cannot be in the index — skip the hash lookup.
+        if let Some((subj, obj)) = &self.domains[place.pattern] {
+            for (&v, &id) in step.bound_vars.iter().zip(&ids) {
+                let set = if v == place.subject { subj } else { obj };
+                if !set.contains(EntityId(id)) {
+                    ctr.filter_pruned += 1;
+                    return None;
+                }
+            }
+        }
+        let key = pack(ids);
+        ctr.probes += 1;
+        let matches = match &step.index {
+            // Relation-free step: every match under the key joins.
+            StepIndex::Plain(index) => Matches::Plain(index.get(&key)?),
+            StepIndex::Timed(index) => {
+                let p = index.get(&key)?;
+                let b = TimeBounds::of(&step.rels, tuples.events_of(t), &self.env.parts);
+                Matches::Timed(p, b)
+            }
+        };
+        ctr.probe_hits += 1;
+        Some(matches)
+    }
+
     /// Probes `step`'s index for tuple `t` and delivers the surviving
     /// extensions to `out` — one by one, or (`COUNT`, an unread final
     /// level) as one count. Returns `true` when the tracker's budget was
@@ -873,74 +1145,15 @@ impl Drive<'_, '_> {
         caps: &mut CapTracker<'_>,
         ctr: &mut JoinStepStat,
     ) -> bool {
-        let parts = &self.env.parts;
-        let place = step.place;
-        let tvars = tuples.vars_of(t);
-        let mut ids = [NO_VAR; 2];
-        for (slot, &v) in ids.iter_mut().zip(&step.bound_vars) {
-            *slot = tvars[v];
-        }
-        // Sideways pre-filter: a bound id outside this step's candidate
-        // domain cannot be in the index — skip the hash lookup.
-        if let Some((subj, obj)) = &self.domains[place.pattern] {
-            for (&v, &id) in step.bound_vars.iter().zip(&ids) {
-                let set = if v == place.subject { subj } else { obj };
-                if !set.contains(EntityId(id)) {
-                    ctr.filter_pruned += 1;
-                    return false;
-                }
-            }
-        }
-        let key = pack(ids);
-        ctr.probes += 1;
-        let p = match &step.index {
-            // Relation-free step: every match under the key joins.
-            StepIndex::Plain(index) => {
-                let Some(matches) = index.get(&key) else {
-                    return false;
-                };
-                ctr.probe_hits += 1;
-                if COUNT {
-                    return place.emit_count(out, tuples, t, matches.len(), caps);
-                }
-                for &r in matches {
-                    if place.emit(parts, out, tuples, t, r, caps) {
-                        return true;
-                    }
-                }
-                return false;
-            }
-            StepIndex::Timed(index) => match index.get(&key) {
-                Some(p) => p,
-                None => return false,
-            },
-        };
-        ctr.probe_hits += 1;
-        let b = TimeBounds::of(&step.rels, tuples.events_of(t), parts);
-        let Some((slices, check_end)) = p.slices(&b) else {
-            ctr.bucket_skipped += p.refs.len() as u64;
+        let Some(matches) = self.lookup(step, tuples, t, ctr) else {
             return false;
         };
-        let (mut searched, mut n) = (0, 0);
-        for slice in slices {
-            searched += slice.len();
-            if COUNT && !check_end {
-                n += slice.len();
-                continue;
-            }
-            for j in slice {
-                if check_end && !b.end_ok(p.ends[j]) {
-                    continue;
-                }
-                if COUNT {
-                    n += 1;
-                } else if place.emit(parts, out, tuples, t, p.refs[j], caps) {
-                    return true;
-                }
-            }
+        let place = step.place;
+        if COUNT {
+            return place.emit_count(out, tuples, t, matches.count(ctr), caps);
         }
-        ctr.bucket_skipped += (p.refs.len() - searched) as u64;
-        COUNT && place.emit_count(out, tuples, t, n, caps)
+        let parts = &self.env.parts;
+        matches.each(ctr, |r| place.emit(parts, out, tuples, t, r, caps))
     }
 
     /// Probes level `j`'s step for tuples `[lo, hi)` of `cur`, delivering
@@ -1020,25 +1233,44 @@ impl Drive<'_, '_> {
         }
     }
 
-    /// Runs `deliver` — the final level `j`'s emission into `out`, returning
+    /// Live-charges `bytes` the run's memo now holds (released when the
+    /// run ends, [`Drive::end_run`]). `false` means stop.
+    fn charge_memo(&self, st: &mut RunState, gov: Option<&Governor>, bytes: u64) -> bool {
+        let go = self.charge_live(st, gov, bytes) == Flow::Continue;
+        st.memo_bytes += if go { bytes } else { 0 };
+        go
+    }
+
+    /// Ends a seed run: its memo is dropped and its bytes released.
+    fn end_run(&self, st: &mut RunState, gov: Option<&Governor>) {
+        if matches!(self.memo, Memo::Off) {
+            return;
+        }
+        st.memo.iter_mut().for_each(LevelMemo::clear);
+        st.delivered.clear();
+        let bytes = std::mem::take(&mut st.memo_bytes);
+        self.uncharge(st, gov, bytes);
+    }
+
+    /// Runs `deliver` — the final level's emission into `out`, returning
     /// `(capped, gov_stop)` — under the output's accounting. What the output
     /// keeps of the delivered tuples stays live and is charged permanently
     /// (every tuple for an arena; rows, group states or distinct keys for a
     /// projection sink).
     fn deliver_final<O: JoinOutput>(
         &self,
-        j: usize,
         st: &mut RunState,
         out: &mut O,
         gov: Option<&Governor>,
-        deliver: impl FnOnce(&mut O, &mut JoinStepStat) -> (bool, bool),
+        deliver: impl FnOnce(&mut O, &mut RunState) -> (bool, bool),
     ) -> Flow {
+        let last = self.levels() - 1;
         let before = out.delivered();
         let held = out.retained_bytes();
         let t = Instant::now();
-        let (capped, gov_stop) = deliver(out, &mut st.steps[j]);
-        st.steps[j].probe_nanos += t.elapsed().as_nanos() as u64;
-        st.steps[j].rows_out += out.delivered() - before;
+        let (capped, gov_stop) = deliver(out, st);
+        st.steps[last].probe_nanos += t.elapsed().as_nanos() as u64;
+        st.steps[last].rows_out += out.delivered() - before;
         let charged = self.charge_live(st, gov, out.retained_bytes() - held);
         if gov_stop {
             st.gov_stop = true;
@@ -1050,13 +1282,335 @@ impl Drive<'_, '_> {
         Flow::Continue
     }
 
+    /// Counted level `k`'s entry for tuple `t` of `src` (see [`LevelMemo`]):
+    /// the memoised one when level `k` stores and holds `t`'s interface;
+    /// else one computed by enumerating `t`'s matches at `k` into the
+    /// level's scratch (capped at the tuple cap, which makes any window
+    /// holding the entry fall back) and adding each one's entry at `k + 1`
+    /// — the final level only counts. Returns the entry's offset in
+    /// `st.memo[k].vals`, which the caller drops when level `k` does not
+    /// store, or `None` when the drive must stop.
+    fn counted_entry(
+        &self,
+        k: usize,
+        src: &RefArena,
+        t: usize,
+        st: &mut RunState,
+        gov: Option<&Governor>,
+        gate: &mut GovGate<'_>,
+    ) -> Option<usize> {
+        if gate.tick().is_some() {
+            st.gov_stop = true;
+            return None;
+        }
+        let last = self.levels() - 1;
+        let stride = 1 + last - k;
+        let iface = self.iface(k);
+        let memo = &mut st.memo[k];
+        if iface.stored {
+            iface.key(src, t, &mut memo.key);
+            if let Some(&e) = memo.index.get(memo.key.as_slice()) {
+                st.steps[k].memo_hits += 1;
+                return Some(e as usize * stride);
+            }
+            st.steps[k].memo_misses += 1;
+        }
+        let base = memo.vals.len();
+        memo.vals.resize(base + stride, 0);
+        let step = &self.steps[k - 1];
+        if k == last {
+            let ctr = &mut st.steps[k];
+            let n = self.lookup(step, src, t, ctr).map_or(0, |m| m.count(ctr));
+            st.memo[k].vals[base] = n as u64;
+        } else {
+            let mut scratch = std::mem::take(&mut st.levels[k]);
+            scratch.truncate(0);
+            let mut caps = CapTracker::fixed(self.icap, None);
+            let ctr = &mut st.steps[k];
+            if let Some(m) = self.lookup(step, src, t, ctr) {
+                let parts = &self.env.parts;
+                m.each(ctr, |r| {
+                    (step.place).emit(parts, &mut scratch, src, t, r, &mut caps)
+                });
+            }
+            ctr.rows_out += scratch.len();
+            st.memo[k].vals[base + 1] = scratch.len() as u64;
+            let bytes = scratch.retained_bytes();
+            let mut go = self.charge_live(st, gov, bytes) == Flow::Continue;
+            if go {
+                for m in 0..scratch.len() {
+                    let Some(sub) = self.counted_entry(k + 1, &scratch, m, st, gov, gate) else {
+                        go = false;
+                        break;
+                    };
+                    let (upper, lower) = st.memo.split_at_mut(k + 1);
+                    let (entry, below) = (&mut upper[k].vals, &mut lower[0].vals);
+                    let add = |e: &mut u64, s: &u64| *e = e.saturating_add(*s);
+                    add(&mut entry[base], &below[sub]);
+                    let totals = &mut entry[base + 2..base + stride];
+                    (totals.iter_mut())
+                        .zip(&below[sub + 1..])
+                        .for_each(|(e, s)| add(e, s));
+                    if !self.iface(k + 1).stored {
+                        below.truncate(sub);
+                    }
+                }
+                self.uncharge(st, gov, bytes);
+            }
+            st.levels[k] = scratch;
+            if !go {
+                return None;
+            }
+        }
+        if iface.stored {
+            let memo = &mut st.memo[k];
+            memo.index
+                .insert(memo.key.as_slice().into(), (base / stride) as u32);
+            let bytes = MEMO_ENTRY_BYTES + 8 * (memo.key.len() + stride) as u64;
+            if !self.charge_memo(st, gov, bytes) {
+                return None;
+            }
+        }
+        Some(base)
+    }
+
+    /// A counted suffix's window: tuples `[lo, hi)` of `cur`, at the
+    /// suffix's first level `j`. The first pass takes every tuple's entry;
+    /// unless a cap could bind in the window (its deliveries reach the
+    /// output's room, or its tuples at some non-final level the tuple cap),
+    /// the second delivers each tuple's count. `None` means a cap could
+    /// bind: the caller drives the window tuple by tuple.
+    #[allow(clippy::too_many_arguments)]
+    fn counted_window<O: JoinOutput>(
+        &self,
+        j: usize,
+        cur: &RefArena,
+        lo: usize,
+        hi: usize,
+        st: &mut RunState,
+        out: &mut O,
+        out_caps: &mut CapTracker<'_>,
+        gov: Option<&Governor>,
+    ) -> Option<Flow> {
+        let last = self.levels() - 1;
+        let stride = 1 + last - j;
+        let t0 = Instant::now();
+        let mut gate = GovGate::new(gov);
+        let mut totals = vec![0u64; stride];
+        let mut window = std::mem::take(&mut st.window);
+        window.clear();
+        let mut stopped = false;
+        for t in lo..hi {
+            let Some(e) = self.counted_entry(j, cur, t, st, gov, &mut gate) else {
+                stopped = true;
+                break;
+            };
+            let vals = &mut st.memo[j].vals;
+            (totals.iter_mut().zip(&vals[e..e + stride]))
+                .for_each(|(n, v)| *n = n.saturating_add(*v));
+            window.push(vals[e]);
+            if !self.iface(j).stored {
+                vals.truncate(e);
+            }
+        }
+        st.steps[j].probe_nanos += t0.elapsed().as_nanos() as u64;
+        let room = out_caps.cap.saturating_sub(out.delivered()) as u64;
+        let flow = if stopped {
+            Some(Flow::Stop)
+        } else if totals[0] >= room || totals[1..].iter().any(|&n| n >= self.icap as u64) {
+            None
+        } else {
+            let place = self.steps[last - 1].place;
+            Some(self.deliver_final(st, out, gov, |out, _| {
+                for (t, &n) in (lo..hi).zip(&window) {
+                    if place.emit_count(out, cur, t, n as usize, out_caps) {
+                        return (!out_caps.gov_stop, out_caps.gov_stop);
+                    }
+                }
+                (false, false)
+            }))
+        };
+        st.window = window;
+        flow
+    }
+
+    /// A distinct final level's window: tuples `[lo, hi)` of `cur`. The
+    /// first pass takes every tuple's entry — its match count and distinct
+    /// projected ids, enumerated on a miss — and whether the tuple's `pre`
+    /// ids and interface are new to the run; unless the window's matches
+    /// reach the output's room, the second delivers each tuple: its ids
+    /// when new, else only its count. `None` as
+    /// [`Drive::counted_window`].
+    #[allow(clippy::too_many_arguments)]
+    fn distinct_window<O: JoinOutput>(
+        &self,
+        cur: &RefArena,
+        lo: usize,
+        hi: usize,
+        (fresh, pre): ([usize; 2], &[usize]),
+        st: &mut RunState,
+        out: &mut O,
+        out_caps: &mut CapTracker<'_>,
+        gov: Option<&Governor>,
+    ) -> Option<Flow> {
+        let last = self.levels() - 1;
+        let (iface, step) = (self.iface(last), &self.steps[last - 1]);
+        let place = step.place;
+        let from_subject = fresh.map(|v| v == place.subject);
+        let t0 = Instant::now();
+        let mut gate = GovGate::new(gov);
+        let mut window = std::mem::take(&mut st.window);
+        window.clear();
+        let (mut total, mut stopped) = (0u64, false);
+        let mut key: Vec<u64> = Vec::with_capacity(1 + pre.len());
+        for t in lo..hi {
+            if gate.tick().is_some() {
+                st.gov_stop = true;
+                stopped = true;
+                break;
+            }
+            let memo = &mut st.memo[last];
+            iface.key(cur, t, &mut memo.key);
+            let e = match memo.index.get(memo.key.as_slice()) {
+                Some(&e) => {
+                    st.steps[last].memo_hits += 1;
+                    e as usize
+                }
+                None => {
+                    st.steps[last].memo_misses += 1;
+                    let (e, first) = (memo.vals.len() / 3, memo.ids.len());
+                    let (ids, dedup) = (&mut memo.ids, &mut st.dedup);
+                    dedup.clear();
+                    let mut n = 0u64;
+                    let ctr = &mut st.steps[last];
+                    if let Some(m) = self.lookup(step, cur, t, ctr) {
+                        let parts = &self.env.parts;
+                        m.each(ctr, |r| {
+                            n += 1;
+                            let (s, o) = parts.subject_object(r);
+                            let pick = |subj: bool| if subj { s.raw() } else { o.raw() };
+                            let pair = from_subject.map(pick);
+                            if dedup.insert((u64::from(pair[0]) << 32) | u64::from(pair[1])) {
+                                ids.push(pair);
+                            }
+                            false
+                        });
+                    }
+                    memo.vals.extend([n, first as u64, memo.ids.len() as u64]);
+                    memo.index.insert(memo.key.as_slice().into(), e as u32);
+                    let words = memo.key.len() + 3 + (memo.ids.len() - first);
+                    if !self.charge_memo(st, gov, MEMO_ENTRY_BYTES + 8 * words as u64) {
+                        stopped = true;
+                        break;
+                    }
+                    e
+                }
+            };
+            let n = st.memo[last].vals[3 * e];
+            total = total.saturating_add(n);
+            // Whether the tuple delivers its ids: its projected ids above
+            // the final level and its interface are new to the run.
+            let mut fresh_key = false;
+            if n > 0 {
+                let vars = cur.vars_of(t);
+                key.clear();
+                key.push(e as u64);
+                key.extend(id_words(pre, vars));
+                if !st.delivered.contains(key.as_slice()) {
+                    st.delivered.insert(key.as_slice().into());
+                    fresh_key = true;
+                    if !self.charge_memo(st, gov, MEMO_ENTRY_BYTES + 8 * key.len() as u64) {
+                        stopped = true;
+                        break;
+                    }
+                }
+            }
+            window.push(((e as u64) << 1) | u64::from(fresh_key));
+        }
+        st.steps[last].probe_nanos += t0.elapsed().as_nanos() as u64;
+        let room = out_caps.cap.saturating_sub(out.delivered()) as u64;
+        let flow = if stopped {
+            Some(Flow::Stop)
+        } else if total >= room {
+            None
+        } else {
+            Some(self.deliver_final(st, out, gov, |out, st| {
+                let memo = &st.memo[last];
+                for (t, &w) in (lo..hi).zip(&window) {
+                    let e = (w >> 1) as usize;
+                    let [n, a, z] = [0, 1, 2].map(|i| memo.vals[3 * e + i] as usize);
+                    if n == 0 {
+                        continue;
+                    }
+                    let ids = if w & 1 == 1 { &memo.ids[a..z] } else { &[] };
+                    out.emit_ids(cur, t, place.pattern, fresh, ids, n);
+                    if out_caps.exhausted(out.delivered()) {
+                        return (!out_caps.gov_stop, out_caps.gov_stop);
+                    }
+                }
+                (false, false)
+            }))
+        };
+        st.window = window;
+        flow
+    }
+
+    /// The final level over all of `cur`: memoised windows where the memo
+    /// reaches it (each falling back to the per-tuple drive where a cap
+    /// could bind), else one per-tuple pass — counting matches when the
+    /// level is unread.
+    fn deliver_last<O: JoinOutput>(
+        &self,
+        cur: &RefArena,
+        st: &mut RunState,
+        out: &mut O,
+        out_caps: &mut CapTracker<'_>,
+        gov: Option<&Governor>,
+    ) -> Flow {
+        let last = self.levels() - 1;
+        let count = matches!(self.memo, Memo::Counted { .. });
+        let per_tuple = |st: &mut RunState, out: &mut O, caps: &mut CapTracker<'_>, lo, hi| {
+            self.deliver_final(st, out, gov, |out, st| {
+                let ctr = &mut st.steps[last];
+                match count {
+                    true => self.probe_window::<O, true>(last, cur, lo, hi, out, caps, ctr, gov),
+                    false => self.probe_window::<O, false>(last, cur, lo, hi, out, caps, ctr, gov),
+                }
+            })
+        };
+        let memoised = match &self.memo {
+            Memo::Counted { from, memoised } => *memoised && *from == last,
+            Memo::Distinct { .. } => true,
+            Memo::Off => false,
+        };
+        if !memoised {
+            return per_tuple(st, out, out_caps, 0, cur.len());
+        }
+        let mut lo = 0;
+        while lo < cur.len() {
+            let hi = (lo + EXPAND_CHUNK).min(cur.len());
+            let window = match &self.memo {
+                Memo::Distinct { fresh, pre } => {
+                    self.distinct_window(cur, lo, hi, (*fresh, pre), st, out, out_caps, gov)
+                }
+                _ => self.counted_window(last, cur, lo, hi, st, out, out_caps, gov),
+            };
+            let flow = window.unwrap_or_else(|| per_tuple(st, out, out_caps, lo, hi));
+            if flow == Flow::Stop {
+                return Flow::Stop;
+            }
+            lo = hi;
+        }
+        Flow::Continue
+    }
+
     /// Expands frontier `cur` through levels `j..` depth-first (see the
     /// module docs): a non-final level windows `cur` into
-    /// [`EXPAND_CHUNK`]-tuple probes, each filling the level's reused
-    /// scratch (one expansion, at most `icap` tuples) and recursing on it
-    /// before the next window runs; the final level delivers straight into
-    /// `out` under `out_caps`.
-    #[allow(clippy::too_many_arguments)]
+    /// [`EXPAND_CHUNK`]-tuple windows — memoised at a counted suffix's
+    /// first level, else each filling the level's reused scratch (one
+    /// expansion, at most `icap` tuples) and recursing on it before the
+    /// next window runs; the final level delivers straight into `out` under
+    /// `out_caps`.
     fn expand<O: JoinOutput>(
         &self,
         j: usize,
@@ -1067,59 +1621,80 @@ impl Drive<'_, '_> {
         gov: Option<&Governor>,
     ) -> Flow {
         if j == self.levels() - 1 {
-            let n = cur.len();
-            return self.deliver_final(j, st, out, gov, |out, ctr| match self.count_last {
-                true => self.probe_window::<O, true>(j, cur, 0, n, out, out_caps, ctr, gov),
-                false => self.probe_window::<O, false>(j, cur, 0, n, out, out_caps, ctr, gov),
-            });
+            return self.deliver_last(cur, st, out, out_caps, gov);
         }
-        let mut scratch = std::mem::take(&mut st.levels[j]);
-        let mut flow = Flow::Continue;
+        let memoised = matches!(self.memo, Memo::Counted { from, memoised: true } if from == j);
         let mut lo = 0;
         while lo < cur.len() {
             let hi = (lo + EXPAND_CHUNK).min(cur.len());
-            scratch.truncate(0);
-            let t = Instant::now();
-            let mut caps = CapTracker::fixed(self.icap, gov);
-            let step = &mut st.steps[j];
-            let (capped, gov_stop) = self.probe_window::<RefArena, false>(
-                j,
-                cur,
-                lo,
-                hi,
-                &mut scratch,
-                &mut caps,
-                step,
-                gov,
-            );
-            step.probe_nanos += t.elapsed().as_nanos() as u64;
-            step.rows_out += scratch.len();
-            if gov_stop {
-                st.gov_stop = true;
-                flow = Flow::Stop;
-                break;
-            }
-            let bytes = scratch.retained_bytes();
-            if self.charge_live(st, gov, bytes) == Flow::Stop {
-                flow = Flow::Stop;
-                break;
-            }
-            let sub = self.expand(j + 1, &scratch, st, out, out_caps, gov);
-            self.uncharge(st, gov, bytes);
-            if sub == Flow::Stop {
-                flow = Flow::Stop;
-                break;
-            }
-            if capped {
-                // The expansion hit the intermediate cap and its prefix's
-                // subtree just finished: the run cuts here and the drive
-                // stops after it.
-                st.cut.get_or_insert(j);
-                flow = Flow::Stop;
-                break;
+            let window = match memoised {
+                true => self.counted_window(j, cur, lo, hi, st, out, out_caps, gov),
+                false => None,
+            };
+            let flow = window
+                .unwrap_or_else(|| self.expand_window(j, cur, lo, hi, st, out, out_caps, gov));
+            if flow == Flow::Stop {
+                return Flow::Stop;
             }
             lo = hi;
         }
+        Flow::Continue
+    }
+
+    /// One per-tuple window of non-final level `j`: probes tuples
+    /// `[lo, hi)` of `cur` into the level's scratch and recurses on the
+    /// expansion. An expansion that hits the tuple cap cuts the run once
+    /// its prefix's subtree finished.
+    #[allow(clippy::too_many_arguments)]
+    fn expand_window<O: JoinOutput>(
+        &self,
+        j: usize,
+        cur: &RefArena,
+        lo: usize,
+        hi: usize,
+        st: &mut RunState,
+        out: &mut O,
+        out_caps: &mut CapTracker<'_>,
+        gov: Option<&Governor>,
+    ) -> Flow {
+        let mut scratch = std::mem::take(&mut st.levels[j]);
+        scratch.truncate(0);
+        let t = Instant::now();
+        let mut caps = CapTracker::fixed(self.icap, gov);
+        let step = &mut st.steps[j];
+        let (capped, gov_stop) = self.probe_window::<RefArena, false>(
+            j,
+            cur,
+            lo,
+            hi,
+            &mut scratch,
+            &mut caps,
+            step,
+            gov,
+        );
+        step.probe_nanos += t.elapsed().as_nanos() as u64;
+        step.rows_out += scratch.len();
+        let flow = if gov_stop {
+            st.gov_stop = true;
+            Flow::Stop
+        } else {
+            let bytes = scratch.retained_bytes();
+            if self.charge_live(st, gov, bytes) == Flow::Stop {
+                Flow::Stop
+            } else {
+                let sub = self.expand(j + 1, &scratch, st, out, out_caps, gov);
+                self.uncharge(st, gov, bytes);
+                if sub == Flow::Continue && capped {
+                    // The expansion hit the intermediate cap and its
+                    // prefix's subtree just finished: the run cuts here and
+                    // the drive stops after it.
+                    st.cut.get_or_insert(j);
+                    Flow::Stop
+                } else {
+                    sub
+                }
+            }
+        };
         st.levels[j] = scratch;
         flow
     }
@@ -1129,7 +1704,8 @@ impl Drive<'_, '_> {
     /// into `out`; otherwise the seed expansion comes first (exempt from
     /// the intermediate cap — it is bounded by the block size by
     /// construction, which keeps sideways seed pruning emission-invariant
-    /// under truncation), then the chunked recursion over the steps.
+    /// under truncation), then the chunked recursion over the steps. The
+    /// run's memo ends with it.
     ///
     /// `EngineConfig::inject_drive_panic` panics here, on whichever thread
     /// drives the run: in the parallel drive the panic is caught and the
@@ -1148,9 +1724,8 @@ impl Drive<'_, '_> {
             panic!("injected drive panic (EngineConfig::inject_drive_panic)");
         }
         if self.steps.is_empty() {
-            return self.deliver_final(0, st, out, gov, |out, _| {
-                self.emit_seed(lo, hi, out, out_caps)
-            });
+            return self
+                .deliver_final(st, out, gov, |out, _| self.emit_seed(lo, hi, out, out_caps));
         }
         let t0 = Instant::now();
         let mut seedbuf = std::mem::take(&mut st.levels[0]);
@@ -1174,8 +1749,61 @@ impl Drive<'_, '_> {
             }
         };
         st.levels[0] = seedbuf;
+        self.end_run(st, gov);
         flow
     }
+}
+
+/// What the drive memoises over the join order `order` and its probe
+/// steps, with the interface of every memoised level (see the module
+/// docs): a counted suffix when the output leaves the last levels unread,
+/// else a distinct final level when an id-keyed `distinct` reads it — in
+/// either case only where some level stores.
+fn plan_memo<O: JoinOutput>(
+    a: &AnalyzedMultievent,
+    order: &[usize],
+    steps: &[JoinStep],
+    out: &O,
+) -> (Memo, Vec<Option<Interface>>) {
+    let last = steps.len();
+    let mut ifaces: Vec<Option<Interface>> = (0..=last).map(|_| None).collect();
+    let Some(final_step) = steps.last() else {
+        return (Memo::Off, ifaces);
+    };
+    // The longest unread suffix: level `k` is step `k − 1`.
+    let from = (1..=last)
+        .rev()
+        .take_while(|&k| {
+            let s = &steps[k - 1];
+            out.unread(s.place.pattern, &s.fresh(), k == last)
+        })
+        .last();
+    if let Some(from) = from {
+        for (k, iface) in ifaces.iter_mut().enumerate().skip(from) {
+            *iface = Some(Interface::of(a, order, steps, k));
+        }
+        let memoised = ifaces.iter().flatten().any(|i| i.stored);
+        if !memoised {
+            ifaces.iter_mut().for_each(|i| *i = None);
+        }
+        return (Memo::Counted { from, memoised }, ifaces);
+    }
+    let Some(slots) = out.id_keys() else {
+        return (Memo::Off, ifaces);
+    };
+    let fresh: Vec<usize> = (final_step.fresh().into_iter())
+        .filter(|v| slots.contains(v))
+        .collect();
+    let iface = Interface::of(a, order, steps, last);
+    if fresh.is_empty() || !iface.stored {
+        return (Memo::Off, ifaces);
+    }
+    let pre = (slots.iter().copied())
+        .filter(|v| !fresh.contains(v))
+        .collect();
+    ifaces[last] = Some(iface);
+    let fresh = [fresh[0], *fresh.last().expect("a fresh slot")];
+    (Memo::Distinct { fresh, pre }, ifaces)
 }
 
 /// The join drive (see the module docs): every probe step's index built
@@ -1271,15 +1899,7 @@ fn drive_join<O: JoinOutput>(
     let mut proto = RefArena::new(n, nvars);
     proto.resize_tuples(1);
     let seed_total = seed_refs.len();
-    // The final level counts its matches when the output reads nothing
-    // they place: the pattern's event, or a variable it binds first.
-    let count_last = steps.last().is_some_and(|s| {
-        let fresh: Vec<usize> = [s.place.subject, s.place.object]
-            .into_iter()
-            .filter(|v| !s.bound_vars.contains(v))
-            .collect();
-        out.unread(s.place.pattern, &fresh)
-    });
+    let (memo, ifaces) = plan_memo(a, &join_order, &steps, &out);
 
     // An arena output is reserved to the drive's worst case — seed size
     // times every step's indexed-ref count — clamped by the output cap and
@@ -1325,7 +1945,8 @@ fn drive_join<O: JoinOutput>(
             forks_held: AtomicU64::new(0),
             forks_peak: AtomicU64::new(0),
             forks_full: AtomicBool::new(false),
-            count_last,
+            memo,
+            ifaces,
         };
         let t_probe = Instant::now();
         // Parallel drive: every run fills a fork of the output under the

@@ -184,14 +184,41 @@ pub(crate) trait JoinOutput: Send + Sync + Sized {
     /// Whether the output reads nothing a match of `pattern` places — its
     /// event, or the variables `fresh` it binds first — so the drive may
     /// deliver a count of matches ([`JoinOutput::emit_count`]) instead.
-    fn unread(&self, _pattern: usize, _fresh: &[usize]) -> bool {
+    /// With `counted`, reading the event as `count(<event>.<column>)` still
+    /// counts as unread (only the final level's matches may be counted so).
+    fn unread(&self, _pattern: usize, _fresh: &[usize], _counted: bool) -> bool {
         false
     }
 
     /// Delivers `n` tuples: tuple `i` of `src`, extended by `n` matches of
-    /// a pattern the output reported [`JoinOutput::unread`].
+    /// levels the output reported [`JoinOutput::unread`], the last placing
+    /// `pattern`.
     fn emit_count(&mut self, _src: &RefArena, _i: usize, _pattern: usize, _n: usize) {
         unreachable!("only an output that reads nothing of a pattern is handed its counts")
+    }
+
+    /// The variable slots of an id-keyed `distinct` (every item an entity
+    /// reference, no `having`): a delivered tuple is seen only through its
+    /// ids in these slots. `None` for any other output.
+    fn id_keys(&self) -> Option<&[usize]> {
+        None
+    }
+
+    /// Delivers `n` tuples of an [`JoinOutput::id_keys`] output: tuple `i`
+    /// of `src`, extended by `n` matches of `pattern` whose ids in the
+    /// `fresh` slots are, deduplicated in first-seen order, `ids` (a slot
+    /// given twice binds one id). Empty `ids` only counts the `n`: their
+    /// keys were all delivered before.
+    fn emit_ids(
+        &mut self,
+        _src: &RefArena,
+        _i: usize,
+        _pattern: usize,
+        _fresh: [usize; 2],
+        _ids: &[[u32; 2]],
+        _n: usize,
+    ) {
+        unreachable!("only an id-keyed distinct is handed its ids")
     }
 
     /// Tuples delivered so far (what the budget's `max_tuples` caps).
@@ -266,6 +293,60 @@ impl JoinOutput for RefArena {
         true
     }
 }
+
+/// The hasher of the join's in-memory tables, whose keys are entity ids and
+/// row refs the store assigned densely, not strings a feed chose: one
+/// rotate, xor and multiply per word (the Fx scheme), and a final rotation
+/// that brings the well-mixed high bits down to where a table's bucket
+/// mask reads.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct MulHasher(u64);
+
+impl MulHasher {
+    #[inline]
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl std::hash::Hasher for MulHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.add(u64::from_le_bytes(w.try_into().expect("an 8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut w = [0u8; 8];
+            w[..rest.len()].copy_from_slice(rest);
+            self.add(u64::from_le_bytes(w));
+        }
+    }
+
+    #[inline]
+    fn write_u32(&mut self, x: u32) {
+        self.add(u64::from(x));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, x: u64) {
+        self.add(x);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, x: usize) {
+        self.add(x as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
+/// [`MulHasher`] as a `HashMap`/`HashSet` hasher.
+pub(crate) type MulHash = std::hash::BuildHasherDefault<MulHasher>;
 
 /// Snapshot of the store's partitions for one query: the address space
 /// [`EventRef`]s resolve against. Keys are ascending (the store's partition
@@ -465,7 +546,8 @@ impl PipelineState<'_> {
 pub struct ExecStats {
     /// Events fetched per pattern (source order).
     pub fetched: Vec<usize>,
-    /// Pattern execution order used.
+    /// The order the patterns were scanned in (the schedule's; the join
+    /// drives its own order, `OpStat::join_steps`).
     pub order: Vec<usize>,
     /// Final joined tuple count.
     pub tuples: usize,
@@ -482,10 +564,16 @@ impl ExecStats {
         use std::fmt::Write as _;
         let ms = |nanos: u64| nanos as f64 / 1e6;
         let mut out = String::new();
+        // The scans run in schedule order; the join drives its own order,
+        // seed first.
+        let join_order: Vec<usize> = (self.ops.iter())
+            .filter(|op| op.kind == "TemporalJoin")
+            .flat_map(|op| op.join_steps.iter().map(|s| s.pattern))
+            .collect();
         let _ = writeln!(
             out,
-            "executed operators ({} tuple(s) joined, order {:?}):",
-            self.tuples, self.order
+            "executed operators ({} tuple(s) joined, scan order {:?}, join order {:?}):",
+            self.tuples, self.order, join_order
         );
         for op in &self.ops {
             let pattern = match op.pattern {
@@ -548,6 +636,13 @@ impl ExecStats {
                 }
                 if s.filter_pruned > 0 {
                     let _ = write!(out, " | {} filter-pruned", s.filter_pruned);
+                }
+                if s.memo_hits + s.memo_misses > 0 {
+                    let _ = write!(
+                        out,
+                        " | memo hits {} / misses {}",
+                        s.memo_hits, s.memo_misses
+                    );
                 }
                 out.push('\n');
             }
@@ -634,13 +729,20 @@ pub struct JoinStepStat {
     pub sorted_runs: u64,
     /// Index build time of this step.
     pub build_nanos: u64,
-    /// Probe time of this step.
+    /// Probe time of this step (a memoised window's at the level it
+    /// starts at).
     pub probe_nanos: u64,
+    /// Tuples whose interface this step's memo already held (see
+    /// `op/join.rs`, "Memoised suffixes").
+    pub memo_hits: u64,
+    /// Tuples whose interface was new to the memo: their matches were
+    /// enumerated once and memoised.
+    pub memo_misses: u64,
 }
 
 impl JoinStepStat {
     /// Adds the counters `o` gathered for the same step: rows, probes,
-    /// skips, probe time.
+    /// skips, probe time, memo hits and misses.
     pub(crate) fn add(&mut self, o: &JoinStepStat) {
         self.rows_out += o.rows_out;
         self.probes += o.probes;
@@ -648,6 +750,8 @@ impl JoinStepStat {
         self.bucket_skipped += o.bucket_skipped;
         self.filter_pruned += o.filter_pruned;
         self.probe_nanos += o.probe_nanos;
+        self.memo_hits += o.memo_hits;
+        self.memo_misses += o.memo_misses;
     }
 }
 

@@ -21,11 +21,16 @@
 //!   one row);
 //! * **plain rows**: one row per tuple that passes `having`.
 //!
-//! When the join's final level is unread
+//! When the join's last levels are unread
 //! (`CompiledProjection::unread`), the sink receives a tuple and a count
-//! of matches instead: plain rows push that many copies, `distinct` looks
-//! the row up once, and a group adds the count to its `count`
-//! accumulators and the (constant) value that many times to the others.
+//! of the matches below it instead: plain rows push that many copies,
+//! `distinct` looks the row up once, and a group adds the count to its
+//! `count` accumulators and the (constant) value that many times to the
+//! others. When an id-keyed `distinct` reads the final level, the sink may
+//! receive a tuple with the final level's distinct projected ids and the
+//! count of its matches (`JoinOutput::emit_ids`): each id key is checked
+//! once, and the rest are counted as repeats (see `op/join.rs`, "Memoised
+//! suffixes").
 //!
 //! The join drive delivers its final step's tuples straight into the sink
 //! (see `op/join.rs`), so the joined tuples are never written to an output
@@ -42,7 +47,9 @@ use aiql_storage::EventStore;
 use crate::analyze::AnalyzedMultievent;
 use crate::error::EngineError;
 use crate::eval::{self, agg_key, Clause, SlotCtx, SlotEnv, SlotExpr, TupleView};
-use crate::op::{EventRef, ExecEnv, JoinOutput, OpStat, Operator, PipelineState, RefArena, Tuple};
+use crate::op::{
+    EventRef, ExecEnv, JoinOutput, MulHash, OpStat, Operator, PipelineState, RefArena, Tuple,
+};
 use crate::result::ResultTable;
 
 /// The projection operator.
@@ -247,15 +254,15 @@ pub(crate) struct CompiledProjection {
 
 impl CompiledProjection {
     /// Whether evaluating the projection never reads pattern `pattern`'s
-    /// event or a variable in `fresh` — but as the argument of `count` over
-    /// one of that event's columns, which are never null, so only the
-    /// number of tuples matters.
-    pub(crate) fn unread(&self, pattern: usize, fresh: &[usize]) -> bool {
+    /// event or a variable in `fresh` — but, with `counted`, as the
+    /// argument of `count` over one of that event's columns, which are
+    /// never null, so only the number of tuples matters.
+    pub(crate) fn unread(&self, pattern: usize, fresh: &[usize], counted: bool) -> bool {
         let reads = |e: &SlotExpr| e.reads(pattern, fresh);
         let mut scalars = self.items.iter().chain(&self.group_by).chain(&self.having);
         !scalars.any(reads)
             && (self.aggs.iter()).all(|(func, arg)| {
-                !reads(arg) || (*func == AggFunc::Count && arg.is_event_of(pattern))
+                !reads(arg) || (counted && *func == AggFunc::Count && arg.is_event_of(pattern))
             })
     }
 }
@@ -389,12 +396,13 @@ impl KeyIndex {
 }
 
 /// The entity-id keys of a `distinct` whose every item is an entity
-/// reference, with no `having` (see the module docs).
+/// reference, with no `having` (see the module docs), hashed with
+/// [`MulHash`].
 #[derive(Debug)]
 struct IdKeys {
     /// The variable slots the items read, in first-occurrence order.
     slots: Vec<usize>,
-    seen: HashSet<Box<[u32]>>,
+    seen: HashSet<Box<[u32]>, MulHash>,
     /// Reused key encoding: a repeat allocates nothing.
     key: Vec<u32>,
 }
@@ -412,7 +420,7 @@ impl IdKeys {
         }
         (cp.having.is_none()).then(|| IdKeys {
             slots,
-            seen: HashSet::new(),
+            seen: HashSet::default(),
             key: Vec::new(),
         })
     }
@@ -529,6 +537,29 @@ impl<'e> ProjectionSink<'e> {
         let repeat = !ids.insert(vars, placed);
         self.pushed += if repeat { n } else { 0 };
         repeat
+    }
+
+    /// Consumes tuple `i` of `src` extended with `pattern`'s event `r` (an
+    /// unplaced one for [`JoinOutput::emit_ids`]) and its bindings: one
+    /// push, assembled in the reused one-tuple buffer.
+    #[inline]
+    fn consume_extended(
+        &mut self,
+        src: &RefArena,
+        i: usize,
+        pattern: usize,
+        r: EventRef,
+        subject: (usize, EntityId),
+        object: (usize, EntityId),
+    ) {
+        self.tuple.truncate(0);
+        self.tuple.emit(src, i, pattern, r, subject, object);
+        let tuple = TupleView::Refs {
+            events: self.tuple.events_of(0),
+            vars: self.tuple.vars_of(0),
+        };
+        let (state, vals) = (&mut self.state, &mut self.vals);
+        consume(self.env, self.cp, state, vals, tuple, 1, None);
     }
 
     /// Tuples pushed so far.
@@ -658,26 +689,12 @@ impl JoinOutput for ProjectionSink<'_> {
         if self.repeat(src.vars_of(i), &[subject, object], 1) {
             return;
         }
-        self.tuple.truncate(0);
-        self.tuple.emit(src, i, pattern, r, subject, object);
-        let tuple = TupleView::Refs {
-            events: self.tuple.events_of(0),
-            vars: self.tuple.vars_of(0),
-        };
-        consume(
-            self.env,
-            self.cp,
-            &mut self.state,
-            &mut self.vals,
-            tuple,
-            1,
-            None,
-        );
+        self.consume_extended(src, i, pattern, r, subject, object);
         self.pushed += 1;
     }
 
-    fn unread(&self, pattern: usize, fresh: &[usize]) -> bool {
-        self.cp.unread(pattern, fresh)
+    fn unread(&self, pattern: usize, fresh: &[usize], counted: bool) -> bool {
+        self.cp.unread(pattern, fresh, counted)
     }
 
     fn emit_count(&mut self, src: &RefArena, i: usize, pattern: usize, n: usize) {
@@ -690,6 +707,40 @@ impl JoinOutput for ProjectionSink<'_> {
         };
         let (state, vals) = (&mut self.state, &mut self.vals);
         consume(self.env, self.cp, state, vals, tuple, n, Some(pattern));
+        self.pushed += n;
+    }
+
+    fn id_keys(&self) -> Option<&[usize]> {
+        match &self.state {
+            SinkState::Rows { ids: Some(ids), .. } => Some(&ids.slots),
+            _ => None,
+        }
+    }
+
+    /// The row of each new id key is evaluated on tuple `i` with the key's
+    /// fresh ids bound (the items read nothing but entity ids, so the
+    /// unplaced event is never read); every other tuple is a repeat.
+    fn emit_ids(
+        &mut self,
+        src: &RefArena,
+        i: usize,
+        pattern: usize,
+        fresh: [usize; 2],
+        ids: &[[u32; 2]],
+        n: usize,
+    ) {
+        for &[a, b] in ids {
+            let placed = [(fresh[0], EntityId(a)), (fresh[1], EntityId(b))];
+            let SinkState::Rows {
+                ids: Some(keys), ..
+            } = &mut self.state
+            else {
+                unreachable!("only an id-keyed distinct is handed its ids")
+            };
+            if keys.insert(src.vars_of(i), &placed) {
+                self.consume_extended(src, i, pattern, crate::op::NO_REF, placed[0], placed[1]);
+            }
+        }
         self.pushed += n;
     }
 

@@ -24,7 +24,13 @@
 //!   pattern last that the shape reads at most as `count(e3.…)`, the drive
 //!   delivers counts instead of matches, and every contract above holds
 //!   with the same delivered counts (the stats show the pattern placed
-//!   last).
+//!   last);
+//! * **memoised suffixes** — over bodies whose shapes see the last levels
+//!   only in aggregate (a 4-chain counted by `count(e4.…)`, an id-keyed
+//!   `distinct` reading the final pattern, and a chain whose last pattern
+//!   is also related to the first), every contract above holds; on fixed
+//!   fan-out stores the memo is shown to hit, at every width and block
+//!   size, so a drive that silently fell back could not pass.
 //!
 //! The two reference implementations share no tuple loop with the sink: the
 //! brute-force matcher with the dynamic projection, and the dynamic
@@ -171,8 +177,64 @@ const UNREAD_FROM: usize = 4;
 /// sink. Binds p1, f, e1.
 const SINGLE_BODY: &str = "proc p1 write file f as e1\n";
 
-/// Bodies a test draws from: every join body, then the single pattern.
-const NBODIES: usize = BODIES.len() + 1;
+/// Join bodies whose shapes ([`MEMO_SHAPES`]) reach the join's memo (see
+/// `op/join.rs`, "Memoised suffixes"): the 4-chain counted by
+/// `count(e4.…)`, whose counted suffix spans two levels or more (its
+/// `distinct p1, p3` reads the timed final pattern); a 3-chain whose
+/// id-keyed `distinct` reads `f2`, which its relation-free final pattern
+/// binds, so the final interface is `p2` alone; and a chain whose last
+/// pattern is related in time only to its first (`e1 before e4`), so the
+/// last level's interface is `p2` and the event placed two levels above
+/// it. That chain reads before it writes, so where writes are fewer than
+/// reads (`fanout_store`) the join seeds on `e2`, and `e1` is no seed
+/// event. In each, tuples under one seed share final interfaces, so the
+/// memo hits even in one-tuple runs.
+const MEMO_BODIES: [&str; 3] = [
+    "proc p1 write file f as e1
+     proc p2 read file f as e2
+     proc p2 write file f2 as e3
+     proc p3 read file f2 as e4
+     with e1 before e2, e2 before e3, e3 before e4\n",
+    "proc p1 write file f as e1
+     proc p2 read file f as e2
+     proc p2 write file f2 as e3
+     with e1 before[10 min] e2\n",
+    "proc p1 read file f as e1
+     proc p1 write file f2 as e2
+     proc p2 read file f2 as e3
+     proc p2 write file f3 as e4
+     with e1 before e2, e2 before e3, e1 before[40 min] e4\n",
+];
+
+/// The shapes of each of [`MEMO_BODIES`]: counted suffixes (`count` over
+/// the last pattern, alone or grouped by a variable bound above it) and
+/// id-keyed `distinct`s. None depends on tuple order.
+const MEMO_SHAPES: [&[&str]; 3] = [
+    &[
+        "return count(e4.amount) as n",
+        "return p1, count(e4.amount) as n, sum(e1.amount) as s group by p1",
+        "return distinct p1, p3",
+    ],
+    &[
+        "return distinct p1, f2",
+        "return distinct f2",
+        "return distinct p2, f2, f, p1",
+    ],
+    &[
+        "return count(e4.amount) as n",
+        "return p1, count(e4) as n group by p1",
+        "return distinct p1, p2",
+        "return distinct p1, f3",
+    ],
+];
+
+/// The first memo body's index (after every join body and the single
+/// pattern).
+const MEMO_FROM: usize = BODIES.len() + 1;
+
+/// Bodies a test draws from: every join body, the single pattern, then the
+/// memo bodies.
+const NBODIES: usize = MEMO_FROM + MEMO_BODIES.len();
 
 /// Return shapes covering every state of the projection sink. Grouped
 /// shapes return only keys and aggregates, and the `limit` shape orders by
@@ -221,7 +283,8 @@ fn shapes(body: usize, order_free: bool) -> Vec<&'static str> {
     let mut all: Vec<&str> = match body {
         b if b < UNREAD_FROM => SHAPES.to_vec(),
         b if b < BODIES.len() => UNREAD_SHAPES.iter().chain(&SHAPES).copied().collect(),
-        _ => SINGLE_SHAPES.to_vec(),
+        b if b < MEMO_FROM => SINGLE_SHAPES.to_vec(),
+        b => return MEMO_SHAPES[b - MEMO_FROM].to_vec(),
     };
     all.truncate(all.len() - usize::from(order_free));
     all
@@ -236,7 +299,12 @@ fn unread_last(body: usize, stats: &exec::ExecStats) -> bool {
 }
 
 fn shaped_query(body: usize, shape: &str) -> MultieventQuery {
-    let src = format!("{}{shape}", BODIES.get(body).unwrap_or(&SINGLE_BODY));
+    let text = match body {
+        b if b < BODIES.len() => BODIES[b],
+        b if b < MEMO_FROM => SINGLE_BODY,
+        b => MEMO_BODIES[b - MEMO_FROM],
+    };
+    let src = format!("{text}{shape}");
     match parse_query(&src) {
         Ok(Query::Multievent(m)) => m,
         other => panic!("{src:?} must parse as a multievent query, got {other:?}"),
@@ -528,7 +596,12 @@ proptest! {
 /// A fan-out store big enough that the parallel drive's first runs start
 /// before any of them has published its output count.
 fn fanout_store() -> EventStore {
-    let raws: Vec<RawEvent> = (0..600)
+    fanout_store_of(600)
+}
+
+/// The first `n` events of the fan-out store: a third of them writes.
+fn fanout_store_of(n: u32) -> EventStore {
+    let raws: Vec<RawEvent> = (0..n)
         .map(|i| {
             RawEvent::instant(
                 AgentId(i % 4),
@@ -650,12 +723,17 @@ fn fan_in_store() -> EventStore {
 /// serial and fanned-out drives report the same one. Where the output
 /// fills, the final level cuts; where an intermediate expansion fills and
 /// the capped prefix's subtree delivers less than the cap, that level does.
+/// A count of the same chain goes through the memo (its levels below the
+/// seed are a counted suffix) and cuts exactly where the rows do: on the
+/// fan-in store its deliveries never come near the cap, but the window
+/// holding the cut must fall back to the per-tuple drive.
 #[test]
 fn a_cap_trip_names_the_cap_the_cut_level_and_the_runs_driven() {
-    let m = shaped_query(1, "return p1, p2, f, f2");
+    let rows = shaped_query(1, "return p1, p2, f, f2");
+    let count = shaped_query(1, "return count(e3.amount) as n");
     // (store, cap, the level that cuts), all in one-tuple runs.
     for (store, cap, level) in [(fanout_store(), 50usize, 2usize), (fan_in_store(), 10, 1)] {
-        let (serial, stats) = run_capped(&store, &m, &drive_config(1, 1), cap);
+        let (serial, stats) = run_capped(&store, &rows, &drive_config(1, 1), cap);
         let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
         let runs = join.join_steps[0].candidates as u64;
         assert!(
@@ -671,8 +749,23 @@ fn a_cap_trip_names_the_cap_the_cut_level_and_the_runs_driven() {
             runs,
         }];
         assert_eq!((serial.truncated, &serial.warnings), (true, &want));
+        let (counted, count_stats) = run_capped(&store, &count, &drive_config(1, 1), cap);
+        let memo: u64 = (count_stats.ops.iter())
+            .filter(|o| o.kind == "TemporalJoin")
+            .flat_map(|o| o.join_steps.iter().map(|s| s.memo_hits + s.memo_misses))
+            .sum();
+        assert!(memo > 0, "cap {cap}: the count must reach the memo");
+        assert_eq!(
+            (
+                counted.truncated,
+                &counted.warnings,
+                delivered(&count_stats)
+            ),
+            (true, &want, delivered(&stats)),
+            "cap {cap}: the count must cut where the rows do"
+        );
         for threads in [2usize, 8] {
-            let (fanned, stats) = run_capped(&store, &m, &drive_config(threads, 1), cap);
+            let (fanned, stats) = run_capped(&store, &rows, &drive_config(threads, 1), cap);
             let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
             assert_eq!(join.fanout, threads.min(runs as usize), "cap {cap}");
             assert_eq!(
@@ -680,23 +773,29 @@ fn a_cap_trip_names_the_cap_the_cut_level_and_the_runs_driven() {
                 (&serial.rows, true, &want),
                 "cap {cap} threads {threads}"
             );
+            let (fanned, _) = run_capped(&store, &count, &drive_config(threads, 1), cap);
+            assert_eq!(
+                (&fanned.rows, &fanned.warnings),
+                (&counted.rows, &want),
+                "count: cap {cap} threads {threads}"
+            );
         }
     }
 }
 
 /// Deterministic spot check: an emission-bound chain reports the drive's
-/// demand counters through EXPLAIN ANALYZE stats.
+/// demand counters through EXPLAIN ANALYZE stats, under a header naming
+/// the scan and the join order, and an id-keyed `distinct` of the same
+/// chain reports its final step's memo hits and misses.
 #[test]
 fn emission_counters_surface_in_stats() {
     let store = fanout_store();
-    let q = parse_query(
-        r#"proc p1 write file f as e1
+    let src = r#"proc p1 write file f as e1
            proc p2 read file f as e2
            proc p2 write file f2 as e3
            with e1 before e2, e2 before e3
-           return p1, p2, f2"#,
-    )
-    .unwrap();
+           return p1, p2, f2"#;
+    let q = parse_query(src).unwrap();
     let aiql_lang::Query::Multievent(m) = q else {
         panic!()
     };
@@ -749,6 +848,101 @@ fn emission_counters_surface_in_stats() {
         )),
         "EXPLAIN ANALYZE must surface the fusion:\n{rendered}"
     );
+    // The header names both orders: the schedule's scan order and the
+    // order the drive joins in, seed first.
+    let join_order: Vec<usize> = join.join_steps.iter().map(|s| s.pattern).collect();
+    assert!(
+        rendered.contains(&format!(
+            "scan order {:?}, join order {join_order:?}",
+            stats.order
+        )),
+        "EXPLAIN ANALYZE must name the scan and the join order:\n{rendered}"
+    );
+    // Plain rows never memoise; an id-keyed `distinct` of the same body
+    // reads its final level through the memo, and the step says so.
+    assert!(join
+        .join_steps
+        .iter()
+        .all(|s| s.memo_hits + s.memo_misses == 0));
+    let aiql_lang::Query::Multievent(m) =
+        parse_query(&src.replace("p1, p2, f2", "distinct p1, f2")).unwrap()
+    else {
+        panic!()
+    };
+    let (distinct, stats) = Engine::new(EngineConfig::default())
+        .execute_multievent_with_stats(&store, &m)
+        .unwrap();
+    assert!(!distinct.rows.is_empty());
+    let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+    let last = join.join_steps.last().unwrap();
+    assert!(last.memo_hits > 0 && last.memo_misses > 0, "{last:?}");
+    let rendered = stats.render();
+    assert!(
+        rendered.contains(&format!(
+            "memo hits {} / misses {}",
+            last.memo_hits, last.memo_misses
+        )),
+        "EXPLAIN ANALYZE must surface the memo:\n{rendered}"
+    );
+}
+
+/// Memo hits summed over the join's steps.
+fn memo_hits(stats: &exec::ExecStats) -> u64 {
+    let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin");
+    join.map_or(0, |j| j.join_steps.iter().map(|s| s.memo_hits).sum())
+}
+
+/// The memo bodies on a fan-out store, where each joins in the order its
+/// doc names: at every width and block size the memo hits — a drive that
+/// silently fell back to the per-tuple path would not — the answer is the
+/// brute-force oracle's, and under a cap that cuts mid-drive the rows
+/// project the emission-order prefix the unfused drive keeps, with its
+/// delivered count and `truncated`, and the serial drive's warning.
+#[test]
+fn memoised_bodies_hit_their_memo_and_keep_every_contract() {
+    let store = fanout_store_of(300);
+    for (b, shapes) in MEMO_SHAPES.iter().enumerate() {
+        let body = MEMO_FROM + b;
+        for &shape in *shapes {
+            let m = shaped_query(body, shape);
+            let a = analyze_multievent(&m, &store).unwrap();
+            let want = reference::run_reference(&store, &a).unwrap().normalized();
+            let tuples_at = |cap: usize, block: usize| {
+                let (tuples, truncated, _) =
+                    MultieventExec::new(&store, &a, &drive_config(1, block))
+                        .with_budget(&capped(cap))
+                        .match_tuples()
+                        .unwrap();
+                (tuples, truncated)
+            };
+            let (full, _) = tuples_at(UNCAPPED, 4096);
+            assert!(
+                full.len() > 100,
+                "body {b} shape {shape:?}: {} tuples",
+                full.len()
+            );
+            let cap = full.len() / 2;
+            for block in [1usize, 7, 4096] {
+                let (kept, truncated) = tuples_at(cap, block);
+                let want_capped = naive::project(&store, &a, &full[..kept.len()]).unwrap();
+                let (serial, _) = run_capped(&store, &m, &drive_config(1, block), cap);
+                for threads in [1usize, 2, 8] {
+                    let config = drive_config(threads, block);
+                    let (got, stats) = run_capped(&store, &m, &config, UNCAPPED);
+                    let at = format!("body {b} shape {shape:?} threads {threads} block {block}");
+                    assert_eq!(got.normalized().rows, want.rows, "{at}");
+                    assert!(memo_hits(&stats) > 0, "{at}: the memo never hit");
+                    let (got, stats) = run_capped(&store, &m, &config, cap);
+                    assert!(names_its_cause(&got), "{at}: {:?}", got.warnings);
+                    assert_eq!(
+                        (&want_capped.rows, truncated, kept.len(), &serial.warnings),
+                        (&got.rows, got.truncated, delivered(&stats), &got.warnings),
+                        "{at} cap {cap}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// The single pattern under caps, pinned at the parent commit (whose

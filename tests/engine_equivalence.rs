@@ -1,15 +1,16 @@
 //! Cross-engine equivalence: the optimized AIQL engine, the relational
 //! baseline (with and without optimized storage), and the graph baseline
 //! must return identical result sets on every catalog query — the
-//! benchmarks then compare pure execution strategy, not semantics. The same
-//! catalog must also answer identically whatever the store's physical
-//! layout (fragmented, compacted, auto-compacted).
+//! benchmarks then compare pure execution strategy, not semantics — and on
+//! the benchmark's `hunt` joins. The same catalog must also answer
+//! identically whatever the store's physical layout (fragmented,
+//! compacted, auto-compacted).
 
 use aiql::baseline::{GraphEngine, RelationalEngine};
 use aiql::sim::{
     build_store, case_study_queries, demo_queries, scenario_case_study, scenario_demo, Scale,
 };
-use aiql::{Engine, EngineConfig, StoreConfig};
+use aiql::{parse_query, Engine, EngineConfig, Query, StoreConfig};
 
 fn check_scenario(store: aiql::EventStore, queries: Vec<aiql::sim::CatalogQuery>) {
     let engine = Engine::new(EngineConfig::default());
@@ -194,6 +195,63 @@ fn fragmented_compacted_and_auto_layouts_agree_on_the_demo_catalog() {
                 (&got.rows, got.truncated),
                 "{}: {name} layout diverged from fragmented",
                 cq.id
+            );
+        }
+    }
+}
+
+/// The repo benchmark's `hunt` joins — a counted 4-chain, the
+/// exfiltration 3-chain's rows and its id-keyed `distinct` — on a small
+/// demo store: the engine equals the relational baseline at one and two
+/// threads, and the join memo engages exactly where the projection sees
+/// the last levels only in aggregate (`chain4_count`, `exfil3_distinct`),
+/// never for plain rows (`exfil3_rows`).
+#[test]
+fn hunt_shapes_equal_the_relational_baseline_with_the_memo_where_it_applies() {
+    const EXFIL3: &str = "proc p1 write file f as e1
+        proc p2 read file f as e2
+        proc p2 write file f2 as e3
+        with e1 before[30 min] e2, e2 before[30 min] e3\n";
+    let chain4 = "proc p1 write file f as e1
+        proc p2 read file f as e2
+        proc p2 write file f2 as e3
+        proc p3 read file f2 as e4
+        with e1 before[20 min] e2, e2 before[20 min] e3, e3 before[20 min] e4
+        return count(e4.amount)";
+    let scale = Scale {
+        hosts: 4,
+        events_per_host: 2_000,
+        seed: 7,
+    };
+    let store = build_store(&scenario_demo(scale), StoreConfig::default());
+    let relational = RelationalEngine::new(true);
+    for (id, text, memoised) in [
+        ("chain4_count", chain4.to_string(), true),
+        ("exfil3_rows", format!("{EXFIL3}return p1, p2, f2"), false),
+        (
+            "exfil3_distinct",
+            format!("{EXFIL3}return distinct p1, f2"),
+            true,
+        ),
+    ] {
+        let want = relational.execute_text(&store, &text).unwrap().normalized();
+        assert!(!want.rows.is_empty(), "{id}: no rows to compare");
+        let Ok(Query::Multievent(m)) = parse_query(&text) else {
+            panic!("{id} is a multievent query")
+        };
+        for parallelism in [1, 2] {
+            let engine = Engine::new(EngineConfig {
+                parallelism,
+                ..EngineConfig::default()
+            });
+            let (got, stats) = engine.execute_multievent_with_stats(&store, &m).unwrap();
+            assert_eq!(got.normalized().rows, want.rows, "{id} at {parallelism}");
+            let join = stats.ops.iter().find(|o| o.kind == "TemporalJoin").unwrap();
+            let hits: u64 = join.join_steps.iter().map(|s| s.memo_hits).sum();
+            assert_eq!(
+                hits > 0,
+                memoised,
+                "{id} at {parallelism}: {hits} memo hits"
             );
         }
     }
