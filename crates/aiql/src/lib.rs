@@ -116,12 +116,8 @@ impl AiqlSystem {
     /// estimates, partition fan-out) without running it.
     pub fn explain(&self, source: &str) -> Result<engine::QueryPlan, EngineError> {
         let q = parse_query(source)?;
-        engine::explain(
-            &self.store,
-            &q,
-            self.engine.config(),
-            &engine::ExecBudget::unlimited(),
-        )
+        self.engine
+            .explain(&self.store, &q, &engine::ExecBudget::unlimited())
     }
 
     /// Read access to the store.

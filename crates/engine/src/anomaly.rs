@@ -15,40 +15,56 @@
 use std::collections::VecDeque;
 
 use aiql_model::{TimeWindow, Value};
-use aiql_storage::EventStore;
 
 use crate::analyze::AnalyzedAnomaly;
-use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::eval::{SlotCtx, TupleView};
 use crate::exec::{flag_trip, MultieventExec};
-use crate::governor::{ExecBudget, Governor};
+use crate::governor::Governor;
 use crate::op::project::{column_name, slots, AggAcc, CompiledProjection, KeyIndex};
 use crate::op::{ExecEnv, RefArena};
 use crate::result::ResultTable;
-use crate::schedule::PlanCache;
 
-/// Executes an anomaly query end to end: the candidate fetch plans through
-/// `plan_cache`, and both the fetch and the window loop answer to
-/// `budget`. In error mode a governor trip is its typed error; in partial
-/// mode the table is the rows of the windows finished before the trip. A
-/// fetch the tuple cap cut, or a partial-mode trip, flags the table
-/// `truncated` with one warning per cause.
+/// Executes an anomaly query end to end: `exec` — planned over `a.base`
+/// under the query's plan cache and budget — fetches the candidates, and
+/// both the fetch and the window loop answer to its budget. In error mode a
+/// governor trip is its typed error; in partial mode the table is the rows
+/// of the windows finished before the trip. A fetch the tuple cap cut, or a
+/// partial-mode trip, flags the table `truncated` with one warning per
+/// cause.
 pub fn run_anomaly(
-    store: &EventStore,
+    exec: &MultieventExec<'_>,
     a: &AnalyzedAnomaly,
-    config: &EngineConfig,
-    plan_cache: &PlanCache,
-    budget: &ExecBudget,
 ) -> Result<ResultTable, EngineError> {
-    let exec = MultieventExec::new(store, &a.base, config)
-        .with_plan_cache(plan_cache)
-        .with_budget(budget);
     let (env, tuples, cap_trip, _) = exec.join()?;
     let cp = &a.base.projection;
     let mut table = run_windows(&env, a, cp, &tuples, env.gov())?;
     flag_trip(&mut table, cap_trip, env.gov());
     Ok(table)
+}
+
+/// The window loop `run_windows` runs, as `EXPLAIN` roots an anomaly
+/// query's plan with it: window and step, how many windows the `at` range
+/// holds (without one, the data's span bounds them), the history lags
+/// `having` reads, and the grouping.
+pub(crate) fn describe(a: &AnalyzedAnomaly) -> String {
+    let (w, step) = (&a.window_spec, a.window_spec.step.micros() as u64);
+    let windows = match a.base.globals.window {
+        TimeWindow::ALL => "windows over the data's span".to_string(),
+        r => format!(
+            "{} window(s)",
+            r.end.micros().abs_diff(r.start.micros()).div_ceil(step)
+        ),
+    };
+    let mut lags: Vec<u32> = a.base.projection.lags.iter().map(|&(_, lag)| lag).collect();
+    lags.sort_unstable();
+    lags.dedup();
+    let lags = match lags.is_empty() {
+        true => String::new(),
+        false => format!(" | history lags {lags:?}"),
+    };
+    let grouping = crate::op::project::grouping(&a.base);
+    format!("{} / step {} | {windows}{lags}{grouping}", w.length, w.step)
 }
 
 /// The window range: the query's `at` window when bounded, else the

@@ -5,10 +5,11 @@ use std::sync::Arc;
 use aiql_lang::{parse_query, Query};
 use aiql_storage::EventStore;
 
-use crate::analyze;
+use crate::analyze::{self, AnalyzedAnomaly, AnalyzedMultievent};
 use crate::anomaly;
 use crate::error::EngineError;
 use crate::exec::{ExecStats, MultieventExec};
+use crate::explain::{self, QueryPlan};
 use crate::governor::ExecBudget;
 use crate::result::ResultTable;
 use crate::schedule::PlanCache;
@@ -165,19 +166,29 @@ impl Engine {
         query: &Query,
         budget: &ExecBudget,
     ) -> Result<ResultTable, EngineError> {
-        match query {
-            Query::Multievent(m) => self.run_multievent(store, m, budget).map(|(t, _)| t),
-            // §2.3: compile to a semantically equivalent multievent query.
-            Query::Dependency(d) => {
-                let m = aiql_lang::dependency_to_multievent(d)?;
-                self.run_multievent(store, &m, budget).map(|(t, _)| t)
+        self.dispatch(store, query, |a, anomaly| {
+            let exec = self.exec(store, a, budget);
+            match anomaly {
+                Some(an) => anomaly::run_anomaly(&exec, an),
+                None => Ok(exec.run_with_stats()?.0),
             }
-            Query::Anomaly(anom) => {
-                let a = analyze::analyze_anomaly(anom, store)?;
-                let (config, cache) = (&self.config, &self.plan_cache);
-                anomaly::run_anomaly(store, &a, config, cache, budget)
-            }
-        }
+        })
+    }
+
+    /// Plans a parsed query without executing it: dispatched like
+    /// [`Engine::execute_with_budget`], and planned by the executor's own
+    /// builder under `budget` and this engine's plan cache, so the plan is
+    /// the one that query runs.
+    pub fn explain(
+        &self,
+        store: &EventStore,
+        query: &Query,
+        budget: &ExecBudget,
+    ) -> Result<QueryPlan, EngineError> {
+        self.dispatch(store, query, |a, anomaly| {
+            let exec = self.exec(store, a, budget);
+            Ok(explain::plan(&exec, query, anomaly, budget))
+        })
     }
 
     /// Executes a multievent query ungoverned and returns execution
@@ -188,21 +199,43 @@ impl Engine {
         store: &EventStore,
         m: &aiql_lang::MultieventQuery,
     ) -> Result<(ResultTable, ExecStats), EngineError> {
-        self.run_multievent(store, m, &ExecBudget::unlimited())
+        let a = analyze::analyze_multievent(m, store)?;
+        self.exec(store, &a, &ExecBudget::unlimited())
+            .run_with_stats()
     }
 
-    /// The one multievent path: analyze, then run the operator pipeline
-    /// through the engine's plan cache under `budget`.
-    fn run_multievent(
+    /// The one dispatch of execution and `EXPLAIN`: analyzes `query` and
+    /// hands `run` its multievent form — a dependency query's semantically
+    /// equivalent multievent query (§2.3), an anomaly query's fetch with
+    /// the anomaly query itself.
+    fn dispatch<T>(
         &self,
         store: &EventStore,
-        m: &aiql_lang::MultieventQuery,
+        query: &Query,
+        run: impl FnOnce(&AnalyzedMultievent, Option<&AnalyzedAnomaly>) -> Result<T, EngineError>,
+    ) -> Result<T, EngineError> {
+        match query {
+            Query::Multievent(m) => run(&analyze::analyze_multievent(m, store)?, None),
+            Query::Dependency(d) => {
+                let m = aiql_lang::dependency_to_multievent(d)?;
+                run(&analyze::analyze_multievent(&m, store)?, None)
+            }
+            Query::Anomaly(an) => {
+                let a = analyze::analyze_anomaly(an, store)?;
+                run(&a.base, Some(&a))
+            }
+        }
+    }
+
+    /// The executor of `a` through the engine's plan cache under `budget`.
+    fn exec<'a>(
+        &'a self,
+        store: &'a EventStore,
+        a: &'a AnalyzedMultievent,
         budget: &ExecBudget,
-    ) -> Result<(ResultTable, ExecStats), EngineError> {
-        let a = analyze::analyze_multievent(m, store)?;
-        MultieventExec::new(store, &a, &self.config)
+    ) -> MultieventExec<'a> {
+        MultieventExec::new(store, a, &self.config)
             .with_plan_cache(&self.plan_cache)
             .with_budget(budget)
-            .run_with_stats()
     }
 }

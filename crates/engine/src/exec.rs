@@ -7,7 +7,8 @@
 //! post-order, timing every operator into [`ExecStats::ops`]. All data
 //! movement lives in the operators; this module only prepares the shared
 //! phase (plan context, partition table) and adapts the
-//! pipeline's outputs to the public API.
+//! pipeline's outputs to the public API. One builder
+//! (`MultieventExec::build`) plans every execution and every `EXPLAIN`.
 //!
 //! Candidate lists, binding propagation, and the multi-way join carry
 //! [`EventRef`]s — ⟨partition, row⟩ pairs resolved against the columnar
@@ -21,7 +22,7 @@ use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
 use crate::governor::{ExecBudget, Governor, Warning, DEFAULT_MAX_TUPLES};
-use crate::op::{self, ExecEnv, PartTable, PipelineState, RefArena};
+use crate::op::{self, ExecEnv, PartTable, PipelineState, PlanNode, RefArena};
 use crate::result::ResultTable;
 use crate::schedule::{self, PlanCache};
 
@@ -74,32 +75,35 @@ impl<'a> MultieventExec<'a> {
         self
     }
 
-    /// Builds the execution environment: the compiled shared phase
-    /// (resolved vars, base filters, schedule — memoized across queries
-    /// when a plan cache is attached), the partition address space, and
-    /// whether the query's projection closes the pipeline (`project`).
-    fn env(&self, project: bool) -> ExecEnv<'a> {
-        ExecEnv {
+    /// The one planner: the execution environment — the compiled shared
+    /// phase (resolved vars, base filters, schedule; memoized across
+    /// queries when a plan cache is attached) and the partition address
+    /// space — and the operator tree over it, closed by the query's
+    /// projection when `project`. Execution and `EXPLAIN` both start here.
+    pub(crate) fn build(&self, project: bool) -> (ExecEnv<'a>, PlanNode) {
+        let ctx = schedule::prepare(
+            self.a,
+            self.store,
+            self.config.prioritize_pruning,
+            self.plan_cache,
+        );
+        let tree = op::plan_tree(self.a, &ctx.plan.order, project);
+        let env = ExecEnv {
             store: self.store,
             a: self.a,
             config: self.config,
-            ctx: schedule::prepare(
-                self.a,
-                self.store,
-                self.config.prioritize_pruning,
-                self.plan_cache,
-            ),
+            ctx,
             parts: PartTable::build(self.store),
             project,
             governor: self.governor.clone(),
             max_tuples: self.max_tuples,
-        }
+        };
+        (env, tree)
     }
 
     /// Runs the query and also returns execution statistics.
     pub fn run_with_stats(&self) -> Result<(ResultTable, ExecStats), EngineError> {
-        let env = self.env(true);
-        let tree = op::query_tree(self.a, &env.ctx.plan.order);
+        let (env, tree) = self.build(true);
         let mut st = PipelineState::new(self.a, &env.ctx.plan.order);
         tree.execute(&env, &mut st)?;
         let mut table = st
@@ -117,8 +121,7 @@ impl<'a> MultieventExec<'a> {
     pub(crate) fn join(
         &self,
     ) -> Result<(ExecEnv<'a>, RefArena, Option<Warning>, ExecStats), EngineError> {
-        let env = self.env(false);
-        let tree = op::join_tree(&env.ctx.plan.order);
+        let (env, tree) = self.build(false);
         let mut st = PipelineState::new(self.a, &env.ctx.plan.order);
         tree.execute(&env, &mut st)?;
         let (tuples, cap_trip, stats) = (st.frontier, st.cap_trip, st.stats);

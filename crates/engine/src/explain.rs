@@ -1,23 +1,26 @@
 //! Query plan explanation.
 //!
-//! `EXPLAIN` for AIQL: shows how the engine will schedule a query — the
-//! per-pattern data queries, their selectivity estimates, the resolved
-//! entity-candidate set sizes, the partitions each scan touches, and the
-//! join drive's fan-out — without running it. The web UI's
+//! `EXPLAIN` for AIQL: how the engine will run a query, without running
+//! it. [`crate::Engine::explain`] dispatches like execution and plans
+//! through the executor's own builder (`MultieventExec::build`): the same
+//! resolution, estimates and pruning-power order (through the engine's
+//! plan cache), and the same operator tree. `plan` walks that tree once
+//! and asks each operator to describe the decision its `run` makes
+//! ([`crate::op::Operator::describe`]); nothing here re-derives a choice
+//! from the configuration, so what is shown is what runs. An anomaly
+//! query's plan is rooted at its window loop. The web UI's
 //! execution-status panel surfaces this; the `repl` example exposes it as
 //! `:explain`.
 
 use std::fmt::Write as _;
 
-use aiql_lang::{Query, WindowSpec};
-use aiql_model::TimeWindow;
+use aiql_lang::Query;
 use aiql_storage::EventStore;
 
-use crate::analyze::{self, AnalyzedMultievent};
-use crate::engine::EngineConfig;
-use crate::error::EngineError;
+use crate::analyze::AnalyzedAnomaly;
+use crate::exec::MultieventExec;
 use crate::governor::ExecBudget;
-use crate::schedule;
+use crate::op::{ExecEnv, PatternScan, PlanNode, SemiJoinNarrow};
 
 /// The plan of one pattern's data query.
 #[derive(Debug, Clone)]
@@ -30,10 +33,10 @@ pub struct PatternPlan {
     pub position: usize,
     /// Estimated matching events from storage statistics.
     pub estimate: usize,
-    /// Resolved candidate-set size for the subject variable
-    /// (`None` = unconstrained).
+    /// Size of the subject id set the scan pushes down (`None` = none:
+    /// unconstrained, or checked per row without entity pushdown).
     pub subject_candidates: Option<usize>,
-    /// Resolved candidate-set size for the object variable.
+    /// Size of the object id set the scan pushes down.
     pub object_candidates: Option<usize>,
     /// Hypertable partitions the data query will touch.
     pub partitions: usize,
@@ -42,22 +45,35 @@ pub struct PatternPlan {
     pub segments: usize,
 }
 
-/// One node of the physical operator tree, as `EXPLAIN` renders it:
-/// the same shape [`crate::op::query_tree`] assembles for execution.
+/// One node of the physical operator tree, as `EXPLAIN` renders it: a
+/// node of the tree [`crate::op::plan_tree`] builds for execution.
 #[derive(Debug, Clone)]
 pub struct OpPlanNode {
     /// Operator kind (`PatternScan`, `SemiJoinNarrow`, `TemporalJoin`,
     /// `Project`, `Aggregate`) — matches [`crate::op::OpStat::kind`] — or
     /// `SlidingWindow`, an anomaly query's window loop.
     pub kind: &'static str,
-    /// Human-readable operator detail (pattern, estimates, access path,
-    /// fan-out).
+    /// Pattern index (source order) for per-pattern operators — matches
+    /// [`crate::op::OpStat::pattern`].
+    pub pattern: Option<usize>,
+    /// The operator's own description of what it will do
+    /// ([`crate::op::Operator::describe`]).
     pub detail: String,
     /// Child operators (executed before this one).
     pub children: Vec<OpPlanNode>,
 }
 
 impl OpPlanNode {
+    /// The description of an operator tree, node for node.
+    fn of(node: &PlanNode, env: &ExecEnv<'_>) -> Self {
+        OpPlanNode {
+            kind: node.op.kind(),
+            pattern: node.op.pattern(),
+            detail: node.op.describe(env),
+            children: node.children.iter().map(|c| Self::of(c, env)).collect(),
+        }
+    }
+
     fn render_into(&self, out: &mut String, depth: usize) {
         let _ = writeln!(out, "  {}{} {}", "  ".repeat(depth), self.kind, self.detail);
         for c in &self.children {
@@ -141,65 +157,59 @@ impl QueryPlan {
     }
 }
 
-/// Builds the execution plan for a query without executing it: the plan
-/// `config` runs under `budget`, the budget the query would execute with.
-pub fn explain(
-    store: &EventStore,
+/// The plan `exec` would run for `query`: its own environment and
+/// operator tree, described operator by operator, under a `SlidingWindow`
+/// root for an anomaly query (`windows`). `budget` is the one `exec` runs
+/// under.
+pub(crate) fn plan(
+    exec: &MultieventExec<'_>,
     query: &Query,
-    config: &EngineConfig,
+    windows: Option<&AnalyzedAnomaly>,
     budget: &ExecBudget,
-) -> Result<QueryPlan, EngineError> {
-    let (analyzed, kind, rewritten): (AnalyzedMultievent, &'static str, bool) = match query {
-        Query::Multievent(m) => (analyze::analyze_multievent(m, store)?, "multievent", false),
-        Query::Dependency(d) => {
-            let m = aiql_lang::dependency_to_multievent(d)?;
-            (analyze::analyze_multievent(&m, store)?, "dependency", true)
-        }
-        Query::Anomaly(a) => {
-            let an = analyze::analyze_anomaly(a, store)?;
-            (an.base, "anomaly", false)
-        }
+) -> QueryPlan {
+    let kind = match query {
+        Query::Multievent(_) => "multievent",
+        Query::Dependency(_) => "dependency",
+        Query::Anomaly(_) => "anomaly",
     };
-    let window = match query {
-        Query::Anomaly(a) => a.globals.window,
-        _ => None,
-    };
-    let resolved = schedule::resolve_vars(&analyzed, store);
-    let plan = schedule::plan(&analyzed, store, &resolved, config.prioritize_pruning);
-    let patterns: Vec<PatternPlan> = analyzed
-        .patterns
-        .iter()
+    let (env, tree) = exec.build(windows.is_none());
+    let mut operators = OpPlanNode::of(&tree, &env);
+    if let Some(an) = windows {
+        operators = OpPlanNode {
+            kind: "SlidingWindow",
+            pattern: None,
+            detail: crate::anomaly::describe(an),
+            children: vec![operators],
+        };
+    }
+    let order = &env.ctx.plan.order;
+    let patterns = (env.a.patterns.iter())
         .map(|p| {
-            let filter = schedule::base_filter(&analyzed, p.index, &resolved);
-            let keys = store.partitions_for(&filter);
+            let filter = SemiJoinNarrow::unbound_filter(&env, p.index);
+            let (partitions, segments) = PatternScan::layout(&env, &filter);
             PatternPlan {
                 index: p.index,
                 name: p.name.clone(),
-                position: plan
-                    .order
-                    .iter()
-                    .position(|&i| i == p.index)
-                    .expect("pattern scheduled"),
-                estimate: plan.estimates[p.index],
-                subject_candidates: resolved[p.subject].as_ref().map(Vec::len),
-                object_candidates: resolved[p.object].as_ref().map(Vec::len),
-                segments: segment_count(store, &keys),
-                partitions: keys.len(),
+                position: order.iter().position(|&i| i == p.index).unwrap_or(p.index),
+                estimate: env.ctx.plan.estimates[p.index],
+                subject_candidates: filter.subjects.as_ref().map(|s| s.len()),
+                object_candidates: filter.objects.as_ref().map(|s| s.len()),
+                partitions,
+                segments,
             }
         })
         .collect();
-    let operators = operator_tree(store, &analyzed, &resolved, &plan, config, budget, window);
-    Ok(QueryPlan {
+    QueryPlan {
         kind,
-        rewritten,
+        rewritten: kind == "dependency",
         patterns,
-        temporal_relations: analyzed.temporal.len(),
-        pruning_priority: config.prioritize_pruning,
-        parallelism: config.parallelism,
+        temporal_relations: env.a.temporal.len(),
+        pruning_priority: env.config.prioritize_pruning,
+        parallelism: env.config.parallelism,
         governor: governor_summary(budget),
-        overlay: overlay_summary(store),
+        overlay: overlay_summary(env.store),
         operators,
-    })
+    }
 }
 
 /// Renders the store's novelty-overlay state for `EXPLAIN`, or `None` when
@@ -235,184 +245,24 @@ fn governor_summary(budget: &ExecBudget) -> Option<String> {
     Some(parts.join(" | "))
 }
 
-/// Total columnar segments across a partition-key list — the layout
-/// density `EXPLAIN` reports next to the partition fan-out.
-fn segment_count(store: &EventStore, keys: &[aiql_storage::PartitionKey]) -> usize {
-    keys.iter()
-        .map(|&k| store.partition(k).map_or(0, |p| p.segment_count()))
-        .sum()
-}
-
-/// Builds the `EXPLAIN` rendering of the physical operator tree — the same
-/// shape [`crate::op::query_tree`] assembles for execution, annotated with
-/// estimates, chosen access paths, and the join drive's planned fan-out.
-fn operator_tree(
-    store: &EventStore,
-    a: &AnalyzedMultievent,
-    resolved: &schedule::ResolvedVars,
-    plan: &schedule::Schedule,
-    config: &EngineConfig,
-    budget: &ExecBudget,
-    window: Option<WindowSpec>,
-) -> OpPlanNode {
-    let scans: Vec<OpPlanNode> = plan
-        .order
-        .iter()
-        .enumerate()
-        .map(|(position, &i)| {
-            let p = &a.patterns[i];
-            let filter = schedule::base_filter(a, i, resolved);
-            let keys = store.partitions_for(&filter);
-            let partitions = keys.len();
-            let segments = segment_count(store, &keys);
-            // Which of this pattern's variables earlier patterns will have
-            // bound by the time it scans (the semi-join inputs).
-            let earlier = &plan.order[..position];
-            let mut narrowed_by: Vec<&str> = Vec::new();
-            if config.semi_join_pushdown {
-                for &e in earlier {
-                    let ep = &a.patterns[e];
-                    if [ep.subject, ep.object]
-                        .iter()
-                        .any(|v| *v == p.subject || *v == p.object)
-                    {
-                        narrowed_by.push(ep.name.as_str());
-                    }
-                }
-            }
-            let window_narrowed = config.temporal_narrowing
-                && a.temporal.iter().any(|t| {
-                    (t.left == i && earlier.contains(&t.right))
-                        || (t.right == i && earlier.contains(&t.left))
-                });
-            let mut semi_detail = if narrowed_by.is_empty() {
-                "pass-through".to_string()
-            } else {
-                format!("bindings from {}", narrowed_by.join(", "))
-            };
-            if window_narrowed {
-                semi_detail.push_str(" | window narrowed");
-            }
-            OpPlanNode {
-                kind: "PatternScan",
-                detail: format!(
-                    "{} est {} candidates | path {} | {} partition(s) / {} segment(s)",
-                    p.name,
-                    plan.estimates[i],
-                    store.access_path(&filter),
-                    partitions,
-                    segments,
-                ),
-                children: vec![OpPlanNode {
-                    kind: "SemiJoinNarrow",
-                    detail: format!("{} {}", p.name, semi_detail),
-                    children: Vec::new(),
-                }],
-            }
-        })
-        .collect();
-    // The drive that will run, whatever the budget: runs fan out on
-    // `parallelism` threads when the seed pattern's candidates — known only
-    // at run time — fill more than one run; below that floor the same plan
-    // runs serial (the run count caps the threads again at run time).
-    let drive = if config.parallelism > 1 {
-        format!(
-            "parallel ×{} worker(s) when seed ≥ {}",
-            config.parallelism,
-            crate::op::join::parallel_seed_floor(config)
-        )
-    } else {
-        "serial".to_string()
-    };
-    // The probe-reduction layers in effect (the time search only runs when
-    // a temporal relation exists to search by; sideways filters only when
-    // there is a second pattern to filter for).
-    let mut layers: Vec<&str> = Vec::new();
-    if !a.temporal.is_empty() {
-        layers.push("time-sorted runs");
-    }
-    if a.patterns.len() >= 2 {
-        layers.push("sideways filters");
-    }
-    // The drive pushes its tuples straight into the projection sink (an
-    // anomaly query's join feeds the window loop instead); name what it
-    // retains.
-    let sink =
-        (window.is_none()).then(|| format!(" → sink: {}", crate::op::project::sink_label(a)));
-    let join = OpPlanNode {
-        kind: "TemporalJoin",
-        detail: format!(
-            "{} pattern(s), {} temporal relation(s) | demand-driven blocked({}) drive, {} | tuple cap {}{}{}",
-            a.patterns.len(),
-            a.temporal.len(),
-            config.join_block_tuples,
-            drive,
-            budget.max_tuples,
-            if layers.is_empty() {
-                String::new()
-            } else {
-                format!(" | {}", layers.join(" + "))
-            },
-            sink.unwrap_or_default(),
-        ),
-        children: scans,
-    };
-    let (kind, head) = match window {
-        Some(w) => ("SlidingWindow", window_head(a, &w, &a.projection.lags)),
-        None => (
-            match a.projection.aggregated {
-                true => "Aggregate",
-                false => "Project",
-            },
-            format!("{} column(s)", a.ret.items.len()),
-        ),
-    };
-    OpPlanNode {
-        kind,
-        detail: format!(
-            "{head}{}{}{}",
-            if a.group_by.is_empty() {
-                String::new()
-            } else {
-                format!(" | group by {}", a.group_by.len())
-            },
-            if a.ret.distinct { " | distinct" } else { "" },
-            match a.limit {
-                Some(l) => format!(" | limit {l}"),
-                None => String::new(),
-            },
-        ),
-        children: vec![join],
-    }
-}
-
-/// The window loop's shape: window and step, how many windows the `at`
-/// range holds (without one, the data's span bounds them), and the history
-/// lags `having` reads.
-fn window_head(a: &AnalyzedMultievent, w: &WindowSpec, lags: &[(usize, u32)]) -> String {
-    let mut head = format!("{} / step {} | ", w.length, w.step);
-    let _ = match a.globals.window {
-        TimeWindow::ALL => write!(head, "windows over the data's span"),
-        r => {
-            let span = r.end.micros().abs_diff(r.start.micros());
-            write!(head, "{} window(s)", span.div_ceil(w.step.micros() as u64))
-        }
-    };
-    let mut lags: Vec<u32> = lags.iter().map(|&(_, lag)| lag).collect();
-    lags.sort_unstable();
-    lags.dedup();
-    if !lags.is_empty() {
-        let _ = write!(head, " | history lags {lags:?}");
-    }
-    head
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{Engine, EngineConfig};
+    use crate::error::EngineError;
     use aiql_lang::parse_query;
     use aiql_model::{AgentId, Operation, Timestamp};
     use aiql_storage::{EntitySpec, RawEvent};
+
+    /// The plan of `q` under `config` and `budget`.
+    fn explain(
+        store: &EventStore,
+        q: &Query,
+        config: &EngineConfig,
+        budget: &ExecBudget,
+    ) -> Result<QueryPlan, EngineError> {
+        Engine::new(config.clone()).explain(store, q, budget)
+    }
 
     /// The plan of a query run without a budget (`Engine::execute`).
     fn unbudgeted(store: &EventStore, q: &Query, config: &EngineConfig) -> QueryPlan {
@@ -490,6 +340,172 @@ mod tests {
         assert!(text.contains("e1"));
     }
 
+    /// The demo and case-study scenario stores at test scale, each with its
+    /// catalog (figs. 4 and 5): every query id with its parsed query.
+    fn catalogs() -> Vec<(EventStore, Vec<(&'static str, Query)>)> {
+        use aiql_sim::{build_store, queries, scenario, Scale};
+        let parsed = |catalog: Vec<queries::CatalogQuery>| {
+            (catalog.into_iter())
+                .map(|c| (c.id, parse_query(&c.aiql).unwrap()))
+                .collect()
+        };
+        let store = |s| build_store(&s, aiql_storage::StoreConfig::default());
+        vec![
+            (
+                store(scenario::scenario_demo(Scale::test())),
+                parsed(queries::demo_queries()),
+            ),
+            (
+                store(scenario::scenario_case_study(Scale::test())),
+                parsed(queries::case_study_queries()),
+            ),
+        ]
+    }
+
+    /// What a run of `q` under `config` executed: each operator's
+    /// `(kind, pattern)` in execution order, and the scan order. An anomaly
+    /// query's are its fetch's, the join subtree under the window loop.
+    fn executed(
+        store: &EventStore,
+        q: &Query,
+        config: &EngineConfig,
+    ) -> (Vec<(&'static str, Option<usize>)>, Vec<usize>) {
+        use crate::analyze::{analyze_anomaly, analyze_multievent};
+        let (a, anomaly) = match q {
+            Query::Multievent(m) => (analyze_multievent(m, store).unwrap(), false),
+            Query::Dependency(d) => {
+                let m = aiql_lang::dependency_to_multievent(d).unwrap();
+                (analyze_multievent(&m, store).unwrap(), false)
+            }
+            Query::Anomaly(an) => (analyze_anomaly(an, store).unwrap().base, true),
+        };
+        let exec = MultieventExec::new(store, &a, config);
+        let stats = match anomaly {
+            true => exec.match_tuples().unwrap().2,
+            false => exec.run_with_stats().unwrap().1,
+        };
+        (
+            stats.ops.iter().map(|o| (o.kind, o.pattern)).collect(),
+            stats.order,
+        )
+    }
+
+    /// Every node of a plan tree in post-order: children before their
+    /// parent, the order the driver runs them in.
+    fn post_order(node: &OpPlanNode) -> Vec<&OpPlanNode> {
+        let mut out: Vec<&OpPlanNode> = node.children.iter().flat_map(post_order).collect();
+        out.push(node);
+        out
+    }
+
+    /// The plan's patterns in scan order.
+    fn scan_order(plan: &QueryPlan) -> Vec<usize> {
+        let mut by_position: Vec<&PatternPlan> = plan.patterns.iter().collect();
+        by_position.sort_by_key(|p| p.position);
+        by_position.iter().map(|p| p.index).collect()
+    }
+
+    /// EXPLAIN under each of the paper's four scheduling switches off, and
+    /// under all five off, is the plan that runs: its scan order is the
+    /// run's, and no operator claims an optimization the configuration
+    /// turned off. The motivating case: with entity pushdown off, the
+    /// selective `rare` scan strips its id sets, so it must not name entity
+    /// postings, nor count subjects it does not push down.
+    #[test]
+    fn explain_tells_the_truth_under_every_ablation() {
+        let default = EngineConfig::default();
+        let configs = [
+            ("default", default.clone()),
+            (
+                "source order",
+                EngineConfig {
+                    prioritize_pruning: false,
+                    ..default.clone()
+                },
+            ),
+            (
+                "no entity pushdown",
+                EngineConfig {
+                    entity_pushdown: false,
+                    ..default.clone()
+                },
+            ),
+            (
+                "no semi-join pushdown",
+                EngineConfig {
+                    semi_join_pushdown: false,
+                    ..default.clone()
+                },
+            ),
+            (
+                "no temporal narrowing",
+                EngineConfig {
+                    temporal_narrowing: false,
+                    ..default.clone()
+                },
+            ),
+            ("unoptimized", EngineConfig::unoptimized()),
+        ];
+        let rare = parse_query(
+            r#"(at "03/19/2018") agentid = 2
+               proc p3 write file f1 as big
+               proc p1["%cmd.exe"] start proc p2["%osql.exe"] as rare
+               return p1"#,
+        )
+        .unwrap();
+        let mut catalogs = catalogs();
+        catalogs[0].1.push(("rare", rare));
+        for (name, config) in &configs {
+            // What the default plan shows at least once across the catalogs.
+            let mut shown = [false; 3];
+            for (store, queries) in &catalogs {
+                for (id, q) in queries {
+                    let plan = explain(store, q, config, &ExecBudget::unlimited()).unwrap();
+                    let (_, order) = executed(store, q, config);
+                    assert_eq!(scan_order(&plan), order, "{name} {id}: scan order");
+                    let nodes = post_order(&plan.operators);
+                    let details = |kind: &'static str| {
+                        (nodes.iter().filter(move |n| n.kind == kind)).map(|n| n.detail.as_str())
+                    };
+                    let claims = [
+                        details("PatternScan").any(|d| d.contains("entity-postings")),
+                        details("SemiJoinNarrow").any(|d| d.contains("bindings")),
+                        details("SemiJoinNarrow").any(|d| d.contains("window narrowed")),
+                    ];
+                    let on = [
+                        config.entity_pushdown,
+                        config.semi_join_pushdown,
+                        config.temporal_narrowing,
+                    ];
+                    for (k, claim) in claims.iter().enumerate() {
+                        assert!(on[k] || !claim, "{name} {id}: {}", plan.render());
+                        shown[k] |= claim;
+                    }
+                    if *id != "rare" {
+                        continue;
+                    }
+                    let rare = plan.patterns.iter().find(|p| p.name == "rare").unwrap();
+                    let scan = details("PatternScan")
+                        .find(|d| d.starts_with("rare"))
+                        .unwrap();
+                    let path = match config.entity_pushdown {
+                        true => "| path entity-postings∩op-postings |",
+                        false => "| path op-postings |",
+                    };
+                    assert!(scan.contains(path), "{name}: {scan}");
+                    let pushed = rare.subject_candidates.is_some_and(|n| n > 0);
+                    assert_eq!(pushed, config.entity_pushdown, "{name}");
+                }
+            }
+            if *name == "default" {
+                assert_eq!(
+                    shown, [true; 3],
+                    "the default plan shows every optimization"
+                );
+            }
+        }
+    }
+
     #[test]
     fn operator_tree_matches_execution_shape() {
         let store = store();
@@ -507,7 +523,7 @@ mod tests {
         };
         let plan = unbudgeted(&store, &q, &config);
         // Root: aggregation; one join; one scan chain per pattern, each
-        // with its narrowing child — the exact shape op::query_tree builds.
+        // with its narrowing child — the exact shape op::plan_tree builds.
         assert_eq!(plan.operators.kind, "Aggregate");
         assert_eq!(plan.operators.children.len(), 1);
         let join = &plan.operators.children[0];
@@ -534,6 +550,24 @@ mod tests {
         let text = plan.render();
         assert!(text.contains("physical operator tree:"));
         assert!(text.contains("TemporalJoin"));
+        // Over both catalogs, optimized and not, EXPLAIN's tree is the one
+        // that ran, operator for operator in execution order (an anomaly
+        // query's join subtree is its fetch).
+        for config in [EngineConfig::default(), EngineConfig::unoptimized()] {
+            for (store, queries) in &catalogs() {
+                for (id, q) in queries {
+                    let plan = unbudgeted(store, q, &config);
+                    let tree = match plan.operators.kind {
+                        "SlidingWindow" => &plan.operators.children[0],
+                        _ => &plan.operators,
+                    };
+                    let shown: Vec<_> = (post_order(tree).iter())
+                        .map(|n| (n.kind, n.pattern))
+                        .collect();
+                    assert_eq!(shown, executed(store, q, &config).0, "{id}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -83,7 +83,7 @@ pub mod service;
 pub use analyze::{analyze_multievent, AnalyzedGlobals, AnalyzedMultievent, AnalyzedPattern};
 pub use engine::{Engine, EngineConfig};
 pub use error::EngineError;
-pub use explain::{explain, QueryPlan};
+pub use explain::QueryPlan;
 pub use governor::{CancelToken, Clock, ExecBudget, Governor, ManualClock, SystemClock, Warning};
 pub use result::ResultTable;
 pub use service::{

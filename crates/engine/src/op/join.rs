@@ -226,13 +226,42 @@ impl Operator for TemporalJoin {
             ..io
         })
     }
-}
 
-/// The smallest seed the drive fans out over when `parallelism > 1`: more
-/// than one run's worth of tuples (a single run has nothing to fan out).
-/// EXPLAIN quotes it next to the worker count.
-pub(crate) fn parallel_seed_floor(config: &crate::engine::EngineConfig) -> usize {
-    config.join_block_tuples.max(1) + 1
+    /// The drive `drive_join` runs under every budget: serial, or fanned
+    /// out on `parallelism` threads once the seed — whose size only the
+    /// scans learn — fills more than one run; the budget's tuple cap; the
+    /// probe layers that apply (a time search needs a temporal relation,
+    /// sideways filters a second pattern); and the sink it delivers into
+    /// when the projection closes the pipeline (`join_refs`).
+    fn describe(&self, env: &ExecEnv<'_>) -> String {
+        let (a, config) = (env.a, env.config);
+        let (workers, floor) = (config.parallelism, config.join_block_tuples.max(1) + 1);
+        let drive = match workers > 1 {
+            true => format!("parallel ×{workers} worker(s) when seed ≥ {floor}"),
+            false => "serial".to_string(),
+        };
+        let mut detail = format!(
+            "{} pattern(s), {} temporal relation(s) | demand-driven blocked({}) drive, {drive} | tuple cap {}",
+            a.patterns.len(),
+            a.temporal.len(),
+            config.join_block_tuples,
+            env.max_tuples,
+        );
+        let layers: Vec<&str> = [
+            (!a.temporal.is_empty()).then_some("time-sorted runs"),
+            (a.patterns.len() >= 2).then_some("sideways filters"),
+        ]
+        .into_iter()
+        .flatten()
+        .collect();
+        if !layers.is_empty() {
+            detail.push_str(&format!(" | {}", layers.join(" + ")));
+        }
+        if env.project {
+            detail.push_str(&format!(" → sink: {}", ProjectionSink::describe(env)));
+        }
+        detail
+    }
 }
 
 /// Packs the at-most-two bound entity ids of a pattern into one `u64`

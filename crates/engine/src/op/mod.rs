@@ -15,9 +15,17 @@
 //! [`EventRef`] batches: it reads and writes the shared [`PipelineState`]
 //! (candidate batches, binding sets, time statistics, the tuple frontier)
 //! and reports its tuple in/out counts. The driver ([`crate::exec`])
-//! executes the tree post-order, timing each node into
-//! [`ExecStats::ops`]; `EXPLAIN` renders the same tree shape, so what is
-//! shown is what runs.
+//! builds the tree once per query ([`plan_tree`] over the schedule) and
+//! executes it post-order, timing each node into [`ExecStats::ops`].
+//!
+//! `EXPLAIN` ([`mod@crate::explain`]) walks the same [`PlanNode`]s, built
+//! by the same builder, and asks each operator to
+//! [`describe`](Operator::describe) itself: the decision its `run` will
+//! make, from the same configuration fields and filters `run` reads
+//! before any data flows (which patterns' bindings a narrowing ANDs in,
+//! the access path a scan takes, the join's drive and sink). Execution
+//! never calls `describe`, so what is shown is what runs at no cost to
+//! running it.
 //!
 //! Operator execution order is dataflow order: for each scheduled pattern,
 //! narrow then scan; then join; then project.
@@ -557,7 +565,7 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Renders the per-operator statistics as indented text — the
-    /// `EXPLAIN ANALYZE` companion of [`crate::explain()`]'s static plan:
+    /// `EXPLAIN ANALYZE` companion of [`crate::Engine::explain`]'s static plan:
     /// what each operator actually did (timings, row flow, fan-out, and the
     /// join's per-step probe-reduction counters).
     pub fn render(&self) -> String {
@@ -773,6 +781,11 @@ pub trait Operator: std::fmt::Debug + Send + Sync {
         env: &'e ExecEnv<'_>,
         st: &mut PipelineState<'e>,
     ) -> Result<OpStat, EngineError>;
+
+    /// The decision [`Operator::run`] will make, as `EXPLAIN` prints it: read
+    /// from the same configuration fields, plan and filters `run` reads
+    /// before any data flows, so the two cannot drift.
+    fn describe(&self, env: &ExecEnv<'_>) -> String;
 }
 
 /// A node of the physical plan tree.
@@ -807,9 +820,10 @@ impl PlanNode {
     }
 }
 
-/// Builds the join subtree: one `SemiJoinNarrow → PatternScan` chain per
-/// pattern in schedule order, feeding the `TemporalJoin`.
-pub fn join_tree(order: &[usize]) -> PlanNode {
+/// Builds the operator tree: one `SemiJoinNarrow → PatternScan` chain per
+/// pattern in schedule order, feeding the `TemporalJoin`, under
+/// `Project`/`Aggregate` when the query's projection closes it (`project`).
+pub fn plan_tree(a: &AnalyzedMultievent, order: &[usize], project: bool) -> PlanNode {
     let scans = order
         .iter()
         .map(|&i| PlanNode {
@@ -820,16 +834,15 @@ pub fn join_tree(order: &[usize]) -> PlanNode {
             }],
         })
         .collect();
-    PlanNode {
+    let join = PlanNode {
         op: Box::new(TemporalJoin::new()),
         children: scans,
-    }
-}
-
-/// Builds the full query tree: `Project`/`Aggregate` over the join subtree.
-pub fn query_tree(a: &AnalyzedMultievent, order: &[usize]) -> PlanNode {
-    PlanNode {
-        op: Box::new(Project::new(a.projection.aggregated)),
-        children: vec![join_tree(order)],
+    };
+    match project {
+        true => PlanNode {
+            op: Box::new(Project::new(a.projection.aggregated)),
+            children: vec![join],
+        },
+        false => join,
     }
 }

@@ -92,6 +92,22 @@ impl Operator for Project {
             ..OpStat::default()
         })
     }
+
+    /// The columns and the shape `finish` closes the table to.
+    fn describe(&self, env: &ExecEnv<'_>) -> String {
+        let a = env.a;
+        let limit = a.limit.map(|l| format!(" | limit {l}")).unwrap_or_default();
+        format!("{} column(s){}{limit}", a.ret.items.len(), grouping(a))
+    }
+}
+
+/// The grouping a projection closes with, as `EXPLAIN` prints it after the
+/// columns of `Project` or the windows of an anomaly query's loop:
+/// ` | group by N` and ` | distinct`, each when present.
+pub(crate) fn grouping(a: &AnalyzedMultievent) -> String {
+    let by = (!a.group_by.is_empty()).then(|| format!(" | group by {}", a.group_by.len()));
+    let distinct = if a.ret.distinct { " | distinct" } else { "" };
+    format!("{}{distinct}", by.unwrap_or_default())
 }
 
 /// Largest magnitude below which every integer-valued `f64` sum is exact,
@@ -331,28 +347,6 @@ pub(crate) fn compile_projection(
     })
 }
 
-/// What the sink of a query retains, as `EXPLAIN` names it on the join
-/// node: `count` / `sum, avg by (p1)` / `distinct(p1, f2)` / `rows`.
-pub(crate) fn sink_label(a: &AnalyzedMultievent) -> String {
-    let join = |names: Vec<String>| names.join(", ");
-    let aggs = collect_aggs(a);
-    if !aggs.is_empty() || !a.group_by.is_empty() {
-        let mut label = join(aggs.iter().map(|(_, f, _)| format!("{f:?}")).collect());
-        if !a.group_by.is_empty() {
-            let keys = a.group_by.iter().map(aiql_lang::pretty::print_expr);
-            label.push_str(&format!(" by ({})", join(keys.collect())));
-        }
-        label.trim_start().to_lowercase()
-    } else if a.ret.distinct {
-        format!(
-            "distinct({})",
-            join(a.ret.items.iter().map(column_name).collect())
-        )
-    } else {
-        "rows".to_string()
-    }
-}
-
 /// The bit pattern `distinct` and `group by` compare a value by — its type
 /// tag and payload: equal exactly when [`ResultTable::row_key`] renders the
 /// two values alike (`Int(1)` ≠ `Float(1.0)`, `0.0` ≠ `-0.0`, every NaN one
@@ -523,6 +517,34 @@ impl<'e> ProjectionSink<'e> {
             pushed: 0,
             vals: Vec::new(),
             tuple: RefArena::new(env.a.patterns.len(), env.a.vars.len()),
+        }
+    }
+
+    /// What a sink of the query retains, the state `new` picks, as the
+    /// join's `EXPLAIN` line names it: `count` / `sum, avg by (p1)` /
+    /// `distinct(p1, f2)` / `rows`.
+    pub(crate) fn describe(env: &ExecEnv<'_>) -> String {
+        let (a, cp) = (env.a, &env.a.projection);
+        if !cp.aggregated {
+            let items: Vec<String> = a.ret.items.iter().map(column_name).collect();
+            return match a.ret.distinct {
+                true => format!("distinct({})", items.join(", ")),
+                false => "rows".to_string(),
+            };
+        }
+        let aggs: Vec<String> = (cp.aggs.iter())
+            .map(|(f, _)| format!("{f:?}").to_lowercase())
+            .collect();
+        let keys: Vec<String> = a
+            .group_by
+            .iter()
+            .map(aiql_lang::pretty::print_expr)
+            .collect();
+        match keys.is_empty() {
+            true => aggs.join(", "),
+            false => format!("{} by ({})", aggs.join(", "), keys.join(", "))
+                .trim_start()
+                .to_string(),
         }
     }
 

@@ -1,7 +1,7 @@
 //! `PatternScan`: one pattern's data query against the partitioned store.
 //!
 //! Consumes the narrowed filter staged by
-//! [`SemiJoinNarrow`](crate::op::SemiJoinNarrow), scans the matching
+//! [`SemiJoinNarrow`], scans the matching
 //! hypertable partitions on the query thread, and publishes the candidates
 //! — selection vectors turned into [`EventRef`]s — plus the binding sets,
 //! join-key domains and time statistics later operators narrow with. One
@@ -15,7 +15,7 @@ use aiql_storage::{EventFilter, IdSet, PartitionKey};
 
 use crate::error::EngineError;
 use crate::eval;
-use crate::op::{EventRef, ExecEnv, OpStat, Operator, PipelineState};
+use crate::op::{EventRef, ExecEnv, OpStat, Operator, PipelineState, SemiJoinNarrow};
 
 /// The scan operator of one pattern.
 #[derive(Debug, Clone, Copy)]
@@ -26,6 +26,17 @@ pub struct PatternScan {
 impl PatternScan {
     pub(crate) fn new(pattern: usize) -> Self {
         PatternScan { pattern }
+    }
+
+    /// The partitions a scan of `filter` reads, and their columnar segments
+    /// (as many as partitions on a fully compacted store; more on a
+    /// fragmented one).
+    pub(crate) fn layout(env: &ExecEnv<'_>, filter: &EventFilter) -> (usize, usize) {
+        let keys = env.store.partitions_for(filter);
+        let segments = (keys.iter())
+            .map(|&k| env.store.partition(k).map_or(0, |p| p.segment_count()))
+            .sum();
+        (keys.len(), segments)
     }
 }
 
@@ -88,6 +99,20 @@ impl Operator for PatternScan {
             rows_out: fetched,
             ..OpStat::default()
         })
+    }
+
+    /// The schedule's estimate, and the access path and layout of the
+    /// filter the narrowing stages before any binding arrives.
+    fn describe(&self, env: &ExecEnv<'_>) -> String {
+        let i = self.pattern;
+        let filter = SemiJoinNarrow::unbound_filter(env, i);
+        let (partitions, segments) = Self::layout(env, &filter);
+        format!(
+            "{} est {} candidates | path {} | {partitions} partition(s) / {segments} segment(s)",
+            env.a.patterns[i].name,
+            env.ctx.plan.estimates[i],
+            env.store.access_path(&filter),
+        )
     }
 }
 

@@ -18,6 +18,7 @@ use aiql_lang::TemporalOp;
 use aiql_model::{TimeWindow, Timestamp};
 use aiql_storage::EventFilter;
 
+use crate::analyze::TemporalConstraint;
 use crate::error::EngineError;
 use crate::op::{ExecEnv, OpStat, Operator, PipelineState};
 
@@ -30,6 +31,27 @@ pub struct SemiJoinNarrow {
 impl SemiJoinNarrow {
     pub(crate) fn new(pattern: usize) -> Self {
         SemiJoinNarrow { pattern }
+    }
+
+    /// The filter the narrowing of pattern `i` starts from, before any
+    /// binding or time bound arrives: its base filter, with the dictionary
+    /// id sets stripped without entity pushdown (the scan then checks the
+    /// constraints per row).
+    pub(crate) fn unbound_filter(env: &ExecEnv<'_>, i: usize) -> EventFilter {
+        let mut filter = env.ctx.filters[i].clone();
+        if !env.config.entity_pushdown {
+            filter.subjects = None;
+            filter.objects = None;
+        }
+        filter
+    }
+
+    /// Whether a variable of the pattern is unsatisfiable while the scan,
+    /// without entity pushdown, would not see it: the pipeline stops here.
+    fn stops(&self, env: &ExecEnv<'_>) -> bool {
+        let p = &env.a.patterns[self.pattern];
+        !env.config.entity_pushdown
+            && (env.a.vars[p.subject].unsatisfiable || env.a.vars[p.object].unsatisfiable)
     }
 }
 
@@ -46,32 +68,22 @@ impl Operator for SemiJoinNarrow {
         if st.done {
             return Ok(OpStat::default());
         }
-        let a = env.a;
         let i = self.pattern;
-        let p = &a.patterns[i];
-        let mut filter = env.ctx.filters[i].clone();
-        if !env.config.entity_pushdown {
-            // Without the domain-specific pushdown the scan cannot use
-            // entity posting lists; constraints are verified per row by the
-            // scan (but unsatisfiable constraints still short-circuit).
-            if a.vars[p.subject].unsatisfiable || a.vars[p.object].unsatisfiable {
-                st.done = true;
-                return Ok(OpStat::default());
-            }
-            filter.subjects = None;
-            filter.objects = None;
+        let p = &env.a.patterns[i];
+        if self.stops(env) {
+            st.done = true;
+            return Ok(OpStat::default());
         }
+        let mut filter = Self::unbound_filter(env, i);
         let mut bound_in = 0;
         let mut pushed = 0;
         if env.config.semi_join_pushdown {
-            for (var, is_subject) in [(p.subject, true), (p.object, false)] {
+            for (var, slot) in [
+                (p.subject, &mut filter.subjects),
+                (p.object, &mut filter.objects),
+            ] {
                 if let Some(b) = st.bound.get(&var) {
                     bound_in += b.len();
-                    let slot = if is_subject {
-                        &mut filter.subjects
-                    } else {
-                        &mut filter.objects
-                    };
                     match slot {
                         // In-place bitmap AND — no per-pattern set rebuild.
                         Some(existing) => existing.intersect_with(b),
@@ -90,6 +102,40 @@ impl Operator for SemiJoinNarrow {
             rows_out: pushed,
             ..OpStat::default()
         })
+    }
+
+    /// The patterns scanned before this one whose bindings `run` ANDs in
+    /// (none without semi-join pushdown), whether a temporal relation to
+    /// one of them narrows the window, and whether entity pushdown is off,
+    /// stripping the id sets or stopping the pipeline.
+    fn describe(&self, env: &ExecEnv<'_>) -> String {
+        let (a, i, config) = (env.a, self.pattern, env.config);
+        let p = &a.patterns[i];
+        let order = &env.ctx.plan.order;
+        let scanned = &order[..order.iter().position(|&j| j == i).unwrap_or(0)];
+        let shares = |v: usize| v == p.subject || v == p.object;
+        let binders: Vec<&str> = (scanned.iter().map(|&j| &a.patterns[j]))
+            .filter(|e| shares(e.subject) || shares(e.object))
+            .map(|e| e.name.as_str())
+            .collect();
+        let mut detail = match binders.is_empty() || !config.semi_join_pushdown {
+            true => format!("{} pass-through", p.name),
+            false => format!("{} bindings from {}", p.name, binders.join(", ")),
+        };
+        let related = |t: &TemporalConstraint| {
+            (t.left == i && scanned.contains(&t.right))
+                || (t.right == i && scanned.contains(&t.left))
+        };
+        if config.temporal_narrowing && a.temporal.iter().any(related) {
+            detail.push_str(" | window narrowed");
+        }
+        let ids = &env.ctx.filters[i];
+        if self.stops(env) {
+            detail.push_str(" | unsatisfiable: the pipeline stops");
+        } else if !config.entity_pushdown && (ids.subjects.is_some() || ids.objects.is_some()) {
+            detail.push_str(" | entity ids stripped, checked per row");
+        }
+        detail
     }
 }
 

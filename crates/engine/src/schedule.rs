@@ -21,19 +21,9 @@ use crate::analyze::AnalyzedMultievent;
 /// `Some(empty)` = unsatisfiable.
 pub type ResolvedVars = Vec<Option<Vec<EntityId>>>;
 
-/// Resolves every variable's entity constraints against the dictionary.
-pub fn resolve_vars(a: &AnalyzedMultievent, store: &EventStore) -> ResolvedVars {
-    resolve_vars_cached(a, store, None)
-}
-
-/// The one resolution loop both the cached and uncached paths share: the
-/// unsatisfiable / unconstrained special cases are encoded exactly once,
-/// and only the dictionary `find` is memoized.
-fn resolve_vars_cached(
-    a: &AnalyzedMultievent,
-    store: &EventStore,
-    cache: Option<&PlanCache>,
-) -> ResolvedVars {
+/// Resolves every variable's entity constraints against the dictionary,
+/// memoizing each `find` in `cache` when given.
+fn resolve(a: &AnalyzedMultievent, store: &EventStore, cache: Option<&PlanCache>) -> ResolvedVars {
     a.vars
         .iter()
         .map(|v| {
@@ -65,50 +55,28 @@ pub struct Schedule {
     pub estimates: Vec<usize>,
 }
 
-/// Builds the base pushdown filter for one pattern (before binding
-/// propagation).
-pub fn base_filter(
-    a: &AnalyzedMultievent,
-    pattern_idx: usize,
-    resolved: &ResolvedVars,
-) -> EventFilter {
-    let p = &a.patterns[pattern_idx];
-    let mut filter = EventFilter::all()
-        .with_window(a.globals.window)
-        .with_ops(p.ops);
-    if let Some(agents) = &a.globals.agents {
-        filter = filter.with_agents(agents.clone());
-    }
-    if let Some(ids) = &resolved[p.subject] {
-        filter = filter.with_subjects(IdSet::from_iter(ids.iter().copied()));
-    }
-    if let Some(ids) = &resolved[p.object] {
-        filter = filter.with_objects(IdSet::from_iter(ids.iter().copied()));
-    }
-    filter
-}
-
-/// Plans the execution order of the query's patterns.
-///
-/// With `prioritize_pruning`, patterns are ordered by estimated match count
-/// ascending (ties broken by source order for determinism); otherwise the
-/// source order is kept — which is what a general-purpose engine does when
-/// it trusts the textual join order.
-pub fn plan(
-    a: &AnalyzedMultievent,
-    store: &EventStore,
-    resolved: &ResolvedVars,
-    prioritize_pruning: bool,
-) -> Schedule {
-    let estimates: Vec<usize> = (0..a.patterns.len())
-        .map(|i| store.estimate(&base_filter(a, i, resolved)))
-        .collect();
-    Schedule {
-        order: order_patterns(&estimates, prioritize_pruning),
-        estimates,
+/// The base pushdown filter of pattern `i`, before binding propagation.
+fn base_filter(a: &AnalyzedMultievent, i: usize, resolved: &ResolvedVars) -> EventFilter {
+    let p = &a.patterns[i];
+    let ids = |v: usize| {
+        resolved[v]
+            .as_ref()
+            .map(|ids| IdSet::from_iter(ids.iter().copied()))
+    };
+    EventFilter {
+        window: a.globals.window,
+        agents: a.globals.agents.clone(),
+        ops: p.ops,
+        subjects: ids(p.subject),
+        objects: ids(p.object),
+        ..EventFilter::all()
     }
 }
 
+/// The execution order: with `prioritize_pruning`, patterns by estimated
+/// match count ascending (ties broken by source order for determinism);
+/// otherwise the source order — what a general-purpose engine does when it
+/// trusts the textual join order.
 fn order_patterns(estimates: &[usize], prioritize_pruning: bool) -> Vec<usize> {
     let mut order: Vec<usize> = (0..estimates.len()).collect();
     if prioritize_pruning {
@@ -120,12 +88,11 @@ fn order_patterns(estimates: &[usize], prioritize_pruning: bool) -> Vec<usize> {
 /// The compiled shared phase of one query execution: resolved variable
 /// candidate sets, per-pattern base pushdown filters, and the schedule.
 ///
-/// Before this existed, both execution paths re-ran `resolve_vars`, built
-/// every base filter twice (once for estimates, once for execution), and
-/// `store.estimate` re-walked the partitions per pattern per scheduling
-/// pass. [`prepare`] computes everything once; with a [`PlanCache`]
-/// attached, repeated investigations (the paper's §6 interactive loop) skip
-/// dictionary resolution and estimation entirely until the store mutates.
+/// [`prepare`] is the one place a query is resolved, estimated and
+/// ordered — for execution and for `EXPLAIN` alike — and builds each base
+/// filter once; with a [`PlanCache`] attached, repeated investigations (the
+/// paper's §6 interactive loop) skip dictionary resolution and estimation
+/// entirely until the store mutates.
 #[derive(Debug, Clone)]
 pub struct PlanCtx {
     /// Per-variable resolved candidate id sets.
@@ -144,7 +111,7 @@ pub fn prepare(
     prioritize_pruning: bool,
     cache: Option<&PlanCache>,
 ) -> PlanCtx {
-    let resolved = resolve_vars_cached(a, store, cache);
+    let resolved = resolve(a, store, cache);
     let filters: Vec<EventFilter> = (0..a.patterns.len())
         .map(|i| base_filter(a, i, &resolved))
         .collect();
@@ -438,8 +405,7 @@ mod tests {
                return p1"#,
             &store,
         );
-        let resolved = resolve_vars(&a, &store);
-        let plan = plan(&a, &store, &resolved, true);
+        let plan = prepare(&a, &store, true, None).plan;
         assert_eq!(plan.order[0], 1, "start pattern must run first");
         assert!(plan.estimates[1] < plan.estimates[0]);
     }
@@ -453,8 +419,7 @@ mod tests {
                return p1"#,
             &store,
         );
-        let resolved = resolve_vars(&a, &store);
-        let plan = plan(&a, &store, &resolved, false);
+        let plan = prepare(&a, &store, false, None).plan;
         assert_eq!(plan.order, vec![0, 1]);
     }
 
@@ -465,18 +430,17 @@ mod tests {
             r#"proc p["not_in_dictionary.exe"] write file f as e return p"#,
             &store,
         );
-        let resolved = resolve_vars(&a, &store);
-        assert_eq!(resolved[0], Some(vec![]));
+        let ctx = prepare(&a, &store, true, None);
+        assert_eq!(ctx.resolved[0], Some(vec![]));
         // And the estimate reflects maximal pruning.
-        let plan = plan(&a, &store, &resolved, true);
-        assert_eq!(plan.estimates[0], 0);
+        assert_eq!(ctx.plan.estimates[0], 0);
     }
 
     #[test]
     fn unconstrained_variable_resolves_to_none() {
         let store = skewed_store();
         let a = analyzed("proc p write file f as e return p", &store);
-        let resolved = resolve_vars(&a, &store);
+        let resolved = prepare(&a, &store, true, None).resolved;
         assert!(resolved.iter().all(Option::is_none));
     }
 
@@ -489,14 +453,13 @@ mod tests {
                return p1"#,
             &store,
         );
-        let resolved = resolve_vars(&a, &store);
-        let uncached = plan(&a, &store, &resolved, true);
+        let uncached = prepare(&a, &store, true, None);
         let cache = PlanCache::default();
         for round in 0..3 {
             let ctx = prepare(&a, &store, true, Some(&cache));
-            assert_eq!(ctx.resolved, resolved, "round {round}");
-            assert_eq!(ctx.plan.order, uncached.order);
-            assert_eq!(ctx.plan.estimates, uncached.estimates);
+            assert_eq!(ctx.resolved, uncached.resolved, "round {round}");
+            assert_eq!(ctx.plan.order, uncached.plan.order);
+            assert_eq!(ctx.plan.estimates, uncached.plan.estimates);
         }
         let (hits, misses) = cache.counters();
         assert!(hits > 0, "repeat rounds must hit");

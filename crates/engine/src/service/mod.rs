@@ -532,7 +532,7 @@ impl QueryService {
         let budget = self.inner.budget_for(grant, CancelToken::new());
         self.inner
             .store
-            .read(|s| crate::explain::explain(s, &query, engine.config(), &budget))
+            .read(|s| engine.explain(s, &query, &budget))
             .map_err(ServiceError::from)
     }
 

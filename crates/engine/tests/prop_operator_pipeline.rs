@@ -33,7 +33,7 @@
 
 use aiql_baseline::naive::reference;
 use aiql_engine::exec::MultieventExec;
-use aiql_engine::{analyze_multievent, explain, schedule};
+use aiql_engine::{analyze_multievent, schedule};
 use aiql_engine::{Engine, EngineConfig, ExecBudget};
 use aiql_lang::{parse_query, Query};
 use aiql_model::{AgentId, Operation, Timestamp};
@@ -274,20 +274,19 @@ proptest! {
                 "query {:?} flags {:02b}: serial and parallel pipelines diverged",
                 src, flags
             );
-            let resolved = schedule::resolve_vars(&a, &store);
-            for pattern in 0..a.patterns.len() {
-                let filter = schedule::base_filter(&a, pattern, &resolved);
-                let pruned = store.partitions_for(&filter);
+            let ctx = schedule::prepare(&a, &store, true, None);
+            for (pattern, filter) in ctx.filters.iter().enumerate() {
+                let pruned = store.partitions_for(filter);
                 prop_assert!(pruned.windows(2).all(|w| w[0] < w[1]));
                 for key in store.partition_list() {
-                    let rows = full_scan_rows(&store, key, &filter);
+                    let rows = full_scan_rows(&store, key, filter);
                     prop_assert!(
                         rows.is_empty() || pruned.contains(&key),
                         "query {:?} pattern {}: pruning dropped {:?}, which has matches",
                         src, pattern, key
                     );
                     prop_assert_eq!(
-                        store.select_partition(key, &filter), rows,
+                        store.select_partition(key, filter), rows,
                         "query {:?} pattern {} partition {:?}: rows/order differ from the full scan",
                         src, pattern, key
                     );
@@ -679,7 +678,9 @@ fn drive_fans_out_exactly_when_the_seed_fills_more_than_one_run() {
             (runs, fanout),
             "a seed of {seed} with {b}-tuple runs"
         );
-        let plan = explain(&store, &q, &config, &ExecBudget::unlimited()).unwrap();
+        let plan = Engine::new(config.clone())
+            .explain(&store, &q, &ExecBudget::unlimited())
+            .unwrap();
         let label = &plan.operators.children[0].detail;
         let expected = format!("parallel ×2 worker(s) when seed ≥ {}", b + 1);
         assert!(label.contains(&expected), "{label}");

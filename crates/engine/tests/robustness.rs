@@ -429,10 +429,7 @@ fn unknown_names_are_analysis_errors() {
         one_event_store(Operation::Read),
     ];
     let engine = Engine::new(EngineConfig::default());
-    let (config, budget) = (
-        EngineConfig::default(),
-        aiql_engine::ExecBudget::unlimited(),
-    );
+    let budget = aiql_engine::ExecBudget::unlimited();
     let mut failures = Vec::new();
     for (src, expect, anomaly) in rows {
         let src = src.replace("P ", "proc p write file f as e ");
@@ -444,7 +441,7 @@ fn unknown_names_are_analysis_errors() {
             let errs: Vec<_> = (stores.iter())
                 .flat_map(|store| {
                     let run = engine.execute_text(store, form).map(|t| t.rows.len());
-                    let plan = aiql_engine::explain(store, &q, &config, &budget).map(|_| 0);
+                    let plan = engine.explain(store, &q, &budget).map(|_| 0);
                     [run, plan]
                 })
                 .collect();

@@ -101,10 +101,9 @@ impl Repl {
                     Err(e) => println!("{}", e.render(arg)),
                 },
                 "explain" => match aiql::parse_query(arg) {
-                    Ok(q) => match aiql::engine::explain(
+                    Ok(q) => match self.engine.explain(
                         &self.store,
                         &q,
-                        self.engine.config(),
                         &aiql::engine::ExecBudget::unlimited(),
                     ) {
                         Ok(plan) => println!("{}", plan.render()),

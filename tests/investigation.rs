@@ -219,13 +219,9 @@ fn explain_shows_scheduling_decisions() {
            return p1"#,
     )
     .unwrap();
-    let plan = aiql::engine::explain(
-        &store,
-        &q,
-        engine.config(),
-        &aiql::engine::ExecBudget::unlimited(),
-    )
-    .unwrap();
+    let plan = engine
+        .explain(&store, &q, &aiql::engine::ExecBudget::unlimited())
+        .unwrap();
     let rare = plan.patterns.iter().find(|p| p.name == "rare").unwrap();
     assert_eq!(rare.position, 0, "most selective pattern runs first");
     let text = plan.render();
