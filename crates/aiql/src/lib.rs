@@ -48,7 +48,7 @@ pub use aiql_model as model;
 pub use aiql_sim as sim;
 pub use aiql_storage as storage;
 
-pub use aiql_engine::{Engine, EngineConfig, EngineError, ResultTable};
+pub use aiql_engine::{Ablation, Engine, EngineConfig, EngineError, ResultTable};
 pub use aiql_lang::{parse_query, Query};
 pub use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
 

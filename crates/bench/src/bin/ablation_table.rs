@@ -9,7 +9,7 @@
 //! ```
 
 use aiql_bench::{fig4_store, time_best_of};
-use aiql_engine::{Engine, EngineConfig};
+use aiql_engine::{Ablation, Engine, EngineConfig};
 use aiql_sim::demo_queries;
 use aiql_storage::{EventStore, StoreConfig};
 
@@ -27,14 +27,19 @@ fn main() {
         .map(|q| q.aiql)
         .collect();
 
+    let on = Ablation::default();
+    let ablated = |ablation| EngineConfig {
+        ablation,
+        ..EngineConfig::default()
+    };
     let variants: Vec<(&str, EngineConfig)> = vec![
         ("full optimizations", EngineConfig::default()),
         (
             "- pruning priority",
-            EngineConfig {
+            ablated(Ablation {
                 prioritize_pruning: false,
-                ..EngineConfig::default()
-            },
+                ..on
+            }),
         ),
         (
             "- parallelism",
@@ -45,24 +50,24 @@ fn main() {
         ),
         (
             "- entity pushdown",
-            EngineConfig {
+            ablated(Ablation {
                 entity_pushdown: false,
-                ..EngineConfig::default()
-            },
+                ..on
+            }),
         ),
         (
             "- semi-join pushdown",
-            EngineConfig {
+            ablated(Ablation {
                 semi_join_pushdown: false,
-                ..EngineConfig::default()
-            },
+                ..on
+            }),
         ),
         (
             "- temporal narrowing",
-            EngineConfig {
+            ablated(Ablation {
                 temporal_narrowing: false,
-                ..EngineConfig::default()
-            },
+                ..on
+            }),
         ),
         ("all off", EngineConfig::unoptimized()),
     ];

@@ -14,42 +14,32 @@ use crate::governor::ExecBudget;
 use crate::result::ResultTable;
 use crate::schedule::PlanCache;
 
-/// Engine tunables. The paper's five domain-specific optimizations
-/// (`prioritize_pruning`, `parallelism`, `entity_pushdown`,
-/// `semi_join_pushdown`, `temporal_narrowing`) can be switched off
-/// individually — `parallelism: 1` is the paper's parallelism switch —
-/// which is how the fig. 5 ablation isolates their contributions;
-/// everything else the pipeline does is unconditional.
+/// What a caller chooses about the engine: how many threads a join fans
+/// out on, and which of the paper's scheduling optimizations run. Every
+/// other choice the pipeline makes is unconditional.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Threads a join's seed runs fan out on: the query thread plus
     /// `parallelism − 1` scoped threads, no more than there are runs. 1 =
-    /// everything runs on the query thread.
+    /// everything runs on the query thread (the paper's parallelism switch
+    /// off).
     pub parallelism: usize,
-    /// Schedule patterns by estimated pruning power (vs. source order).
-    pub prioritize_pruning: bool,
-    /// Resolve entity constraints against the dictionary and push the id
-    /// sets into the event scans as posting-list lookups — the paper's
-    /// per-pattern data-query synthesis. Without it, entity predicates are
-    /// evaluated per scanned row (hash-join style).
-    pub entity_pushdown: bool,
-    /// Push bindings of executed patterns into later data queries.
-    pub semi_join_pushdown: bool,
-    /// Narrow scan windows using temporal relations and observed bounds.
-    pub temporal_narrowing: bool,
-    /// Seed-frontier run size (in tuples) of the join drive: the seed
-    /// candidates are taken in runs of this many tuples, each driven
-    /// depth-first through every join step, and the runs fan out once
-    /// there is more than one. The result is byte-identical
-    /// across block sizes; smaller blocks bound live intermediate state
-    /// more tightly, larger blocks amortize per-run overhead.
+    /// The paper's four scheduling optimizations, each switchable off for
+    /// the fig. 5 ablation; all on by default.
+    pub ablation: Ablation,
+    /// Test hook: the join drive's seed-run size in tuples (the seed
+    /// candidates are taken in runs of this many, each driven depth-first
+    /// through every join step, and the runs fan out once there is more
+    /// than one). The result is byte-identical across block sizes; tests
+    /// shrink it to fan small seeds out.
+    #[doc(hidden)]
     pub join_block_tuples: usize,
-    /// Fault injection: panic at the start of every join-drive run, on
-    /// whichever thread drives it. In the parallel drive that exercises the
+    /// Test hook: panic at the start of every join-drive run, on whichever
+    /// thread drives it — in the parallel drive that exercises the
     /// panic-isolation path ([`EngineError::WorkerPanic`]); in the serial
     /// drive, whatever catches panics on the query thread (the service's
     /// dispatcher).
-    /// Tests only; never set in production configs.
+    #[doc(hidden)]
     pub inject_drive_panic: bool,
 }
 
@@ -59,10 +49,7 @@ impl Default for EngineConfig {
             parallelism: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
-            prioritize_pruning: true,
-            entity_pushdown: true,
-            semi_join_pushdown: true,
-            temporal_narrowing: true,
+            ablation: Ablation::default(),
             join_block_tuples: 4096,
             inject_drive_panic: false,
         }
@@ -78,11 +65,50 @@ impl EngineConfig {
     pub fn unoptimized() -> Self {
         EngineConfig {
             parallelism: 1,
+            ablation: Ablation::all_off(),
+            ..EngineConfig::default()
+        }
+    }
+}
+
+/// The paper's domain-specific scheduling optimizations, each of which can
+/// be switched off alone — which is how the fig. 5 ablation isolates their
+/// contributions (`EngineConfig::parallelism: 1` is the fifth). The
+/// default turns every one on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Ablation {
+    /// Schedule patterns by estimated pruning power (vs. source order).
+    pub prioritize_pruning: bool,
+    /// Resolve entity constraints against the dictionary and push the id
+    /// sets into the event scans as posting-list lookups — the paper's
+    /// per-pattern data-query synthesis. Without it, entity predicates are
+    /// evaluated per scanned row (hash-join style).
+    pub entity_pushdown: bool,
+    /// Push bindings of executed patterns into later data queries.
+    pub semi_join_pushdown: bool,
+    /// Narrow scan windows using temporal relations and observed bounds.
+    pub temporal_narrowing: bool,
+}
+
+impl Default for Ablation {
+    fn default() -> Self {
+        Ablation {
+            prioritize_pruning: true,
+            entity_pushdown: true,
+            semi_join_pushdown: true,
+            temporal_narrowing: true,
+        }
+    }
+}
+
+impl Ablation {
+    /// Every optimization off.
+    pub fn all_off() -> Self {
+        Ablation {
             prioritize_pruning: false,
             entity_pushdown: false,
             semi_join_pushdown: false,
             temporal_narrowing: false,
-            ..EngineConfig::default()
         }
     }
 }

@@ -84,7 +84,7 @@ impl<'a> MultieventExec<'a> {
         let ctx = schedule::prepare(
             self.a,
             self.store,
-            self.config.prioritize_pruning,
+            self.config.ablation.prioritize_pruning,
             self.plan_cache,
         );
         let tree = op::plan_tree(self.a, &ctx.plan.order, project);

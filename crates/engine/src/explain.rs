@@ -204,7 +204,7 @@ pub(crate) fn plan(
         rewritten: kind == "dependency",
         patterns,
         temporal_relations: env.a.temporal.len(),
-        pruning_priority: env.config.prioritize_pruning,
+        pruning_priority: env.config.ablation.prioritize_pruning,
         parallelism: env.config.parallelism,
         governor: governor_summary(budget),
         overlay: overlay_summary(env.store),
@@ -248,7 +248,7 @@ fn governor_summary(budget: &ExecBudget) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Engine, EngineConfig};
+    use crate::engine::{Ablation, Engine, EngineConfig};
     use crate::error::EngineError;
     use aiql_lang::parse_query;
     use aiql_model::{AgentId, Operation, Timestamp};
@@ -413,36 +413,40 @@ mod tests {
     /// postings, nor count subjects it does not push down.
     #[test]
     fn explain_tells_the_truth_under_every_ablation() {
-        let default = EngineConfig::default();
+        let on = Ablation::default();
+        let ablated = |ablation| EngineConfig {
+            ablation,
+            ..EngineConfig::default()
+        };
         let configs = [
-            ("default", default.clone()),
+            ("default", EngineConfig::default()),
             (
                 "source order",
-                EngineConfig {
+                ablated(Ablation {
                     prioritize_pruning: false,
-                    ..default.clone()
-                },
+                    ..on
+                }),
             ),
             (
                 "no entity pushdown",
-                EngineConfig {
+                ablated(Ablation {
                     entity_pushdown: false,
-                    ..default.clone()
-                },
+                    ..on
+                }),
             ),
             (
                 "no semi-join pushdown",
-                EngineConfig {
+                ablated(Ablation {
                     semi_join_pushdown: false,
-                    ..default.clone()
-                },
+                    ..on
+                }),
             ),
             (
                 "no temporal narrowing",
-                EngineConfig {
+                ablated(Ablation {
                     temporal_narrowing: false,
-                    ..default.clone()
-                },
+                    ..on
+                }),
             ),
             ("unoptimized", EngineConfig::unoptimized()),
         ];
@@ -473,9 +477,9 @@ mod tests {
                         details("SemiJoinNarrow").any(|d| d.contains("window narrowed")),
                     ];
                     let on = [
-                        config.entity_pushdown,
-                        config.semi_join_pushdown,
-                        config.temporal_narrowing,
+                        config.ablation.entity_pushdown,
+                        config.ablation.semi_join_pushdown,
+                        config.ablation.temporal_narrowing,
                     ];
                     for (k, claim) in claims.iter().enumerate() {
                         assert!(on[k] || !claim, "{name} {id}: {}", plan.render());
@@ -488,13 +492,13 @@ mod tests {
                     let scan = details("PatternScan")
                         .find(|d| d.starts_with("rare"))
                         .unwrap();
-                    let path = match config.entity_pushdown {
+                    let path = match config.ablation.entity_pushdown {
                         true => "| path entity-postings∩op-postings |",
                         false => "| path op-postings |",
                     };
                     assert!(scan.contains(path), "{name}: {scan}");
                     let pushed = rare.subject_candidates.is_some_and(|n| n > 0);
-                    assert_eq!(pushed, config.entity_pushdown, "{name}");
+                    assert_eq!(pushed, config.ablation.entity_pushdown, "{name}");
                 }
             }
             if *name == "default" {
@@ -738,10 +742,8 @@ mod tests {
                return p1"#,
         )
         .unwrap();
-        let config = EngineConfig {
-            prioritize_pruning: false,
-            ..EngineConfig::default()
-        };
+        let mut config = EngineConfig::default();
+        config.ablation.prioritize_pruning = false;
         let plan = unbudgeted(&store, &q, &config);
         let big = plan.patterns.iter().find(|p| p.name == "big").unwrap();
         assert_eq!(big.position, 0);

@@ -61,7 +61,8 @@
 //! projection ([`eval`]), so a query that names something the schema lacks
 //! is an error whether or not anything matches, and execution has one
 //! evaluator. The paper's five optimizations are individually toggleable
-//! through [`EngineConfig`] for the fig. 5 ablation. The property-testing
+//! for the fig. 5 ablation: [`EngineConfig`]'s `parallelism` and its
+//! [`Ablation`]. The property-testing
 //! oracle — a tiny, obviously-correct brute-force executor over a dynamic
 //! evaluator — lives with the baselines, in `aiql_baseline::naive`.
 
@@ -81,7 +82,7 @@ pub mod schedule;
 pub mod service;
 
 pub use analyze::{analyze_multievent, AnalyzedGlobals, AnalyzedMultievent, AnalyzedPattern};
-pub use engine::{Engine, EngineConfig};
+pub use engine::{Ablation, Engine, EngineConfig};
 pub use error::EngineError;
 pub use explain::QueryPlan;
 pub use governor::{CancelToken, Clock, ExecBudget, Governor, ManualClock, SystemClock, Warning};

@@ -27,62 +27,62 @@
 //! step's domains before any tuple exists. All of it counts into
 //! `filter_pruned`; none of it changes a result.
 //!
-//! ## The drive
+//! ## The drive: one level evaluator
 //!
 //! There is one drive, for every pattern count. The seed candidates are
-//! taken in runs of `join_block_tuples` tuples, and each run is driven
-//! depth-first through *every* step before the next run starts. Within a
-//! run the recursion is *chunked*: a non-final step consumes its input in
-//! `EXPAND_CHUNK`-tuple windows, probes one window into the level's
-//! reused scratch arena (one **expansion**, capped at the budget's tuple
-//! cap, `ExecBudget::max_tuples`), and recurses on the expansion before the
-//! next window runs. The
-//! final step delivers straight into the drive's `JoinOutput`: the
-//! projection sink when the query's projection closes the pipeline — each
-//! joined tuple is evaluated as it is found and never written anywhere;
-//! what is kept is what `return` needs (see `op/project.rs`) — or an output
-//! arena when nothing projects (`match_tuples`, an anomaly query's fetch).
-//! A single-pattern query has no join: its seed *is* the final step, and
-//! the candidates are delivered in candidate order.
+//! taken in runs of `join_block_tuples` tuples, and each run goes through
+//! one recursive evaluator, `level(k, window)`, depth-first through *every*
+//! level before the next run starts (level 0 is the seed, level `k ≥ 1`
+//! probe step `k − 1`). A non-final level probes its window into the
+//! level's reused scratch arena (one **expansion**, capped at the budget's
+//! tuple cap, `ExecBudget::max_tuples`; the seed's is exempt) and drives
+//! the expansion through the next level in `EXPAND_CHUNK`-tuple windows
+//! before its next window runs. The final level delivers straight into the
+//! drive's `JoinOutput`: the projection sink when the query's projection
+//! closes the pipeline — each joined tuple is evaluated as it is found and
+//! never written anywhere; what is kept is what `return` needs (see
+//! `op/project.rs`) — or an output arena when nothing projects
+//! (`match_tuples`, an anomaly query's fetch). A single-pattern query has
+//! no join: its seed *is* the final level, delivered in candidate order.
 //!
-//! ## Memoised suffixes
+//! ## The memo is a property of a level
 //!
 //! A level's downstream contribution depends only on its tuple's
 //! *interface*: what the remaining levels can observe of it — the ids of
 //! the variables their index keys read and the events their time relations
-//! read, both bound above the level (`Interface`). When the output sees
-//! the remaining levels only in aggregate, the drive keeps a per-run memo
-//! from interface to contribution and computes each distinct interface
-//! once. Two output shapes qualify:
+//! read, both bound above the level (`Interface`). `plan_levels` gives every
+//! level a plan: its interface, what it delivers per tuple (tuples, a count
+//! or ids) and whether it stores a per-run memo from interface to entry.
+//! Only outputs that see the last levels in aggregate take counts or ids:
 //!
 //! * **Counted suffix.** The longest suffix of levels whose events and
 //!   first-bound variables the projection does not read — the last may
-//!   still be read as `count(<its event>.<column>)`. The final level counts
-//!   its matches; at the suffix's first level each tuple delivers its
-//!   subtree's count in one `emit_count`. A memo miss enumerates the
-//!   tuple's matches at its level and takes each one's count from the next
-//!   level's memo.
+//!   still be read as `count(<its event>.<column>)` — delivers counts. An
+//!   entry is the tuple's subtree count plus the tuples it materialises at
+//!   each non-final level below; a miss enumerates the tuple's matches and
+//!   adds each one's entry at the next level.
 //! * **Distinct final level.** For an id-keyed `distinct` (every item an
 //!   entity reference, no `having`) that reads variables the final level
-//!   binds first, the memo holds an interface's match count and its
-//!   matches' distinct projected ids in first-seen order. A tuple whose
-//!   other projected ids and interface were delivered earlier in the run is
-//!   only counted; any other delivers its memoised ids (`emit_ids`).
+//!   binds first, the final level delivers ids: an entry is the match count
+//!   and the distinct projected ids in first-seen order. A tuple whose other
+//!   projected ids and entry were delivered earlier in the run only counts
+//!   (`emit_ids` with no ids).
 //!
-//! A level whose interface holds the seed's event computes without storing
-//! (no two tuples of a run share a seed event), and a suffix in which no
-//! level stores is not memoised: its final level counts tuple by tuple.
-//! Memoised windows (`EXPAND_CHUNK` tuples at the suffix's first level, or
-//! of the final level's input) run in two passes: the first takes every
-//! tuple's entry, the second delivers. A window is driven tuple by tuple
-//! instead when a cap could bind in it: when its deliveries could fill the
-//! output's room, or when the tuples it would materialise at any non-final
-//! suffix level reach the tuple cap. So every cap, `TupleCap` warning, cut
-//! level and emission-order prefix is the per-tuple drive's, and so is
-//! every delivered count; only the emission counters fall. The memo is
-//! cleared at each seed run, and under a memory budget its bytes — with
-//! a miss's scratch, like a level's — are live-charged until the run ends,
-//! so a fork's tally and the merge thread's charge of one run agree.
+//! A level whose interface holds the seed's event does not store (no two
+//! tuples of a run share a seed event); when no level stores, the
+//! evaluator runs with its memo off, which *is* the per-tuple drive — a
+//! counted final level then counts each tuple's matches. With the memo on,
+//! the first level that delivers counts or ids takes its window in two
+//! passes: every tuple's entry, then the deliveries. The fallback rule is
+//! the evaluator's `memo` parameter: a window where a cap could bind — its
+//! deliveries could fill the output's room, or the tuples it materialises
+//! at some non-final level reach the tuple cap — is driven again with the
+//! memo off, tuple by tuple. So every cap, `TupleCap` warning, cut level
+//! and emission-order prefix is the per-tuple drive's, and so is every
+//! delivered count; only the emission counters fall. The memo is cleared
+//! at each seed run, and under a memory budget its bytes — with a miss's
+//! scratch, like a level's — are live-charged until the run ends, so a
+//! fork's tally and the merge thread's charge of one run agree.
 //!
 //! Windows run in input order and the recursion is depth-first, so the
 //! output is in nested-loop emission order, and a prefix of it in that
@@ -96,7 +96,7 @@
 //! which also keeps sideways seed pruning emission-invariant under
 //! truncation); an expansion that hits the cap is still recursed on — its
 //! prefix's subtree finishes — and then cuts the run, stopping the drive
-//! after it; the final step draws on the output budget (the cap's worth of
+//! after it; the final level draws on the output budget (the cap's worth of
 //! delivered tuples across the whole drive). A cut names itself: the drive
 //! returns a `Warning::TupleCap` with the cap, the level that cut and the
 //! runs driven.
@@ -174,12 +174,6 @@ const EXPAND_CHUNK: usize = 256;
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TemporalJoin;
 
-impl TemporalJoin {
-    pub(crate) fn new() -> Self {
-        TemporalJoin
-    }
-}
-
 impl Operator for TemporalJoin {
     fn kind(&self) -> &'static str {
         "TemporalJoin"
@@ -202,7 +196,19 @@ impl Operator for TemporalJoin {
             .collect::<Result<_, _>>()?;
         let rows_in: usize = candidates.iter().map(Vec::len).sum();
         let cand_bytes = (rows_in * std::mem::size_of::<EventRef>()) as u64;
-        let (frontier, sink, cap_trip, io) = join_refs(env, candidates, &st.domains)?;
+        // With the projection closing the pipeline, the final step pushes
+        // into its sink; otherwise the tuples are kept.
+        let (n, nvars) = (env.a.patterns.len(), env.a.vars.len());
+        let (frontier, sink, cap_trip, io) = if env.project {
+            let (sink, t, io) =
+                drive_join(env, &candidates, &st.domains, ProjectionSink::new(env))?;
+            (RefArena::new(n, nvars), Some(sink), t, io)
+        } else {
+            let (arena, t, io) =
+                drive_join(env, &candidates, &st.domains, RefArena::new(n, nvars))?;
+            (arena, None, t, io)
+        };
+        drop(candidates);
         st.sink = sink;
         // The candidate batches the scans charged are consumed now; only
         // what the output retains (charged inside the drive) remains live.
@@ -232,7 +238,7 @@ impl Operator for TemporalJoin {
     /// scans learn — fills more than one run; the budget's tuple cap; the
     /// probe layers that apply (a time search needs a temporal relation,
     /// sideways filters a second pattern); and the sink it delivers into
-    /// when the projection closes the pipeline (`join_refs`).
+    /// when the projection closes the pipeline.
     fn describe(&self, env: &ExecEnv<'_>) -> String {
         let (a, config) = (env.a, env.config);
         let (workers, floor) = (config.parallelism, config.join_block_tuples.max(1) + 1);
@@ -507,27 +513,16 @@ struct CapTracker<'b> {
 }
 
 impl<'b> CapTracker<'b> {
-    fn fixed(cap: usize, gov: Option<&'b Governor>) -> Self {
+    /// A tracker stopping at `cap`, or — with `shared`, run `k` of a
+    /// parallel drive — at what the shared budget leaves run `k`.
+    fn new(cap: usize, shared: Option<(&'b JoinBudget, usize)>, gov: Option<&'b Governor>) -> Self {
+        let polled = shared.is_some() || gov.is_some();
         CapTracker {
-            cap,
-            shared: None,
+            cap: shared.map_or(cap, |(budget, k)| budget.cap(k)),
+            shared,
             gov,
             gov_stop: false,
-            next_refresh: if gov.is_some() {
-                BUDGET_REFRESH
-            } else {
-                usize::MAX
-            },
-        }
-    }
-
-    fn shared(budget: &'b JoinBudget, k: usize, gov: Option<&'b Governor>) -> Self {
-        CapTracker {
-            cap: budget.cap(k),
-            shared: Some((budget, k)),
-            gov,
-            gov_stop: false,
-            next_refresh: BUDGET_REFRESH,
+            next_refresh: if polled { BUDGET_REFRESH } else { usize::MAX },
         }
     }
 
@@ -565,21 +560,17 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
     let mut order: Vec<usize> = Vec::with_capacity(n);
     let mut placed = vec![false; n];
     let mut var_bound = vec![false; a.vars.len()];
-    for _ in 0..n {
-        let next = (0..n)
-            .filter(|&i| !placed[i])
-            .min_by_key(|&i| {
-                let p = &a.patterns[i];
-                let class = if order.is_empty() || var_bound[p.subject] || var_bound[p.object] {
-                    0
-                } else if !a.step_relations(i, &placed).is_empty() {
-                    1
-                } else {
-                    2
-                };
-                (class, sizes[i], i)
-            })
-            .expect("a pattern remains unplaced");
+    while let Some(next) = (0..n).filter(|&i| !placed[i]).min_by_key(|&i| {
+        let p = &a.patterns[i];
+        let class = if order.is_empty() || var_bound[p.subject] || var_bound[p.object] {
+            0
+        } else if !a.step_relations(i, &placed).is_empty() {
+            1
+        } else {
+            2
+        };
+        (class, sizes[i], i)
+    }) {
         placed[next] = true;
         var_bound[a.patterns[next].subject] = true;
         var_bound[a.patterns[next].object] = true;
@@ -588,149 +579,41 @@ fn plan_join_order(a: &AnalyzedMultievent, sizes: &[usize]) -> Vec<usize> {
     order
 }
 
-/// Multi-way hash join over the per-pattern candidate refs. Returns the
-/// joined tuples — or, when the projection closes the pipeline, an empty
-/// arena and the sink the drive streamed them into — plus the tuple-cap
-/// warning when the cap cut it, and its accounting (run fan-out, the build/probe
-/// timing split, the probe-reduction and emission counters, and the
-/// per-step breakdown for EXPLAIN ANALYZE).
-fn join_refs<'e>(
-    env: &'e ExecEnv<'_>,
-    candidates: Vec<Vec<EventRef>>,
-    domains: &[Option<(IdSet, IdSet)>],
-) -> Result<
-    (
-        RefArena,
-        Option<ProjectionSink<'e>>,
-        Option<Warning>,
-        OpStat,
-    ),
-    EngineError,
-> {
-    let (n, nvars) = (env.a.patterns.len(), env.a.vars.len());
-    // With the projection closing the pipeline, the final step pushes into
-    // its sink; otherwise the tuples are kept.
-    if env.project {
-        drive_join(env, &candidates, domains, ProjectionSink::new(env))
-            .map(|(sink, t, io)| (RefArena::new(n, nvars), Some(sink), t, io))
-    } else {
-        drive_join(env, &candidates, domains, RefArena::new(n, nvars))
-            .map(|(arena, t, io)| (arena, None, t, io))
-    }
-}
-
-/// Sideways seed pruning: before the seed frontier exists, drop seed
-/// candidates whose shared-variable ids are absent from the *second* step's
-/// candidate domains — such tuples probe a missing key at step two and
-/// extend nothing. Restricting the filter to the second step keeps the
-/// emission identical to the unfiltered run even under a truncating tuple
-/// cap: a dropped tuple emits nothing at step two, so every
-/// surviving emission happens at the same position. Gated off under a
-/// memory budget (the seed expansion is live-charged, so pruning would move
-/// the trip point) and when the seed list itself could truncate. `None`
-/// when nothing applies; otherwise the kept refs.
-fn sideways_seed_prune(
+/// Sideways pruning: keeps the refs whose ids, for each of `vars` (a
+/// variable, and whether a ref's subject binds it), lie in every domain a
+/// pattern of `partners` publishes for that variable. `None` when no
+/// partner domain applies.
+fn sideways_prune(
     env: &ExecEnv<'_>,
-    candidates: &[Vec<EventRef>],
     domains: &[Option<(IdSet, IdSet)>],
-    join_order: &[usize],
+    partners: impl Iterator<Item = usize>,
+    vars: &[(usize, bool)],
+    refs: &[EventRef],
 ) -> Option<Vec<EventRef>> {
-    let (a, parts) = (env.a, &env.parts);
-    let (&seed, &second) = (join_order.first()?, join_order.get(1)?);
-    if env.gov().is_some_and(|g| g.has_memory_budget()) || candidates[seed].len() > env.max_tuples {
-        return None;
-    }
-    let (subj, obj) = domains[second].as_ref()?;
-    let sp = &a.patterns[seed];
-    let qp = &a.patterns[second];
-    // For every variable the seed shares with the second pattern: (read
-    // the seed candidate's subject side?, partner domain).
     let mut checks: Vec<(bool, &IdSet)> = Vec::new();
-    for (v, seed_is_subject) in [(sp.subject, true), (sp.object, false)] {
-        if qp.subject == v {
-            checks.push((seed_is_subject, subj));
-        }
-        if qp.object == v && qp.object != qp.subject {
-            checks.push((seed_is_subject, obj));
+    for q in partners {
+        let (Some((subj, obj)), qp) = (&domains[q], &env.a.patterns[q]) else {
+            continue;
+        };
+        for &(v, from_subject) in vars {
+            if qp.subject == v {
+                checks.push((from_subject, subj));
+            }
+            if qp.object == v && qp.object != qp.subject {
+                checks.push((from_subject, obj));
+            }
         }
     }
     if checks.is_empty() {
         return None;
     }
-    let keep = |r: &EventRef| {
-        checks.iter().all(|&(is_subj, set)| {
-            set.contains(if is_subj {
-                parts.subject(*r)
-            } else {
-                parts.object(*r)
-            })
-        })
-    };
-    Some(candidates[seed].iter().copied().filter(keep).collect())
-}
-
-/// Sideways build-side pruning for the step placing pattern `i`:
-/// drop candidates whose bound-variable ids are absent from some
-/// already-placed partner pattern's candidate domain. The frontier only
-/// ever carries ids drawn from every placed binder's domain, so a dropped
-/// candidate could never have been probed — the index (and the frontier)
-/// is unchanged. Returns `None` when no partner domain applies; otherwise
-/// the kept refs, with the dropped count added to `pruned`.
-fn sideways_build_prune(
-    env: &ExecEnv<'_>,
-    domains: &[Option<(IdSet, IdSet)>],
-    placed: &[bool],
-    i: usize,
-    bound_vars: &[usize],
-    base_refs: &[EventRef],
-    pruned: &mut u64,
-) -> Option<Vec<EventRef>> {
-    if bound_vars.is_empty() {
-        return None;
-    }
-    let a = env.a;
     let parts = &env.parts;
-    let p = &a.patterns[i];
-    let mut partner_sets: Vec<(usize, Vec<&IdSet>)> = Vec::new();
-    for &v in bound_vars {
-        let mut sets: Vec<&IdSet> = Vec::new();
-        for (q, qp) in a.patterns.iter().enumerate() {
-            if q == i || !placed[q] {
-                continue;
-            }
-            let Some((subj, obj)) = &domains[q] else {
-                continue;
-            };
-            if qp.subject == v {
-                sets.push(subj);
-            }
-            if qp.object == v && qp.object != qp.subject {
-                sets.push(obj);
-            }
-        }
-        if !sets.is_empty() {
-            partner_sets.push((v, sets));
-        }
-    }
-    if partner_sets.is_empty() {
-        return None;
-    }
-    let kept: Vec<EventRef> = base_refs
-        .iter()
-        .copied()
-        .filter(|&r| {
-            partner_sets.iter().all(|(v, sets)| {
-                let id = if *v == p.subject {
-                    parts.subject(r)
-                } else {
-                    parts.object(r)
-                };
-                sets.iter().all(|s| s.contains(id))
-            })
-        })
-        .collect();
-    *pruned += (base_refs.len() - kept.len()) as u64;
-    Some(kept)
+    let id = |r, subject| match subject {
+        true => parts.subject(r),
+        false => parts.object(r),
+    };
+    let keep = |&r: &EventRef| checks.iter().all(|&(s, set)| set.contains(id(r, s)));
+    Some(refs.iter().copied().filter(keep).collect())
 }
 
 /// Where a step's match lands in a tuple: the pattern's event slot and its
@@ -806,12 +689,10 @@ struct JoinStep {
     /// intervals derive from these).
     rels: Vec<StepRel>,
     index: StepIndex,
-    /// Candidate refs indexed (after sideways build pruning).
-    candidates: usize,
-    /// Candidates dropped by sideways build pruning (a per-step constant,
-    /// counted once regardless of how many runs probe the index).
-    candidate_pruned: u64,
-    build_nanos: u64,
+    /// What the build learned: the candidates indexed, those sideways
+    /// build pruning dropped (counted once, however many runs probe the
+    /// index), the index's sorted runs and its build time.
+    stat: JoinStepStat,
 }
 
 impl JoinStep {
@@ -833,58 +714,57 @@ enum Matches<'i> {
 }
 
 impl Matches<'_> {
-    /// How many matches there are (slice lengths, or the posting's length
-    /// on a relation-free step).
+    /// Hands `f` the matches in candidate order, a stretch at a time — a
+    /// relation-free step's whole posting, or one sorted run's time slice
+    /// with its end times while those still need [`TimeBounds::end_ok`] —
+    /// until it returns `true`; returns whether it did.
     #[inline]
-    fn count(&self, ctr: &mut JoinStepStat) -> usize {
-        match *self {
-            Matches::Plain(refs) => refs.len(),
-            Matches::Timed(p, b) => {
-                let Some((slices, check_end)) = p.slices(&b) else {
-                    ctr.bucket_skipped += p.refs.len() as u64;
-                    return 0;
-                };
-                let (mut searched, mut n) = (0, 0);
-                for slice in slices {
-                    searched += slice.len();
-                    n += match check_end {
-                        true => slice.filter(|&j| b.end_ok(p.ends[j])).count(),
-                        false => slice.len(),
-                    };
-                }
-                ctr.bucket_skipped += (p.refs.len() - searched) as u64;
-                n
+    fn walk(
+        &self,
+        ctr: &mut JoinStepStat,
+        mut f: impl FnMut(&[EventRef], Option<(&[i64], &TimeBounds)>) -> bool,
+    ) -> bool {
+        let (p, b) = match self {
+            Matches::Plain(refs) => return f(refs, None),
+            Matches::Timed(p, b) => (p, b),
+        };
+        let Some((slices, check_end)) = p.slices(b) else {
+            ctr.bucket_skipped += p.refs.len() as u64;
+            return false;
+        };
+        let mut searched = 0;
+        for slice in slices {
+            searched += slice.len();
+            let ends = check_end.then(|| (&p.ends[slice.clone()], b));
+            if f(&p.refs[slice], ends) {
+                return true;
             }
         }
+        ctr.bucket_skipped += (p.refs.len() - searched) as u64;
+        false
+    }
+
+    /// How many matches there are.
+    #[inline]
+    fn count(&self, ctr: &mut JoinStepStat) -> usize {
+        let mut n = 0;
+        self.walk(ctr, |refs, ends| {
+            n += ends.map_or(refs.len(), |(ends, b)| {
+                ends.iter().filter(|&&e| b.end_ok(e)).count()
+            });
+            false
+        });
+        n
     }
 
     /// Calls `f` on every match, in candidate order, until it returns
     /// `true`; returns whether it did.
     #[inline]
     fn each(&self, ctr: &mut JoinStepStat, mut f: impl FnMut(EventRef) -> bool) -> bool {
-        match *self {
-            Matches::Plain(refs) => refs.iter().any(|&r| f(r)),
-            Matches::Timed(p, b) => {
-                let Some((slices, check_end)) = p.slices(&b) else {
-                    ctr.bucket_skipped += p.refs.len() as u64;
-                    return false;
-                };
-                let mut searched = 0;
-                for slice in slices {
-                    searched += slice.len();
-                    for j in slice {
-                        if check_end && !b.end_ok(p.ends[j]) {
-                            continue;
-                        }
-                        if f(p.refs[j]) {
-                            return true;
-                        }
-                    }
-                }
-                ctr.bucket_skipped += (p.refs.len() - searched) as u64;
-                false
-            }
-        }
+        self.walk(ctr, |refs, ends| match ends {
+            None => refs.iter().any(|&r| f(r)),
+            Some((ends, b)) => (refs.iter().zip(ends)).any(|(&r, &e)| b.end_ok(e) && f(r)),
+        })
     }
 }
 
@@ -896,21 +776,19 @@ impl Matches<'_> {
 struct Interface {
     vars: Vec<usize>,
     events: Vec<usize>,
-    /// Whether level `k` memoises: not when the interface holds the seed's
-    /// event, which no two tuples of a run share.
-    stored: bool,
 }
 
 impl Interface {
     /// The interface of the levels from `k` on, over the join order `order`
-    /// and its probe steps (`steps[k − 1]` places `order[k]`).
+    /// and its probe steps (`steps[k − 1]` places `order[k]`); the seed's
+    /// is empty.
     fn of(a: &AnalyzedMultievent, order: &[usize], steps: &[JoinStep], k: usize) -> Self {
         let above = &order[..k];
         let bound = |v: usize| {
             (above.iter()).any(|&p| a.patterns[p].subject == v || a.patterns[p].object == v)
         };
         let (mut vars, mut events) = (Vec::new(), Vec::new());
-        for s in &steps[k - 1..] {
+        for s in &steps[k.saturating_sub(1)..] {
             vars.extend(s.bound_vars.iter().copied().filter(|&v| bound(v)));
             events.extend(s.rels.iter().map(|r| r.other).filter(|p| above.contains(p)));
         }
@@ -918,11 +796,7 @@ impl Interface {
         vars.dedup();
         events.sort_unstable();
         events.dedup();
-        Interface {
-            stored: !events.contains(&order[0]),
-            vars,
-            events,
-        }
+        Interface { vars, events }
     }
 
     /// Writes tuple `t`'s interface into `key`: two ids a word, then one
@@ -949,25 +823,34 @@ fn id_words<'v>(slots: &'v [usize], vars: &'v [u32]) -> impl Iterator<Item = u64
 /// key's box and the table's slot and control byte.
 const MEMO_ENTRY_BYTES: u64 = 32;
 
-/// What the drive memoises (see the module docs), decided once per drive.
-#[derive(Debug)]
-enum Memo {
-    /// Every tuple is driven through every level.
-    Off,
-    /// Levels `from..` are unread and the final level counts its matches;
-    /// with `memoised`, a window at `from` delivers memoised counts.
-    Counted { from: usize, memoised: bool },
-    /// An id-keyed `distinct` reads the final level: `fresh` are the
-    /// projected slots it binds first (one given twice when there is one),
-    /// `pre` those bound above it.
-    Distinct { fresh: [usize; 2], pre: Vec<usize> },
+/// What a level delivers for each tuple it takes (see the module docs).
+#[derive(Debug, PartialEq)]
+enum Delivers {
+    /// Its extensions, one by one.
+    Tuples,
+    /// Its subtree's count: the level lies in a counted suffix.
+    Count,
+    /// Its matches' distinct projected ids (an id-keyed `distinct`'s final
+    /// level): `fresh` are the projected slots the level binds first (one
+    /// given twice when there is one), `pre` those bound above it.
+    Ids { fresh: [usize; 2], pre: Vec<usize> },
 }
 
-/// One level's memo for the current run: interface key → entry number,
-/// the entries' words flat in `vals`. A counted level's entry is its
-/// subtree's deliveries, then the tuples it materialises at each
-/// non-final level from this one on; a distinct final level's is its match
-/// count and the range of its distinct projected ids in `ids`.
+/// One level's plan, decided once per drive.
+#[derive(Debug)]
+struct LevelPlan {
+    delivers: Delivers,
+    /// The level memoises its entries per run, keyed by `iface`.
+    stores: bool,
+    /// The interface of the levels from this one on.
+    iface: Interface,
+}
+
+/// One level's memo for the current run: interface key → entry offset in
+/// `vals`. A counted level's entry is its subtree's deliveries, then the
+/// tuples it materialises at each non-final level from this one on; a
+/// distinct final level's is its match count and the range of its
+/// distinct projected ids in `ids`.
 #[derive(Debug, Default)]
 struct LevelMemo {
     index: HashMap<Box<[u64]>, u32, MulHash>,
@@ -976,14 +859,6 @@ struct LevelMemo {
     /// The interface being looked up, kept through a miss's recursion for
     /// its insert.
     key: Vec<u64>,
-}
-
-impl LevelMemo {
-    fn clear(&mut self) {
-        self.index.clear();
-        self.vals.clear();
-        self.ids.clear();
-    }
 }
 
 /// A fork's account, under a memory budget, of the bytes the merge thread
@@ -1012,15 +887,11 @@ struct RunState {
     steps: Vec<JoinStepStat>,
     /// Per level, its memo in the current run.
     memo: Vec<LevelMemo>,
-    /// The (projected ids above the final level, final interface) keys an
+    /// The (final entry, projected ids above the final level) keys an
     /// id-keyed `distinct` delivered in the current run.
     delivered: HashSet<Box<[u64]>, MulHash>,
     /// Bytes the run's memo holds, live-charged until the run ends.
     memo_bytes: u64,
-    /// Per tuple of the memoised window being driven: its deliveries (a
-    /// counted suffix) or its entry and whether it delivers its ids (a
-    /// distinct final level).
-    window: Vec<u64>,
     /// One distinct-final miss's ids seen so far.
     dedup: HashSet<u64, MulHash>,
     /// First level observed hitting the intermediate cap. The recursion
@@ -1044,7 +915,6 @@ impl RunState {
             memo: (0..n).map(|_| LevelMemo::default()).collect(),
             delivered: HashSet::default(),
             memo_bytes: 0,
-            window: Vec::new(),
             dedup: HashSet::default(),
             cut: None,
             gov_stop: false,
@@ -1064,6 +934,10 @@ struct Drive<'s, 'a> {
     seed_refs: &'s [EventRef],
     /// The probe steps, in join order after the seed.
     steps: &'s [JoinStep],
+    /// Per level, its plan (the seed's delivers its tuples).
+    plans: Vec<LevelPlan>,
+    /// Some level stores: the evaluator starts with its memo on.
+    memo: bool,
     domains: &'s [Option<(IdSet, IdSet)>],
     /// The all-unplaced tuple every seed tuple extends.
     proto: RefArena,
@@ -1081,41 +955,12 @@ struct Drive<'s, 'a> {
     /// A fork's charge did not fit `room`: every fork stops at its next
     /// charge, and no run starts in a fork.
     forks_full: AtomicBool,
-    /// What the drive memoises.
-    memo: Memo,
-    /// Per level, the interface of the levels from it on (memoised levels
-    /// only).
-    ifaces: Vec<Option<Interface>>,
 }
 
 impl Drive<'_, '_> {
     /// Levels of the drive: the seed plus every probe step.
     fn levels(&self) -> usize {
         self.steps.len() + 1
-    }
-
-    /// The interface of memoised level `k`.
-    fn iface(&self, k: usize) -> &Interface {
-        self.ifaces[k]
-            .as_ref()
-            .expect("a memoised level has an interface")
-    }
-
-    /// Delivers seed candidates `[lo, hi)`, each extending the proto tuple,
-    /// into `next`. Returns `(capped, gov_stop)`.
-    fn emit_seed<O: JoinOutput>(
-        &self,
-        lo: usize,
-        hi: usize,
-        next: &mut O,
-        caps: &mut CapTracker<'_>,
-    ) -> (bool, bool) {
-        for &r in &self.seed_refs[lo..hi] {
-            if (self.seed).emit(&self.env.parts, next, &self.proto, 0, r, caps) {
-                return (!caps.gov_stop, caps.gov_stop);
-            }
-        }
-        (false, false)
     }
 
     /// Looks tuple `t` up in `step`'s index: its matches, or `None` when
@@ -1160,52 +1005,41 @@ impl Drive<'_, '_> {
         Some(matches)
     }
 
-    /// Probes `step`'s index for tuple `t` and delivers the surviving
-    /// extensions to `out` — one by one, or (`COUNT`, an unread final
-    /// level) as one count. Returns `true` when the tracker's budget was
-    /// exhausted — the caller must stop its drive.
-    #[inline]
-    fn probe_into<O: JoinOutput, const COUNT: bool>(
-        &self,
-        step: &JoinStep,
-        tuples: &RefArena,
-        t: usize,
-        out: &mut O,
-        caps: &mut CapTracker<'_>,
-        ctr: &mut JoinStepStat,
-    ) -> bool {
-        let Some(matches) = self.lookup(step, tuples, t, ctr) else {
-            return false;
-        };
-        let place = step.place;
-        if COUNT {
-            return place.emit_count(out, tuples, t, matches.count(ctr), caps);
-        }
-        let parts = &self.env.parts;
-        matches.each(ctr, |r| place.emit(parts, out, tuples, t, r, caps))
-    }
-
-    /// Probes level `j`'s step for tuples `[lo, hi)` of `cur`, delivering
-    /// into `next`. Returns `(capped, gov_stop)`.
+    /// The evaluator's per-tuple inner loop: probes level `k` for tuples
+    /// `[lo, hi)` of `cur` and delivers every match to `out`, or (`COUNT`)
+    /// each tuple's match count. The seed probes one tuple, the proto, whose
+    /// matches are seed refs `[lo, hi)`. Returns `(capped, gov_stop)`.
     #[allow(clippy::too_many_arguments)]
-    fn probe_window<O: JoinOutput, const COUNT: bool>(
+    #[inline]
+    fn probe<O: JoinOutput, const COUNT: bool>(
         &self,
-        j: usize,
+        k: usize,
         cur: &RefArena,
-        lo: usize,
-        hi: usize,
-        next: &mut O,
+        (lo, hi): (usize, usize),
+        out: &mut O,
         caps: &mut CapTracker<'_>,
         ctr: &mut JoinStepStat,
         gov: Option<&Governor>,
     ) -> (bool, bool) {
-        let step = &self.steps[j - 1];
+        let (parts, step) = (&self.env.parts, k.checked_sub(1).map(|j| &self.steps[j]));
+        let place = step.map_or(self.seed, |s| s.place);
         let mut gate = GovGate::new(gov);
-        for t in lo..hi {
+        for t in if k == 0 { 0..1 } else { lo..hi } {
             if gate.tick().is_some() {
                 return (false, true);
             }
-            if self.probe_into::<O, COUNT>(step, cur, t, next, caps, ctr) {
+            let matches = match step {
+                None => Some(Matches::Plain(&self.seed_refs[lo..hi])),
+                Some(step) => self.lookup(step, cur, t, ctr),
+            };
+            let Some(m) = matches else {
+                continue;
+            };
+            let full = match COUNT {
+                true => place.emit_count(out, cur, t, m.count(ctr), caps),
+                false => m.each(ctr, |r| place.emit(parts, out, cur, t, r, caps)),
+            };
+            if full {
                 return (!caps.gov_stop, caps.gov_stop);
             }
         }
@@ -1263,41 +1097,175 @@ impl Drive<'_, '_> {
     }
 
     /// Live-charges `bytes` the run's memo now holds (released when the
-    /// run ends, [`Drive::end_run`]). `false` means stop.
+    /// run ends, [`Drive::drive_run`]). `false` means stop.
     fn charge_memo(&self, st: &mut RunState, gov: Option<&Governor>, bytes: u64) -> bool {
         let go = self.charge_live(st, gov, bytes) == Flow::Continue;
         st.memo_bytes += if go { bytes } else { 0 };
         go
     }
 
-    /// Ends a seed run: its memo is dropped and its bytes released.
-    fn end_run(&self, st: &mut RunState, gov: Option<&Governor>) {
-        if matches!(self.memo, Memo::Off) {
-            return;
-        }
-        st.memo.iter_mut().for_each(LevelMemo::clear);
-        st.delivered.clear();
-        let bytes = std::mem::take(&mut st.memo_bytes);
-        self.uncharge(st, gov, bytes);
-    }
-
-    /// Runs `deliver` — the final level's emission into `out`, returning
-    /// `(capped, gov_stop)` — under the output's accounting. What the output
-    /// keeps of the delivered tuples stays live and is charged permanently
-    /// (every tuple for an arena; rows, group states or distinct keys for a
-    /// projection sink).
-    fn deliver_final<O: JoinOutput>(
+    /// The evaluator (see the module docs): drives tuples `[lo, hi)` of
+    /// `cur` through levels `k..` depth-first into `out`. A non-final level
+    /// that delivers tuples probes the window into its scratch (one
+    /// expansion, capped at the tuple cap; the seed's is exempt) and drives
+    /// the expansion's windows through the next level; the final level
+    /// delivers each match, or each tuple's match count. With `memo`, a
+    /// level delivering counts or ids takes every tuple's [`Drive::entry`]
+    /// first and delivers from them — unless a cap could bind in the window
+    /// (its deliveries reach the output's room, or its tuples at some
+    /// non-final level the tuple cap): then the window is driven again with
+    /// `memo` off, tuple by tuple.
+    #[allow(clippy::too_many_arguments)]
+    fn level<O: JoinOutput>(
         &self,
+        k: usize,
+        cur: &RefArena,
+        (lo, hi): (usize, usize),
         st: &mut RunState,
         out: &mut O,
+        caps: &mut CapTracker<'_>,
         gov: Option<&Governor>,
-        deliver: impl FnOnce(&mut O, &mut RunState) -> (bool, bool),
+        memo: bool,
     ) -> Flow {
         let last = self.levels() - 1;
-        let before = out.delivered();
-        let held = out.retained_bytes();
-        let t = Instant::now();
-        let (capped, gov_stop) = deliver(out, st);
+        let delivers = &self.plans[k].delivers;
+        let memoised = memo && *delivers != Delivers::Tuples;
+        if k < last && !memoised {
+            let mut scratch = std::mem::take(&mut st.levels[k]);
+            scratch.truncate(0);
+            let t = Instant::now();
+            let mut lcaps = CapTracker::new(if k == 0 { usize::MAX } else { self.icap }, None, gov);
+            let ctr = &mut st.steps[k];
+            let (capped, gov_stop) =
+                self.probe::<_, false>(k, cur, (lo, hi), &mut scratch, &mut lcaps, ctr, gov);
+            ctr.probe_nanos += t.elapsed().as_nanos() as u64;
+            ctr.rows_out += scratch.len();
+            let bytes = scratch.retained_bytes();
+            let flow = if gov_stop {
+                st.gov_stop = true;
+                Flow::Stop
+            } else if self.charge_live(st, gov, bytes) == Flow::Stop {
+                Flow::Stop
+            } else {
+                // The next level takes the expansion in windows, but for a
+                // final level that delivers tuple by tuple: it takes it
+                // whole.
+                let len = scratch.len();
+                let whole =
+                    k + 1 == last && !(memo && self.plans[last].delivers != Delivers::Tuples);
+                let width = if whole { len.max(1) } else { EXPAND_CHUNK };
+                let mut sub = Flow::Continue;
+                for lo in (0..len.max(usize::from(whole))).step_by(width) {
+                    let hi = (lo + width).min(len);
+                    sub = self.level(k + 1, &scratch, (lo, hi), st, out, caps, gov, memo);
+                    if sub == Flow::Stop {
+                        break;
+                    }
+                }
+                self.uncharge(st, gov, bytes);
+                if sub == Flow::Continue && capped {
+                    // The expansion hit the intermediate cap and its
+                    // prefix's subtree just finished: the run cuts here and
+                    // the drive stops after it.
+                    st.cut.get_or_insert(k);
+                    Flow::Stop
+                } else {
+                    sub
+                }
+            };
+            st.levels[k] = scratch;
+            return flow;
+        }
+        // The level delivers into `out`: from its entries, or tuple by tuple.
+        let t0 = Instant::now();
+        // Per tuple of a window delivered from its entries: its count, or
+        // its entry and whether it delivers its ids.
+        let mut window: Vec<u64> = Vec::new();
+        let (mut capped, mut gov_stop) = (false, false);
+        if memoised {
+            let mut gate = GovGate::new(gov);
+            // The window's deliveries, then its tuples at each non-final
+            // level below (an ids level is final: deliveries only).
+            let mut totals = vec![0u64; 1 + last - k];
+            let mut key: Vec<u64> = Vec::new();
+            let mut stopped = false;
+            for t in lo..hi {
+                let Some(e) = self.entry(k, cur, t, st, gov, &mut gate) else {
+                    stopped = true;
+                    break;
+                };
+                let vals = &mut st.memo[k].vals;
+                let n = vals[e];
+                (totals.iter_mut().zip(&vals[e..])).for_each(|(s, v)| *s = s.saturating_add(*v));
+                let Delivers::Ids { pre, .. } = delivers else {
+                    window.push(n);
+                    if !self.plans[k].stores {
+                        vals.truncate(e);
+                    }
+                    continue;
+                };
+                // The tuple delivers its ids when its projected ids above
+                // the final level and its entry are new to the run.
+                let mut fresh = false;
+                if n > 0 {
+                    key.clear();
+                    key.push(e as u64);
+                    key.extend(id_words(pre, cur.vars_of(t)));
+                    if !st.delivered.contains(key.as_slice()) {
+                        st.delivered.insert(key.as_slice().into());
+                        fresh = true;
+                        let bytes = MEMO_ENTRY_BYTES + 8 * key.len() as u64;
+                        if !self.charge_memo(st, gov, bytes) {
+                            stopped = true;
+                            break;
+                        }
+                    }
+                }
+                window.push(((e as u64) << 1) | u64::from(fresh));
+            }
+            st.steps[k].probe_nanos += t0.elapsed().as_nanos() as u64;
+            let room = caps.cap.saturating_sub(out.delivered()) as u64;
+            let could_bind =
+                totals[0] >= room || totals[1..].iter().any(|&n| n >= self.icap as u64);
+            if stopped || could_bind {
+                return match stopped {
+                    true => Flow::Stop,
+                    false => self.level(k, cur, (lo, hi), st, out, caps, gov, false),
+                };
+            }
+        }
+        let (before, held, t) = (out.delivered(), out.retained_bytes(), Instant::now());
+        if !memoised {
+            let ctr = &mut st.steps[k];
+            (capped, gov_stop) = match delivers {
+                Delivers::Count => self.probe::<O, true>(k, cur, (lo, hi), out, caps, ctr, gov),
+                _ => self.probe::<O, false>(k, cur, (lo, hi), out, caps, ctr, gov),
+            };
+        } else {
+            let (pattern, memo) = (self.steps[last - 1].place.pattern, &st.memo[k]);
+            for (t, &w) in (lo..hi).zip(&window) {
+                let full = match delivers {
+                    Delivers::Ids { fresh, .. } => {
+                        let e = (w >> 1) as usize;
+                        let [n, a, z] = [0, 1, 2].map(|i| memo.vals[e + i] as usize);
+                        if n == 0 {
+                            continue;
+                        }
+                        let ids = if w & 1 == 1 { &memo.ids[a..z] } else { &[] };
+                        out.emit_ids(cur, t, pattern, *fresh, ids, n);
+                        caps.exhausted(out.delivered())
+                    }
+                    _ => (self.steps[last - 1].place).emit_count(out, cur, t, w as usize, caps),
+                };
+                if full {
+                    (capped, gov_stop) = (!caps.gov_stop, caps.gov_stop);
+                    break;
+                }
+            }
+        }
+        // What the output keeps of the delivered tuples stays live and is
+        // charged permanently (every tuple for an arena; rows, group states
+        // or distinct keys for a projection sink).
         st.steps[last].probe_nanos += t.elapsed().as_nanos() as u64;
         st.steps[last].rows_out += out.delivered() - before;
         let charged = self.charge_live(st, gov, out.retained_bytes() - held);
@@ -1305,21 +1273,22 @@ impl Drive<'_, '_> {
             st.gov_stop = true;
             return Flow::Stop;
         }
-        if charged == Flow::Stop || capped {
-            return Flow::Stop;
+        match charged == Flow::Stop || capped {
+            true => Flow::Stop,
+            false => Flow::Continue,
         }
-        Flow::Continue
     }
 
-    /// Counted level `k`'s entry for tuple `t` of `src` (see [`LevelMemo`]):
-    /// the memoised one when level `k` stores and holds `t`'s interface;
-    /// else one computed by enumerating `t`'s matches at `k` into the
-    /// level's scratch (capped at the tuple cap, which makes any window
-    /// holding the entry fall back) and adding each one's entry at `k + 1`
-    /// — the final level only counts. Returns the entry's offset in
-    /// `st.memo[k].vals`, which the caller drops when level `k` does not
-    /// store, or `None` when the drive must stop.
-    fn counted_entry(
+    /// Level `k`'s entry for tuple `t` of `src` (see [`LevelMemo`]): the
+    /// memoised one when the level stores and holds `t`'s interface; else
+    /// computed — at the final level its match count, or its matches'
+    /// distinct projected ids; above it by enumerating `t`'s matches into
+    /// the level's scratch (capped at the tuple cap, which makes any window
+    /// holding the entry fall back) and adding each one's entry at `k + 1`.
+    /// Returns the entry's offset in `st.memo[k].vals`, which the caller
+    /// drops when the level does not store, or `None` when the drive must
+    /// stop.
+    fn entry(
         &self,
         k: usize,
         src: &RefArena,
@@ -1332,409 +1301,90 @@ impl Drive<'_, '_> {
             st.gov_stop = true;
             return None;
         }
-        let last = self.levels() - 1;
-        let stride = 1 + last - k;
-        let iface = self.iface(k);
-        let memo = &mut st.memo[k];
-        if iface.stored {
-            iface.key(src, t, &mut memo.key);
+        let (last, parts) = (self.levels() - 1, &self.env.parts);
+        let (plan, step) = (&self.plans[k], &self.steps[k - 1]);
+        let (memo, ctr) = (&mut st.memo[k], &mut st.steps[k]);
+        if plan.stores {
+            plan.iface.key(src, t, &mut memo.key);
             if let Some(&e) = memo.index.get(memo.key.as_slice()) {
-                st.steps[k].memo_hits += 1;
-                return Some(e as usize * stride);
+                ctr.memo_hits += 1;
+                return Some(e as usize);
             }
-            st.steps[k].memo_misses += 1;
+            ctr.memo_misses += 1;
         }
-        let base = memo.vals.len();
-        memo.vals.resize(base + stride, 0);
-        let step = &self.steps[k - 1];
-        if k == last {
-            let ctr = &mut st.steps[k];
-            let n = self.lookup(step, src, t, ctr).map_or(0, |m| m.count(ctr));
-            st.memo[k].vals[base] = n as u64;
-        } else {
-            let mut scratch = std::mem::take(&mut st.levels[k]);
-            scratch.truncate(0);
-            let mut caps = CapTracker::fixed(self.icap, None);
-            let ctr = &mut st.steps[k];
-            if let Some(m) = self.lookup(step, src, t, ctr) {
-                let parts = &self.env.parts;
-                m.each(ctr, |r| {
-                    (step.place).emit(parts, &mut scratch, src, t, r, &mut caps)
-                });
-            }
-            ctr.rows_out += scratch.len();
-            st.memo[k].vals[base + 1] = scratch.len() as u64;
-            let bytes = scratch.retained_bytes();
-            let mut go = self.charge_live(st, gov, bytes) == Flow::Continue;
-            if go {
-                for m in 0..scratch.len() {
-                    let Some(sub) = self.counted_entry(k + 1, &scratch, m, st, gov, gate) else {
-                        go = false;
-                        break;
-                    };
-                    let (upper, lower) = st.memo.split_at_mut(k + 1);
-                    let (entry, below) = (&mut upper[k].vals, &mut lower[0].vals);
-                    let add = |e: &mut u64, s: &u64| *e = e.saturating_add(*s);
-                    add(&mut entry[base], &below[sub]);
-                    let totals = &mut entry[base + 2..base + stride];
-                    (totals.iter_mut())
-                        .zip(&below[sub + 1..])
-                        .for_each(|(e, s)| add(e, s));
-                    if !self.iface(k + 1).stored {
-                        below.truncate(sub);
-                    }
+        let (base, first) = (memo.vals.len(), memo.ids.len());
+        match &plan.delivers {
+            Delivers::Ids { fresh, .. } => {
+                let from_subject = fresh.map(|v| v == step.place.subject);
+                let (ids, dedup) = (&mut memo.ids, &mut st.dedup);
+                dedup.clear();
+                let mut n = 0u64;
+                if let Some(m) = self.lookup(step, src, t, ctr) {
+                    m.each(ctr, |r| {
+                        n += 1;
+                        let (s, o) = parts.subject_object(r);
+                        let pair = from_subject.map(|subj| if subj { s.raw() } else { o.raw() });
+                        if dedup.insert((u64::from(pair[0]) << 32) | u64::from(pair[1])) {
+                            ids.push(pair);
+                        }
+                        false
+                    });
                 }
-                self.uncharge(st, gov, bytes);
+                memo.vals.extend([n, first as u64, memo.ids.len() as u64]);
             }
-            st.levels[k] = scratch;
-            if !go {
-                return None;
+            _ if k == last => {
+                let n = self.lookup(step, src, t, ctr).map_or(0, |m| m.count(ctr));
+                memo.vals.push(n as u64);
+            }
+            _ => {
+                memo.vals.resize(base + 1 + last - k, 0);
+                let mut scratch = std::mem::take(&mut st.levels[k]);
+                scratch.truncate(0);
+                let mut caps = CapTracker::new(self.icap, None, None);
+                self.probe::<_, false>(k, src, (t, t + 1), &mut scratch, &mut caps, ctr, None);
+                ctr.rows_out += scratch.len();
+                memo.vals[base + 1] = scratch.len() as u64;
+                let bytes = scratch.retained_bytes();
+                let mut go = self.charge_live(st, gov, bytes) == Flow::Continue;
+                if go {
+                    for m in 0..scratch.len() {
+                        let Some(sub) = self.entry(k + 1, &scratch, m, st, gov, gate) else {
+                            go = false;
+                            break;
+                        };
+                        let (upper, lower) = st.memo.split_at_mut(k + 1);
+                        let (entry, below) = (&mut upper[k].vals, &mut lower[0].vals);
+                        let add = |e: &mut u64, s: &u64| *e = e.saturating_add(*s);
+                        add(&mut entry[base], &below[sub]);
+                        (entry[base + 2..].iter_mut())
+                            .zip(&below[sub + 1..])
+                            .for_each(|(e, s)| add(e, s));
+                        if !self.plans[k + 1].stores {
+                            below.truncate(sub);
+                        }
+                    }
+                    self.uncharge(st, gov, bytes);
+                }
+                st.levels[k] = scratch;
+                if !go {
+                    return None;
+                }
             }
         }
-        if iface.stored {
+        if plan.stores {
             let memo = &mut st.memo[k];
-            memo.index
-                .insert(memo.key.as_slice().into(), (base / stride) as u32);
-            let bytes = MEMO_ENTRY_BYTES + 8 * (memo.key.len() + stride) as u64;
-            if !self.charge_memo(st, gov, bytes) {
+            memo.index.insert(memo.key.as_slice().into(), base as u32);
+            let words = memo.key.len() + (memo.vals.len() - base) + (memo.ids.len() - first);
+            if !self.charge_memo(st, gov, MEMO_ENTRY_BYTES + 8 * words as u64) {
                 return None;
             }
         }
         Some(base)
     }
 
-    /// A counted suffix's window: tuples `[lo, hi)` of `cur`, at the
-    /// suffix's first level `j`. The first pass takes every tuple's entry;
-    /// unless a cap could bind in the window (its deliveries reach the
-    /// output's room, or its tuples at some non-final level the tuple cap),
-    /// the second delivers each tuple's count. `None` means a cap could
-    /// bind: the caller drives the window tuple by tuple.
-    #[allow(clippy::too_many_arguments)]
-    fn counted_window<O: JoinOutput>(
-        &self,
-        j: usize,
-        cur: &RefArena,
-        lo: usize,
-        hi: usize,
-        st: &mut RunState,
-        out: &mut O,
-        out_caps: &mut CapTracker<'_>,
-        gov: Option<&Governor>,
-    ) -> Option<Flow> {
-        let last = self.levels() - 1;
-        let stride = 1 + last - j;
-        let t0 = Instant::now();
-        let mut gate = GovGate::new(gov);
-        let mut totals = vec![0u64; stride];
-        let mut window = std::mem::take(&mut st.window);
-        window.clear();
-        let mut stopped = false;
-        for t in lo..hi {
-            let Some(e) = self.counted_entry(j, cur, t, st, gov, &mut gate) else {
-                stopped = true;
-                break;
-            };
-            let vals = &mut st.memo[j].vals;
-            (totals.iter_mut().zip(&vals[e..e + stride]))
-                .for_each(|(n, v)| *n = n.saturating_add(*v));
-            window.push(vals[e]);
-            if !self.iface(j).stored {
-                vals.truncate(e);
-            }
-        }
-        st.steps[j].probe_nanos += t0.elapsed().as_nanos() as u64;
-        let room = out_caps.cap.saturating_sub(out.delivered()) as u64;
-        let flow = if stopped {
-            Some(Flow::Stop)
-        } else if totals[0] >= room || totals[1..].iter().any(|&n| n >= self.icap as u64) {
-            None
-        } else {
-            let place = self.steps[last - 1].place;
-            Some(self.deliver_final(st, out, gov, |out, _| {
-                for (t, &n) in (lo..hi).zip(&window) {
-                    if place.emit_count(out, cur, t, n as usize, out_caps) {
-                        return (!out_caps.gov_stop, out_caps.gov_stop);
-                    }
-                }
-                (false, false)
-            }))
-        };
-        st.window = window;
-        flow
-    }
-
-    /// A distinct final level's window: tuples `[lo, hi)` of `cur`. The
-    /// first pass takes every tuple's entry — its match count and distinct
-    /// projected ids, enumerated on a miss — and whether the tuple's `pre`
-    /// ids and interface are new to the run; unless the window's matches
-    /// reach the output's room, the second delivers each tuple: its ids
-    /// when new, else only its count. `None` as
-    /// [`Drive::counted_window`].
-    #[allow(clippy::too_many_arguments)]
-    fn distinct_window<O: JoinOutput>(
-        &self,
-        cur: &RefArena,
-        lo: usize,
-        hi: usize,
-        (fresh, pre): ([usize; 2], &[usize]),
-        st: &mut RunState,
-        out: &mut O,
-        out_caps: &mut CapTracker<'_>,
-        gov: Option<&Governor>,
-    ) -> Option<Flow> {
-        let last = self.levels() - 1;
-        let (iface, step) = (self.iface(last), &self.steps[last - 1]);
-        let place = step.place;
-        let from_subject = fresh.map(|v| v == place.subject);
-        let t0 = Instant::now();
-        let mut gate = GovGate::new(gov);
-        let mut window = std::mem::take(&mut st.window);
-        window.clear();
-        let (mut total, mut stopped) = (0u64, false);
-        let mut key: Vec<u64> = Vec::with_capacity(1 + pre.len());
-        for t in lo..hi {
-            if gate.tick().is_some() {
-                st.gov_stop = true;
-                stopped = true;
-                break;
-            }
-            let memo = &mut st.memo[last];
-            iface.key(cur, t, &mut memo.key);
-            let e = match memo.index.get(memo.key.as_slice()) {
-                Some(&e) => {
-                    st.steps[last].memo_hits += 1;
-                    e as usize
-                }
-                None => {
-                    st.steps[last].memo_misses += 1;
-                    let (e, first) = (memo.vals.len() / 3, memo.ids.len());
-                    let (ids, dedup) = (&mut memo.ids, &mut st.dedup);
-                    dedup.clear();
-                    let mut n = 0u64;
-                    let ctr = &mut st.steps[last];
-                    if let Some(m) = self.lookup(step, cur, t, ctr) {
-                        let parts = &self.env.parts;
-                        m.each(ctr, |r| {
-                            n += 1;
-                            let (s, o) = parts.subject_object(r);
-                            let pick = |subj: bool| if subj { s.raw() } else { o.raw() };
-                            let pair = from_subject.map(pick);
-                            if dedup.insert((u64::from(pair[0]) << 32) | u64::from(pair[1])) {
-                                ids.push(pair);
-                            }
-                            false
-                        });
-                    }
-                    memo.vals.extend([n, first as u64, memo.ids.len() as u64]);
-                    memo.index.insert(memo.key.as_slice().into(), e as u32);
-                    let words = memo.key.len() + 3 + (memo.ids.len() - first);
-                    if !self.charge_memo(st, gov, MEMO_ENTRY_BYTES + 8 * words as u64) {
-                        stopped = true;
-                        break;
-                    }
-                    e
-                }
-            };
-            let n = st.memo[last].vals[3 * e];
-            total = total.saturating_add(n);
-            // Whether the tuple delivers its ids: its projected ids above
-            // the final level and its interface are new to the run.
-            let mut fresh_key = false;
-            if n > 0 {
-                let vars = cur.vars_of(t);
-                key.clear();
-                key.push(e as u64);
-                key.extend(id_words(pre, vars));
-                if !st.delivered.contains(key.as_slice()) {
-                    st.delivered.insert(key.as_slice().into());
-                    fresh_key = true;
-                    if !self.charge_memo(st, gov, MEMO_ENTRY_BYTES + 8 * key.len() as u64) {
-                        stopped = true;
-                        break;
-                    }
-                }
-            }
-            window.push(((e as u64) << 1) | u64::from(fresh_key));
-        }
-        st.steps[last].probe_nanos += t0.elapsed().as_nanos() as u64;
-        let room = out_caps.cap.saturating_sub(out.delivered()) as u64;
-        let flow = if stopped {
-            Some(Flow::Stop)
-        } else if total >= room {
-            None
-        } else {
-            Some(self.deliver_final(st, out, gov, |out, st| {
-                let memo = &st.memo[last];
-                for (t, &w) in (lo..hi).zip(&window) {
-                    let e = (w >> 1) as usize;
-                    let [n, a, z] = [0, 1, 2].map(|i| memo.vals[3 * e + i] as usize);
-                    if n == 0 {
-                        continue;
-                    }
-                    let ids = if w & 1 == 1 { &memo.ids[a..z] } else { &[] };
-                    out.emit_ids(cur, t, place.pattern, fresh, ids, n);
-                    if out_caps.exhausted(out.delivered()) {
-                        return (!out_caps.gov_stop, out_caps.gov_stop);
-                    }
-                }
-                (false, false)
-            }))
-        };
-        st.window = window;
-        flow
-    }
-
-    /// The final level over all of `cur`: memoised windows where the memo
-    /// reaches it (each falling back to the per-tuple drive where a cap
-    /// could bind), else one per-tuple pass — counting matches when the
-    /// level is unread.
-    fn deliver_last<O: JoinOutput>(
-        &self,
-        cur: &RefArena,
-        st: &mut RunState,
-        out: &mut O,
-        out_caps: &mut CapTracker<'_>,
-        gov: Option<&Governor>,
-    ) -> Flow {
-        let last = self.levels() - 1;
-        let count = matches!(self.memo, Memo::Counted { .. });
-        let per_tuple = |st: &mut RunState, out: &mut O, caps: &mut CapTracker<'_>, lo, hi| {
-            self.deliver_final(st, out, gov, |out, st| {
-                let ctr = &mut st.steps[last];
-                match count {
-                    true => self.probe_window::<O, true>(last, cur, lo, hi, out, caps, ctr, gov),
-                    false => self.probe_window::<O, false>(last, cur, lo, hi, out, caps, ctr, gov),
-                }
-            })
-        };
-        let memoised = match &self.memo {
-            Memo::Counted { from, memoised } => *memoised && *from == last,
-            Memo::Distinct { .. } => true,
-            Memo::Off => false,
-        };
-        if !memoised {
-            return per_tuple(st, out, out_caps, 0, cur.len());
-        }
-        let mut lo = 0;
-        while lo < cur.len() {
-            let hi = (lo + EXPAND_CHUNK).min(cur.len());
-            let window = match &self.memo {
-                Memo::Distinct { fresh, pre } => {
-                    self.distinct_window(cur, lo, hi, (*fresh, pre), st, out, out_caps, gov)
-                }
-                _ => self.counted_window(last, cur, lo, hi, st, out, out_caps, gov),
-            };
-            let flow = window.unwrap_or_else(|| per_tuple(st, out, out_caps, lo, hi));
-            if flow == Flow::Stop {
-                return Flow::Stop;
-            }
-            lo = hi;
-        }
-        Flow::Continue
-    }
-
-    /// Expands frontier `cur` through levels `j..` depth-first (see the
-    /// module docs): a non-final level windows `cur` into
-    /// [`EXPAND_CHUNK`]-tuple windows — memoised at a counted suffix's
-    /// first level, else each filling the level's reused scratch (one
-    /// expansion, at most `icap` tuples) and recursing on it before the
-    /// next window runs; the final level delivers straight into `out` under
-    /// `out_caps`.
-    fn expand<O: JoinOutput>(
-        &self,
-        j: usize,
-        cur: &RefArena,
-        st: &mut RunState,
-        out: &mut O,
-        out_caps: &mut CapTracker<'_>,
-        gov: Option<&Governor>,
-    ) -> Flow {
-        if j == self.levels() - 1 {
-            return self.deliver_last(cur, st, out, out_caps, gov);
-        }
-        let memoised = matches!(self.memo, Memo::Counted { from, memoised: true } if from == j);
-        let mut lo = 0;
-        while lo < cur.len() {
-            let hi = (lo + EXPAND_CHUNK).min(cur.len());
-            let window = match memoised {
-                true => self.counted_window(j, cur, lo, hi, st, out, out_caps, gov),
-                false => None,
-            };
-            let flow = window
-                .unwrap_or_else(|| self.expand_window(j, cur, lo, hi, st, out, out_caps, gov));
-            if flow == Flow::Stop {
-                return Flow::Stop;
-            }
-            lo = hi;
-        }
-        Flow::Continue
-    }
-
-    /// One per-tuple window of non-final level `j`: probes tuples
-    /// `[lo, hi)` of `cur` into the level's scratch and recurses on the
-    /// expansion. An expansion that hits the tuple cap cuts the run once
-    /// its prefix's subtree finished.
-    #[allow(clippy::too_many_arguments)]
-    fn expand_window<O: JoinOutput>(
-        &self,
-        j: usize,
-        cur: &RefArena,
-        lo: usize,
-        hi: usize,
-        st: &mut RunState,
-        out: &mut O,
-        out_caps: &mut CapTracker<'_>,
-        gov: Option<&Governor>,
-    ) -> Flow {
-        let mut scratch = std::mem::take(&mut st.levels[j]);
-        scratch.truncate(0);
-        let t = Instant::now();
-        let mut caps = CapTracker::fixed(self.icap, gov);
-        let step = &mut st.steps[j];
-        let (capped, gov_stop) = self.probe_window::<RefArena, false>(
-            j,
-            cur,
-            lo,
-            hi,
-            &mut scratch,
-            &mut caps,
-            step,
-            gov,
-        );
-        step.probe_nanos += t.elapsed().as_nanos() as u64;
-        step.rows_out += scratch.len();
-        let flow = if gov_stop {
-            st.gov_stop = true;
-            Flow::Stop
-        } else {
-            let bytes = scratch.retained_bytes();
-            if self.charge_live(st, gov, bytes) == Flow::Stop {
-                Flow::Stop
-            } else {
-                let sub = self.expand(j + 1, &scratch, st, out, out_caps, gov);
-                self.uncharge(st, gov, bytes);
-                if sub == Flow::Continue && capped {
-                    // The expansion hit the intermediate cap and its
-                    // prefix's subtree just finished: the run cuts here and
-                    // the drive stops after it.
-                    st.cut.get_or_insert(j);
-                    Flow::Stop
-                } else {
-                    sub
-                }
-            }
-        };
-        st.levels[j] = scratch;
-        flow
-    }
-
-    /// Drives seed slice `[lo, hi)` depth-first through every level. With
-    /// no probe step the seed is the final level and the slice goes straight
-    /// into `out`; otherwise the seed expansion comes first (exempt from
-    /// the intermediate cap — it is bounded by the block size by
-    /// construction, which keeps sideways seed pruning emission-invariant
-    /// under truncation), then the chunked recursion over the steps. The
-    /// run's memo ends with it.
+    /// Drives seed slice `[lo, hi)` through every level: the evaluator at
+    /// the seed, with the memo on when some level stores. The run's memo
+    /// ends with it, and its bytes are released.
     ///
     /// `EngineConfig::inject_drive_panic` panics here, on whichever thread
     /// drives the run: in the parallel drive the panic is caught and the
@@ -1742,8 +1392,7 @@ impl Drive<'_, '_> {
     /// thread.
     fn drive_run<O: JoinOutput>(
         &self,
-        lo: usize,
-        hi: usize,
+        (lo, hi): (usize, usize),
         st: &mut RunState,
         out: &mut O,
         out_caps: &mut CapTracker<'_>,
@@ -1752,87 +1401,136 @@ impl Drive<'_, '_> {
         if self.env.config.inject_drive_panic {
             panic!("injected drive panic (EngineConfig::inject_drive_panic)");
         }
-        if self.steps.is_empty() {
-            return self
-                .deliver_final(st, out, gov, |out, _| self.emit_seed(lo, hi, out, out_caps));
-        }
-        let t0 = Instant::now();
-        let mut seedbuf = std::mem::take(&mut st.levels[0]);
-        seedbuf.truncate(0);
-        let mut caps = CapTracker::fixed(usize::MAX, gov);
-        let (_, gov_stop) = self.emit_seed(lo, hi, &mut seedbuf, &mut caps);
-        st.steps[0].probe_nanos += t0.elapsed().as_nanos() as u64;
-        st.steps[0].rows_out += seedbuf.len();
-        // An uncapped tracker only stops on a governor trip.
-        let flow = if gov_stop {
-            st.gov_stop = true;
-            Flow::Stop
-        } else {
-            let bytes = seedbuf.retained_bytes();
-            if self.charge_live(st, gov, bytes) == Flow::Stop {
-                Flow::Stop
-            } else {
-                let flow = self.expand(1, &seedbuf, st, out, out_caps, gov);
-                self.uncharge(st, gov, bytes);
-                flow
+        let flow = self.level(0, &self.proto, (lo, hi), st, out, out_caps, gov, self.memo);
+        if self.memo {
+            for m in &mut st.memo {
+                m.index.clear();
+                m.vals.clear();
+                m.ids.clear();
             }
-        };
-        st.levels[0] = seedbuf;
-        self.end_run(st, gov);
+            st.delivered.clear();
+            let bytes = std::mem::take(&mut st.memo_bytes);
+            self.uncharge(st, gov, bytes);
+        }
         flow
     }
 }
 
-/// What the drive memoises over the join order `order` and its probe
-/// steps, with the interface of every memoised level (see the module
-/// docs): a counted suffix when the output leaves the last levels unread,
-/// else a distinct final level when an id-keyed `distinct` reads it — in
-/// either case only where some level stores.
-fn plan_memo<O: JoinOutput>(
+/// Every level's plan over the join order `order` and its probe
+/// steps (see the module docs): a counted suffix when the output leaves the
+/// last levels unread, else a distinct final level when an id-keyed
+/// `distinct` reads it. A level stores unless its interface holds the
+/// seed's event, which no two tuples of a run share.
+fn plan_levels<O: JoinOutput>(
     a: &AnalyzedMultievent,
     order: &[usize],
     steps: &[JoinStep],
     out: &O,
-) -> (Memo, Vec<Option<Interface>>) {
+) -> Vec<LevelPlan> {
     let last = steps.len();
-    let mut ifaces: Vec<Option<Interface>> = (0..=last).map(|_| None).collect();
-    let Some(final_step) = steps.last() else {
-        return (Memo::Off, ifaces);
+    let plan = |k| LevelPlan {
+        delivers: Delivers::Tuples,
+        stores: false,
+        iface: Interface::of(a, order, steps, k),
     };
+    let mut plans: Vec<LevelPlan> = (0..=last).map(plan).collect();
+    let storable = |p: &LevelPlan| !p.iface.events.contains(&order[0]);
     // The longest unread suffix: level `k` is step `k − 1`.
-    let from = (1..=last)
-        .rev()
-        .take_while(|&k| {
-            let s = &steps[k - 1];
-            out.unread(s.place.pattern, &s.fresh(), k == last)
-        })
-        .last();
-    if let Some(from) = from {
-        for (k, iface) in ifaces.iter_mut().enumerate().skip(from) {
-            *iface = Some(Interface::of(a, order, steps, k));
-        }
-        let memoised = ifaces.iter().flatten().any(|i| i.stored);
-        if !memoised {
-            ifaces.iter_mut().for_each(|i| *i = None);
-        }
-        return (Memo::Counted { from, memoised }, ifaces);
-    }
-    let Some(slots) = out.id_keys() else {
-        return (Memo::Off, ifaces);
+    let unread = |k: &usize| {
+        let s = &steps[k - 1];
+        out.unread(s.place.pattern, &s.fresh(), *k == last)
     };
-    let fresh: Vec<usize> = (final_step.fresh().into_iter())
+    if let Some(from) = (1..=last).rev().take_while(unread).last() {
+        for p in &mut plans[from..] {
+            (p.delivers, p.stores) = (Delivers::Count, storable(p));
+        }
+        return plans;
+    }
+    let (Some(slots), Some(step), Some(p)) = (out.id_keys(), steps.last(), plans.last_mut()) else {
+        return plans;
+    };
+    let fresh: Vec<usize> = (step.fresh().into_iter())
         .filter(|v| slots.contains(v))
         .collect();
-    let iface = Interface::of(a, order, steps, last);
-    if fresh.is_empty() || !iface.stored {
-        return (Memo::Off, ifaces);
+    let fresh = match fresh[..] {
+        [] => return plans,
+        [v] => [v, v],
+        [v, .., w] => [v, w],
+    };
+    if storable(p) {
+        let pre = (slots.iter().copied())
+            .filter(|v| !fresh.contains(v))
+            .collect();
+        (p.delivers, p.stores) = (Delivers::Ids { fresh, pre }, true);
     }
-    let pre = (slots.iter().copied())
-        .filter(|v| !fresh.contains(v))
+    plans
+}
+
+/// The probe step that places `order[j]` after the patterns `order[..j]`,
+/// its index built over its candidates. Sideways build pruning drops the
+/// candidates whose bound-variable ids are absent from some placed
+/// partner's candidate domain — the frontier only ever carries ids drawn
+/// from every placed binder's domain, so a dropped candidate could never
+/// have been probed, and the index (and the frontier) is unchanged.
+fn build_step(
+    env: &ExecEnv<'_>,
+    candidates: &[Vec<EventRef>],
+    domains: &[Option<(IdSet, IdSet)>],
+    order: &[usize],
+    j: usize,
+) -> JoinStep {
+    let (a, parts) = (env.a, &env.parts);
+    let (place, cands) = (Place::of(a, order[j]), &candidates[order[j]]);
+    let above = &order[..j];
+    let placed: Vec<bool> = (0..order.len()).map(|q| above.contains(&q)).collect();
+    let same_var = place.subject == place.object;
+    // A pattern binds at most two variables, so the bound-var key packs
+    // into one u64.
+    let bound_vars: Vec<usize> = [place.subject, place.object][..2 - usize::from(same_var)]
+        .iter()
+        .copied()
+        .filter(|&v| {
+            (above.iter()).any(|&q| [a.patterns[q].subject, a.patterns[q].object].contains(&v))
+        })
         .collect();
-    ifaces[last] = Some(iface);
-    let fresh = [fresh[0], *fresh.last().expect("a fresh slot")];
-    (Memo::Distinct { fresh, pre }, ifaces)
+    let vars: Vec<(usize, bool)> = (bound_vars.iter())
+        .map(|&v| (v, v == place.subject))
+        .collect();
+    let pruned = sideways_prune(env, domains, above.iter().copied(), &vars, cands);
+    let refs: &[EventRef] = pruned.as_deref().unwrap_or(cands);
+    let key_of_ref = |r: EventRef| {
+        let mut ids = [NO_VAR; 2];
+        for (slot, &(_, subject)) in ids.iter_mut().zip(&vars) {
+            *slot = match subject {
+                true => parts.subject(r).raw(),
+                false => parts.object(r).raw(),
+            };
+        }
+        pack(ids)
+    };
+    // With temporal relations to verify, the index carries time columns in
+    // sorted runs for the probe's time search.
+    let rels = a.step_relations(place.pattern, &placed);
+    let t_build = Instant::now();
+    let index = match rels.is_empty() {
+        true => StepIndex::Plain(build_index(parts, refs, same_var, key_of_ref)),
+        false => StepIndex::Timed(build_index(parts, refs, same_var, key_of_ref)),
+    };
+    let stat = JoinStepStat {
+        pattern: place.pattern,
+        candidates: refs.len(),
+        filter_pruned: (cands.len() - refs.len()) as u64,
+        sorted_runs: index.sorted_runs(),
+        build_nanos: t_build.elapsed().as_nanos() as u64,
+        ..JoinStepStat::default()
+    };
+    JoinStep {
+        place,
+        bound_vars,
+        rels,
+        index,
+        stat,
+    }
 }
 
 /// The join drive (see the module docs): every probe step's index built
@@ -1850,85 +1548,41 @@ fn drive_join<O: JoinOutput>(
     let nvars = a.vars.len();
     let sizes: Vec<usize> = candidates.iter().map(Vec::len).collect();
     let join_order = plan_join_order(a, &sizes);
-    let seed_pruned = sideways_seed_prune(env, candidates, domains, &join_order);
-    let seed_all = &candidates[join_order[0]];
-    let seed_refs: &[EventRef] = seed_pruned.as_deref().unwrap_or(seed_all);
-    let seed_pruned_count = (seed_all.len() - seed_refs.len()) as u64;
     let gov = env.gov();
     let out_cap = env.max_tuples;
     let mut io = OpStat::default();
 
+    // Sideways seed pruning: before the seed frontier exists, drop seed
+    // candidates whose shared-variable ids are absent from the *second*
+    // step's candidate domains — such tuples probe a missing key at step
+    // two and extend nothing. Restricting the filter to the second step
+    // keeps the emission identical to the unfiltered run even under a
+    // truncating tuple cap: a dropped tuple emits nothing at step two, so
+    // every surviving emission happens at the same position. Gated off
+    // under a memory budget (the seed expansion is live-charged, so pruning
+    // would move the trip point) and when the seed list itself could
+    // truncate.
+    let seed = Place::of(a, join_order[0]);
+    let seed_all = &candidates[seed.pattern];
+    let seed_pruned = (join_order.get(1))
+        .filter(|_| !gov.is_some_and(|g| g.has_memory_budget()) && seed_all.len() <= out_cap)
+        .and_then(|&second| {
+            let vars = [(seed.subject, true), (seed.object, false)];
+            sideways_prune(env, domains, std::iter::once(second), &vars, seed_all)
+        });
+    let seed_refs: &[EventRef] = seed_pruned.as_deref().unwrap_or(seed_all);
+
     // The seed places its pattern first; every later pattern gets a probe
     // step, its index built here, once.
-    let parts = &env.parts;
-    let seed = Place::of(a, join_order[0]);
-    let mut steps: Vec<JoinStep> = Vec::with_capacity(n - 1);
-    let mut placed = vec![false; n];
-    let mut var_bound = vec![false; nvars];
-    placed[seed.pattern] = true;
-    var_bound[seed.subject] = true;
-    var_bound[seed.object] = true;
-    for &i in &join_order[1..] {
-        let place = Place::of(a, i);
-        let same_var = place.subject == place.object;
-        // A pattern binds at most two variables, so the bound-var key packs
-        // into one u64.
-        let bound_vars: Vec<usize> = [place.subject, place.object]
-            .iter()
-            .take(if same_var { 1 } else { 2 })
-            .copied()
-            .filter(|&v| var_bound[v])
-            .collect();
-        let mut candidate_pruned = 0u64;
-        let build_pruned = sideways_build_prune(
-            env,
-            domains,
-            &placed,
-            i,
-            &bound_vars,
-            &candidates[i],
-            &mut candidate_pruned,
-        );
-        let refs: &[EventRef] = build_pruned.as_deref().unwrap_or(&candidates[i]);
-        let key_of_ref = |r: EventRef| {
-            let mut ids = [NO_VAR; 2];
-            for (slot, &v) in ids.iter_mut().zip(&bound_vars) {
-                *slot = if v == place.subject {
-                    parts.subject(r).raw()
-                } else {
-                    parts.object(r).raw()
-                };
-            }
-            pack(ids)
-        };
-        // With temporal relations to verify, the index carries time columns
-        // in sorted runs for the probe's time search.
-        let rels = a.step_relations(i, &placed);
-        let t_build = Instant::now();
-        let index = match rels.is_empty() {
-            true => StepIndex::Plain(build_index(parts, refs, same_var, key_of_ref)),
-            false => StepIndex::Timed(build_index(parts, refs, same_var, key_of_ref)),
-        };
-        let build_nanos = t_build.elapsed().as_nanos() as u64;
-        io.build_nanos += build_nanos;
-        steps.push(JoinStep {
-            place,
-            candidates: refs.len(),
-            candidate_pruned,
-            bound_vars,
-            rels,
-            index,
-            build_nanos,
-        });
-        placed[i] = true;
-        var_bound[place.subject] = true;
-        var_bound[place.object] = true;
-    }
+    let steps: Vec<JoinStep> = (1..n)
+        .map(|j| build_step(env, candidates, domains, &join_order, j))
+        .collect();
+    io.build_nanos = steps.iter().map(|s| s.stat.build_nanos).sum();
 
     let mut proto = RefArena::new(n, nvars);
     proto.resize_tuples(1);
     let seed_total = seed_refs.len();
-    let (memo, ifaces) = plan_memo(a, &join_order, &steps, &out);
+    let plans = plan_levels(a, &join_order, &steps, &out);
 
     // An arena output is reserved to the drive's worst case — seed size
     // times every step's indexed-ref count — clamped by the output cap and
@@ -1974,8 +1628,8 @@ fn drive_join<O: JoinOutput>(
             forks_held: AtomicU64::new(0),
             forks_peak: AtomicU64::new(0),
             forks_full: AtomicBool::new(false),
-            memo,
-            ifaces,
+            memo: plans.iter().any(|p| p.stores),
+            plans,
         };
         let t_probe = Instant::now();
         // Parallel drive: every run fills a fork of the output under the
@@ -2004,11 +1658,10 @@ fn drive_join<O: JoinOutput>(
                     if budget.cap(k) == 0 || drive.forks_full.load(Ordering::Relaxed) {
                         continue;
                     }
-                    let (lo, hi) = run_range(k);
                     let mut st = RunState::new(n, nvars, charge);
                     let mut local = out.fork();
-                    let mut caps = CapTracker::shared(&budget, k, gov);
-                    let _ = drive.drive_run(lo, hi, &mut st, &mut local, &mut caps, gov);
+                    let mut caps = CapTracker::new(out_cap, Some((&budget, k)), gov);
+                    let _ = drive.drive_run(run_range(k), &mut st, &mut local, &mut caps, gov);
                     budget.publish(k, local.delivered());
                     // What the run still holds is its output's retained
                     // bytes: released with a stopped run's output now,
@@ -2054,7 +1707,7 @@ fn drive_join<O: JoinOutput>(
         // `RunState` serves every run driven here, so each level's scratch
         // grows to its high-water mark once.
         let mut st = RunState::new(n, nvars, false);
-        let mut caps = CapTracker::fixed(out_cap, gov);
+        let mut caps = CapTracker::new(out_cap, None, gov);
         let mut tripped = false;
         for (k, partial) in partials.into_iter().enumerate() {
             let held = out.retained_bytes();
@@ -2085,8 +1738,7 @@ fn drive_join<O: JoinOutput>(
                 // bounds it).
                 drive.charge_live(&mut st, gov, out.retained_bytes() - held)
             } else {
-                let (lo, hi) = run_range(k);
-                drive.drive_run(lo, hi, &mut st, &mut out, &mut caps, gov)
+                drive.drive_run(run_range(k), &mut st, &mut out, &mut caps, gov)
             };
             if let Some(e) = st.err.take() {
                 return Err(e);
@@ -2120,18 +1772,11 @@ fn drive_join<O: JoinOutput>(
     let seed_stat = JoinStepStat {
         pattern: seed.pattern,
         candidates: seed_total,
-        filter_pruned: seed_pruned_count,
+        filter_pruned: (seed_all.len() - seed_total) as u64,
         ..JoinStepStat::default()
     };
     io.join_steps = (std::iter::once(seed_stat))
-        .chain(steps.iter().map(|s| JoinStepStat {
-            pattern: s.place.pattern,
-            candidates: s.candidates,
-            filter_pruned: s.candidate_pruned,
-            sorted_runs: s.index.sorted_runs(),
-            build_nanos: s.build_nanos,
-            ..JoinStepStat::default()
-        }))
+        .chain(steps.iter().map(|s| s.stat.clone()))
         .collect();
     for (stat, c) in io.join_steps.iter_mut().zip(&counters) {
         stat.add(c);

@@ -741,7 +741,7 @@ pub struct JoinStepStat {
     /// starts at).
     pub probe_nanos: u64,
     /// Tuples whose interface this step's memo already held (see
-    /// `op/join.rs`, "Memoised suffixes").
+    /// `op/join.rs`, "The memo is a property of a level").
     pub memo_hits: u64,
     /// Tuples whose interface was new to the memo: their matches were
     /// enumerated once and memoised.
@@ -835,7 +835,7 @@ pub fn plan_tree(a: &AnalyzedMultievent, order: &[usize], project: bool) -> Plan
         })
         .collect();
     let join = PlanNode {
-        op: Box::new(TemporalJoin::new()),
+        op: Box::new(TemporalJoin),
         children: scans,
     };
     match project {

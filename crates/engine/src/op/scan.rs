@@ -84,7 +84,7 @@ impl Operator for PatternScan {
                 ..OpStat::default()
             });
         }
-        if env.config.semi_join_pushdown {
+        if env.config.ablation.semi_join_pushdown {
             st.bound.insert(p.subject, subjects.clone());
             st.bound.insert(p.object, objects.clone());
         }
@@ -184,7 +184,7 @@ fn scan_partitions(
         {
             return false;
         }
-        if !env.config.entity_pushdown {
+        if !env.config.ablation.entity_pushdown {
             for (var_idx, id) in [(p.subject, subj), (p.object, obj)] {
                 let entity = entities.get(id);
                 for c in &a.vars[var_idx].constraints {

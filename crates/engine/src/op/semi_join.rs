@@ -39,7 +39,7 @@ impl SemiJoinNarrow {
     /// constraints per row).
     pub(crate) fn unbound_filter(env: &ExecEnv<'_>, i: usize) -> EventFilter {
         let mut filter = env.ctx.filters[i].clone();
-        if !env.config.entity_pushdown {
+        if !env.config.ablation.entity_pushdown {
             filter.subjects = None;
             filter.objects = None;
         }
@@ -50,7 +50,7 @@ impl SemiJoinNarrow {
     /// without entity pushdown, would not see it: the pipeline stops here.
     fn stops(&self, env: &ExecEnv<'_>) -> bool {
         let p = &env.a.patterns[self.pattern];
-        !env.config.entity_pushdown
+        !env.config.ablation.entity_pushdown
             && (env.a.vars[p.subject].unsatisfiable || env.a.vars[p.object].unsatisfiable)
     }
 }
@@ -77,7 +77,7 @@ impl Operator for SemiJoinNarrow {
         let mut filter = Self::unbound_filter(env, i);
         let mut bound_in = 0;
         let mut pushed = 0;
-        if env.config.semi_join_pushdown {
+        if env.config.ablation.semi_join_pushdown {
             for (var, slot) in [
                 (p.subject, &mut filter.subjects),
                 (p.object, &mut filter.objects),
@@ -93,7 +93,7 @@ impl Operator for SemiJoinNarrow {
                 }
             }
         }
-        if env.config.temporal_narrowing {
+        if env.config.ablation.temporal_narrowing {
             narrow_window(env, &mut filter, i, &st.time_stats);
         }
         st.narrowed = Some(filter);
@@ -118,7 +118,7 @@ impl Operator for SemiJoinNarrow {
             .filter(|e| shares(e.subject) || shares(e.object))
             .map(|e| e.name.as_str())
             .collect();
-        let mut detail = match binders.is_empty() || !config.semi_join_pushdown {
+        let mut detail = match binders.is_empty() || !config.ablation.semi_join_pushdown {
             true => format!("{} pass-through", p.name),
             false => format!("{} bindings from {}", p.name, binders.join(", ")),
         };
@@ -126,13 +126,15 @@ impl Operator for SemiJoinNarrow {
             (t.left == i && scanned.contains(&t.right))
                 || (t.right == i && scanned.contains(&t.left))
         };
-        if config.temporal_narrowing && a.temporal.iter().any(related) {
+        if config.ablation.temporal_narrowing && a.temporal.iter().any(related) {
             detail.push_str(" | window narrowed");
         }
         let ids = &env.ctx.filters[i];
         if self.stops(env) {
             detail.push_str(" | unsatisfiable: the pipeline stops");
-        } else if !config.entity_pushdown && (ids.subjects.is_some() || ids.objects.is_some()) {
+        } else if !config.ablation.entity_pushdown
+            && (ids.subjects.is_some() || ids.objects.is_some())
+        {
             detail.push_str(" | entity ids stripped, checked per row");
         }
         detail

@@ -178,7 +178,7 @@ const UNREAD_FROM: usize = 4;
 const SINGLE_BODY: &str = "proc p1 write file f as e1\n";
 
 /// Join bodies whose shapes ([`MEMO_SHAPES`]) reach the join's memo (see
-/// `op/join.rs`, "Memoised suffixes"): the 4-chain counted by
+/// `op/join.rs`, "The memo is a property of a level"): the 4-chain counted by
 /// `count(e4.…)`, whose counted suffix spans two levels or more (its
 /// `distinct p1, p3` reads the timed final pattern); a 3-chain whose
 /// id-keyed `distinct` reads `f2`, which its relation-free final pattern

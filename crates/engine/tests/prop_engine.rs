@@ -128,11 +128,11 @@ proptest! {
         let store = build_store(&raws);
         let mut config = EngineConfig::default();
         match which {
-            0 => config.prioritize_pruning = false,
+            0 => config.ablation.prioritize_pruning = false,
             1 => config.parallelism = 1,
-            2 => config.semi_join_pushdown = false,
-            3 => config.temporal_narrowing = false,
-            4 => config.entity_pushdown = false,
+            2 => config.ablation.semi_join_pushdown = false,
+            3 => config.ablation.temporal_narrowing = false,
+            4 => config.ablation.entity_pushdown = false,
             _ => config = EngineConfig::unoptimized(),
         }
         let engine = Engine::new(config);

@@ -754,10 +754,8 @@ fn scans_enforce_declared_entity_kinds() {
         let op_rows = raws.iter().filter(|r| r.op == op).count();
         assert!(want.rows.len() < op_rows, "{src:?}: the kinds must filter");
         for entity_pushdown in [true, false] {
-            let config = EngineConfig {
-                entity_pushdown,
-                ..serial_config()
-            };
+            let mut config = serial_config();
+            config.ablation.entity_pushdown = entity_pushdown;
             let got = Engine::new(config).execute(&store, &q).unwrap();
             assert_eq!(
                 got.normalized().rows,

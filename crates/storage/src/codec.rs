@@ -1,10 +1,10 @@
 //! Binary encoding primitives shared by the WAL and snapshot formats.
 //!
 //! Little-endian fixed-width integers, LEB128 varints for counts, and a
-//! slicing-by-8 CRC-32 (IEEE 802.3 polynomial) for frame integrity. Built on
-//! the `bytes` crate so encoders can write into any `BufMut`.
-
-use bytes::{Buf, BufMut};
+//! slicing-by-8 CRC-32 (IEEE 802.3 polynomial) for frame integrity.
+//! Encoders append to a `Vec<u8>` (the writers of [`Put`]); decoders read a
+//! `&[u8]` that each getter advances, and truncated input is a
+//! [`CodecError::UnexpectedEof`], never a panic.
 
 /// Errors raised while decoding binary frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,28 +41,62 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// The little-endian writers the WAL and snapshot encoders call on their
+/// byte buffers.
+pub trait Put {
+    /// Appends one byte.
+    fn put_u8(&mut self, v: u8);
+    /// Appends a little-endian `u16`.
+    fn put_u16_le(&mut self, v: u16);
+    /// Appends a little-endian `u32`.
+    fn put_u32_le(&mut self, v: u32);
+    /// Appends a little-endian `u64`.
+    fn put_u64_le(&mut self, v: u64);
+    /// Appends a little-endian `i64`.
+    fn put_i64_le(&mut self, v: i64);
+}
+
+impl Put for Vec<u8> {
+    fn put_u8(&mut self, v: u8) {
+        self.push(v);
+    }
+
+    fn put_u16_le(&mut self, v: u16) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u32_le(&mut self, v: u32) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_u64_le(&mut self, v: u64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_i64_le(&mut self, v: i64) {
+        self.extend_from_slice(&v.to_le_bytes());
+    }
+}
+
 /// Writes an unsigned LEB128 varint.
-pub fn put_varint(buf: &mut impl BufMut, mut v: u64) {
+pub fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
         if v == 0 {
-            buf.put_u8(byte);
+            buf.push(byte);
             return;
         }
-        buf.put_u8(byte | 0x80);
+        buf.push(byte | 0x80);
     }
 }
 
 /// Reads an unsigned LEB128 varint.
-pub fn get_varint(buf: &mut impl Buf) -> Result<u64, CodecError> {
+pub fn get_varint(buf: &mut &[u8]) -> Result<u64, CodecError> {
     let mut v: u64 = 0;
     let mut shift = 0;
     loop {
-        if !buf.has_remaining() {
-            return Err(CodecError::UnexpectedEof);
-        }
-        let byte = buf.get_u8();
+        let byte = get_u8(buf)?;
         if shift >= 64 {
             return Err(CodecError::VarintOverflow);
         }
@@ -75,60 +109,55 @@ pub fn get_varint(buf: &mut impl Buf) -> Result<u64, CodecError> {
 }
 
 /// Writes a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut impl BufMut, s: &str) {
+pub fn put_str(buf: &mut Vec<u8>, s: &str) {
     put_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
+    buf.extend_from_slice(s.as_bytes());
 }
 
 /// Reads a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut impl Buf) -> Result<String, CodecError> {
+pub fn get_str(buf: &mut &[u8]) -> Result<String, CodecError> {
     let len = get_varint(buf)? as usize;
-    if buf.remaining() < len {
+    if buf.len() < len {
         return Err(CodecError::UnexpectedEof);
     }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|_| CodecError::BadUtf8)
+    let (bytes, rest) = buf.split_at(len);
+    *buf = rest;
+    String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
+}
+
+/// Takes the next `N` bytes off the front of `buf`, or fails with
+/// [`CodecError::UnexpectedEof`] and consumes nothing.
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    let (head, rest) = buf
+        .split_first_chunk::<N>()
+        .ok_or(CodecError::UnexpectedEof)?;
+    *buf = rest;
+    Ok(*head)
 }
 
 /// Reads a fixed `u32` (little endian) with an EOF check.
-pub fn get_u32(buf: &mut impl Buf) -> Result<u32, CodecError> {
-    if buf.remaining() < 4 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u32_le())
+pub fn get_u32(buf: &mut &[u8]) -> Result<u32, CodecError> {
+    take(buf).map(u32::from_le_bytes)
 }
 
 /// Reads a fixed `u64` (little endian) with an EOF check.
-pub fn get_u64(buf: &mut impl Buf) -> Result<u64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u64_le())
+pub fn get_u64(buf: &mut &[u8]) -> Result<u64, CodecError> {
+    take(buf).map(u64::from_le_bytes)
 }
 
 /// Reads a fixed `i64` (little endian) with an EOF check.
-pub fn get_i64(buf: &mut impl Buf) -> Result<i64, CodecError> {
-    if buf.remaining() < 8 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_i64_le())
+pub fn get_i64(buf: &mut &[u8]) -> Result<i64, CodecError> {
+    take(buf).map(i64::from_le_bytes)
 }
 
 /// Reads a single byte with an EOF check.
-pub fn get_u8(buf: &mut impl Buf) -> Result<u8, CodecError> {
-    if !buf.has_remaining() {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u8())
+pub fn get_u8(buf: &mut &[u8]) -> Result<u8, CodecError> {
+    take(buf).map(u8::from_le_bytes)
 }
 
 /// Reads a fixed `u16` (little endian) with an EOF check.
-pub fn get_u16(buf: &mut impl Buf) -> Result<u16, CodecError> {
-    if buf.remaining() < 2 {
-        return Err(CodecError::UnexpectedEof);
-    }
-    Ok(buf.get_u16_le())
+pub fn get_u16(buf: &mut &[u8]) -> Result<u16, CodecError> {
+    take(buf).map(u16::from_le_bytes)
 }
 
 /// CRC-32 (IEEE) over a byte slice, eight bytes per step (slicing-by-8):
@@ -194,7 +223,6 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     #[test]
     fn varint_roundtrip_boundaries() {
@@ -209,7 +237,7 @@ mod tests {
             u32::MAX as u64,
             u64::MAX,
         ] {
-            let mut buf = BytesMut::new();
+            let mut buf = Vec::new();
             put_varint(&mut buf, v);
             let mut slice = &buf[..];
             assert_eq!(get_varint(&mut slice).unwrap(), v);
@@ -218,8 +246,29 @@ mod tests {
     }
 
     #[test]
+    fn roundtrip_all_widths() {
+        let mut buf = Vec::new();
+        buf.put_u8(7);
+        buf.put_u16_le(300);
+        buf.put_u32_le(70_000);
+        buf.put_u64_le(1 << 40);
+        buf.put_i64_le(-12345);
+        buf.extend_from_slice(b"xyz");
+        let mut r: &[u8] = &buf;
+        assert_eq!(get_u8(&mut r), Ok(7));
+        assert_eq!(get_u16(&mut r), Ok(300));
+        assert_eq!(get_u32(&mut r), Ok(70_000));
+        assert_eq!(get_u64(&mut r), Ok(1 << 40));
+        assert_eq!(get_i64(&mut r), Ok(-12345));
+        assert_eq!(r, b"xyz");
+        // A short read fails typed and consumes nothing.
+        assert_eq!(get_u32(&mut r), Err(CodecError::UnexpectedEof));
+        assert_eq!(r, b"xyz");
+    }
+
+    #[test]
     fn varint_eof_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_varint(&mut buf, u64::MAX);
         let truncated = &buf[..buf.len() - 1];
         let mut slice = truncated;
@@ -228,7 +277,7 @@ mod tests {
 
     #[test]
     fn string_roundtrip() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_str(&mut buf, "C:\\Windows\\System32\\cmd.exe");
         put_str(&mut buf, "");
         let mut slice = &buf[..];
@@ -241,7 +290,7 @@ mod tests {
 
     #[test]
     fn string_eof_detected() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         put_varint(&mut buf, 100); // claims 100 bytes, provides none
         let mut slice = &buf[..];
         assert_eq!(get_str(&mut slice), Err(CodecError::UnexpectedEof));

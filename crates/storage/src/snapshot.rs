@@ -9,14 +9,12 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::{BufMut, BytesMut};
-
 use aiql_model::{
     AgentId, EntityAttrs, EntityId, Event, EventId, FileAttrs, IpV4, NetConnAttrs, Operation,
     ProcessAttrs, Protocol, Symbol, Timestamp,
 };
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, CodecError, Put};
 use crate::segment::PartitionKey;
 use crate::store::{EventStore, StoreConfig};
 use crate::wal::WalError;
@@ -31,7 +29,7 @@ const MAGIC: &[u8; 4] = b"AQS4";
 
 /// Writes a snapshot of `store` to `path`.
 pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
-    let mut buf = BytesMut::with_capacity(1 << 20);
+    let mut buf = Vec::with_capacity(1 << 20);
     // Config (so the loaded hypertable buckets identically).
     let cfg = store.config();
     buf.put_i64_le(cfg.time_bucket.micros());
@@ -254,7 +252,7 @@ pub fn load(path: &Path) -> Result<EventStore, WalError> {
     Ok(store)
 }
 
-fn encode_attrs(buf: &mut BytesMut, attrs: &EntityAttrs) {
+fn encode_attrs(buf: &mut Vec<u8>, attrs: &EntityAttrs) {
     match attrs {
         EntityAttrs::Process(p) => {
             buf.put_u8(0);
@@ -308,7 +306,7 @@ fn decode_attrs(buf: &mut &[u8]) -> Result<EntityAttrs, CodecError> {
     })
 }
 
-fn encode_event(buf: &mut BytesMut, e: &Event) {
+fn encode_event(buf: &mut Vec<u8>, e: &Event) {
     buf.put_u64_le(e.id.raw());
     buf.put_u32_le(e.agent.raw());
     buf.put_u8(e.op.index() as u8);
@@ -568,7 +566,7 @@ mod tests {
         entities: &[EntityAttrs],
         events: &[Event],
     ) -> std::path::PathBuf {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_i64_le(time_bucket);
         buf.put_u8(1); // dedup
         buf.put_i64_le(1_000_000); // dedup_window

@@ -25,11 +25,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufReader, BufWriter, Read, Seek, Write};
 use std::path::Path;
 
-use bytes::BufMut;
-
 use aiql_model::{AgentId, IpV4, Operation, Protocol, Timestamp};
 
-use crate::codec::{self, CodecError};
+use crate::codec::{self, CodecError, Put};
 use crate::fault::{FaultWriter, IoFault};
 use crate::ingest::{EntitySpec, RawEvent};
 
@@ -366,7 +364,7 @@ impl Wal {
 }
 
 /// Encodes a raw event payload (shared with tests).
-pub fn encode_raw_event(buf: &mut impl BufMut, raw: &RawEvent) {
+pub fn encode_raw_event(buf: &mut Vec<u8>, raw: &RawEvent) {
     buf.put_u32_le(raw.agent.raw());
     buf.put_u8(raw.op.index() as u8);
     encode_spec(buf, &raw.subject);
@@ -409,7 +407,7 @@ pub fn decode_raw_event(buf: &mut &[u8]) -> Result<RawEvent, CodecError> {
     })
 }
 
-fn encode_spec(buf: &mut impl BufMut, spec: &EntitySpec) {
+fn encode_spec(buf: &mut Vec<u8>, spec: &EntitySpec) {
     match spec {
         EntitySpec::Process {
             pid,
@@ -477,7 +475,6 @@ fn decode_spec(buf: &mut &[u8]) -> Result<EntitySpec, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytes::BytesMut;
 
     fn sample(i: i64) -> RawEvent {
         RawEvent::instant(
@@ -637,7 +634,7 @@ mod tests {
         let mut bytes = Vec::new();
         bytes.extend_from_slice(b"AQW1");
         for i in 0..2 {
-            let mut payload = BytesMut::new();
+            let mut payload = Vec::new();
             encode_raw_event(&mut payload, &sample(i));
             let crc = codec::crc32(&payload);
             bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -806,7 +803,7 @@ mod tests {
             Timestamp::from_secs(1),
             0,
         );
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         encode_raw_event(&mut buf, &conn);
         let mut slice = &buf[..];
         assert_eq!(decode_raw_event(&mut slice).unwrap(), conn);

@@ -10,7 +10,7 @@ use aiql::baseline::{GraphEngine, RelationalEngine};
 use aiql::sim::{
     build_store, case_study_queries, demo_queries, scenario_case_study, scenario_demo, Scale,
 };
-use aiql::{parse_query, Engine, EngineConfig, Query, StoreConfig};
+use aiql::{parse_query, Ablation, Engine, EngineConfig, Query, StoreConfig};
 
 fn check_scenario(store: aiql::EventStore, queries: Vec<aiql::sim::CatalogQuery>) {
     let engine = Engine::new(EngineConfig::default());
@@ -64,27 +64,32 @@ fn case_study_catalog_equivalence() {
 fn engine_config_ablations_preserve_results() {
     let store = build_store(&scenario_demo(Scale::test()), StoreConfig::default());
     let reference = Engine::new(EngineConfig::default());
+    let on = Ablation::default();
+    let ablated = |ablation| EngineConfig {
+        ablation,
+        ..EngineConfig::default()
+    };
     let variants = [
-        EngineConfig {
+        ablated(Ablation {
             prioritize_pruning: false,
-            ..EngineConfig::default()
-        },
+            ..on
+        }),
         EngineConfig {
             parallelism: 1,
             ..EngineConfig::default()
         },
-        EngineConfig {
+        ablated(Ablation {
             entity_pushdown: false,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
+            ..on
+        }),
+        ablated(Ablation {
             semi_join_pushdown: false,
-            ..EngineConfig::default()
-        },
-        EngineConfig {
+            ..on
+        }),
+        ablated(Ablation {
             temporal_narrowing: false,
-            ..EngineConfig::default()
-        },
+            ..on
+        }),
         EngineConfig::unoptimized(),
     ];
     for cq in demo_queries() {
@@ -205,7 +210,8 @@ fn fragmented_compacted_and_auto_layouts_agree_on_the_demo_catalog() {
 /// demo store: the engine equals the relational baseline at one and two
 /// threads, and the join memo engages exactly where the projection sees
 /// the last levels only in aggregate (`chain4_count`, `exfil3_distinct`),
-/// never for plain rows (`exfil3_rows`).
+/// never for plain rows (`exfil3_rows`). At one thread each join's memo
+/// hits, misses and per-level rows are pinned to their exact counts.
 #[test]
 fn hunt_shapes_equal_the_relational_baseline_with_the_memo_where_it_applies() {
     const EXFIL3: &str = "proc p1 write file f as e1
@@ -225,15 +231,33 @@ fn hunt_shapes_equal_the_relational_baseline_with_the_memo_where_it_applies() {
     };
     let store = build_store(&scenario_demo(scale), StoreConfig::default());
     let relational = RelationalEngine::new(true);
-    for (id, text, memoised) in [
-        ("chain4_count", chain4.to_string(), true),
-        ("exfil3_rows", format!("{EXFIL3}return p1, p2, f2"), false),
+    // At `parallelism: 1`, each join's exact per-level (memo hits, memo
+    // misses, rows out) and emitted tuples: the memo's work, pinned.
+    type Pinned = (&'static [(u64, u64, usize)], u64);
+    let pins: [(&str, String, bool, Pinned); 3] = [
+        (
+            "chain4_count",
+            chain4.to_string(),
+            true,
+            (
+                &[(0, 0, 1465), (0, 0, 938), (285, 653, 916), (304, 612, 910)],
+                4229,
+            ),
+        ),
+        (
+            "exfil3_rows",
+            format!("{EXFIL3}return p1, p2, f2"),
+            false,
+            (&[(0, 0, 1465), (0, 0, 1375), (0, 0, 2864)], 5704),
+        ),
         (
             "exfil3_distinct",
             format!("{EXFIL3}return distinct p1, f2"),
             true,
+            (&[(0, 0, 1465), (0, 0, 1375), (526, 849, 2864)], 5704),
         ),
-    ] {
+    ];
+    for (id, text, memoised, pinned) in pins {
         let want = relational.execute_text(&store, &text).unwrap().normalized();
         assert!(!want.rows.is_empty(), "{id}: no rows to compare");
         let Ok(Query::Multievent(m)) = parse_query(&text) else {
@@ -253,6 +277,16 @@ fn hunt_shapes_equal_the_relational_baseline_with_the_memo_where_it_applies() {
                 memoised,
                 "{id} at {parallelism}: {hits} memo hits"
             );
+            if parallelism == 1 {
+                let levels: Vec<(u64, u64, usize)> = (join.join_steps.iter())
+                    .map(|s| (s.memo_hits, s.memo_misses, s.rows_out))
+                    .collect();
+                assert_eq!(
+                    (levels.as_slice(), join.emitted_tuples),
+                    pinned,
+                    "{id}: per-level (memo hits, memo misses, rows out) and emitted tuples"
+                );
+            }
         }
     }
 }

@@ -1,10 +1,11 @@
 //! README's "## Tunables" tables and the config structs name the same
-//! fields: removing (or adding) a tunable has to touch the docs.
+//! fields: removing (or adding) a tunable has to touch the docs. The
+//! engine's test hooks are marked as such.
 
 use std::collections::BTreeSet;
 
 use aiql::engine::ServiceConfig;
-use aiql::{EngineConfig, StoreConfig};
+use aiql::{Ablation, EngineConfig, StoreConfig};
 
 /// The field names of a config, read off its pretty `Debug` rendering:
 /// the lines one level deep (nested configs indent further).
@@ -56,6 +57,7 @@ fn readme_tunables_match_the_config_structs() {
     for (config, debug) in [
         ("StoreConfig", format!("{:#?}", StoreConfig::default())),
         ("EngineConfig", format!("{:#?}", EngineConfig::default())),
+        ("Ablation", format!("{:#?}", Ablation::default())),
         ("ServiceConfig", format!("{:#?}", ServiceConfig::default())),
     ] {
         let fields = fields_of(&debug);
@@ -68,5 +70,13 @@ fn readme_tunables_match_the_config_structs() {
             "{config}: fields without a README Tunables row {undocumented:?}, \
              rows naming no field {stale:?}"
         );
+    }
+    // `EngineConfig`'s two `#[doc(hidden)]` fields are test hooks, and the
+    // README says so.
+    for hook in ["join_block_tuples", "inject_drive_panic"] {
+        let row = format!("| `{hook}` |");
+        let line = (readme.lines().find(|l| l.starts_with(&row)))
+            .unwrap_or_else(|| panic!("README has a `{hook}` row"));
+        assert!(line.contains("Test-only hook"), "{hook}: {line}");
     }
 }
