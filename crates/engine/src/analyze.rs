@@ -350,14 +350,13 @@ fn bind_var(
         }
     };
     for c in &decl.constraints {
-        let (attr, op, lit) = match c {
-            DeclConstraint::Default(lit) => (String::new(), CmpOp::Eq, lit.clone()),
+        let (attr, name, op, lit) = match c {
+            DeclConstraint::Default(lit) => (kind.default_attr(), "", CmpOp::Eq, lit),
             DeclConstraint::Attr(AttrConstraint { attr, op, value }) => {
-                Attr::resolve(Some(kind), attr)?;
-                (attr.clone(), *op, value.clone())
+                (Attr::resolve(Some(kind), attr)?, attr.as_str(), *op, value)
             }
         };
-        match lower_constraint(kind, &attr, op, &lit, interner)? {
+        match lower_constraint(attr, name, op, lit, interner)? {
             Lowered::Constraint(ec) => vars[idx].constraints.push(ec),
             Lowered::AlwaysTrue => {}
             Lowered::AlwaysFalse => vars[idx].unsatisfiable = true,
@@ -372,23 +371,19 @@ enum Lowered {
     AlwaysFalse,
 }
 
-/// Whether an attribute holds an IP address.
-fn is_ip_attr(kind: EntityKind, attr: &str) -> bool {
-    kind == EntityKind::NetConn && matches!(attr, "" | "dstip" | "dst_ip" | "srcip" | "src_ip")
-}
-
+/// Lowers a comparison of `attr` (spelled `name` in the query, empty for
+/// the default-attribute shortcut) against a literal.
 fn lower_constraint(
-    kind: EntityKind,
-    attr: &str,
+    attr: Attr,
+    name: &str,
     op: CmpOp,
     lit: &Literal,
     interner: &Interner,
 ) -> Result<Lowered, EngineError> {
     let make = |cmp: AttrCmp| {
-        Lowered::Constraint(if attr.is_empty() {
-            EntityConstraint::on_default(cmp)
-        } else {
-            EntityConstraint::on(attr, cmp)
+        Lowered::Constraint(EntityConstraint {
+            attr: Some(attr),
+            cmp,
         })
     };
     let lowered = match lit {
@@ -397,11 +392,11 @@ fn lower_constraint(
             // contain underscores (`info_stealer`). Only `%` opts in to
             // LIKE matching (where `_` then acts as a one-char wildcard).
             let wild = s.contains('%');
-            if is_ip_attr(kind, attr) {
+            if matches!(attr, Attr::DstIp | Attr::SrcIp) {
                 if wild {
                     if op != CmpOp::Eq {
                         return Err(EngineError::Analysis(format!(
-                            "pattern constraint on `{attr}` requires `=`"
+                            "pattern constraint on `{name}` requires `=`"
                         )));
                     }
                     make(AttrCmp::Like(StringPattern::new(s)))
@@ -430,7 +425,7 @@ fn lower_constraint(
                     },
                     _ => {
                         return Err(EngineError::Analysis(format!(
-                            "ordered comparison `{}` is not defined on string attribute `{attr}`",
+                            "ordered comparison `{}` is not defined on string attribute `{name}`",
                             op.symbol()
                         )))
                     }

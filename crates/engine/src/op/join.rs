@@ -894,10 +894,11 @@ struct RunState {
     memo_bytes: u64,
     /// One distinct-final miss's ids seen so far.
     dedup: HashSet<u64, MulHash>,
-    /// First level observed hitting the intermediate cap. The recursion
-    /// finishes the truncated expansion's subtree before stopping, so a
-    /// deeper level affected by the same stop records first.
-    cut: Option<usize>,
+    /// First level observed hitting the intermediate cap, and the tuples
+    /// the run had delivered when it cut. The recursion finishes the
+    /// truncated expansion's subtree before stopping, so a deeper level
+    /// affected by the same stop records first.
+    cut: Option<(usize, usize)>,
     /// A governor trip stopped the drive mid-flight.
     gov_stop: bool,
     /// Error-mode governor trip, surfaced once the recursion unwinds.
@@ -1167,7 +1168,7 @@ impl Drive<'_, '_> {
                     // The expansion hit the intermediate cap and its
                     // prefix's subtree just finished: the run cuts here and
                     // the drive stops after it.
-                    st.cut.get_or_insert(k);
+                    st.cut.get_or_insert((k, out.delivered()));
                     Flow::Stop
                 } else {
                     sub
@@ -1721,15 +1722,18 @@ fn drive_join<O: JoinOutput>(
                     tripped = true;
                     break;
                 }
-                let room = gov.map_or(u64::MAX, Governor::room);
-                let fits = part.delivered() <= out_cap - out.delivered()
-                    && p.tally.as_ref().is_none_or(|t| t.peak <= room);
+                let room = out_cap - out.delivered();
+                let fits = part.delivered() <= room
+                    && (p.tally.as_ref())
+                        .is_none_or(|t| t.peak <= gov.map_or(u64::MAX, Governor::room));
                 if fits && out.merge(part) {
                     merged = true;
                     // The run's accounting joins that of the runs driven
-                    // here.
+                    // here. Its cut stands only where the serial drive
+                    // reaches it, before the delivery that fills the output:
+                    // a fork on a stale budget share can fill it and cut after.
                     (st.steps.iter_mut().zip(&p.steps)).for_each(|(s, o)| s.add(o));
-                    st.cut = st.cut.or(p.cut);
+                    st.cut = st.cut.or(p.cut.filter(|&(_, at)| at < room));
                 }
             }
             let flow = if merged {
@@ -1757,7 +1761,7 @@ fn drive_join<O: JoinOutput>(
             }
         }
         counters = st.steps;
-        early_exit = st.cut.or((out.delivered() >= out_cap).then_some(n - 1));
+        early_exit = (st.cut.map(|(k, _)| k)).or((out.delivered() >= out_cap).then_some(n - 1));
         io.probe_nanos += t_probe.elapsed().as_nanos() as u64;
     }
     let cap_trip = early_exit.map(|cut_level| Warning::TupleCap {
@@ -1879,5 +1883,171 @@ mod tests {
                 assert_eq!(got, want, "{b:?} over {:?}", (&p.starts, &p.ends));
             }
         }
+    }
+
+    /// An arena output whose forks share one gate: the fork that delivers
+    /// a tuple binding `held` waits until some fork has delivered one
+    /// binding `release`. It forces an order between two runs of the
+    /// parallel drive that thread scheduling only sometimes produces.
+    struct Gated {
+        inner: RefArena,
+        gate: std::sync::Arc<(EntityId, EntityId, Mutex<bool>, std::sync::Condvar)>,
+    }
+
+    impl JoinOutput for Gated {
+        fn emit(
+            &mut self,
+            src: &RefArena,
+            i: usize,
+            pattern: usize,
+            r: EventRef,
+            subject: (usize, EntityId),
+            object: (usize, EntityId),
+        ) {
+            let (held, release, released, cv) = &*self.gate;
+            if subject.1 == *held {
+                let open = cv.wait_timeout_while(
+                    released.lock().unwrap(),
+                    std::time::Duration::from_secs(10),
+                    |open| !*open,
+                );
+                assert!(*open.unwrap().0, "the releasing run never delivered");
+            }
+            self.inner.emit(src, i, pattern, r, subject, object);
+            if subject.1 == *release {
+                *released.lock().unwrap() = true;
+                cv.notify_all();
+            }
+        }
+
+        fn delivered(&self) -> usize {
+            self.inner.delivered()
+        }
+
+        fn retained_bytes(&self) -> u64 {
+            self.inner.retained_bytes()
+        }
+
+        fn fork(&self) -> Self {
+            Gated {
+                inner: self.inner.fork(),
+                gate: std::sync::Arc::clone(&self.gate),
+            }
+        }
+
+        fn merge(&mut self, part: Self) -> bool {
+            self.inner.merge(part.inner)
+        }
+    }
+
+    /// Run 0 delivers one tuple; run 1's fork starts while run 0 has not yet
+    /// published it, so its share of the budget is the whole cap (5), one
+    /// more than the output's real room. The run delivers exactly that room
+    /// (4) without stopping and then cuts at level 1, where its expansion
+    /// hit the tuple cap. The serial drive stops on the delivery that fills
+    /// the output and names the final level; the parallel drive must too.
+    #[test]
+    fn a_fork_that_fills_the_output_on_a_stale_share_cuts_where_the_serial_drive_does() {
+        use aiql_model::{AgentId, Operation, Timestamp};
+        use aiql_storage::{EntitySpec, EventStore, RawEvent};
+        let mut raws = Vec::new();
+        let mut t = 0;
+        let mut event = |subject: EntitySpec, op, object: EntitySpec| {
+            // Ten seconds apart: dedup merges no repeat.
+            t += 10;
+            let at = Timestamp::from_secs(t);
+            raws.push(RawEvent::instant(AgentId(1), op, subject, object, at, 1));
+        };
+        let proc_ = |name: &str| EntitySpec::process(0, name, "u");
+        let input = |i: usize| EntitySpec::file(&format!("/in/{i}"), "u");
+        // Seeds (level 0): 14 writes, 7 per run.
+        for i in 0..14 {
+            event(proc_("seed.exe"), Operation::Write, input(i));
+        }
+        // Level 1: run 0 reaches one reader (m0); run 1's first seed six
+        // (m1..m6), of which the capped expansion keeps five; eight more
+        // reads behind them only make the pattern no smaller than the seed.
+        event(proc_("m0"), Operation::Read, input(0));
+        for m in 1..=6 {
+            event(proc_(&format!("m{m}")), Operation::Read, input(7));
+        }
+        for i in [8, 8, 9, 10, 11, 12, 13, 13] {
+            event(proc_("m7"), Operation::Read, input(i));
+        }
+        // Level 2: one write each by m0..m4 (m5 writes nothing), and m6's
+        // writes, which no kept level-1 tuple reaches.
+        for m in 0..=4 {
+            let out = EntitySpec::file(&format!("/out/{m}"), "u");
+            event(proc_(&format!("m{m}")), Operation::Write, out);
+        }
+        for j in 0..12 {
+            let out = EntitySpec::file(&format!("/out/x{j}"), "u");
+            event(proc_("m6"), Operation::Write, out);
+        }
+        let mut store = EventStore::default();
+        store.ingest_all(&raws);
+        let src = r#"proc s["seed.exe"] write file f["/in/%"] as e1
+            proc m read file f as e2
+            proc m write file g["/out/%"] as e3
+            return s, m, g"#;
+        let aiql_lang::Query::Multievent(m) = aiql_lang::parse_query(src).unwrap() else {
+            panic!("multievent");
+        };
+        let a = crate::analyze_multievent(&m, &store).unwrap();
+        let proc_id = |name: &str| {
+            let sym = store.interner().get(name).unwrap();
+            let ids = store.entities().find(
+                aiql_model::EntityKind::Process,
+                None,
+                &[aiql_storage::EntityConstraint::on_default(
+                    aiql_storage::AttrCmp::Eq(aiql_model::Value::Str(sym)),
+                )],
+            );
+            ids[0]
+        };
+        let budget = crate::ExecBudget::unlimited().with_max_tuples(5);
+        let cut = |parallelism: usize| {
+            // Source-order scans: the seed pattern scans first, so no
+            // binding narrows it below its 14 writes.
+            let config = crate::EngineConfig {
+                parallelism,
+                join_block_tuples: 7,
+                ablation: crate::Ablation {
+                    prioritize_pruning: false,
+                    ..crate::Ablation::default()
+                },
+                ..crate::EngineConfig::default()
+            };
+            let exec = crate::exec::MultieventExec::new(&store, &a, &config).with_budget(&budget);
+            let (env, tree) = exec.build(false);
+            let mut st = crate::op::PipelineState::new(&a, &env.ctx.plan.order);
+            for scan in &tree.children {
+                scan.execute(&env, &mut st).unwrap();
+            }
+            let candidates: Vec<Vec<EventRef>> = st
+                .candidates
+                .iter_mut()
+                .map(|c| c.take().unwrap())
+                .collect();
+            let gate = (
+                proc_id("m0"),
+                proc_id("m1"),
+                Mutex::new(parallelism == 1),
+                Default::default(),
+            );
+            let out = Gated {
+                inner: RefArena::new(3, a.vars.len()),
+                gate: std::sync::Arc::new(gate),
+            };
+            let (out, warning, io) = drive_join(&env, &candidates, &st.domains, out).unwrap();
+            assert_eq!(out.delivered(), 5, "parallelism {parallelism}");
+            assert_eq!(io.runs_driven, 2, "parallelism {parallelism}");
+            match warning {
+                Some(Warning::TupleCap { cut_level, .. }) => cut_level,
+                other => panic!("parallelism {parallelism}: {other:?}"),
+            }
+        };
+        assert_eq!(cut(1), 2, "the serial drive stops on the filling delivery");
+        assert_eq!(cut(8), cut(1));
     }
 }

@@ -4,7 +4,7 @@
 //! into many small segments; compaction merges them into dense runs while
 //! preserving the partition-global flat row addresses the engine's
 //! `EventRef`s carry. Three stores built from identical raw streams —
-//! fragmented (compaction off), explicitly compacted
+//! fragmented (merges deferred and never drained), explicitly compacted
 //! (`EventStore::compact()`), and auto-compacted (the default commit-time
 //! policy) — must return **byte-identical** tables for every query, serial
 //! and with the sharded parallel join-index build forced, and the
@@ -95,20 +95,23 @@ fn query_catalog() -> Vec<&'static str> {
 
 /// Identical raw stream, identical tiny commit batches (so dedup sees the
 /// same groups in all three stores) — only the physical layout differs.
+/// The fragmented store defers its merges and nothing drains them: one
+/// sealed segment per commit. Four-event commits bring some partition to
+/// the commit-time trigger's four segments in most cases (10 of the 16
+/// generated streams: every one above 21 events).
 fn build_stores(raws: &[RawEvent]) -> (EventStore, EventStore, EventStore) {
-    let cfg = |compaction: bool| StoreConfig {
+    let cfg = |deferred: bool| StoreConfig {
         time_bucket: aiql_model::Duration::from_mins(10),
-        batch_size: 16,
-        compaction,
-        compaction_min_segments: 2,
+        batch_size: 4,
+        background_compaction: deferred,
         ..StoreConfig::default()
     };
-    let mut fragmented = EventStore::new(cfg(false));
+    let mut fragmented = EventStore::new(cfg(true));
     fragmented.ingest_all(raws);
-    let mut compacted = EventStore::new(cfg(false));
+    let mut compacted = EventStore::new(cfg(true));
     compacted.ingest_all(raws);
     compacted.compact();
-    let mut auto = EventStore::new(cfg(true));
+    let mut auto = EventStore::new(cfg(false));
     auto.ingest_all(raws);
     (fragmented, compacted, auto)
 }
@@ -135,6 +138,20 @@ proptest! {
             prop_assert!(f.segments >= f.partitions);
             let c = compacted.stats();
             prop_assert_eq!(c.segments, c.partitions, "compact() leaves dense runs");
+            // The commit-time trigger fired wherever a partition reached
+            // four sealed segments: the auto store holds none that many,
+            // and fewer than the fragmented store wherever it fired.
+            let layouts = fragmented.segment_layouts().into_iter().zip(auto.segment_layouts());
+            for ((key, frag), (auto_key, lens)) in layouts {
+                prop_assert_eq!(key, auto_key);
+                prop_assert!(lens.len() < 4, "{:?}: {:?} segments", key, lens);
+                if frag.len() >= 4 {
+                    prop_assert!(
+                        lens.len() < frag.len(),
+                        "{:?}: {:?} vs {:?}", key, lens, frag
+                    );
+                }
+            }
         }
         let config = EngineConfig {
             parallelism: if parallel { 2 } else { 1 },
@@ -260,7 +277,7 @@ fn join_stats_split_build_and_probe_time() {
 #[test]
 fn plan_cache_survives_compaction_of_unread_partitions() {
     let mut store = EventStore::new(StoreConfig {
-        compaction: false,
+        background_compaction: true,
         dedup: false,
         ..StoreConfig::default()
     });

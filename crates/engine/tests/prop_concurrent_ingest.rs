@@ -137,17 +137,17 @@ proptest! {
         let live = SharedStore::new(EventStore::new(StoreConfig {
             time_bucket: bucket,
             batch_size: 16,
-            compaction_min_segments: 2,
             novelty_flush_rows: flush_rows,
             background_compaction,
             ..StoreConfig::default()
         }));
-        // Reference: seal-per-commit, never compacted — the layout the
-        // seed produced. Logical results must not depend on layout.
+        // Reference: seal-per-commit, never compacted (a bare store's
+        // deferred merges have nobody to drain them) — the layout the seed
+        // produced. Logical results must not depend on layout.
         let mut reference = EventStore::new(StoreConfig {
             time_bucket: bucket,
             batch_size: 16,
-            compaction: false,
+            background_compaction: true,
             ..StoreConfig::default()
         });
         let config = EngineConfig {
@@ -211,6 +211,37 @@ proptest! {
                 }
             }
         }
+        // Four overlay-sized commits into one partition (host 0, the
+        // bucket after the random stream's) seal four segments there: the
+        // trigger must fire, whoever drains it.
+        let flushes_before = live.stats().novelty_flushes;
+        for round in 0..4 {
+            let batch: Vec<RawEvent> = (0..flush_rows)
+                .map(|i| {
+                    RawEvent::instant(
+                        AgentId(0),
+                        Operation::Write,
+                        EntitySpec::process(100, "exe0.bin", "user"),
+                        EntitySpec::file("/data/file0", "user"),
+                        Timestamp::from_secs(5_400 + 2 * (round * flush_rows + i) as i64),
+                        1,
+                    )
+                })
+                .collect();
+            live.write(|s| s.ingest_all(&batch));
+            reference.ingest_all(&batch);
+        }
+        prop_assert!(live.stats().novelty_flushes >= flushes_before + 4);
+        let sealed = live.read(|s| s.segment_layouts());
+        let burst = sealed
+            .iter()
+            .find(|(key, _)| key.agent == AgentId(0) && key.bucket == 9)
+            .map(|(_, lens)| lens.len());
+        prop_assert!(
+            burst.is_some_and(|n| n < 4),
+            "four flushes sealed, the trigger never merged: {:?}",
+            burst
+        );
         // Final maintenance barrier: flush + compact everything, then every
         // catalog query must still agree.
         live.write(|s| {

@@ -36,11 +36,11 @@ impl EntityKind {
     /// The default attribute used by AIQL's context-aware syntax shortcuts:
     /// `proc p["%cmd.exe"]` constrains `exe_name`, `file f["%.dmp"]`
     /// constrains `name`, `ip i` in a return clause projects `dst_ip`.
-    pub fn default_attr(self) -> &'static str {
+    pub fn default_attr(self) -> Attr {
         match self {
-            EntityKind::Process => "exe_name",
-            EntityKind::File => "name",
-            EntityKind::NetConn => "dst_ip",
+            EntityKind::Process => Attr::ExeName,
+            EntityKind::File => Attr::Path,
+            EntityKind::NetConn => Attr::DstIp,
         }
     }
 }
@@ -210,9 +210,16 @@ mod tests {
 
     #[test]
     fn default_attrs_per_kind() {
-        assert_eq!(EntityKind::Process.default_attr(), "exe_name");
-        assert_eq!(EntityKind::File.default_attr(), "name");
-        assert_eq!(EntityKind::NetConn.default_attr(), "dst_ip");
+        use EntityKind::{File, NetConn, Process};
+        assert_eq!(
+            Attr::resolve(Some(Process), "exe_name"),
+            Ok(Process.default_attr())
+        );
+        assert_eq!(Attr::resolve(Some(File), "name"), Ok(File.default_attr()));
+        assert_eq!(
+            Attr::resolve(Some(NetConn), "dst_ip"),
+            Ok(NetConn.default_attr())
+        );
     }
 
     #[test]

@@ -107,7 +107,7 @@ impl Duration {
 
     /// Builds a duration from whole seconds.
     #[inline]
-    pub fn from_secs(secs: i64) -> Self {
+    pub const fn from_secs(secs: i64) -> Self {
         Duration(secs * MICROS_PER_SEC)
     }
 

@@ -19,8 +19,8 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use aiql_model::{
-    AgentId, Entity, EntityAttrs, EntityId, EntityKind, Interner, PatternShape, StringPattern,
-    Symbol, Value,
+    AgentId, Attr, Entity, EntityAttrs, EntityId, EntityKind, Interner, PatternShape,
+    StringPattern, Symbol, Value,
 };
 
 /// Inserts `key` into a posting list kept in ascending order. Keys arrive
@@ -187,9 +187,10 @@ pub enum AttrCmp {
 /// A single constraint over one entity attribute.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityConstraint {
-    /// Attribute name (`exe_name`, `dstip`, …). The empty string means the
-    /// entity kind's default attribute (context-aware shortcut).
-    pub attr: String,
+    /// The constrained attribute, resolved once (analysis resolves every
+    /// name it accepts). `None` is the entity kind's default attribute
+    /// (context-aware shortcut).
+    pub attr: Option<Attr>,
     /// The comparison to apply.
     pub cmp: AttrCmp,
 }
@@ -197,26 +198,21 @@ pub struct EntityConstraint {
 impl EntityConstraint {
     /// Constraint on the kind's default attribute.
     pub fn on_default(cmp: AttrCmp) -> Self {
-        EntityConstraint {
-            attr: String::new(),
-            cmp,
-        }
+        EntityConstraint { attr: None, cmp }
     }
 
-    /// Constraint on a named attribute.
-    pub fn on(attr: &str, cmp: AttrCmp) -> Self {
-        EntityConstraint {
-            attr: attr.to_string(),
-            cmp,
-        }
-    }
-
-    fn resolved_attr(&self, kind: EntityKind) -> &str {
-        if self.attr.is_empty() {
-            kind.default_attr()
-        } else {
-            &self.attr
-        }
+    /// Constraint on the attribute `name` spells on the entity kind that
+    /// has it. `name` itself is the default attribute of both kinds that
+    /// have it (a process's executable, a file's path), so it constrains
+    /// the default. Panics on a name no kind has.
+    pub fn on(name: &str, cmp: AttrCmp) -> Self {
+        let kinds = [EntityKind::Process, EntityKind::File, EntityKind::NetConn];
+        let attr = (name != "name").then(|| {
+            (kinds.into_iter())
+                .find_map(|kind| Attr::resolve(Some(kind), name).ok())
+                .unwrap_or_else(|| panic!("no entity kind has an attribute {name:?}"))
+        });
+        EntityConstraint { attr, cmp }
     }
 
     /// A rough selectivity estimate in `[0, 1]` used by the scheduler.
@@ -331,15 +327,14 @@ impl Layer {
         c: &EntityConstraint,
         interner: &Interner,
     ) -> Option<Vec<EntityId>> {
-        let attr = c.resolved_attr(kind);
-        match (kind, attr) {
-            (EntityKind::Process, "exe_name" | "name") => {
+        match (kind, c.attr.unwrap_or(kind.default_attr())) {
+            (EntityKind::Process, Attr::ExeName) => {
                 sym_index_lookup(&self.proc_by_name, &self.proc_dict, c, interner)
             }
-            (EntityKind::File, "name" | "path") => {
+            (EntityKind::File, Attr::Path) => {
                 sym_index_lookup(&self.file_by_name, &self.file_dict, c, interner)
             }
-            (EntityKind::NetConn, "dst_ip" | "dstip") => match &c.cmp {
+            (EntityKind::NetConn, Attr::DstIp) => match &c.cmp {
                 AttrCmp::Eq(Value::Ip(ip)) => Some(finish_ids(
                     self.conn_by_dst.get(&ip.0).cloned().unwrap_or_default(),
                 )),
@@ -746,8 +741,8 @@ impl EntityStore {
 
     /// Evaluates one constraint against one entity.
     pub fn eval(&self, entity: &Entity, c: &EntityConstraint) -> bool {
-        let attr = c.resolved_attr(entity.kind());
-        let Ok(actual) = entity.get(attr) else {
+        let attr = c.attr.unwrap_or(entity.kind().default_attr());
+        let Some(actual) = entity.value(attr) else {
             return false;
         };
         self.eval_value(actual, &c.cmp)

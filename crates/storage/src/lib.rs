@@ -21,8 +21,8 @@
 //!   commit); the engine enumerates only the partitions a query's global
 //!   constraints allow and executes them in parallel.
 //! * **Segment compaction** — many small commits fragment a partition into
-//!   many small segments; a size-tiered merge
-//!   ([`EventStore::compact`], automatic per commit by default) rewrites
+//!   many small segments; a size-tiered merge ([`EventStore::compact`],
+//!   queued by every commit that crosses the trigger) rewrites
 //!   adjacent small segments into dense runs while preserving the flat row
 //!   addresses the engine's `EventRef`s carry.
 //! * **Persistence** — a write-ahead log ([`wal`]) with CRC-protected

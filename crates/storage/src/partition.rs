@@ -4,8 +4,9 @@
 //! one new segment per commit, so a partition receiving many small commits
 //! fragments into many small segments — every scan then pays per-segment
 //! setup, posting-list unions across tiny lists, and sparse selection
-//! vectors. `Partition::compact` merges adjacent small segments back into
-//! dense runs under a size-tiered policy.
+//! vectors. `Partition::compacted` plans merging adjacent small segments
+//! back into dense runs under a size-tiered policy, and
+//! `Partition::install_compaction` installs the result.
 //!
 //! The partition exposes a **flat row address space**: row `r` is the
 //! `r`-th event of the concatenation of its segments in commit order.
@@ -62,8 +63,8 @@ pub struct Partition {
     /// since the last flush. Mutated through `Arc::make_mut`, so a clone
     /// held by a published snapshot keeps reading the pre-mutation overlay
     /// while the writer appends — the copy cost is bounded by the flush
-    /// threshold. Empty when the overlay is disabled (flush threshold 0
-    /// seals every commit immediately).
+    /// threshold. Empty between commits at flush threshold 0, where every
+    /// commit seals.
     novelty: Arc<Segment>,
     /// Total rows across sealed segments *and* the novelty overlay.
     rows: usize,
@@ -151,30 +152,11 @@ impl Partition {
             .max()
     }
 
-    /// Appends one batch commit as a freshly sealed segment (empty batches
-    /// seal nothing). Bumps the epoch once per batch — the granularity plan
-    /// caches invalidate at.
-    pub(crate) fn append_commit(&mut self, agent: AgentId, events: &[Event]) {
-        if events.is_empty() {
-            return;
-        }
-        debug_assert!(
-            self.novelty.is_empty(),
-            "sealed commits and the novelty overlay do not interleave"
-        );
-        let mut seg = Segment::new();
-        for e in events {
-            seg.push(agent, e);
-        }
-        self.bases.push(self.sealed_rows() as u32);
-        self.rows += seg.len();
-        self.epoch += 1;
-        self.segments.push(Arc::new(seg));
-    }
-
     /// Appends one batch commit into the novelty overlay, sealing the
-    /// overlay into the sealed run once it reaches `flush_rows`. Returns
-    /// whether a flush happened. Bumps the epoch once per batch.
+    /// overlay into the sealed run once it reaches `flush_rows` (at 0, every
+    /// commit seals as one new segment). Returns whether a flush happened.
+    /// Bumps the epoch once per batch — the granularity plan caches
+    /// invalidate at.
     pub(crate) fn append_novelty(
         &mut self,
         agent: AgentId,
@@ -416,37 +398,11 @@ impl Partition {
         agg
     }
 
-    /// Size-tiered compaction: greedily merges adjacent runs of segments
-    /// whose combined rows fit `max_rows` into one dense segment, left to
-    /// right. Returns whether the layout changed; a change bumps the epoch
-    /// once (the rewrite invalidates plan-cache entries over this partition
-    /// only — the compaction guarantee the engine's partition-scoped
-    /// invalidation relies on). Flat row indices are preserved (see the
-    /// module docs), so no reader-visible state changes besides density.
-    pub(crate) fn compact(&mut self, max_rows: usize) -> bool {
-        // Without a token the pass can't be cancelled.
-        self.compact_cancellable(max_rows, None).unwrap_or(false)
-    }
-
-    /// [`Partition::compact`] with cooperative cancellation (see
-    /// [`Partition::compacted`]): a cancelled pass leaves segments,
-    /// flat-row bases, and the epoch exactly as they were.
-    pub(crate) fn compact_cancellable(
-        &mut self,
-        max_rows: usize,
-        cancel: Option<&CancelToken>,
-    ) -> Result<bool, CompactionCancelled> {
-        match self.compacted(max_rows, cancel)? {
-            Some(segments) => {
-                self.install_compaction(segments);
-                Ok(true)
-            }
-            None => Ok(false),
-        }
-    }
-
-    /// The sealed run a compaction pass would leave, or `None` when the
-    /// layout is already as dense as the tiering allows. Read-only, so the
+    /// Size-tiered compaction, planned: greedily merges adjacent runs of
+    /// segments whose combined rows fit `max_rows` into one dense segment,
+    /// left to right, and returns the sealed run the pass would leave, or
+    /// `None` when the layout is already as dense as the tiering allows.
+    /// Flat row indices are preserved (see the module docs). Read-only, so the
     /// store can run it on a partition a snapshot shares and copy the
     /// partition only when there is something to install. The token is
     /// polled before each run merge (the unit of real work); the pass is
@@ -495,7 +451,10 @@ impl Partition {
     }
 
     /// Replaces the sealed run with a [`Partition::compacted`] one (same
-    /// rows in the same flat order) and bumps the epoch once.
+    /// rows in the same flat order) and bumps the epoch once: the rewrite
+    /// invalidates plan-cache entries over this partition only — the
+    /// compaction guarantee the engine's partition-scoped invalidation
+    /// relies on.
     pub(crate) fn install_compaction(&mut self, segments: Vec<Arc<Segment>>) {
         self.segments = segments;
         self.rebuild_bases();
@@ -593,9 +552,23 @@ mod tests {
                     e
                 })
                 .collect();
-            p.append_commit(AgentId(1), &events);
+            p.append_novelty(AgentId(1), &events, 0);
         }
         p
+    }
+
+    /// One compaction pass the way the store runs it: planned on the
+    /// partition as it stands, then installed.
+    fn compact(
+        p: &mut Partition,
+        max_rows: usize,
+        cancel: Option<&CancelToken>,
+    ) -> Result<bool, CompactionCancelled> {
+        let Some(segments) = p.compacted(max_rows, cancel)? else {
+            return Ok(false);
+        };
+        p.install_compaction(segments);
+        Ok(true)
     }
 
     #[test]
@@ -615,19 +588,23 @@ mod tests {
         let before_select = p.select(AgentId(1), &filter);
         let before: Vec<Event> = (0..p.len()).map(|r| p.event_at(AgentId(1), r)).collect();
         let epoch_before = p.epoch();
-        assert!(p.compact(usize::MAX));
+        assert_eq!(compact(&mut p, usize::MAX, None), Ok(true));
         assert_eq!(p.segment_count(), 1);
         assert_eq!(p.epoch(), epoch_before + 1, "layout rewrite bumps once");
         let after: Vec<Event> = (0..p.len()).map(|r| p.event_at(AgentId(1), r)).collect();
         assert_eq!(before, after, "flat rows invariant under compaction");
         assert_eq!(before_select, p.select(AgentId(1), &filter));
-        assert!(!p.compact(usize::MAX), "already dense: no-op");
+        assert_eq!(
+            compact(&mut p, usize::MAX, None),
+            Ok(false),
+            "already dense: no-op"
+        );
     }
 
     #[test]
     fn tiered_compaction_respects_max_rows() {
         let mut p = fragmented(6, 10); // 60 rows in 6 segments
-        assert!(p.compact(25));
+        assert_eq!(compact(&mut p, 25, None), Ok(true));
         // Greedy runs of ≤25 rows: 2+2+2 segments → 3 merged runs of 20.
         assert_eq!(p.segment_count(), 3);
         assert!(p.segments().iter().all(|s| s.len() <= 25));
@@ -640,12 +617,12 @@ mod tests {
         let big: Vec<Event> = (0..30)
             .map(|i| mk_event(i, Operation::Read, 1, 2, i as i64))
             .collect();
-        p.append_commit(AgentId(1), &big);
+        p.append_novelty(AgentId(1), &big, 0);
         let small: Vec<Event> = (30..34)
             .map(|i| mk_event(i, Operation::Write, 1, 2, i as i64))
             .collect();
-        p.append_commit(AgentId(1), &small);
-        p.append_commit(
+        p.append_novelty(AgentId(1), &small, 0);
+        p.append_novelty(
             AgentId(1),
             &small
                 .iter()
@@ -655,8 +632,9 @@ mod tests {
                     e
                 })
                 .collect::<Vec<_>>(),
+            0,
         );
-        assert!(p.compact(10));
+        assert_eq!(compact(&mut p, 10, None), Ok(true));
         // The 30-row segment exceeds the tier but must stand; the two small
         // commits merge.
         assert_eq!(p.segment_count(), 2);
@@ -673,7 +651,7 @@ mod tests {
         let cancel = CancelToken::new();
         cancel.cancel();
         assert_eq!(
-            p.compact_cancellable(usize::MAX, Some(&cancel)),
+            compact(&mut p, usize::MAX, Some(&cancel)),
             Err(CompactionCancelled)
         );
         // The guarantee: an aborted pass is a no-op — layout, rows, epoch.
@@ -683,7 +661,7 @@ mod tests {
         assert_eq!(before, after);
         // The same pass retried with a live token completes normally.
         assert_eq!(
-            p.compact_cancellable(usize::MAX, Some(&CancelToken::new())),
+            compact(&mut p, usize::MAX, Some(&CancelToken::new())),
             Ok(true)
         );
         assert_eq!(p.segment_count(), 1);
@@ -697,8 +675,8 @@ mod tests {
         let mut a = fragmented(6, 10);
         let mut b = fragmented(6, 10);
         assert_eq!(
-            a.compact_cancellable(25, Some(&CancelToken::new())),
-            Ok(b.compact(25))
+            compact(&mut a, 25, Some(&CancelToken::new())),
+            compact(&mut b, 25, None)
         );
         assert_eq!(a.segment_count(), b.segment_count());
         assert_eq!(a.epoch(), b.epoch());
@@ -815,7 +793,7 @@ mod tests {
         let before: Vec<Event> = (0..overlay.len())
             .map(|r| overlay.event_at(AgentId(1), r))
             .collect();
-        assert!(overlay.compact(usize::MAX));
+        assert_eq!(compact(&mut overlay, usize::MAX, None), Ok(true));
         assert_eq!(overlay.sealed_segment_count(), 1);
         assert_eq!(overlay.novelty_len(), novelty_before);
         let after: Vec<Event> = (0..overlay.len())

@@ -177,24 +177,25 @@ mod tests {
         drop(wal);
         store.ingest_all(&raws);
         snapshot::save(&store, &snap_path).unwrap();
-        // An intact snapshot under the previous format's magic.
+        // An intact snapshot under an older format's magic.
         let mut bytes = std::fs::read(&snap_path).unwrap();
-        bytes[..4].copy_from_slice(b"AQS3");
-        std::fs::write(&snap_path, &bytes).unwrap();
-
-        let (loaded, source) =
-            load_or_recover(&snap_path, &wal_path, StoreConfig::default()).unwrap();
-        assert!(matches!(
-            source,
-            RecoverySource::WalFallback {
-                snapshot_error: WalError::UnsupportedVersion { found },
-                ..
-            } if &found == b"AQS3"
-        ));
-        assert_eq!(
-            loaded.scan_collect(&EventFilter::all()),
-            store.scan_collect(&EventFilter::all())
-        );
+        for magic in [b"AQS3", b"AQS4"] {
+            bytes[..4].copy_from_slice(magic);
+            std::fs::write(&snap_path, &bytes).unwrap();
+            let (loaded, source) =
+                load_or_recover(&snap_path, &wal_path, StoreConfig::default()).unwrap();
+            assert!(matches!(
+                source,
+                RecoverySource::WalFallback {
+                    snapshot_error: WalError::UnsupportedVersion { found },
+                    ..
+                } if &found == magic
+            ));
+            assert_eq!(
+                loaded.scan_collect(&EventFilter::all()),
+                store.scan_collect(&EventFilter::all())
+            );
+        }
         std::fs::remove_file(&wal_path).ok();
         std::fs::remove_file(&snap_path).ok();
     }

@@ -19,13 +19,15 @@ use crate::segment::PartitionKey;
 use crate::store::{EventStore, StoreConfig};
 use crate::wal::WalError;
 
-/// The one format read and written: string and entity dictionaries, events,
-/// the epoch vector (store, dictionary, per partition), the per-partition
-/// sealed segment layout, and the novelty-overlay config and row counts —
-/// so a reloaded store reproduces the exact sealed/overlay split (the
-/// overlay is serialized, never force-flushed by persistence). Other
-/// `AQS<n>` magics are refused with [`WalError::UnsupportedVersion`].
-const MAGIC: &[u8; 4] = b"AQS4";
+/// The one format read and written: the store config, string and entity
+/// dictionaries, events, the epoch vector (store, dictionary, per
+/// partition), the per-partition sealed segment layout, and the
+/// novelty-overlay row counts — so a reloaded store reproduces the exact
+/// sealed/overlay split (the overlay is serialized, never force-flushed by
+/// persistence). Other `AQS<n>` magics, `AQS4` with its four retired
+/// compaction and dedup fields included, are refused with
+/// [`WalError::UnsupportedVersion`].
+const MAGIC: &[u8; 4] = b"AQS5";
 
 /// Writes a snapshot of `store` to `path`.
 pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
@@ -34,13 +36,7 @@ pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
     let cfg = store.config();
     buf.put_i64_le(cfg.time_bucket.micros());
     buf.put_u8(u8::from(cfg.dedup));
-    buf.put_i64_le(cfg.dedup_window.micros());
     codec::put_varint(&mut buf, cfg.batch_size as u64);
-    // Compaction policy: persisted so a reloaded store keeps the
-    // ingest-time layout behavior.
-    buf.put_u8(u8::from(cfg.compaction));
-    codec::put_varint(&mut buf, cfg.compaction_min_segments as u64);
-    codec::put_varint(&mut buf, cfg.compaction_max_rows as u64);
     // Write-path policy: the novelty-overlay threshold and the
     // background-compaction toggle, so a reloaded store keeps absorbing
     // ingest the way it was configured to.
@@ -159,11 +155,7 @@ pub fn load(path: &Path) -> Result<EventStore, WalError> {
     let mut store = EventStore::new(StoreConfig {
         time_bucket,
         dedup: codec::get_u8(&mut buf)? != 0,
-        dedup_window: aiql_model::Duration(codec::get_i64(&mut buf)?),
         batch_size: codec::get_varint(&mut buf)? as usize,
-        compaction: codec::get_u8(&mut buf)? != 0,
-        compaction_min_segments: codec::get_varint(&mut buf)? as usize,
-        compaction_max_rows: codec::get_varint(&mut buf)? as usize,
         novelty_flush_rows: codec::get_varint(&mut buf)? as usize,
         background_compaction: codec::get_u8(&mut buf)? != 0,
     });
@@ -441,9 +433,11 @@ mod tests {
     #[test]
     fn snapshot_roundtrips_fragmented_and_compacted_layouts() {
         let mk = |compact: bool| {
+            // Nothing drains a bare store's deferred merges: one sealed
+            // segment per commit.
             let mut store = EventStore::new(StoreConfig {
                 batch_size: 8,
-                compaction: false,
+                background_compaction: true,
                 dedup: false,
                 ..StoreConfig::default()
             });
@@ -479,7 +473,10 @@ mod tests {
                 loaded.segment_layouts(),
                 "compact={compact}: physical layout must round-trip"
             );
-            assert_eq!(store.config().compaction, loaded.config().compaction);
+            assert_eq!(
+                store.config().background_compaction,
+                loaded.config().background_compaction
+            );
             assert_eq!(
                 store.scan_collect(&EventFilter::all()),
                 loaded.scan_collect(&EventFilter::all())
@@ -495,7 +492,7 @@ mod tests {
         // the overlay instead of flushing it.
         let mut store = EventStore::new(StoreConfig {
             batch_size: 8,
-            compaction: false,
+            background_compaction: true,
             dedup: false,
             novelty_flush_rows: 10,
             ..StoreConfig::default()
@@ -569,11 +566,7 @@ mod tests {
         let mut buf = Vec::new();
         buf.put_i64_le(time_bucket);
         buf.put_u8(1); // dedup
-        buf.put_i64_le(1_000_000); // dedup_window
         codec::put_varint(&mut buf, 8192); // batch_size
-        buf.put_u8(1); // compaction
-        codec::put_varint(&mut buf, 4); // compaction_min_segments
-        codec::put_varint(&mut buf, 1 << 20); // compaction_max_rows
         codec::put_varint(&mut buf, 0); // novelty_flush_rows
         buf.put_u8(0); // background_compaction
         codec::put_varint(&mut buf, strings.len() as u64);
@@ -740,7 +733,7 @@ mod tests {
         let path = tmpfile("old-magic");
         save(&populated_store(), &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        for magic in [b"AQS1", b"AQS2", b"AQS3"] {
+        for magic in [b"AQS1", b"AQS2", b"AQS3", b"AQS4"] {
             bytes[..4].copy_from_slice(magic);
             std::fs::write(&path, &bytes).unwrap();
             assert!(

@@ -61,7 +61,8 @@ pub struct StoreStats {
     pub novelty_events: u64,
     /// Approximate resident bytes of the novelty overlays.
     pub novelty_bytes: u64,
-    /// Overlays sealed into the immutable run so far (threshold + explicit).
+    /// Overlays sealed into the immutable run so far: threshold and
+    /// explicit flushes (at threshold 0 a commit's own seal counts as none).
     pub novelty_flushes: u64,
     /// Partitions a write had to copy because a published snapshot still
     /// shared them. After a publish, a commit copies exactly the partitions

@@ -13,6 +13,15 @@ use crate::partition::{CompactionCancelled, Partition};
 use crate::segment::PartitionKey;
 use crate::stats::StoreStats;
 
+/// Maximum gap between two identical observations for dedup to merge them.
+const DEDUP_WINDOW: Duration = Duration::from_secs(1);
+/// Sealed segments a partition holds before a commit queues it for
+/// compaction (explicit [`EventStore::compact`] ignores this floor).
+const COMPACTION_MIN_SEGMENTS: usize = 4;
+/// Compaction tier: adjacent segments merge while their combined rows stay
+/// within this bound; segments already larger stand alone.
+const COMPACTION_MAX_ROWS: usize = 1 << 20;
+
 /// Tunables of the storage layer: the hypertable geometry and the write
 /// path's policies. The read path has no switches — scans go through
 /// [`EventStore::select_partition`].
@@ -20,39 +29,22 @@ use crate::stats::StoreStats;
 pub struct StoreConfig {
     /// Width of a hypertable time bucket.
     pub time_bucket: Duration,
-    /// Whether event-level deduplication runs at commit.
+    /// Whether event-level deduplication runs at commit (identical
+    /// observations at most 1 s apart merge).
     pub dedup: bool,
-    /// Maximum gap between two identical observations for them to merge.
-    pub dedup_window: Duration,
     /// Buffered observations that trigger an automatic batch commit.
     pub batch_size: usize,
-    /// Size-tiered segment compaction runs automatically after each commit
-    /// on the partitions the commit touched (explicit
-    /// [`EventStore::compact`] is available either way). Disabled, every
-    /// batch commit leaves its own sealed segment — the fragmented layout
-    /// the compaction ablation measures.
-    pub compaction: bool,
-    /// Minimum segments a partition must accumulate before automatic
-    /// compaction considers it (explicit compaction ignores this floor).
-    pub compaction_min_segments: usize,
-    /// Target tier: adjacent segments merge while their combined rows stay
-    /// within this bound. Segments already larger than the tier are left
-    /// standing.
-    pub compaction_max_rows: usize,
-    /// Novelty-overlay flush threshold in rows. When > 0, batch commits
-    /// land in each partition's mutable overlay segment and seal into the
-    /// immutable run only once the overlay reaches this many rows — small
-    /// commits stop fragmenting the sealed layout and stop triggering merge
-    /// work on the commit path. 0 (the default) seals every commit
-    /// immediately (the pre-overlay behavior, kept for ablation and for the
-    /// fragmentation benches).
+    /// Novelty-overlay flush threshold in rows. Every commit lands in its
+    /// partitions' mutable overlay segment, which seals into the immutable
+    /// run once it holds this many rows. 0 (the default) seals the overlay
+    /// on every commit: one sealed segment per commit, on the same path.
     pub novelty_flush_rows: usize,
-    /// Defer automatic compaction off the commit path: instead of merging
-    /// inline at commit, partitions crossing the trigger are queued and
-    /// drained by the owning [`SharedStore`](crate::SharedStore)'s
-    /// maintenance executor (or inline after snapshot publication when no
-    /// executor is wired).
-    /// Disabled, the PR 4 inline policy runs unchanged.
+    /// Who drains the compaction queue, onto which a commit puts every
+    /// partition it leaves at 4 sealed segments or more. Off, the commit
+    /// drains it before it returns; on, the owning
+    /// [`SharedStore`](crate::SharedStore) drains it after each publish (on
+    /// its maintenance executor when one is wired), and a bare store keeps
+    /// the merges queued — its layout stays one segment per commit.
     pub background_compaction: bool,
 }
 
@@ -61,11 +53,7 @@ impl Default for StoreConfig {
         StoreConfig {
             time_bucket: Duration::from_hours(1),
             dedup: true,
-            dedup_window: Duration::from_secs(1),
             batch_size: 8192,
-            compaction: true,
-            compaction_min_segments: 4,
-            compaction_max_rows: 1 << 20,
             novelty_flush_rows: 0,
             background_compaction: false,
         }
@@ -132,12 +120,12 @@ pub struct EventStore {
     /// counter lets caches detect that case without re-walking partitions
     /// on every lookup.
     partition_set_epoch: u64,
-    /// Novelty overlays sealed into the immutable run so far (threshold
-    /// flushes and explicit flushes alike).
+    /// Novelty overlays sealed into the immutable run so far: threshold and
+    /// explicit flushes (at threshold 0 a commit's own seal counts as none).
     novelty_flushes: u64,
-    /// Partitions whose segment count crossed the automatic-compaction
-    /// trigger while `background_compaction` deferred the merge. Drained by
-    /// [`EventStore::take_maintenance`].
+    /// Partitions a commit left at the compaction trigger, each once.
+    /// Drained by the commit itself, or — with `background_compaction` —
+    /// through [`EventStore::take_maintenance`].
     maintenance: Vec<PartitionKey>,
     /// Partitions a write had to copy because a published snapshot still
     /// shared them (see [`StoreStats::partition_copies`]).
@@ -375,7 +363,7 @@ impl EventStore {
                     b.start_time,
                 ))
             });
-            let window = self.config.dedup_window;
+            let window = DEDUP_WINDOW;
             let mut merged: Vec<PendingEvent> = Vec::with_capacity(batch.len());
             for e in batch {
                 match merged.last_mut() {
@@ -420,49 +408,40 @@ impl EventStore {
             let key = PartitionKey::for_event(p.agent, p.start_time, bucket);
             groups.entry(key).or_default().push(event);
         }
-        let (auto, min_segments, max_rows) = (
-            self.config.compaction,
-            self.config.compaction_min_segments,
-            self.config.compaction_max_rows,
-        );
-        let (novelty_rows, background) = (
-            self.config.novelty_flush_rows,
-            self.config.background_compaction,
-        );
+        let flush_rows = self.config.novelty_flush_rows;
         let mut flushes = 0u64;
-        let mut deferred: Vec<PartitionKey> = Vec::new();
         for (key, events) in groups {
             let part = self.partition_mut(key);
-            if novelty_rows == 0 {
-                part.append_commit(key.agent, &events);
-            } else if part.append_novelty(key.agent, &events, novelty_rows) {
+            // At threshold 0 every commit seals: that is no flush to count.
+            if part.append_novelty(key.agent, &events, flush_rows) && flush_rows > 0 {
                 flushes += 1;
             }
             // The trigger watches sealed segments only: the overlay flushes
             // by its own threshold, so with the overlay on, small commits
             // reach this merge policy in dense flush-sized units.
-            if auto && part.sealed_segment_count() >= min_segments.max(2) {
-                if background {
-                    deferred.push(key);
-                } else {
-                    part.compact(max_rows);
-                }
+            if part.sealed_segment_count() >= COMPACTION_MIN_SEGMENTS
+                && !self.maintenance.contains(&key)
+            {
+                self.maintenance.push(key);
             }
         }
         self.novelty_flushes += flushes;
-        for key in deferred {
-            if !self.maintenance.contains(&key) {
-                self.maintenance.push(key);
+        if !self.config.background_compaction {
+            // The commit drains its own queue. The commit's epoch bump
+            // covers the merges: only the merged partitions' epochs move.
+            for key in std::mem::take(&mut self.maintenance) {
+                if let Some(part) = self.partitions.get_mut(&key) {
+                    let _ = compact_shared(part, None, &mut self.partition_copies);
+                }
             }
         }
         self.commits += 1;
     }
 
-    /// Drains the deferred background-compaction queue (partitions whose
-    /// segment count crossed the automatic trigger while
-    /// `background_compaction` was on). The caller —
+    /// Takes the compaction queue (partitions a commit left at the trigger
+    /// while `background_compaction` was on). The caller —
     /// [`SharedStore`](crate::SharedStore)'s write path — schedules the
-    /// actual merges.
+    /// merges.
     pub fn take_maintenance(&mut self) -> Vec<PartitionKey> {
         std::mem::take(&mut self.maintenance)
     }
@@ -497,10 +476,10 @@ impl EventStore {
         }
     }
 
-    /// Explicitly compacts every fragmented partition to the configured
-    /// tier (`compaction_max_rows`), regardless of the automatic policy.
-    /// Only the partitions whose layout actually changed have their epochs
-    /// bumped — plan-cache entries over untouched partitions survive.
+    /// Explicitly compacts every fragmented partition to the compaction
+    /// tier, whatever the trigger says. Only the partitions whose layout
+    /// actually changed have their epochs bumped — plan-cache entries over
+    /// untouched partitions survive.
     pub fn compact(&mut self) -> CompactionReport {
         // Without a token the pass can't be cancelled.
         self.compact_impl(None).unwrap_or_default()
@@ -525,11 +504,10 @@ impl EventStore {
         &mut self,
         cancel: Option<&CancelToken>,
     ) -> Result<CompactionReport, CompactionCancelled> {
-        let max_rows = self.config.compaction_max_rows;
         let mut report = CompactionReport::default();
         for part in self.partitions.values_mut() {
             report.segments_before += part.segment_count();
-            match compact_shared(part, max_rows, cancel, &mut self.partition_copies) {
+            match compact_shared(part, cancel, &mut self.partition_copies) {
                 Ok(true) => report.partitions_compacted += 1,
                 Ok(false) => {}
                 Err(e) => {
@@ -547,33 +525,20 @@ impl EventStore {
         Ok(report)
     }
 
-    /// Compacts one partition to the configured tier. Returns whether its
-    /// layout changed (and therefore its epoch was bumped).
-    pub fn compact_partition(&mut self, key: PartitionKey) -> bool {
-        self.compact_partition_impl(key, None).unwrap_or(false)
-    }
-
-    /// [`EventStore::compact_partition`] honoring a [`CancelToken`]. A
-    /// cancelled pass discards its partial merges: the partition's layout,
-    /// its epoch, and the store epoch are exactly as they were.
+    /// Compacts one partition to the compaction tier, honoring a
+    /// [`CancelToken`]. Returns whether its layout changed (and therefore
+    /// its epoch was bumped). A cancelled pass discards its partial merges:
+    /// the partition's layout, its epoch, and the store epoch are exactly
+    /// as they were.
     pub fn compact_partition_with_cancel(
         &mut self,
         key: PartitionKey,
         cancel: &CancelToken,
     ) -> Result<bool, CompactionCancelled> {
-        self.compact_partition_impl(key, Some(cancel))
-    }
-
-    fn compact_partition_impl(
-        &mut self,
-        key: PartitionKey,
-        cancel: Option<&CancelToken>,
-    ) -> Result<bool, CompactionCancelled> {
-        let max_rows = self.config.compaction_max_rows;
         let Some(part) = self.partitions.get_mut(&key) else {
             return Ok(false);
         };
-        let changed = compact_shared(part, max_rows, cancel, &mut self.partition_copies)?;
+        let changed = compact_shared(part, Some(cancel), &mut self.partition_copies)?;
         if changed {
             self.epoch += 1;
         }
@@ -863,17 +828,16 @@ impl EventStore {
     }
 }
 
-/// Compacts one partition to `max_rows` tiers, copying it (through
+/// Compacts one partition to the compaction tier, copying it (through
 /// [`cow`]) only when the pass changes its layout: the merge reads the
 /// shared partition, so a partition that is already dense, or a pass that
 /// is cancelled, leaves a snapshot's `Arc` shared.
 fn compact_shared(
     part: &mut Arc<Partition>,
-    max_rows: usize,
     cancel: Option<&CancelToken>,
     copies: &mut u64,
 ) -> Result<bool, CompactionCancelled> {
-    let Some(segments) = part.compacted(max_rows, cancel)? else {
+    let Some(segments) = part.compacted(COMPACTION_MAX_ROWS, cancel)? else {
         return Ok(false);
     };
     cow(part, copies).install_compaction(segments);
@@ -945,19 +909,19 @@ mod tests {
 
     #[test]
     fn dedup_respects_window_gap() {
-        let cfg = StoreConfig {
-            dedup_window: Duration::from_millis(50),
-            ..StoreConfig::default()
-        };
-        let mut store = EventStore::new(cfg);
-        let mut r1 = raw(1, Operation::Read, "cat", "/etc/passwd", 0, 100);
-        let mut r2 = r1.clone();
-        r1.start_time = Timestamp(0);
-        r1.end_time = Timestamp(0);
-        r2.start_time = Timestamp(1_000_000); // 1s later, > 50ms window
-        r2.end_time = r2.start_time;
-        store.ingest_all(&[r1, r2]);
-        assert_eq!(store.event_count(), 2);
+        // A repeat exactly one window after the first observation merges;
+        // one microsecond later it stands on its own.
+        for (gap, events) in [(DEDUP_WINDOW.micros(), 1), (DEDUP_WINDOW.micros() + 1, 2)] {
+            let mut store = EventStore::default();
+            let mut r1 = raw(1, Operation::Read, "cat", "/etc/passwd", 0, 100);
+            let mut r2 = r1.clone();
+            r1.start_time = Timestamp(0);
+            r1.end_time = Timestamp(0);
+            r2.start_time = Timestamp(gap);
+            r2.end_time = r2.start_time;
+            store.ingest_all(&[r1, r2]);
+            assert_eq!(store.event_count(), events, "gap {gap} µs");
+        }
     }
 
     #[test]
@@ -1151,7 +1115,7 @@ mod tests {
     fn tiny_batch_ingest_fragments_and_compaction_densifies() {
         let cfg = StoreConfig {
             batch_size: 8,
-            compaction: false,
+            background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
         };
@@ -1191,7 +1155,7 @@ mod tests {
     fn cancelled_store_compaction_discards_partial_merges() {
         let cfg = StoreConfig {
             batch_size: 8,
-            compaction: false,
+            background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
         };
@@ -1222,7 +1186,7 @@ mod tests {
     fn cancelled_partition_compaction_leaves_epochs_untouched() {
         let cfg = StoreConfig {
             batch_size: 4,
-            compaction: false,
+            background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
         };
@@ -1255,7 +1219,6 @@ mod tests {
     fn automatic_compaction_keeps_partitions_dense() {
         let cfg = StoreConfig {
             batch_size: 8,
-            compaction_min_segments: 4,
             dedup: false,
             ..StoreConfig::default()
         };
@@ -1282,7 +1245,7 @@ mod tests {
     #[test]
     fn compaction_bumps_only_merged_partition_epochs() {
         let cfg = StoreConfig {
-            compaction: false,
+            background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
         };
@@ -1318,7 +1281,10 @@ mod tests {
             "merged partition's epoch must move"
         );
         // Targeted compaction of an already-dense partition is a no-op.
-        assert!(!store.compact_partition(dense_key));
+        assert_eq!(
+            store.compact_partition_with_cancel(dense_key, &CancelToken::new()),
+            Ok(false)
+        );
     }
 
     #[test]
@@ -1326,7 +1292,7 @@ mod tests {
         let mk = || {
             let mut store = EventStore::new(StoreConfig {
                 batch_size: 16,
-                compaction: false,
+                background_compaction: true,
                 ..StoreConfig::default()
             });
             let raws: Vec<RawEvent> = (0..300)
@@ -1382,7 +1348,7 @@ mod tests {
     fn novelty_overlay_absorbs_small_commits() {
         let overlay_cfg = StoreConfig {
             batch_size: 8,
-            compaction: false,
+            background_compaction: true,
             dedup: false,
             novelty_flush_rows: 64,
             ..StoreConfig::default()
@@ -1449,7 +1415,6 @@ mod tests {
     fn background_compaction_defers_merges_to_maintenance() {
         let cfg = StoreConfig {
             batch_size: 8,
-            compaction_min_segments: 4,
             background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
@@ -1478,7 +1443,9 @@ mod tests {
         assert!(store.take_maintenance().is_empty(), "queue drains once");
         let before = store.scan_collect(&EventFilter::all());
         for key in pending {
-            store.compact_partition(key);
+            store
+                .compact_partition_with_cancel(key, &CancelToken::new())
+                .unwrap();
         }
         assert!(store.stats().max_partition_segments < 4);
         assert_eq!(store.scan_collect(&EventFilter::all()), before);
@@ -1488,7 +1455,6 @@ mod tests {
     fn shared_store_maintenance_drains_inline_without_executor() {
         let cfg = StoreConfig {
             batch_size: 8,
-            compaction_min_segments: 4,
             background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
@@ -1729,7 +1695,6 @@ mod tests {
         }
         let cfg = StoreConfig {
             batch_size: 8,
-            compaction_min_segments: 4,
             background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
@@ -1763,7 +1728,6 @@ mod tests {
     fn cancelled_maintenance_is_a_no_op() {
         let cfg = StoreConfig {
             batch_size: 8,
-            compaction_min_segments: 4,
             background_compaction: true,
             dedup: false,
             ..StoreConfig::default()
@@ -1793,6 +1757,186 @@ mod tests {
         });
         // The drain token aborted the pass before anything merged.
         assert!(shared.stats().max_partition_segments >= 4);
+    }
+
+    /// One raw stream (three hosts, two hour buckets, a repeat every sixth
+    /// event for dedup to merge) committed in 16-event batches.
+    fn pinned_stream() -> Vec<RawEvent> {
+        let mut out = Vec::new();
+        for i in 0..480i64 {
+            let r = RawEvent::instant(
+                AgentId(1 + ((i / 8) % 3) as u32),
+                if i % 3 == 0 {
+                    Operation::Write
+                } else {
+                    Operation::Read
+                },
+                EntitySpec::process(100 + (i % 4) as u32, &format!("exe{}", i % 4), "u"),
+                EntitySpec::file(&format!("/f{}", i % 7), "u"),
+                Timestamp::from_secs(i * 15),
+                i as u64,
+            );
+            if i % 6 == 0 {
+                let mut repeat = r.clone();
+                repeat.start_time = Timestamp(r.start_time.micros() + 200_000);
+                repeat.end_time = repeat.start_time;
+                out.push(r);
+                out.push(repeat);
+            } else {
+                out.push(r);
+            }
+        }
+        out
+    }
+
+    /// The write path's observable outcome, pinned per configuration: the
+    /// sealed layout, the overlay, every epoch and the write counters. The
+    /// bare store with `background_compaction` has nothing draining its
+    /// queue, so it keeps one sealed segment per commit.
+    #[test]
+    fn write_path_outcomes_are_pinned_per_config() {
+        struct Pin {
+            label: &'static str,
+            config: StoreConfig,
+            shared: bool,
+            layouts: [&'static [u32]; 6],
+            novelty: [u32; 6],
+            partition_epoch: u64,
+            epoch: u64,
+            segments: u64,
+            novelty_flushes: u64,
+            partition_copies: u64,
+        }
+        let base = StoreConfig {
+            batch_size: 16,
+            ..StoreConfig::default()
+        };
+        let fragmented: [&[u32]; 6] = [
+            &[8, 3, 5, 7, 2, 8, 8, 3, 5, 7, 2, 8, 8, 3, 5],
+            &[7, 2, 8, 8, 3, 5, 7, 2, 8, 8, 3, 5, 7, 2, 8],
+            &[5, 3, 8, 8, 2, 6, 5, 3, 8, 8, 2, 6, 5, 3, 8],
+            &[8, 2, 6, 5, 3, 8, 8, 2, 6, 5, 3, 8, 8, 2, 6],
+            &[8, 1, 7, 4, 4, 8, 8, 1, 7, 4, 4, 8, 8, 1, 7],
+            &[4, 4, 8, 8, 1, 7, 4, 4, 8, 8, 1, 7, 4, 4, 8],
+        ];
+        let compacted: [&[u32]; 6] = [
+            &[74, 3, 5],
+            &[73, 2, 8],
+            &[69, 3, 8],
+            &[72, 2, 6],
+            &[72, 1, 7],
+            &[68, 4, 8],
+        ];
+        let pins = [
+            Pin {
+                label: "default",
+                config: base.clone(),
+                shared: false,
+                layouts: compacted,
+                novelty: [0; 6],
+                partition_epoch: 19,
+                epoch: 595,
+                segments: 18,
+                novelty_flushes: 0,
+                partition_copies: 0,
+            },
+            Pin {
+                label: "overlay at 64 rows",
+                config: StoreConfig {
+                    novelty_flush_rows: 64,
+                    ..base.clone()
+                },
+                shared: false,
+                layouts: [&[66], &[66], &[64], &[64], &[64], &[64]],
+                novelty: [16, 17, 16, 16, 16, 16],
+                partition_epoch: 15,
+                epoch: 595,
+                segments: 12,
+                novelty_flushes: 6,
+                partition_copies: 0,
+            },
+            Pin {
+                label: "deferred, bare store (nothing drains)",
+                config: StoreConfig {
+                    background_compaction: true,
+                    ..base.clone()
+                },
+                shared: false,
+                layouts: fragmented,
+                novelty: [0; 6],
+                partition_epoch: 15,
+                epoch: 595,
+                segments: 90,
+                novelty_flushes: 0,
+                partition_copies: 0,
+            },
+            Pin {
+                label: "deferred, shared store (drained after each publish)",
+                config: StoreConfig {
+                    background_compaction: true,
+                    ..base.clone()
+                },
+                shared: true,
+                layouts: compacted,
+                novelty: [0; 6],
+                partition_epoch: 19,
+                epoch: 619,
+                segments: 18,
+                novelty_flushes: 0,
+                partition_copies: 108,
+            },
+        ];
+        let raws = pinned_stream();
+        let keys: Vec<PartitionKey> = (1..=3)
+            .flat_map(|agent| {
+                (0..2).map(move |bucket| PartitionKey {
+                    agent: AgentId(agent),
+                    bucket,
+                })
+            })
+            .collect();
+        for pin in pins {
+            let store = if pin.shared {
+                let shared = SharedStore::new(EventStore::new(pin.config));
+                for batch in raws.chunks(16) {
+                    shared.write(|s| s.ingest_all(batch));
+                }
+                EventStore::clone(&shared.snapshot())
+            } else {
+                let mut store = EventStore::new(pin.config);
+                for batch in raws.chunks(16) {
+                    store.ingest_all(batch);
+                }
+                store
+            };
+            let label = pin.label;
+            let layouts: Vec<_> = keys
+                .iter()
+                .zip(pin.layouts)
+                .map(|(&k, lens)| (k, lens.to_vec()))
+                .collect();
+            assert_eq!(store.segment_layouts(), layouts, "{label}");
+            let novelty: Vec<_> = keys.iter().copied().zip(pin.novelty).collect();
+            assert_eq!(store.novelty_lens(), novelty, "{label}");
+            let epochs: Vec<_> = keys.iter().map(|&k| (k, pin.partition_epoch)).collect();
+            assert_eq!(store.partition_epochs(), epochs, "{label}");
+            assert_eq!(
+                (store.epoch(), store.dict_epoch()),
+                (pin.epoch, 21),
+                "{label}"
+            );
+            let stats = store.stats();
+            assert_eq!(
+                (
+                    stats.segments,
+                    stats.novelty_flushes,
+                    stats.partition_copies
+                ),
+                (pin.segments, pin.novelty_flushes, pin.partition_copies),
+                "{label}"
+            );
+            assert_eq!((stats.events, stats.merged_events), (485, 75), "{label}");
+        }
     }
 
     #[test]

@@ -162,26 +162,34 @@ fn fragmented_compacted_and_auto_layouts_agree_on_the_demo_catalog() {
     // Identical raw stream and commit boundaries (tiny batches, the layout
     // continuous ingest produces); only the physical layout differs.
     let scenario = scenario_demo(Scale::test());
-    let layout = |compaction: bool| {
+    // A bare store that defers its merges has nobody to drain them: it
+    // keeps one sealed segment per commit.
+    let layout = |deferred: bool| {
         build_store(
             &scenario,
             StoreConfig {
-                batch_size: 64,
-                compaction,
+                batch_size: 16,
+                background_compaction: deferred,
                 ..StoreConfig::default()
             },
         )
     };
-    let fragmented = layout(false);
-    let mut compacted = layout(false);
+    let fragmented = layout(true);
+    let mut compacted = layout(true);
     let report = compacted.compact();
-    let auto = layout(true);
-    let (frag, dense) = (fragmented.stats(), compacted.stats());
+    let auto = layout(false);
+    let (frag, dense, merged) = (fragmented.stats(), compacted.stats(), auto.stats());
     assert!(
         frag.segments > frag.partitions,
         "tiny-batch ingest must fragment ({} segments / {} partitions)",
         frag.segments,
         frag.partitions
+    );
+    assert!(
+        frag.max_partition_segments >= 4 && merged.max_partition_segments < 4,
+        "the commit-time trigger must fire ({} vs {} segments at most)",
+        frag.max_partition_segments,
+        merged.max_partition_segments
     );
     assert!(report.partitions_compacted > 0);
     assert_eq!(
