@@ -20,7 +20,7 @@ use aiql_engine::anomaly::window_range;
 use aiql_engine::eval::{agg_key, apply_binop, negate};
 use aiql_engine::exec::Tuple;
 use aiql_engine::op::project::{collect_aggs, column_name, order_and_limit, AggAcc};
-use aiql_engine::{EngineError, ResultTable};
+use aiql_engine::{EngineError, ResultTable, Rows};
 use aiql_lang::{Expr, Literal};
 use aiql_model::{EntityId, Event, Timestamp, Value};
 use aiql_storage::EventStore;
@@ -135,7 +135,10 @@ pub fn project(
     let aggregated = !aggs.is_empty() || !a.group_by.is_empty();
     let mut ctx = RowCtx::default();
 
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    // `distinct` keeps a row's first occurrence, by its canonical key.
+    let mut seen = std::collections::HashSet::new();
+    let mut keep = |row: &[Value]| !a.ret.distinct || seen.insert(ResultTable::row_key(row));
+    let mut rows = Rows::new();
     if !aggregated {
         for t in tuples {
             fill_ctx(a, t, &mut ctx);
@@ -149,7 +152,9 @@ pub fn project(
                     continue;
                 }
             }
-            rows.push(row);
+            if keep(&row) {
+                rows.push(row);
+            }
         }
     } else {
         // Group tuples; `groups` is in first-occurrence order.
@@ -196,14 +201,12 @@ pub fn project(
                     continue;
                 }
             }
-            rows.push(row);
+            if keep(&row) {
+                rows.push(row);
+            }
         }
     }
 
-    if a.ret.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| seen.insert(ResultTable::row_key(r)));
-    }
     order_and_limit(a, &mut rows);
     table.rows = rows;
     Ok(table)
@@ -266,7 +269,8 @@ pub fn run_anomaly_over_tuples_naive(
     // Aliased values per window per group, for history access:
     // window index → group key → alias → value.
     let mut window_history: Vec<HashMap<String, HashMap<String, Value>>> = Vec::new();
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let mut seen = std::collections::HashSet::new();
+    let mut rows = Rows::new();
     let mut w_start = range_start;
     while w_start < range_end {
         let w_end = w_start.saturating_add(length);
@@ -316,7 +320,10 @@ pub fn run_anomaly_over_tuples_naive(
             };
             if keep {
                 let row = items.iter().map(|(_, expr)| eval(expr, store, &ctx));
-                rows.push(row.collect::<Result<_, EngineError>>()?);
+                let row = row.collect::<Result<Vec<_>, EngineError>>()?;
+                if !a.base.ret.distinct || seen.insert(ResultTable::row_key(&row)) {
+                    rows.push(row);
+                }
             }
             this_window.insert(key.to_string(), std::mem::take(&mut ctx.aliases));
         }
@@ -324,10 +331,6 @@ pub fn run_anomaly_over_tuples_naive(
         w_start = w_start.saturating_add(step);
     }
 
-    if a.base.ret.distinct {
-        let mut seen = std::collections::HashSet::new();
-        rows.retain(|r| seen.insert(ResultTable::row_key(r)));
-    }
     table.rows = rows;
     Ok(table)
 }

@@ -23,7 +23,7 @@ use crate::exec::{flag_trip, MultieventExec};
 use crate::governor::Governor;
 use crate::op::project::{column_name, slots, AggAcc, CompiledProjection, KeyIndex};
 use crate::op::{ExecEnv, RefArena};
-use crate::result::ResultTable;
+use crate::result::{ResultTable, Rows};
 
 /// Executes an anomaly query end to end: `exec` — planned over `a.base`
 /// under the query's plan cache and budget — fetches the candidates, and
@@ -128,7 +128,8 @@ fn run_windows(
     let mut present: Vec<(usize, usize)> = Vec::new();
     let (mut aggs, mut aliases) = (vec![Value::Null; naggs], cp.unset_aliases.clone());
     let mut past = vec![Value::Null; nlags];
-    let mut rows: Vec<Vec<Value>> = Vec::new();
+    let (mut rows, mut row) = (Rows::new(), Vec::new());
+    let mut seen = a.base.ret.distinct.then(KeyIndex::default);
 
     let (range_start, range_end) = window_range(a, first, last);
     let (length, step) = (a.window_spec.length.micros(), a.window_spec.step.micros());
@@ -184,17 +185,17 @@ fn run_windows(
                 ..slots(env, rep, &aliases, &aggs)
             };
             if cp.having.as_ref().is_none_or(|h| h.passes(&cx)) {
-                rows.push(cp.items.iter().map(|e| e.eval(&cx)).collect());
+                row.clear();
+                row.extend(cp.items.iter().map(|e| e.eval(&cx)));
+                if seen.as_mut().is_none_or(|s| s.find_or_insert(&row).1) {
+                    rows.push(&row);
+                }
             }
         }
         k += 1;
         w_start = w_start.saturating_add(step);
     }
 
-    if a.base.ret.distinct {
-        let mut seen = KeyIndex::default();
-        rows.retain(|r| seen.find_or_insert(r).1);
-    }
     table.rows = rows;
     Ok(table)
 }

@@ -86,7 +86,7 @@ pub use engine::{Ablation, Engine, EngineConfig};
 pub use error::EngineError;
 pub use explain::QueryPlan;
 pub use governor::{CancelToken, Clock, ExecBudget, Governor, ManualClock, SystemClock, Warning};
-pub use result::ResultTable;
+pub use result::{ResultTable, Rows};
 pub use service::{
     QueryResponse, QueryService, QueryTicket, ServiceConfig, ServiceError, ServiceStats, SessionId,
 };

@@ -21,6 +21,15 @@
 //!   one row);
 //! * **plain rows**: one row per tuple that passes `having`.
 //!
+//! Every row lands in the table's row store ([`Rows`]): its cells are
+//! pushed straight into fixed-capacity chunks, so a row costs its cells and
+//! no heap vector of its own. A parallel fork's plain rows reach the
+//! output by moving its chunks ([`Rows::append`]); a `distinct` fork's rows
+//! pass the output's first-occurrence filter one by one. Under a memory
+//! budget a row is charged its cells (`width × size_of::<Value>()`), plus
+//! its value key under `distinct` — what it holds, whatever chunk it fell
+//! in, so a fork's tally and the merge thread's charge agree.
+//!
 //! When the join's last levels are unread
 //! (`CompiledProjection::unread`), the sink receives a tuple and a count
 //! of the matches below it instead: plain rows push that many copies,
@@ -36,7 +45,9 @@
 //! (see `op/join.rs`), so the joined tuples are never written to an output
 //! arena. There is no other projection in the engine: the baselines'
 //! dynamic one (`aiql_baseline::naive`) shares no tuple loop with the sink,
-//! only the value semantics ([`AggAcc`], [`order_and_limit`]).
+//! only the value semantics ([`AggAcc`], [`order_and_limit`], which sorts a
+//! permutation of the rows and, under a limit, gathers only the rows it
+//! keeps).
 
 use std::collections::{HashMap, HashSet};
 
@@ -50,7 +61,7 @@ use crate::eval::{self, agg_key, Clause, SlotCtx, SlotEnv, SlotExpr, TupleView};
 use crate::op::{
     EventRef, ExecEnv, JoinOutput, MulHash, OpStat, Operator, PipelineState, RefArena, Tuple,
 };
-use crate::result::ResultTable;
+use crate::result::{ResultTable, Rows};
 
 /// The projection operator.
 #[derive(Debug, Clone, Copy)]
@@ -444,7 +455,7 @@ enum SinkState {
     /// (`seen`), per distinct such row, in first-occurrence order, with the
     /// entity-id keys seen (`ids`) when every item is an entity reference.
     Rows {
-        rows: Vec<Vec<Value>>,
+        rows: Rows,
         seen: Option<KeyIndex>,
         ids: Option<IdKeys>,
     },
@@ -505,7 +516,7 @@ impl<'e> ProjectionSink<'e> {
             }
         } else {
             SinkState::Rows {
-                rows: Vec::new(),
+                rows: Rows::new(),
                 seen: env.a.ret.distinct.then(KeyIndex::default),
                 ids: env.a.ret.distinct.then(|| IdKeys::of(cp)).flatten(),
             }
@@ -601,12 +612,14 @@ impl<'e> ProjectionSink<'e> {
     /// distinct, order by, limit.
     pub(crate) fn finish(self) -> ResultTable {
         let (env, a, cp) = (self.env, self.env.a, self.cp);
-        let mut rows: Vec<Vec<Value>> = match self.state {
+        let mut rows = match self.state {
             SinkState::Rows { rows, .. } => rows,
             SinkState::Groups { reps, accs, .. } => {
-                let mut rows = Vec::with_capacity(reps.len());
+                let mut rows = Rows::new();
+                let mut seen = a.ret.distinct.then(KeyIndex::default);
                 let mut aggs = vec![Value::Null; cp.aggs.len()];
                 let mut aliases = cp.unset_aliases.clone();
+                let mut row = self.vals;
                 for (g, rep) in reps.iter().enumerate() {
                     let group = &accs[g * cp.aggs.len()..(g + 1) * cp.aggs.len()];
                     for (slot, ((func, _), acc)) in cp.aggs.iter().zip(group).enumerate() {
@@ -614,7 +627,7 @@ impl<'e> ProjectionSink<'e> {
                     }
                     aliases.iter_mut().for_each(|v| *v = None);
                     let rep = TupleView::Events(rep);
-                    let mut row = Vec::with_capacity(cp.items.len());
+                    row.clear();
                     for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
                         let v = item.eval(&slots(env, rep, &aliases, &aggs));
                         if let Some(slot) = alias {
@@ -623,13 +636,11 @@ impl<'e> ProjectionSink<'e> {
                         row.push(v);
                     }
                     let scx = slots(env, rep, &aliases, &aggs);
-                    if cp.having.as_ref().is_none_or(|h| h.passes(&scx)) {
-                        rows.push(row);
+                    if cp.having.as_ref().is_none_or(|h| h.passes(&scx))
+                        && seen.as_mut().is_none_or(|s| s.find_or_insert(&row).1)
+                    {
+                        rows.push(&row);
                     }
-                }
-                if a.ret.distinct {
-                    let mut seen = KeyIndex::default();
-                    rows.retain(|r| seen.find_or_insert(r).1);
                 }
                 rows
             }
@@ -670,7 +681,7 @@ fn consume(
             if passes && seen.as_mut().is_none_or(|s| s.find_or_insert(vals).1) {
                 // A distinct row is kept once, a plain one per tuple.
                 let copies = if seen.is_some() { 1 } else { n };
-                rows.extend(std::iter::repeat_n(&*vals, copies).cloned());
+                (0..copies).for_each(|_| rows.push(&*vals));
             }
         }
         SinkState::Groups { keys, reps, accs } => {
@@ -770,8 +781,9 @@ impl JoinOutput for ProjectionSink<'_> {
         self.pushed
     }
 
-    /// Rows (with their keys under `distinct`, and the entity-id keys
-    /// seen) or group states — never the pushed tuples themselves.
+    /// Rows' cells (with their keys under `distinct`, and the entity-id
+    /// keys seen) or group states — never the pushed tuples themselves, nor
+    /// the spare capacity of a row chunk.
     fn retained_bytes(&self) -> u64 {
         let (cp, a) = (self.cp, self.env.a);
         let values = |n: usize| n * std::mem::size_of::<Value>();
@@ -779,7 +791,7 @@ impl JoinOutput for ProjectionSink<'_> {
         let per = match &self.state {
             SinkState::Rows { seen, .. } => {
                 let n = cp.items.len();
-                std::mem::size_of::<Vec<Value>>() + values(n) + seen.as_ref().map_or(0, |_| key(n))
+                values(n) + seen.as_ref().map_or(0, |_| key(n))
             }
             SinkState::Groups { .. } => {
                 key(cp.group_by.len())
@@ -811,9 +823,14 @@ impl JoinOutput for ProjectionSink<'_> {
                     ..
                 },
             ) => {
-                let fresh =
-                    |row: &Vec<Value>| seen.as_mut().is_none_or(|s| s.find_or_insert(row).1);
-                rows.extend(more.into_iter().filter(fresh));
+                // Plain rows move chunk by chunk; distinct ones are copied
+                // past the first-occurrence filter.
+                match seen {
+                    None => rows.append(more),
+                    Some(seen) => (more.iter())
+                        .filter(|row| seen.find_or_insert(row).1)
+                        .for_each(|row| rows.push(row)),
+                }
                 // The id keys the part saw are seen now, as if its tuples
                 // had been pushed here: the merged sink retains what the
                 // serial one does, byte for byte.
@@ -860,26 +877,46 @@ impl JoinOutput for ProjectionSink<'_> {
 }
 
 /// The projection tail shared with the baselines' dynamic projection:
-/// order by the returned columns analysis resolved, then limit.
-pub fn order_and_limit(a: &AnalyzedMultievent, rows: &mut Vec<Vec<Value>>) {
-    if !a.order_by.is_empty() {
-        rows.sort_by(|x, y| {
-            for &(idx, dir) in &a.order_by {
-                let ord = eval::cmp_values(&x[idx], &y[idx]);
-                let ord = match dir {
-                    SortDir::Asc => ord,
-                    SortDir::Desc => ord.reverse(),
-                };
-                if !ord.is_eq() {
-                    return ord;
-                }
+/// order by the returned columns analysis resolved, then limit. Ordering
+/// sorts a permutation of the rows, ties kept in emission order; under a
+/// limit `k` only the first `k` in that order are selected and sorted, and
+/// only they are gathered into the new table. A limit without an order cuts
+/// the rows in place.
+pub fn order_and_limit(a: &AnalyzedMultievent, rows: &mut Rows) {
+    let k = a
+        .limit
+        .map_or(usize::MAX, |l| usize::try_from(l).unwrap_or(usize::MAX));
+    if a.order_by.is_empty() {
+        rows.truncate(k);
+        return;
+    }
+    let by_columns = |x: &[Value], y: &[Value]| {
+        for &(idx, dir) in &a.order_by {
+            let ord = eval::cmp_values(&x[idx], &y[idx]);
+            let ord = match dir {
+                SortDir::Asc => ord,
+                SortDir::Desc => ord.reverse(),
+            };
+            if !ord.is_eq() {
+                return ord;
             }
-            std::cmp::Ordering::Equal
-        });
+        }
+        std::cmp::Ordering::Equal
+    };
+    // Emission position breaks ties, so the order is total and an unstable
+    // sort or selection is the stable one.
+    let by =
+        |x: &(usize, &[Value]), y: &(usize, &[Value])| by_columns(x.1, y.1).then(x.0.cmp(&y.0));
+    let mut order: Vec<(usize, &[Value])> = rows.iter().enumerate().collect();
+    if k < order.len() {
+        if k > 0 {
+            order.select_nth_unstable_by(k - 1, by);
+        }
+        order.truncate(k);
     }
-    if let Some(limit) = a.limit {
-        rows.truncate(limit as usize);
-    }
+    order.sort_unstable_by(by);
+    let sorted = order.into_iter().map(|(_, row)| row).collect();
+    *rows = sorted;
 }
 
 #[cfg(test)]
@@ -968,6 +1005,121 @@ mod tests {
         assert_eq!((tuples.len(), sink.kept(), sink.pushed()), (2, 1, 3));
         assert!(bytes[1] > bytes[0], "a new id key is retained: {bytes:?}");
         assert_eq!(bytes[2], bytes[1], "a repeated one retains nothing more");
+    }
+
+    /// The analysis of `src` over `store`.
+    fn analyzed(store: &EventStore, src: &str) -> AnalyzedMultievent {
+        let Ok(aiql_lang::Query::Multievent(m)) = aiql_lang::parse_query(src) else {
+            panic!("a multievent query")
+        };
+        crate::analyze_multievent(&m, store).unwrap()
+    }
+
+    /// On random tables with many ties, `order by` (a stable sort) then
+    /// `limit k` keeps what a full stable sort truncated to `k` keeps, for
+    /// every `k` from none to past the end, plain limits cut the emission
+    /// order, and the rows span several chunks.
+    #[test]
+    fn order_and_limit_is_a_stable_sort_then_a_truncate() {
+        let store = EventStore::default();
+        let mut a = analyzed(&store, "proc p write file f as e return p, f, e.amount");
+        let mut seed = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed % m
+        };
+        for case in 0..60 {
+            let n = [0, 1, 5, 40, 1500, 3000][case % 6];
+            let rows: Rows = (0..n)
+                .map(|i| {
+                    let tie = Value::Int(next(4) as i64);
+                    let other = match next(3) {
+                        0 => Value::Null,
+                        1 => Value::Float(next(3) as f64),
+                        _ => Value::Int(next(5) as i64),
+                    };
+                    [tie, other, Value::Int(i as i64)]
+                })
+                .collect();
+            a.order_by = match case / 6 % 3 {
+                0 => vec![(0, SortDir::Asc)],
+                1 => vec![(1, SortDir::Desc), (0, SortDir::Asc)],
+                _ => Vec::new(),
+            };
+            let mut sorted: Vec<&[Value]> = rows.iter().collect();
+            sorted.sort_by(|x, y| {
+                let mut ord = std::cmp::Ordering::Equal;
+                for &(idx, dir) in &a.order_by {
+                    let o = eval::cmp_values(&x[idx], &y[idx]);
+                    ord = ord.then(if dir == SortDir::Desc { o.reverse() } else { o });
+                }
+                ord
+            });
+            for k in [
+                None,
+                Some(0),
+                Some(1),
+                Some(3),
+                Some(n / 2),
+                Some(n),
+                Some(n + 1),
+            ] {
+                a.limit = k.map(|k| k as u64);
+                let mut got = rows.clone();
+                order_and_limit(&a, &mut got);
+                let want: Rows = sorted.iter().take(k.unwrap_or(n)).collect();
+                assert_eq!(got, want, "case {case}: {n} rows, limit {k:?}");
+            }
+        }
+    }
+
+    /// The per-row charge of a plain sink is its cells, of a `distinct` one
+    /// its cells and its key: never a per-row header, nor chunk capacity.
+    #[test]
+    fn a_sinks_charge_per_row_is_what_the_row_holds() {
+        let mut store = EventStore::default();
+        store.ingest_all(
+            &(0..5u32)
+                .map(|i| {
+                    aiql_storage::RawEvent::instant(
+                        aiql_model::AgentId(0),
+                        aiql_model::Operation::Write,
+                        aiql_storage::EntitySpec::process(1, "w.exe", "u"),
+                        aiql_storage::EntitySpec::file(&format!("/data/f{}", i % 3), "u"),
+                        Timestamp::from_secs(i64::from(i) + 1),
+                        u64::from(i % 2),
+                    )
+                })
+                .collect::<Vec<_>>(),
+        );
+        let cell = std::mem::size_of::<Value>() as u64;
+        for (src, per_row) in [
+            ("proc p write file f as e return p, f, e.amount", 3 * cell),
+            // `e.amount` is no entity reference: no id keys, only value keys.
+            (
+                "proc p write file f as e return distinct f, e.amount",
+                2 * cell + 2 * 16,
+            ),
+        ] {
+            let a = analyzed(&store, src);
+            let config = crate::EngineConfig::default();
+            let exec = crate::exec::MultieventExec::new(&store, &a, &config);
+            let (env, tuples, _, _) = exec.join().unwrap();
+            let mut sink = ProjectionSink::new(&env);
+            let p = &a.patterns[0];
+            for i in 0..tuples.len() {
+                let (events, vars) = (tuples.events_of(i), tuples.vars_of(i));
+                let bind = |v: usize| (v, EntityId(vars[v]));
+                sink.emit(&tuples, i, 0, events[0], bind(p.subject), bind(p.object));
+                assert_eq!(sink.retained_bytes(), sink.kept() as u64 * per_row, "{src}");
+            }
+            assert_eq!(sink.pushed(), 5);
+            let kept = sink.kept();
+            assert!(kept > 1, "{src}");
+            assert_eq!(sink.finish().rows.len(), kept);
+        }
     }
 
     #[test]

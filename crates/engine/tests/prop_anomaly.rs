@@ -4,7 +4,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::time::{Duration, Instant};
 
-use aiql_engine::{Engine, EngineConfig, ExecBudget, ResultTable, Warning};
+use aiql_engine::{Engine, EngineConfig, ExecBudget, ResultTable, Rows, Warning};
 use aiql_model::{AgentId, Event, Operation, TimeWindow, Timestamp, Value};
 use aiql_storage::{EntitySpec, EventFilter, EventStore, RawEvent, StoreConfig};
 use proptest::prelude::*;
@@ -251,7 +251,11 @@ fn assert_matches_oracle(store: &EventStore, spec: &Spec) {
         .execute_text(store, &src)
         .unwrap();
     assert!(complete(&table), "{src}");
-    assert_eq!(table.rows, oracle(store, spec), "{src}");
+    assert_eq!(
+        table.rows,
+        oracle(store, spec).iter().collect::<Rows>(),
+        "{src}"
+    );
 }
 
 /// Neither truncated nor warned (a table is `truncated` exactly when it

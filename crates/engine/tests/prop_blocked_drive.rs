@@ -30,7 +30,10 @@
 //!   `distinct` reading the final pattern, and a chain whose last pattern
 //!   is also related to the first), every contract above holds; on fixed
 //!   fan-out stores the memo is shown to hit, at every width and block
-//!   size, so a drive that silently fell back could not pass.
+//!   size, so a drive that silently fell back could not pass;
+//! * **`order by … limit k`** — over every body, the limited answer is the
+//!   first `k` rows of a stable sort of the serial drive's unordered answer
+//!   (ties in emission order), and so is the unlimited ordered one, cut.
 //!
 //! The two reference implementations share no tuple loop with the sink: the
 //! brute-force matcher with the dynamic projection, and the dynamic
@@ -40,10 +43,10 @@
 use aiql_baseline::naive::{self, reference};
 use aiql_engine::exec::{self, MultieventExec};
 use aiql_engine::{
-    analyze_multievent, Engine, EngineConfig, EngineError, ExecBudget, ResultTable, Warning,
+    analyze_multievent, Engine, EngineConfig, EngineError, ExecBudget, ResultTable, Rows, Warning,
 };
 use aiql_lang::{parse_query, MultieventQuery, Query};
-use aiql_model::{AgentId, Operation, Timestamp};
+use aiql_model::{AgentId, Operation, Timestamp, Value};
 use aiql_storage::{EntitySpec, EventStore, RawEvent, StoreConfig};
 use proptest::prelude::*;
 
@@ -277,6 +280,32 @@ const SINGLE_SHAPES: [&str; 6] = [
     "return f, sum(e1.amount / 3) as thirds group by f",
 ];
 
+/// The columns an `order by` sorts by, `true` for descending.
+type SortKeys = &'static [(usize, bool)];
+
+/// Ordered shapes every body can take (each binds `p1`, `f` and `e1`):
+/// the return clause, the `order by` clause, and the columns it sorts by.
+/// Each sort key ties often, so the tie order — emission order — is what
+/// the limited answer keeps.
+const ORDERED_SHAPES: [(&str, &str, SortKeys); 4] = [
+    (
+        "return p1, f, e1.amount as amt",
+        "order by amt desc",
+        &[(2, true)],
+    ),
+    (
+        "return p1, f, e1.amount as amt",
+        "order by f, amt",
+        &[(1, false), (2, false)],
+    ),
+    ("return distinct p1, f", "order by p1", &[(0, false)]),
+    (
+        "return p1, count(e1.amount) as n group by p1",
+        "order by n desc",
+        &[(1, true)],
+    ),
+];
+
 /// The return shapes of a body; `order_free` drops the trailing shape whose
 /// answer depends on tuple order.
 fn shapes(body: usize, order_free: bool) -> Vec<&'static str> {
@@ -335,6 +364,13 @@ fn names_its_cause(t: &ResultTable) -> bool {
     t.truncated != t.warnings.is_empty()
 }
 
+/// The first `k` of `rows`.
+fn prefix(rows: &Rows, k: usize) -> Rows {
+    let mut p = rows.clone();
+    p.truncate(k);
+    p
+}
+
 /// Tuples the join pushed into the sink, from the executed operator stats.
 fn delivered(stats: &exec::ExecStats) -> usize {
     stats
@@ -371,6 +407,53 @@ fn run_capped(
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// `order by … limit k` keeps the first `k` rows of the unlimited
+    /// answer in a stable sort by the order keys, at every fan-out and
+    /// block size: the serial drive's unordered rows, sorted with ties in
+    /// emission order, then cut.
+    #[test]
+    fn order_by_limit_keeps_the_stably_sorted_prefix(
+        raws in proptest::collection::vec(arb_raw(), 1..70),
+        body in 0usize..NBODIES,
+        block in prop_oneof![Just(1usize), Just(7), Just(4096)],
+        threads in prop_oneof![Just(1usize), Just(2), Just(8)],
+        k in 0usize..12,
+    ) {
+        let store = build_store(&raws);
+        let serial = Engine::new(drive_config(1, 4096));
+        let engine = Engine::new(drive_config(threads, block));
+        let run = |engine: &Engine, src: &str| {
+            let (t, _) = engine
+                .execute_multievent_with_stats(&store, &shaped_query(body, src))
+                .unwrap();
+            assert!(!t.truncated);
+            t.rows
+        };
+        for (ret, order, keys) in ORDERED_SHAPES {
+            let emitted = run(&serial, ret);
+            let mut sorted: Vec<&[Value]> = emitted.iter().collect();
+            sorted.sort_by(|x, y| {
+                let by = |&(i, desc): &(usize, bool)| {
+                    let ord = aiql_engine::eval::cmp_values(&x[i], &y[i]);
+                    if desc { ord.reverse() } else { ord }
+                };
+                keys.iter().map(by).fold(std::cmp::Ordering::Equal, |a, b| a.then(b))
+            });
+            let full: Rows = sorted.into_iter().collect();
+            let ordered = run(&engine, &format!("{ret} {order}"));
+            prop_assert_eq!(
+                &ordered, &full,
+                "body {} {:?} {:?} block {} threads {}", body, ret, order, block, threads
+            );
+            let limited = run(&engine, &format!("{ret} {order} limit {k}"));
+            prop_assert_eq!(
+                &limited, &prefix(&full, k),
+                "body {} {:?} {:?} limit {} block {} threads {}",
+                body, ret, order, k, block, threads
+            );
+        }
+    }
 
     /// Uncapped, every return shape agrees with the brute-force oracle:
     /// exhaustive backtracking plus the dynamic `RowCtx` projection.
@@ -529,7 +612,7 @@ proptest! {
             prop_assert!(names_its_cause(&got), "{:?}", got.warnings);
             prop_assert!(
                 got.rows.len() <= full.rows.len()
-                    && got.rows[..] == full.rows[..got.rows.len()],
+                    && got.rows == prefix(&full.rows, got.rows.len()),
                 "query {:?} cap {} block {}: not an emission-order prefix ({} of {})",
                 src, cap, block, got.rows.len(), full.rows.len()
             );
@@ -584,7 +667,7 @@ proptest! {
                 .expect("partial mode never errors on a memory trip");
             prop_assert!(
                 p.rows.len() <= full.rows.len()
-                    && p.rows[..] == full.rows[..p.rows.len()],
+                    && p.rows == prefix(&full.rows, p.rows.len()),
                 "query {:?} budget {} block {}: partial rows not an emission-order prefix",
                 src, budget_bytes, block
             );
@@ -664,8 +747,8 @@ fn capped_chain_sets_truncated_exactly() {
         for block in [7usize, 4096] {
             let (serial, _) = run_capped(&store, &m, &drive_config(1, block), cap);
             assert_eq!(
-                &serial.rows[..],
-                &full.rows[..serial.rows.len()],
+                serial.rows,
+                prefix(&full.rows, serial.rows.len()),
                 "cap {cap} block {block}: not an emission-order prefix"
             );
             assert_eq!(
@@ -971,13 +1054,13 @@ fn single_pattern_caps_truncate_exactly_as_the_parent_commit_did() {
             let config = drive_config(threads, block);
             let (got, stats) = run_capped(&store, &rows, &config, cap);
             assert_eq!(
-                (&got.rows[..], got.truncated, delivered(&stats)),
-                (&full.rows[..kept], truncated, kept),
+                (&got.rows, got.truncated, delivered(&stats)),
+                (&prefix(&full.rows, kept), truncated, kept),
                 "cap {cap} threads {threads} block {block}"
             );
             assert!(names_its_cause(&got), "{:?}", got.warnings);
             // No tuple, no group: a count over nothing returns no row.
-            let want: Vec<_> = (kept > 0)
+            let want: Rows = (kept > 0)
                 .then(|| vec![aiql_model::Value::Int(kept as i64)])
                 .into_iter()
                 .collect();
@@ -1020,7 +1103,7 @@ fn single_pattern_memory_budget_yields_a_prefix_or_the_typed_error() {
     let n = run(&count).unwrap();
     assert_eq!(
         (n.rows, n.truncated),
-        (vec![vec![aiql_model::Value::Int(200)]], false)
+        (Rows::from_iter([[aiql_model::Value::Int(200)]]), false)
     );
 
     let partial = strict.clone().with_partial_results(true);
@@ -1035,7 +1118,7 @@ fn single_pattern_memory_budget_yields_a_prefix_or_the_typed_error() {
             0 < k && k < full.rows.len() && k.is_multiple_of(16),
             "tripped at a run boundary: {k}"
         );
-        assert_eq!(&got.rows[..], &full.rows[..k], "threads {threads}");
+        assert_eq!(got.rows, prefix(&full.rows, k), "threads {threads}");
         assert!(got.truncated);
         assert_eq!(got.warnings, vec![Warning::MemoryBudget { budget_bytes }]);
     }

@@ -118,9 +118,10 @@ fn assert_prefix(partial: &aiql_engine::ResultTable, full: &aiql_engine::ResultT
         partial.rows.len(),
         full.rows.len()
     );
+    let mut prefix = full.rows.clone();
+    prefix.truncate(partial.rows.len());
     assert_eq!(
-        partial.rows[..],
-        full.rows[..partial.rows.len()],
+        partial.rows, prefix,
         "partial rows are not a prefix of the full result"
     );
 }
