@@ -18,12 +18,11 @@ use aiql_model::{TimeWindow, Value};
 
 use crate::analyze::AnalyzedAnomaly;
 use crate::error::EngineError;
-use crate::eval::{SlotCtx, TupleView};
 use crate::exec::{flag_trip, MultieventExec};
 use crate::governor::Governor;
-use crate::op::project::{column_name, slots, AggAcc, CompiledProjection, KeyIndex};
+use crate::op::project::{column_name, slots, AggAcc, GroupCloser, KeyIndex};
 use crate::op::{ExecEnv, RefArena};
-use crate::result::{ResultTable, Rows};
+use crate::result::ResultTable;
 
 /// Executes an anomaly query end to end: `exec` — planned over `a.base`
 /// under the query's plan cache and budget — fetches the candidates, and
@@ -37,8 +36,7 @@ pub fn run_anomaly(
     a: &AnalyzedAnomaly,
 ) -> Result<ResultTable, EngineError> {
     let (env, tuples, cap_trip, _) = exec.join()?;
-    let cp = &a.base.projection;
-    let mut table = run_windows(&env, a, cp, &tuples, env.gov())?;
+    let mut table = run_windows(&env, a, &tuples, env.gov())?;
     flag_trip(&mut table, cap_trip, env.gov());
     Ok(table)
 }
@@ -77,19 +75,16 @@ pub fn window_range(a: &AnalyzedAnomaly, first: i64, last: i64) -> (i64, i64) {
 }
 
 /// The engine's window loop over the join's row references (see the
-/// module docs).
+/// module docs); each window's groups close through [`GroupCloser`], as a
+/// projection sink's do.
 fn run_windows(
     env: &ExecEnv<'_>,
     a: &AnalyzedAnomaly,
-    cp: &CompiledProjection,
     tuples: &RefArena,
     governor: Option<&Governor>,
 ) -> Result<ResultTable, EngineError> {
+    let cp = &a.base.projection;
     let mut table = ResultTable::new(a.base.ret.items.iter().map(column_name).collect());
-    let view = |i: usize| TupleView::Refs {
-        events: tuples.events_of(i),
-        vars: tuples.vars_of(i),
-    };
     // Tuples by start time (the one pattern's, read from its column); the
     // stable sort keeps the join's order among ties.
     let start = |i: usize| env.parts.start(tuples.events_of(i)[0]).micros();
@@ -106,7 +101,7 @@ fn run_windows(
     let mut group = Vec::with_capacity(order.len());
     let mut inputs = Vec::with_capacity(order.len() * naggs);
     for &(_, i) in &order {
-        let cx = slots(env, view(i), &cp.unset_aliases, &[]);
+        let cx = slots(env, tuples.view(i), &cp.unset_aliases, &[]);
         vals.clear();
         vals.extend(cp.group_by.iter().map(|g| g.eval(&cx)));
         let (g, new) = keys.find_or_insert(&vals);
@@ -126,10 +121,7 @@ fn run_windows(
     // This window's groups in first-occurrence order, with the position of
     // their first tuple (the representative non-aggregate items read).
     let mut present: Vec<(usize, usize)> = Vec::new();
-    let (mut aggs, mut aliases) = (vec![Value::Null; naggs], cp.unset_aliases.clone());
-    let mut past = vec![Value::Null; nlags];
-    let (mut rows, mut row) = (Rows::new(), Vec::new());
-    let mut seen = a.base.ret.distinct.then(KeyIndex::default);
+    let mut closer = GroupCloser::new(&a.base);
 
     let (range_start, range_end) = window_range(a, first, last);
     let (length, step) = (a.window_spec.length.micros(), a.window_spec.step.micros());
@@ -156,46 +148,13 @@ fn run_windows(
         }
         for &(g, j) in &present {
             let group_accs = &accs[g * naggs..(g + 1) * naggs];
-            for (slot, ((func, _), acc)) in cp.aggs.iter().zip(group_accs).enumerate() {
-                aggs[slot] = acc.finalize(*func);
-            }
-            // Aliased items first: `having` and later windows read them; the
-            // row is evaluated only for a group that is kept.
-            aliases.fill(None);
-            let rep = view(order[j].1);
-            for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
-                if let Some(slot) = alias {
-                    aliases[*slot] = Some(item.eval(&slots(env, rep, &aliases, &aggs)));
-                }
-            }
             let group_history = &mut history[g * nlags..(g + 1) * nlags];
-            for ((&(slot, lag), v), h) in cp.lags.iter().zip(&mut past).zip(group_history) {
-                let then = k - i64::from(lag);
-                while h.front().is_some_and(|&(w, _)| w < then) {
-                    h.pop_front();
-                }
-                *v = match h.front() {
-                    Some(&(w, value)) if w == then => value,
-                    _ => Value::Float(0.0),
-                };
-                h.push_back((k, aliases[slot].unwrap_or(Value::Null)));
-            }
-            let cx = SlotCtx {
-                history: &past,
-                ..slots(env, rep, &aliases, &aggs)
-            };
-            if cp.having.as_ref().is_none_or(|h| h.passes(&cx)) {
-                row.clear();
-                row.extend(cp.items.iter().map(|e| e.eval(&cx)));
-                if seen.as_mut().is_none_or(|s| s.find_or_insert(&row).1) {
-                    rows.push(&row);
-                }
-            }
+            closer.close(env, tuples.view(order[j].1), group_accs, k, group_history);
         }
         k += 1;
         w_start = w_start.saturating_add(step);
     }
 
-    table.rows = rows;
+    table.rows = closer.rows;
     Ok(table)
 }

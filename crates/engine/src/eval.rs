@@ -12,11 +12,11 @@
 use std::collections::HashMap;
 
 use aiql_lang::{BinOp, Expr, Literal};
-use aiql_model::{Attr, EntityId, EntityKind, Event, ModelError, Value};
+use aiql_model::{Attr, EntityId, EntityKind, ModelError, Value};
 use aiql_storage::EventStore;
 
 use crate::error::EngineError;
-use crate::op::{EventRef, PartTable, Tuple, NO_REF, NO_VAR};
+use crate::op::{EventRef, PartTable, NO_REF, NO_VAR};
 
 /// Canonical key identifying an aggregate expression node.
 pub fn agg_key(e: &Expr) -> String {
@@ -82,8 +82,8 @@ pub enum SlotExpr {
 
 /// An event attribute resolved to the storage column holding it, so the
 /// per-tuple read goes straight through [`PartTable`] to the partition's
-/// column — no [`Event`] is materialized and no attribute name is matched
-/// per tuple.
+/// column — no event is materialized and no attribute name is matched per
+/// tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventCol {
     /// `amount`.
@@ -102,7 +102,8 @@ pub enum EventCol {
 
 impl EventCol {
     /// Resolves an attribute name through the model's attribute table, as
-    /// [`Event::get`] does — same aliases, same error for an unknown name.
+    /// [`aiql_model::Event::get`] does — same aliases, same error for an
+    /// unknown name.
     pub fn resolve(attr: &str) -> Result<Self, ModelError> {
         Ok(match Attr::resolve(None, attr)? {
             Attr::Amount => EventCol::Amount,
@@ -115,21 +116,8 @@ impl EventCol {
         })
     }
 
-    /// The attribute the column holds, which a materialized event reads
-    /// through [`Event::value`].
-    fn attr(self) -> Attr {
-        match self {
-            EventCol::Amount => Attr::Amount,
-            EventCol::Start => Attr::StartTime,
-            EventCol::End => Attr::EndTime,
-            EventCol::Agent => Attr::AgentId,
-            EventCol::Op => Attr::Operation,
-            EventCol::Id => Attr::Id,
-        }
-    }
-
-    /// Reads the column at a row reference — the value [`Event::get`]
-    /// returns for the materialized event.
+    /// Reads the column at a row reference — the value
+    /// [`aiql_model::Event::get`] returns for the materialized event.
     #[inline]
     pub(crate) fn read(self, parts: &PartTable<'_>, r: EventRef) -> Value {
         let p = parts.part(r);
@@ -144,52 +132,16 @@ impl EventCol {
     }
 }
 
-/// One joined tuple as compiled expressions read it: the join's flat row
-/// references, or a materialized tuple (a group's representative, kept by
-/// the projection sink past the join).
+/// One joined tuple as compiled expressions read it: a row of a
+/// [`crate::op::RefArena`] — the join's tuple, or a group's representative
+/// the projection sink keeps past the join — with [`NO_REF`] / [`NO_VAR`]
+/// where a pattern or variable is unplaced.
 #[derive(Debug, Clone, Copy)]
-pub(crate) enum TupleView<'t> {
-    /// Event ref per pattern and entity id per variable.
-    Refs {
-        events: &'t [EventRef],
-        vars: &'t [u32],
-    },
-    /// A materialized tuple.
-    Events(&'t Tuple),
-}
-
-impl TupleView<'_> {
-    /// The tuple with its events materialized.
-    pub(crate) fn materialize(&self, parts: &PartTable<'_>) -> Tuple {
-        match self {
-            TupleView::Refs { events, vars } => Tuple {
-                events: (events.iter())
-                    .map(|&r| (r != NO_REF).then(|| parts.event(r)))
-                    .collect(),
-                vars: (vars.iter())
-                    .map(|&v| (v != NO_VAR).then_some(EntityId(v)))
-                    .collect(),
-            },
-            TupleView::Events(t) => (*t).clone(),
-        }
-    }
-
-    #[inline]
-    fn entity(&self, slot: usize) -> Option<EntityId> {
-        match self {
-            TupleView::Refs { vars, .. } => (vars[slot] != NO_VAR).then_some(EntityId(vars[slot])),
-            TupleView::Events(t) => t.vars[slot],
-        }
-    }
-
-    /// The event bound at `slot`: its ref (`Ok`) or itself (`Err`).
-    #[inline]
-    fn event(&self, slot: usize) -> Option<Result<EventRef, &Event>> {
-        match self {
-            TupleView::Refs { events, .. } => (events[slot] != NO_REF).then_some(Ok(events[slot])),
-            TupleView::Events(t) => t.events[slot].as_ref().map(Err),
-        }
-    }
+pub(crate) struct TupleView<'t> {
+    /// Event ref per pattern.
+    pub events: &'t [EventRef],
+    /// Entity id per variable.
+    pub vars: &'t [u32],
 }
 
 /// Everything a slot-compiled expression evaluates against: the tuple, the
@@ -363,20 +315,19 @@ impl SlotExpr {
     pub(crate) fn eval(&self, cx: &SlotCtx<'_>) -> Value {
         match self {
             SlotExpr::Const(v) => *v,
-            SlotExpr::Event { slot, col } => match cx.tuple.event(*slot) {
-                Some(Ok(r)) => col.read(cx.parts, r),
-                Some(Err(e)) => e.value(col.attr()),
-                None => Value::Null,
+            SlotExpr::Event { slot, col } => match cx.tuple.events[*slot] {
+                NO_REF => Value::Null,
+                r => col.read(cx.parts, r),
             },
-            SlotExpr::Entity { slot, attr } => match cx.tuple.entity(*slot) {
-                Some(id) => {
-                    let entity = cx.store.entities().get(id);
+            SlotExpr::Entity { slot, attr } => match cx.tuple.vars[*slot] {
+                NO_VAR => Value::Null,
+                id => {
+                    let entity = cx.store.entities().get(EntityId(id));
                     match attr {
                         Some(a) => entity.value(*a).unwrap_or(Value::Null),
                         None => entity.attrs.default_value(),
                     }
                 }
-                None => Value::Null,
             },
             SlotExpr::Alias(slot) => cx.aliases[*slot].unwrap_or(Value::Null),
             SlotExpr::Agg(i) => cx.aggs.get(*i).copied().unwrap_or(Value::Null),
@@ -452,7 +403,7 @@ pub fn cmp_values(a: &Value, b: &Value) -> std::cmp::Ordering {
 mod tests {
     use super::*;
     use aiql_lang::parse_query;
-    use aiql_model::{AgentId, Operation, Timestamp};
+    use aiql_model::{AgentId, Event, Operation, Timestamp};
     use aiql_storage::{EntitySpec, RawEvent};
 
     fn store_and_event() -> (EventStore, Event) {
@@ -495,24 +446,31 @@ mod tests {
         compile_slots(&having_expr(src), store, &mut env, Clause::Having)
     }
 
-    /// Evaluates `src` (see [`compile`]) on the materialized tuple of
-    /// `event`, or on an empty one, with alias `amt` and its history.
+    /// Evaluates `src` (see [`compile`]) on the tuple placing the store's
+    /// one event, or on an unplaced one, with alias `amt` and its history.
     fn eval_on(
         src: &str,
         store: &EventStore,
-        event: Option<Event>,
+        placed: bool,
         amt: &[Option<Value>],
         history: &[Value],
     ) -> Value {
-        let tuple = Tuple {
-            events: vec![event],
-            vars: vec![event.map(|e| e.subject), event.map(|e| e.object)],
-        };
         let parts = PartTable::build(store);
+        let r = EventRef { part: 0, row: 0 };
+        let (events, vars) = match placed {
+            true => {
+                let (subject, object) = parts.subject_object(r);
+                ([r], [subject.raw(), object.raw()])
+            }
+            false => ([NO_REF], [NO_VAR; 2]),
+        };
         let cx = SlotCtx {
             store,
             parts: &parts,
-            tuple: TupleView::Events(&tuple),
+            tuple: TupleView {
+                events: &events,
+                vars: &vars,
+            },
             aliases: amt,
             aggs: &[],
             history,
@@ -523,7 +481,7 @@ mod tests {
     #[test]
     fn arithmetic_precedence_and_types() {
         let (s, _) = store_and_event();
-        let eval = |src| eval_on(src, &s, None, &[None], &[]);
+        let eval = |src| eval_on(src, &s, false, &[None], &[]);
         assert_eq!(eval("1 + 2 * 3"), Value::Int(7));
         assert_eq!(eval("7 / 2"), Value::Float(3.5));
         assert_eq!(eval("2 * 3.5"), Value::Float(7.0));
@@ -532,20 +490,20 @@ mod tests {
     #[test]
     fn division_by_zero_is_null() {
         let (s, _) = store_and_event();
-        assert_eq!(eval_on("1 / 0", &s, None, &[None], &[]), Value::Null);
+        assert_eq!(eval_on("1 / 0", &s, false, &[None], &[]), Value::Null);
     }
 
     #[test]
     fn event_attribute_access() {
-        let (s, event) = store_and_event();
-        let got = eval_on("e.amount > 1000", &s, Some(event), &[None], &[]);
+        let (s, _) = store_and_event();
+        let got = eval_on("e.amount > 1000", &s, true, &[None], &[]);
         assert_eq!(got, Value::Bool(true));
     }
 
     #[test]
     fn entity_default_attribute_shortcut() {
-        let (s, event) = store_and_event();
-        let eval = |src| eval_on(src, &s, Some(event), &[None], &[]);
+        let (s, _) = store_and_event();
+        let eval = |src| eval_on(src, &s, true, &[None], &[]);
         assert_eq!(eval(r#"p = "sbblv.exe""#), Value::Bool(true));
         assert_eq!(eval(r#"p.user = "system""#), Value::Bool(true));
     }
@@ -558,16 +516,16 @@ mod tests {
         let amt = [Some(Value::Float(100.0))];
         // 100 > 2*(100+40+0)/3 = 93.3 → true
         let history = [Value::Float(40.0)];
-        assert_eq!(eval_on(src, &s, None, &amt, &history), Value::Bool(true));
+        assert_eq!(eval_on(src, &s, false, &amt, &history), Value::Bool(true));
         // 100 > 2*(100+40+80)/3 = 146.7 → false
         let history = [Value::Float(40.0), Value::Float(80.0)];
-        assert_eq!(eval_on(src, &s, None, &amt, &history), Value::Bool(false));
+        assert_eq!(eval_on(src, &s, false, &amt, &history), Value::Bool(false));
     }
 
     #[test]
     fn logic_operators() {
         let (s, _) = store_and_event();
-        let got = eval_on("1 < 2 and 3 < 2 or 1 = 1", &s, None, &[None], &[]);
+        let got = eval_on("1 < 2 and 3 < 2 or 1 = 1", &s, false, &[None], &[]);
         assert_eq!(got, Value::Bool(true));
     }
 

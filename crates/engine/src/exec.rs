@@ -10,11 +10,12 @@
 //! pipeline's outputs to the public API. One builder
 //! (`MultieventExec::build`) plans every execution and every `EXPLAIN`.
 //!
-//! Candidate lists, binding propagation, and the multi-way join carry
-//! [`EventRef`]s — ⟨partition, row⟩ pairs resolved against the columnar
-//! segments on demand. Full `Event` structs are built only for what
-//! outlives the join: a group's representative tuple, or the tuples
-//! [`MultieventExec::match_tuples`] hands out to tests.
+//! Candidate lists, binding propagation, the multi-way join, the
+//! projection sink and the anomaly window loop carry [`EventRef`]s —
+//! ⟨partition, row⟩ pairs resolved against the columnar segments on demand;
+//! a group's representative is one such row too. Full `Event` structs are
+//! built only for the tuples [`MultieventExec::match_tuples`] hands out to
+//! tests and the oracle.
 
 use std::sync::Arc;
 

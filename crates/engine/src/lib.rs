@@ -28,8 +28,8 @@
 //! The data path is columnar end to end ([`exec`]): scans produce
 //! selection vectors, candidate lists and the multi-way join carry
 //! ⟨partition, row⟩ references, the join's final step feeds a streaming
-//! projection sink, and events are materialized only for what outlives the
-//! join.
+//! projection sink that keeps a group's representative as such a row, and
+//! events are materialized only for the tuples `match_tuples` hands out.
 //!
 //! Dependency queries are rewritten to equivalent multievent queries (in
 //! `aiql-lang`) and reuse the same pipeline. Anomaly queries are executed by

@@ -52,6 +52,7 @@ use aiql_storage::{EventFilter, EventStore, IdSet, Partition, PartitionKey};
 use crate::analyze::AnalyzedMultievent;
 use crate::engine::EngineConfig;
 use crate::error::EngineError;
+use crate::eval::TupleView;
 use crate::governor::{Governor, Warning};
 use crate::result::ResultTable;
 use crate::schedule::PlanCtx;
@@ -140,14 +141,34 @@ impl RefArena {
         &self.vars[i * self.nvars..(i + 1) * self.nvars]
     }
 
-    /// Every tuple with its events materialized.
+    /// Tuple `i` as compiled expressions read it.
+    pub(crate) fn view(&self, i: usize) -> TupleView<'_> {
+        TupleView {
+            events: self.events_of(i),
+            vars: self.vars_of(i),
+        }
+    }
+
+    /// Appends a copy of `t`.
+    pub(crate) fn push(&mut self, t: TupleView<'_>) {
+        self.events.extend_from_slice(t.events);
+        self.vars.extend_from_slice(t.vars);
+        self.ntuples += 1;
+    }
+
+    /// Every tuple with its events materialized: the engine's only
+    /// [`Tuple`]s, which `MultieventExec::match_tuples` hands to tests and
+    /// the oracle.
     pub(crate) fn materialize(&self, parts: &PartTable<'_>) -> Vec<Tuple> {
-        (0..self.len())
-            .map(|i| {
-                let (events, vars) = (self.events_of(i), self.vars_of(i));
-                crate::eval::TupleView::Refs { events, vars }.materialize(parts)
-            })
-            .collect()
+        let tuple = |i| Tuple {
+            events: (self.events_of(i).iter())
+                .map(|&r| (r != NO_REF).then(|| parts.event(r)))
+                .collect(),
+            vars: (self.vars_of(i).iter())
+                .map(|&v| (v != NO_VAR).then_some(EntityId(v)))
+                .collect(),
+        };
+        (0..self.len()).map(tuple).collect()
     }
 
     /// Bytes one tuple occupies (the unit of the governor's accounting).

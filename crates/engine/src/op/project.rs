@@ -11,7 +11,8 @@
 //! materialized. What a sink retains depends only on the return shape:
 //!
 //! * **aggregates** (single group or `group by`): one accumulator set and
-//!   one representative tuple per group — nothing per tuple;
+//!   one representative row reference per group (its first tuple's refs,
+//!   copied into a [`RefArena`]) — nothing per tuple;
 //! * **`distinct`**: the distinct rows, in first-occurrence order, found
 //!   through an index keyed on the values' bit patterns — and, when every
 //!   item is an entity reference (no aggregate, no `having`), first through
@@ -21,6 +22,11 @@
 //!   one row);
 //! * **plain rows**: one row per tuple that passes `having`.
 //!
+//! A finished group becomes a row through `GroupCloser`, the one
+//! sequence `finish` and the anomaly window loop share: finalise the
+//! accumulators, bind the aliased items, take the history, test `having`,
+//! build the kept group's row, filter it through `distinct`.
+//!
 //! Every row lands in the table's row store ([`Rows`]): its cells are
 //! pushed straight into fixed-capacity chunks, so a row costs its cells and
 //! no heap vector of its own. A parallel fork's plain rows reach the
@@ -28,7 +34,9 @@
 //! pass the output's first-occurrence filter one by one. Under a memory
 //! budget a row is charged its cells (`width × size_of::<Value>()`), plus
 //! its value key under `distinct` — what it holds, whatever chunk it fell
-//! in, so a fork's tally and the merge thread's charge agree.
+//! in, so a fork's tally and the merge thread's charge agree. A group is
+//! charged its key, its representative's refs
+//! (`RefArena::tuple_bytes`) and its accumulators.
 //!
 //! When the join's last levels are unread
 //! (`CompiledProjection::unread`), the sink receives a tuple and a count
@@ -49,7 +57,7 @@
 //! permutation of the rows and, under a limit, gathers only the rows it
 //! keeps).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use aiql_lang::{AggFunc, Expr, SortDir};
 use aiql_model::{EntityId, Value};
@@ -59,7 +67,7 @@ use crate::analyze::AnalyzedMultievent;
 use crate::error::EngineError;
 use crate::eval::{self, agg_key, Clause, SlotCtx, SlotEnv, SlotExpr, TupleView};
 use crate::op::{
-    EventRef, ExecEnv, JoinOutput, MulHash, OpStat, Operator, PipelineState, RefArena, Tuple,
+    EventRef, ExecEnv, JoinOutput, MulHash, OpStat, Operator, PipelineState, RefArena,
 };
 use crate::result::{ResultTable, Rows};
 
@@ -461,11 +469,11 @@ enum SinkState {
     },
     /// Per group, in first-occurrence order: its key (no keys when the
     /// query has no `group by` — one implicit group), its representative
-    /// (first) tuple, which the group's non-aggregate items are evaluated
-    /// on, and `aggs.len()` accumulators in `accs`.
+    /// (first) tuple's refs, which the group's non-aggregate items are
+    /// evaluated on, and `aggs.len()` accumulators in `accs`.
     Groups {
         keys: KeyIndex,
-        reps: Vec<Tuple>,
+        reps: RefArena,
         accs: Vec<AggAcc>,
     },
 }
@@ -511,7 +519,7 @@ impl<'e> ProjectionSink<'e> {
         let state = if cp.aggregated {
             SinkState::Groups {
                 keys: KeyIndex::default(),
-                reps: Vec::new(),
+                reps: RefArena::new(env.a.patterns.len(), env.a.vars.len()),
                 accs: Vec::new(),
             }
         } else {
@@ -587,12 +595,8 @@ impl<'e> ProjectionSink<'e> {
     ) {
         self.tuple.truncate(0);
         self.tuple.emit(src, i, pattern, r, subject, object);
-        let tuple = TupleView::Refs {
-            events: self.tuple.events_of(0),
-            vars: self.tuple.vars_of(0),
-        };
         let (state, vals) = (&mut self.state, &mut self.vals);
-        consume(self.env, self.cp, state, vals, tuple, 1, None);
+        consume(self.env, self.cp, state, vals, self.tuple.view(0), 1, None);
     }
 
     /// Tuples pushed so far.
@@ -609,46 +613,108 @@ impl<'e> ProjectionSink<'e> {
     }
 
     /// Closes the table: emits each group's row (aggregates), then
-    /// distinct, order by, limit.
+    /// order by, limit.
     pub(crate) fn finish(self) -> ResultTable {
-        let (env, a, cp) = (self.env, self.env.a, self.cp);
+        let (env, a, naggs) = (self.env, self.env.a, self.cp.aggs.len());
         let mut rows = match self.state {
             SinkState::Rows { rows, .. } => rows,
             SinkState::Groups { reps, accs, .. } => {
-                let mut rows = Rows::new();
-                let mut seen = a.ret.distinct.then(KeyIndex::default);
-                let mut aggs = vec![Value::Null; cp.aggs.len()];
-                let mut aliases = cp.unset_aliases.clone();
-                let mut row = self.vals;
-                for (g, rep) in reps.iter().enumerate() {
-                    let group = &accs[g * cp.aggs.len()..(g + 1) * cp.aggs.len()];
-                    for (slot, ((func, _), acc)) in cp.aggs.iter().zip(group).enumerate() {
-                        aggs[slot] = acc.finalize(*func);
-                    }
-                    aliases.iter_mut().for_each(|v| *v = None);
-                    let rep = TupleView::Events(rep);
-                    row.clear();
-                    for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
-                        let v = item.eval(&slots(env, rep, &aliases, &aggs));
-                        if let Some(slot) = alias {
-                            aliases[*slot] = Some(v);
-                        }
-                        row.push(v);
-                    }
-                    let scx = slots(env, rep, &aliases, &aggs);
-                    if cp.having.as_ref().is_none_or(|h| h.passes(&scx))
-                        && seen.as_mut().is_none_or(|s| s.find_or_insert(&row).1)
-                    {
-                        rows.push(&row);
-                    }
+                let mut closer = GroupCloser::new(a);
+                for g in 0..reps.len() {
+                    let group = &accs[g * naggs..(g + 1) * naggs];
+                    closer.close(env, reps.view(g), group, 0, &mut []);
                 }
-                rows
+                closer.rows
             }
         };
         order_and_limit(a, &mut rows);
         let mut table = ResultTable::new(a.ret.items.iter().map(column_name).collect());
         table.rows = rows;
         table
+    }
+}
+
+/// Closes finished groups into rows, in the order they are handed over:
+/// the one sequence [`ProjectionSink::finish`] and the anomaly window loop
+/// share (see the module docs), on scratch reused from group to group.
+pub(crate) struct GroupCloser {
+    aggs: Vec<Value>,
+    aliases: Vec<Option<Value>>,
+    /// The history values `having` reads ([`CompiledProjection::lags`]).
+    past: Vec<Value>,
+    row: Vec<Value>,
+    seen: Option<KeyIndex>,
+    /// The kept groups' rows.
+    pub(crate) rows: Rows,
+}
+
+impl GroupCloser {
+    pub(crate) fn new(a: &AnalyzedMultievent) -> Self {
+        let cp = &a.projection;
+        GroupCloser {
+            aggs: vec![Value::Null; cp.aggs.len()],
+            aliases: cp.unset_aliases.clone(),
+            past: vec![Value::Null; cp.lags.len()],
+            row: Vec::new(),
+            seen: a.ret.distinct.then(KeyIndex::default),
+            rows: Rows::new(),
+        }
+    }
+
+    /// Closes the group of representative `rep` and accumulators `accs` in
+    /// window `k`. `history` holds, per history slot, the group's alias
+    /// values of its windows at most `lag` back, oldest first (empty outside
+    /// anomaly queries); this window's values join it. The row is built
+    /// after every alias is bound, which gives the row that binding them
+    /// item by item would: an item reads only earlier items' aliases.
+    pub(crate) fn close(
+        &mut self,
+        env: &ExecEnv<'_>,
+        rep: TupleView<'_>,
+        accs: &[AggAcc],
+        k: i64,
+        history: &mut [VecDeque<(i64, Value)>],
+    ) {
+        let GroupCloser {
+            aggs,
+            aliases,
+            past,
+            row,
+            seen,
+            rows,
+        } = self;
+        let cp = &env.a.projection;
+        for ((func, _), (acc, v)) in cp.aggs.iter().zip(accs.iter().zip(&mut *aggs)) {
+            *v = acc.finalize(*func);
+        }
+        aliases.fill(None);
+        for (item, alias) in cp.items.iter().zip(&cp.alias_slot) {
+            if let Some(slot) = alias {
+                aliases[*slot] = Some(item.eval(&slots(env, rep, aliases, aggs)));
+            }
+        }
+        for ((&(slot, lag), v), h) in cp.lags.iter().zip(&mut *past).zip(history) {
+            let then = k - i64::from(lag);
+            while h.front().is_some_and(|&(w, _)| w < then) {
+                h.pop_front();
+            }
+            *v = match h.front() {
+                Some(&(w, value)) if w == then => value,
+                _ => Value::Float(0.0),
+            };
+            h.push_back((k, aliases[slot].unwrap_or(Value::Null)));
+        }
+        let cx = SlotCtx {
+            history: past,
+            ..slots(env, rep, aliases, aggs)
+        };
+        if cp.having.as_ref().is_none_or(|h| h.passes(&cx)) {
+            row.clear();
+            row.extend(cp.items.iter().map(|e| e.eval(&cx)));
+            if seen.as_mut().is_none_or(|s| s.find_or_insert(row).1) {
+                rows.push(row);
+            }
+        }
     }
 }
 
@@ -691,7 +757,7 @@ fn consume(
                 false => keys.find_or_insert(vals).0,
             };
             if g == reps.len() {
-                reps.push(tuple.materialize(&env.parts));
+                reps.push(tuple);
                 accs.extend(cp.aggs.iter().map(|_| AggAcc::new()));
             }
             let group = &mut accs[g * cp.aggs.len()..(g + 1) * cp.aggs.len()];
@@ -734,11 +800,7 @@ impl JoinOutput for ProjectionSink<'_> {
         if self.repeat(src.vars_of(i), &[], n) {
             return;
         }
-        let tuple = TupleView::Refs {
-            events: src.events_of(i),
-            vars: src.vars_of(i),
-        };
-        let (state, vals) = (&mut self.state, &mut self.vals);
+        let (state, vals, tuple) = (&mut self.state, &mut self.vals, src.view(i));
         consume(self.env, self.cp, state, vals, tuple, n, Some(pattern));
         self.pushed += n;
     }
@@ -782,10 +844,11 @@ impl JoinOutput for ProjectionSink<'_> {
     }
 
     /// Rows' cells (with their keys under `distinct`, and the entity-id
-    /// keys seen) or group states — never the pushed tuples themselves, nor
-    /// the spare capacity of a row chunk.
+    /// keys seen) or groups' keys, representatives' refs and accumulators —
+    /// never the pushed tuples themselves, nor the spare capacity of a row
+    /// chunk.
     fn retained_bytes(&self) -> u64 {
-        let (cp, a) = (self.cp, self.env.a);
+        let cp = self.cp;
         let values = |n: usize| n * std::mem::size_of::<Value>();
         let key = |n: usize| 2 * n * std::mem::size_of::<u64>();
         let per = match &self.state {
@@ -793,11 +856,9 @@ impl JoinOutput for ProjectionSink<'_> {
                 let n = cp.items.len();
                 values(n) + seen.as_ref().map_or(0, |_| key(n))
             }
-            SinkState::Groups { .. } => {
+            SinkState::Groups { reps, .. } => {
                 key(cp.group_by.len())
-                    + std::mem::size_of::<Tuple>()
-                    + a.patterns.len() * std::mem::size_of::<Option<aiql_model::Event>>()
-                    + a.vars.len() * std::mem::size_of::<Option<EntityId>>()
+                    + reps.tuple_bytes() as usize
                     + cp.aggs.len() * std::mem::size_of::<AggAcc>()
             }
         };
@@ -854,14 +915,14 @@ impl JoinOutput for ProjectionSink<'_> {
                 let mut their_keys: Vec<_> = more_keys.index.into_iter().collect();
                 their_keys.sort_unstable_by_key(|&(_, h)| h);
                 let mut their_keys = their_keys.into_iter();
-                for (h, rep) in more_reps.into_iter().enumerate() {
+                for h in 0..more_reps.len() {
                     let next = reps.len();
                     let g = their_keys
                         .next()
                         .map_or(0, |(key, _)| *keys.index.entry(key).or_insert(next));
                     let theirs = &more_accs[h * naggs..(h + 1) * naggs];
                     if g == next {
-                        reps.push(rep);
+                        reps.push(more_reps.view(h));
                         accs.extend_from_slice(theirs);
                     } else {
                         let ours = &mut accs[g * naggs..(g + 1) * naggs];
@@ -1076,7 +1137,9 @@ mod tests {
     }
 
     /// The per-row charge of a plain sink is its cells, of a `distinct` one
-    /// its cells and its key: never a per-row header, nor chunk capacity.
+    /// its cells and its key, and a group's charge is its key, its
+    /// representative's refs and its accumulators: never a per-row header,
+    /// a materialized tuple, nor chunk capacity.
     #[test]
     fn a_sinks_charge_per_row_is_what_the_row_holds() {
         let mut store = EventStore::default();
@@ -1095,12 +1158,20 @@ mod tests {
                 .collect::<Vec<_>>(),
         );
         let cell = std::mem::size_of::<Value>() as u64;
+        let acc = std::mem::size_of::<AggAcc>() as u64;
         for (src, per_row) in [
             ("proc p write file f as e return p, f, e.amount", 3 * cell),
             // `e.amount` is no entity reference: no id keys, only value keys.
             (
                 "proc p write file f as e return distinct f, e.amount",
                 2 * cell + 2 * 16,
+            ),
+            // One key column, one event ref and two entity ids, one
+            // accumulator.
+            (
+                "proc p write file f as e return f, e.amount as first, count(e.amount) as n \
+                 group by f",
+                2 * 8 + (8 + 2 * 4) + acc,
             ),
         ] {
             let a = analyzed(&store, src);
@@ -1109,6 +1180,10 @@ mod tests {
             let (env, tuples, _, _) = exec.join().unwrap();
             let mut sink = ProjectionSink::new(&env);
             let p = &a.patterns[0];
+            let key = 2 * 8 * a.group_by.len() as u64;
+            if a.projection.aggregated {
+                assert_eq!(per_row, key + tuples.tuple_bytes() + acc, "{src}");
+            }
             for i in 0..tuples.len() {
                 let (events, vars) = (tuples.events_of(i), tuples.vars_of(i));
                 let bind = |v: usize| (v, EntityId(vars[v]));

@@ -243,9 +243,11 @@ const NBODIES: usize = MEMO_FROM + MEMO_BODIES.len();
 /// shapes return only keys and aggregates, and the `limit` shape orders by
 /// every column, so the answer does not depend on tuple order and the
 /// brute-force oracle (which matches in source order) can check it — but
-/// for the last shape, whose float sums depend on addition order in their
-/// last bits: parallel partials of it never merge, they are re-driven.
-const SHAPES: [&str; 11] = [
+/// for the last two: float sums that depend on addition order in their
+/// last bits (parallel partials of it never merge, they are re-driven),
+/// and a group's representative, its first tuple, read through a non-key
+/// event column and a non-key entity attribute.
+const SHAPES: [&str; 12] = [
     "return p1, p2, f",
     "return e1.id, e2.starttime, e1.endtime, e2.optype, e1.agentid, e2.amount",
     "return distinct p1, f",
@@ -257,15 +259,19 @@ const SHAPES: [&str; 11] = [
     "return p1, f order by f desc, p1 limit 7",
     "return distinct p2, e1.amount + e2.amount as both having e1.amount + e2.amount > 1000",
     "return p1, sum(e2.amount / 3) as thirds, avg(e1.amount / 7) as m group by p1",
+    "return p1, e1.amount as first, f.path as fp, count(e2.amount) as n group by p1",
 ];
 
 /// Shapes reading the unread bodies' `e3` only through `count`, or not at
-/// all; every shape of [`SHAPES`] runs on those bodies too.
-const UNREAD_SHAPES: [&str; 4] = [
+/// all; every shape of [`SHAPES`] runs on those bodies too. The last reads
+/// a group's representative, which a counted delivery leaves with `e3`
+/// unplaced, so its answer depends on which tuple is first.
+const UNREAD_SHAPES: [&str; 5] = [
     "return count(e3.amount) as n",
     "return count(e3) as n, sum(e1.amount) as s",
     "return p1, count(e3.amount) as n, max(e2.amount) as hi group by p1",
     "return distinct p2",
+    "return p1, e1.amount as first, f.path as fp, count(e3.amount) as n group by p1",
 ];
 
 /// The single pattern's shapes — plain, `distinct`, `count`, `group by`,
@@ -306,17 +312,18 @@ const ORDERED_SHAPES: [(&str, &str, SortKeys); 4] = [
     ),
 ];
 
-/// The return shapes of a body; `order_free` drops the trailing shape whose
-/// answer depends on tuple order.
+/// The return shapes of a body; `order_free` drops the trailing shapes
+/// whose answer depends on tuple order (two of [`SHAPES`], one of each
+/// other list but the memo shapes).
 fn shapes(body: usize, order_free: bool) -> Vec<&'static str> {
-    let mut all: Vec<&str> = match body {
-        b if b < UNREAD_FROM => SHAPES.to_vec(),
-        b if b < BODIES.len() => UNREAD_SHAPES.iter().chain(&SHAPES).copied().collect(),
-        b if b < MEMO_FROM => SINGLE_SHAPES.to_vec(),
-        b => return MEMO_SHAPES[b - MEMO_FROM].to_vec(),
-    };
-    all.truncate(all.len() - usize::from(order_free));
-    all
+    let cut =
+        |list: &[&'static str], n: usize| list[..list.len() - n * usize::from(order_free)].to_vec();
+    match body {
+        b if b < UNREAD_FROM => cut(&SHAPES, 2),
+        b if b < BODIES.len() => [cut(&UNREAD_SHAPES, 1), cut(&SHAPES, 2)].concat(),
+        b if b < MEMO_FROM => cut(&SINGLE_SHAPES, 1),
+        b => MEMO_SHAPES[b - MEMO_FROM].to_vec(),
+    }
 }
 
 /// Whether the join placed the unread bodies' `e3` last (vacuous for the

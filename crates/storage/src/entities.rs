@@ -201,20 +201,6 @@ impl EntityConstraint {
         EntityConstraint { attr: None, cmp }
     }
 
-    /// Constraint on the attribute `name` spells on the entity kind that
-    /// has it. `name` itself is the default attribute of both kinds that
-    /// have it (a process's executable, a file's path), so it constrains
-    /// the default. Panics on a name no kind has.
-    pub fn on(name: &str, cmp: AttrCmp) -> Self {
-        let kinds = [EntityKind::Process, EntityKind::File, EntityKind::NetConn];
-        let attr = (name != "name").then(|| {
-            (kinds.into_iter())
-                .find_map(|kind| Attr::resolve(Some(kind), name).ok())
-                .unwrap_or_else(|| panic!("no entity kind has an attribute {name:?}"))
-        });
-        EntityConstraint { attr, cmp }
-    }
-
     /// A rough selectivity estimate in `[0, 1]` used by the scheduler.
     pub fn selectivity_hint(&self) -> f64 {
         match &self.cmp {
@@ -871,20 +857,20 @@ mod tests {
         let hit = s.find(
             EntityKind::NetConn,
             None,
-            &[EntityConstraint::on(
-                "dstip",
-                AttrCmp::Eq(Value::Ip(IpV4::from_octets(10, 0, 4, 129))),
-            )],
+            &[EntityConstraint {
+                attr: Some(Attr::DstIp),
+                cmp: AttrCmp::Eq(Value::Ip(IpV4::from_octets(10, 0, 4, 129))),
+            }],
         );
         assert_eq!(hit.len(), 1);
         // LIKE over rendered IPs also works (`%.129`).
         let like = s.find(
             EntityKind::NetConn,
             None,
-            &[EntityConstraint::on(
-                "dstip",
-                AttrCmp::Like(StringPattern::new("%.129")),
-            )],
+            &[EntityConstraint {
+                attr: Some(Attr::DstIp),
+                cmp: AttrCmp::Like(StringPattern::new("%.129")),
+            }],
         );
         assert_eq!(like, hit);
     }
@@ -895,7 +881,10 @@ mod tests {
         let found = s.find(
             EntityKind::Process,
             None,
-            &[EntityConstraint::on("pid", AttrCmp::Ge(Value::Int(1001)))],
+            &[EntityConstraint {
+                attr: Some(Attr::Pid),
+                cmp: AttrCmp::Ge(Value::Int(1001)),
+            }],
         );
         assert_eq!(found.len(), 2);
     }
@@ -998,10 +987,10 @@ mod tests {
             s.find(
                 EntityKind::NetConn,
                 None,
-                &[EntityConstraint::on(
-                    "dstip",
-                    AttrCmp::Like(StringPattern::new(pat)),
-                )],
+                &[EntityConstraint {
+                    attr: Some(Attr::DstIp),
+                    cmp: AttrCmp::Like(StringPattern::new(pat)),
+                }],
             )
         };
         assert_eq!(like("172.16.99.%").len(), 4);

@@ -7,7 +7,7 @@
 //! infix, degenerate — over arbitrary dictionaries.
 
 use aiql_model::{
-    AgentId, EntityAttrs, EntityId, EntityKind, FileAttrs, IpV4, NetConnAttrs, ProcessAttrs,
+    AgentId, Attr, EntityAttrs, EntityId, EntityKind, FileAttrs, IpV4, NetConnAttrs, ProcessAttrs,
     Protocol, StringPattern,
 };
 use aiql_storage::{AttrCmp, EntityConstraint, EntityStore};
@@ -177,7 +177,10 @@ proptest! {
         }
         for pat in &patterns {
             let pattern = StringPattern::new(pat);
-            let c = [EntityConstraint::on("dstip", AttrCmp::Like(pattern.clone()))];
+            let c = [EntityConstraint {
+                attr: Some(Attr::DstIp),
+                cmp: AttrCmp::Like(pattern.clone()),
+            }];
             let a = store.find(EntityKind::NetConn, None, &c);
             let b = naive_like(&store, EntityKind::NetConn, None, &pattern);
             prop_assert_eq!(a, b, "pattern {:?}", pat);

@@ -21,7 +21,9 @@
 
 use std::sync::Arc;
 
-use aiql_model::{AgentId, EntityId, EntityKind, IpV4, Operation, StringPattern, Timestamp, Value};
+use aiql_model::{
+    AgentId, Attr, EntityId, EntityKind, IpV4, Operation, StringPattern, Timestamp, Value,
+};
 use aiql_storage::{
     recover, snapshot, AttrCmp, EntityConstraint, EntitySpec, EntityStore, EventStore, RawEvent,
     SharedStore, StoreConfig, Wal,
@@ -147,24 +149,29 @@ const IP_PATTERNS: [&str; 6] = [
 /// Every constraint set checked for `kind`, resolved against `flat`'s
 /// interner (a name the prefix never saw has no equality probe).
 fn constraint_sets(kind: EntityKind, flat: &EntityStore) -> Vec<Vec<EntityConstraint>> {
-    let like =
-        |attr: &str, p: &str| EntityConstraint::on(attr, AttrCmp::Like(StringPattern::new(p)));
+    let like = |attr: Option<Attr>, p: &str| EntityConstraint {
+        attr,
+        cmp: AttrCmp::Like(StringPattern::new(p)),
+    };
     let mut sets = Vec::new();
     match kind {
         EntityKind::NetConn => {
             for p in IP_PATTERNS {
-                sets.push(vec![like("dst_ip", p)]);
+                sets.push(vec![like(Some(Attr::DstIp), p)]);
             }
             for d in [0u8, 12, 255] {
                 let ip = IpV4::from_octets(172, 1, 99, d);
-                sets.push(vec![EntityConstraint::on(
-                    "dstip",
-                    AttrCmp::Eq(Value::Ip(ip)),
-                )]);
+                sets.push(vec![EntityConstraint {
+                    attr: Some(Attr::DstIp),
+                    cmp: AttrCmp::Eq(Value::Ip(ip)),
+                }]);
             }
-            let port = EntityConstraint::on("src_port", AttrCmp::Lt(Value::Int(9_000)));
+            let port = EntityConstraint {
+                attr: Some(Attr::SrcPort),
+                cmp: AttrCmp::Lt(Value::Int(9_000)),
+            };
             sets.push(vec![port.clone()]);
-            sets.push(vec![like("dst_ip", "%.99.%"), port]);
+            sets.push(vec![like(Some(Attr::DstIp), "%.99.%"), port]);
         }
         _ => {
             for p in NAME_PATTERNS {
@@ -180,11 +187,14 @@ fn constraint_sets(kind: EntityKind, flat: &EntityStore) -> Vec<Vec<EntityConstr
                 }
             }
             if kind == EntityKind::Process {
-                let pid = EntityConstraint::on("pid", AttrCmp::Ge(Value::Int(1_500)));
+                let pid = EntityConstraint {
+                    attr: Some(Attr::Pid),
+                    cmp: AttrCmp::Ge(Value::Int(1_500)),
+                };
                 sets.push(vec![pid.clone()]);
-                sets.push(vec![like("exe_name", "%sql%"), pid]);
+                sets.push(vec![like(Some(Attr::ExeName), "%sql%"), pid]);
             } else {
-                sets.push(vec![like("path", "/tmp/%"), like("name", "%exe%")]);
+                sets.push(vec![like(Some(Attr::Path), "/tmp/%"), like(None, "%exe%")]);
             }
         }
     }
