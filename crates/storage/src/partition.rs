@@ -87,13 +87,6 @@ impl Partition {
         self.epoch
     }
 
-    /// Restores a persisted epoch (snapshot loading replays events through
-    /// the insertion paths, so the counter must be re-seeded afterwards to
-    /// keep the vector monotone across save/load cycles).
-    pub(crate) fn set_epoch(&mut self, epoch: u64) {
-        self.epoch = epoch;
-    }
-
     /// Total events across all segments.
     pub fn len(&self) -> usize {
         self.rows
@@ -126,6 +119,11 @@ impl Partition {
     /// Events currently in the novelty overlay (0 = fully sealed).
     pub fn novelty_len(&self) -> usize {
         self.novelty.len()
+    }
+
+    /// The novelty overlay (empty when fully sealed).
+    pub(crate) fn novelty(&self) -> &Segment {
+        &self.novelty
     }
 
     /// Rows in sealed segments (the flat-row base of the novelty overlay).
@@ -189,16 +187,6 @@ impl Partition {
         let sealed = std::mem::replace(&mut self.novelty, Arc::new(Segment::new()));
         self.segments.push(sealed);
         true
-    }
-
-    /// Appends one event to the novelty overlay. Snapshot replay uses this
-    /// so a loaded partition starts as one dense run;
-    /// [`Partition::apply_layout`] re-splits it into the persisted sealed
-    /// layout (and residual overlay) afterwards.
-    pub(crate) fn push_tail(&mut self, agent: AgentId, event: &Event) {
-        Arc::make_mut(&mut self.novelty).push(agent, event);
-        self.rows += 1;
-        self.epoch += 1;
     }
 
     /// Locates the segment owning flat row `row`: ⟨segment, local row⟩.
@@ -461,46 +449,6 @@ impl Partition {
         self.epoch += 1;
     }
 
-    /// Re-splits the partition's flat rows into sealed segments of the
-    /// given lengths plus a trailing novelty overlay of `novelty_rows`
-    /// (snapshot loading restores the persisted physical layout with this —
-    /// replay first lands everything in the overlay). The lengths plus
-    /// `novelty_rows` must sum to the current row count; a mismatched
-    /// layout is ignored (the dense replay layout stands).
-    pub(crate) fn apply_layout(&mut self, agent: AgentId, lens: &[u32], novelty_rows: u32) {
-        let total: u64 = lens.iter().map(|&l| u64::from(l)).sum::<u64>() + u64::from(novelty_rows);
-        if total != self.rows as u64 || lens.contains(&0) {
-            return;
-        }
-        if self.segments.is_empty() && lens.is_empty() {
-            // Replay already landed everything in the overlay.
-            return;
-        }
-        if self.segments.is_empty() && novelty_rows == 0 && lens.len() == 1 {
-            // One dense sealed segment: seal the replay overlay wholesale.
-            self.flush_novelty();
-            return;
-        }
-        let mut segments = Vec::with_capacity(lens.len());
-        let mut row = 0usize;
-        for &len in lens {
-            let mut seg = Segment::new();
-            for _ in 0..len {
-                seg.push(agent, &self.event_at(agent, row));
-                row += 1;
-            }
-            segments.push(Arc::new(seg));
-        }
-        let mut novelty = Segment::new();
-        for _ in 0..novelty_rows {
-            novelty.push(agent, &self.event_at(agent, row));
-            row += 1;
-        }
-        self.segments = segments;
-        self.novelty = Arc::new(novelty);
-        self.rebuild_bases();
-    }
-
     fn rebuild_bases(&mut self) {
         self.bases.clear();
         let mut base = 0u32;
@@ -697,42 +645,6 @@ mod tests {
             let mut want = Vec::new();
             p.scan_full(AgentId(1), &filter, &mut |e| want.push(e.id));
             assert_eq!(got, want, "filter {filter:?}");
-        }
-    }
-
-    #[test]
-    fn apply_layout_resplits_tail() {
-        let mut replay = Partition::new();
-        let frag = fragmented(4, 3);
-        for r in 0..frag.len() {
-            replay.push_tail(AgentId(1), &frag.event_at(AgentId(1), r));
-        }
-        assert_eq!(replay.segment_count(), 1);
-        replay.apply_layout(AgentId(1), &[3, 3, 3, 3], 0);
-        assert_eq!(replay.segment_count(), 4);
-        assert_eq!(replay.novelty_len(), 0);
-        for r in 0..frag.len() as u32 {
-            assert_eq!(replay.id_at(r), frag.id_at(r));
-        }
-        // Mismatched layouts are ignored.
-        replay.apply_layout(AgentId(1), &[5, 5], 0);
-        assert_eq!(replay.segment_count(), 4);
-    }
-
-    #[test]
-    fn apply_layout_restores_residual_overlay() {
-        let frag = fragmented(4, 3);
-        let mut replay = Partition::new();
-        for r in 0..frag.len() {
-            replay.push_tail(AgentId(1), &frag.event_at(AgentId(1), r));
-        }
-        // 8 sealed rows in two segments + 4 rows left in the overlay.
-        replay.apply_layout(AgentId(1), &[5, 3], 4);
-        assert_eq!(replay.sealed_segment_count(), 2);
-        assert_eq!(replay.novelty_len(), 4);
-        assert_eq!(replay.len(), 12);
-        for r in 0..frag.len() as u32 {
-            assert_eq!(replay.id_at(r), frag.id_at(r));
         }
     }
 

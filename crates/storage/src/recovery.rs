@@ -1,15 +1,19 @@
 //! Crash recovery: rebuild a store from its WAL, or from a snapshot with
 //! WAL fallback.
 //!
-//! The persistence pair is checkpoint + log: [`crate::snapshot`] captures a
-//! point-in-time store, the [`crate::wal`] makes ingestion since the last
-//! checkpoint durable. [`recover`] rebuilds a store from the WAL alone by
-//! re-ingesting each committed batch — because batch boundaries drive
+//! [`crate::snapshot`] captures a point-in-time store; the [`crate::wal`]
+//! makes ingestion durable. [`recover`] rebuilds a store from the WAL alone
+//! by re-ingesting each committed batch — because batch boundaries drive
 //! segment sealing, the rebuilt store reproduces the physical layout (and
 //! therefore every scan result, byte for byte) of a store that ingested the
 //! same batches and never crashed. [`load_or_recover`] prefers the snapshot
-//! but falls back to WAL replay when the snapshot body is corrupt, so a
-//! damaged checkpoint degrades to a slower restart instead of data loss.
+//! but falls back to WAL replay of the whole log when the snapshot is
+//! corrupt, so a damaged snapshot degrades to a slower restart instead of
+//! data loss. The two do not compose into checkpoint + log: a snapshot
+//! does not record the WAL position it covers, so [`load_or_recover`]
+//! returns an intact snapshot alone and replays no WAL written after it. A
+//! caller that keeps logging after a snapshot replays that tail itself (as
+//! `tests/persistence.rs`'s `checkpoint_plus_log_recovery` does).
 
 use std::path::Path;
 
@@ -54,7 +58,8 @@ pub fn recover(
 }
 
 /// Loads the snapshot at `snapshot_path`, falling back to WAL replay of
-/// `wal_path` if the snapshot is corrupt, truncated, or missing. Returns
+/// `wal_path` if the snapshot is corrupt, truncated, or missing. An intact
+/// snapshot is returned alone: no WAL written after it is replayed. Returns
 /// the store plus where it came from so callers can log the degradation.
 pub fn load_or_recover(
     snapshot_path: &Path,
@@ -179,7 +184,7 @@ mod tests {
         snapshot::save(&store, &snap_path).unwrap();
         // An intact snapshot under an older format's magic.
         let mut bytes = std::fs::read(&snap_path).unwrap();
-        for magic in [b"AQS3", b"AQS4"] {
+        for magic in [b"AQS3", b"AQS4", b"AQS5"] {
             bytes[..4].copy_from_slice(magic);
             std::fs::write(&snap_path, &bytes).unwrap();
             let (loaded, source) =

@@ -1,9 +1,14 @@
 //! Full binary snapshots of a store.
 //!
-//! A snapshot captures the string dictionary, the entity dictionary, and all
-//! committed events; loading one reconstructs an equivalent store (same ids,
-//! same scan results) without re-running ingestion. Together with the WAL
-//! this gives the usual checkpoint + log persistence pair.
+//! A snapshot captures the string dictionary, the entity dictionary, and
+//! every partition exactly as it is stored — its sealed segments, then its
+//! novelty overlay; loading one reconstructs an equivalent store (same ids,
+//! same layout, same scan results) without re-running ingestion. A snapshot
+//! does not record the WAL position it covers:
+//! [`crate::recovery::load_or_recover`] returns an intact snapshot alone
+//! and replays no WAL written after it, so a caller that keeps logging
+//! after a snapshot replays that tail itself (as `tests/persistence.rs`'s
+//! `checkpoint_plus_log_recovery` does).
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -19,15 +24,17 @@ use crate::segment::PartitionKey;
 use crate::store::{EventStore, StoreConfig};
 use crate::wal::WalError;
 
-/// The one format read and written: the store config, string and entity
-/// dictionaries, events, the epoch vector (store, dictionary, per
-/// partition), the per-partition sealed segment layout, and the
-/// novelty-overlay row counts — so a reloaded store reproduces the exact
-/// sealed/overlay split (the overlay is serialized, never force-flushed by
-/// persistence). Other `AQS<n>` magics, `AQS4` with its four retired
-/// compaction and dedup fields included, are refused with
-/// [`WalError::UnsupportedVersion`].
-const MAGIC: &[u8; 4] = b"AQS5";
+/// The one format read and written: the store config, the string and
+/// entity dictionaries, then every partition in ascending key order — its
+/// agent and bucket, its sealed segments (each a row count and its rows),
+/// and its overlay's row count and rows. A row is an event without its
+/// agent, which the partition key supplies. Other `AQS<n>` magics are
+/// refused with [`WalError::UnsupportedVersion`].
+const MAGIC: &[u8; 4] = b"AQS6";
+
+/// Bytes of the shortest row [`encode_row`] writes (a one-byte amount):
+/// what a row count may claim of the remaining body.
+const MIN_ROW_BYTES: usize = 34;
 
 /// Writes a snapshot of `store` to `path`.
 pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
@@ -54,43 +61,25 @@ pub fn save(store: &EventStore, path: &Path) -> Result<(), WalError> {
         buf.put_u32_le(entity.agent.raw());
         encode_attrs(&mut buf, &entity.attrs);
     }
-    // Events, partition by partition.
-    let total: u64 = store.event_count();
-    codec::put_varint(&mut buf, total);
-    store.for_each_event(&mut |e| encode_event(&mut buf, e));
-    // Epoch vector: store + dictionary epochs, then per-partition
-    // epochs in partition order.
-    codec::put_varint(&mut buf, store.epoch());
-    codec::put_varint(&mut buf, store.dict_epoch());
-    let epochs = store.partition_epochs();
-    codec::put_varint(&mut buf, epochs.len() as u64);
-    for (key, epoch) in epochs {
+    // Partitions as they lie: the sealed segments in commit order, then
+    // the overlay (serialized, never force-flushed by persistence).
+    let partitions = store.partitions();
+    codec::put_varint(&mut buf, partitions.len() as u64);
+    for (key, part) in partitions {
         buf.put_u32_le(key.agent.raw());
         buf.put_i64_le(key.bucket);
-        codec::put_varint(&mut buf, epoch);
-    }
-    // Segment layout: per partition, the row count of each sealed
-    // segment in commit order.
-    let layouts = store.segment_layouts();
-    codec::put_varint(&mut buf, layouts.len() as u64);
-    for (key, lens) in layouts {
-        buf.put_u32_le(key.agent.raw());
-        buf.put_i64_le(key.bucket);
-        codec::put_varint(&mut buf, lens.len() as u64);
-        for len in lens {
-            codec::put_varint(&mut buf, u64::from(len));
+        codec::put_varint(&mut buf, part.segments().len() as u64);
+        for seg in part
+            .segments()
+            .iter()
+            .map(AsRef::as_ref)
+            .chain([part.novelty()])
+        {
+            codec::put_varint(&mut buf, seg.len() as u64);
+            for row in 0..seg.len() {
+                encode_row(&mut buf, &seg.event_at(key.agent, row));
+            }
         }
-    }
-    // Novelty overlay: per partition, the rows still sitting in the
-    // open overlay — serialized (the events already went out above), so a
-    // save→load cycle reproduces the exact sealed/overlay split instead of
-    // silently flushing the overlay.
-    let novelty = store.novelty_lens();
-    codec::put_varint(&mut buf, novelty.len() as u64);
-    for (key, rows) in novelty {
-        buf.put_u32_le(key.agent.raw());
-        buf.put_i64_le(key.bucket);
-        codec::put_varint(&mut buf, u64::from(rows));
     }
 
     let crc = codec::crc32(&buf);
@@ -190,57 +179,63 @@ pub fn load(path: &Path) -> Result<EventStore, WalError> {
             return Err(CodecError::Invalid("repeated entity").into());
         }
     }
-    // Events.
-    let nevents = codec::get_varint(&mut buf)?;
-    for _ in 0..nevents {
-        let event = decode_event(&mut buf)?;
-        if event.subject.index().max(event.object.index()) >= store.entities().len() {
-            return Err(CodecError::Invalid("event names an entity past the dictionary").into());
-        }
-        // The store's next id is one past the largest loaded.
-        if event.id.raw() == u64::MAX {
-            return Err(CodecError::Invalid("event id leaves no next id").into());
-        }
-        store.insert_committed(event);
-    }
-    // Epoch vector.
-    let epoch = codec::get_varint(&mut buf)?;
-    let dict_epoch = codec::get_varint(&mut buf)?;
+    // Partitions, each segment through the commit's own path: a sealed
+    // segment seals as a commit at flush threshold 0 seals, the overlay
+    // stays open.
+    let entities = store.entities().len();
     let nparts = codec::get_varint(&mut buf)?;
-    // Capacity clamps: a corrupt count that slipped past the CRC must not
-    // drive the allocation — each entry needs at least one byte, so the
-    // remaining body length bounds any honest count.
-    let mut epochs = Vec::with_capacity((nparts as usize).min(buf.len()));
+    let mut last: Option<PartitionKey> = None;
+    let mut rows: Vec<Event> = Vec::new();
     for _ in 0..nparts {
-        let agent = AgentId(codec::get_u32(&mut buf)?);
-        let bucket = codec::get_i64(&mut buf)?;
-        let part_epoch = codec::get_varint(&mut buf)?;
-        epochs.push((PartitionKey { agent, bucket }, part_epoch));
-    }
-    store.restore_epochs(epoch, dict_epoch, &epochs);
-    // Segment layout, then the novelty-overlay rows: replay landed every
-    // partition in one open overlay, and these re-split it.
-    let nparts = codec::get_varint(&mut buf)?;
-    let mut layouts = Vec::with_capacity((nparts as usize).min(buf.len()));
-    for _ in 0..nparts {
-        let agent = AgentId(codec::get_u32(&mut buf)?);
-        let bucket = codec::get_i64(&mut buf)?;
-        let nsegs = codec::get_varint(&mut buf)?;
-        let mut lens = Vec::with_capacity((nsegs as usize).min(buf.len()));
-        for _ in 0..nsegs {
-            lens.push(codec::get_varint(&mut buf)? as u32);
+        let key = PartitionKey {
+            agent: AgentId(codec::get_u32(&mut buf)?),
+            bucket: codec::get_i64(&mut buf)?,
+        };
+        if last.is_some_and(|last| last >= key) {
+            return Err(CodecError::Invalid("partition key is not ascending").into());
         }
-        layouts.push((PartitionKey { agent, bucket }, lens));
+        last = Some(key);
+        let nsealed = codec::get_varint(&mut buf)?;
+        let mut total = 0u64;
+        // Segments `0..nsealed` are sealed; the last one is the overlay.
+        for seg in 0..=nsealed {
+            let n = codec::get_varint(&mut buf)?;
+            let sealed = seg < nsealed;
+            if sealed && n == 0 {
+                return Err(CodecError::Invalid("sealed segment has no rows").into());
+            }
+            // Flat row indices are `u32`.
+            total = total.saturating_add(n);
+            if total > u64::from(u32::MAX) {
+                return Err(CodecError::Invalid("partition rows overflow u32").into());
+            }
+            rows.clear();
+            rows.reserve((n as usize).min(buf.len() / MIN_ROW_BYTES));
+            for _ in 0..n {
+                let event = decode_row(&mut buf, key.agent)?;
+                if event.subject.index().max(event.object.index()) >= entities {
+                    return Err(
+                        CodecError::Invalid("event names an entity past the dictionary").into(),
+                    );
+                }
+                // The store's next id is one past the largest loaded.
+                if event.id.raw() == u64::MAX {
+                    return Err(CodecError::Invalid("event id leaves no next id").into());
+                }
+                if PartitionKey::for_event(key.agent, event.start_time, time_bucket.micros()) != key
+                {
+                    return Err(
+                        CodecError::Invalid("event start time is outside its partition").into(),
+                    );
+                }
+                rows.push(event);
+            }
+            store.load_segment(key, &rows, sealed);
+        }
+        if total == 0 {
+            return Err(CodecError::Invalid("partition has no rows").into());
+        }
     }
-    let nparts = codec::get_varint(&mut buf)?;
-    let mut novelty = Vec::with_capacity((nparts as usize).min(buf.len()));
-    for _ in 0..nparts {
-        let agent = AgentId(codec::get_u32(&mut buf)?);
-        let bucket = codec::get_i64(&mut buf)?;
-        let rows = codec::get_varint(&mut buf)? as u32;
-        novelty.push((PartitionKey { agent, bucket }, rows));
-    }
-    store.restore_layout(&layouts, &novelty);
     Ok(store)
 }
 
@@ -291,16 +286,16 @@ fn decode_attrs(buf: &mut &[u8]) -> Result<EntityAttrs, CodecError> {
             dst_port: codec::get_u16(buf)?,
             protocol: match codec::get_u8(buf)? {
                 0 => Protocol::Tcp,
-                _ => Protocol::Udp,
+                1 => Protocol::Udp,
+                _ => return Err(CodecError::Invalid("protocol")),
             },
         }),
-        _ => return Err(CodecError::BadMagic),
+        _ => return Err(CodecError::Invalid("entity kind")),
     })
 }
 
-fn encode_event(buf: &mut Vec<u8>, e: &Event) {
+fn encode_row(buf: &mut Vec<u8>, e: &Event) {
     buf.put_u64_le(e.id.raw());
-    buf.put_u32_le(e.agent.raw());
     buf.put_u8(e.op.index() as u8);
     buf.put_u32_le(e.subject.raw());
     buf.put_u32_le(e.object.raw());
@@ -309,11 +304,12 @@ fn encode_event(buf: &mut Vec<u8>, e: &Event) {
     codec::put_varint(buf, e.amount);
 }
 
-fn decode_event(buf: &mut &[u8]) -> Result<Event, CodecError> {
+fn decode_row(buf: &mut &[u8], agent: AgentId) -> Result<Event, CodecError> {
     Ok(Event {
         id: EventId(codec::get_u64(buf)?),
-        agent: AgentId(codec::get_u32(buf)?),
-        op: Operation::from_index(codec::get_u8(buf)? as usize).ok_or(CodecError::BadMagic)?,
+        agent,
+        op: Operation::from_index(codec::get_u8(buf)? as usize)
+            .ok_or(CodecError::Invalid("operation"))?,
         subject: EntityId(codec::get_u32(buf)?),
         object: EntityId(codec::get_u32(buf)?),
         start_time: Timestamp(codec::get_i64(buf)?),
@@ -406,27 +402,6 @@ mod tests {
         let loaded = load(&path).unwrap();
         assert_eq!(loaded.entities().delta_len(), 0);
         assert!(loaded.entities().iter().eq(snap.entities().iter()));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn snapshot_roundtrip_preserves_epoch_vector() {
-        let store = populated_store();
-        let path = tmpfile("epochs");
-        save(&store, &path).unwrap();
-        let loaded = load(&path).unwrap();
-        // The loaded store's per-partition epochs must be at least the
-        // saved ones (replay may only push them further), and the vector
-        // must cover the same partitions.
-        let before = store.partition_epochs();
-        let after = loaded.partition_epochs();
-        assert_eq!(before.len(), after.len());
-        for ((ka, ea), (kb, eb)) in before.iter().zip(after.iter()) {
-            assert_eq!(ka, kb);
-            assert!(eb >= ea, "epoch of {ka:?} regressed: {ea} -> {eb}");
-        }
-        assert!(loaded.epoch() >= store.epoch());
-        assert!(loaded.dict_epoch() >= store.dict_epoch());
         std::fs::remove_file(&path).ok();
     }
 
@@ -539,6 +514,71 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One write to agent `agent`'s first hour: the `i`-th file of a cycle
+    /// of five, `i` half-minutes in, so no two writes dedup.
+    fn write_raw(agent: u32, i: i64) -> RawEvent {
+        RawEvent::instant(
+            AgentId(agent),
+            Operation::Write,
+            EntitySpec::process(1, "w.exe", "u"),
+            EntitySpec::file(&format!("/f{}", i % 5), "u"),
+            Timestamp::from_secs(i * 30),
+            1,
+        )
+    }
+
+    /// A store holding one partition of each shape a snapshot carries, all
+    /// built by 8-row commits under a 10-row overlay threshold (the overlay
+    /// seals at every second commit, and a commit that leaves 4 sealed
+    /// segments compacts): agent 0 has three sealed segments and an
+    /// overlay, agent 1 one compacted segment, agent 2 an overlay only.
+    fn mixed_shape_store() -> EventStore {
+        let mut store = EventStore::new(StoreConfig {
+            batch_size: 8,
+            novelty_flush_rows: 10,
+            ..StoreConfig::default()
+        });
+        for (agent, commits) in [(0, 7), (1, 8), (2, 1)] {
+            for c in 0..commits {
+                let raws: Vec<RawEvent> = (c * 8..c * 8 + 8).map(|i| write_raw(agent, i)).collect();
+                store.ingest_all(&raws);
+            }
+        }
+        store
+    }
+
+    #[test]
+    fn ingest_after_load_matches_ingest_into_the_saved_store() {
+        let mut store = mixed_shape_store();
+        let shapes: Vec<(usize, usize)> = store
+            .segment_layouts()
+            .into_iter()
+            .zip(store.novelty_lens())
+            .map(|((_, lens), (_, overlay))| (lens.len(), overlay as usize))
+            .collect();
+        assert_eq!(shapes, [(3, 8), (1, 0), (0, 8)]);
+        let path = tmpfile("ingest-after-load");
+        save(&store, &path).unwrap();
+        let mut loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        // One commit: three rows seal agent 0's overlay into a fourth
+        // segment (the compaction trigger), two identical rows dedup into
+        // agent 1's, two seal agent 2's, and one opens a new bucket.
+        let mut batch = vec![write_raw(0, 56), write_raw(0, 57), write_raw(0, 58)];
+        batch.extend([write_raw(1, 64), write_raw(1, 64)]);
+        batch.extend([write_raw(2, 8), write_raw(2, 9), write_raw(2, 400)]);
+        store.ingest_all(&batch);
+        loaded.ingest_all(&batch);
+        assert_eq!(
+            store.scan_collect(&EventFilter::all()),
+            loaded.scan_collect(&EventFilter::all())
+        );
+        assert_eq!(store.segment_layouts(), loaded.segment_layouts());
+        assert_eq!(store.novelty_lens(), loaded.novelty_lens());
+        assert_eq!(loaded.segment_layouts()[0].1, [59], "agent 0 compacted");
+        assert_eq!(loaded.partition_list().len(), 4);
+    }
+
     #[test]
     fn corrupted_snapshot_detected() {
         let store = populated_store();
@@ -552,16 +592,49 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// One saved partition: agent, bucket, sealed segments, overlay.
+    type Part<'a> = (u32, i64, &'a [&'a [Event]], &'a [Event]);
+
+    /// A partition section holding `parts` in the order given, each written
+    /// the way `save` writes a partition.
+    fn partition_section(parts: &[Part]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_varint(&mut buf, parts.len() as u64);
+        for &(agent, bucket, sealed, overlay) in parts {
+            buf.put_u32_le(agent);
+            buf.put_i64_le(bucket);
+            codec::put_varint(&mut buf, sealed.len() as u64);
+            for seg in sealed.iter().copied().chain([overlay]) {
+                codec::put_varint(&mut buf, seg.len() as u64);
+                for e in seg {
+                    encode_row(&mut buf, e);
+                }
+            }
+        }
+        buf
+    }
+
+    /// An entity section: the given entities, each on agent 1.
+    fn entity_section(entities: &[EntityAttrs]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        codec::put_varint(&mut buf, entities.len() as u64);
+        for attrs in entities {
+            buf.put_u32_le(1); // agent
+            encode_attrs(&mut buf, attrs);
+        }
+        buf
+    }
+
     /// A snapshot file around a hand-built body: default config behind the
-    /// given bucket width, the given dictionary, entities and events, empty
-    /// epoch / layout / novelty sections, magic + CRC + length stamped the
-    /// way `save` does — so only the body's *values* can be wrong.
-    fn crafted(
+    /// given bucket width, the given dictionary, then the given entity and
+    /// partition sections, magic + CRC + length stamped the way `save`
+    /// does — so only the body's *values* can be wrong.
+    fn crafted_body(
         name: &str,
         time_bucket: i64,
         strings: &[&str],
-        entities: &[EntityAttrs],
-        events: &[Event],
+        entities: &[u8],
+        partitions: &[u8],
     ) -> std::path::PathBuf {
         let mut buf = Vec::new();
         buf.put_i64_le(time_bucket);
@@ -573,21 +646,8 @@ mod tests {
         for s in strings {
             codec::put_str(&mut buf, s);
         }
-        codec::put_varint(&mut buf, entities.len() as u64);
-        for attrs in entities {
-            buf.put_u32_le(1); // agent
-            encode_attrs(&mut buf, attrs);
-        }
-        codec::put_varint(&mut buf, events.len() as u64);
-        for e in events {
-            encode_event(&mut buf, e);
-        }
-        for _ in 0..2 {
-            codec::put_varint(&mut buf, 0); // store epoch, dict epoch
-        }
-        for _ in 0..3 {
-            codec::put_varint(&mut buf, 0); // no epoch / layout / novelty rows
-        }
+        buf.extend_from_slice(entities);
+        buf.extend_from_slice(partitions);
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&codec::crc32(&buf).to_le_bytes());
         bytes.extend_from_slice(&(buf.len() as u64).to_le_bytes());
@@ -595,6 +655,24 @@ mod tests {
         let path = tmpfile(name);
         std::fs::write(&path, &bytes).unwrap();
         path
+    }
+
+    /// [`crafted_body`] with the given entities and every event in the
+    /// overlay of agent 1's first bucket.
+    fn crafted(
+        name: &str,
+        time_bucket: i64,
+        strings: &[&str],
+        entities: &[EntityAttrs],
+        events: &[Event],
+    ) -> std::path::PathBuf {
+        crafted_body(
+            name,
+            time_bucket,
+            strings,
+            &entity_section(entities),
+            &partition_section(&[(1, 0, &[], events)]),
+        )
     }
 
     const HOUR: i64 = 3_600_000_000;
@@ -620,9 +698,18 @@ mod tests {
     }
 
     fn load_is_invalid(path: &Path) -> bool {
+        invalid_field(path).is_some()
+    }
+
+    /// The field a load of `path` names as [`CodecError::Invalid`], if it
+    /// fails that way; the file is removed.
+    fn invalid_field(path: &Path) -> Option<&'static str> {
         let r = load(path);
         std::fs::remove_file(path).ok();
-        matches!(r, Err(WalError::Codec(CodecError::Invalid(_))))
+        match r {
+            Err(WalError::Codec(CodecError::Invalid(field))) => Some(field),
+            _ => None,
+        }
     }
 
     #[test]
@@ -674,7 +761,7 @@ mod tests {
 
     #[test]
     fn event_id_u64_max_is_an_error_not_an_overflow() {
-        // `insert_committed` sets the next id to one past each loaded id.
+        // A load sets the next id to one past the largest loaded id.
         let load_with_id = |id: u64| {
             let event = Event {
                 id: EventId(id),
@@ -728,12 +815,109 @@ mod tests {
     }
 
     #[test]
+    fn forbidden_tags_are_invalid_fields() {
+        let strings = ["", "/a", "/b"];
+        let udp = EntityAttrs::NetConn(NetConnAttrs {
+            src_ip: IpV4(1),
+            src_port: 1,
+            dst_ip: IpV4(2),
+            dst_port: 2,
+            protocol: Protocol::Udp,
+        });
+        let events = partition_section(&[(1, 0, &[], &[write_event(0, 1)])]);
+        let entities = entity_section(&[file(1), udp]);
+        // The control: every tag in range.
+        let path = crafted_body("tags-ok", HOUR, &strings, &entities, &events);
+        let loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.entities().get(EntityId(1)).attrs, udp);
+        // The first entity's kind tag follows the count and its agent.
+        let mut kind = entities.clone();
+        kind[5] = 3;
+        let path = crafted_body("tag-kind", HOUR, &strings, &kind, &events);
+        assert_eq!(invalid_field(&path), Some("entity kind"));
+        // The connection's protocol is the section's last byte.
+        let mut protocol = entities.clone();
+        *protocol.last_mut().unwrap() = 2;
+        let path = crafted_body("tag-protocol", HOUR, &strings, &protocol, &events);
+        assert_eq!(invalid_field(&path), Some("protocol"));
+        // The row is the section's last `MIN_ROW_BYTES` (a one-byte
+        // amount); its operation follows the 8-byte id.
+        let mut op = events.clone();
+        let at = op.len() - MIN_ROW_BYTES + 8;
+        op[at] = aiql_model::OPERATION_COUNT as u8;
+        let path = crafted_body("tag-op", HOUR, &strings, &entities, &op);
+        assert_eq!(invalid_field(&path), Some("operation"));
+    }
+
+    #[test]
+    fn partitions_a_store_cannot_hold_are_invalid() {
+        let entities = entity_section(&[file(1), file(2)]);
+        let first = write_event(0, 1);
+        let second = Event {
+            id: EventId(1),
+            ..first
+        };
+        let load_section = |name: &str, section: &[u8]| {
+            crafted_body(name, HOUR, &["", "/a", "/b"], &entities, section)
+        };
+        // The control: a sealed segment and an overlay in each of two
+        // ascending partitions.
+        let path = load_section(
+            "parts-ok",
+            &partition_section(&[(1, 0, &[&[first]], &[second]), (2, 0, &[&[first]], &[])]),
+        );
+        let loaded = load(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(loaded.event_count(), 3);
+        assert_eq!(
+            loaded
+                .novelty_lens()
+                .iter()
+                .map(|&(_, n)| n)
+                .collect::<Vec<_>>(),
+            [1, 0]
+        );
+        // A sealed segment's row count, one past what a partition holds.
+        let mut overflow = partition_section(&[(1, 0, &[&[first]], &[])]);
+        overflow.pop(); // the overlay's row count
+        codec::put_varint(&mut overflow, u64::from(u32::MAX));
+        let cases = [
+            (
+                partition_section(&[(1, 0, &[], &[first]), (1, 0, &[], &[second])]),
+                "partition key is not ascending",
+            ),
+            (
+                partition_section(&[(2, 0, &[], &[first]), (1, 0, &[], &[second])]),
+                "partition key is not ascending",
+            ),
+            (
+                partition_section(&[(1, 0, &[&[]], &[first])]),
+                "sealed segment has no rows",
+            ),
+            (
+                partition_section(&[(1, 0, &[], &[])]),
+                "partition has no rows",
+            ),
+            (
+                partition_section(&[(1, 1, &[], &[first])]),
+                "event start time is outside its partition",
+            ),
+            (overflow, "partition rows overflow u32"),
+        ];
+        for (section, field) in cases {
+            let path = load_section(field, &section);
+            assert_eq!(invalid_field(&path), Some(field));
+        }
+    }
+
+    #[test]
     fn other_snapshot_versions_are_refused() {
         // Same bytes, older magic: the body is never parsed.
         let path = tmpfile("old-magic");
         save(&populated_store(), &path).unwrap();
         let mut bytes = std::fs::read(&path).unwrap();
-        for magic in [b"AQS1", b"AQS2", b"AQS3", b"AQS4"] {
+        for magic in [b"AQS1", b"AQS2", b"AQS3", b"AQS4", b"AQS5"] {
             bytes[..4].copy_from_slice(magic);
             std::fs::write(&path, &bytes).unwrap();
             assert!(

@@ -183,7 +183,7 @@ impl EventStore {
     }
 
     /// Mutation epoch: bumped on every write-side entry point (ingest,
-    /// commit, snapshot insertion, mutable dictionary access). The coarse
+    /// commit, snapshot loading, mutable dictionary access). The coarse
     /// whole-store change counter; partition-scoped consumers use
     /// [`Self::partition_epoch`] / [`Self::dict_epoch`] instead.
     pub fn epoch(&self) -> u64 {
@@ -207,8 +207,8 @@ impl EventStore {
         self.partitions.get(&key).map(|part| part.epoch())
     }
 
-    /// The per-partition epoch vector, in partition order. This is what
-    /// snapshots persist and partition-scoped plan caches validate against.
+    /// The per-partition epoch vector, in partition order: what
+    /// partition-scoped plan caches validate against.
     pub fn partition_epochs(&self) -> Vec<(PartitionKey, u64)> {
         self.partitions
             .iter()
@@ -217,8 +217,8 @@ impl EventStore {
     }
 
     /// The per-partition physical layout (sealed segment row counts in
-    /// commit order), in partition order — what snapshots persist so a
-    /// reloaded store reproduces the exact fragmentation (or compaction)
+    /// commit order), in partition order — what a snapshot reproduces, so
+    /// a reloaded store keeps the exact fragmentation (or compaction)
     /// state. Novelty-overlay rows are not part of the sealed layout; see
     /// [`EventStore::novelty_lens`].
     pub fn segment_layouts(&self) -> Vec<(PartitionKey, Vec<u32>)> {
@@ -229,7 +229,7 @@ impl EventStore {
     }
 
     /// Per-partition novelty-overlay row counts, in partition order — the
-    /// second half of the physical layout snapshots persist.
+    /// second half of the physical layout a snapshot reproduces.
     pub fn novelty_lens(&self) -> Vec<(PartitionKey, u32)> {
         self.partitions
             .iter()
@@ -580,6 +580,12 @@ impl EventStore {
         self.partitions.get(&key).map(Arc::as_ref)
     }
 
+    /// Every partition with its key, in ascending key order (what a
+    /// snapshot saves).
+    pub(crate) fn partitions(&self) -> impl ExactSizeIterator<Item = (PartitionKey, &Partition)> {
+        self.partitions.iter().map(|(&k, part)| (k, part.as_ref()))
+    }
+
     /// The shared handle of one partition, for tests that check which
     /// partitions a snapshot still shares with the writer.
     #[cfg(test)]
@@ -678,7 +684,7 @@ impl EventStore {
     }
 
     /// Visits every committed event (used by the graph baseline to build its
-    /// property graph, and by snapshotting).
+    /// property graph).
     pub fn for_each_event(&self, f: &mut dyn FnMut(&Event)) {
         self.scan_unoptimized(&EventFilter::all(), f);
     }
@@ -740,60 +746,21 @@ impl EventStore {
         }
     }
 
-    /// Direct committed-event insertion used by snapshot loading; bypasses
-    /// the ingest buffer and dedup (the snapshot already reflects them).
-    pub(crate) fn insert_committed(&mut self, event: Event) {
+    /// Appends one saved segment's rows to partition `key` through the
+    /// commit's own path: a sealed segment seals on its own, as a commit at
+    /// flush threshold 0 seals; the overlay stays open. Snapshot loading
+    /// calls this segment by segment in the saved order, so the loaded
+    /// store reproduces the saved layout; the rows bypass the ingest buffer
+    /// and dedup (the snapshot already reflects them).
+    pub(crate) fn load_segment(&mut self, key: PartitionKey, rows: &[Event], sealed: bool) {
         self.epoch += 1;
-        let key = PartitionKey::for_event(
-            event.agent,
-            event.start_time,
-            self.config.time_bucket.micros(),
-        );
-        self.partition_mut(key).push_tail(event.agent, &event);
-        self.next_event_id = self.next_event_id.max(event.id.raw() + 1);
-        self.raw_events += 1;
-    }
-
-    /// Re-applies a persisted physical layout (per-partition sealed segment
-    /// row counts plus novelty-overlay rows): snapshot replay lands every
-    /// partition in one dense overlay, and this re-splits them so the
-    /// loaded store reproduces the saved sealed/overlay split exactly.
-    /// `novelty` entries are looked up per partition; a partition absent
-    /// from it seals everything.
-    pub(crate) fn restore_layout(
-        &mut self,
-        layouts: &[(PartitionKey, Vec<u32>)],
-        novelty: &[(PartitionKey, u32)],
-    ) {
-        for (key, lens) in layouts {
-            if let Some(part) = self.partitions.get_mut(key) {
-                let novelty_rows = novelty
-                    .iter()
-                    .find(|(k, _)| k == key)
-                    .map_or(0, |&(_, n)| n);
-                cow(part, &mut self.partition_copies).apply_layout(key.agent, lens, novelty_rows);
-            }
+        let flush_rows = if sealed { 0 } else { usize::MAX };
+        self.partition_mut(key)
+            .append_novelty(key.agent, rows, flush_rows);
+        if let Some(max) = rows.iter().map(|e| e.id.raw()).max() {
+            self.next_event_id = self.next_event_id.max(max + 1);
         }
-    }
-
-    /// Re-seeds the epoch counters from a persisted snapshot so the epoch
-    /// vector stays monotone across save/load cycles. Missing partitions
-    /// keep the counters they accumulated during replay.
-    pub(crate) fn restore_epochs(
-        &mut self,
-        epoch: u64,
-        dict_epoch: u64,
-        partition_epochs: &[(PartitionKey, u64)],
-    ) {
-        self.epoch = self.epoch.max(epoch);
-        self.dict_epoch = self.dict_epoch.max(dict_epoch);
-        for &(key, e) in partition_epochs {
-            if let Some(part) = self.partitions.get_mut(&key) {
-                if e > part.epoch() {
-                    cow(part, &mut self.partition_copies).set_epoch(e);
-                }
-            }
-        }
+        self.raw_events += rows.len() as u64;
     }
 
     /// The access path the selection-vector scan takes for a filter,

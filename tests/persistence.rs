@@ -123,3 +123,29 @@ fn checkpoint_plus_log_recovery() {
     let b = engine.execute_text(&recovered, probe).unwrap();
     assert_eq!(rendered_rows(&full, &a), rendered_rows(&recovered, &b));
 }
+
+#[test]
+fn loaded_store_starts_a_cold_plan_cache() {
+    // A snapshot carries no epochs: the loaded store is another store, so
+    // a warm engine resolves its first query afresh, and answers the same.
+    let scenario = scenario_demo(Scale::test());
+    let store = build_store(&scenario, StoreConfig::default());
+    let engine = Engine::new(EngineConfig::default());
+    let probe = r#"(at "03/19/2018") agentid = 2 proc p write file f as e return distinct p, f"#;
+    let warm = engine.execute_text(&store, probe).unwrap();
+    assert_eq!(engine.execute_text(&store, probe).unwrap(), warm);
+    let (hits, misses) = engine.plan_cache_counters();
+    assert!(hits > 0, "the repeat query hits the warm cache");
+
+    let path = tmp("cold-cache");
+    snapshot::save(&store, &path).unwrap();
+    let loaded = snapshot::load(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_ne!(loaded.store_id(), store.store_id());
+
+    let cold = engine.execute_text(&loaded, probe).unwrap();
+    let (hits_after, misses_after) = engine.plan_cache_counters();
+    assert_eq!(hits_after, hits, "no entry survives into the loaded store");
+    assert!(misses_after > misses);
+    assert_eq!(cold, warm);
+}
