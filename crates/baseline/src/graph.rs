@@ -14,7 +14,7 @@ use aiql_engine::exec::Tuple;
 use aiql_engine::{EngineError, ResultTable};
 use aiql_lang::{parse_query, Query, TemporalOp};
 use aiql_model::Event;
-use aiql_storage::EventStore;
+use aiql_storage::{EventFilter, EventStore};
 
 use crate::naive::reference::{binds_consistently, event_satisfies_pattern};
 
@@ -41,7 +41,7 @@ impl GraphEngine {
             edges: Vec::new(),
             max_intermediate: 4_000_000,
         };
-        store.for_each_event(&mut |e| {
+        store.scan_unoptimized(&EventFilter::all(), &mut |e| {
             let idx = g.edges.len() as u32;
             g.edges.push(*e);
             g.out[e.subject.index()].push(idx);

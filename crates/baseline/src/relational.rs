@@ -6,7 +6,7 @@ use aiql_engine::analyze::{analyze_anomaly, analyze_multievent, AnalyzedMultieve
 use aiql_engine::exec::Tuple;
 use aiql_engine::{EngineError, ResultTable};
 use aiql_lang::{parse_query, Query};
-use aiql_model::{EntityId, Event};
+use aiql_model::{EntityId, Event, TimeWindow};
 use aiql_storage::{EventFilter, EventStore, IdSet};
 
 use crate::naive::reference::temporal_ok;
@@ -219,13 +219,36 @@ impl RelationalEngine {
             if let Some(agents) = &a.globals.agents {
                 filter = filter.with_agents(agents.clone());
             }
-            store.scan_op_indexed(&filter, &mut |e| {
+            scan_op_indexed(store, &filter, &mut |e| {
                 if probe(e) {
                     out.push(*e);
                 }
             });
         }
         out
+    }
+}
+
+/// Scan with ordinary secondary indexes but *no* partition pruning:
+/// models a plain relational system that has a btree/bitmap index on the
+/// operation column yet none of the domain optimizations (time/space
+/// partitioning, zone maps). Every partition is visited; a candidate
+/// filter widened to every time and entity narrows each segment to the
+/// filter's operations and hosts (through the operation postings where they
+/// prune); every remaining predicate is verified on the materialized row.
+fn scan_op_indexed(store: &EventStore, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
+    let mut candidates = filter.clone();
+    candidates.window = TimeWindow::ALL;
+    candidates.subjects = None;
+    candidates.objects = None;
+    for key in store.partition_list() {
+        let part = store.partition(key).expect("listed partition");
+        for row in part.select(key.agent, &candidates) {
+            let e = part.event_at(key.agent, row as usize);
+            if filter.matches(&e) {
+                f(&e);
+            }
+        }
     }
 }
 
@@ -245,7 +268,7 @@ mod tests {
     use super::*;
     use aiql_engine::{Engine, EngineConfig};
     use aiql_model::{AgentId, Operation, Timestamp};
-    use aiql_storage::{EntitySpec, RawEvent};
+    use aiql_storage::{EntitySpec, OpSet, RawEvent};
 
     fn test_store() -> EventStore {
         let mut s = EventStore::default();
@@ -288,6 +311,58 @@ mod tests {
                 let slow = baseline.execute_text(&store, src).unwrap().normalized();
                 assert_eq!(fast.rows, slow.rows, "query {src} optimized={optimized}");
             }
+        }
+    }
+
+    #[test]
+    fn op_indexed_scan_matches_reference_semantics() {
+        let raw = |agent: u32, op: Operation, exe: &str, file: &str, t: i64| {
+            RawEvent::instant(
+                AgentId(agent),
+                op,
+                EntitySpec::process(100, exe, "alice"),
+                EntitySpec::file(file, "alice"),
+                Timestamp::from_secs(t),
+                1,
+            )
+        };
+        let mut store = EventStore::default();
+        let mut raws = Vec::new();
+        for i in 0..300 {
+            raws.push(raw(
+                (i % 3) as u32,
+                if i % 5 == 0 {
+                    Operation::Execute
+                } else {
+                    Operation::Read
+                },
+                &format!("exe{}", i % 4),
+                &format!("/f{}", i % 6),
+                i * 60, // spread over several hour buckets
+            ));
+        }
+        store.ingest_all(&raws);
+        let filters = [
+            EventFilter::all().with_ops(OpSet::single(Operation::Execute)),
+            EventFilter::all()
+                .with_ops(OpSet::single(Operation::Read))
+                .with_agents(vec![AgentId(1)])
+                .with_window(TimeWindow::new(
+                    Timestamp::from_secs(1000),
+                    Timestamp::from_secs(9000),
+                )),
+        ];
+        for f in filters {
+            let mut indexed = Vec::new();
+            scan_op_indexed(&store, &f, &mut |e| indexed.push(e.id));
+            let mut reference: Vec<_> = store
+                .scan_unoptimized_collect(&f)
+                .iter()
+                .map(|e| e.id)
+                .collect();
+            indexed.sort_unstable();
+            reference.sort_unstable();
+            assert_eq!(indexed, reference);
         }
     }
 

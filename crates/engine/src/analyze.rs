@@ -380,12 +380,7 @@ fn lower_constraint(
     lit: &Literal,
     interner: &Interner,
 ) -> Result<Lowered, EngineError> {
-    let make = |cmp: AttrCmp| {
-        Lowered::Constraint(EntityConstraint {
-            attr: Some(attr),
-            cmp,
-        })
-    };
+    let make = |cmp: AttrCmp| Lowered::Constraint(EntityConstraint { attr, cmp });
     let lowered = match lit {
         Literal::Str(s) => {
             // `_` alone does not make a pattern: artifact names routinely

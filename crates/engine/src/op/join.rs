@@ -2000,6 +2000,7 @@ mod tests {
                 aiql_model::EntityKind::Process,
                 None,
                 &[aiql_storage::EntityConstraint::on_default(
+                    aiql_model::EntityKind::Process,
                     aiql_storage::AttrCmp::Eq(aiql_model::Value::Str(sym)),
                 )],
             );

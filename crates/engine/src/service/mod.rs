@@ -1078,14 +1078,20 @@ mod tests {
                 .collect();
             s.ingest_all(&raws);
         });
-        let epoch = service.inner.store.read(|s| s.epoch());
+        let epochs = service
+            .inner
+            .store
+            .read(|s| (s.partition_epochs(), s.segment_layouts()));
         assert!(matches!(
             service.compact_store(),
             Err(ServiceError::ShuttingDown)
         ));
         assert_eq!(
-            service.inner.store.read(|s| s.epoch()),
-            epoch,
+            service
+                .inner
+                .store
+                .read(|s| (s.partition_epochs(), s.segment_layouts())),
+            epochs,
             "aborted maintenance must not move epochs"
         );
     }

@@ -188,17 +188,20 @@ pub enum AttrCmp {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EntityConstraint {
     /// The constrained attribute, resolved once (analysis resolves every
-    /// name it accepts). `None` is the entity kind's default attribute
-    /// (context-aware shortcut).
-    pub attr: Option<Attr>,
+    /// name it accepts, the default-attribute shortcut included).
+    pub attr: Attr,
     /// The comparison to apply.
     pub cmp: AttrCmp,
 }
 
 impl EntityConstraint {
-    /// Constraint on the kind's default attribute.
-    pub fn on_default(cmp: AttrCmp) -> Self {
-        EntityConstraint { attr: None, cmp }
+    /// Constraint on `kind`'s default attribute (what a bare
+    /// `proc p["cmd.exe"]` constrains).
+    pub fn on_default(kind: EntityKind, cmp: AttrCmp) -> Self {
+        EntityConstraint {
+            attr: kind.default_attr(),
+            cmp,
+        }
     }
 
     /// A rough selectivity estimate in `[0, 1]` used by the scheduler.
@@ -313,99 +316,105 @@ impl Layer {
         c: &EntityConstraint,
         interner: &Interner,
     ) -> Option<Vec<EntityId>> {
-        match (kind, c.attr.unwrap_or(kind.default_attr())) {
+        match (kind, c.attr) {
             (EntityKind::Process, Attr::ExeName) => {
-                sym_index_lookup(&self.proc_by_name, &self.proc_dict, c, interner)
+                dict_lookup(&self.proc_by_name, &self.proc_dict, c, interner)
             }
             (EntityKind::File, Attr::Path) => {
-                sym_index_lookup(&self.file_by_name, &self.file_dict, c, interner)
+                dict_lookup(&self.file_by_name, &self.file_dict, c, interner)
             }
-            (EntityKind::NetConn, Attr::DstIp) => match &c.cmp {
-                AttrCmp::Eq(Value::Ip(ip)) => Some(finish_ids(
-                    self.conn_by_dst.get(&ip.0).cloned().unwrap_or_default(),
-                )),
-                AttrCmp::Like(p) => {
-                    let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
-                        let mut out = Vec::new();
-                        for raw in keys {
-                            if let Some(ids) = self.conn_by_dst.get(raw) {
-                                out.extend_from_slice(ids);
-                            }
-                        }
-                        finish_ids(out)
-                    };
-                    match self.conn_dict.resolve(p) {
-                        DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                        DictCandidates::Verify(keys) => {
-                            let verified: Vec<u32> = keys
-                                .into_iter()
-                                .filter(|raw| p.matches(&aiql_model::IpV4(*raw).to_string()))
-                                .collect();
-                            return Some(resolve_keys(&verified));
-                        }
-                        DictCandidates::Scan => {}
-                    }
-                    // Evaluate the pattern over distinct destination IPs.
-                    let mut out = Vec::new();
-                    for (raw, ids) in &self.conn_by_dst {
-                        let rendered = aiql_model::IpV4(*raw).to_string();
-                        if p.matches(&rendered) {
-                            out.extend_from_slice(ids);
-                        }
-                    }
-                    Some(finish_ids(out))
-                }
-                _ => None,
-            },
+            (EntityKind::NetConn, Attr::DstIp) => {
+                dict_lookup(&self.conn_by_dst, &self.conn_dict, c, interner)
+            }
             _ => None,
         }
     }
 }
 
-fn sym_index_lookup(
-    index: &HashMap<Symbol, Vec<EntityId>>,
+/// The key of one keyed dictionary: a name [`Symbol`] for process names and
+/// file paths, a raw IPv4 (`u32`) for destination IPs.
+trait DictKey: Copy + Eq + std::hash::Hash {
+    /// The key an equality constraint's value names, if it is of this
+    /// dictionary's type.
+    fn of_value(v: &Value) -> Option<Self>;
+    /// The key behind a [`DictIndex`] entry.
+    fn of_raw(raw: u32) -> Self;
+    /// The rendering a `LIKE` pattern matches.
+    fn render(self, interner: &Interner) -> std::borrow::Cow<'_, str>;
+}
+
+impl DictKey for Symbol {
+    fn of_value(v: &Value) -> Option<Self> {
+        match v {
+            Value::Str(sym) => Some(*sym),
+            _ => None,
+        }
+    }
+    fn of_raw(raw: u32) -> Self {
+        Symbol(raw)
+    }
+    fn render(self, interner: &Interner) -> std::borrow::Cow<'_, str> {
+        interner.resolve(self).into()
+    }
+}
+
+impl DictKey for u32 {
+    fn of_value(v: &Value) -> Option<Self> {
+        match v {
+            Value::Ip(ip) => Some(ip.0),
+            _ => None,
+        }
+    }
+    fn of_raw(raw: u32) -> Self {
+        raw
+    }
+    fn render(self, _: &Interner) -> std::borrow::Cow<'_, str> {
+        aiql_model::IpV4(self).to_string().into()
+    }
+}
+
+/// One constraint's lookup in a keyed dictionary: equality reads the key's
+/// posting list; `LIKE` resolves through the n-gram/prefix index
+/// ([`DictIndex::resolve`]), and evaluates the pattern once per *distinct*
+/// key — the core dictionary-vs-events asymmetry — when the index cannot
+/// narrow it. Any other comparison has no index path (`None`).
+fn dict_lookup<K: DictKey>(
+    index: &HashMap<K, Vec<EntityId>>,
     dict: &DictIndex,
     c: &EntityConstraint,
     interner: &Interner,
 ) -> Option<Vec<EntityId>> {
-    match &c.cmp {
-        AttrCmp::Eq(Value::Str(sym)) => {
-            Some(finish_ids(index.get(sym).cloned().unwrap_or_default()))
+    let p = match &c.cmp {
+        AttrCmp::Eq(v) => {
+            let ids = index.get(&K::of_value(v)?).cloned();
+            return Some(finish_ids(ids.unwrap_or_default()));
         }
-        AttrCmp::Like(p) => {
-            let resolve_keys = |keys: &[u32]| -> Vec<EntityId> {
-                let mut out = Vec::new();
-                for &raw in keys {
-                    if let Some(ids) = index.get(&Symbol(raw)) {
-                        out.extend_from_slice(ids);
-                    }
-                }
-                finish_ids(out)
-            };
-            match dict.resolve(p) {
-                DictCandidates::Definitive(keys) => return Some(resolve_keys(&keys)),
-                DictCandidates::Verify(keys) => {
-                    let verified: Vec<u32> = keys
-                        .into_iter()
-                        .filter(|&raw| p.matches(interner.resolve(Symbol(raw))))
-                        .collect();
-                    return Some(resolve_keys(&verified));
-                }
-                DictCandidates::Scan => {}
-            }
-            // Evaluate the pattern once per *distinct* string — the core
-            // dictionary-vs-events asymmetry (and the n-gram fallback when
-            // no literal run is trigram-sized).
-            let mut out = Vec::new();
-            for (sym, ids) in index {
-                if p.matches(interner.resolve(*sym)) {
-                    out.extend_from_slice(ids);
+        AttrCmp::Like(p) => p,
+        _ => return None,
+    };
+    let matches = |key: K| p.matches(&key.render(interner));
+    let mut ids = Vec::new();
+    let keys = match dict.resolve(p) {
+        DictCandidates::Definitive(keys) => keys,
+        DictCandidates::Verify(mut keys) => {
+            keys.retain(|&raw| matches(K::of_raw(raw)));
+            keys
+        }
+        DictCandidates::Scan => {
+            for (&key, list) in index {
+                if matches(key) {
+                    ids.extend_from_slice(list);
                 }
             }
-            Some(finish_ids(out))
+            return Some(finish_ids(ids));
         }
-        _ => None,
+    };
+    for raw in keys {
+        if let Some(list) = index.get(&K::of_raw(raw)) {
+            ids.extend_from_slice(list);
+        }
     }
+    Some(finish_ids(ids))
 }
 
 /// `layer`, writable: in place when nothing else holds it, otherwise a copy
@@ -727,8 +736,7 @@ impl EntityStore {
 
     /// Evaluates one constraint against one entity.
     pub fn eval(&self, entity: &Entity, c: &EntityConstraint) -> bool {
-        let attr = c.attr.unwrap_or(entity.kind().default_attr());
-        let Some(actual) = entity.value(attr) else {
+        let Some(actual) = entity.value(c.attr) else {
             return false;
         };
         self.eval_value(actual, &c.cmp)
@@ -810,9 +818,10 @@ mod tests {
         let found = s.find(
             EntityKind::Process,
             None,
-            &[EntityConstraint::on_default(AttrCmp::Like(
-                StringPattern::new("%cmd.exe"),
-            ))],
+            &[EntityConstraint::on_default(
+                EntityKind::Process,
+                AttrCmp::Like(StringPattern::new("%cmd.exe")),
+            )],
         );
         assert_eq!(found.len(), 1);
         let e = s.get(found[0]);
@@ -858,7 +867,7 @@ mod tests {
             EntityKind::NetConn,
             None,
             &[EntityConstraint {
-                attr: Some(Attr::DstIp),
+                attr: Attr::DstIp,
                 cmp: AttrCmp::Eq(Value::Ip(IpV4::from_octets(10, 0, 4, 129))),
             }],
         );
@@ -868,7 +877,7 @@ mod tests {
             EntityKind::NetConn,
             None,
             &[EntityConstraint {
-                attr: Some(Attr::DstIp),
+                attr: Attr::DstIp,
                 cmp: AttrCmp::Like(StringPattern::new("%.129")),
             }],
         );
@@ -882,7 +891,7 @@ mod tests {
             EntityKind::Process,
             None,
             &[EntityConstraint {
-                attr: Some(Attr::Pid),
+                attr: Attr::Pid,
                 cmp: AttrCmp::Ge(Value::Int(1001)),
             }],
         );
@@ -903,9 +912,10 @@ mod tests {
         let found = s.find(
             EntityKind::File,
             None,
-            &[EntityConstraint::on_default(AttrCmp::Like(
-                StringPattern::new("%info_stealer%"),
-            ))],
+            &[EntityConstraint::on_default(
+                EntityKind::File,
+                AttrCmp::Like(StringPattern::new("%info_stealer%")),
+            )],
         );
         assert_eq!(found.len(), 1);
         assert_eq!(s.count_kind(EntityKind::File), 3);
@@ -948,9 +958,10 @@ mod tests {
             "x_",             // short scan shape, no trigram
         ];
         for pat in patterns {
-            let c = [EntityConstraint::on_default(AttrCmp::Like(
-                StringPattern::new(pat),
-            ))];
+            let c = [EntityConstraint::on_default(
+                EntityKind::Process,
+                AttrCmp::Like(StringPattern::new(pat)),
+            )];
             let a = indexed.find(EntityKind::Process, None, &c);
             // Reference: the pattern against each entity's own name, in id
             // order — no dictionary index, no distinct-string grouping.
@@ -988,7 +999,7 @@ mod tests {
                 EntityKind::NetConn,
                 None,
                 &[EntityConstraint {
-                    attr: Some(Attr::DstIp),
+                    attr: Attr::DstIp,
                     cmp: AttrCmp::Like(StringPattern::new(pat)),
                 }],
             )
@@ -1037,9 +1048,10 @@ mod tests {
         let found = s.find(
             EntityKind::Process,
             None,
-            &[EntityConstraint::on_default(AttrCmp::Like(
-                StringPattern::new("%match%"),
-            ))],
+            &[EntityConstraint::on_default(
+                EntityKind::Process,
+                AttrCmp::Like(StringPattern::new("%match%")),
+            )],
         );
         assert_eq!(found.len(), 3);
         assert!(found.windows(2).all(|w| w[0] < w[1]));

@@ -4,14 +4,18 @@
 //! tested against. [`FaultWriter`] wraps any [`Write`] sink and kills the
 //! byte stream at an arbitrary offset: every byte up to `kill_at` reaches
 //! the inner writer, every byte after it is silently dropped while the
-//! writer keeps reporting success — exactly what a power loss looks like to
-//! an application whose buffered writes never reached the platter. The
+//! writer keeps reporting success — what a process crash mid-write leaves
+//! behind: the bytes the process never handed to the OS are gone. The
 //! fault-injection suites drive the WAL through a killed writer at every
 //! possible offset and assert recovery lands on a committed-batch prefix.
+//!
+//! That is the crash the WAL survives. It never calls `fsync`, so a power
+//! loss, which can also drop bytes the OS already accepted but had not yet
+//! written back, is not modelled here and not survived.
 
 use std::io::Write;
 
-/// A write-kill fault: the byte offset at which the sink "loses power".
+/// A write-kill fault: the byte offset at which the writing process dies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoFault {
     /// Total bytes allowed through before writes start disappearing.
@@ -26,8 +30,8 @@ impl IoFault {
 }
 
 /// A [`Write`] adapter that applies an [`IoFault`]: bytes past the kill
-/// offset are dropped without error, mirroring a crash that loses the
-/// un-synced suffix of the file.
+/// offset are dropped without error, mirroring a process crash that never
+/// handed that suffix of the file to the OS.
 #[derive(Debug)]
 pub struct FaultWriter<W: Write> {
     inner: W,

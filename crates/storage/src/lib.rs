@@ -14,7 +14,9 @@
 //!   columns ([`Segment::select`]): access paths merge by sort-merge into
 //!   sorted row-id vectors, entity id sets are dense bitmaps
 //!   ([`IdSet`]), and callers read fields through cheap column accessors
-//!   instead of materialized events.
+//!   instead of materialized events. It is storage's one rule for which
+//!   rows of a segment match a filter: [`EventStore::scan`] materializes
+//!   exactly the rows it selects.
 //! * **Time and space partitioning / hypertable** — events live in
 //!   [`Partition`]s keyed by ⟨agent id, time bucket⟩ ([`PartitionKey`]),
 //!   each an ordered run of columnar [`Segment`]s (one sealed per batch
@@ -26,14 +28,19 @@
 //!   adjacent small segments into dense runs while preserving the flat row
 //!   addresses the engine's `EventRef`s carry.
 //! * **Persistence** — a write-ahead log ([`wal`]) with CRC-protected
-//!   framing, and full binary [`snapshot`]s of a store.
+//!   framing, and full binary [`snapshot`]s of a store. A WAL commit hands
+//!   its bytes to the OS and is never `fsync`ed: it survives a process
+//!   crash, not a power loss.
 //!
 //! The paper layers these optimizations over PostgreSQL/Greenplum; here they
 //! are a native embedded store (see DESIGN.md for the substitution argument).
 //! Crucially the *unoptimized* access path — a full scan over one logical
 //! heap, ignoring all indexes and partition pruning — is also exposed
-//! ([`EventStore::scan_unoptimized`]) because Figure 5 evaluates baselines
-//! without the storage optimizations.
+//! ([`EventStore::scan_unoptimized`]): it is the per-row reference the
+//! selection vectors are tested against, and Figure 5 evaluates baselines
+//! without the storage optimizations. The access paths that model other
+//! systems (the relational baseline's operation index, the graph import)
+//! live in `aiql-baseline`.
 
 #![forbid(unsafe_code)]
 

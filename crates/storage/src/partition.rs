@@ -342,13 +342,6 @@ impl Partition {
         self.all_segments().any(|s| s.uses_entity_postings(filter))
     }
 
-    /// Index-assisted scan across segments in commit order.
-    pub fn scan(&self, agent: AgentId, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
-        for seg in self.all_segments() {
-            seg.scan(agent, filter, f);
-        }
-    }
-
     /// Unconditional per-row scan across segments in commit order (the
     /// unoptimized access path).
     pub fn scan_full(&self, agent: AgentId, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
@@ -690,9 +683,9 @@ mod tests {
                 "filter {filter:?}"
             );
             let mut a = Vec::new();
-            overlay.scan(AgentId(1), &filter, &mut |e| a.push(e.id));
+            overlay.scan_full(AgentId(1), &filter, &mut |e| a.push(e.id));
             let mut b = Vec::new();
-            sealed.scan(AgentId(1), &filter, &mut |e| b.push(e.id));
+            sealed.scan_full(AgentId(1), &filter, &mut |e| b.push(e.id));
             assert_eq!(a, b);
             assert_eq!(overlay.estimate(&filter) > 0, sealed.estimate(&filter) > 0);
         }

@@ -2,7 +2,8 @@
 //! WAL fallback.
 //!
 //! [`crate::snapshot`] captures a point-in-time store; the [`crate::wal`]
-//! makes ingestion durable. [`recover`] rebuilds a store from the WAL alone
+//! makes ingestion survive a process crash (not a power loss: it is never
+//! `fsync`ed). [`recover`] rebuilds a store from the WAL alone
 //! by re-ingesting each committed batch — because batch boundaries drive
 //! segment sealing, the rebuilt store reproduces the physical layout (and
 //! therefore every scan result, byte for byte) of a store that ingested the

@@ -286,42 +286,17 @@ impl Segment {
         self.min_time < filter.window.end.micros() && self.max_time >= filter.window.start.micros()
     }
 
-    /// Index-assisted scan of this segment: takes the index access paths
-    /// [`Segment::select`] takes (one rule per segment, see
-    /// `Segment::index_rows`), verifies every predicate on the
-    /// materialized event, and invokes `f` for every match in row order.
-    /// `agent` is the partition's host (segments do not duplicate it per
-    /// row).
-    ///
-    /// This is the *materializing* access path: the relational and graph
-    /// baselines and the engine's brute-force oracle read through it, which
-    /// makes it the reference the selection-vector path
-    /// ([`Segment::select`]) is tested against.
-    pub fn scan(&self, agent: AgentId, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
-        if !self.overlaps_window(filter) {
-            return;
-        }
-        match self.index_rows(filter) {
-            Some(rows) => {
-                for row in rows {
-                    let e = self.event_at(agent, row as usize);
-                    if filter.matches(&e) {
-                        f(&e);
-                    }
-                }
-            }
-            None => self.scan_full(agent, filter, f),
-        }
-    }
-
-    /// Selection-vector scan: evaluates every predicate directly against
-    /// the columns and returns the sorted, deduped row ids that match —
-    /// no `Event` is materialized. The index access paths
-    /// (`Segment::index_rows`: entity postings where probing them is
-    /// cheaper than the column pass, operation postings where they prune)
-    /// are combined by sort-merge intersection and the survivors verified
-    /// row by row; with no access path every predicate runs as chunked
-    /// columnar mask passes (`Segment::residual_mask_scan`).
+    /// Selection-vector scan, the one rule in storage that decides which
+    /// rows of a segment match a filter: evaluates every predicate directly
+    /// against the columns and returns the sorted, deduped row ids that
+    /// match — no `Event` is materialized. Every indexed read (the engine's
+    /// scan, [`EventStore::scan`](crate::EventStore::scan)) reads these rows,
+    /// and [`Segment::scan_full`] is the reference it is tested against. The
+    /// index access paths (`Segment::index_rows`: entity postings where
+    /// probing them is cheaper than the column pass, operation postings
+    /// where they prune) are combined by sort-merge intersection and the
+    /// survivors verified row by row; with no access path every predicate
+    /// runs as chunked columnar mask passes (`Segment::residual_mask_scan`).
     pub fn select(&self, agent: AgentId, filter: &EventFilter) -> Vec<u32> {
         if !self.overlaps_window(filter) {
             return Vec::new();
@@ -376,11 +351,11 @@ impl Segment {
         }
     }
 
-    /// The segment's one access-path rule, shared by [`Segment::select`]
-    /// and [`Segment::scan`]: the sorted intersection of every index path
-    /// that pays — the entity paths ([`Segment::entity_paths`]) and the
-    /// operation postings when the filter's operations cover less than half
-    /// the segment — or `None` when none does and a column pass is cheaper.
+    /// The segment's one access-path rule, [`Segment::select`]'s: the
+    /// sorted intersection of every index path that pays — the entity paths
+    /// ([`Segment::entity_paths`]) and the operation postings when the
+    /// filter's operations cover less than half the segment — or `None`
+    /// when none does and a column pass is cheaper.
     /// Candidates still need every predicate verified.
     fn index_rows(&self, filter: &EventFilter) -> Option<Vec<u32>> {
         let mut paths: Vec<Vec<u32>> = self.entity_paths(filter).collect();
@@ -546,7 +521,8 @@ impl Segment {
     }
 
     /// Unconditional column scan verifying every predicate per row — the
-    /// access path of the *unoptimized* storage configuration.
+    /// access path of the *unoptimized* storage configuration, and the
+    /// per-row reference [`Segment::select`] is tested against.
     pub fn scan_full(&self, agent: AgentId, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
         for row in 0..self.len() {
             let e = self.event_at(agent, row);
@@ -708,41 +684,14 @@ mod tests {
     fn scan_by_op_postings() {
         let s = seg_with_events();
         let filter = EventFilter::all().with_ops(OpSet::single(Operation::Read));
-        let mut got = Vec::new();
-        s.scan(AgentId(1), &filter, &mut |e| got.push(e.id.raw()));
-        assert_eq!(got, vec![0, 2]);
+        assert_eq!(s.select(AgentId(1), &filter), vec![0, 2]);
     }
 
     #[test]
     fn scan_by_subject_index() {
         let s = seg_with_events();
         let filter = EventFilter::all().with_subjects(IdSet::from_iter([EntityId(2)]));
-        let mut got = Vec::new();
-        s.scan(AgentId(1), &filter, &mut |e| got.push(e.id.raw()));
-        got.sort_unstable();
-        assert_eq!(got, vec![2, 3]);
-    }
-
-    #[test]
-    fn scan_agrees_with_full_scan() {
-        let s = seg_with_events();
-        let filters = [
-            EventFilter::all(),
-            EventFilter::all().with_ops(OpSet::from_ops(&[Operation::Read, Operation::Write])),
-            EventFilter::all().with_window(TimeWindow::new(Timestamp(150), Timestamp(350))),
-            EventFilter::all()
-                .with_subjects(IdSet::from_iter([EntityId(1)]))
-                .with_objects(IdSet::from_iter([EntityId(11)])),
-        ];
-        for filter in filters {
-            let mut fast = Vec::new();
-            let mut slow = Vec::new();
-            s.scan(AgentId(1), &filter, &mut |e| fast.push(e.id));
-            s.scan_full(AgentId(1), &filter, &mut |e| slow.push(e.id));
-            fast.sort_unstable();
-            slow.sort_unstable();
-            assert_eq!(fast, slow, "filter {filter:?}");
-        }
+        assert_eq!(s.select(AgentId(1), &filter), vec![2, 3]);
     }
 
     #[test]
@@ -752,9 +701,7 @@ mod tests {
             EventFilter::all().with_window(TimeWindow::new(Timestamp(1000), Timestamp(2000)));
         assert!(!s.overlaps_window(&filter));
         assert_eq!(s.estimate(&filter), 0);
-        let mut n = 0;
-        s.scan(AgentId(1), &filter, &mut |_| n += 1);
-        assert_eq!(n, 0);
+        assert!(s.select(AgentId(1), &filter).is_empty());
     }
 
     #[test]
@@ -860,9 +807,7 @@ mod tests {
         }
     }
 
-    /// `select` returns exactly `scan_full`'s rows, sorted and deduped, and
-    /// the materializing `scan` (which shares its access-path rule) visits
-    /// the same events in the same order.
+    /// `select` returns exactly `scan_full`'s rows, sorted and deduped.
     fn assert_select_matches_full_scan(s: &Segment, filter: &EventFilter) {
         let rows = s.select(AgentId(1), filter);
         assert!(rows.windows(2).all(|w| w[0] < w[1]), "sorted, deduped");
@@ -870,9 +815,6 @@ mod tests {
         s.scan_full(AgentId(1), filter, &mut |e| slow.push(e.id));
         let got: Vec<EventId> = rows.iter().map(|&r| s.id_at(r)).collect();
         assert_eq!(got, slow, "select, filter {filter:?}");
-        let mut scanned = Vec::new();
-        s.scan(AgentId(1), filter, &mut |e| scanned.push(e.id));
-        assert_eq!(scanned, slow, "scan, filter {filter:?}");
     }
 
     /// The mask scan must agree with the per-row full scan across block
@@ -931,12 +873,16 @@ mod tests {
     fn legacy_scan_visits_rows_in_order() {
         // Two candidate posting lists that interleave: subject 1 hits rows
         // {0, 1} and subject 2 hits rows {2, 3}; requesting both subjects
-        // must still visit rows ascending (the seed concatenated unsorted).
-        let s = seg_with_events();
+        // must still select rows ascending (the seed concatenated unsorted).
+        // The postings path is the one under test: two probes fit a
+        // four-row segment only below `PROBE_ROWS`, so pad the segment.
+        let mut s = seg_with_events();
+        for i in 4..2 * PROBE_ROWS as u64 {
+            s.push(AgentId(1), &mk_event(i, Operation::Read, 3, 13, 500));
+        }
         let filter = EventFilter::all().with_subjects(IdSet::from_iter([EntityId(1), EntityId(2)]));
-        let mut got = Vec::new();
-        s.scan(AgentId(1), &filter, &mut |e| got.push(e.id.raw()));
-        assert_eq!(got, vec![0, 1, 2, 3]);
+        assert!(s.uses_entity_postings(&filter));
+        assert_eq!(s.select(AgentId(1), &filter), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -208,7 +208,6 @@ impl SharedStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::filter::EventFilter;
     use crate::ingest::{EntitySpec, RawEvent};
     use aiql_model::{AgentId, Event, Operation, Timestamp};
 
@@ -226,9 +225,10 @@ mod tests {
     }
 
     fn rows(store: &EventStore, key: PartitionKey) -> Vec<Event> {
-        let mut out = Vec::new();
-        store.scan_partition(key, &EventFilter::all(), &mut |e| out.push(*e));
-        out
+        let part = store.partition(key).expect("partition exists");
+        (0..part.len())
+            .map(|r| part.event_at(key.agent, r))
+            .collect()
     }
 
     #[test]

@@ -109,7 +109,6 @@ pub struct EventStore {
     merged_events: u64,
     commits: u64,
     store_id: u64,
-    epoch: u64,
     /// Dictionary epoch: bumped only when the entity dictionary (or the
     /// string interner behind it) may have changed. Variable resolutions
     /// read nothing else, so plan caches key them on this alone.
@@ -161,7 +160,6 @@ impl EventStore {
             merged_events: 0,
             commits: 0,
             store_id: NEXT_STORE_ID.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            epoch: 0,
             dict_epoch: 0,
             partition_set_epoch: 0,
             novelty_flushes: 0,
@@ -175,19 +173,13 @@ impl EventStore {
         &self.config
     }
 
-    /// Process-unique identity of this store. Together with [`Self::epoch`]
-    /// it keys cross-query plan caches: a cached resolution is valid only
-    /// for the exact ⟨store, epoch⟩ it was computed against.
+    /// Process-unique identity of this store. Together with
+    /// [`Self::dict_epoch`], [`Self::partition_set_epoch`] and the
+    /// per-partition epochs ([`Self::partition_deps`]) it keys cross-query
+    /// plan caches: a cached value is valid only for the store it was
+    /// computed against, while none of the epochs it read has moved.
     pub fn store_id(&self) -> u64 {
         self.store_id
-    }
-
-    /// Mutation epoch: bumped on every write-side entry point (ingest,
-    /// commit, snapshot loading, mutable dictionary access). The coarse
-    /// whole-store change counter; partition-scoped consumers use
-    /// [`Self::partition_epoch`] / [`Self::dict_epoch`] instead.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Dictionary epoch: bumped only when the entity dictionary may have
@@ -258,7 +250,6 @@ impl EventStore {
     /// Copy-on-write: when a published snapshot still shares the
     /// dictionary `Arc`, this clones it first.
     pub fn entities_mut(&mut self) -> &mut EntityStore {
-        self.epoch += 1;
         self.dict_epoch += 1;
         Arc::make_mut(&mut self.entities)
     }
@@ -291,7 +282,6 @@ impl EventStore {
             amount: raw.amount,
         });
         self.raw_events += 1;
-        self.epoch += 1;
         if self.buffer.len() >= self.config.batch_size {
             self.commit();
         }
@@ -349,7 +339,6 @@ impl EventStore {
         if self.buffer.is_empty() {
             return;
         }
-        self.epoch += 1;
         let mut batch = std::mem::take(&mut self.buffer);
         if self.config.dedup {
             // Group identical SVO interactions that are adjacent in time and
@@ -427,8 +416,8 @@ impl EventStore {
         }
         self.novelty_flushes += flushes;
         if !self.config.background_compaction {
-            // The commit drains its own queue. The commit's epoch bump
-            // covers the merges: only the merged partitions' epochs move.
+            // The commit drains its own queue: only the merged partitions'
+            // epochs move.
             for key in std::mem::take(&mut self.maintenance) {
                 if let Some(part) = self.partitions.get_mut(&key) {
                     let _ = compact_shared(part, None, &mut self.partition_copies);
@@ -491,8 +480,8 @@ impl EventStore {
     /// atomicity holds throughout — a partition is either fully merged (its
     /// epoch bumped) or untouched; the cancelled partition's partial merge
     /// is discarded and its epoch never moves. Partitions completed before
-    /// the abort stay compacted, and the store epoch reflects them even on
-    /// the `Err` path.
+    /// the abort stay compacted, their epochs bumped, even on the `Err`
+    /// path.
     pub fn compact_with_cancel(
         &mut self,
         cancel: &CancelToken,
@@ -507,20 +496,10 @@ impl EventStore {
         let mut report = CompactionReport::default();
         for part in self.partitions.values_mut() {
             report.segments_before += part.segment_count();
-            match compact_shared(part, cancel, &mut self.partition_copies) {
-                Ok(true) => report.partitions_compacted += 1,
-                Ok(false) => {}
-                Err(e) => {
-                    if report.partitions_compacted > 0 {
-                        self.epoch += 1;
-                    }
-                    return Err(e);
-                }
+            if compact_shared(part, cancel, &mut self.partition_copies)? {
+                report.partitions_compacted += 1;
             }
             report.segments_after += part.segment_count();
-        }
-        if report.partitions_compacted > 0 {
-            self.epoch += 1;
         }
         Ok(report)
     }
@@ -528,8 +507,7 @@ impl EventStore {
     /// Compacts one partition to the compaction tier, honoring a
     /// [`CancelToken`]. Returns whether its layout changed (and therefore
     /// its epoch was bumped). A cancelled pass discards its partial merges:
-    /// the partition's layout, its epoch, and the store epoch are exactly
-    /// as they were.
+    /// the partition's layout and its epoch are exactly as they were.
     pub fn compact_partition_with_cancel(
         &mut self,
         key: PartitionKey,
@@ -538,11 +516,7 @@ impl EventStore {
         let Some(part) = self.partitions.get_mut(&key) else {
             return Ok(false);
         };
-        let changed = compact_shared(part, Some(cancel), &mut self.partition_copies)?;
-        if changed {
-            self.epoch += 1;
-        }
-        Ok(changed)
+        compact_shared(part, Some(cancel), &mut self.partition_copies)
     }
 
     /// Total committed events.
@@ -618,22 +592,16 @@ impl EventStore {
             .sum()
     }
 
-    /// Index-assisted scan of one partition.
-    pub fn scan_partition(
-        &self,
-        key: PartitionKey,
-        filter: &EventFilter,
-        f: &mut dyn FnMut(&Event),
-    ) {
-        if let Some(part) = self.partitions.get(&key) {
-            part.scan(key.agent, filter, f);
-        }
-    }
-
-    /// Optimized scan: partition pruning + per-segment index access paths.
+    /// Optimized scan: partition pruning, then the rows
+    /// [`Segment::select`](crate::Segment::select) chose in each segment,
+    /// materialized in flat-row order.
     pub fn scan(&self, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
         for key in self.partitions_for(filter) {
-            self.scan_partition(key, filter, f);
+            for (seg, _, rows) in self.partitions[&key].select_by_segment(key.agent, filter) {
+                for row in rows {
+                    f(&seg.event_at(key.agent, row as usize));
+                }
+            }
         }
     }
 
@@ -658,35 +626,6 @@ impl EventStore {
         let mut out = Vec::new();
         self.scan_unoptimized(filter, &mut |e| out.push(*e));
         out
-    }
-
-    /// Scan with ordinary secondary indexes but *no* partition pruning:
-    /// models a plain relational system that has a btree/bitmap index on
-    /// the operation column yet none of the domain optimizations
-    /// (time/space partitioning, zone maps). Every segment is visited; the
-    /// operation postings narrow candidates inside each; all remaining
-    /// predicates are verified per row.
-    pub fn scan_op_indexed(&self, filter: &EventFilter, f: &mut dyn FnMut(&Event)) {
-        // Disable the zone-map/partition shortcuts by widening the window
-        // used for candidate selection; the real window is still verified
-        // per row below.
-        let mut candidate_filter = filter.clone();
-        candidate_filter.window = aiql_model::TimeWindow::ALL;
-        candidate_filter.subjects = None;
-        candidate_filter.objects = None;
-        for (key, part) in &self.partitions {
-            part.scan(key.agent, &candidate_filter, &mut |e| {
-                if filter.matches(e) {
-                    f(e);
-                }
-            });
-        }
-    }
-
-    /// Visits every committed event (used by the graph baseline to build its
-    /// property graph).
-    pub fn for_each_event(&self, f: &mut dyn FnMut(&Event)) {
-        self.scan_unoptimized(&EventFilter::all(), f);
     }
 
     /// Estimated match count for a filter, from partition statistics.
@@ -753,7 +692,6 @@ impl EventStore {
     /// store reproduces the saved layout; the rows bypass the ingest buffer
     /// and dedup (the snapshot already reflects them).
     pub(crate) fn load_segment(&mut self, key: PartitionKey, rows: &[Event], sealed: bool) {
-        self.epoch += 1;
         let flush_rows = if sealed { 0 } else { usize::MAX };
         self.partition_mut(key)
             .append_novelty(key.agent, rows, flush_rows);
@@ -998,49 +936,6 @@ mod tests {
     }
 
     #[test]
-    fn op_indexed_scan_matches_reference_semantics() {
-        let mut store = EventStore::default();
-        let mut raws = Vec::new();
-        for i in 0..300 {
-            raws.push(raw(
-                (i % 3) as u32,
-                if i % 5 == 0 {
-                    Operation::Execute
-                } else {
-                    Operation::Read
-                },
-                &format!("exe{}", i % 4),
-                &format!("/f{}", i % 6),
-                i * 60, // spread over several hour buckets
-                1,
-            ));
-        }
-        store.ingest_all(&raws);
-        let filters = [
-            EventFilter::all().with_ops(OpSet::single(Operation::Execute)),
-            EventFilter::all()
-                .with_ops(OpSet::single(Operation::Read))
-                .with_agents(vec![AgentId(1)])
-                .with_window(TimeWindow::new(
-                    Timestamp::from_secs(1000),
-                    Timestamp::from_secs(9000),
-                )),
-        ];
-        for f in filters {
-            let mut indexed = Vec::new();
-            store.scan_op_indexed(&f, &mut |e| indexed.push(e.id));
-            let mut reference: Vec<_> = store
-                .scan_unoptimized_collect(&f)
-                .iter()
-                .map(|e| e.id)
-                .collect();
-            indexed.sort_unstable();
-            reference.sort_unstable();
-            assert_eq!(indexed, reference);
-        }
-    }
-
-    #[test]
     fn access_path_names_entity_postings_only_where_the_scan_takes_them() {
         // One partition, 100 reads: `cat` is the subject of 90, `vim` of 10.
         let mut store = EventStore::new(StoreConfig {
@@ -1061,6 +956,7 @@ mod tests {
                 aiql_model::EntityKind::Process,
                 None,
                 &[crate::entities::EntityConstraint::on_default(
+                    aiql_model::EntityKind::Process,
                     crate::entities::AttrCmp::Eq(aiql_model::Value::Str(sym)),
                 )],
             );
@@ -1133,19 +1029,23 @@ mod tests {
         store.ingest_all(&raws);
         let before_scan = store.scan_collect(&EventFilter::all());
         let before_stats = store.stats();
-        let epoch_before = store.epoch();
+        let epochs_before = store.partition_epochs();
         let cancel = CancelToken::new();
         cancel.cancel();
         // A drain that fires before the pass starts aborts it with nothing
         // moved: same layout, same epochs, same scan results.
         assert_eq!(store.compact_with_cancel(&cancel), Err(CompactionCancelled));
-        assert_eq!(store.epoch(), epoch_before, "no layout change, no bump");
+        assert_eq!(
+            store.partition_epochs(),
+            epochs_before,
+            "no layout change, no bump"
+        );
         assert_eq!(store.stats().segments, before_stats.segments);
         assert_eq!(store.scan_collect(&EventFilter::all()), before_scan);
         // Retrying with a live token completes the interrupted maintenance.
         let report = store.compact_with_cancel(&CancelToken::new()).unwrap();
         assert!(report.partitions_compacted > 0);
-        assert!(store.epoch() > epoch_before);
+        assert_ne!(store.partition_epochs(), epochs_before);
         assert_eq!(store.scan_collect(&EventFilter::all()), before_scan);
     }
 
@@ -1166,7 +1066,7 @@ mod tests {
             .partition_list()
             .first()
             .expect("ingest created a partition");
-        let epoch_before = store.epoch();
+        let epochs_before = store.partition_epochs();
         let part_epoch_before = store.partition_epoch(key).expect("partition exists");
         let cancel = CancelToken::new();
         cancel.cancel();
@@ -1174,7 +1074,7 @@ mod tests {
             store.compact_partition_with_cancel(key, &cancel),
             Err(CompactionCancelled)
         );
-        assert_eq!(store.epoch(), epoch_before);
+        assert_eq!(store.partition_epochs(), epochs_before);
         assert_eq!(store.partition_epoch(key), Some(part_epoch_before));
         assert!(store
             .compact_partition_with_cancel(key, &CancelToken::new())
@@ -1456,19 +1356,19 @@ mod tests {
             s.ingest_all(&[raw(1, Operation::Read, "cat", "/etc/passwd", 10, 100)]);
         });
         let pinned = shared.snapshot();
-        let (id_before, epoch_before) = (pinned.store_id(), pinned.epoch());
+        let (id_before, epochs_before) = (pinned.store_id(), pinned.partition_epochs());
         shared.write(|s| {
             s.ingest_all(&[raw(1, Operation::Write, "vim", "/home/x", 20, 200)]);
         });
         // The pinned snapshot still sees exactly one event; the handle sees
-        // both. Identity is shared so plan-cache keys line up; the epoch
-        // names the pinned version.
+        // both. Identity is shared so plan-cache keys line up; the partition
+        // epochs name the pinned version.
         assert_eq!(pinned.event_count(), 1);
         assert_eq!(shared.read(|s| s.event_count()), 2);
         assert_eq!(pinned.store_id(), id_before);
-        assert_eq!(pinned.epoch(), epoch_before);
+        assert_eq!(pinned.partition_epochs(), epochs_before);
         assert_eq!(shared.snapshot().store_id(), id_before);
-        assert!(shared.snapshot().epoch() > epoch_before);
+        assert_ne!(shared.snapshot().partition_epochs(), epochs_before);
     }
 
     /// The ids of the processes named `exe` that `entities` resolves.
@@ -1480,6 +1380,7 @@ mod tests {
             aiql_model::EntityKind::Process,
             None,
             &[crate::entities::EntityConstraint::on_default(
+                aiql_model::EntityKind::Process,
                 crate::entities::AttrCmp::Eq(aiql_model::Value::Str(sym)),
             )],
         )
@@ -1769,7 +1670,6 @@ mod tests {
             layouts: [&'static [u32]; 6],
             novelty: [u32; 6],
             partition_epoch: u64,
-            epoch: u64,
             segments: u64,
             novelty_flushes: u64,
             partition_copies: u64,
@@ -1802,7 +1702,6 @@ mod tests {
                 layouts: compacted,
                 novelty: [0; 6],
                 partition_epoch: 19,
-                epoch: 595,
                 segments: 18,
                 novelty_flushes: 0,
                 partition_copies: 0,
@@ -1817,7 +1716,6 @@ mod tests {
                 layouts: [&[66], &[66], &[64], &[64], &[64], &[64]],
                 novelty: [16, 17, 16, 16, 16, 16],
                 partition_epoch: 15,
-                epoch: 595,
                 segments: 12,
                 novelty_flushes: 6,
                 partition_copies: 0,
@@ -1832,7 +1730,6 @@ mod tests {
                 layouts: fragmented,
                 novelty: [0; 6],
                 partition_epoch: 15,
-                epoch: 595,
                 segments: 90,
                 novelty_flushes: 0,
                 partition_copies: 0,
@@ -1847,7 +1744,6 @@ mod tests {
                 layouts: compacted,
                 novelty: [0; 6],
                 partition_epoch: 19,
-                epoch: 619,
                 segments: 18,
                 novelty_flushes: 0,
                 partition_copies: 108,
@@ -1888,8 +1784,8 @@ mod tests {
             let epochs: Vec<_> = keys.iter().map(|&k| (k, pin.partition_epoch)).collect();
             assert_eq!(store.partition_epochs(), epochs, "{label}");
             assert_eq!(
-                (store.epoch(), store.dict_epoch()),
-                (pin.epoch, 21),
+                (store.partition_set_epoch(), store.dict_epoch()),
+                (6, 21),
                 "{label}"
             );
             let stats = store.stats();

@@ -1,9 +1,12 @@
 //! Write-ahead log for raw observations.
 //!
-//! Agents stream observations continuously; the WAL makes ingestion durable
-//! before batch commit. Records are framed as `[len][crc32][payload]` so a
-//! torn tail (host crash mid-write) is detected and replay stops cleanly at
-//! the last intact record — standard embedded-database recovery semantics.
+//! Agents stream observations continuously; the WAL hands each batch to the
+//! OS before batch commit, so a process crash loses no committed batch (the
+//! log is never `fsync`ed: a power loss can lose what the OS had not yet
+//! written back; see [`Wal::commit`]). Records are framed as
+//! `[len][crc32][payload]` so a torn tail (a crash mid-write) is detected
+//! and replay stops cleanly at the last intact record — standard
+//! embedded-database recovery semantics.
 //!
 //! The current format (`AQW2`) tags every payload with a kind byte: event
 //! frames carry one raw observation, **commit frames** seal everything
@@ -105,8 +108,8 @@ pub struct ReplayReport {
     /// Committed batches, in commit order. Re-ingesting these batch by
     /// batch reproduces the exact commit boundaries of the original store.
     pub batches: Vec<Vec<RawEvent>>,
-    /// Intact events appended after the last commit marker (durable but
-    /// not yet sealed — a crash interrupted the batch).
+    /// Intact events appended after the last commit marker (in the file
+    /// but not yet sealed — a crash interrupted the batch).
     pub uncommitted: Vec<RawEvent>,
     /// Byte length of the intact, frame-aligned prefix (including magic).
     pub valid_len: u64,
@@ -140,7 +143,6 @@ const FRAME_HEADER: usize = 8;
 /// An append-only write-ahead log.
 pub struct Wal {
     writer: BufWriter<Box<dyn Write + Send>>,
-    records: u64,
     /// Events appended since the last commit marker.
     pending: u64,
     /// The frame being written, reused by every append and commit: a
@@ -152,7 +154,6 @@ pub struct Wal {
 impl std::fmt::Debug for Wal {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Wal")
-            .field("records", &self.records)
             .field("pending", &self.pending)
             .finish()
     }
@@ -176,7 +177,6 @@ impl Wal {
         sink.write_all(MAGIC)?;
         Ok(Wal {
             writer: BufWriter::new(sink),
-            records: 0,
             pending: 0,
             frame: Vec::new(),
         })
@@ -212,7 +212,6 @@ impl Wal {
         }
         let wal = Wal {
             writer: BufWriter::new(Box::new(file)),
-            records: (report.committed_events() + report.uncommitted.len()) as u64,
             pending: report.uncommitted.len() as u64,
             frame: Vec::new(),
         };
@@ -224,14 +223,16 @@ impl Wal {
         self.begin_frame(KIND_EVENT);
         encode_raw_event(&mut self.frame, raw);
         self.write_frame()?;
-        self.records += 1;
         self.pending += 1;
         Ok(())
     }
 
     /// Seals every event since the previous marker into one committed
-    /// batch and flushes — the durability point batch commit relies on.
-    /// Recovery replays exactly the batches whose markers reached disk.
+    /// batch and flushes the buffered frames to the OS — the point batch
+    /// commit relies on. Recovery replays exactly the batches whose markers
+    /// reached the file. Nothing here calls `sync_data`, so a commit
+    /// survives a crash of the process (the OS holds the bytes), not a
+    /// power loss or an OS crash before the OS writes them back.
     pub fn commit(&mut self) -> Result<(), WalError> {
         self.begin_frame(KIND_COMMIT);
         codec::put_varint(&mut self.frame, self.pending);
@@ -260,12 +261,6 @@ impl Wal {
     pub fn flush(&mut self) -> Result<(), WalError> {
         self.writer.flush()?;
         Ok(())
-    }
-
-    /// Records appended through this handle (plus, after
-    /// [`Wal::open_append`], the intact records already in the file).
-    pub fn records(&self) -> u64 {
-        self.records
     }
 
     /// Replays a WAL file, returning all intact events (committed or not).
@@ -502,7 +497,6 @@ mod tests {
             wal.append(e).unwrap();
         }
         wal.flush().unwrap();
-        assert_eq!(wal.records(), 10);
         let replayed = Wal::replay(&path).unwrap();
         assert_eq!(replayed, events);
         std::fs::remove_file(&path).ok();

@@ -131,8 +131,8 @@ proptest! {
         };
         for pat in &patterns {
             let pattern = StringPattern::new(pat);
-            let c = [EntityConstraint::on_default(AttrCmp::Like(pattern.clone()))];
             for kind in [EntityKind::Process, EntityKind::File] {
+                let c = [EntityConstraint::on_default(kind, AttrCmp::Like(pattern.clone()))];
                 let a = store.find(kind, restriction, &c);
                 let b = naive_like(&store, kind, restriction, &pattern);
                 prop_assert!(
@@ -178,7 +178,7 @@ proptest! {
         for pat in &patterns {
             let pattern = StringPattern::new(pat);
             let c = [EntityConstraint {
-                attr: Some(Attr::DstIp),
+                attr: Attr::DstIp,
                 cmp: AttrCmp::Like(pattern.clone()),
             }];
             let a = store.find(EntityKind::NetConn, None, &c);

@@ -149,7 +149,7 @@ const IP_PATTERNS: [&str; 6] = [
 /// Every constraint set checked for `kind`, resolved against `flat`'s
 /// interner (a name the prefix never saw has no equality probe).
 fn constraint_sets(kind: EntityKind, flat: &EntityStore) -> Vec<Vec<EntityConstraint>> {
-    let like = |attr: Option<Attr>, p: &str| EntityConstraint {
+    let like = |attr: Attr, p: &str| EntityConstraint {
         attr,
         cmp: AttrCmp::Like(StringPattern::new(p)),
     };
@@ -157,44 +157,49 @@ fn constraint_sets(kind: EntityKind, flat: &EntityStore) -> Vec<Vec<EntityConstr
     match kind {
         EntityKind::NetConn => {
             for p in IP_PATTERNS {
-                sets.push(vec![like(Some(Attr::DstIp), p)]);
+                sets.push(vec![like(Attr::DstIp, p)]);
             }
             for d in [0u8, 12, 255] {
                 let ip = IpV4::from_octets(172, 1, 99, d);
                 sets.push(vec![EntityConstraint {
-                    attr: Some(Attr::DstIp),
+                    attr: Attr::DstIp,
                     cmp: AttrCmp::Eq(Value::Ip(ip)),
                 }]);
             }
             let port = EntityConstraint {
-                attr: Some(Attr::SrcPort),
+                attr: Attr::SrcPort,
                 cmp: AttrCmp::Lt(Value::Int(9_000)),
             };
             sets.push(vec![port.clone()]);
-            sets.push(vec![like(Some(Attr::DstIp), "%.99.%"), port]);
+            sets.push(vec![like(Attr::DstIp, "%.99.%"), port]);
         }
         _ => {
             for p in NAME_PATTERNS {
-                sets.push(vec![EntityConstraint::on_default(AttrCmp::Like(
-                    StringPattern::new(p),
-                ))]);
+                sets.push(vec![EntityConstraint::on_default(
+                    kind,
+                    AttrCmp::Like(StringPattern::new(p)),
+                )]);
             }
             for name in ["cmd", "sql.exe", "osql/dmp", "/tmp/info"] {
                 if let Some(sym) = flat.interner().get(name) {
-                    sets.push(vec![EntityConstraint::on_default(AttrCmp::Eq(Value::Str(
-                        sym,
-                    )))]);
+                    sets.push(vec![EntityConstraint::on_default(
+                        kind,
+                        AttrCmp::Eq(Value::Str(sym)),
+                    )]);
                 }
             }
             if kind == EntityKind::Process {
                 let pid = EntityConstraint {
-                    attr: Some(Attr::Pid),
+                    attr: Attr::Pid,
                     cmp: AttrCmp::Ge(Value::Int(1_500)),
                 };
                 sets.push(vec![pid.clone()]);
-                sets.push(vec![like(Some(Attr::ExeName), "%sql%"), pid]);
+                sets.push(vec![like(Attr::ExeName, "%sql%"), pid]);
             } else {
-                sets.push(vec![like(Some(Attr::Path), "/tmp/%"), like(None, "%exe%")]);
+                sets.push(vec![
+                    like(Attr::Path, "/tmp/%"),
+                    like(kind.default_attr(), "%exe%"),
+                ]);
             }
         }
     }

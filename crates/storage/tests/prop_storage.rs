@@ -40,6 +40,26 @@ fn build_store(raws: &[RawEvent], dedup: bool, bucket_mins: i64) -> EventStore {
     store
 }
 
+/// The same stream committed `batch` events at a time into a bare store
+/// whose novelty overlay seals at `flush_rows` rows and whose compaction
+/// queue nothing drains: many small sealed segments plus an open overlay.
+fn build_layered(
+    raws: &[RawEvent],
+    bucket_mins: i64,
+    batch: usize,
+    flush_rows: usize,
+) -> EventStore {
+    let mut store = EventStore::new(StoreConfig {
+        time_bucket: aiql_model::Duration::from_mins(bucket_mins),
+        batch_size: batch,
+        novelty_flush_rows: flush_rows,
+        background_compaction: true,
+        ..StoreConfig::default()
+    });
+    store.ingest_all(raws);
+    store
+}
+
 /// The test-side reference for one partition: every flat row in order,
 /// materialized and checked with `EventFilter::matches` — no pruning, no
 /// posting list, no column pass.
@@ -68,7 +88,9 @@ proptest! {
     /// row-selecting path the engine scans through returns, partition by
     /// partition, exactly the reference's row *sequence* — candidate order
     /// is what `limit` without `order by` and every truncation prefix
-    /// depend on — for arbitrary filters.
+    /// depend on — for arbitrary filters. Each store is checked as one
+    /// commit seals it, fragmented into small commits with an open novelty
+    /// overlay, and after that layout is compacted.
     #[test]
     fn optimized_scan_equals_full_scan(
         raws in proptest::collection::vec(arb_raw(), 0..150),
@@ -80,6 +102,8 @@ proptest! {
         lo in 0i64..86_400,
         len in 0i64..86_400,
         bucket_mins in 1i64..120,
+        batch in 1usize..24,
+        flush_rows in 1usize..48,
     ) {
         let store = build_store(&raws, true, bucket_mins);
         let mut filter = EventFilter::all()
@@ -99,29 +123,11 @@ proptest! {
                 (0..64).filter(|i| subject_mask >> i & 1 == 1).map(EntityId),
             ));
         }
-        let mut fast = store.scan_collect(&filter);
-        let mut slow = store.scan_unoptimized_collect(&filter);
-        fast.sort_by_key(|e| e.id);
-        slow.sort_by_key(|e| e.id);
-        prop_assert_eq!(store.count(&filter), slow.len());
-        prop_assert_eq!(fast, slow);
-
-        let pruned = store.partitions_for(&filter);
-        let mut matching = Vec::new();
-        for key in store.partition_list() {
-            let want = full_scan_rows(&store, key, &filter);
-            prop_assert_eq!(store.select_partition(key, &filter), want.clone(), "{:?}", key);
-            if !want.is_empty() {
-                matching.push(key);
-            }
-        }
-        // Pruning may keep a partition with no match, never drop one with
-        // a match, and enumerates in partition order.
-        prop_assert!(pruned.windows(2).all(|w| w[0] < w[1]));
-        prop_assert!(
-            matching.iter().all(|key| pruned.contains(key)),
-            "pruned {:?} misses a partition of {:?}", pruned, matching
-        );
+        assert_scans_agree(&store, &filter);
+        let mut layered = build_layered(&raws, bucket_mins, batch, flush_rows);
+        assert_scans_agree(&layered, &filter);
+        layered.compact();
+        assert_scans_agree(&layered, &filter);
     }
 
     /// Dedup never loses data volume: the total transferred amount is
@@ -132,7 +138,7 @@ proptest! {
         let plain = build_store(&raws, false, 60);
         let sum = |s: &EventStore| {
             let mut total: u64 = 0;
-            s.for_each_event(&mut |e| total += e.amount);
+            s.scan_unoptimized(&EventFilter::all(), &mut |e| total += e.amount);
             total
         };
         prop_assert_eq!(sum(&merged), sum(&plain));
@@ -179,4 +185,52 @@ proptest! {
         b.sort_by_key(|e| e.id);
         prop_assert_eq!(a, b);
     }
+}
+
+/// Every scan of `store` agrees with the per-row reference under `filter`:
+/// `scan_collect` returns the reference's events in partition order and
+/// flat-row order, and the same multiset as `scan_unoptimized_collect`;
+/// `select_partition` returns each partition's reference rows; pruning
+/// keeps every partition with a match.
+fn assert_scans_agree(store: &EventStore, filter: &EventFilter) {
+    let pruned = store.partitions_for(filter);
+    let ordered: Vec<_> = pruned
+        .iter()
+        .flat_map(|&key| {
+            let part = store.partition(key).expect("pruned key exists");
+            full_scan_rows(store, key, filter)
+                .into_iter()
+                .map(move |row| part.event_at(key.agent, row as usize))
+        })
+        .collect();
+    let mut fast = store.scan_collect(filter);
+    prop_assert_eq!(&fast, &ordered, "scan_collect order");
+    let mut slow = store.scan_unoptimized_collect(filter);
+    fast.sort_by_key(|e| e.id);
+    slow.sort_by_key(|e| e.id);
+    prop_assert_eq!(store.count(filter), slow.len());
+    prop_assert_eq!(fast, slow);
+
+    let mut matching = Vec::new();
+    for key in store.partition_list() {
+        let want = full_scan_rows(store, key, filter);
+        prop_assert_eq!(
+            store.select_partition(key, filter),
+            want.clone(),
+            "{:?}",
+            key
+        );
+        if !want.is_empty() {
+            matching.push(key);
+        }
+    }
+    // Pruning may keep a partition with no match, never drop one with
+    // a match, and enumerates in partition order.
+    prop_assert!(pruned.windows(2).all(|w| w[0] < w[1]));
+    prop_assert!(
+        matching.iter().all(|key| pruned.contains(key)),
+        "pruned {:?} misses a partition of {:?}",
+        pruned,
+        matching
+    );
 }
